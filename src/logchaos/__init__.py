@@ -7,19 +7,19 @@ mollified fields, chaos integrals, phase boundaries, Monte Carlo checks)
 is built on top of that ladder.
 """
 
-from .chaos import (ChaosParams, ChaosValue, bump_function, chaos_integral,
-                    q0_for, sobolev_diag, truncated_chaos,
-                    truncation_indicator, wick_exp, wick_exp_flagged)
+from .chaos import (ChaosParams, ChaosValue, barrier_below, bump_function,
+                    chaos_density, chaos_integral, q0_for, sobolev_diag,
+                    truncation_indicator, wick_exp_flagged)
 from .grids import Grid
 from .kernels import (KernelSpec, MollifiedKernelTable, PdReport, exact_level,
                       export_table, gram, k_exact, k_mollified, k_partial,
                       kappa, mollified_table, pd_check, q_mollified, q_n)
-from .mollifier import (Mollifier, ResolutionError, convolve_grid,
-                        discrete_stencil, quad_cloud, shrink_domain, theta,
-                        theta_eps, weight_matrix)
+from .mollifier import (Mollifier, ResolutionError, discrete_stencil,
+                        quad_cloud, shrink_domain, theta, theta_eps,
+                        weight_matrix)
 from .phase import (BOUNDARY, L2, LABELS, PHASE_II, PHASE_III, SUBCRITICAL,
                     PhaseError, classify, pick_lambda, scan)
-from .sampler import (FieldSample, NumericError, TiltShift, apply_tilt,
+from .sampler import (FieldSample, NumericError, TiltShift,
                       increment_factors, load_sample, replica_normals,
                       sample_increments, sample_mollified, save_sample,
                       tilt_shift_rows)
@@ -39,8 +39,8 @@ __all__ = [
     "MollifiedKernelTable", "Mollifier", "MomentEstimate", "NumericError",
     "PHASE_II", "PHASE_III", "PdReport", "PhaseError", "ResolutionError",
     "SUBCRITICAL", "SupFieldReport", "TailBoundReport", "TiltShift",
-    "TiltedEventReport", "apply_tilt", "bump_function", "cauchy_ladder",
-    "chaos_integral", "classify", "convolve_grid", "discrete_stencil",
+    "TiltedEventReport", "barrier_below", "bump_function", "cauchy_ladder",
+    "chaos_density", "chaos_integral", "classify", "discrete_stencil",
     "exact_level", "export_table", "field_stats", "gram",
     "increment_factors", "k_exact", "k_mollified", "k_partial", "kappa",
     "kernel_estimate_check", "ladder_from_values", "load_sample",
@@ -50,7 +50,7 @@ __all__ = [
     "sample_mollified", "save_sample", "scan", "second_moment_oracle",
     "shrink_domain", "sobolev_diag", "sobolev_ladder", "sup_field_prob",
     "tail_bound_check", "theta", "theta_eps", "tilt_shift_rows",
-    "tilted_event_prob", "trend_verdict", "truncated_chaos",
-    "truncation_indicator", "weight_matrix", "wick_exp", "wick_exp_flagged",
+    "tilted_event_prob", "trend_verdict", "truncation_indicator",
+    "weight_matrix", "wick_exp_flagged",
     "__version__",
 ]

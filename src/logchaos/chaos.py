@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid
-
 OVERFLOW_EXPONENT = 700.0
 
 
@@ -56,28 +54,57 @@ class ChaosValue:
 
 
 def wick_exp_flagged(u, z, v):
-    """Wick exponential exp(u z - u^2 v / 2) with overflow saturation.
+    """Wick exponential exp(u . z - (u . u) v / 2) with overflow saturation.
 
-    Returns (values, overflow_mask); overflowing entries are set to 0 and
-    flagged rather than propagating infinities.
+    u is one coefficient for the field z, or a sequence of coefficients for
+    independent fields stacked along z's first axis that share the variance
+    v.  Two-field chaos is u = (alpha, i beta) on (X, Y): the variance
+    coefficient alpha^2 - beta^2 sits in the same exponent, so one overflow
+    mask covers the combined exponent.  Returns (values, overflow_mask);
+    overflowing entries are set to 0 and flagged rather than propagating
+    infinities.  This is the only place the saturation rule lives.
     """
-    u = complex(u)
-    z = np.asarray(z)
     v = np.asarray(v, dtype=float)
     if np.any(v < 0):
         raise ValueError("variance v must be nonnegative")
-    expo = np.asarray(u * z - 0.5 * u * u * v, dtype=complex)
+    if np.ndim(u) == 0:
+        u, z = [u], [z]
+    u = [complex(c) for c in u]
+    if len(u) != len(z):
+        raise ValueError("need one coefficient per stacked field")
+    expo = u[0] * np.asarray(z[0])
+    for c, field in zip(u[1:], z[1:]):
+        expo = expo + c * np.asarray(field)
+    expo = np.asarray(expo - 0.5 * sum(c * c for c in u) * v, dtype=complex)
     mask = expo.real > OVERFLOW_EXPONENT
-    safe = np.where(mask, 0.0, expo)
-    vals = np.exp(safe)
-    vals = np.where(mask, 0.0, vals)
-    return vals, mask
+    vals = np.exp(np.where(mask, 0.0, expo))
+    return np.where(mask, 0.0, vals), mask
 
 
-def wick_exp(u, z, v):
-    """Wick exponential exp(u z - u^2 v / 2); overflow saturates to 0."""
-    vals, _ = wick_exp_flagged(u, z, v)
-    return complex(vals) if vals.ndim == 0 else vals
+def barrier_below(z, rows, lam):
+    """below[k] = [Y_k <= k lam] on the given rows of a (levels, N, B) block.
+
+    Y_k = Z_0 + ... + Z_k is the partial sum, accumulated in level order;
+    the boundary is inclusive.  The barrier event A_{q,lam} at a point is
+    below[q:].all(axis=0).  This is the only barrier evaluator.
+    """
+    y = np.cumsum(z[:, rows, :], axis=0)
+    return y <= lam * np.arange(z.shape[0])[:, None, None]
+
+
+def chaos_density(u, x, v, f, event=None):
+    """Chaos density Wick(u, x, v) * event * f on the support rows.
+
+    x is the (S, B) mollified field block on the support rows ((fields, S,
+    B) stacked for two-field coefficients u), v the (S,) variance table, f
+    the (S,) test-function values, and event an optional (S, B) barrier
+    indicator.  Returns (density (S, B), overflow (B,)); a replica column is
+    flagged when any of its rows saturated.
+    """
+    vals, mask = wick_exp_flagged(u, x, np.asarray(v)[:, None])
+    if event is not None:
+        vals = vals * event
+    return vals * np.asarray(f)[:, None], mask.any(axis=0)
 
 
 def q0_for(f, grid):
@@ -100,66 +127,19 @@ def _field_rows(sample, eps):
     return sample.mollified[eps], sample.mollified_rows[eps]
 
 
-def _check_support(f, rows, grid):
-    mask = np.ones(grid.n, dtype=bool)
-    mask[rows] = False
-    if np.any(f[mask] != 0.0):
-        raise ValueError("test function support leaks outside D_eps")
+def truncation_indicator(sample, q, lam, support_idx):
+    """Barrier event indicators at the support points of one sample.
 
-
-def truncation_indicator(sample, q, lam, support_idx, variant="y"):
-    """Barrier event indicators at the support points.
-
-    Y-variant (default): A_{q,lam}(x) = [Y_k(x) <= k lam for all k in
-    q..n_max], boundary inclusive.  X-variant replaces Y_k by the mollified
-    field X_{e^{-k}} (levels must be present on the sample).  Returns
-    (per_point bools, global conjunction).
+    A_{q,lam}(x) = [Y_k(x) <= k lam for all k in q..n_max], boundary
+    inclusive.  Returns (per_point bools, global conjunction).
     """
     if q > sample.n_max:
         raise ValueError(f"q={q} exceeds n_max={sample.n_max}")
     if q < 1:
         raise ValueError("q must be >= 1")
-    idx = np.asarray(support_idx)
-    ok = np.ones(idx.shape, dtype=bool)
-    if variant == "y":
-        y = sample.z[0].copy()
-        for k in range(1, sample.n_max + 1):
-            y += sample.z[k]
-            if k >= q:
-                ok &= y[idx] <= k * lam
-    elif variant == "x":
-        for k in range(q, sample.n_max + 1):
-            eps_k = math.exp(-k)
-            vals, rows = _field_rows(sample, eps_k)
-            pos = np.searchsorted(rows, idx)
-            if np.any(pos >= rows.size) or np.any(rows[np.minimum(pos, rows.size - 1)] != idx):
-                raise ValueError(f"support point outside D_eps at level k={k}")
-            ok &= vals[pos] <= k * lam
-    else:
-        raise ValueError(f"unknown truncation variant {variant!r}")
+    below = barrier_below(sample.z[:, :, None], np.asarray(support_idx), lam)
+    ok = below[q:, :, 0].all(axis=0)
     return ok, bool(ok.all())
-
-
-def _integrand(sample, params, eps, k_eps, sample2):
-    x_eps, rows = _field_rows(sample, eps)
-    _check_support(params.f, rows, sample.grid)
-    k_eps = np.asarray(k_eps, dtype=float)
-    if k_eps.shape != x_eps.shape:
-        raise ValueError("K_eps table misaligned with the mollified field")
-    if params.mode == "single":
-        vals, mask = wick_exp_flagged(params.gamma, x_eps, k_eps)
-    else:
-        if sample2 is None:
-            raise ValueError("two-field mode needs an independent second sample")
-        y_eps, rows2 = _field_rows(sample2, eps)
-        if not np.array_equal(rows, rows2):
-            raise ValueError("second sample on mismatched rows")
-        expo = (params.alpha * x_eps + 1j * params.beta * y_eps
-                + 0.5 * (params.beta ** 2 - params.alpha ** 2) * k_eps)
-        mask = expo.real > OVERFLOW_EXPONENT
-        vals = np.exp(np.where(mask, 0.0, expo))
-        vals = np.where(mask, 0.0, vals)
-    return vals, mask, rows
 
 
 def chaos_integral(sample, params, eps, k_eps, sample2=None):
@@ -168,32 +148,36 @@ def chaos_integral(sample, params, eps, k_eps, sample2=None):
     k_eps is the variance table K_eps(x) aligned with the sample's
     mollified rows (the diagonal of the grid-rule kernel table).  In
     two-field mode the integrand is exp(alpha X + i beta X' + (beta^2 -
-    alpha^2) K / 2) with an independent second sample.
+    alpha^2) K / 2) with an independent second sample.  With
+    params.truncation the barrier indicator A_{q,lam} is inserted, so the
+    value equals the untruncated one exactly on every replica where the
+    global event holds.  This is the single-replica (B = 1) view of the
+    block engine's density kernel.
     """
-    vals, mask, rows = _integrand(sample, params, eps, k_eps, sample2)
-    w = sample.grid.weight
-    total = complex((vals * params.f[rows]).sum() * w)
+    x_eps, rows = _field_rows(sample, eps)
+    mask = np.ones(sample.grid.n, dtype=bool)
+    mask[rows] = False
+    if np.any(params.f[mask] != 0.0):
+        raise ValueError("test function support leaks outside D_eps")
+    k_eps = np.asarray(k_eps, dtype=float)
+    if k_eps.shape != x_eps.shape:
+        raise ValueError("K_eps table misaligned with the mollified field")
+    u, x = params.gamma, x_eps[:, None]
+    if params.mode == "two-field":
+        if sample2 is None:
+            raise ValueError("two-field mode needs an independent second sample")
+        y_eps, rows2 = _field_rows(sample2, eps)
+        if not np.array_equal(rows, rows2):
+            raise ValueError("second sample on mismatched rows")
+        u, x = (params.alpha, 1j * params.beta), np.stack([x, y_eps[:, None]])
+    event = None
+    if params.truncation:
+        event = truncation_indicator(sample, params.q, params.lam, rows)[0][:, None]
+    dens, overflow = chaos_density(u, x, k_eps, params.f[rows], event)
     manifest = f"{sample.seed}:{sample.replica}:{sample.grid.digest()}"
-    return ChaosValue(value=total, mode=params.mode, eps=float(eps),
-                      truncated=False, overflow=bool(mask.any()),
-                      manifest=manifest)
-
-
-def truncated_chaos(sample, params, eps, k_eps, sample2=None, variant="y"):
-    """Chaos integral with the per-point barrier indicator inserted.
-
-    Equals the untruncated value exactly on every replica where the global
-    event holds.
-    """
-    if not params.truncation:
-        raise ValueError("params.truncation is not enabled")
-    vals, mask, rows = _integrand(sample, params, eps, k_eps, sample2)
-    keep, _ = truncation_indicator(sample, params.q, params.lam, rows, variant)
-    w = sample.grid.weight
-    total = complex((vals * keep * params.f[rows]).sum() * w)
-    manifest = f"{sample.seed}:{sample.replica}:{sample.grid.digest()}"
-    return ChaosValue(value=total, mode=params.mode, eps=float(eps),
-                      truncated=True, overflow=bool(mask.any()),
+    return ChaosValue(value=complex(dens.sum() * sample.grid.weight),
+                      mode=params.mode, eps=float(eps),
+                      truncated=params.truncation, overflow=bool(overflow[0]),
                       manifest=manifest)
 
 

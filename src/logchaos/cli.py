@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,14 @@ def _int(cfg, key, default):
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(f"{key} must be an integer, got {v!r}")
     return v
+
+
+def _replicas(cfg, default):
+    """Replica budget of a sampled kind; every estimate needs two replicas."""
+    r = _int(cfg, "replicas", default)
+    if r < 2:
+        raise ConfigError(f"replicas must be >= 2, got {r}")
+    return r
 
 
 def _gamma_value(raw, key="gamma"):
@@ -248,7 +257,7 @@ def run_field_stats(cfg, workers, run_id):
     ns = [int(n) for n in cfg.get("var_levels", [2, 5, 8])]
     n_max = max(resolved["n_max"], max(ns))
     probes = _int(cfg, "probes", 20)
-    replicas = _int(cfg, "replicas", 10000)
+    replicas = _replicas(cfg, 10000)
     seed = _int(cfg, "seed", 0)
     bench = verify.Bench(spec, grid, n_max, f=f)
     ests = verify.field_stats(bench, ns, probes, eps, eps_prime, replicas,
@@ -280,7 +289,7 @@ def run_moment_check(cfg, workers, run_id):
         if label not in (phase.L2, phase.SUBCRITICAL) and g != 0:
             raise ConfigError(
                 f"phase precondition violated: gamma={g} is {label}")
-    replicas = _int(cfg, "replicas", 10000)
+    replicas = _replicas(cfg, 10000)
     seed = _int(cfg, "seed", 0)
     bench = verify.Bench(spec, grid, resolved["n_max"], f=f)
     ests = []
@@ -290,12 +299,7 @@ def run_moment_check(cfg, workers, run_id):
             kw = {} if est == "mean" else {"eps_prime": eps_prime}
             m = verify.mc_moment(bench, params, est, eps, replicas=replicas,
                                  seed=seed, workers=workers, **kw)
-            m = verify.MomentEstimate(
-                estimator=f"{m.estimator} gamma={g}", replicas=m.replicas,
-                estimate=m.estimate, se_re=m.se_re, se_im=m.se_im,
-                oracle=m.oracle, z_re=m.z_re, z_im=m.z_im,
-                excluded=m.excluded)
-            ests.append(m)
+            ests.append(replace(m, estimator=f"{m.estimator} gamma={g}"))
     header, rows = _moment_rows(ests, run_id)
     gated = [m for m in ests if m.max_z is not None]
     verdicts = {"all_z_within_4se": all(m.max_z <= 4.0 for m in gated)}
@@ -313,7 +317,7 @@ def run_cauchy(cfg, workers, run_id):
     spec, grid, f, resolved = _resolve_common(cfg, min(ladder))
     gamma = _gamma_value(cfg.get("gamma", 0.8))
     label, trunc, q, lam = _resolve_trunc(cfg, spec.d, gamma)
-    replicas = _int(cfg, "replicas", 2000)
+    replicas = _replicas(cfg, 2000)
     seed = _int(cfg, "seed", 0)
     bench = verify.Bench(spec, grid, resolved["n_max"], f=f)
     params = ChaosParams(f=f, gamma=gamma, truncation=trunc, q=q, lam=lam)
@@ -339,7 +343,7 @@ def run_mollifier_independence(cfg, workers, run_id):
     profiles = cfg.get("profiles", ["bump", "quartic"])
     if len(profiles) != 2:
         raise ConfigError("profiles must name exactly two mollifiers")
-    replicas = _int(cfg, "replicas", 2000)
+    replicas = _replicas(cfg, 2000)
     seed = _int(cfg, "seed", 0)
     try:
         mol_a = Mollifier(d=spec.d, profile=profiles[0])
@@ -362,11 +366,16 @@ def run_mollifier_independence(cfg, workers, run_id):
     return tables, plots, verdicts, resolved
 
 
-def run_tail_check(cfg, workers, run_id):
+def _tail_grid(cfg):
     sigmas = [float(s) for s in cfg.get("sigmas", [0.5, 1.0, 2.0, 4.0])]
     ratios = [float(u) for u in cfg.get("u_over_sigma", [0, 1, 2, 3, 4, 5])]
     if any(s <= 0 for s in sigmas) or any(u < 0 for u in ratios):
         raise ConfigError("need sigma > 0 and u >= 0")
+    return sigmas, ratios
+
+
+def run_tail_check(cfg, workers, run_id):
+    sigmas, ratios = _tail_grid(cfg)
     report = verify.tail_bound_check(sigmas, ratios)
     rows = [[repr(s), repr(u), repr(exact), repr(bound), holds, run_id]
             for s, u, exact, bound, holds in report.rows]
@@ -389,7 +398,7 @@ def run_tail_check(cfg, workers, run_id):
     return tables, plots, verdicts, resolved
 
 
-def run_sup_prob(cfg, workers, run_id):
+def _sup_levels(cfg):
     lam = _num(cfg, "lam", 1.6)
     ks = [int(k) for k in cfg.get("ks", list(range(4, 11)))]
     qs = [int(q) for q in cfg.get("qs", [2, 4, 6, 8])]
@@ -397,16 +406,21 @@ def run_sup_prob(cfg, workers, run_id):
     if lam <= math.sqrt(2.0 * d):
         raise ConfigError(
             f"barrier slope precondition violated: lam={lam} <= sqrt(2d)")
+    n_max = _int(cfg, "n_max", max(ks + qs))
+    if n_max < max(ks + qs):
+        raise ConfigError(f"n_max={n_max} below the deepest requested level")
+    return d, lam, ks, qs, n_max
+
+
+def run_sup_prob(cfg, workers, run_id):
+    d, lam, ks, qs, n_max = _sup_levels(cfg)
     grid_n = _int(cfg, "grid_n", 512)
     spec = KernelSpec(d=d)
     grid = Grid.regular(spec.box, grid_n)
     fc = cfg.get("f", {})
     f = bump_function(grid, center=_num(fc, "center", 0.5),
                       radius=_num(fc, "radius", 0.2))
-    n_max = _int(cfg, "n_max", max(ks + qs))
-    if n_max < max(ks + qs):
-        raise ConfigError(f"n_max={n_max} below the deepest requested level")
-    replicas = _int(cfg, "replicas", 1000)
+    replicas = _replicas(cfg, 1000)
     seed = _int(cfg, "seed", 0)
     bench = verify.Bench(spec, grid, n_max, f=f)
     rep = verify.sup_field_prob(bench, lam, ks, qs, replicas, seed,
@@ -451,7 +465,7 @@ def run_tilt_check(cfg, workers, run_id):
         raise ConfigError("exponent fits need at least 4 separations")
     eps = _num(cfg, "eps", math.exp(-5))
     n_max = _int(cfg, "n_max", 8)
-    replicas = _int(cfg, "replicas", 10000)
+    replicas = _replicas(cfg, 10000)
     seed = _int(cfg, "seed", 0)
     spec = KernelSpec(d=d)
     try:
@@ -487,7 +501,7 @@ def run_sobolev(cfg, workers, run_id):
     u = _num(cfg, "u", 0.75)
     if u <= spec.d / 2.0:
         raise ConfigError(f"Sobolev index precondition violated: u={u} <= d/2")
-    replicas = _int(cfg, "replicas", 500)
+    replicas = _replicas(cfg, 500)
     seed = _int(cfg, "seed", 0)
     bench = verify.Bench(spec, grid, resolved["n_max"], f=f)
     params = ChaosParams(f=f, gamma=gamma, truncation=trunc, q=q, lam=lam)
@@ -594,27 +608,23 @@ def cmd_run(args):
 
 def cmd_validate(args):
     cfg = load_config(args.config)
-    # dry-run the runner's own validation without sampling by shrinking R
-    probe = dict(cfg)
-    probe["replicas"] = 0
-    try:
-        _validate_only(probe)
-    except ConfigError:
-        raise
+    _validate_only(cfg)
     print(f"config valid: kind={cfg['kind']}")
     return EXIT_OK
 
 
 def _validate_only(cfg):
-    """Re-use each runner's parameter resolution paths without sampling."""
+    """Re-use each runner's parameter resolution paths without sampling.
+
+    Replica budgets are read with default 2, the smallest valid one; an
+    absent key runs at the runner's own default.
+    """
     kind = cfg["kind"]
     if kind == "phase-scan":
         _int(cfg, "d", 1)
         return
     if kind == "tail-check":
-        sig = [float(s) for s in cfg.get("sigmas", [1.0])]
-        if any(s <= 0 for s in sig):
-            raise ConfigError("need sigma > 0 and u >= 0")
+        _tail_grid(cfg)
         return
     if kind == "kernel-check":
         d = _int(cfg, "d", 1)
@@ -629,6 +639,7 @@ def _validate_only(cfg):
         eps = _num(cfg, "eps", 2.0 ** -5 if kind == "moment-check" else 2.0 ** -4)
         eps_p = _num(cfg, "eps_prime", eps if kind == "moment-check" else 2.0 ** -5)
         _resolve_common(cfg, min(eps, eps_p), default_n=128, default_radius=0.2)
+        _replicas(cfg, 2)
         if kind == "moment-check":
             for e in cfg.get("estimands", ["mean"]):
                 if e not in ("mean", "product", "distance2"):
@@ -645,13 +656,13 @@ def _validate_only(cfg):
         default = [1.1, 0.25] if kind == "sobolev" else 0.8
         gamma = _gamma_value(cfg.get("gamma", default))
         _resolve_trunc(cfg, spec.d, gamma)
+        _replicas(cfg, 2)
         if kind == "sobolev" and _num(cfg, "u", 0.75) <= spec.d / 2.0:
             raise ConfigError("Sobolev index precondition violated")
         return
     if kind == "sup-prob":
-        d = _int(cfg, "d", 1)
-        if _num(cfg, "lam", 1.6) <= math.sqrt(2.0 * d):
-            raise ConfigError("barrier slope precondition violated")
+        _sup_levels(cfg)
+        _replicas(cfg, 2)
         return
     if kind == "tilt-check":
         d = _int(cfg, "d", 1)
@@ -660,6 +671,7 @@ def _validate_only(cfg):
             raise ConfigError("phase precondition violated")
         if len(cfg.get("separations", [1, 2, 3, 4])) < 4:
             raise ConfigError("exponent fits need at least 4 separations")
+        _replicas(cfg, 2)
         return
     raise ConfigError(f"unknown kind {kind!r}")
 

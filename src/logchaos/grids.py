@@ -80,12 +80,6 @@ class Grid:
         dist = np.minimum(self.points - lo, hi - self.points).min(axis=1)
         return np.where(dist > margin)[0]
 
-    def pairwise_r(self, other_points=None):
-        """Matrix of Euclidean distances between grid points (and other_points)."""
-        q = self.points if other_points is None else np.atleast_2d(other_points)
-        diff = self.points[:, None, :] - q[None, :, :]
-        return np.sqrt((diff ** 2).sum(axis=-1))
-
     def digest(self):
         """Stable hash of the point set, used in table sidecars and manifests."""
         hsh = hashlib.sha256()

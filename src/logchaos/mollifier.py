@@ -15,8 +15,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .grids import Grid
-
 
 class ResolutionError(ValueError):
     """Grid too coarse to resolve the requested mollifier scale."""
@@ -153,12 +151,6 @@ def weight_matrix(grid, mol, eps):
     return rows, W
 
 
-def convolve_grid(field, mol, eps, grid):
-    """Discrete mollification of a grid field; values returned on D_eps only."""
-    rows, W = weight_matrix(grid, mol, eps)
-    return rows, W @ np.asarray(field, dtype=float)
-
-
 def quad_cloud(mol, eps, nodes_per_axis=32):
     """Continuum midpoint quadrature cloud over the mollifier support.
 
@@ -177,16 +169,3 @@ def quad_cloud(mol, eps, nodes_per_axis=32):
     keep = w > 0
     offs, w = offs[keep], w[keep]
     return offs, w / w.sum()
-
-
-def export_profile(mol, path, n=201):
-    """Two-column audit CSV (offset, weight) of the normalized profile."""
-    import csv
-
-    offs = np.linspace(-1.0, 1.0, n)
-    vals = mol.c_d * mol.radial(np.abs(offs))
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\r\n")
-        wr.writerow(["offset", "weight"])
-        for o, v in zip(offs, vals):
-            wr.writerow([repr(float(o)), repr(float(v))])

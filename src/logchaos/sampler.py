@@ -13,7 +13,7 @@ replica budget, which is what the replay contract requires.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -198,30 +198,6 @@ def sample_mollified(sample, eps_list, mol=None):
         sample.mollified_rows[eps] = rows
     sample.mol_profile = mol.profile
     return sample
-
-
-def apply_tilt(sample, tilt, mol=None):
-    """Return the sample with the Cameron-Martin mean shift applied.
-
-    alpha = 0 returns the input unchanged.  Mollified fields present on the
-    sample are recomputed from the shifted partial sum, preserving the
-    linear-coupling identity X_eps = W_eps Y_{n_max}.
-    """
-    if tilt.alpha == 0.0:
-        return sample
-    if sample.tilt is not None:
-        raise ValueError("sample already tilted")
-    mol = mol if mol is not None else Mollifier(d=sample.spec.d)
-    shifts = tilt_shift_rows(sample.spec, sample.grid, tilt, sample.n_max, mol)
-    out = replace(sample, z=sample.z + shifts, tilt=tilt,
-                  mollified=dict(sample.mollified),
-                  mollified_rows=dict(sample.mollified_rows))
-    if out.mollified:
-        out.mollified = {}
-        rows_cache = dict(out.mollified_rows)
-        out.mollified_rows = {}
-        sample_mollified(out, list(rows_cache), mol)
-    return out
 
 
 def save_sample(sample, path):

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import erfc
 
 from . import kernels
-from .chaos import OVERFLOW_EXPONENT
+from .chaos import barrier_below, chaos_density
 from .grids import Grid
 from .mollifier import Mollifier, weight_matrix
 from .phase import PhaseError
@@ -246,6 +246,8 @@ class Bench:
         consume returns a tuple of arrays with trailing axis BLOCK; the
         concatenated arrays are trimmed to the replica budget.
         """
+        if replicas < 1:
+            raise ValueError(f"map_blocks needs replicas >= 1, got {replicas}")
         workers = workers if workers is not None else default_workers()
         starts = list(range(0, replicas, BLOCK))
         outs = [None] * len(starts)
@@ -266,47 +268,48 @@ class Bench:
                      for j in range(parts))
 
 
-def _wick_block(gamma, x, k_diag):
-    """Wick factors for a (S, B) field block; returns values and overflow."""
-    expo = gamma * x - 0.5 * gamma * gamma * k_diag[:, None]
-    mask = expo.real > OVERFLOW_EXPONENT
-    vals = np.exp(np.where(mask, 0.0, expo))
-    return np.where(mask, 0.0, vals), mask.any(axis=0)
-
-
-def _event_block(z, supp, q, lam, n_max):
-    """Per-point barrier indicators on the support rows for one block."""
-    y = np.cumsum(z[:, supp, :], axis=0)
-    ok = np.ones((supp.size, z.shape[2]), dtype=bool)
-    for k in range(q, n_max + 1):
-        ok &= y[k] <= k * lam
-    return ok
-
-
-def _chaos_values_consume(bench, params, eps_list, channel="main",
-                          trunc=None):
-    """Build a consume closure returning per-eps chaos values and flags."""
-    tabs = [bench.supp_tables(channel, eps) for eps in eps_list]
-    f_supp = bench.f[bench.supp]
-    wgt = bench.grid.weight
-    gamma = params.gamma
+def _event_consume(rows, q, lam):
+    """Consume closure: 1.0 per replica where A_{q,lam} holds on every row."""
 
     def consume(start, z):
+        return (barrier_below(z, rows, lam)[q:].all(axis=(0, 1)).astype(float),)
+
+    return consume
+
+
+def _block_densities(bench, params, keys, trunc):
+    """densities(z) -> [(density, overflow)] per (channel, eps) key of a block.
+
+    Each density is chaos_density on the support rows of the block's
+    mollified field; trunc=(q, lam) inserts the barrier event A_{q,lam}.
+    """
+    if params.mode != "single":
+        raise ValueError("the block engine samples one field; two-field "
+                         "chaos needs chaos_integral with a second sample")
+    tabs = [bench.supp_tables(channel, eps) for channel, eps in keys]
+    f_supp = bench.f[bench.supp]
+
+    def densities(z):
         y_top = z.sum(axis=0)
-        ind = None
+        event = None
         if trunc is not None:
             q, lam = trunc
-            ind = _event_block(z, bench.supp, q, lam, bench.n_max)
-        vals = np.empty((len(eps_list), z.shape[2]), dtype=complex)
-        ovf = np.zeros((len(eps_list), z.shape[2]), dtype=bool)
-        for i, (w_supp, k_diag, _) in enumerate(tabs):
-            x = w_supp @ y_top
-            wick, flag = _wick_block(gamma, x, k_diag)
-            if ind is not None:
-                wick = wick * ind
-            vals[i] = (wick * f_supp[:, None]).sum(axis=0) * wgt
-            ovf[i] = flag
-        return vals, ovf
+            event = barrier_below(z, bench.supp, lam)[q:].all(axis=0)
+        return [chaos_density(params.gamma, w_supp @ y_top, k_diag, f_supp,
+                              event) for w_supp, k_diag, _ in tabs]
+
+    return densities
+
+
+def _chaos_values_consume(bench, params, keys, trunc=None):
+    """Consume closure returning per-key chaos values and overflow flags."""
+    densities = _block_densities(bench, params, keys, trunc)
+    wgt = bench.grid.weight
+
+    def consume(start, z):
+        out = densities(z)
+        return (np.stack([dens.sum(axis=0) * wgt for dens, _ in out]),
+                np.stack([ovf for _, ovf in out]))
 
     return consume
 
@@ -350,20 +353,16 @@ def mc_moment(bench, params, estimand, eps, eps_prime=None, replicas=1000,
     if estimand == "event":
         if trunc is None:
             raise ValueError("event estimand needs trunc=(q, lam)")
-        q, lam = trunc
-
-        def consume(start, z):
-            ok = _event_block(z, bench.supp, q, lam, bench.n_max)
-            return (ok.all(axis=0).astype(float),)
-
-        (ind,) = bench.map_blocks(seed, replicas, consume, workers)
-        return moment_from_values(f"P[event q={q}]", ind, oracle=None)
+        (ind,) = bench.map_blocks(seed, replicas,
+                                  _event_consume(bench.supp, *trunc), workers)
+        return moment_from_values(f"P[event q={trunc[0]}]", ind, oracle=None)
 
     pair = estimand in ("product", "distance2")
     eps_list = [eps, eps_prime] if pair else [eps]
     if pair and eps_prime is None:
         raise ValueError(f"estimand {estimand} needs eps_prime")
-    consume = _chaos_values_consume(bench, params, eps_list, trunc=trunc)
+    consume = _chaos_values_consume(bench, params,
+                                    [("main", e) for e in eps_list], trunc)
     vals, ovf = bench.map_blocks(seed, replicas, consume, workers)
     if estimand == "mean":
         oracle = complex(bench.f.sum() * bench.grid.weight)
@@ -413,13 +412,13 @@ def cauchy_ladder(bench, params, eps_ladder, replicas, seed, workers=None):
     if any(a <= b for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
     trunc = (params.q, params.lam) if params.truncation else None
-    consume = _chaos_values_consume(bench, params, eps_ladder, trunc=trunc)
+    consume = _chaos_values_consume(bench, params,
+                                    [("main", e) for e in eps_ladder], trunc)
     vals, ovf = bench.map_blocks(seed, replicas, consume, workers)
     pairs = list(zip(eps_ladder, eps_ladder[1:]))
-    d2 = np.stack([np.abs(vals[i] - vals[i + 1]) ** 2 for i in range(len(pairs))])
-    keep = np.stack([~(ovf[i] | ovf[i + 1]) for i in range(len(pairs))])
+    d2 = np.abs(vals[:-1] - vals[1:]) ** 2
     name = "cauchy" + (" truncated" if params.truncation else "")
-    return ladder_from_values(name, pairs, d2, keep)
+    return ladder_from_values(name, pairs, d2, ~(ovf[:-1] | ovf[1:]))
 
 
 def mollifier_independence(bench, params, eps_ladder, replicas, seed,
@@ -432,33 +431,14 @@ def mollifier_independence(bench, params, eps_ladder, replicas, seed,
     if alt not in bench.channels:
         raise ValueError(f"bench is missing mollifier channel {alt!r}")
     eps_ladder = [float(e) for e in eps_ladder]
-    tabs_a = [bench.supp_tables("main", eps) for eps in eps_ladder]
-    tabs_b = [bench.supp_tables(alt, eps) for eps in eps_ladder]
-    f_supp = bench.f[bench.supp]
-    wgt = bench.grid.weight
-    gamma = params.gamma
     trunc = (params.q, params.lam) if params.truncation else None
-
-    def consume(start, z):
-        y_top = z.sum(axis=0)
-        ind = 1.0
-        if trunc is not None:
-            ind = _event_block(z, bench.supp, trunc[0], trunc[1], bench.n_max)
-        d2 = np.empty((len(eps_ladder), z.shape[2]))
-        keep = np.ones((len(eps_ladder), z.shape[2]), dtype=bool)
-        for i in range(len(eps_ladder)):
-            wa, ka, _ = tabs_a[i]
-            wb, kb, _ = tabs_b[i]
-            va, fa = _wick_block(gamma, wa @ y_top, ka)
-            vb, fb = _wick_block(gamma, wb @ y_top, kb)
-            ma = (va * ind * f_supp[:, None]).sum(axis=0) * wgt
-            mb = (vb * ind * f_supp[:, None]).sum(axis=0) * wgt
-            d2[i] = np.abs(ma - mb) ** 2
-            keep[i] = ~(fa | fb)
-        return d2, keep
-
-    d2, keep = bench.map_blocks(seed, replicas, consume, workers)
-    return ladder_from_values("mollifier independence", eps_ladder, d2, keep)
+    keys = [("main", e) for e in eps_ladder] + [(alt, e) for e in eps_ladder]
+    consume = _chaos_values_consume(bench, params, keys, trunc)
+    vals, ovf = bench.map_blocks(seed, replicas, consume, workers)
+    n = len(eps_ladder)
+    d2 = np.abs(vals[:n] - vals[n:]) ** 2
+    return ladder_from_values("mollifier independence", eps_ladder, d2,
+                              ~(ovf[:n] | ovf[n:]))
 
 
 @dataclass(frozen=True)
@@ -609,10 +589,9 @@ def sup_field_prob(bench, lam, ks, qs, replicas, seed, workers=None):
     supp = bench.supp
 
     def consume(start, z):
-        y = np.cumsum(z[:, supp, :], axis=0)
-        exceed = np.stack([(y[k].max(axis=0) > lam * k).astype(float) for k in ks])
-        below = y <= lam * np.arange(z.shape[0])[:, None, None]
-        ok_all = np.stack([below[q:].all(axis=(0, 1)).astype(float) for q in qs])
+        below = barrier_below(z, supp, lam)
+        exceed = np.stack([~below[k].all(axis=0) for k in ks]).astype(float)
+        ok_all = np.stack([below[q:].all(axis=(0, 1)) for q in qs]).astype(float)
         return exceed, ok_all
 
     exceed, ok_all = bench.map_blocks(seed, replicas, consume, workers)
@@ -672,15 +651,8 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
         bench = Bench(spec, grid2, n_max, mol=mol)
         bench.set_tilt(TiltShift(x=x, y=y, eps=eps, eps_prime=eps_prime,
                                  alpha=alpha))
-
-        def consume(start, z):
-            ycum = np.cumsum(z, axis=0)
-            ok = np.ones((2, z.shape[2]), dtype=bool)
-            for k in range(q, n_max + 1):
-                ok &= ycum[k] <= k * lam
-            return (ok.all(axis=0).astype(float),)
-
-        (ind,) = bench.map_blocks(seed + si, replicas, consume, workers)
+        (ind,) = bench.map_blocks(seed + si, replicas,
+                                  _event_consume(slice(None), q, lam), workers)
         estimates.append(moment_from_values(f"P~[A_{q}] sep={s}", ind))
     xs = np.log(np.maximum(np.asarray(separations, dtype=float), eps))
     probs = np.asarray([max(e.estimate.real, 0.5 / replicas) for e in estimates])
@@ -745,10 +717,9 @@ def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
     if grid.d != 1:
         raise NotImplementedError("density ladder is wired for d=1 grids")
     eps_ladder = [float(e) for e in eps_ladder]
-    tabs = [bench.supp_tables("main", eps) for eps in eps_ladder]
-    f_supp = bench.f[bench.supp]
-    gamma = params.gamma
     trunc = (params.q, params.lam) if params.truncation else None
+    densities = _block_densities(bench, params,
+                                 [("main", e) for e in eps_ladder], trunc)
     h = grid.h
     xi = 2.0 * np.pi * np.fft.fftfreq(grid.shape[0], d=h)
     weight = (1.0 + xi ** 2) ** (-u)
@@ -756,16 +727,11 @@ def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
     dxi = (2.0 * np.pi / length) ** grid.d
 
     def consume(start, z):
-        y_top = z.sum(axis=0)
-        ind = 1.0
-        if trunc is not None:
-            ind = _event_block(z, bench.supp, trunc[0], trunc[1], bench.n_max)
         dens = np.zeros((len(eps_ladder), grid.n, z.shape[2]), dtype=complex)
         keep = np.ones((len(eps_ladder), z.shape[2]), dtype=bool)
-        for i, (w_supp, k_diag, _) in enumerate(tabs):
-            wick, flag = _wick_block(gamma, w_supp @ y_top, k_diag)
-            dens[i, bench.supp, :] = wick * ind * f_supp[:, None]
-            keep[i] = ~flag
+        for i, (density, ovf) in enumerate(densities(z)):
+            dens[i, bench.supp, :] = density
+            keep[i] = ~ovf
         out = np.empty((len(eps_ladder) - 1, z.shape[2]))
         kout = np.empty((len(eps_ladder) - 1, z.shape[2]), dtype=bool)
         for i in range(len(eps_ladder) - 1):

@@ -7,8 +7,7 @@ import pytest
 from logchaos import (ChaosParams, Grid, KernelSpec, Mollifier,
                       bump_function, chaos_integral, mollified_table, q0_for,
                       sample_increments, sample_mollified, sobolev_diag,
-                      truncated_chaos, truncation_indicator, wick_exp,
-                      wick_exp_flagged)
+                      truncation_indicator, wick_exp_flagged)
 from logchaos.sampler import FieldSample
 
 SPEC = KernelSpec(d=1)
@@ -40,31 +39,43 @@ def fabricated(values, rows, n_max=3, z=None):
 
 class TestWick:
     def test_trivial_values(self):
-        assert wick_exp(0.5, 0.0, 0.0) == 1.0
-        assert abs(wick_exp(1.0, 1.0, 2.0) - 1.0) < 1e-15
+        assert wick_exp_flagged(0.5, 0.0, 0.0)[0] == 1.0
+        assert abs(wick_exp_flagged(1.0, 1.0, 2.0)[0] - 1.0) < 1e-15
 
     def test_imaginary_modulus(self):
         # u = i beta: |wick| = exp(beta^2 v / 2) independent of z
         beta, v = 0.7, 1.3
         for z in (-2.0, 0.0, 3.5):
-            val = wick_exp(1j * beta, z, v)
+            val, _ = wick_exp_flagged(1j * beta, z, v)
             assert abs(abs(val) - math.exp(0.5 * beta * beta * v)) < 1e-12
 
     def test_complex_square(self):
         u = 0.8 + 0.3j
         z, v = 0.4, 1.1
         expect = cmath.exp(u * z - 0.5 * u * u * v)
-        assert abs(wick_exp(u, z, v) - expect) < 1e-14
+        assert abs(wick_exp_flagged(u, z, v)[0] - expect) < 1e-14
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
-            wick_exp(1.0, 0.0, -0.5)
+            wick_exp_flagged(1.0, 0.0, -0.5)
 
     def test_overflow_flagged_not_inf(self):
         vals, mask = wick_exp_flagged(2.0, np.array([0.0, 500.0]), 0.0)
         assert not mask[0] and mask[1]
         assert vals[1] == 0.0, "overflow must saturate to zero, not inf"
         assert np.all(np.isfinite(vals))
+
+    def test_two_field_saturates_combined_exponent(self):
+        # exp(i beta Y + beta^2 v / 2) alone overflows (exponent 710); the
+        # combined exponent alpha X + 0.5 (beta^2 - alpha^2) v is 690, so the
+        # stacked call must stay finite and unflagged
+        alpha, beta, v = 1.0, 2.0, 355.0
+        x = np.array([690.0 - 0.5 * (beta ** 2 - alpha ** 2) * v, 800.0])
+        vals, mask = wick_exp_flagged((alpha, 1j * beta),
+                                      np.stack([x, np.zeros(2)]), v)
+        assert not mask[0] and mask[1]
+        assert abs(vals[0] - math.exp(690.0)) <= 1e-12 * math.exp(690.0)
+        assert vals[1] == 0.0 and np.all(np.isfinite(vals))
 
 
 class TestChaosIntegral:
@@ -182,7 +193,7 @@ class TestTruncation:
         for s in sampled(seed=10, replicas=64):
             supp = np.flatnonzero(f)
             _, event = truncation_indicator(s, q, lam, supp)
-            tv = truncated_chaos(s, params, EPS, kd).value
+            tv = chaos_integral(s, params, EPS, kd).value
             fv = chaos_integral(s, plain, EPS, kd).value
             if event:
                 hits += 1
@@ -197,14 +208,8 @@ class TestTruncation:
         params = ChaosParams(f=f, gamma=0.8, truncation=True, q=6, lam=50.0)
         plain = ChaosParams(f=f, gamma=0.8)
         s = next(sampled(seed=11))
-        assert truncated_chaos(s, params, EPS, kd).value == \
+        assert chaos_integral(s, params, EPS, kd).value == \
             chaos_integral(s, plain, EPS, kd).value
-
-    def test_truncation_flag_required(self):
-        f = bump_function(GRID, radius=0.2)
-        s = next(sampled(seed=12))
-        with pytest.raises(ValueError):
-            truncated_chaos(s, ChaosParams(f=f, gamma=0.8), EPS, k_diag())
 
 
 class TestSobolevDiag:

@@ -116,11 +116,26 @@ class TestValidateOnly:
         {"kind": "cauchy", "d": 2},
         {"kind": "field-stats", "grid_n": 16},
         {"kind": "tail-check", "sigmas": [-1.0]},
+        {"kind": "tail-check", "u_over_sigma": [-1]},
+        {"kind": "sup-prob", "n_max": 3},
         {"kind": "bogus"},
     ])
     def test_rejections(self, cfg):
         with pytest.raises(ConfigError):
             _validate_only(cfg)
+
+
+class TestReplicaBudget:
+    @pytest.mark.parametrize("kind", ["field-stats", "moment-check", "cauchy",
+                                      "mollifier-independence", "sup-prob",
+                                      "tilt-check", "sobolev"])
+    def test_fewer_than_two_rejected(self, tmp_path, capsys, kind):
+        for replicas in (-5, 0, 1):
+            path = cfg_file(tmp_path, {"kind": kind, "replicas": replicas})
+            for argv in (["validate", path],
+                         ["run", path, "--out", str(tmp_path / "o")]):
+                assert main(argv) == 2, f"{argv[0]} replicas={replicas}"
+                assert "replicas must be >= 2" in capsys.readouterr().err
 
 
 class TestMainValidate:

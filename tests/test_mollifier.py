@@ -5,9 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from logchaos import Grid
-from logchaos.mollifier import (Mollifier, ResolutionError, convolve_grid,
-                                discrete_stencil, export_profile, quad_cloud,
-                                shrink_domain, theta, theta_eps,
+from logchaos.mollifier import (Mollifier, ResolutionError, discrete_stencil,
+                                quad_cloud, shrink_domain, theta, theta_eps,
                                 weight_matrix)
 
 
@@ -111,7 +110,8 @@ class TestConvolveGrid:
     def test_constant_exact(self):
         grid = Grid.regular((0.0, 1.0), 128)
         mol = Mollifier(d=1)
-        rows, out = convolve_grid(np.full(grid.n, 3.25), mol, 2 ** -4, grid)
+        rows, W = weight_matrix(grid, mol, 2 ** -4)
+        out = W @ np.full(grid.n, 3.25)
         assert np.abs(out - 3.25).max() < 1e-12, "kernel must sum to one"
 
     def test_linear_exact(self):
@@ -119,7 +119,8 @@ class TestConvolveGrid:
         grid = Grid.regular((0.0, 1.0), 128)
         mol = Mollifier(d=1)
         xs = grid.points[:, 0]
-        rows, out = convolve_grid(xs, mol, 2 ** -4, grid)
+        rows, W = weight_matrix(grid, mol, 2 ** -4)
+        out = W @ xs
         assert np.abs(out - xs[rows]).max() < 1e-10
 
     def test_smooth_field_vs_fine_stencil_oracle(self):
@@ -129,10 +130,10 @@ class TestConvolveGrid:
         eps = 2 ** -4
         grid = Grid.regular((0.0, 1.0), 256)
         fine = Grid.regular((0.0, 1.0), 1024)
-        rows, out = convolve_grid(np.sin(2 * np.pi * grid.points[:, 0]),
-                                  mol, eps, grid)
-        rows_f, out_f = convolve_grid(np.sin(2 * np.pi * fine.points[:, 0]),
-                                      mol, eps, fine)
+        rows, W = weight_matrix(grid, mol, eps)
+        out = W @ np.sin(2 * np.pi * grid.points[:, 0])
+        rows_f, W_f = weight_matrix(fine, mol, eps)
+        out_f = W_f @ np.sin(2 * np.pi * fine.points[:, 0])
         # compare on the common points: coarse point i sits between fine
         # points; interpolate the fine output linearly
         xc = grid.points[rows, 0]
@@ -147,9 +148,8 @@ class TestConvolveGrid:
         rng = np.random.default_rng(7)
         f1 = rng.standard_normal(grid.n)
         f2 = rng.standard_normal(grid.n)
-        _, a = convolve_grid(f1, mol, 2 ** -4, grid)
-        _, b = convolve_grid(f2, mol, 2 ** -4, grid)
-        _, c = convolve_grid(f1 + 2.0 * f2, mol, 2 ** -4, grid)
+        _, W = weight_matrix(grid, mol, 2 ** -4)
+        a, b, c = W @ f1, W @ f2, W @ (f1 + 2.0 * f2)
         assert np.abs(c - (a + 2.0 * b)).max() < 1e-12
 
     def test_rows_are_interior(self):
@@ -171,18 +171,9 @@ class TestConvolveGrid:
         sups = []
         for k in (3, 4, 5, 6):
             eps = 2.0 ** -k
-            _, va = convolve_grid(f, a, eps, grid)
-            _, vb = convolve_grid(f, b, eps, grid)
+            _, W_a = weight_matrix(grid, a, eps)
+            _, W_b = weight_matrix(grid, b, eps)
+            va, vb = W_a @ f, W_b @ f
             sups.append(np.abs(va - vb).max())
         assert sups[-1] < sups[0], f"no decay: {sups}"
         assert sups[-1] < 0.01
-
-
-class TestExport:
-    def test_profile_csv(self, tmp_path):
-        mol = Mollifier(d=1)
-        path = tmp_path / "profile.csv"
-        export_profile(mol, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "offset,weight"
-        assert len(lines) == 202

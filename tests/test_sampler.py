@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from logchaos import (Grid, KernelSpec, Mollifier, TiltShift, apply_tilt,
-                      load_sample, mollified_table, replica_normals,
+from logchaos import (Grid, KernelSpec, Mollifier, TiltShift, load_sample, mollified_table, replica_normals,
                       sample_increments, sample_mollified, save_sample,
                       tilt_shift_rows)
 
@@ -168,7 +167,8 @@ class TestTilt:
     def test_zero_alpha_identity(self):
         s = next(sample_increments(SPEC, GRID, 5, seed=20))
         t = TiltShift(x=0.5, y=0.6, eps=2 ** -3, eps_prime=2 ** -3, alpha=0.0)
-        assert apply_tilt(s, t) is s
+        tilted = next(sample_increments(SPEC, GRID, 5, seed=20, tilt=t))
+        assert np.array_equal(tilted.z, s.z)
 
     def test_tilted_mean(self):
         R = 4000
@@ -197,13 +197,6 @@ class TestTilt:
         assert abs(v1 - v0) <= 4 * se, f"variance changed: {v0} -> {v1}"
         # same seed: the tilt is a deterministic shift of the same draw
         assert np.allclose(tilted - flat, (tilted - flat)[:, :1], atol=1e-12)
-
-    def test_double_tilt_rejected(self):
-        s = next(sample_increments(SPEC, GRID, 5, seed=23))
-        t = TiltShift(x=0.5, y=0.6, eps=2 ** -3, eps_prime=2 ** -3, alpha=0.5)
-        tilted = apply_tilt(s, t)
-        with pytest.raises(ValueError):
-            apply_tilt(tilted, t)
 
 
 class TestRoundTrip:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
-                      PhaseError, bump_function, cauchy_ladder, field_stats,
-                      kernel_estimate_check, ladder_from_values, mc_moment,
-                      moment_from_values, mollifier_independence,
-                      sample_increments, second_moment_oracle, sobolev_ladder,
+                      PhaseError, bump_function, cauchy_ladder, chaos_integral,
+                      field_stats, kernel_estimate_check, ladder_from_values,
+                      mc_moment, mollified_table, moment_from_values,
+                      mollifier_independence, sample_increments,
+                      sample_mollified, second_moment_oracle, sobolev_ladder,
                       sup_field_prob, tail_bound_check, tilted_event_prob,
                       trend_verdict)
 
@@ -127,6 +128,10 @@ class TestBench:
         cross = bench.cross_table("main", 2 ** -4, "main", 2 ** -4)
         assert np.abs(np.diag(cross) - k_diag).max() < 1e-12
 
+    def test_empty_budget_rejected(self):
+        with pytest.raises(ValueError, match="replicas"):
+            small_bench().map_blocks(0, 0, lambda start, z: (z[0, 0],))
+
     def test_channels(self):
         bench = small_bench()
         bench.add_channel("alt", Mollifier(d=1, profile="quartic"))
@@ -134,6 +139,56 @@ class TestBench:
         wb, _, _ = bench.supp_tables("alt", 2 ** -4)
         assert wa.shape == wb.shape
         assert np.abs(wa - wb).max() > 1e-3, "profiles must differ"
+
+
+class TestEngineAgreement:
+    """The single-replica API against the block engine, replica by replica."""
+
+    EPS = 2 ** -4
+    N_MAX = 7
+
+    def samples(self, seed, replicas):
+        for s in sample_increments(SPEC, GRID, self.N_MAX, seed, replicas):
+            yield sample_mollified(s, [self.EPS])
+
+    def k_diag(self):
+        return mollified_table(SPEC, GRID, self.EPS, rule="grid",
+                               n_levels=self.N_MAX).diag()
+
+    @pytest.mark.parametrize("trunc", [None, (2, 1.6)])
+    def test_mean_matches_chaos_integral(self, trunc):
+        # 40 replicas cross the block-of-32 boundary; the summation order
+        # differs between the engines, so agreement is to 1e-10 relative
+        R, seed, gamma = 40, 5, 0.6 + 0.3j
+        q, lam = trunc or (1, 0.0)
+        params = ChaosParams(f=F, gamma=gamma, truncation=trunc is not None,
+                             q=q, lam=lam)
+        kd = self.k_diag()
+        vals = [chaos_integral(s, params, self.EPS, kd).value
+                for s in self.samples(seed, R)]
+        m = mc_moment(small_bench(self.N_MAX), ChaosParams(f=F, gamma=gamma),
+                      "mean", self.EPS, replicas=R, seed=seed, trunc=trunc)
+        assert m.replicas == R and m.excluded == 0
+        assert abs(m.estimate - np.mean(vals)) <= 1e-10 * abs(np.mean(vals))
+        if trunc is not None:
+            plain = ChaosParams(f=F, gamma=gamma)
+            full = [chaos_integral(s, plain, self.EPS, kd).value
+                    for s in self.samples(seed, R)]
+            assert any(a != b for a, b in zip(vals, full)), \
+                "no replica left the barrier event; the case is vacuous"
+
+    def test_two_field_matches_inline_formula(self):
+        alpha, beta = 0.8, 0.4
+        params = ChaosParams(f=F, mode="two-field", alpha=alpha, beta=beta)
+        kd = self.k_diag()
+        for s, s2 in zip(self.samples(7, 8), self.samples(8, 8)):
+            x, y = s.mollified[self.EPS], s2.mollified[self.EPS]
+            rows = s.mollified_rows[self.EPS]
+            expo = (alpha * x + 1j * beta * y
+                    + 0.5 * (beta ** 2 - alpha ** 2) * kd)
+            expect = (np.exp(expo) * F[rows]).sum() * GRID.weight
+            got = chaos_integral(s, params, self.EPS, kd, sample2=s2).value
+            assert abs(got - expect) <= 1e-10 * abs(expect)
 
 
 class TestMcMoment:
@@ -188,6 +243,13 @@ class TestMcMoment:
         with pytest.raises(ValueError):
             mc_moment(bench, ChaosParams(f=F, gamma=0.8), "event", 2 ** -4,
                       replicas=64, seed=0)
+
+    def test_two_field_params_rejected(self):
+        # one sampled field cannot carry two-field chaos; reading
+        # params.gamma instead would silently compute gamma = 0
+        params = ChaosParams(f=F, mode="two-field", alpha=0.8, beta=0.4)
+        with pytest.raises(ValueError, match="two-field"):
+            mc_moment(small_bench(), params, "mean", 2 ** -4, replicas=40)
 
     def test_unknown_estimand(self):
         bench = small_bench()
