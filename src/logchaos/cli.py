@@ -57,6 +57,24 @@ def _int(cfg, key, default):
     return v
 
 
+def _list(cfg, key, default, conv=float):
+    """A list entry of the config with every item read by conv."""
+    v = cfg.get(key, default)
+    if not isinstance(v, list):
+        raise ConfigError(f"{key} must be a list, got {v!r}")
+    try:
+        return [conv(x) for x in v]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} has an entry of the wrong type: {v!r}")
+
+
+def _integer(v):
+    """conv for _list: an integer entry, as _int reads a scalar."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"not an integer: {v!r}")
+    return v
+
+
 def _replicas(cfg, default):
     """Replica budget of a sampled kind; every estimate needs two replicas."""
     r = _int(cfg, "replicas", default)
@@ -65,16 +83,29 @@ def _replicas(cfg, default):
     return r
 
 
+def _ladder_replicas(cfg, default):
+    """Replica budget of a ladder kind: one replica per median-of-means block."""
+    r = _replicas(cfg, default)
+    if r < verify.MOM_BLOCKS:
+        raise ConfigError(
+            f"replicas={r} below the {verify.MOM_BLOCKS} median-of-means "
+            "blocks of a ladder cell")
+    return r
+
+
 def _gamma_value(raw, key="gamma"):
     if isinstance(raw, (int, float)):
         return complex(raw)
     if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return complex(float(raw[0]), float(raw[1]))
+        try:
+            return complex(float(raw[0]), float(raw[1]))
+        except (TypeError, ValueError):
+            pass
     raise ConfigError(f"{key} must be a number or [re, im] pair, got {raw!r}")
 
 
 def _eps_ladder(cfg):
-    ladder = [float(e) for e in cfg.get("eps_ladder", DEFAULT_LADDER)]
+    ladder = _list(cfg, "eps_ladder", DEFAULT_LADDER)
     if not ladder or any(not 0.0 < e <= 1.0 for e in ladder):
         raise ConfigError("eps_ladder entries must lie in (0, 1]")
     if any(a <= b for a, b in zip(ladder, ladder[1:])):
@@ -127,7 +158,7 @@ def _resolve_trunc(cfg, d, gamma):
     if lam_cfg == "auto":
         lam = phase.pick_lambda(d, gamma.real, gamma.imag)
     else:
-        lam = float(lam_cfg)
+        lam = _num(cfg, "lam", None)
         if lam <= math.sqrt(2.0 * d):
             raise ConfigError(f"lam={lam} must exceed sqrt(2d)")
     return label, True, q, lam
@@ -213,7 +244,7 @@ def run_kernel_check(cfg, workers, run_id):
     if which not in ("mollified", "partial", "both"):
         raise ConfigError(f"check must be mollified|partial|both, got {which!r}")
     ladder = _eps_ladder(cfg)
-    n_ladder = [int(n) for n in cfg.get("n_ladder", [4, 6, 8, 10, 12])]
+    n_ladder = _list(cfg, "n_ladder", [4, 6, 8, 10, 12], _integer)
     eps_fixed = _num(cfg, "eps_fixed", 2.0 ** -4)
     grid_n = _int(cfg, "grid_n", 512)
     grid = Grid.regular(spec.box, grid_n, d=d)
@@ -248,13 +279,21 @@ def run_kernel_check(cfg, workers, run_id):
     return tables, plots, verdicts, resolved
 
 
+def _var_levels(cfg):
+    ns = _list(cfg, "var_levels", [2, 5, 8], _integer)
+    if not ns or min(ns) < 0:
+        raise ConfigError(
+            f"var_levels must be a nonempty list of levels >= 0, got {ns}")
+    return ns
+
+
 def run_field_stats(cfg, workers, run_id):
     eps = _num(cfg, "eps", 2.0 ** -4)
     eps_prime = _num(cfg, "eps_prime", 2.0 ** -5)
     spec, grid, f, resolved = _resolve_common(cfg, min(eps, eps_prime),
                                               default_n=128,
                                               default_radius=0.2)
-    ns = [int(n) for n in cfg.get("var_levels", [2, 5, 8])]
+    ns = _var_levels(cfg)
     n_max = max(resolved["n_max"], max(ns))
     probes = _int(cfg, "probes", 20)
     replicas = _replicas(cfg, 10000)
@@ -267,7 +306,7 @@ def run_field_stats(cfg, workers, run_id):
                                         for m in ests)}
     resolved.update({"eps": eps, "eps_prime": eps_prime, "var_levels": ns,
                      "probes": probes, "replicas": replicas, "seed": seed,
-                     "n_max": n_max})
+                     "n_max": n_max, "cholesky_jitter": bench.cholesky_jitter})
     tables = {"field_stats.csv": (header, rows)}
     plots = {"field_stats.svg": _z_svg(ests, "covariance fidelity z-scores")}
     return tables, plots, verdicts, resolved
@@ -283,7 +322,7 @@ def run_moment_check(cfg, workers, run_id):
     spec, grid, f, resolved = _resolve_common(cfg, min(eps, eps_prime),
                                               default_n=128,
                                               default_radius=0.2)
-    gammas = [_gamma_value(g) for g in cfg.get("gammas", [0.5, 0.8])]
+    gammas = _list(cfg, "gammas", [0.5, 0.8], _gamma_value)
     for g in gammas:
         label = phase.classify(spec.d, g.real, g.imag)
         if label not in (phase.L2, phase.SUBCRITICAL) and g != 0:
@@ -306,7 +345,7 @@ def run_moment_check(cfg, workers, run_id):
     resolved.update({"eps": eps, "eps_prime": eps_prime,
                      "gammas": [[g.real, g.imag] for g in gammas],
                      "estimands": estimands, "replicas": replicas,
-                     "seed": seed})
+                     "seed": seed, "cholesky_jitter": bench.cholesky_jitter})
     tables = {"moments.csv": (header, rows)}
     plots = {"moments.svg": _z_svg(ests, "moment oracle z-scores")}
     return tables, plots, verdicts, resolved
@@ -317,7 +356,7 @@ def run_cauchy(cfg, workers, run_id):
     spec, grid, f, resolved = _resolve_common(cfg, min(ladder))
     gamma = _gamma_value(cfg.get("gamma", 0.8))
     label, trunc, q, lam = _resolve_trunc(cfg, spec.d, gamma)
-    replicas = _replicas(cfg, 2000)
+    replicas = _ladder_replicas(cfg, 2000)
     seed = _int(cfg, "seed", 0)
     bench = verify.Bench(spec, grid, resolved["n_max"], f=f)
     params = ChaosParams(f=f, gamma=gamma, truncation=trunc, q=q, lam=lam)
@@ -328,7 +367,7 @@ def run_cauchy(cfg, workers, run_id):
     resolved.update({"gamma": [gamma.real, gamma.imag], "phase": label,
                      "truncation": trunc, "q": q, "lam": lam,
                      "eps_ladder": ladder, "replicas": replicas,
-                     "seed": seed})
+                     "seed": seed, "cholesky_jitter": bench.cholesky_jitter})
     tables = {"cauchy_ladder.csv": (header, rows)}
     plots = {"cauchy_ladder.svg": _ladder_svg(
         report, f"coupled |M_eps - M_eps'|^2, gamma={gamma}")}
@@ -343,7 +382,7 @@ def run_mollifier_independence(cfg, workers, run_id):
     profiles = cfg.get("profiles", ["bump", "quartic"])
     if len(profiles) != 2:
         raise ConfigError("profiles must name exactly two mollifiers")
-    replicas = _replicas(cfg, 2000)
+    replicas = _ladder_replicas(cfg, 2000)
     seed = _int(cfg, "seed", 0)
     try:
         mol_a = Mollifier(d=spec.d, profile=profiles[0])
@@ -359,7 +398,8 @@ def run_mollifier_independence(cfg, workers, run_id):
     verdicts = {"trend_decreasing": report.verdict}
     resolved.update({"gamma": [gamma.real, gamma.imag], "phase": label,
                      "profiles": list(profiles), "eps_ladder": ladder,
-                     "replicas": replicas, "seed": seed, "q": q, "lam": lam})
+                     "replicas": replicas, "seed": seed, "q": q, "lam": lam,
+                     "cholesky_jitter": bench.cholesky_jitter})
     tables = {"mollifier_independence.csv": (header, rows)}
     plots = {"mollifier_independence.svg": _ladder_svg(
         report, f"|M^theta - M^theta'|^2, {profiles[0]} vs {profiles[1]}")}
@@ -367,8 +407,8 @@ def run_mollifier_independence(cfg, workers, run_id):
 
 
 def _tail_grid(cfg):
-    sigmas = [float(s) for s in cfg.get("sigmas", [0.5, 1.0, 2.0, 4.0])]
-    ratios = [float(u) for u in cfg.get("u_over_sigma", [0, 1, 2, 3, 4, 5])]
+    sigmas = _list(cfg, "sigmas", [0.5, 1.0, 2.0, 4.0])
+    ratios = _list(cfg, "u_over_sigma", [0, 1, 2, 3, 4, 5])
     if any(s <= 0 for s in sigmas) or any(u < 0 for u in ratios):
         raise ConfigError("need sigma > 0 and u >= 0")
     return sigmas, ratios
@@ -400,8 +440,10 @@ def run_tail_check(cfg, workers, run_id):
 
 def _sup_levels(cfg):
     lam = _num(cfg, "lam", 1.6)
-    ks = [int(k) for k in cfg.get("ks", list(range(4, 11)))]
-    qs = [int(q) for q in cfg.get("qs", [2, 4, 6, 8])]
+    ks = _list(cfg, "ks", list(range(4, 11)), _integer)
+    qs = _list(cfg, "qs", [2, 4, 6, 8], _integer)
+    if not ks or not qs:
+        raise ConfigError("ks and qs must each name at least one level")
     d = _int(cfg, "d", 1)
     if lam <= math.sqrt(2.0 * d):
         raise ConfigError(
@@ -443,8 +485,16 @@ def run_sup_prob(cfg, workers, run_id):
     resolved = {"d": d, "lam": lam, "ks": ks, "qs": qs, "n_max": n_max,
                 "grid_n": grid_n, "replicas": replicas, "seed": seed,
                 "slope": rep.slope, "slope_se": rep.slope_se,
-                "grid_digest": grid.digest()}
+                "grid_digest": grid.digest(),
+                "cholesky_jitter": bench.cholesky_jitter}
     return tables, plots, verdicts, resolved
+
+
+def _separations(cfg):
+    seps = _list(cfg, "separations", [math.exp(-k) for k in range(2, 6)])
+    if len(seps) < 4:
+        raise ConfigError("exponent fits need at least 4 separations")
+    return seps
 
 
 def run_tilt_check(cfg, workers, run_id):
@@ -457,12 +507,9 @@ def run_tilt_check(cfg, workers, run_id):
             f"phase precondition violated: (alpha={alpha}, beta={beta}) is "
             f"{label}, need subcritical_non_L2")
     q = _int(cfg, "q", 2)
-    lam_cfg = cfg.get("lam", "auto")
-    lam = phase.pick_lambda(d, alpha, beta) if lam_cfg == "auto" else float(lam_cfg)
-    seps = [float(s) for s in cfg.get("separations",
-                                      [math.exp(-k) for k in range(2, 6)])]
-    if len(seps) < 4:
-        raise ConfigError("exponent fits need at least 4 separations")
+    lam = (phase.pick_lambda(d, alpha, beta) if cfg.get("lam", "auto") == "auto"
+           else _num(cfg, "lam", None))
+    seps = _separations(cfg)
     eps = _num(cfg, "eps", math.exp(-5))
     n_max = _int(cfg, "n_max", 8)
     replicas = _replicas(cfg, 10000)
@@ -489,7 +536,8 @@ def run_tilt_check(cfg, workers, run_id):
     resolved = {"d": d, "alpha": alpha, "beta": beta, "q": q, "lam": lam,
                 "separations": seps, "eps": eps, "n_max": n_max,
                 "replicas": replicas, "seed": seed, "slope": rep.slope,
-                "slope_se": rep.slope_se, "target": rep.exponent_target}
+                "slope_se": rep.slope_se, "target": rep.exponent_target,
+                "cholesky_jitter": [list(j) for j in rep.cholesky_jitter]}
     return tables, plots, verdicts, resolved
 
 
@@ -501,7 +549,7 @@ def run_sobolev(cfg, workers, run_id):
     u = _num(cfg, "u", 0.75)
     if u <= spec.d / 2.0:
         raise ConfigError(f"Sobolev index precondition violated: u={u} <= d/2")
-    replicas = _replicas(cfg, 500)
+    replicas = _ladder_replicas(cfg, 500)
     seed = _int(cfg, "seed", 0)
     bench = verify.Bench(spec, grid, resolved["n_max"], f=f)
     params = ChaosParams(f=f, gamma=gamma, truncation=trunc, q=q, lam=lam)
@@ -511,7 +559,8 @@ def run_sobolev(cfg, workers, run_id):
     verdicts = {"trend_decreasing": report.verdict}
     resolved.update({"gamma": [gamma.real, gamma.imag], "phase": label,
                      "u": u, "q": q, "lam": lam, "eps_ladder": ladder,
-                     "replicas": replicas, "seed": seed})
+                     "replicas": replicas, "seed": seed,
+                     "cholesky_jitter": bench.cholesky_jitter})
     tables = {"sobolev_ladder.csv": (header, rows)}
     plots = {"sobolev_ladder.svg": _ladder_svg(
         report, f"H^-{u} coupled distance, gamma={gamma}")}
@@ -616,8 +665,9 @@ def cmd_validate(args):
 def _validate_only(cfg):
     """Re-use each runner's parameter resolution paths without sampling.
 
-    Replica budgets are read with default 2, the smallest valid one; an
-    absent key runs at the runner's own default.
+    Replica budgets are read with their smallest valid value as default (2,
+    or MOM_BLOCKS for ladder kinds); an absent key runs at the runner's own
+    default.
     """
     kind = cfg["kind"]
     if kind == "phase-scan":
@@ -634,18 +684,20 @@ def _validate_only(cfg):
             raise ConfigError("mollifier resolution violated")
         if cfg.get("check", "both") not in ("mollified", "partial", "both"):
             raise ConfigError("check must be mollified|partial|both")
+        _list(cfg, "n_ladder", [4, 6, 8, 10, 12], _integer)
         return
     if kind in ("field-stats", "moment-check"):
         eps = _num(cfg, "eps", 2.0 ** -5 if kind == "moment-check" else 2.0 ** -4)
         eps_p = _num(cfg, "eps_prime", eps if kind == "moment-check" else 2.0 ** -5)
         _resolve_common(cfg, min(eps, eps_p), default_n=128, default_radius=0.2)
         _replicas(cfg, 2)
+        if kind == "field-stats":
+            _var_levels(cfg)
         if kind == "moment-check":
             for e in cfg.get("estimands", ["mean"]):
                 if e not in ("mean", "product", "distance2"):
                     raise ConfigError(f"unknown estimand {e!r}")
-            for g in cfg.get("gammas", [0.5, 0.8]):
-                gv = _gamma_value(g)
+            for gv in _list(cfg, "gammas", [0.5, 0.8], _gamma_value):
                 label = phase.classify(1, gv.real, gv.imag)
                 if label not in (phase.L2, phase.SUBCRITICAL) and gv != 0:
                     raise ConfigError(f"phase precondition violated: {label}")
@@ -656,7 +708,7 @@ def _validate_only(cfg):
         default = [1.1, 0.25] if kind == "sobolev" else 0.8
         gamma = _gamma_value(cfg.get("gamma", default))
         _resolve_trunc(cfg, spec.d, gamma)
-        _replicas(cfg, 2)
+        _ladder_replicas(cfg, verify.MOM_BLOCKS)
         if kind == "sobolev" and _num(cfg, "u", 0.75) <= spec.d / 2.0:
             raise ConfigError("Sobolev index precondition violated")
         return
@@ -669,8 +721,7 @@ def _validate_only(cfg):
         alpha, beta = _num(cfg, "alpha", 1.1), _num(cfg, "beta", 0.25)
         if phase.classify(d, alpha, beta) != phase.SUBCRITICAL:
             raise ConfigError("phase precondition violated")
-        if len(cfg.get("separations", [1, 2, 3, 4])) < 4:
-            raise ConfigError("exponent fits need at least 4 separations")
+        _separations(cfg)
         _replicas(cfg, 2)
         return
     raise ConfigError(f"unknown kind {kind!r}")

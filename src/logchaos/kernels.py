@@ -154,19 +154,37 @@ def k_exact(spec, r):
 
 
 def gram(spec, n, grid):
-    """Gram matrix [Q_n(|x_i - x_j|)] on the grid; n=0 gives the Q_0 block."""
+    """Gram matrix [Q_n(|x_i - x_j|)] on the grid; n=0 gives the Q_0 block.
+
+    Only pairs whose first-coordinate gap lies inside the support
+    r < e^{-(t0+n)} are evaluated: after a sort on that coordinate each
+    point's candidates are one contiguous run, so a regular grid costs N
+    times the band, not N^2.  Every evaluated pair uses the dense
+    definition's arithmetic, so the matrix is the same to the last bit.
+    """
     pts = grid.points if isinstance(grid, Grid) else np.asarray(grid, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     m = pts.shape[0]
     if n == 0:
         return np.full((m, m), spec.q0_value)
-    diffs = pts[:, None, :] - pts[None, :, :]
-    r = np.sqrt((diffs ** 2).sum(axis=-1))
+    support = math.exp(-(spec.t0 + n))
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs = pts[order, 0]
+    # the relative margin keeps pairs whose rounded r = sqrt(sum d^2) falls
+    # a few ulp below |dx|; the exact test r < support follows
+    runs = (np.searchsorted(xs, xs + support * (1.0 + 1e-9), side="right")
+            - np.arange(m))
+    first = np.repeat(np.arange(m), runs)
+    second = first + np.arange(first.size) - np.repeat(np.cumsum(runs) - runs, runs)
+    a, b = order[first], order[second]
+    r = np.sqrt(((pts[a] - pts[b]) ** 2).sum(axis=-1))
+    live = r < support
+    a, b = a[live], b[live]
+    vals = q_n(spec, n, r[live])
     out = np.zeros((m, m))
-    live = r < math.exp(-(spec.t0 + n))
-    if live.any():
-        out[live] = q_n(spec, n, r[live])
+    out[a, b] = vals
+    out[b, a] = vals
     return out
 
 

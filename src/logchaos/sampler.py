@@ -2,54 +2,116 @@
 
 Replica r draws its standard normals from the counter-based stream
 ``np.random.default_rng([seed, r])``, so every replica is reproducible in
-isolation.  All sampling then runs through fixed blocks of 32 replicas: one
-factor-times-normals matrix product per level per block, with the block
-always padded to exactly 32 columns (padding replicas use their own streams
-and are discarded).  Because each block's bytes depend only on (seed, block
+isolation.  All sampling then runs through fixed blocks of 32 replicas, with
+the block always padded to exactly 32 columns (padding replicas use their
+own streams and are discarded).  Each level Q_n has compact support, so its
+Gram and lower Cholesky factor are banded; a block multiplies the factor's
+dense row tiles, each spanning one band left of its rows, by the matching
+rows of the normals.  Because each block's bytes depend only on (seed, block
 index, factors), results are identical for any worker count and any total
-replica budget, which is what the replay contract requires.
+replica budget, which is what the replay contract requires; the products
+run in BLAS, so the bytes also depend on the BLAS build, its thread count
+and the CPU kernel it selects.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import cholesky_banded
 
 from . import kernels
 from .grids import Grid
 from .mollifier import Mollifier, weight_matrix
 
 BLOCK = 32
+# minimum height of the dense row tiles block_z multiplies; a band wider
+# than this sets the height to one bandwidth
+TILE = 128
 
 
 class NumericError(RuntimeError):
     """Factorization or overflow failure that invalidates a run."""
 
 
-def chol_psd(mat, name="kernel"):
-    """Lower Cholesky factor with escalating diagonal jitter.
+class LevelFactor(NamedTuple):
+    """One level's Gram and lower Cholesky factor, held as bands.
 
-    Starts from relative jitter 1e-10 * trace/N and escalates by x10 at most
-    3 times; a zero-trace matrix factors to zero.  Raises NumericError naming
-    the offending kernel when escalation is exhausted.
+    gram and chol use LAPACK's lower band storage: row d, column j holds
+    entry (j + d, j), and rows past the bandwidth are absent.  tiles are the
+    dense row tiles (r0, r1, lo, L[r0:r1, lo:r1]) that block_z multiplies.
+    jitter is the diagonal shift the factorization needed, 0.0 when none.
+    """
+
+    gram: np.ndarray
+    chol: np.ndarray
+    tiles: tuple
+    jitter: float
+
+
+def band_block(band, rows, cols, fill=0.0, symmetric=False):
+    """Dense block [rows, cols] of a matrix held in lower band storage.
+
+    symmetric=True mirrors the band into the upper triangle; otherwise the
+    matrix is lower triangular.  Entries outside the band read fill.
+    """
+    i = np.asarray(rows)[:, None]
+    j = np.asarray(cols)[None, :]
+    d = i - j
+    if symmetric:
+        d, j = np.abs(d), np.minimum(i, j)
+    live = (d >= 0) & (d < band.shape[0])
+    out = np.full(live.shape, float(fill))
+    out[live] = band[d[live], np.broadcast_to(j, live.shape)[live]]
+    return out
+
+
+def _row_tiles(chol):
+    """Dense row tiles of a banded lower factor; TILE rows or one band."""
+    b, n = chol.shape[0] - 1, chol.shape[1]
+    step = max(b + 1, TILE)
+    tiles = []
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        lo = max(r0 - b, 0)
+        tiles.append((r0, r1, lo, band_block(chol, np.arange(r0, r1),
+                                             np.arange(lo, r1))))
+    return tuple(tiles)
+
+
+def band_cholesky(mat, name="kernel"):
+    """Banded lower Cholesky factor of a symmetric matrix, with jitter.
+
+    The bandwidth is read from the lower triangle of mat.  A failed
+    factorization retries with diagonal jitter starting at 1e-10 * trace/N
+    and escalating x10, at most 3 times; a zero matrix factors to zero.
+    Raises NumericError naming the offending kernel when escalation is
+    exhausted.
     """
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
+    cols = np.arange(n)
+    # a row whose first nonzero lies right of the diagonal has an empty
+    # lower part, hence the clip at 0
+    nz = mat != 0.0
+    reach = np.maximum(cols - nz.argmax(axis=1), 0)[nz.any(axis=1)]
+    rows = cols[None, :] + np.arange(int(reach.max(initial=0)) + 1)[:, None]
+    gram = np.where(rows < n, mat[np.minimum(rows, n - 1), cols], 0.0)
     tr = float(np.trace(mat))
-    if tr == 0.0 and not mat.any():
-        return np.zeros_like(mat)
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-10 * tr / n
-    for _ in range(3):
+    if tr == 0.0 and not gram.any():
+        return LevelFactor(gram, gram.copy(), _row_tiles(gram), 0.0)
+    base = 1e-10 * tr / n
+    for jitter in (0.0, base, base * 10.0, base * 10.0 * 10.0):
+        shifted = gram.copy()
+        shifted[0] += jitter
         try:
-            return np.linalg.cholesky(mat + jitter * np.eye(n))
+            chol = cholesky_banded(shifted, lower=True)
         except np.linalg.LinAlgError:
-            jitter *= 10.0
+            continue
+        return LevelFactor(gram, chol, _row_tiles(chol), jitter)
     raise NumericError(f"cholesky failed for {name} after jitter escalation")
 
 
@@ -97,17 +159,16 @@ class FieldSample:
 
 
 def increment_factors(spec, grid, n_max):
-    """Cholesky factors for levels 1..n_max plus the Q_0 amplitude.
+    """Banded Cholesky factors for levels 1..n_max plus the Q_0 amplitude.
 
-    Returns (q0_amp, [L_1, ..., L_n_max]); q0_amp is sqrt(q0_const) for the
-    constant smooth part and 0.0 otherwise.
+    Returns (q0_amp, [LevelFactor_1, ..., LevelFactor_n_max]); q0_amp is
+    sqrt(q0_const) for the constant smooth part and 0.0 otherwise.  Each
+    level Gram is evaluated once and kept in band form with its factor.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    factors = []
-    for k in range(1, n_max + 1):
-        g = kernels.gram(spec, k, grid)
-        factors.append(chol_psd(g, name=f"Q_{k}"))
+    factors = [band_cholesky(kernels.gram(spec, k, grid), name=f"Q_{k}")
+               for k in range(1, n_max + 1)]
     q0_amp = np.sqrt(spec.q0_value)
     return q0_amp, factors
 
@@ -145,13 +206,18 @@ def block_z(spec, grid, factors, seed, block_start, n_max, shifts=None):
     """
     q0_amp, levels = factors
     n = grid.n
-    xi = np.empty((n_max + 1, n, BLOCK))
+    panels = np.empty((BLOCK, n_max + 1, n))
     for j in range(BLOCK):
-        xi[:, :, j] = replica_normals(seed, block_start + j, n_max + 1, n)
-    z = np.empty_like(xi)
+        panels[j] = replica_normals(seed, block_start + j, n_max + 1, n)
+    # one transposing copy is cheaper than BLOCK strided column writes; z
+    # reuses the panels' buffer, so a block allocates two (levels, N, BLOCK)
+    # arrays, not three (a third measurably slows small-N runs)
+    xi = np.ascontiguousarray(panels.transpose(1, 2, 0))
+    z = panels.reshape(xi.shape)
     z[0] = q0_amp * xi[0, 0, :][None, :] * np.ones((n, 1))
     for k in range(1, n_max + 1):
-        z[k] = levels[k - 1] @ xi[k]
+        for r0, r1, lo, tile in levels[k - 1].tiles:
+            np.matmul(tile, xi[k, lo:r1], out=z[k, r0:r1])
     if shifts is not None:
         z += shifts[:, :, None]
     return z

@@ -29,8 +29,8 @@ from .chaos import barrier_below, chaos_density
 from .grids import Grid
 from .mollifier import Mollifier, weight_matrix
 from .phase import PhaseError
-from .sampler import (BLOCK, TiltShift, block_z, increment_factors,
-                      tilt_shift_rows)
+from .sampler import (BLOCK, TiltShift, band_block, block_z,
+                      increment_factors, tilt_shift_rows)
 
 ENV_WORKERS = "LOGCHAOS_WORKERS"
 
@@ -150,10 +150,14 @@ def _mom_blocks(values, keep):
 def ladder_from_values(estimator, steps, values, keep=None):
     """Median-of-means ladder cells plus paired-difference SEs and verdict.
 
-    values has shape (cells, R); keep marks surviving replicas per cell.
+    values has shape (cells, R) with R >= MOM_BLOCKS, so no block starts
+    empty; keep marks surviving replicas per cell.
     """
     values = np.asarray(values, dtype=float)
     c, r = values.shape
+    if r < MOM_BLOCKS:
+        raise ValueError(f"median-of-means needs R >= {MOM_BLOCKS} replicas "
+                         f"(one per block), got R={r}")
     if keep is None:
         keep = np.ones_like(values, dtype=bool)
     bm = np.stack([_mom_blocks(values[i], keep[i]) for i in range(c)])
@@ -178,8 +182,10 @@ class Bench:
 
     One Bench per (spec, grid, n_max).  Convolution weights, support-row
     restrictions of them, and kernel-table diagonals are cached per
-    (mollifier channel, eps).  The summed level Gram g_total makes every
-    grid-rule kernel quantity a couple of matrix products.
+    (mollifier channel, eps).  The summed level Gram g_total = Q_0 + sum
+    of the level Grams is held as one band, summed from the Grams the
+    factors were built from; every grid-rule kernel quantity is a couple of
+    matrix products against the block of it that the weights touch.
     """
 
     def __init__(self, spec, grid, n_max, f=None, mol=None):
@@ -188,10 +194,12 @@ class Bench:
         self.n_max = int(n_max)
         self.f = None if f is None else np.asarray(f, dtype=float)
         self.factors = increment_factors(spec, grid, n_max)
-        g = kernels.gram(spec, 0, grid)
-        for k in range(1, n_max + 1):
-            g += kernels.gram(spec, k, grid)
-        self.g_total = g
+        levels = self.factors[1]
+        width = max(level.gram.shape[0] for level in levels)
+        g_band = np.full((width, grid.n), spec.q0_value)
+        for level in levels:
+            g_band[:level.gram.shape[0]] += level.gram
+        self.g_band = g_band
         self.channels = {"main": mol if mol is not None else Mollifier(d=spec.d)}
         self.supp = None if self.f is None else np.flatnonzero(self.f != 0.0)
         self.shifts = None
@@ -229,16 +237,35 @@ class Bench:
             if np.any(pos >= rows.size) or not np.array_equal(rows[np.minimum(pos, rows.size - 1)], self.supp):
                 raise ValueError(f"test function support leaks outside D_eps at eps={eps}")
             w_supp = w[pos]
-            k_diag = np.einsum("ij,jk,ik->i", w_supp, self.g_total, w_supp,
-                               optimize=True)
+            cols = self._window(w_supp)
+            ws = w_supp[:, cols]
+            k_diag = np.einsum("ij,jk,ik->i", ws, self.g_total(cols, cols),
+                               ws, optimize=True)
             self._supp_tables[key] = (w_supp, k_diag, pos)
         return self._supp_tables[key]
+
+    @property
+    def cholesky_jitter(self):
+        """Diagonal jitter each level's factorization needed (0.0 if none)."""
+        return [level.jitter for level in self.factors[1]]
+
+    @staticmethod
+    def _window(w):
+        """The column range where the weight rows w are nonzero."""
+        live = np.flatnonzero(w.any(axis=0))
+        return np.arange(live[0], live[-1] + 1) if live.size else live
+
+    def g_total(self, rows, cols):
+        """Dense block [rows, cols] of the summed level Gram."""
+        return band_block(self.g_band, rows, cols, fill=self.spec.q0_value,
+                          symmetric=True)
 
     def cross_table(self, channel, eps, channel2, eps2):
         """K_{eps,eps2} on support x support rows (grid rule, exact)."""
         wa, _, _ = self.supp_tables(channel, eps)
         wb, _, _ = self.supp_tables(channel2, eps2)
-        return wa @ self.g_total @ wb.T
+        ca, cb = self._window(wa), self._window(wb)
+        return wa[:, ca] @ self.g_total(ca, cb) @ wb[:, cb].T
 
     def map_blocks(self, seed, replicas, consume, workers=None):
         """Run consume(start, z_block) over all blocks; fixed-order assembly.
@@ -624,6 +651,7 @@ class TiltedEventReport:
     slope_se: float
     exponent_target: float  # (2 alpha - lam)^2 / 2
     one_sided_ok: bool      # slope >= target - 0.3
+    cholesky_jitter: tuple = ()  # per separation, per level (0.0 if none)
 
 
 def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
@@ -644,7 +672,7 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
     if lam <= math.sqrt(2.0 * spec.d):
         raise PhaseError(f"lam={lam} must exceed sqrt(2d)")
     mol = mol if mol is not None else Mollifier(d=spec.d)
-    estimates = []
+    estimates, jitter = [], []
     for si, s in enumerate(separations):
         x, y = center - 0.5 * s, center + 0.5 * s
         grid2 = Grid.from_points(np.array([[x], [y]]), spec.box)
@@ -654,6 +682,7 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
         (ind,) = bench.map_blocks(seed + si, replicas,
                                   _event_consume(slice(None), q, lam), workers)
         estimates.append(moment_from_values(f"P~[A_{q}] sep={s}", ind))
+        jitter.append(tuple(bench.cholesky_jitter))
     xs = np.log(np.maximum(np.asarray(separations, dtype=float), eps))
     probs = np.asarray([max(e.estimate.real, 0.5 / replicas) for e in estimates])
     slope, slope_se = _ls_fit(xs, np.log(probs))
@@ -661,7 +690,8 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
     return TiltedEventReport(separations=tuple(float(s) for s in separations),
                              estimates=tuple(estimates), slope=slope,
                              slope_se=slope_se, exponent_target=target,
-                             one_sided_ok=bool(slope >= target - 0.3))
+                             one_sided_ok=bool(slope >= target - 0.3),
+                             cholesky_jitter=tuple(jitter))
 
 
 def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,

@@ -118,6 +118,7 @@ class TestValidateOnly:
         {"kind": "tail-check", "sigmas": [-1.0]},
         {"kind": "tail-check", "u_over_sigma": [-1]},
         {"kind": "sup-prob", "n_max": 3},
+        {"kind": "sup-prob", "ks": [], "qs": []},
         {"kind": "bogus"},
     ])
     def test_rejections(self, cfg):
@@ -208,6 +209,8 @@ class TestMainRun:
         assert cells["estimate_re"] == "0.0"
         assert cells["se_re"] == "0.0"
         assert cells["z_re"] == "0.0"
+        resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+        assert resolved["cholesky_jitter"] == [0.0] * resolved["n_max"]
 
     def test_verdict_failure_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -298,3 +301,40 @@ class TestReplay:
         p.write_text(json.dumps({"tool": "other", "config": {}}))
         assert main(["replay", str(p)]) == 2
         assert "not a logchaos run manifest" in capsys.readouterr().err
+
+
+class TestListEntries:
+    @pytest.mark.parametrize("kind,key", [
+        ("cauchy", "eps_ladder"), ("kernel-check", "n_ladder"),
+        ("field-stats", "var_levels"), ("tail-check", "sigmas"),
+        ("tail-check", "u_over_sigma"), ("sup-prob", "ks"),
+        ("sup-prob", "qs"), ("tilt-check", "separations"),
+    ])
+    @pytest.mark.parametrize("value", [["a"], 3])
+    def test_bad_list_exits_2(self, tmp_path, capsys, kind, key, value):
+        path = cfg_file(tmp_path, {"kind": kind, key: value})
+        for argv in (["validate", path],
+                     ["run", path, "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2, f"{argv[0]} {key}={value!r}"
+            assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", [{"ks": []}, {"qs": []},
+                                        {"ks": [], "qs": []}])
+    def test_empty_sup_levels_exit_2(self, tmp_path, capsys, levels):
+        path = cfg_file(tmp_path, dict(levels, kind="sup-prob"))
+        for argv in (["validate", path],
+                     ["run", path, "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2, argv[0]
+            assert "ks and qs" in capsys.readouterr().err
+
+
+class TestMedianOfMeansBudget:
+    @pytest.mark.parametrize("kind", ["cauchy", "mollifier-independence",
+                                      "sobolev"])
+    def test_fewer_than_mom_blocks_rejected(self, tmp_path, capsys, kind):
+        for replicas in (2, 20, 39):
+            path = cfg_file(tmp_path, {"kind": kind, "replicas": replicas})
+            for argv in (["validate", path],
+                         ["run", path, "--out", str(tmp_path / "o")]):
+                assert main(argv) == 2, f"{argv[0]} replicas={replicas}"
+                assert "median-of-means" in capsys.readouterr().err

@@ -157,6 +157,34 @@ class TestPdCheck:
         assert eig.min() >= -1e-10 * np.abs(eig).max(), "rank-one Gram went negative"
 
 
+def dense_gram(spec, n, points):
+    """The Gram by its definition: Q_n at every pairwise distance."""
+    diffs = points[:, None, :] - points[None, :, :]
+    r = np.sqrt((diffs ** 2).sum(axis=-1))
+    out = np.zeros(r.shape)
+    live = r < math.exp(-(spec.t0 + n))
+    out[live] = q_n(spec, n, r[live])
+    return out
+
+
+class TestGram:
+    def test_matches_dense_definition_n2048(self):
+        grid = Grid.regular((0.0, 1.0), 2048)
+        for n in range(1, 9):
+            assert np.array_equal(gram(SPEC1, n, grid),
+                                  dense_gram(SPEC1, n, grid.points)), f"level {n}"
+
+    def test_matches_dense_definition_free_points(self):
+        pts = np.array([[0.61], [0.3]])
+        grid = Grid.from_points(pts, (0.0, 1.0))
+        for n in range(1, 4):
+            assert np.array_equal(gram(SPEC1, n, grid), dense_gram(SPEC1, n, pts))
+        pts2 = np.random.default_rng(3).uniform(0.0, 1.0, (150, 2))
+        grid2 = Grid.from_points(pts2, (0.0, 1.0))
+        for n in range(1, 4):
+            assert np.array_equal(gram(SPEC2, n, grid2), dense_gram(SPEC2, n, pts2))
+
+
 class TestMollifiedTable:
     def test_constant_kernel_invariance(self):
         # mollifiers integrate to one, so a constant kernel passes through

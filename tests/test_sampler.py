@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from logchaos import (Grid, KernelSpec, Mollifier, TiltShift, load_sample, mollified_table, replica_normals,
-                      sample_increments, sample_mollified, save_sample,
-                      tilt_shift_rows)
+from logchaos import (Grid, KernelSpec, Mollifier, NumericError, TiltShift,
+                      gram, increment_factors, load_sample, mollified_table,
+                      replica_normals, sample_increments, sample_mollified,
+                      save_sample, tilt_shift_rows)
+from logchaos.sampler import BLOCK, band_cholesky, block_z
 
 SPEC = KernelSpec(d=1)
 GRID = Grid.regular((0.0, 1.0), 64)
@@ -197,6 +199,56 @@ class TestTilt:
         assert abs(v1 - v0) <= 4 * se, f"variance changed: {v0} -> {v1}"
         # same seed: the tilt is a deterministic shift of the same draw
         assert np.allclose(tilted - flat, (tilted - flat)[:, :1], atol=1e-12)
+
+
+def dense_lower(chol):
+    """Expand LAPACK lower band storage (row d holds diagonal -d) to dense."""
+    n = chol.shape[1]
+    out = np.zeros((n, n))
+    for d in range(chol.shape[0]):
+        out += np.diag(chol[d, :n - d], -d)
+    return out
+
+
+class TestBandedEngine:
+    GRID512 = Grid.regular((0.0, 1.0), 512)
+
+    def test_factor_matches_dense_cholesky(self):
+        _, levels = increment_factors(SPEC, self.GRID512, 8)
+        for k, level in enumerate(levels, start=1):
+            ref = np.linalg.cholesky(gram(SPEC, k, self.GRID512))
+            assert level.jitter == 0.0
+            assert np.abs(dense_lower(level.chol) - ref).max() < 1e-12, f"level {k}"
+
+    @pytest.mark.parametrize("tilted", [False, True])
+    def test_block_z_matches_dense_product(self, tilted):
+        n_max, seed, start = 8, 5, 64
+        factors = increment_factors(SPEC, self.GRID512, n_max)
+        shifts = None
+        if tilted:
+            t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, eps_prime=2 ** -3,
+                          alpha=0.8)
+            shifts = tilt_shift_rows(SPEC, self.GRID512, t, n_max,
+                                     Mollifier(d=1))
+        z = block_z(SPEC, self.GRID512, factors, seed, start, n_max, shifts)
+        xi = np.stack([replica_normals(seed, start + j, n_max + 1, 512)
+                       for j in range(BLOCK)], axis=-1)
+        for k, level in enumerate(factors[1], start=1):
+            ref = dense_lower(level.chol) @ xi[k]
+            if tilted:
+                ref += shifts[k][:, None]
+            assert np.abs(z[k] - ref).max() < 1e-12, f"level {k}"
+
+    def test_jitter_policy(self):
+        # needs a diagonal shift above 2.5e-10: the first step, 1e-10 *
+        # trace / N, fails and the x10 escalation succeeds
+        near = np.array([[1.0, 1.0], [1.0, 1.0 - 5e-10]])
+        base = 1e-10 * np.trace(near) / 2
+        assert band_cholesky(near).jitter == base * 10.0
+        with pytest.raises(NumericError, match="Q_3"):
+            band_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), name="Q_3")
+        zero = band_cholesky(np.zeros((3, 3)))
+        assert zero.jitter == 0.0 and not zero.chol.any()
 
 
 class TestRoundTrip:

@@ -80,6 +80,11 @@ class TestTrendVerdict:
         assert len(rep.diffs) == 2 and len(rep.diff_ses) == 2
         assert rep.verdict
 
+    def test_ladder_needs_one_replica_per_block(self):
+        vals = np.ones((2, 20))
+        with pytest.raises(ValueError, match="median-of-means"):
+            ladder_from_values("t", [1, 2], vals)
+
 
 class TestSecondMomentOracle:
     def test_gamma_zero(self):
@@ -127,6 +132,14 @@ class TestBench:
         _, k_diag, _ = bench.supp_tables("main", 2 ** -4)
         cross = bench.cross_table("main", 2 ** -4, "main", 2 ** -4)
         assert np.abs(np.diag(cross) - k_diag).max() < 1e-12
+
+    def test_cholesky_jitter_recorded(self):
+        # coincident points make every level Gram singular, so each factor
+        # needs jitter; the acceptance geometry needs none
+        pair = Grid.from_points(np.array([[0.4], [0.4]]), (0.0, 1.0))
+        assert all(j > 0.0 for j in Bench(SPEC, pair, 4).cholesky_jitter)
+        fine = Grid.regular((0.0, 1.0), 2048)
+        assert Bench(SPEC, fine, 8).cholesky_jitter == [0.0] * 8
 
     def test_empty_budget_rejected(self):
         with pytest.raises(ValueError, match="replicas"):
