@@ -10,7 +10,7 @@ without anything being wrong.  Rerun with --replicas 10000 before worrying.
 
 import argparse
 
-from logchaos import Bench, ChaosParams, Grid, KernelSpec, bump_function, mc_moment
+from logchaos import Bench, ChaosParams, Grid, KernelSpec, bump_function, mc_moments
 
 GAMMAS = [0.5, 0.8, 0.5 + 0.5j, 1.1 + 0.25j]
 
@@ -33,18 +33,19 @@ def main():
 
     print(f"mean identity, eps = {args.eps}, R = {args.replicas}")
     print(f"{'gamma':>16s} {'estimate':>20s} {'oracle':>20s} {'|z|':>6s}")
-    for g in GAMMAS:
-        m = mc_moment(bench, ChaosParams(f=f, gamma=g), "mean", args.eps,
-                      replicas=args.replicas, seed=args.seed)
+    jobs = [(ChaosParams(f=f, gamma=g), "mean", args.eps, None) for g in GAMMAS]
+    for g, m in zip(GAMMAS, mc_moments(bench, jobs, replicas=args.replicas,
+                                       seed=args.seed)):
         print(f"{fmt(complex(g)):>16s} {fmt(m.estimate):>20s} "
               f"{fmt(m.oracle):>20s} {m.max_z:6.2f}")
 
     print(f"\nsecond moment against the quadrature oracle (L2 region only)")
     print(f"{'gamma':>16s} {'estimate':>20s} {'oracle':>20s} {'|z|':>6s}")
-    for g in [0.5, 0.8, 0.5 + 0.5j]:
-        m = mc_moment(bench, ChaosParams(f=f, gamma=g), "product", args.eps,
-                      eps_prime=args.eps, replicas=args.replicas,
-                      seed=args.seed + 1)
+    l2 = [0.5, 0.8, 0.5 + 0.5j]
+    jobs = [(ChaosParams(f=f, gamma=g), "product", args.eps, args.eps)
+            for g in l2]
+    for g, m in zip(l2, mc_moments(bench, jobs, replicas=args.replicas,
+                                   seed=args.seed + 1)):
         print(f"{fmt(complex(g)):>16s} {fmt(m.estimate):>20s} "
               f"{fmt(m.oracle):>20s} {m.max_z:6.2f}")
 

@@ -27,7 +27,7 @@ from .verify import (Bench, KernelEstimateReport, LadderReport,
                      MomentEstimate, SupFieldReport, TailBoundReport,
                      TiltedEventReport, cauchy_ladder, field_stats,
                      kernel_estimate_check, ladder_from_values, mc_moment,
-                     mollifier_independence, moment_from_values,
+                     mc_moments, mollifier_independence, moment_from_values,
                      second_moment_oracle, sobolev_ladder, sup_field_prob,
                      tail_bound_check, tilted_event_prob, trend_verdict)
 
@@ -44,7 +44,7 @@ __all__ = [
     "exact_level", "export_table", "field_stats", "gram",
     "increment_factors", "k_exact", "k_mollified", "k_partial", "kappa",
     "kernel_estimate_check", "ladder_from_values", "load_sample",
-    "mc_moment", "mollified_table", "mollifier_independence",
+    "mc_moment", "mc_moments", "mollified_table", "mollifier_independence",
     "moment_from_values", "pd_check", "pick_lambda", "q0_for", "q_mollified",
     "q_n", "quad_cloud", "replica_normals", "sample_increments",
     "sample_mollified", "save_sample", "scan", "second_moment_oracle",

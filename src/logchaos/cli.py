@@ -212,12 +212,26 @@ def _z_svg(estimates, title):
                          hlines=[(4.0, "gate 4")])
 
 
+def _scan_axis(cfg, key):
+    """A phase-scan axis [lo, hi, count]: finite numbers, integer count >= 1."""
+    v = cfg.get(key, [-2.5, 2.5, 200])
+    try:
+        if not isinstance(v, list) or len(v) != 3:
+            raise TypeError
+        lo, hi, count = float(v[0]), float(v[1]), _integer(v[2])
+        valid = count >= 1 and math.isfinite(lo) and math.isfinite(hi)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ConfigError(f"{key} must be [lo, hi, count] with finite numbers "
+                          f"lo, hi and an integer count >= 1, got {v!r}")
+    return np.linspace(lo, hi, count)
+
+
 def run_phase_scan(cfg, workers, run_id):
     d = _int(cfg, "d", 1)
-    ar = cfg.get("alpha_range", [-2.5, 2.5, 200])
-    br = cfg.get("beta_range", [-2.5, 2.5, 200])
-    alphas = np.linspace(float(ar[0]), float(ar[1]), int(ar[2]))
-    betas = np.linspace(float(br[0]), float(br[1]), int(br[2]))
+    alphas = _scan_axis(cfg, "alpha_range")
+    betas = _scan_axis(cfg, "beta_range")
     labels = phase.scan(d, alphas, betas)
     rows = []
     for i, a in enumerate(alphas):
@@ -312,33 +326,43 @@ def run_field_stats(cfg, workers, run_id):
     return tables, plots, verdicts, resolved
 
 
-def run_moment_check(cfg, workers, run_id):
-    eps = _num(cfg, "eps", 2.0 ** -5)
-    eps_prime = _num(cfg, "eps_prime", eps)
-    estimands = cfg.get("estimands", ["mean"])
+def _moment_terms(cfg, d, eps, eps_prime):
+    """(gammas, estimands) of a moment-check: nonempty lists it can score."""
+    estimands = _list(cfg, "estimands", ["mean"], conv=lambda e: e)
     for e in estimands:
         if e not in ("mean", "product", "distance2"):
             raise ConfigError(f"unknown estimand {e!r}")
-    spec, grid, f, resolved = _resolve_common(cfg, min(eps, eps_prime),
-                                              default_n=128,
-                                              default_radius=0.2)
     gammas = _list(cfg, "gammas", [0.5, 0.8], _gamma_value)
+    if not estimands or not gammas:
+        raise ConfigError("moment-check needs nonempty gammas and estimands, "
+                          f"got gammas={gammas}, estimands={estimands}")
     for g in gammas:
-        label = phase.classify(spec.d, g.real, g.imag)
+        label = phase.classify(d, g.real, g.imag)
         if label not in (phase.L2, phase.SUBCRITICAL) and g != 0:
             raise ConfigError(
                 f"phase precondition violated: gamma={g} is {label}")
+    if eps_prime > eps and set(estimands) - {"mean"}:
+        raise ConfigError(f"product and distance2 need eps_prime <= eps, got "
+                          f"eps={eps}, eps_prime={eps_prime}")
+    return gammas, estimands
+
+
+def run_moment_check(cfg, workers, run_id):
+    eps = _num(cfg, "eps", 2.0 ** -5)
+    eps_prime = _num(cfg, "eps_prime", eps)
+    spec, grid, f, resolved = _resolve_common(cfg, min(eps, eps_prime),
+                                              default_n=128,
+                                              default_radius=0.2)
+    gammas, estimands = _moment_terms(cfg, spec.d, eps, eps_prime)
     replicas = _replicas(cfg, 10000)
     seed = _int(cfg, "seed", 0)
     bench = verify.Bench(spec, grid, resolved["n_max"], f=f)
-    ests = []
-    for g in gammas:
-        params = ChaosParams(f=f, gamma=g)
-        for est in estimands:
-            kw = {} if est == "mean" else {"eps_prime": eps_prime}
-            m = verify.mc_moment(bench, params, est, eps, replicas=replicas,
-                                 seed=seed, workers=workers, **kw)
-            ests.append(replace(m, estimator=f"{m.estimator} gamma={g}"))
+    jobs = [(ChaosParams(f=f, gamma=g), est, eps, eps_prime)
+            for g in gammas for est in estimands]
+    ests = verify.mc_moments(bench, jobs, replicas=replicas, seed=seed,
+                             workers=workers)
+    ests = [replace(m, estimator=f"{m.estimator} gamma={job[0].gamma}")
+            for job, m in zip(jobs, ests)]
     header, rows = _moment_rows(ests, run_id)
     gated = [m for m in ests if m.max_z is not None]
     verdicts = {"all_z_within_4se": all(m.max_z <= 4.0 for m in gated)}
@@ -672,6 +696,8 @@ def _validate_only(cfg):
     kind = cfg["kind"]
     if kind == "phase-scan":
         _int(cfg, "d", 1)
+        _scan_axis(cfg, "alpha_range")
+        _scan_axis(cfg, "beta_range")
         return
     if kind == "tail-check":
         _tail_grid(cfg)
@@ -689,18 +715,13 @@ def _validate_only(cfg):
     if kind in ("field-stats", "moment-check"):
         eps = _num(cfg, "eps", 2.0 ** -5 if kind == "moment-check" else 2.0 ** -4)
         eps_p = _num(cfg, "eps_prime", eps if kind == "moment-check" else 2.0 ** -5)
-        _resolve_common(cfg, min(eps, eps_p), default_n=128, default_radius=0.2)
+        spec, _, _, _ = _resolve_common(cfg, min(eps, eps_p), default_n=128,
+                                        default_radius=0.2)
         _replicas(cfg, 2)
         if kind == "field-stats":
             _var_levels(cfg)
         if kind == "moment-check":
-            for e in cfg.get("estimands", ["mean"]):
-                if e not in ("mean", "product", "distance2"):
-                    raise ConfigError(f"unknown estimand {e!r}")
-            for gv in _list(cfg, "gammas", [0.5, 0.8], _gamma_value):
-                label = phase.classify(1, gv.real, gv.imag)
-                if label not in (phase.L2, phase.SUBCRITICAL) and gv != 0:
-                    raise ConfigError(f"phase precondition violated: {label}")
+            _moment_terms(cfg, spec.d, eps, eps_p)
         return
     if kind in ("cauchy", "mollifier-independence", "sobolev"):
         ladder = _eps_ladder(cfg)

@@ -304,54 +304,80 @@ def _event_consume(rows, q, lam):
     return consume
 
 
-def _block_densities(bench, params, keys, trunc):
-    """densities(z) -> [(density, overflow)] per (channel, eps) key of a block.
-
-    Each density is chaos_density on the support rows of the block's
-    mollified field; trunc=(q, lam) inserts the barrier event A_{q,lam}.
-    """
+def _gamma_of(params):
+    """The coefficient of single-mode params; the block engine samples one field."""
     if params.mode != "single":
         raise ValueError("the block engine samples one field; two-field "
                          "chaos needs chaos_integral with a second sample")
+    return params.gamma
+
+
+def _block_densities(bench, gammas, keys, trunc):
+    """densities(z) -> (cells, event) of a block.
+
+    cells[g][k] = (density, overflow) for gammas[g] and (channel, eps) key
+    keys[k]: chaos_density on the support rows of the block's mollified
+    field, which is convolved once per key and shared by the gammas.
+    trunc=(q, lam) inserts the barrier event A_{q,lam}, returned per
+    (support row, replica); event is None without trunc.
+    """
     tabs = [bench.supp_tables(channel, eps) for channel, eps in keys]
     f_supp = bench.f[bench.supp]
 
     def densities(z):
-        y_top = z.sum(axis=0)
         event = None
         if trunc is not None:
             q, lam = trunc
             event = barrier_below(z, bench.supp, lam)[q:].all(axis=0)
-        return [chaos_density(params.gamma, w_supp @ y_top, k_diag, f_supp,
-                              event) for w_supp, k_diag, _ in tabs]
+        cells = [[] for _ in gammas]
+        y_top = z.sum(axis=0) if tabs else None
+        for w_supp, k_diag, _ in tabs:
+            x = w_supp @ y_top
+            for row, gamma in zip(cells, gammas):
+                row.append(chaos_density(gamma, x, k_diag, f_supp, event))
+        return cells, event
 
     return densities
 
 
-def _chaos_values_consume(bench, params, keys, trunc=None):
-    """Consume closure returning per-key chaos values and overflow flags."""
-    densities = _block_densities(bench, params, keys, trunc)
+def _chaos_values_consume(bench, gammas, keys, trunc=None, events=False):
+    """Consume closure returning chaos values and overflow flags.
+
+    Rows run over (gamma, key) pairs, gamma-major; events=True appends the
+    global barrier event A_{q,lam} per replica (1.0 where it holds).
+    """
+    densities = _block_densities(bench, gammas, keys, trunc)
     wgt = bench.grid.weight
 
     def consume(start, z):
-        out = densities(z)
-        return (np.stack([dens.sum(axis=0) * wgt for dens, _ in out]),
-                np.stack([ovf for _, ovf in out]))
+        cells, event = densities(z)
+        shape = (len(gammas) * len(keys), z.shape[2])
+        vals = np.empty(shape, dtype=complex)
+        ovf = np.empty(shape, dtype=bool)
+        for i, (dens, flags) in enumerate(c for row in cells for c in row):
+            vals[i] = dens.sum(axis=0) * wgt
+            ovf[i] = flags
+        if events:
+            return vals, ovf, event.all(axis=0).astype(float)
+        return vals, ovf
 
     return consume
 
 
 def second_moment_oracle(spec, gamma, eps, eps_prime, f, grid, mol=None,
-                         n_levels=None, rule="grid"):
+                         n_levels=None, rule="grid", table=None):
     """Quadrature oracle for E[M_eps conj(M_eps')].
 
     Sum_{x,y} exp(|gamma|^2 K_{eps,eps'}(x,y)) f(x) f(y) w^2, finite because
     the mollified kernel is bounded.  With the grid rule and n_levels equal
     to the sampler's level count this is exact for the sampled fields.
+    table is an already built mollified_table for (eps, eps') to use
+    instead of building one; it depends on gamma not at all.
     """
-    mol = mol if mol is not None else Mollifier(d=spec.d)
-    table = kernels.mollified_table(spec, grid, eps, eps_prime, mol=mol,
-                                    rule=rule, n_levels=n_levels)
+    if table is None:
+        mol = mol if mol is not None else Mollifier(d=spec.d)
+        table = kernels.mollified_table(spec, grid, eps, eps_prime, mol=mol,
+                                        rule=rule, n_levels=n_levels)
     f = np.asarray(f, dtype=float)
     mask = np.ones(grid.n, dtype=bool)
     mask[table.rows] = False
@@ -368,65 +394,97 @@ def second_moment_oracle(spec, gamma, eps, eps_prime, f, grid, mol=None,
     return float(fa @ np.exp(g2 * table.values) @ fb * w * w)
 
 
+ESTIMANDS = ("mean", "product", "distance2", "event")
+
+
+def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None, trunc=None):
+    """Seeded Monte Carlo estimates of several chaos moments from one sweep.
+
+    Each job is (params, estimand, eps, eps_prime), read as by mc_moment
+    (eps_prime is ignored by "mean" and "event").  Every replica block is
+    drawn once for all jobs: per block the field is summed once, convolved
+    once per distinct eps, its barrier event evaluated once, and the chaos
+    density computed once per distinct (gamma, eps).  Each estimate equals
+    the one its job would get alone, bit for bit.  Grid-rule kernel tables
+    for the oracles are built once per (eps, eps') pair and shared by the
+    gammas.  Returns one MomentEstimate per job, in job order.
+    """
+    # distinct gammas and eps, each mapped to its index
+    gammas, epss, events = {}, {}, False
+    for params, estimand, eps, eps_prime in jobs:
+        if estimand not in ESTIMANDS:
+            raise ValueError(f"unknown estimand {estimand!r}")
+        if estimand == "event":
+            if trunc is None:
+                raise ValueError("event estimand needs trunc=(q, lam)")
+            events = True
+            continue
+        if estimand != "mean" and eps_prime is None:
+            raise ValueError(f"estimand {estimand} needs eps_prime")
+        gammas.setdefault(complex(_gamma_of(params)), len(gammas))
+        for e in (eps,) if estimand == "mean" else (eps, eps_prime):
+            epss.setdefault(float(e), len(epss))
+
+    consume = _chaos_values_consume(
+        bench, list(gammas), [("main", e) for e in epss], trunc, events)
+    parts = bench.map_blocks(seed, replicas, consume, workers)
+    vals, ovf = parts[:2]
+
+    tables = {}
+
+    def oracle(gamma, eps, eps_prime):
+        key = (float(eps), float(eps_prime))
+        if key not in tables:
+            tables[key] = kernels.mollified_table(
+                bench.spec, bench.grid, eps, eps_prime,
+                mol=bench.channels["main"], rule="grid",
+                n_levels=bench.n_max)
+        return second_moment_oracle(bench.spec, gamma, eps, eps_prime,
+                                    bench.f, bench.grid, table=tables[key])
+
+    out = []
+    for params, estimand, eps, eps_prime in jobs:
+        if estimand == "event":
+            out.append(moment_from_values(f"P[event q={trunc[0]}]", parts[2]))
+            continue
+        gamma = params.gamma
+        row = gammas[complex(gamma)] * len(epss)
+        a = row + epss[float(eps)]
+        if estimand == "mean":
+            out.append(moment_from_values(
+                f"E[M] eps={eps}", vals[a],
+                oracle=complex(bench.f.sum() * bench.grid.weight),
+                exclude=ovf[a]))
+            continue
+        b = row + epss[float(eps_prime)]
+        orc = None
+        if estimand == "product":
+            name, values = "E[M Mbar']", vals[a] * np.conj(vals[b])
+            if trunc is None:
+                orc = oracle(gamma, eps, eps_prime)
+        else:
+            name, values = "E|M-M'|^2", np.abs(vals[a] - vals[b]) ** 2
+            if trunc is None:
+                orc = (oracle(gamma, eps, eps) + oracle(gamma, eps_prime, eps_prime)
+                       - 2.0 * oracle(gamma, eps, eps_prime))
+        out.append(moment_from_values(f"{name} {eps}x{eps_prime}", values,
+                                      oracle=orc, exclude=ovf[a] | ovf[b]))
+    return out
+
+
 def mc_moment(bench, params, estimand, eps, eps_prime=None, replicas=1000,
               seed=0, workers=None, trunc=None):
     """Seeded Monte Carlo estimate of one chaos moment.
 
     estimand: "mean" (E[M], oracle int f), "product" (E[M conj(M')], oracle
-    from second_moment_oracle in single mode), "distance2" (E|M - M'|^2,
-    oracle by expanding the square), or "event" (P[global barrier event],
-    needs trunc=(q, lam)).
+    from second_moment_oracle), "distance2" (E|M - M'|^2, oracle by
+    expanding the square), or "event" (P[global barrier event], needs
+    trunc=(q, lam)).  A one-job mc_moments sweep.
     """
-    if estimand == "event":
-        if trunc is None:
-            raise ValueError("event estimand needs trunc=(q, lam)")
-        (ind,) = bench.map_blocks(seed, replicas,
-                                  _event_consume(bench.supp, *trunc), workers)
-        return moment_from_values(f"P[event q={trunc[0]}]", ind, oracle=None)
-
-    pair = estimand in ("product", "distance2")
-    eps_list = [eps, eps_prime] if pair else [eps]
-    if pair and eps_prime is None:
-        raise ValueError(f"estimand {estimand} needs eps_prime")
-    consume = _chaos_values_consume(bench, params,
-                                    [("main", e) for e in eps_list], trunc)
-    vals, ovf = bench.map_blocks(seed, replicas, consume, workers)
-    if estimand == "mean":
-        oracle = complex(bench.f.sum() * bench.grid.weight)
-        return moment_from_values(f"E[M] eps={eps}", vals[0], oracle=oracle,
-                                  exclude=ovf[0])
-    gamma = params.gamma
-    drop = ovf.any(axis=0)
-    if estimand == "product":
-        prod = vals[0] * np.conj(vals[1])
-        oracle = None
-        if params.mode == "single" and trunc is None:
-            oracle = second_moment_oracle(bench.spec, gamma, eps, eps_prime,
-                                          bench.f, bench.grid,
-                                          mol=bench.channels["main"],
-                                          n_levels=bench.n_max)
-        return moment_from_values(f"E[M Mbar'] {eps}x{eps_prime}", prod,
-                                  oracle=oracle, exclude=drop)
-    if estimand == "distance2":
-        d2 = np.abs(vals[0] - vals[1]) ** 2
-        oracle = None
-        if params.mode == "single" and trunc is None:
-            paa = second_moment_oracle(bench.spec, gamma, eps, eps,
-                                       bench.f, bench.grid,
-                                       mol=bench.channels["main"],
-                                       n_levels=bench.n_max)
-            pbb = second_moment_oracle(bench.spec, gamma, eps_prime, eps_prime,
-                                       bench.f, bench.grid,
-                                       mol=bench.channels["main"],
-                                       n_levels=bench.n_max)
-            pab = second_moment_oracle(bench.spec, gamma, eps, eps_prime,
-                                       bench.f, bench.grid,
-                                       mol=bench.channels["main"],
-                                       n_levels=bench.n_max)
-            oracle = paa + pbb - 2.0 * pab
-        return moment_from_values(f"E|M-M'|^2 {eps}x{eps_prime}", d2,
-                                  oracle=oracle, exclude=drop)
-    raise ValueError(f"unknown estimand {estimand!r}")
+    (m,) = mc_moments(bench, [(params, estimand, eps, eps_prime)],
+                      replicas=replicas, seed=seed, workers=workers,
+                      trunc=trunc)
+    return m
 
 
 def cauchy_ladder(bench, params, eps_ladder, replicas, seed, workers=None):
@@ -439,7 +497,7 @@ def cauchy_ladder(bench, params, eps_ladder, replicas, seed, workers=None):
     if any(a <= b for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
     trunc = (params.q, params.lam) if params.truncation else None
-    consume = _chaos_values_consume(bench, params,
+    consume = _chaos_values_consume(bench, [_gamma_of(params)],
                                     [("main", e) for e in eps_ladder], trunc)
     vals, ovf = bench.map_blocks(seed, replicas, consume, workers)
     pairs = list(zip(eps_ladder, eps_ladder[1:]))
@@ -460,7 +518,7 @@ def mollifier_independence(bench, params, eps_ladder, replicas, seed,
     eps_ladder = [float(e) for e in eps_ladder]
     trunc = (params.q, params.lam) if params.truncation else None
     keys = [("main", e) for e in eps_ladder] + [(alt, e) for e in eps_ladder]
-    consume = _chaos_values_consume(bench, params, keys, trunc)
+    consume = _chaos_values_consume(bench, [_gamma_of(params)], keys, trunc)
     vals, ovf = bench.map_blocks(seed, replicas, consume, workers)
     n = len(eps_ladder)
     d2 = np.abs(vals[:n] - vals[n:]) ** 2
@@ -748,7 +806,7 @@ def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
         raise NotImplementedError("density ladder is wired for d=1 grids")
     eps_ladder = [float(e) for e in eps_ladder]
     trunc = (params.q, params.lam) if params.truncation else None
-    densities = _block_densities(bench, params,
+    densities = _block_densities(bench, [_gamma_of(params)],
                                  [("main", e) for e in eps_ladder], trunc)
     h = grid.h
     xi = 2.0 * np.pi * np.fft.fftfreq(grid.shape[0], d=h)
@@ -759,7 +817,8 @@ def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
     def consume(start, z):
         dens = np.zeros((len(eps_ladder), grid.n, z.shape[2]), dtype=complex)
         keep = np.ones((len(eps_ladder), z.shape[2]), dtype=bool)
-        for i, (density, ovf) in enumerate(densities(z)):
+        cells, _ = densities(z)
+        for i, (density, ovf) in enumerate(cells[0]):
             dens[i, bench.supp, :] = density
             keep[i] = ~ovf
         out = np.empty((len(eps_ladder) - 1, z.shape[2]))

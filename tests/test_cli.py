@@ -119,6 +119,16 @@ class TestValidateOnly:
         {"kind": "tail-check", "u_over_sigma": [-1]},
         {"kind": "sup-prob", "n_max": 3},
         {"kind": "sup-prob", "ks": [], "qs": []},
+        {"kind": "moment-check", "estimands": []},
+        {"kind": "moment-check", "gammas": []},
+        {"kind": "moment-check", "estimands": "mean"},
+        {"kind": "moment-check", "estimands": ["product"], "eps": 0.03125,
+         "eps_prime": 0.0625},
+        {"kind": "phase-scan", "alpha_range": ["a", 1, 3]},
+        {"kind": "phase-scan", "alpha_range": [0, 1]},
+        {"kind": "phase-scan", "beta_range": [0, 1, 0]},
+        {"kind": "phase-scan", "beta_range": [0, 1, -3]},
+        {"kind": "phase-scan", "alpha_range": "x"},
         {"kind": "bogus"},
     ])
     def test_rejections(self, cfg):
@@ -338,3 +348,54 @@ class TestMedianOfMeansBudget:
                          ["run", path, "--out", str(tmp_path / "o")]):
                 assert main(argv) == 2, f"{argv[0]} replicas={replicas}"
                 assert "median-of-means" in capsys.readouterr().err
+
+
+class TestBadRunInputs:
+    """Inputs validate rejects also exit 2 under run, with the key named."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("alpha_range", ["a", 1, 3]), ("alpha_range", [0, 1]),
+        ("beta_range", [0, 1, 0]), ("beta_range", [0, 1, -3]),
+        ("alpha_range", "x"),
+    ])
+    def test_phase_scan_range_exits_2(self, tmp_path, capsys, key, value):
+        path = cfg_file(tmp_path, dict(PHASE_CFG, **{key: value}))
+        for argv in (["validate", path],
+                     ["run", path, "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2, f"{argv[0]} {key}={value!r}"
+            assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change,named", [
+        ({"estimands": []}, "estimands"), ({"gammas": []}, "gammas"),
+        ({"estimands": "mean"}, "estimands"),
+        ({"estimands": ["product"], "eps": 0.03125, "eps_prime": 0.0625},
+         "eps_prime"),
+    ])
+    def test_moment_check_exits_2(self, tmp_path, capsys, change, named):
+        path = cfg_file(tmp_path, dict(MOM0_CFG, **change))
+        for argv in (["validate", path],
+                     ["run", path, "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2, f"{argv[0]} {change}"
+            assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists(), "nothing is written"
+
+
+class TestMomentSweepBlocks:
+    def test_each_block_drawn_once(self, tmp_path, capsys, monkeypatch):
+        # 2 gammas x 2 estimands at R=100: ceil(100/32) = 4 blocks, not 16
+        from logchaos import verify
+        starts = []
+        block_z = verify.block_z
+
+        def counted(spec, grid, factors, seed, start, *a, **k):
+            starts.append(start)
+            return block_z(spec, grid, factors, seed, start, *a, **k)
+
+        monkeypatch.setattr(verify, "block_z", counted)
+        cfg = dict(MOM0_CFG, gammas=[0.8, [0.5, 0.5]],
+                   estimands=["mean", "product"], replicas=100)
+        out = tmp_path / "out"
+        assert main(["run", cfg_file(tmp_path, cfg), "--out", str(out)]) in (0, 1)
+        assert starts == [0, 32, 64, 96]
+        rows = (out / "moments.csv").read_text().splitlines()
+        assert len(rows) == 1 + 4

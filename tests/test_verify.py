@@ -6,7 +6,8 @@ import pytest
 from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
                       PhaseError, bump_function, cauchy_ladder, chaos_integral,
                       field_stats, kernel_estimate_check, ladder_from_values,
-                      mc_moment, mollified_table, moment_from_values,
+                      mc_moment, mc_moments, mollified_table,
+                      moment_from_values,
                       mollifier_independence, sample_increments,
                       sample_mollified, second_moment_oracle, sobolev_ladder,
                       sup_field_prob, tail_bound_check, tilted_event_prob,
@@ -275,6 +276,72 @@ class TestMcMoment:
         with pytest.raises(ValueError):
             mc_moment(bench, ChaosParams(f=F, gamma=0.5), "product", 2 ** -4,
                       replicas=64, seed=0)
+
+
+class TestMomentSweep:
+    """One mc_moments sweep against a separate mc_moment call per job."""
+
+    EPS, EPS_PRIME = 2 ** -3, 2 ** -4
+
+    def jobs(self, estimands=("mean", "product", "distance2")):
+        return [(ChaosParams(f=F, gamma=g), est, self.EPS, self.EPS_PRIME)
+                for g in (0.8, 0.5 + 0.5j) for est in estimands]
+
+    def assert_bitwise(self, bench, jobs, workers, trunc=None):
+        sweep = mc_moments(bench, jobs, replicas=100, seed=6,
+                           workers=workers, trunc=trunc)
+        assert len(sweep) == len(jobs)
+        for (params, est, eps, eps_p), m in zip(jobs, sweep):
+            alone = mc_moment(bench, params, est, eps, eps_prime=eps_p,
+                              replicas=100, seed=6, workers=workers,
+                              trunc=trunc)
+            # repr tells -0.0 from 0.0: estimate, SEs, z, oracle, excluded
+            assert repr(m) == repr(alone), est
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_separate_calls(self, workers):
+        bench = small_bench()
+        self.assert_bitwise(bench, self.jobs(), workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_truncated_with_event(self, workers):
+        bench = small_bench()
+        jobs = self.jobs(("mean", "event", "product", "distance2"))
+        self.assert_bitwise(bench, jobs, workers, trunc=(2, 1.6))
+        event = mc_moments(bench, jobs[1:2], replicas=100, seed=6,
+                           trunc=(2, 1.6))[0]
+        assert 0.0 < event.estimate.real < 1.0, "the barrier event is vacuous"
+
+    def test_oracle_table_per_eps_pair(self, monkeypatch):
+        # product and distance2 at two gammas need the (eps, eps'), (eps,
+        # eps) and (eps', eps') tables once each, not once per gamma
+        from logchaos import kernels
+        built = []
+        table = kernels.mollified_table
+
+        def counted(spec, grid, eps, eps_prime=None, **kw):
+            built.append((eps, eps_prime))
+            return table(spec, grid, eps, eps_prime, **kw)
+
+        monkeypatch.setattr(kernels, "mollified_table", counted)
+        ests = mc_moments(small_bench(), self.jobs(("product", "distance2")),
+                          replicas=40, seed=1)
+        assert all(m.oracle is not None for m in ests)
+        assert sorted(built) == sorted([(self.EPS, self.EPS_PRIME),
+                                        (self.EPS, self.EPS),
+                                        (self.EPS_PRIME, self.EPS_PRIME)])
+
+    def test_bad_job_rejected_before_sampling(self, monkeypatch):
+        from logchaos import verify
+
+        def no_draws(*a, **k):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(verify, "block_z", no_draws)
+        bench = small_bench()
+        with pytest.raises(ValueError, match="unknown estimand"):
+            mc_moments(bench, self.jobs() + [(ChaosParams(f=F), "variance",
+                                             self.EPS, None)])
 
 
 class TestCauchyLadder:
