@@ -10,11 +10,14 @@ make those bytes independent of the worker count.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +34,6 @@ EXIT_VERDICT = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
-KINDS = ("phase-scan", "kernel-check", "field-stats", "moment-check",
-         "cauchy", "mollifier-independence", "tail-check", "sup-prob",
-         "tilt-check", "sobolev")
-
 DEFAULT_LADDER = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
 
 
@@ -42,30 +41,40 @@ class ConfigError(ValueError):
     """Validation failure; the message names the violated precondition."""
 
 
+def _finite(v):
+    """conv for _list: a finite number, as _num reads a scalar."""
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"not finite: {v!r}")
+    return x
+
+
 def _num(cfg, key, default):
     v = cfg.get(key, default)
     try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {v!r}")
+        return _finite(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a finite number, got {v!r}")
 
 
-def _int(cfg, key, default):
+def _int(cfg, key, default, lo=None):
     v = cfg.get(key, default)
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(f"{key} must be an integer, got {v!r}")
+    if lo is not None and v < lo:
+        raise ConfigError(f"{key} must be >= {lo}, got {v}")
     return v
 
 
-def _list(cfg, key, default, conv=float):
+def _list(cfg, key, default, conv=_finite):
     """A list entry of the config with every item read by conv."""
     v = cfg.get(key, default)
     if not isinstance(v, list):
         raise ConfigError(f"{key} must be a list, got {v!r}")
     try:
         return [conv(x) for x in v]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} has an entry of the wrong type: {v!r}")
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} has an invalid entry: {v!r}")
 
 
 def _integer(v):
@@ -75,25 +84,29 @@ def _integer(v):
     return v
 
 
+def _levels(cfg, key, default, lo):
+    """A nonempty list of integer levels, each >= lo."""
+    ns = _list(cfg, key, default, _integer)
+    if not ns or min(ns) < lo:
+        raise ConfigError(
+            f"{key} must be a nonempty list of levels >= {lo}, got {ns}")
+    return ns
+
+
 def _replicas(cfg, default):
     """Replica budget of a sampled kind; every estimate needs two replicas."""
-    r = _int(cfg, "replicas", default)
-    if r < 2:
-        raise ConfigError(f"replicas must be >= 2, got {r}")
-    return r
+    return _int(cfg, "replicas", default, lo=2)
 
 
-def _ladder_replicas(cfg, default):
-    """Replica budget of a ladder kind: one replica per median-of-means block."""
-    r = _replicas(cfg, default)
-    if r < verify.MOM_BLOCKS:
-        raise ConfigError(
-            f"replicas={r} below the {verify.MOM_BLOCKS} median-of-means "
-            "blocks of a ladder cell")
-    return r
+def _dim(cfg, sampled=True):
+    """Dimension d: 1 or 2, and 1 for the sampled kinds."""
+    d, allowed = _int(cfg, "d", 1), [1] if sampled else [1, 2]
+    if d not in allowed:
+        raise ConfigError(f"d={d} unsupported, this kind needs d in {allowed}")
+    return d
 
 
-def _gamma_value(raw, key="gamma"):
+def _gamma_value(raw):
     if isinstance(raw, (int, float)):
         return complex(raw)
     if isinstance(raw, (list, tuple)) and len(raw) == 2:
@@ -101,7 +114,7 @@ def _gamma_value(raw, key="gamma"):
             return complex(float(raw[0]), float(raw[1]))
         except (TypeError, ValueError):
             pass
-    raise ConfigError(f"{key} must be a number or [re, im] pair, got {raw!r}")
+    raise ConfigError(f"gamma must be a number or [re, im] pair, got {raw!r}")
 
 
 def _eps_ladder(cfg):
@@ -118,216 +131,218 @@ def run_id_of(cfg):
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _resolve_common(cfg, eps_min, default_n=2048, default_radius=0.05):
-    d = _int(cfg, "d", 1)
-    if d != 1:
-        raise ConfigError("sampled experiments are wired for d=1 grids")
-    grid_n = _int(cfg, "grid_n", default_n)
-    spec = KernelSpec(d=d)
-    grid = Grid.regular(spec.box, grid_n)
-    if grid.h > eps_min / 4.0:
-        raise ConfigError(
-            f"mollifier resolution violated: grid spacing {grid.h} > eps/4 "
-            f"= {eps_min / 4.0} (raise grid_n)")
+def _grid(cfg, spec, default_n, used=()):
+    """Grid of grid_n points per axis; for each (key, eps) in used it
+    resolves the mollifier (h <= eps/4) and has a point in D_eps."""
+    grid = Grid.regular(spec.box, _int(cfg, "grid_n", default_n, lo=1),
+                        d=spec.d)
+    for key, eps in used:
+        if grid.h > eps / 4.0:
+            raise ConfigError(
+                f"mollifier resolution violated: grid spacing {grid.h} > "
+                f"eps/4 = {eps / 4.0} at {key}={eps} (raise grid_n)")
+        if grid.interior_idx(2.0 * eps).size == 0:
+            raise ConfigError(f"{key}={eps} leaves no grid point in D_eps")
+    return grid
+
+
+def _test_function(cfg, grid, convolved, default_radius):
+    """Bump test function f, nonzero on the grid and supported in D_eps
+    (the rows the convolution weights cover) for each convolved (key, eps)."""
     fc = cfg.get("f", {})
+    if not isinstance(fc, dict):
+        raise ConfigError(f"f must be an object with center and radius, "
+                          f"got {fc!r}")
     center = _num(fc, "center", 0.5)
     radius = _num(fc, "radius", default_radius)
+    if radius <= 0.0:
+        raise ConfigError(f"f radius must be > 0, got {radius}")
     f = bump_function(grid, center=center, radius=radius)
-    q_floor = q0_for(f, grid)
-    n_max = _int(cfg, "n_max", kernels.exact_level(spec, eps_min) + 1)
-    if n_max < kernels.exact_level(spec, eps_min):
-        raise ConfigError(
-            f"n_max={n_max} below exact level {kernels.exact_level(spec, eps_min)}"
-            f" for eps={eps_min}")
-    return spec, grid, f, {"d": d, "grid_n": grid_n, "f_center": center,
-                           "f_radius": radius, "q_floor": q_floor,
-                           "n_max": n_max, "grid_digest": grid.digest()}
+    supp, where = np.flatnonzero(f), f"f (center {center}, radius {radius})"
+    if supp.size == 0:
+        raise ConfigError(f"{where} is zero on every grid point")
+    for key, eps in convolved:
+        if np.setdiff1d(supp, grid.interior_idx(2.0 * eps)).size:
+            raise ConfigError(f"{where} leaks outside D_eps at {key}={eps}")
+    return f, center, radius
 
 
-def _resolve_trunc(cfg, d, gamma):
-    """Classify gamma, then settle (truncation, q, lam) per the phase."""
+def _resolve_common(cfg, used, default_n=2048, default_radius=0.05,
+                    convolved=None):
+    """(spec, grid, f, resolved) of a sampled kind: the least eps in used
+    sets the grid resolution and the level count, and f is checked at the
+    convolved (key, eps) pairs (default: used)."""
+    spec = KernelSpec(d=_dim(cfg))
+    grid = _grid(cfg, spec, default_n, used)
+    f, center, radius = _test_function(cfg, grid, used if convolved is None
+                                       else convolved, default_radius)
+    level = kernels.exact_level(spec, min(eps for _, eps in used))
+    n_max = _int(cfg, "n_max", level + 1, lo=level)
+    return spec, grid, f, {"d": spec.d, "grid_n": grid.shape[0],
+                           "f_center": center, "f_radius": radius,
+                           "q_floor": q0_for(f, grid), "n_max": n_max,
+                           "grid_digest": grid.digest()}
+
+
+def _phase(d, gamma, allowed, key="gamma"):
+    """Phase label of gamma = alpha + i beta, which must be one of allowed."""
     label = phase.classify(d, gamma.real, gamma.imag)
-    if label == phase.L2:
-        return label, False, 0, 0.0
-    if label != phase.SUBCRITICAL:
+    if label not in allowed:
+        raise ConfigError(f"phase precondition violated: {key}={gamma} is "
+                          f"{label}, need {' or '.join(allowed)}")
+    return label
+
+
+def _lam(cfg, d, default="auto", gamma=None):
+    """Barrier slope lam > sqrt(2d); "auto" picks phase.pick_lambda at gamma."""
+    if gamma is not None and cfg.get("lam", default) == "auto":
+        return phase.pick_lambda(d, gamma.real, gamma.imag)
+    lam = _num(cfg, "lam", default)
+    if lam <= math.sqrt(2.0 * d):
         raise ConfigError(
-            f"phase precondition violated: gamma={gamma} is {label}, "
-            "need L2_subcritical or subcritical_non_L2")
+            f"barrier slope precondition violated: lam={lam} <= sqrt(2d)")
+    return lam
+
+
+def _q(cfg, n_max):
+    """Truncation level q of the barrier event, in 1..n_max."""
     q = _int(cfg, "q", 2)
-    lam_cfg = cfg.get("lam", "auto")
-    if lam_cfg == "auto":
-        lam = phase.pick_lambda(d, gamma.real, gamma.imag)
-    else:
-        lam = _num(cfg, "lam", None)
-        if lam <= math.sqrt(2.0 * d):
-            raise ConfigError(f"lam={lam} must exceed sqrt(2d)")
-    return label, True, q, lam
+    if not 1 <= q <= n_max:
+        raise ConfigError(f"q={q} outside 1..n_max={n_max}")
+    return q
 
 
 def _moment_rows(estimates, run_id):
-    rows = []
-    for m in estimates:
-        rows.append([m.estimator, m.replicas,
-                     repr(m.estimate.real), repr(m.estimate.imag),
-                     repr(m.se_re), repr(m.se_im),
-                     "" if m.oracle is None else repr(m.oracle.real),
-                     "" if m.oracle is None else repr(m.oracle.imag),
-                     "" if m.z_re is None else repr(m.z_re),
-                     "" if m.z_im is None else repr(m.z_im),
-                     m.excluded, run_id])
+    rows = [[m.estimator, m.replicas,
+             repr(m.estimate.real), repr(m.estimate.imag),
+             repr(m.se_re), repr(m.se_im),
+             "" if m.oracle is None else repr(m.oracle.real),
+             "" if m.oracle is None else repr(m.oracle.imag),
+             "" if m.z_re is None else repr(m.z_re),
+             "" if m.z_im is None else repr(m.z_im),
+             m.excluded, run_id] for m in estimates]
     return (["estimator", "replicas", "estimate_re", "estimate_im", "se_re",
              "se_im", "oracle_re", "oracle_im", "z_re", "z_im", "excluded",
              "run_id"], rows)
 
 
-def _ladder_rows(report, run_id):
-    rows = []
-    for i, step in enumerate(report.steps):
-        if isinstance(step, tuple):
-            hi, lo = step
-        else:
-            hi, lo = step, step
-        rows.append([repr(float(hi)), repr(float(lo)),
-                     repr(report.values[i]), repr(report.ses[i]),
-                     "" if i == 0 else repr(report.diffs[i - 1]),
-                     "" if i == 0 else repr(report.diff_ses[i - 1]),
-                     run_id])
-    return (["eps_hi", "eps_lo", "value", "se", "diff_prev", "diff_se",
-             "run_id"], rows)
-
-
-def _ladder_svg(report, title):
-    xs = list(range(1, len(report.values) + 1))
-    return _svg.line_plot(
-        [{"x": xs, "y": list(report.values), "err": list(report.ses),
-          "label": report.estimator}],
-        title=title, xlabel="ladder step", ylabel="cell value",
-        logy=all(v > 0 for v in report.values))
-
-
-def _z_svg(estimates, title):
-    names = [m.estimator for m in estimates if m.z_re is not None]
-    zs = [m.max_z for m in estimates if m.z_re is not None]
-    return _svg.bar_plot(names, zs, title=title, ylabel="|z| (worst component)",
+def _z_outputs(estimates, stem, title, run_id):
+    """(tables, plots, verdicts) of oracle-scored estimates: |z| <= 4 each."""
+    gated = [m for m in estimates if m.max_z is not None]
+    plot = _svg.bar_plot([m.estimator for m in gated],
+                         [m.max_z for m in gated], title=title,
+                         ylabel="|z| (worst component)",
                          hlines=[(4.0, "gate 4")])
+    return ({f"{stem}.csv": _moment_rows(estimates, run_id)},
+            {f"{stem}.svg": plot},
+            {"all_z_within_4se": all(m.max_z <= 4.0 for m in gated)})
 
 
 def _scan_axis(cfg, key):
     """A phase-scan axis [lo, hi, count]: finite numbers, integer count >= 1."""
     v = cfg.get(key, [-2.5, 2.5, 200])
     try:
-        if not isinstance(v, list) or len(v) != 3:
-            raise TypeError
-        lo, hi, count = float(v[0]), float(v[1]), _integer(v[2])
-        valid = count >= 1 and math.isfinite(lo) and math.isfinite(hi)
+        if not isinstance(v, list) or len(v) != 3 or _integer(v[2]) < 1:
+            raise ValueError
+        return np.linspace(_finite(v[0]), _finite(v[1]), v[2])
     except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
         raise ConfigError(f"{key} must be [lo, hi, count] with finite numbers "
                           f"lo, hi and an integer count >= 1, got {v!r}")
-    return np.linspace(lo, hi, count)
 
 
-def run_phase_scan(cfg, workers, run_id):
-    d = _int(cfg, "d", 1)
+def plan_phase_scan(cfg):
+    d = _dim(cfg, sampled=False)
     alphas = _scan_axis(cfg, "alpha_range")
     betas = _scan_axis(cfg, "beta_range")
-    labels = phase.scan(d, alphas, betas)
-    rows = []
-    for i, a in enumerate(alphas):
-        for j, b in enumerate(betas):
-            rows.append([repr(float(a)), repr(float(b)), labels[i, j], run_id])
-    grid_rows = [[labels[i, j] for i in range(len(alphas))]
-                 for j in range(len(betas))]
-    known = set(phase.LABELS)
-    verdicts = {"all_points_labeled": all(labels[i, j] in known
-                                          for i in range(len(alphas))
-                                          for j in range(len(betas)))}
-    tables = {"phase_scan.csv": (["alpha", "beta", "label", "run_id"], rows)}
-    plots = {"phase_scan.svg": _svg.phase_map(list(alphas), list(betas),
-                                              grid_rows,
-                                              title=f"phase labels d={d}")}
-    resolved = {"d": d, "alphas": len(alphas), "betas": len(betas)}
-    return tables, plots, verdicts, resolved
+
+    def run(workers, run_id):
+        labels = phase.scan(d, alphas, betas)
+        rows = [[repr(float(a)), repr(float(b)), labels[i, j], run_id]
+                for i, a in enumerate(alphas) for j, b in enumerate(betas)]
+        known = set(phase.LABELS)
+        verdicts = {"all_points_labeled": all(lb in known
+                                              for lb in labels.flat)}
+        tables = {"phase_scan.csv": (["alpha", "beta", "label", "run_id"],
+                                     rows)}
+        plots = {"phase_scan.svg": _svg.phase_map(
+            list(alphas), list(betas), [list(col) for col in labels.T],
+            title=f"phase labels d={d}")}
+        return tables, plots, verdicts, {}
+
+    return {"d": d, "alphas": len(alphas), "betas": len(betas)}, run
 
 
-def run_kernel_check(cfg, workers, run_id):
-    d = _int(cfg, "d", 1)
-    spec = KernelSpec(d=d)
+def plan_kernel_check(cfg):
+    spec = KernelSpec(d=_dim(cfg, sampled=False))
     which = cfg.get("check", "both")
     if which not in ("mollified", "partial", "both"):
         raise ConfigError(f"check must be mollified|partial|both, got {which!r}")
     ladder = _eps_ladder(cfg)
-    n_ladder = _list(cfg, "n_ladder", [4, 6, 8, 10, 12], _integer)
+    n_ladder = _levels(cfg, "n_ladder", [4, 6, 8, 10, 12], 1)
     eps_fixed = _num(cfg, "eps_fixed", 2.0 ** -4)
-    grid_n = _int(cfg, "grid_n", 512)
-    grid = Grid.regular(spec.box, grid_n, d=d)
-    if grid.h > min(ladder) / 4.0:
-        raise ConfigError(
-            f"mollifier resolution violated: spacing {grid.h} > eps/4")
-    reports = []
-    if which in ("mollified", "both"):
-        reports.append(verify.kernel_estimate_check(
-            spec, "mollified", grid, eps_ladder=ladder))
-    if which in ("partial", "both"):
-        reports.append(verify.kernel_estimate_check(
-            spec, "partial", grid, n_ladder=n_ladder, eps_fixed=eps_fixed))
-    rows = []
-    series = []
-    verdicts = {}
-    for rep in reports:
-        for i, step in enumerate(rep.steps):
-            rows.append([rep.kind, repr(float(step)), repr(rep.suprema[i]),
-                         "" if i == 0 else repr(rep.ratios[i - 1]), run_id])
-        verdicts[f"{rep.kind}_stable"] = rep.stable
-        series.append({"x": list(range(1, len(rep.steps) + 1)),
-                       "y": list(rep.suprema), "label": rep.kind})
-    tables = {"kernel_check.csv": (["kind", "step", "supremum", "ratio_prev",
-                                    "run_id"], rows)}
-    plots = {"kernel_check.svg": _svg.line_plot(
-        series, title="kernel estimate suprema", xlabel="ladder step",
-        ylabel="supremum")}
-    resolved = {"d": d, "grid_n": grid_n, "eps_ladder": ladder,
-                "n_ladder": n_ladder, "eps_fixed": eps_fixed,
-                "grid_digest": grid.digest()}
-    return tables, plots, verdicts, resolved
+    if not 0.0 < eps_fixed <= 1.0:
+        raise ConfigError(f"eps_fixed must lie in (0, 1], got {eps_fixed}")
+    kinds = ["mollified", "partial"] if which == "both" else [which]
+    used = [("eps_ladder", e) for e in ladder] if "mollified" in kinds else []
+    if "partial" in kinds:
+        used.append(("eps_fixed", eps_fixed))
+    grid = _grid(cfg, spec, 512, used)
+
+    def run(workers, run_id):
+        rows, series, verdicts = [], [], {}
+        for kind in kinds:
+            rep = verify.kernel_estimate_check(
+                spec, kind, grid, eps_ladder=ladder, n_ladder=n_ladder,
+                eps_fixed=eps_fixed)
+            for i, step in enumerate(rep.steps):
+                rows.append([rep.kind, repr(float(step)), repr(rep.suprema[i]),
+                             "" if i == 0 else repr(rep.ratios[i - 1]),
+                             run_id])
+            verdicts[f"{rep.kind}_stable"] = rep.stable
+            series.append({"x": list(range(1, len(rep.steps) + 1)),
+                           "y": list(rep.suprema), "label": rep.kind})
+        tables = {"kernel_check.csv": (["kind", "step", "supremum",
+                                        "ratio_prev", "run_id"], rows)}
+        plots = {"kernel_check.svg": _svg.line_plot(
+            series, title="kernel estimate suprema", xlabel="ladder step",
+            ylabel="supremum")}
+        return tables, plots, verdicts, {}
+
+    return {"d": spec.d, "grid_n": grid.shape[0], "eps_ladder": ladder,
+            "n_ladder": n_ladder, "eps_fixed": eps_fixed,
+            "grid_digest": grid.digest()}, run
 
 
-def _var_levels(cfg):
-    ns = _list(cfg, "var_levels", [2, 5, 8], _integer)
-    if not ns or min(ns) < 0:
-        raise ConfigError(
-            f"var_levels must be a nonempty list of levels >= 0, got {ns}")
-    return ns
-
-
-def run_field_stats(cfg, workers, run_id):
+def plan_field_stats(cfg):
     eps = _num(cfg, "eps", 2.0 ** -4)
     eps_prime = _num(cfg, "eps_prime", 2.0 ** -5)
-    spec, grid, f, resolved = _resolve_common(cfg, min(eps, eps_prime),
-                                              default_n=128,
-                                              default_radius=0.2)
-    ns = _var_levels(cfg)
+    spec, grid, f, resolved = _resolve_common(
+        cfg, [("eps", eps), ("eps_prime", eps_prime)], default_n=128,
+        default_radius=0.2)
+    ns = _levels(cfg, "var_levels", [2, 5, 8], 0)
     n_max = max(resolved["n_max"], max(ns))
-    probes = _int(cfg, "probes", 20)
+    probes = _int(cfg, "probes", 20, lo=1)
     replicas = _replicas(cfg, 10000)
-    seed = _int(cfg, "seed", 0)
-    bench = verify.Bench(spec, grid, n_max, f=f)
-    ests = verify.field_stats(bench, ns, probes, eps, eps_prime, replicas,
-                              seed, workers=workers)
-    header, rows = _moment_rows(ests, run_id)
-    verdicts = {"all_z_within_4se": all(m.max_z is not None and m.max_z <= 4.0
-                                        for m in ests)}
+    seed = _int(cfg, "seed", 0, lo=0)
     resolved.update({"eps": eps, "eps_prime": eps_prime, "var_levels": ns,
                      "probes": probes, "replicas": replicas, "seed": seed,
-                     "n_max": n_max, "cholesky_jitter": bench.cholesky_jitter})
-    tables = {"field_stats.csv": (header, rows)}
-    plots = {"field_stats.svg": _z_svg(ests, "covariance fidelity z-scores")}
-    return tables, plots, verdicts, resolved
+                     "n_max": n_max})
+
+    def run(workers, run_id):
+        bench = verify.Bench(spec, grid, n_max, f=f)
+        ests = verify.field_stats(bench, ns, probes, eps, eps_prime, replicas,
+                                  seed, workers=workers)
+        return (*_z_outputs(ests, "field_stats",
+                            "covariance fidelity z-scores", run_id),
+                {"cholesky_jitter": bench.cholesky_jitter})
+
+    return resolved, run
 
 
-def _moment_terms(cfg, d, eps, eps_prime):
-    """(gammas, estimands) of a moment-check: nonempty lists it can score."""
+def plan_moment_check(cfg):
+    eps = _num(cfg, "eps", 2.0 ** -5)
+    eps_prime = _num(cfg, "eps_prime", eps)
+    d = _dim(cfg)
     estimands = _list(cfg, "estimands", ["mean"], conv=lambda e: e)
     for e in estimands:
         if e not in ("mean", "product", "distance2"):
@@ -337,272 +352,269 @@ def _moment_terms(cfg, d, eps, eps_prime):
         raise ConfigError("moment-check needs nonempty gammas and estimands, "
                           f"got gammas={gammas}, estimands={estimands}")
     for g in gammas:
-        label = phase.classify(d, g.real, g.imag)
-        if label not in (phase.L2, phase.SUBCRITICAL) and g != 0:
-            raise ConfigError(
-                f"phase precondition violated: gamma={g} is {label}")
-    if eps_prime > eps and set(estimands) - {"mean"}:
+        _phase(d, g, (phase.L2, phase.SUBCRITICAL))
+    pairs = bool(set(estimands) - {"mean"})
+    if eps_prime > eps and pairs:
         raise ConfigError(f"product and distance2 need eps_prime <= eps, got "
                           f"eps={eps}, eps_prime={eps_prime}")
-    return gammas, estimands
-
-
-def run_moment_check(cfg, workers, run_id):
-    eps = _num(cfg, "eps", 2.0 ** -5)
-    eps_prime = _num(cfg, "eps_prime", eps)
-    spec, grid, f, resolved = _resolve_common(cfg, min(eps, eps_prime),
-                                              default_n=128,
-                                              default_radius=0.2)
-    gammas, estimands = _moment_terms(cfg, spec.d, eps, eps_prime)
+    used = [("eps", eps), ("eps_prime", eps_prime)]
+    spec, grid, f, resolved = _resolve_common(
+        cfg, used, default_n=128, default_radius=0.2,
+        convolved=used if pairs else used[:1])
     replicas = _replicas(cfg, 10000)
-    seed = _int(cfg, "seed", 0)
-    bench = verify.Bench(spec, grid, resolved["n_max"], f=f)
-    jobs = [(ChaosParams(f=f, gamma=g), est, eps, eps_prime)
-            for g in gammas for est in estimands]
-    ests = verify.mc_moments(bench, jobs, replicas=replicas, seed=seed,
-                             workers=workers)
-    ests = [replace(m, estimator=f"{m.estimator} gamma={job[0].gamma}")
-            for job, m in zip(jobs, ests)]
-    header, rows = _moment_rows(ests, run_id)
-    gated = [m for m in ests if m.max_z is not None]
-    verdicts = {"all_z_within_4se": all(m.max_z <= 4.0 for m in gated)}
+    seed = _int(cfg, "seed", 0, lo=0)
     resolved.update({"eps": eps, "eps_prime": eps_prime,
                      "gammas": [[g.real, g.imag] for g in gammas],
                      "estimands": estimands, "replicas": replicas,
-                     "seed": seed, "cholesky_jitter": bench.cholesky_jitter})
-    tables = {"moments.csv": (header, rows)}
-    plots = {"moments.svg": _z_svg(ests, "moment oracle z-scores")}
-    return tables, plots, verdicts, resolved
+                     "seed": seed})
+
+    def run(workers, run_id):
+        bench = verify.Bench(spec, grid, resolved["n_max"], f=f)
+        jobs = [(ChaosParams(f=f, gamma=g), est, eps, eps_prime)
+                for g in gammas for est in estimands]
+        ests = verify.mc_moments(bench, jobs, replicas=replicas, seed=seed,
+                                 workers=workers)
+        ests = [replace(m, estimator=f"{m.estimator} gamma={job[0].gamma}")
+                for job, m in zip(jobs, ests)]
+        return (*_z_outputs(ests, "moments", "moment oracle z-scores",
+                            run_id),
+                {"cholesky_jitter": bench.cholesky_jitter})
+
+    return resolved, run
 
 
-def run_cauchy(cfg, workers, run_id):
-    ladder = _eps_ladder(cfg)
-    spec, grid, f, resolved = _resolve_common(cfg, min(ladder))
-    gamma = _gamma_value(cfg.get("gamma", 0.8))
-    label, trunc, q, lam = _resolve_trunc(cfg, spec.d, gamma)
-    replicas = _ladder_replicas(cfg, 2000)
-    seed = _int(cfg, "seed", 0)
-    bench = verify.Bench(spec, grid, resolved["n_max"], f=f)
-    params = ChaosParams(f=f, gamma=gamma, truncation=trunc, q=q, lam=lam)
-    report = verify.cauchy_ladder(bench, params, ladder, replicas, seed,
-                                  workers=workers)
-    header, rows = _ladder_rows(report, run_id)
-    verdicts = {"trend_decreasing": report.verdict}
-    resolved.update({"gamma": [gamma.real, gamma.imag], "phase": label,
-                     "truncation": trunc, "q": q, "lam": lam,
-                     "eps_ladder": ladder, "replicas": replicas,
-                     "seed": seed, "cholesky_jitter": bench.cholesky_jitter})
-    tables = {"cauchy_ladder.csv": (header, rows)}
-    plots = {"cauchy_ladder.svg": _ladder_svg(
-        report, f"coupled |M_eps - M_eps'|^2, gamma={gamma}")}
-    return tables, plots, verdicts, resolved
-
-
-def run_mollifier_independence(cfg, workers, run_id):
-    ladder = _eps_ladder(cfg)
-    spec, grid, f, resolved = _resolve_common(cfg, min(ladder))
-    gamma = _gamma_value(cfg.get("gamma", 0.8))
-    label, trunc, q, lam = _resolve_trunc(cfg, spec.d, gamma)
-    profiles = cfg.get("profiles", ["bump", "quartic"])
+def _profiles(cfg, spec):
+    profiles = _list(cfg, "profiles", ["bump", "quartic"],
+                     lambda p: Mollifier(d=spec.d, profile=p).profile)
     if len(profiles) != 2:
-        raise ConfigError("profiles must name exactly two mollifiers")
-    replicas = _ladder_replicas(cfg, 2000)
-    seed = _int(cfg, "seed", 0)
-    try:
-        mol_a = Mollifier(d=spec.d, profile=profiles[0])
-        mol_b = Mollifier(d=spec.d, profile=profiles[1])
-    except ValueError as e:
-        raise ConfigError(str(e))
-    bench = verify.Bench(spec, grid, resolved["n_max"], f=f, mol=mol_a)
-    bench.add_channel("alt", mol_b)
-    params = ChaosParams(f=f, gamma=gamma, truncation=trunc, q=q, lam=lam)
-    report = verify.mollifier_independence(bench, params, ladder, replicas,
-                                           seed, workers=workers)
-    header, rows = _ladder_rows(report, run_id)
-    verdicts = {"trend_decreasing": report.verdict}
-    resolved.update({"gamma": [gamma.real, gamma.imag], "phase": label,
-                     "profiles": list(profiles), "eps_ladder": ladder,
-                     "replicas": replicas, "seed": seed, "q": q, "lam": lam,
-                     "cholesky_jitter": bench.cholesky_jitter})
-    tables = {"mollifier_independence.csv": (header, rows)}
-    plots = {"mollifier_independence.svg": _ladder_svg(
-        report, f"|M^theta - M^theta'|^2, {profiles[0]} vs {profiles[1]}")}
-    return tables, plots, verdicts, resolved
-
-
-def _tail_grid(cfg):
-    sigmas = _list(cfg, "sigmas", [0.5, 1.0, 2.0, 4.0])
-    ratios = _list(cfg, "u_over_sigma", [0, 1, 2, 3, 4, 5])
-    if any(s <= 0 for s in sigmas) or any(u < 0 for u in ratios):
-        raise ConfigError("need sigma > 0 and u >= 0")
-    return sigmas, ratios
-
-
-def run_tail_check(cfg, workers, run_id):
-    sigmas, ratios = _tail_grid(cfg)
-    report = verify.tail_bound_check(sigmas, ratios)
-    rows = [[repr(s), repr(u), repr(exact), repr(bound), holds, run_id]
-            for s, u, exact, bound, holds in report.rows]
-    rows.append(["literal_at_sigma1_u3", repr(3.0), repr(report.literal_exact),
-                 repr(report.literal_bound), not report.literal_violated,
-                 run_id])
-    one = [r for r in report.rows if r[0] == sigmas[0]]
-    plots = {"tail_bound.svg": _svg.line_plot(
-        [{"x": [r[1] for r in one], "y": [max(r[2], 1e-18) for r in one],
-          "label": "exact tail"},
-         {"x": [r[1] for r in one], "y": [r[3] for r in one],
-          "label": "bound"}],
-        title=f"Gaussian tail vs bound, sigma={sigmas[0]}", xlabel="u",
-        ylabel="probability", logy=True)}
-    verdicts = {"corrected_bound_holds": report.all_hold,
-                "literal_bound_violated": report.literal_violated}
-    tables = {"tail_bound.csv": (["sigma", "u", "exact_tail", "bound",
-                                  "holds", "run_id"], rows)}
-    resolved = {"sigmas": sigmas, "u_over_sigma": ratios}
-    return tables, plots, verdicts, resolved
-
-
-def _sup_levels(cfg):
-    lam = _num(cfg, "lam", 1.6)
-    ks = _list(cfg, "ks", list(range(4, 11)), _integer)
-    qs = _list(cfg, "qs", [2, 4, 6, 8], _integer)
-    if not ks or not qs:
-        raise ConfigError("ks and qs must each name at least one level")
-    d = _int(cfg, "d", 1)
-    if lam <= math.sqrt(2.0 * d):
         raise ConfigError(
-            f"barrier slope precondition violated: lam={lam} <= sqrt(2d)")
-    n_max = _int(cfg, "n_max", max(ks + qs))
-    if n_max < max(ks + qs):
-        raise ConfigError(f"n_max={n_max} below the deepest requested level")
-    return d, lam, ks, qs, n_max
+            f"profiles must name exactly two mollifiers, got {profiles}")
+    return {"profiles": profiles}, verify.mollifier_independence
 
 
-def run_sup_prob(cfg, workers, run_id):
-    d, lam, ks, qs, n_max = _sup_levels(cfg)
-    grid_n = _int(cfg, "grid_n", 512)
-    spec = KernelSpec(d=d)
-    grid = Grid.regular(spec.box, grid_n)
-    fc = cfg.get("f", {})
-    f = bump_function(grid, center=_num(fc, "center", 0.5),
-                      radius=_num(fc, "radius", 0.2))
-    replicas = _replicas(cfg, 1000)
-    seed = _int(cfg, "seed", 0)
-    bench = verify.Bench(spec, grid, n_max, f=f)
-    rep = verify.sup_field_prob(bench, lam, ks, qs, replicas, seed,
-                                workers=workers)
-    k_rows = [[k, repr(m.estimate.real), repr(m.se_re), run_id]
-              for k, m in zip(rep.ks, rep.k_probs)]
-    q_rows = [[q, repr(m.estimate.real), repr(m.se_re), run_id]
-              for q, m in zip(rep.qs, rep.q_probs)]
-    verdicts = {"exceedance_decay": rep.decay_ok,
-                "event_prob_monotone": rep.q_increasing}
-    tables = {"sup_exceedance.csv": (["k", "prob", "se", "run_id"], k_rows),
-              "event_prob.csv": (["q", "prob", "se", "run_id"], q_rows)}
-    live = [(k, m.estimate.real) for k, m in zip(rep.ks, rep.k_probs)
-            if m.estimate.real > 0]
-    plots = {"sup_exceedance.svg": _svg.line_plot(
-        [{"x": [k for k, _ in live], "y": [p for _, p in live],
-          "label": "P(sup Y_k > lam k)"}],
-        title=f"barrier exceedance, lam={lam} (slope {rep.slope:.3f})",
-        xlabel="k", ylabel="probability", logy=True)}
-    resolved = {"d": d, "lam": lam, "ks": ks, "qs": qs, "n_max": n_max,
-                "grid_n": grid_n, "replicas": replicas, "seed": seed,
-                "slope": rep.slope, "slope_se": rep.slope_se,
-                "grid_digest": grid.digest(),
-                "cholesky_jitter": bench.cholesky_jitter}
-    return tables, plots, verdicts, resolved
-
-
-def _separations(cfg):
-    seps = _list(cfg, "separations", [math.exp(-k) for k in range(2, 6)])
-    if len(seps) < 4:
-        raise ConfigError("exponent fits need at least 4 separations")
-    return seps
-
-
-def run_tilt_check(cfg, workers, run_id):
-    d = _int(cfg, "d", 1)
-    alpha = _num(cfg, "alpha", 1.1)
-    beta = _num(cfg, "beta", 0.25)
-    label = phase.classify(d, alpha, beta)
-    if label != phase.SUBCRITICAL:
-        raise ConfigError(
-            f"phase precondition violated: (alpha={alpha}, beta={beta}) is "
-            f"{label}, need subcritical_non_L2")
-    q = _int(cfg, "q", 2)
-    lam = (phase.pick_lambda(d, alpha, beta) if cfg.get("lam", "auto") == "auto"
-           else _num(cfg, "lam", None))
-    seps = _separations(cfg)
-    eps = _num(cfg, "eps", math.exp(-5))
-    n_max = _int(cfg, "n_max", 8)
-    replicas = _replicas(cfg, 10000)
-    seed = _int(cfg, "seed", 0)
-    spec = KernelSpec(d=d)
-    try:
-        rep = verify.tilted_event_prob(spec, seps, eps, eps, q, lam, alpha,
-                                       n_max, replicas, seed, workers=workers)
-    except (ValueError, phase.PhaseError) as e:
-        raise ConfigError(str(e))
-    rows = [[repr(s), repr(m.estimate.real), repr(m.se_re), run_id]
-            for s, m in zip(rep.separations, rep.estimates)]
-    verdicts = {"exponent_dominates_bound": rep.one_sided_ok}
-    tables = {"tilted_event.csv": (["separation", "prob", "se", "run_id"],
-                                   rows)}
-    plots = {"tilted_event.svg": _svg.line_plot(
-        [{"x": [max(s, eps) for s in rep.separations],
-          "y": [max(m.estimate.real, 1e-12) for m in rep.estimates],
-          "label": "P~[A_q(x,y)]"}],
-        title=(f"tilted event vs separation (slope {rep.slope:.3f}, "
-               f"target {rep.exponent_target:.3f})"),
-        xlabel="separation v eps", ylabel="probability", logx=True,
-        logy=True)}
-    resolved = {"d": d, "alpha": alpha, "beta": beta, "q": q, "lam": lam,
-                "separations": seps, "eps": eps, "n_max": n_max,
-                "replicas": replicas, "seed": seed, "slope": rep.slope,
-                "slope_se": rep.slope_se, "target": rep.exponent_target,
-                "cholesky_jitter": [list(j) for j in rep.cholesky_jitter]}
-    return tables, plots, verdicts, resolved
-
-
-def run_sobolev(cfg, workers, run_id):
-    ladder = _eps_ladder(cfg)
-    spec, grid, f, resolved = _resolve_common(cfg, min(ladder))
-    gamma = _gamma_value(cfg.get("gamma", [1.1, 0.25]))
-    label, trunc, q, lam = _resolve_trunc(cfg, spec.d, gamma)
+def _sobolev_index(cfg, spec):
     u = _num(cfg, "u", 0.75)
     if u <= spec.d / 2.0:
         raise ConfigError(f"Sobolev index precondition violated: u={u} <= d/2")
-    replicas = _ladder_replicas(cfg, 500)
-    seed = _int(cfg, "seed", 0)
-    bench = verify.Bench(spec, grid, resolved["n_max"], f=f)
-    params = ChaosParams(f=f, gamma=gamma, truncation=trunc, q=q, lam=lam)
-    report = verify.sobolev_ladder(bench, params, u, ladder, replicas, seed,
-                                   workers=workers)
-    header, rows = _ladder_rows(report, run_id)
-    verdicts = {"trend_decreasing": report.verdict}
-    resolved.update({"gamma": [gamma.real, gamma.imag], "phase": label,
-                     "u": u, "q": q, "lam": lam, "eps_ladder": ladder,
-                     "replicas": replicas, "seed": seed,
-                     "cholesky_jitter": bench.cholesky_jitter})
-    tables = {"sobolev_ladder.csv": (header, rows)}
-    plots = {"sobolev_ladder.svg": _ladder_svg(
-        report, f"H^-{u} coupled distance, gamma={gamma}")}
-    return tables, plots, verdicts, resolved
+    return {"u": u}, partial(verify.sobolev_ladder, u=u)
 
 
-RUNNERS = {
-    "phase-scan": run_phase_scan,
-    "kernel-check": run_kernel_check,
-    "field-stats": run_field_stats,
-    "moment-check": run_moment_check,
-    "cauchy": run_cauchy,
-    "mollifier-independence": run_mollifier_independence,
-    "tail-check": run_tail_check,
-    "sup-prob": run_sup_prob,
-    "tilt-check": run_tilt_check,
-    "sobolev": run_sobolev,
+# What the ladder kinds do not share: default gamma and replicas, a reader of
+# the kind's own key -> (resolved entries, verify call), file stem and title.
+LADDERS = {
+    "cauchy": (0.8, 2000, lambda cfg, spec: ({}, verify.cauchy_ladder),
+               "cauchy_ladder", "coupled |M_eps - M_eps'|^2, gamma={gamma}"),
+    "mollifier-independence": (
+        0.8, 2000, _profiles, "mollifier_independence",
+        "|M^theta - M^theta'|^2, {profiles[0]} vs {profiles[1]}"),
+    "sobolev": ([1.1, 0.25], 500, _sobolev_index, "sobolev_ladder",
+                "H^-{u} coupled distance, gamma={gamma}"),
 }
+
+
+def plan_ladder(cfg):
+    default_gamma, default_replicas, own, stem, title = LADDERS[cfg["kind"]]
+    ladder = _eps_ladder(cfg)
+    spec, grid, f, resolved = _resolve_common(
+        cfg, [("eps_ladder", e) for e in ladder])
+    gamma = _gamma_value(cfg.get("gamma", default_gamma))
+    label = _phase(spec.d, gamma, (phase.L2, phase.SUBCRITICAL))
+    # the barrier truncates outside the L2 phase only
+    trunc = label == phase.SUBCRITICAL
+    q = _q(cfg, resolved["n_max"]) if trunc else 0
+    lam = _lam(cfg, spec.d, gamma=gamma) if trunc else 0.0
+    extra, cells = own(cfg, spec)
+    replicas = _replicas(cfg, default_replicas)
+    if replicas < verify.MOM_BLOCKS:
+        raise ConfigError(
+            f"replicas={replicas} below the {verify.MOM_BLOCKS} "
+            "median-of-means blocks of a ladder cell")
+    seed = _int(cfg, "seed", 0, lo=0)
+    params = ChaosParams(f=f, gamma=gamma, truncation=trunc, q=q, lam=lam)
+    resolved.update(extra, gamma=[gamma.real, gamma.imag], phase=label,
+                    truncation=trunc, q=q, lam=lam, eps_ladder=ladder,
+                    replicas=replicas, seed=seed)
+
+    def run(workers, run_id):
+        mols = [Mollifier(d=spec.d, profile=p)
+                for p in extra.get("profiles", ["bump"])]
+        bench = verify.Bench(spec, grid, resolved["n_max"], f=f, mol=mols[0])
+        for mol in mols[1:]:
+            bench.add_channel("alt", mol)
+        report = cells(bench, params, eps_ladder=ladder, replicas=replicas,
+                       seed=seed, workers=workers)
+        rows = []
+        for i, step in enumerate(report.steps):
+            hi, lo = step if isinstance(step, tuple) else (step, step)
+            rows.append([repr(float(hi)), repr(float(lo)),
+                         repr(report.values[i]), repr(report.ses[i]),
+                         "" if i == 0 else repr(report.diffs[i - 1]),
+                         "" if i == 0 else repr(report.diff_ses[i - 1]),
+                         run_id])
+        tables = {f"{stem}.csv": (["eps_hi", "eps_lo", "value", "se",
+                                   "diff_prev", "diff_se", "run_id"], rows)}
+        plots = {f"{stem}.svg": _svg.line_plot(
+            [{"x": list(range(1, len(report.values) + 1)),
+              "y": list(report.values), "err": list(report.ses),
+              "label": report.estimator}],
+            title=title.format(gamma=gamma, **extra), xlabel="ladder step",
+            ylabel="cell value", logy=all(v > 0 for v in report.values))}
+        return tables, plots, {"trend_decreasing": report.verdict}, {
+            "cholesky_jitter": bench.cholesky_jitter}
+
+    return resolved, run
+
+
+def plan_tail_check(cfg):
+    sigmas = _list(cfg, "sigmas", [0.5, 1.0, 2.0, 4.0])
+    ratios = _list(cfg, "u_over_sigma", [0, 1, 2, 3, 4, 5])
+    if not sigmas or not ratios:
+        raise ConfigError("sigmas and u_over_sigma must be nonempty")
+    if any(s <= 0 for s in sigmas) or any(u < 0 for u in ratios):
+        raise ConfigError("need sigmas > 0 and u_over_sigma >= 0")
+
+    def run(workers, run_id):
+        report = verify.tail_bound_check(sigmas, ratios)
+        rows = [[repr(s), repr(u), repr(exact), repr(bound), holds, run_id]
+                for s, u, exact, bound, holds in report.rows]
+        rows.append(["literal_at_sigma1_u3", repr(3.0),
+                     repr(report.literal_exact), repr(report.literal_bound),
+                     not report.literal_violated, run_id])
+        one = [r for r in report.rows if r[0] == sigmas[0]]
+        plots = {"tail_bound.svg": _svg.line_plot(
+            [{"x": [r[1] for r in one], "y": [max(r[2], 1e-18) for r in one],
+              "label": "exact tail"},
+             {"x": [r[1] for r in one], "y": [r[3] for r in one],
+              "label": "bound"}],
+            title=f"Gaussian tail vs bound, sigma={sigmas[0]}", xlabel="u",
+            ylabel="probability", logy=True)}
+        verdicts = {"corrected_bound_holds": report.all_hold,
+                    "literal_bound_violated": report.literal_violated}
+        tables = {"tail_bound.csv": (["sigma", "u", "exact_tail", "bound",
+                                      "holds", "run_id"], rows)}
+        return tables, plots, verdicts, {}
+
+    return {"sigmas": sigmas, "u_over_sigma": ratios}, run
+
+
+def plan_sup_prob(cfg):
+    d = _dim(cfg)
+    lam = _lam(cfg, d, 1.6)
+    ks = _list(cfg, "ks", list(range(4, 11)), _integer)
+    qs = _list(cfg, "qs", [2, 4, 6, 8], _integer)
+    if not ks or not qs or min(ks + qs) < 0:
+        raise ConfigError("ks and qs must each name at least one level >= 0")
+    deepest = max(ks + qs + [1])
+    n_max = _int(cfg, "n_max", deepest, lo=deepest)
+    spec = KernelSpec(d=d)
+    grid = _grid(cfg, spec, 512)
+    f, _, _ = _test_function(cfg, grid, [], 0.2)
+    replicas = _replicas(cfg, 1000)
+    seed = _int(cfg, "seed", 0, lo=0)
+
+    def run(workers, run_id):
+        bench = verify.Bench(spec, grid, n_max, f=f)
+        rep = verify.sup_field_prob(bench, lam, ks, qs, replicas, seed,
+                                    workers=workers)
+        k_rows = [[k, repr(m.estimate.real), repr(m.se_re), run_id]
+                  for k, m in zip(rep.ks, rep.k_probs)]
+        q_rows = [[q, repr(m.estimate.real), repr(m.se_re), run_id]
+                  for q, m in zip(rep.qs, rep.q_probs)]
+        verdicts = {"exceedance_decay": rep.decay_ok,
+                    "event_prob_monotone": rep.q_increasing}
+        tables = {"sup_exceedance.csv": (["k", "prob", "se", "run_id"],
+                                         k_rows),
+                  "event_prob.csv": (["q", "prob", "se", "run_id"], q_rows)}
+        live = [(k, m.estimate.real) for k, m in zip(rep.ks, rep.k_probs)
+                if m.estimate.real > 0]
+        plots = {"sup_exceedance.svg": _svg.line_plot(
+            [{"x": [k for k, _ in live], "y": [p for _, p in live],
+              "label": "P(sup Y_k > lam k)"}],
+            title=f"barrier exceedance, lam={lam} (slope {rep.slope:.3f})",
+            xlabel="k", ylabel="probability", logy=True)}
+        return tables, plots, verdicts, {
+            "slope": rep.slope, "slope_se": rep.slope_se,
+            "cholesky_jitter": bench.cholesky_jitter}
+
+    return {"d": d, "lam": lam, "ks": ks, "qs": qs, "n_max": n_max,
+            "grid_n": grid.shape[0], "replicas": replicas, "seed": seed,
+            "grid_digest": grid.digest()}, run
+
+
+def plan_tilt_check(cfg):
+    d = _dim(cfg)
+    gamma = complex(_num(cfg, "alpha", 1.1), _num(cfg, "beta", 0.25))
+    _phase(d, gamma, (phase.SUBCRITICAL,), "alpha + i beta")
+    alpha, beta, lam = gamma.real, gamma.imag, _lam(cfg, d, gamma=gamma)
+    seps = _list(cfg, "separations", [math.exp(-k) for k in range(2, 6)])
+    if len(seps) < 4 or min(seps) <= 0.0:
+        raise ConfigError("exponent fits need at least 4 separations, "
+                          f"each > 0, got {seps}")
+    eps = _num(cfg, "eps", math.exp(-5))
+    if not 0.0 < eps <= 1.0:
+        raise ConfigError(f"eps must lie in (0, 1], got {eps}")
+    n_max = _int(cfg, "n_max", 8, lo=1)
+    q = _q(cfg, n_max)
+    replicas = _replicas(cfg, 10000)
+    seed = _int(cfg, "seed", 0, lo=0)
+
+    def run(workers, run_id):
+        rep = verify.tilted_event_prob(KernelSpec(d=d), seps, eps, eps, q,
+                                       lam, alpha, n_max, replicas, seed,
+                                       workers=workers)
+        rows = [[repr(s), repr(m.estimate.real), repr(m.se_re), run_id]
+                for s, m in zip(rep.separations, rep.estimates)]
+        verdicts = {"exponent_dominates_bound": rep.one_sided_ok}
+        tables = {"tilted_event.csv": (["separation", "prob", "se", "run_id"],
+                                       rows)}
+        plots = {"tilted_event.svg": _svg.line_plot(
+            [{"x": [max(s, eps) for s in rep.separations],
+              "y": [max(m.estimate.real, 1e-12) for m in rep.estimates],
+              "label": "P~[A_q(x,y)]"}],
+            title=(f"tilted event vs separation (slope {rep.slope:.3f}, "
+                   f"target {rep.exponent_target:.3f})"),
+            xlabel="separation v eps", ylabel="probability", logx=True,
+            logy=True)}
+        return tables, plots, verdicts, {
+            "slope": rep.slope, "slope_se": rep.slope_se,
+            "target": rep.exponent_target,
+            "cholesky_jitter": [list(j) for j in rep.cholesky_jitter]}
+
+    return {"d": d, "alpha": alpha, "beta": beta, "q": q, "lam": lam,
+            "separations": seps, "eps": eps, "n_max": n_max,
+            "replicas": replicas, "seed": seed}, run
+
+
+PLANS = {
+    "phase-scan": plan_phase_scan,
+    "kernel-check": plan_kernel_check,
+    "field-stats": plan_field_stats,
+    "moment-check": plan_moment_check,
+    "cauchy": plan_ladder,
+    "mollifier-independence": plan_ladder,
+    "tail-check": plan_tail_check,
+    "sup-prob": plan_sup_prob,
+    "tilt-check": plan_tilt_check,
+    "sobolev": plan_ladder,
+}
+
+
+def _kind(cfg):
+    kind = cfg.get("kind")
+    if kind not in PLANS:
+        raise ConfigError(f"kind must be one of {', '.join(PLANS)}; got {kind!r}")
+    return kind
+
+
+def plan(cfg):
+    """(resolved, run) of a config: every check its run makes before sampling.
+
+    plan_<kind>(cfg) reads and checks every key of the config and resolves
+    its parameters without sampling.  run(workers, run_id) samples, never
+    reads cfg, and returns (tables, plots, verdicts, the resolved entries
+    known only after sampling).
+    """
+    return PLANS[_kind(cfg)](cfg)
 
 
 def load_config(path):
@@ -615,17 +627,13 @@ def load_config(path):
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    kind = cfg.get("kind")
-    if kind not in KINDS:
-        raise ConfigError(f"kind must be one of {', '.join(KINDS)}; got {kind!r}")
+    _kind(cfg)
     return cfg
 
 
 def write_csv(path, header, rows):
-    import csv as _csv
-
     with open(path, "w", newline="") as fh:
-        wr = _csv.writer(fh, lineterminator="\r\n")
+        wr = csv.writer(fh, lineterminator="\r\n")
         wr.writerow(header)
         wr.writerows(rows)
     return sha256_file(path)
@@ -640,10 +648,12 @@ def sha256_file(path):
 
 
 def execute(cfg, out_dir, workers):
-    """Run one validated config into out_dir; returns (verdicts, manifest)."""
+    """Plan, then run one config into out_dir; returns (verdicts, manifest).
+    A config the plan rejects raises ConfigError before anything is written."""
     run_id = run_id_of(cfg)
-    tables, plots, verdicts, resolved = RUNNERS[cfg["kind"]](cfg, workers,
-                                                             run_id)
+    resolved, run = plan(cfg)
+    tables, plots, verdicts, late = run(workers, run_id)
+    resolved.update(late)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_hashes = {}
@@ -681,71 +691,9 @@ def cmd_run(args):
 
 def cmd_validate(args):
     cfg = load_config(args.config)
-    _validate_only(cfg)
+    plan(cfg)
     print(f"config valid: kind={cfg['kind']}")
     return EXIT_OK
-
-
-def _validate_only(cfg):
-    """Re-use each runner's parameter resolution paths without sampling.
-
-    Replica budgets are read with their smallest valid value as default (2,
-    or MOM_BLOCKS for ladder kinds); an absent key runs at the runner's own
-    default.
-    """
-    kind = cfg["kind"]
-    if kind == "phase-scan":
-        _int(cfg, "d", 1)
-        _scan_axis(cfg, "alpha_range")
-        _scan_axis(cfg, "beta_range")
-        return
-    if kind == "tail-check":
-        _tail_grid(cfg)
-        return
-    if kind == "kernel-check":
-        d = _int(cfg, "d", 1)
-        ladder = _eps_ladder(cfg)
-        grid = Grid.regular(KernelSpec(d=d).box, _int(cfg, "grid_n", 512), d=d)
-        if grid.h > min(ladder) / 4.0:
-            raise ConfigError("mollifier resolution violated")
-        if cfg.get("check", "both") not in ("mollified", "partial", "both"):
-            raise ConfigError("check must be mollified|partial|both")
-        _list(cfg, "n_ladder", [4, 6, 8, 10, 12], _integer)
-        return
-    if kind in ("field-stats", "moment-check"):
-        eps = _num(cfg, "eps", 2.0 ** -5 if kind == "moment-check" else 2.0 ** -4)
-        eps_p = _num(cfg, "eps_prime", eps if kind == "moment-check" else 2.0 ** -5)
-        spec, _, _, _ = _resolve_common(cfg, min(eps, eps_p), default_n=128,
-                                        default_radius=0.2)
-        _replicas(cfg, 2)
-        if kind == "field-stats":
-            _var_levels(cfg)
-        if kind == "moment-check":
-            _moment_terms(cfg, spec.d, eps, eps_p)
-        return
-    if kind in ("cauchy", "mollifier-independence", "sobolev"):
-        ladder = _eps_ladder(cfg)
-        spec, _, _, _ = _resolve_common(cfg, min(ladder))
-        default = [1.1, 0.25] if kind == "sobolev" else 0.8
-        gamma = _gamma_value(cfg.get("gamma", default))
-        _resolve_trunc(cfg, spec.d, gamma)
-        _ladder_replicas(cfg, verify.MOM_BLOCKS)
-        if kind == "sobolev" and _num(cfg, "u", 0.75) <= spec.d / 2.0:
-            raise ConfigError("Sobolev index precondition violated")
-        return
-    if kind == "sup-prob":
-        _sup_levels(cfg)
-        _replicas(cfg, 2)
-        return
-    if kind == "tilt-check":
-        d = _int(cfg, "d", 1)
-        alpha, beta = _num(cfg, "alpha", 1.1), _num(cfg, "beta", 0.25)
-        if phase.classify(d, alpha, beta) != phase.SUBCRITICAL:
-            raise ConfigError("phase precondition violated")
-        _separations(cfg)
-        _replicas(cfg, 2)
-        return
-    raise ConfigError(f"unknown kind {kind!r}")
 
 
 def cmd_replay(args):
@@ -754,7 +702,8 @@ def cmd_replay(args):
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read manifest: {e}")
-    if manifest.get("tool") != "logchaos" or "config" not in manifest:
+    if (not isinstance(manifest, dict) or manifest.get("tool") != "logchaos"
+            or not isinstance(manifest.get("config"), dict)):
         raise ConfigError("not a logchaos run manifest")
     if manifest.get("version") != __version__:
         print(f"refusing to replay: manifest version "
@@ -779,6 +728,14 @@ def cmd_replay(args):
     return EXIT_OK
 
 
+def _default_workers():
+    try:
+        return verify.default_workers()
+    except ValueError:
+        raise ConfigError(f"{verify.ENV_WORKERS} must be an integer, got "
+                          f"{os.environ.get(verify.ENV_WORKERS)!r}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="logchaos",
@@ -795,9 +752,9 @@ def main(argv=None):
     p_rep.add_argument("manifest")
     p_rep.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-    if args.workers is None:
-        args.workers = verify.default_workers()
     try:
+        if args.workers is None:
+            args.workers = _default_workers()
         if args.command == "run":
             return cmd_run(args)
         if args.command == "validate":

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from logchaos.cli import (ConfigError, _validate_only, load_config, main,
-                          run_id_of, sha256_file, write_csv)
+from logchaos.cli import (ConfigError, load_config, main, plan, run_id_of,
+                          sha256_file, write_csv)
 
 PHASE_CFG = {"kind": "phase-scan", "d": 1,
              "alpha_range": [-2.0, 2.0, 9], "beta_range": [-2.0, 2.0, 9]}
@@ -83,6 +83,82 @@ class TestWriteCsv:
         assert digest == sha256_file(p)
 
 
+# configs every plan rejects, each with the text its message must contain
+REJECTIONS = [
+    ({"kind": "kernel-check", "grid_n": 64}, "grid_n"),
+    ({"kind": "kernel-check", "check": "everything"}, "check"),
+    ({"kind": "moment-check", "estimands": ["variance"]}, "estimand"),
+    ({"kind": "moment-check", "gammas": [[1.2, 0.5]]}, "gamma="),
+    ({"kind": "moment-check", "gammas": [[0.5, 1.2]]}, "gamma="),
+    ({"kind": "sobolev", "u": 0.4}, "u=0.4"),
+    ({"kind": "sup-prob", "lam": 1.2}, "lam=1.2"),
+    ({"kind": "tilt-check", "alpha": 1.2, "beta": 0.5}, "alpha + i beta"),
+    ({"kind": "tilt-check", "separations": [0.1, 0.05, 0.02]}, "separations"),
+    ({"kind": "cauchy", "eps_ladder": [0.1, 0.2]}, "eps_ladder"),
+    ({"kind": "cauchy", "eps_ladder": [1.5, 0.5]}, "eps_ladder"),
+    ({"kind": "cauchy", "d": 2}, "d=2"),
+    ({"kind": "field-stats", "grid_n": 16}, "grid_n"),
+    ({"kind": "tail-check", "sigmas": [-1.0]}, "sigmas"),
+    ({"kind": "tail-check", "u_over_sigma": [-1]}, "u_over_sigma"),
+    ({"kind": "sup-prob", "n_max": 3}, "n_max"),
+    ({"kind": "sup-prob", "ks": [], "qs": []}, "ks and qs"),
+    ({"kind": "moment-check", "estimands": []}, "estimands"),
+    ({"kind": "moment-check", "gammas": []}, "gammas"),
+    ({"kind": "moment-check", "estimands": "mean"}, "estimands"),
+    ({"kind": "moment-check", "estimands": ["product"], "eps": 0.03125,
+      "eps_prime": 0.0625}, "eps_prime"),
+    ({"kind": "phase-scan", "alpha_range": ["a", 1, 3]}, "alpha_range"),
+    ({"kind": "phase-scan", "alpha_range": [0, 1]}, "alpha_range"),
+    ({"kind": "phase-scan", "beta_range": [0, 1, 0]}, "beta_range"),
+    ({"kind": "phase-scan", "beta_range": [0, 1, -3]}, "beta_range"),
+    ({"kind": "phase-scan", "alpha_range": "x"}, "alpha_range"),
+    ({"kind": "bogus"}, "kind"),
+]
+
+# more rejected configs: non-finite numbers, grids, test functions,
+# per-kind keys and barrier levels
+RUN_ONLY_REJECTIONS = [
+    ({"kind": "moment-check", "eps": float("inf")}, "eps"),
+    ({"kind": "moment-check", "eps": "nan"}, "eps"),
+    ({"kind": "sobolev", "u": "nan"}, "u"),
+    ({"kind": "tail-check", "sigmas": [float("inf")]}, "sigmas"),
+    ({"kind": "tail-check", "sigmas": []}, "sigmas"),
+    ({"kind": "moment-check", "f": 3}, "f must be an object"),
+    ({"kind": "moment-check", "f": {"radius": 0}}, "radius"),
+    ({"kind": "sup-prob", "grid_n": 128, "f": {"radius": 0}}, "radius"),
+    ({"kind": "sup-prob", "grid_n": 128, "f": {"radius": -0.1}}, "radius"),
+    ({"kind": "moment-check", "f": {"center": 0.5, "radius": 1e-9}},
+     "zero on every grid point"),
+    ({"kind": "moment-check", "eps": 2}, "eps=2"),
+    ({"kind": "cauchy", "grid_n": 256, "eps_ladder": [0.125, 0.0625, 0.03125],
+      "f": {"center": 0.85, "radius": 0.05}}, "D_eps at eps_ladder=0.125"),
+    ({"kind": "field-stats", "f": {"center": 0.9}}, "D_eps at eps=0.0625"),
+    ({"kind": "kernel-check", "grid_n": 0}, "grid_n"),
+    ({"kind": "kernel-check", "grid_n": -512}, "grid_n"),
+    ({"kind": "sup-prob", "grid_n": -512}, "grid_n"),
+    ({"kind": "sup-prob", "grid_n": "x"}, "grid_n"),
+    ({"kind": "sup-prob", "d": 2, "lam": 2.5}, "d=2"),
+    ({"kind": "phase-scan", "d": 3}, "d=3"),
+    ({"kind": "kernel-check", "eps_fixed": "x"}, "eps_fixed"),
+    ({"kind": "kernel-check", "eps_fixed": 0}, "eps_fixed"),
+    ({"kind": "kernel-check", "n_ladder": [0, 1]}, "n_ladder"),
+    ({"kind": "kernel-check", "grid_n": 128, "eps_ladder": [0.5]},
+     "eps_ladder=0.5"),
+    ({"kind": "mollifier-independence", "profiles": 5}, "profiles"),
+    ({"kind": "mollifier-independence", "profiles": ["bump", "nope"]},
+     "profiles"),
+    ({"kind": "field-stats", "probes": 0}, "probes"),
+    ({"kind": "field-stats", "probes": -1}, "probes"),
+    ({"kind": "tilt-check", "q": 0}, "q=0"),
+    ({"kind": "tilt-check", "lam": 1.0}, "lam=1.0"),
+    ({"kind": "tilt-check", "n_max": 0}, "n_max"),
+    ({"kind": "tilt-check", "eps": -1}, "eps"),
+    ({"kind": "cauchy", "gamma": [1.1, 0.25], "q": -1}, "q=-1"),
+    ({"kind": "cauchy", "seed": "x"}, "seed"),
+    ({"kind": "moment-check", "seed": -1}, "seed"),
+]
+
+
 class TestValidateOnly:
     MINIMAL = [
         {"kind": "phase-scan"},
@@ -99,41 +175,36 @@ class TestValidateOnly:
 
     def test_minimal_defaults_all_pass(self):
         for cfg in self.MINIMAL:
-            _validate_only(dict(cfg))
+            resolved, run = plan(dict(cfg))
+            assert callable(run) and isinstance(resolved, dict)
 
-    @pytest.mark.parametrize("cfg", [
-        {"kind": "kernel-check", "grid_n": 64},
-        {"kind": "kernel-check", "check": "everything"},
-        {"kind": "moment-check", "estimands": ["variance"]},
-        {"kind": "moment-check", "gammas": [[1.2, 0.5]]},
-        {"kind": "moment-check", "gammas": [[0.5, 1.2]]},
-        {"kind": "sobolev", "u": 0.4},
-        {"kind": "sup-prob", "lam": 1.2},
-        {"kind": "tilt-check", "alpha": 1.2, "beta": 0.5},
-        {"kind": "tilt-check", "separations": [0.1, 0.05, 0.02]},
-        {"kind": "cauchy", "eps_ladder": [0.1, 0.2]},
-        {"kind": "cauchy", "eps_ladder": [1.5, 0.5]},
-        {"kind": "cauchy", "d": 2},
-        {"kind": "field-stats", "grid_n": 16},
-        {"kind": "tail-check", "sigmas": [-1.0]},
-        {"kind": "tail-check", "u_over_sigma": [-1]},
-        {"kind": "sup-prob", "n_max": 3},
-        {"kind": "sup-prob", "ks": [], "qs": []},
-        {"kind": "moment-check", "estimands": []},
-        {"kind": "moment-check", "gammas": []},
-        {"kind": "moment-check", "estimands": "mean"},
-        {"kind": "moment-check", "estimands": ["product"], "eps": 0.03125,
-         "eps_prime": 0.0625},
-        {"kind": "phase-scan", "alpha_range": ["a", 1, 3]},
-        {"kind": "phase-scan", "alpha_range": [0, 1]},
-        {"kind": "phase-scan", "beta_range": [0, 1, 0]},
-        {"kind": "phase-scan", "beta_range": [0, 1, -3]},
-        {"kind": "phase-scan", "alpha_range": "x"},
-        {"kind": "bogus"},
-    ])
+    @pytest.mark.parametrize("cfg", [cfg for cfg, _ in REJECTIONS])
     def test_rejections(self, cfg):
         with pytest.raises(ConfigError):
-            _validate_only(cfg)
+            plan(cfg)
+
+
+class TestValidateRunParity:
+    """validate runs the run's own plan: both exit 2, name the key, write
+    nothing."""
+
+    @pytest.mark.parametrize("cfg,named", REJECTIONS + RUN_ONLY_REJECTIONS)
+    def test_both_exit_2(self, tmp_path, capsys, cfg, named):
+        path = cfg_file(tmp_path, cfg)
+        out = tmp_path / "o"
+        for argv in (["validate", path], ["run", path, "--out", str(out)]):
+            assert main(argv) == 2, f"{argv[0]} {cfg}"
+            assert named in capsys.readouterr().err, argv[0]
+        assert not out.exists(), "nothing is written"
+
+    def test_bad_workers_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("LOGCHAOS_WORKERS", "abc")
+        path = cfg_file(tmp_path, PHASE_CFG)
+        out = tmp_path / "o"
+        for argv in (["validate", path], ["run", path, "--out", str(out)]):
+            assert main(argv) == 2, argv[0]
+            assert "LOGCHAOS_WORKERS" in capsys.readouterr().err, argv[0]
+        assert not out.exists(), "nothing is written"
 
 
 class TestReplicaBudget:
