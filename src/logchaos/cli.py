@@ -334,7 +334,7 @@ def plan_field_stats(cfg):
                                   seed, workers=workers)
         return (*_z_outputs(ests, "field_stats",
                             "covariance fidelity z-scores", run_id),
-                {"cholesky_jitter": bench.cholesky_jitter})
+                bench.safety_net)
 
     return resolved, run
 
@@ -378,7 +378,7 @@ def plan_moment_check(cfg):
                 for job, m in zip(jobs, ests)]
         return (*_z_outputs(ests, "moments", "moment oracle z-scores",
                             run_id),
-                {"cholesky_jitter": bench.cholesky_jitter})
+                bench.safety_net)
 
     return resolved, run
 
@@ -459,8 +459,8 @@ def plan_ladder(cfg):
               "label": report.estimator}],
             title=title.format(gamma=gamma, **extra), xlabel="ladder step",
             ylabel="cell value", logy=all(v > 0 for v in report.values))}
-        return tables, plots, {"trend_decreasing": report.verdict}, {
-            "cholesky_jitter": bench.cholesky_jitter}
+        return (tables, plots, {"trend_decreasing": report.verdict},
+                bench.safety_net)
 
     return resolved, run
 
@@ -533,8 +533,7 @@ def plan_sup_prob(cfg):
             title=f"barrier exceedance, lam={lam} (slope {rep.slope:.3f})",
             xlabel="k", ylabel="probability", logy=True)}
         return tables, plots, verdicts, {
-            "slope": rep.slope, "slope_se": rep.slope_se,
-            "cholesky_jitter": bench.cholesky_jitter}
+            "slope": rep.slope, "slope_se": rep.slope_se, **bench.safety_net}
 
     return {"d": d, "lam": lam, "ks": ks, "qs": qs, "n_max": n_max,
             "grid_n": grid.shape[0], "replicas": replicas, "seed": seed,
@@ -546,6 +545,9 @@ def plan_tilt_check(cfg):
     gamma = complex(_num(cfg, "alpha", 1.1), _num(cfg, "beta", 0.25))
     _phase(d, gamma, (phase.SUBCRITICAL,), "alpha + i beta")
     alpha, beta, lam = gamma.real, gamma.imag, _lam(cfg, d, gamma=gamma)
+    if not math.isfinite((2.0 * alpha - lam) * (2.0 * alpha - lam)):
+        raise ConfigError(f"lam={lam} is too large: the exponent target "
+                          "(2 alpha - lam)^2 / 2 overflows")
     seps = _list(cfg, "separations", [math.exp(-k) for k in range(2, 6)])
     if len(seps) < 4 or min(seps) <= 0.0:
         raise ConfigError("exponent fits need at least 4 separations, "

@@ -156,35 +156,34 @@ def k_exact(spec, r):
 def gram(spec, n, grid):
     """Gram matrix [Q_n(|x_i - x_j|)] on the grid; n=0 gives the Q_0 block.
 
-    Only pairs whose first-coordinate gap lies inside the support
-    r < e^{-(t0+n)} are evaluated: after a sort on that coordinate each
-    point's candidates are one contiguous run, so a regular grid costs N
-    times the band, not N^2.  Every evaluated pair uses the dense
-    definition's arithmetic, so the matrix is the same to the last bit.
+    Dense, by its definition.  Sampling on a regular d=1 grid never builds
+    it: lattice_row gives the same entries from one row per level.
     """
     pts = grid.points if isinstance(grid, Grid) else np.asarray(grid, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    m = pts.shape[0]
     if n == 0:
-        return np.full((m, m), spec.q0_value)
-    support = math.exp(-(spec.t0 + n))
-    order = np.argsort(pts[:, 0], kind="stable")
-    xs = pts[order, 0]
-    # the relative margin keeps pairs whose rounded r = sqrt(sum d^2) falls
-    # a few ulp below |dx|; the exact test r < support follows
-    runs = (np.searchsorted(xs, xs + support * (1.0 + 1e-9), side="right")
-            - np.arange(m))
-    first = np.repeat(np.arange(m), runs)
-    second = first + np.arange(first.size) - np.repeat(np.cumsum(runs) - runs, runs)
-    a, b = order[first], order[second]
-    r = np.sqrt(((pts[a] - pts[b]) ** 2).sum(axis=-1))
-    live = r < support
-    a, b = a[live], b[live]
-    vals = q_n(spec, n, r[live])
-    out = np.zeros((m, m))
-    out[a, b] = vals
-    out[b, a] = vals
+        return np.full((pts.shape[0],) * 2, spec.q0_value)
+    r = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    out = np.zeros(r.shape)
+    live = r < math.exp(-(spec.t0 + n))
+    out[live] = q_n(spec, n, r[live])
+    return out
+
+
+def lattice_row(spec, levels, h, offsets):
+    """Sum over n in levels of Q_n(|o| h), at integer lattice offsets o.
+
+    The one source of level rows on a regular d=1 grid: level n embedded on
+    an M-point torus takes levels [n] and offsets min(o, M - o); the summed
+    Gram row takes levels 1..n_max and offsets 0..N-1, and the Gram is that
+    row indexed by |i - j|.  Only offsets inside a support are evaluated.
+    """
+    r = np.abs(np.asarray(offsets)) * h
+    out = np.zeros(r.shape)
+    for n in levels:
+        live = r < math.exp(-(spec.t0 + n))
+        out[live] += q_n(spec, n, r[live])
     return out
 
 
@@ -355,9 +354,10 @@ def mollified_table(spec, grid, eps, eps_prime=None, mol=None, rule="grid",
                     n_levels=None, nodes=32):
     """Assemble the full K_{eps,eps'} table on a regular grid.
 
-    rule "grid" computes W_eps G W_eps'^T with G the summed level Grams,
-    matching sampled covariances exactly.  rule "midpoint" evaluates the
-    continuum quadrature per unique separation vector.
+    rule "grid" computes W_eps G W_eps'^T with G the summed level Gram
+    (the lattice_row sum indexed by |i - j| in d=1), matching sampled
+    covariances exactly.  rule "midpoint" evaluates the continuum
+    quadrature per unique separation vector.
     """
     from .mollifier import weight_matrix
 
@@ -371,9 +371,13 @@ def mollified_table(spec, grid, eps, eps_prime=None, mol=None, rule="grid",
     rows, w_big = weight_matrix(grid, mol, eps)
     rows_p, w_small = weight_matrix(grid, mol, eps_prime)
     if rule == "grid":
-        g_total = gram(spec, 0, grid)
-        for k in range(1, n_levels + 1):
-            g_total += gram(spec, k, grid)
+        if grid.d == 1:
+            idx = np.arange(grid.n)
+            row = spec.q0_value + lattice_row(spec, range(1, n_levels + 1),
+                                              grid.h, idx)
+            g_total = row[np.abs(np.subtract.outer(idx, idx))]
+        else:
+            g_total = sum(gram(spec, k, grid) for k in range(n_levels + 1))
         values = w_big @ g_total @ w_small.T
     elif rule == "midpoint":
         px = grid.points[rows]

@@ -1,36 +1,38 @@
 """Joint Gaussian sampling of increment fields, partial sums, and mollified fields.
 
-Replica r draws its standard normals from the counter-based stream
-``np.random.default_rng([seed, r])``, so every replica is reproducible in
-isolation.  All sampling then runs through fixed blocks of 32 replicas, with
-the block always padded to exactly 32 columns (padding replicas use their
-own streams and are discarded).  Each level Q_n has compact support, so its
-Gram and lower Cholesky factor are banded; a block multiplies the factor's
-dense row tiles, each spanning one band left of its rows, by the matching
-rows of the normals.  Because each block's bytes depend only on (seed, block
-index, factors), results are identical for any worker count and any total
-replica budget, which is what the replay contract requires; the products
-run in BLAS, so the bytes also depend on the BLAS build, its thread count
-and the CPU kernel it selects.
+All sampling runs through fixed blocks of 32 replicas, padded to exactly 32
+columns (padding replicas are drawn and discarded).  Block b draws its
+standard normals from the one counter-based stream
+``np.random.default_rng([seed, b])``, so its bytes depend only on (seed,
+block index, factors): results are identical for any worker count and any
+total replica budget, which is what the replay contract requires.
+
+Each level Q_n has compact support, so on a regular d=1 grid its Gram is a
+banded Toeplitz matrix that embeds exactly in a circulant on any torus of
+M >= N + bandwidth + 1 points, with a nonnegative DFT because the
+periodized Q_n is positive definite (Dietrich & Newsam 1997; Wood & Chan
+1994).  A block scales complex normals of shape (M, BLOCK/2) by
+sqrt(lambda / M) and takes one FFT (pocketfft, outside BLAS): the first N
+real parts are replicas 0-15, the imaginary parts replicas 16-31, two
+independent exact draws.  Free point sets use a small dense Cholesky
+factor in the same block_z.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cholesky_banded
+from scipy.fft import next_fast_len
 
 from . import kernels
 from .grids import Grid
 from .mollifier import Mollifier, weight_matrix
 
 BLOCK = 32
-# minimum height of the dense row tiles block_z multiplies; a band wider
-# than this sets the height to one bandwidth
-TILE = 128
 
 
 class NumericError(RuntimeError):
@@ -38,80 +40,52 @@ class NumericError(RuntimeError):
 
 
 class LevelFactor(NamedTuple):
-    """One level's Gram and lower Cholesky factor, held as bands.
+    """One level's square root and the safety net it used: sqrt(lambda / M)
+    of its circulant on an M-point torus with net the smallest eigenvalue
+    over the largest, or a dense lower Cholesky factor with net the
+    diagonal jitter it needed (0.0 when none)."""
 
-    gram and chol use LAPACK's lower band storage: row d, column j holds
-    entry (j + d, j), and rows past the bandwidth are absent.  tiles are the
-    dense row tiles (r0, r1, lo, L[r0:r1, lo:r1]) that block_z multiplies.
-    jitter is the diagonal shift the factorization needed, 0.0 when none.
+    root: np.ndarray
+    net: float
+
+    @property
+    def embedded(self):
+        return self.root.ndim == 1
+
+
+def circulant_root(row, name="kernel"):
+    """Square root of the circulant whose first row is row, as sqrt(lambda / M).
+
+    Eigenvalues above -1e-12 * lambda_max count as rounding and are clipped
+    at zero; a more negative one raises NumericError naming the kernel.
     """
+    lam = np.fft.fft(row).real
+    ratio = float(lam.min() / lam.max())
+    if ratio < -1e-12:
+        raise NumericError(f"circulant embedding of {name} is not positive "
+                           f"semidefinite: eigenvalue ratio {ratio:.3g}")
+    return LevelFactor(np.sqrt(np.maximum(lam, 0.0) / row.size), ratio)
 
-    gram: np.ndarray
-    chol: np.ndarray
-    tiles: tuple
-    jitter: float
 
+def free_cholesky(mat, name="kernel"):
+    """Dense lower Cholesky factor of a free point set's level Gram, with jitter.
 
-def band_block(band, rows, cols, fill=0.0, symmetric=False):
-    """Dense block [rows, cols] of a matrix held in lower band storage.
-
-    symmetric=True mirrors the band into the upper triangle; otherwise the
-    matrix is lower triangular.  Entries outside the band read fill.
+    A failed factorization retries with diagonal jitter starting at
+    1e-10 * trace/N and escalating x10, at most 3 times; a zero matrix
+    factors to zero.  Raises NumericError naming the offending kernel when
+    escalation is exhausted.
     """
-    i = np.asarray(rows)[:, None]
-    j = np.asarray(cols)[None, :]
-    d = i - j
-    if symmetric:
-        d, j = np.abs(d), np.minimum(i, j)
-    live = (d >= 0) & (d < band.shape[0])
-    out = np.full(live.shape, float(fill))
-    out[live] = band[d[live], np.broadcast_to(j, live.shape)[live]]
-    return out
-
-
-def _row_tiles(chol):
-    """Dense row tiles of a banded lower factor; TILE rows or one band."""
-    b, n = chol.shape[0] - 1, chol.shape[1]
-    step = max(b + 1, TILE)
-    tiles = []
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
-        lo = max(r0 - b, 0)
-        tiles.append((r0, r1, lo, band_block(chol, np.arange(r0, r1),
-                                             np.arange(lo, r1))))
-    return tuple(tiles)
-
-
-def band_cholesky(mat, name="kernel"):
-    """Banded lower Cholesky factor of a symmetric matrix, with jitter.
-
-    The bandwidth is read from the lower triangle of mat.  A failed
-    factorization retries with diagonal jitter starting at 1e-10 * trace/N
-    and escalating x10, at most 3 times; a zero matrix factors to zero.
-    Raises NumericError naming the offending kernel when escalation is
-    exhausted.
-    """
-    mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
-    cols = np.arange(n)
-    # a row whose first nonzero lies right of the diagonal has an empty
-    # lower part, hence the clip at 0
-    nz = mat != 0.0
-    reach = np.maximum(cols - nz.argmax(axis=1), 0)[nz.any(axis=1)]
-    rows = cols[None, :] + np.arange(int(reach.max(initial=0)) + 1)[:, None]
-    gram = np.where(rows < n, mat[np.minimum(rows, n - 1), cols], 0.0)
     tr = float(np.trace(mat))
-    if tr == 0.0 and not gram.any():
-        return LevelFactor(gram, gram.copy(), _row_tiles(gram), 0.0)
+    if tr == 0.0 and not mat.any():
+        return LevelFactor(np.zeros_like(mat), 0.0)
     base = 1e-10 * tr / n
     for jitter in (0.0, base, base * 10.0, base * 10.0 * 10.0):
-        shifted = gram.copy()
-        shifted[0] += jitter
         try:
-            chol = cholesky_banded(shifted, lower=True)
+            return LevelFactor(np.linalg.cholesky(mat + jitter * np.eye(n)),
+                               jitter)
         except np.linalg.LinAlgError:
             continue
-        return LevelFactor(gram, chol, _row_tiles(chol), jitter)
     raise NumericError(f"cholesky failed for {name} after jitter escalation")
 
 
@@ -159,24 +133,45 @@ class FieldSample:
 
 
 def increment_factors(spec, grid, n_max):
-    """Banded Cholesky factors for levels 1..n_max plus the Q_0 amplitude.
+    """Square roots of levels 1..n_max plus the Q_0 amplitude.
 
     Returns (q0_amp, [LevelFactor_1, ..., LevelFactor_n_max]); q0_amp is
-    sqrt(q0_const) for the constant smooth part and 0.0 otherwise.  Each
-    level Gram is evaluated once and kept in band form with its factor.
+    sqrt(q0_const) for the constant smooth part and 0.0 otherwise.  A
+    regular d=1 grid embeds level k in a circulant on the smallest 5-smooth
+    torus with M >= N + bandwidth + 1 points, its row evaluated by
+    kernels.lattice_row; no Gram is built.  Any other point set factors the
+    dense level Gram with free_cholesky.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    factors = [band_cholesky(kernels.gram(spec, k, grid), name=f"Q_{k}")
-               for k in range(1, n_max + 1)]
+    factors = []
+    for k in range(1, n_max + 1):
+        if grid.h is not None and grid.d == 1:
+            # offsets beyond floor(support / h) lie outside the support;
+            # next_fast_len(n, real=True) is the smallest 5-smooth m >= n
+            band = math.floor(math.exp(-(spec.t0 + k)) / grid.h)
+            m = next_fast_len(grid.n + band + 1, True)
+            o = np.arange(m)
+            row = kernels.lattice_row(spec, [k], grid.h, np.minimum(o, m - o))
+            factors.append(circulant_root(row, name=f"Q_{k}"))
+        else:
+            factors.append(free_cholesky(kernels.gram(spec, k, grid),
+                                         name=f"Q_{k}"))
     q0_amp = np.sqrt(spec.q0_value)
     return q0_amp, factors
 
 
-def replica_normals(seed, replica, n_levels, n):
-    """The (n_levels, n) standard-normal panel owned by one replica stream."""
-    rng = np.random.default_rng([seed, replica])
-    return rng.standard_normal((n_levels, n))
+def replica_normals(seed, block_start, rows):
+    """The standard normals of the replica block starting at block_start.
+
+    One stream, default_rng([seed, block_start // BLOCK]), yields BLOCK
+    normals for the Q_0 mode (one per replica), then one (m, BLOCK) panel
+    per entry m of rows.  Returns (q0 normals, [panels]).
+    """
+    rng = np.random.default_rng([seed, block_start // BLOCK])
+    parts = np.split(rng.standard_normal(BLOCK * (1 + sum(rows))),
+                     BLOCK * np.cumsum([1, *rows[:-1]]))
+    return parts[0], [p.reshape(m, BLOCK) for p, m in zip(parts[1:], rows)]
 
 
 def tilt_shift_rows(spec, grid, tilt, n_max, mol, nodes=32):
@@ -202,22 +197,25 @@ def block_z(spec, grid, factors, seed, block_start, n_max, shifts=None):
     """Increment stack for one replica block: shape (n_max+1, N, BLOCK).
 
     Column j belongs to replica block_start + j.  This is the only code path
-    that touches the RNG or the factors, for samples and benches alike.
+    that touches the RNG or the factors, for samples and benches alike.  An
+    embedded level reads its (M, BLOCK) panel as complex normals of shape
+    (M, BLOCK/2) and takes one FFT along the lattice axis: the first N real
+    parts fill columns 0..BLOCK/2-1, the imaginary parts the rest.
     """
     q0_amp, levels = factors
-    n = grid.n
-    panels = np.empty((BLOCK, n_max + 1, n))
-    for j in range(BLOCK):
-        panels[j] = replica_normals(seed, block_start + j, n_max + 1, n)
-    # one transposing copy is cheaper than BLOCK strided column writes; z
-    # reuses the panels' buffer, so a block allocates two (levels, N, BLOCK)
-    # arrays, not three (a third measurably slows small-N runs)
-    xi = np.ascontiguousarray(panels.transpose(1, 2, 0))
-    z = panels.reshape(xi.shape)
-    z[0] = q0_amp * xi[0, 0, :][None, :] * np.ones((n, 1))
-    for k in range(1, n_max + 1):
-        for r0, r1, lo, tile in levels[k - 1].tiles:
-            np.matmul(tile, xi[k, lo:r1], out=z[k, r0:r1])
+    levels = levels[:n_max]
+    n, half = grid.n, BLOCK // 2
+    xi0, panels = replica_normals(seed, block_start,
+                                  [level.root.shape[0] for level in levels])
+    z = np.empty((n_max + 1, n, BLOCK))
+    z[0] = q0_amp * xi0
+    for k, (level, xi) in enumerate(zip(levels, panels), start=1):
+        if level.embedded:
+            y = np.fft.fft(level.root[:, None] * xi.view(complex), axis=0)[:n]
+            z[k, :, :half] = y.real
+            z[k, :, half:] = y.imag
+        else:
+            np.matmul(level.root, xi, out=z[k])
     if shifts is not None:
         z += shifts[:, :, None]
     return z

@@ -29,8 +29,8 @@ from .chaos import barrier_below, chaos_density
 from .grids import Grid
 from .mollifier import Mollifier, weight_matrix
 from .phase import PhaseError
-from .sampler import (BLOCK, TiltShift, band_block, block_z,
-                      increment_factors, tilt_shift_rows)
+from .sampler import (BLOCK, TiltShift, block_z, increment_factors,
+                      tilt_shift_rows)
 
 ENV_WORKERS = "LOGCHAOS_WORKERS"
 
@@ -180,12 +180,14 @@ def ladder_from_values(estimator, steps, values, keep=None):
 class Bench:
     """Shared immutable state for block-deterministic Monte Carlo runs.
 
-    One Bench per (spec, grid, n_max).  Convolution weights, support-row
-    restrictions of them, and kernel-table diagonals are cached per
-    (mollifier channel, eps).  The summed level Gram g_total = Q_0 + sum
-    of the level Grams is held as one band, summed from the Grams the
-    factors were built from; every grid-rule kernel quantity is a couple of
-    matrix products against the block of it that the weights touch.
+    One Bench per (spec, grid, n_max).  It holds the level factors (one
+    circulant embedding per level on a regular d=1 grid) and, on such a
+    grid, the summed stationary row Q_0 + sum_k Q_k at offsets 0..N-1,
+    from which g_total indexes any block of the summed level Gram by
+    |i - j|.  The convolution weights of the support rows, cut to their
+    nonzero column window, and the kernel-table diagonals are cached per
+    (mollifier channel, eps); every grid-rule kernel quantity is a couple
+    of matrix products against the Gram block the window touches.
     """
 
     def __init__(self, spec, grid, n_max, f=None, mol=None):
@@ -194,24 +196,18 @@ class Bench:
         self.n_max = int(n_max)
         self.f = None if f is None else np.asarray(f, dtype=float)
         self.factors = increment_factors(spec, grid, n_max)
-        levels = self.factors[1]
-        width = max(level.gram.shape[0] for level in levels)
-        g_band = np.full((width, grid.n), spec.q0_value)
-        for level in levels:
-            g_band[:level.gram.shape[0]] += level.gram
-        self.g_band = g_band
+        self.g_row = None if grid.h is None or grid.d != 1 else (
+            spec.q0_value + kernels.lattice_row(
+                spec, range(1, self.n_max + 1), grid.h, np.arange(grid.n)))
         self.channels = {"main": mol if mol is not None else Mollifier(d=spec.d)}
         self.supp = None if self.f is None else np.flatnonzero(self.f != 0.0)
         self.shifts = None
-        self.tilt = None
-        self._weights = {}
         self._supp_tables = {}
 
     def add_channel(self, name, mol):
         self.channels[name] = mol
 
     def set_tilt(self, tilt, nodes=32):
-        self.tilt = tilt
         if tilt is None or tilt.alpha == 0.0:
             self.shifts = None
         else:
@@ -219,53 +215,47 @@ class Bench:
                                           self.n_max, self.channels["main"],
                                           nodes=nodes)
 
-    def weights(self, channel, eps):
-        key = (channel, float(eps))
-        if key not in self._weights:
-            rows, w = weight_matrix(self.grid, self.channels[channel], eps)
-            self._weights[key] = (rows, w)
-        return self._weights[key]
-
     def supp_tables(self, channel, eps):
-        """(W_supp, k_diag_supp, pos) on the test-function support rows."""
+        """(W_win, k_diag_supp, cols) on the test-function support rows:
+        the support's weight rows on cols, the column window where they are
+        nonzero, so the mollified field there is W_win @ y[cols]."""
         key = (channel, float(eps))
         if key not in self._supp_tables:
             if self.supp is None:
                 raise ValueError("bench has no test function")
-            rows, w = self.weights(channel, eps)
+            rows, w = weight_matrix(self.grid, self.channels[channel], eps)
             pos = np.searchsorted(rows, self.supp)
             if np.any(pos >= rows.size) or not np.array_equal(rows[np.minimum(pos, rows.size - 1)], self.supp):
                 raise ValueError(f"test function support leaks outside D_eps at eps={eps}")
             w_supp = w[pos]
-            cols = self._window(w_supp)
+            live = np.flatnonzero(w_supp.any(axis=0))
+            cols = np.arange(live[0], live[-1] + 1)
             ws = w_supp[:, cols]
             k_diag = np.einsum("ij,jk,ik->i", ws, self.g_total(cols, cols),
                                ws, optimize=True)
-            self._supp_tables[key] = (w_supp, k_diag, pos)
+            self._supp_tables[key] = (ws, k_diag, cols)
         return self._supp_tables[key]
 
     @property
-    def cholesky_jitter(self):
-        """Diagonal jitter each level's factorization needed (0.0 if none)."""
-        return [level.jitter for level in self.factors[1]]
-
-    @staticmethod
-    def _window(w):
-        """The column range where the weight rows w are nonzero."""
-        live = np.flatnonzero(w.any(axis=0))
-        return np.arange(live[0], live[-1] + 1) if live.size else live
+    def safety_net(self):
+        """Per-level safety net, as the resolved block records it:
+        embedding_min_ratio (smallest eigenvalue over the largest) for
+        circulant embeddings, cholesky_jitter (0.0 if none) otherwise."""
+        levels = self.factors[1]
+        key = "embedding_min_ratio" if levels[0].embedded else "cholesky_jitter"
+        return {key: [level.net for level in levels]}
 
     def g_total(self, rows, cols):
         """Dense block [rows, cols] of the summed level Gram."""
-        return band_block(self.g_band, rows, cols, fill=self.spec.q0_value,
-                          symmetric=True)
+        if self.g_row is None:
+            raise ValueError("kernel tables need a regular d=1 grid")
+        return self.g_row[np.abs(np.subtract.outer(rows, cols))]
 
     def cross_table(self, channel, eps, channel2, eps2):
         """K_{eps,eps2} on support x support rows (grid rule, exact)."""
-        wa, _, _ = self.supp_tables(channel, eps)
-        wb, _, _ = self.supp_tables(channel2, eps2)
-        ca, cb = self._window(wa), self._window(wb)
-        return wa[:, ca] @ self.g_total(ca, cb) @ wb[:, cb].T
+        wa, _, ca = self.supp_tables(channel, eps)
+        wb, _, cb = self.supp_tables(channel2, eps2)
+        return wa @ self.g_total(ca, cb) @ wb.T
 
     def map_blocks(self, seed, replicas, consume, workers=None):
         """Run consume(start, z_block) over all blocks; fixed-order assembly.
@@ -331,8 +321,8 @@ def _block_densities(bench, gammas, keys, trunc):
             event = barrier_below(z, bench.supp, lam)[q:].all(axis=0)
         cells = [[] for _ in gammas]
         y_top = z.sum(axis=0) if tabs else None
-        for w_supp, k_diag, _ in tabs:
-            x = w_supp @ y_top
+        for w_win, k_diag, cols in tabs:
+            x = w_win @ y_top[cols[0]:cols[-1] + 1]
             for row, gamma in zip(cells, gammas):
                 row.append(chaos_density(gamma, x, k_diag, f_supp, event))
         return cells, event
@@ -740,7 +730,7 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
         (ind,) = bench.map_blocks(seed + si, replicas,
                                   _event_consume(slice(None), q, lam), workers)
         estimates.append(moment_from_values(f"P~[A_{q}] sep={s}", ind))
-        jitter.append(tuple(bench.cholesky_jitter))
+        jitter.append(tuple(bench.safety_net["cholesky_jitter"]))
     xs = np.log(np.maximum(np.asarray(separations, dtype=float), eps))
     probs = np.asarray([max(e.estimate.real, 0.5 / replicas) for e in estimates])
     slope, slope_se = _ls_fit(xs, np.log(probs))
@@ -761,8 +751,8 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
     (oracle: grid-rule cross table).
     """
     rng = np.random.default_rng([seed, 424242])
-    wa, _, pos_a = bench.supp_tables("main", eps)
-    wb, _, pos_b = bench.supp_tables("main", eps_prime)
+    wa, _, ca = bench.supp_tables("main", eps)
+    wb, _, cb = bench.supp_tables("main", eps_prime)
     cross = bench.cross_table("main", eps, "main", eps_prime)
     s = bench.supp.size
     probes = np.stack([rng.integers(0, s, n_probes),
@@ -772,8 +762,9 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
     def consume(start, z):
         ysum = np.cumsum(z[:, bench.supp, :], axis=0)
         var_rows = np.stack([ysum[n][mid] ** 2 for n in ns])
-        xa = wa @ z.sum(axis=0)
-        xb = wb @ z.sum(axis=0)
+        y_top = z.sum(axis=0)
+        xa = wa @ y_top[ca[0]:ca[-1] + 1]
+        xb = wb @ y_top[cb[0]:cb[-1] + 1]
         prods = np.stack([xa[probes[0, j]] * xb[probes[1, j]]
                           for j in range(n_probes)])
         return var_rows, prods

@@ -156,6 +156,7 @@ RUN_ONLY_REJECTIONS = [
     ({"kind": "cauchy", "gamma": [1.1, 0.25], "q": -1}, "q=-1"),
     ({"kind": "cauchy", "seed": "x"}, "seed"),
     ({"kind": "moment-check", "seed": -1}, "seed"),
+    ({"kind": "tilt-check", "lam": 1e300, "replicas": 40}, "lam=1e+300"),
 ]
 
 
@@ -291,7 +292,10 @@ class TestMainRun:
         assert cells["se_re"] == "0.0"
         assert cells["z_re"] == "0.0"
         resolved = json.loads((out / "manifest.json").read_text())["resolved"]
-        assert resolved["cholesky_jitter"] == [0.0] * resolved["n_max"]
+        ratios = resolved["embedding_min_ratio"]
+        assert len(ratios) == resolved["n_max"]
+        assert all(0.0 < r <= 1.0 for r in ratios)
+        assert "cholesky_jitter" not in resolved
 
     def test_verdict_failure_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"

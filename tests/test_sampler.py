@@ -7,7 +7,7 @@ from logchaos import (Grid, KernelSpec, Mollifier, NumericError, TiltShift,
                       gram, increment_factors, load_sample, mollified_table,
                       replica_normals, sample_increments, sample_mollified,
                       save_sample, tilt_shift_rows)
-from logchaos.sampler import BLOCK, band_cholesky, block_z
+from logchaos.sampler import (BLOCK, block_z, circulant_root, free_cholesky)
 
 SPEC = KernelSpec(d=1)
 GRID = Grid.regular((0.0, 1.0), 64)
@@ -44,11 +44,15 @@ class TestDeterminism:
                            rtol=0, atol=1e-12)
 
     def test_normals_counter_based(self):
-        a = replica_normals(5, 9, 3, 16)
-        b = replica_normals(5, 9, 3, 16)
-        assert np.array_equal(a, b)
-        c = replica_normals(5, 10, 3, 16)
-        assert not np.array_equal(a, c)
+        # one stream per (seed, block): any start inside a block reads it
+        a0, a = replica_normals(5, 9 * BLOCK, [3, 16])
+        b0, b = replica_normals(5, 9 * BLOCK + 7, [3, 16])
+        assert np.array_equal(a0, b0)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert a0.shape == (BLOCK,)
+        assert [x.shape for x in a] == [(3, BLOCK), (16, BLOCK)]
+        c0, c = replica_normals(5, 10 * BLOCK, [3, 16])
+        assert not np.array_equal(a[0], c[0])
 
 
 class TestCovariance:
@@ -201,28 +205,43 @@ class TestTilt:
         assert np.allclose(tilted - flat, (tilted - flat)[:, :1], atol=1e-12)
 
 
-def dense_lower(chol):
-    """Expand LAPACK lower band storage (row d holds diagonal -d) to dense."""
-    n = chol.shape[1]
-    out = np.zeros((n, n))
-    for d in range(chol.shape[0]):
-        out += np.diag(chol[d, :n - d], -d)
-    return out
-
-
 class TestBandedEngine:
+    """The level engine for banded (compactly supported) level Grams: an
+    exact circulant embedding per level on regular d=1 grids, a dense
+    Cholesky factor on free point sets."""
+
     GRID512 = Grid.regular((0.0, 1.0), 512)
 
-    def test_factor_matches_dense_cholesky(self):
-        _, levels = increment_factors(SPEC, self.GRID512, 8)
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_embedding_row_matches_gram(self, n):
+        grid = Grid.regular((0.0, 1.0), n)
+        _, levels = increment_factors(SPEC, grid, 8)
         for k, level in enumerate(levels, start=1):
-            ref = np.linalg.cholesky(gram(SPEC, k, self.GRID512))
-            assert level.jitter == 0.0
-            assert np.abs(dense_lower(level.chol) - ref).max() < 1e-12, f"level {k}"
+            assert level.embedded and level.net > 0.0, f"level {k}"
+            m = level.root.size
+            assert m >= n + 1
+            row = np.fft.ifft(m * level.root ** 2).real
+            ref = gram(SPEC, k, grid)[0]
+            assert np.abs(row[:n] - ref).max() < 1e-12, f"level {k}"
+            # the wrapped part of the torus row is the mirrored support
+            assert np.abs(row[m - n + 1:][::-1] - ref[1:]).max() < 1e-12
+
+    def test_regular_grid_builds_no_gram(self, monkeypatch):
+        # level factors and grid-rule tables come from lattice rows alone
+        from logchaos import kernels
+
+        def no_gram(*args, **kwargs):
+            raise AssertionError("a Gram was built")
+
+        monkeypatch.setattr(kernels, "gram", no_gram)
+        _, levels = increment_factors(SPEC, self.GRID512, 8)
+        assert all(level.embedded for level in levels)
+        mollified_table(SPEC, GRID, 2 ** -3, rule="grid", n_levels=6)
 
     @pytest.mark.parametrize("tilted", [False, True])
     def test_block_z_matches_dense_product(self, tilted):
         n_max, seed, start = 8, 5, 64
+        n = self.GRID512.n
         factors = increment_factors(SPEC, self.GRID512, n_max)
         shifts = None
         if tilted:
@@ -231,24 +250,53 @@ class TestBandedEngine:
             shifts = tilt_shift_rows(SPEC, self.GRID512, t, n_max,
                                      Mollifier(d=1))
         z = block_z(SPEC, self.GRID512, factors, seed, start, n_max, shifts)
-        xi = np.stack([replica_normals(seed, start + j, n_max + 1, 512)
-                       for j in range(BLOCK)], axis=-1)
-        for k, level in enumerate(factors[1], start=1):
-            ref = dense_lower(level.chol) @ xi[k]
+        _, panels = replica_normals(seed, start,
+                                    [lv.root.size for lv in factors[1]])
+        half = BLOCK // 2
+        for k, (level, xi) in enumerate(zip(factors[1], panels), start=1):
+            # explicit circulant product F diag(root) xi, real and imaginary
+            # parts of the complex normals xi[:, 2j] + i xi[:, 2j + 1]
+            f = np.fft.fft(np.eye(level.root.size), axis=0)[:n]
+            y = (f * level.root[None, :]) @ (xi[:, 0::2] + 1j * xi[:, 1::2])
+            ref = np.concatenate([y.real, y.imag], axis=1)
             if tilted:
                 ref += shifts[k][:, None]
             assert np.abs(z[k] - ref).max() < 1e-12, f"level {k}"
+
+    def test_halves_uncorrelated(self):
+        # columns j and j + 16 of a block are the real and imaginary parts
+        # of one complex draw; they must be independent
+        R = 4000
+        grid = Grid.regular((0.0, 1.0), 64)
+        factors = increment_factors(SPEC, grid, 3)
+        re, im = [], []
+        for start in range(0, 2 * R, BLOCK):
+            z = block_z(SPEC, grid, factors, 23, start, 3)
+            re.append(z[1:].sum(axis=0)[grid.n // 2, :BLOCK // 2])
+            im.append(z[1:].sum(axis=0)[grid.n // 2, BLOCK // 2:])
+        a = np.concatenate(re)[:R]
+        b = np.concatenate(im)[:R]
+        cov = np.cov(a, b)[0, 1]
+        se = math.sqrt((a.var() * b.var() + cov ** 2) / R)
+        assert abs(cov) <= 4 * se, f"real/imaginary halves: {cov}"
+
+    def test_negative_embedding_raises(self):
+        # a row whose neighbour exceeds its centre is not positive definite
+        row = np.zeros(16)
+        row[0], row[1], row[-1] = 1.0, 0.9, 0.9
+        with pytest.raises(NumericError, match="Q_3"):
+            circulant_root(row, name="Q_3")
 
     def test_jitter_policy(self):
         # needs a diagonal shift above 2.5e-10: the first step, 1e-10 *
         # trace / N, fails and the x10 escalation succeeds
         near = np.array([[1.0, 1.0], [1.0, 1.0 - 5e-10]])
         base = 1e-10 * np.trace(near) / 2
-        assert band_cholesky(near).jitter == base * 10.0
+        assert free_cholesky(near).net == base * 10.0
         with pytest.raises(NumericError, match="Q_3"):
-            band_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), name="Q_3")
-        zero = band_cholesky(np.zeros((3, 3)))
-        assert zero.jitter == 0.0 and not zero.chol.any()
+            free_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), name="Q_3")
+        zero = free_cholesky(np.zeros((3, 3)))
+        assert zero.net == 0.0 and not zero.root.any()
 
 
 class TestRoundTrip:

@@ -135,12 +135,15 @@ class TestBench:
         assert np.abs(np.diag(cross) - k_diag).max() < 1e-12
 
     def test_cholesky_jitter_recorded(self):
-        # coincident points make every level Gram singular, so each factor
-        # needs jitter; the acceptance geometry needs none
+        # coincident points make every level Gram singular, so each free-set
+        # factor needs jitter; the acceptance geometry is embedded instead,
+        # with every level's eigenvalue ratio recorded and positive
         pair = Grid.from_points(np.array([[0.4], [0.4]]), (0.0, 1.0))
-        assert all(j > 0.0 for j in Bench(SPEC, pair, 4).cholesky_jitter)
+        jitter = Bench(SPEC, pair, 4).safety_net["cholesky_jitter"]
+        assert len(jitter) == 4 and all(j > 0.0 for j in jitter)
         fine = Grid.regular((0.0, 1.0), 2048)
-        assert Bench(SPEC, fine, 8).cholesky_jitter == [0.0] * 8
+        ratios = Bench(SPEC, fine, 8).safety_net["embedding_min_ratio"]
+        assert len(ratios) == 8 and all(0.0 < r <= 1.0 for r in ratios)
 
     def test_empty_budget_rejected(self):
         with pytest.raises(ValueError, match="replicas"):
