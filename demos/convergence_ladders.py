@@ -13,13 +13,33 @@ from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
                       pick_lambda, sobolev_ladder)
 
 
+def failed_rules(report):
+    """Which trend rule a ladder broke: rises beyond 2 SE, or the last
+    cell not below half the first."""
+    out = [f"rung {i + 1} rises {d:.3e} > 2 SE ({2.0 * se:.1e})"
+           for i, (d, se) in enumerate(zip(report.diffs, report.diff_ses))
+           if d > 2.0 * se]
+    first, last = report.values[0], report.values[-1]
+    if not last < 0.5 * first:
+        out.append(f"last cell {last:.3e} not below half the first "
+                   f"({0.5 * first:.3e})")
+    return out
+
+
 def show(title, report):
     print(f"\n{title}")
     for i, step in enumerate(report.steps):
         coarse, fine = (step if isinstance(step, tuple) else (step, step))
-        print(f"  rung {i}: eps {float(coarse):.5f} -> {float(fine):.5f}   "
-              f"cell {report.values[i]:.3e} (se {report.ses[i]:.1e})")
-    print(f"  verdict: {'decreasing within noise' if report.verdict else 'NOT decreasing'}")
+        line = (f"  rung {i}: eps {float(coarse):.5f} -> {float(fine):.5f}   "
+                f"cell {report.values[i]:.3e} (se {report.ses[i]:.1e})")
+        if i:
+            line += (f"   diff {report.diffs[i - 1]:+.3e} "
+                     f"(se {report.diff_ses[i - 1]:.1e})")
+        print(line)
+    if report.verdict:
+        print("  verdict: decreasing within noise")
+    else:
+        print("  verdict: NOT decreasing: " + "; ".join(failed_rules(report)))
 
 
 def main():

@@ -36,6 +36,10 @@ EXIT_NUMERIC = 3
 
 DEFAULT_LADDER = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
 
+# radii one kernel-check table may evaluate (kernels.midpoint_work); a d=1
+# table at grid_n 4096 needs 8191 offsets x 1024 cloud pairs = 8.4e6
+TABLE_WORK_BOUND = 10 ** 7
+
 
 class ConfigError(ValueError):
     """Validation failure; the message names the violated precondition."""
@@ -287,6 +291,13 @@ def plan_kernel_check(cfg):
     if "partial" in kinds:
         used.append(("eps_fixed", eps_fixed))
     grid = _grid(cfg, spec, 512, used)
+    # a (eps, eps') table has no more offsets than the (eps', eps') one
+    work = max(kernels.midpoint_work(grid, e, e) for _, e in used)
+    if work > TABLE_WORK_BOUND:
+        raise ConfigError(
+            f"kernel-check at d={spec.d}, grid_n={grid.shape[0]} needs "
+            f"{work:.3g} kernel radii per table, over the bound "
+            f"{TABLE_WORK_BOUND:.0e}")
 
     def run(workers, run_id):
         rows, series, verdicts = [], [], {}

@@ -15,6 +15,10 @@ mollified values K_{eps,eps'} come in two quadrature flavours:
   precision (the oracle the Monte Carlo checks are scored against);
 * "midpoint": a continuum tensor midpoint rule over the mollifier supports,
   independent of any sampling grid (used for kernel-level analysis).
+
+On a regular grid a K_{eps,eps'} table depends only on the lattice offset
+i - j, so the midpoint rule evaluates its quadrature once per lattice offset
+and expands the table by indexing; midpoint_work counts that cost up front.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .grids import Grid
-from .mollifier import Mollifier, discrete_stencil, quad_cloud, shrink_domain
+from .mollifier import (Mollifier, discrete_stencil, interior_rows, quad_cloud,
+                        shrink_domain, weight_matrix)
 
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
 
@@ -249,8 +254,11 @@ def _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes
     u, wu = _cloud(mol, eps, rule, h, nodes)
     v, wv = _cloud(mol, eps_prime, rule, h, nodes)
     out = np.empty(seps.shape[0])
-    # chunk the (M, |u|, |v|) distance tensor to bound memory in d=2
-    step = max(1, int(2e7 // (u.shape[0] * v.shape[0] + 1)))
+    # chunk the (M, |u|, |v|) distance tensor at 2e7 radii; in d=2 q_n
+    # expands each radius over its Gauss-Legendre nodes, so count those too
+    per_sep = ((u.shape[0] * v.shape[0] + 1)
+               * (_GL_NODES.size if spec.d == 2 else 1))
+    step = max(1, int(2e7 // per_sep))
     for lo in range(0, seps.shape[0], step):
         blk = seps[lo:lo + step]
         diffs = blk[:, None, None, :] + u[None, :, None, :] - v[None, None, :, :]
@@ -350,6 +358,49 @@ class MollifiedKernelTable:
         return np.diag(self.values).copy()
 
 
+def _midpoint_values(spec, grid, rows, rows_p, eps, eps_prime, mol,
+                     n_levels, nodes):
+    """Midpoint-rule table, one quadrature per lattice offset.
+
+    Each (row, row') pair is keyed by its lattice offset, and the offset's
+    separation is taken from its row-major first pair; every other pair
+    with that offset reads the same value.
+    """
+    shape = grid.shape
+    a = np.unravel_index(rows, shape)
+    b = np.unravel_index(rows_p, shape)
+    code = np.ravel_multi_index(
+        tuple(np.subtract.outer(ai, bi) + n - 1
+              for ai, bi, n in zip(a, b, shape)),
+        tuple(2 * n - 1 for n in shape)).ravel()
+    first = np.full(math.prod(2 * n - 1 for n in shape), code.size)
+    np.minimum.at(first, code, np.arange(code.size))
+    hit = first < code.size
+    pick = first[hit]
+    seps = (grid.points[rows[pick // len(rows_p)]]
+            - grid.points[rows_p[pick % len(rows_p)]])
+    vals = _mollified_of_seps(spec, seps, eps, eps_prime, mol, "midpoint",
+                              n_levels, None, nodes)
+    return vals[np.cumsum(hit)[code] - 1].reshape(len(rows), len(rows_p))
+
+
+def midpoint_work(grid, eps, eps_prime, nodes=32):
+    """Radii a midpoint table evaluates: lattice offsets times cloud pairs.
+
+    Counted from the grid axis, without building the table: D_eps is a
+    product of per-axis runs of m_eps points, so a (eps, eps') table has
+    (m_eps + m_eps' - 1)^d distinct offsets.
+    """
+    mol = Mollifier(d=grid.d)
+    ax = grid.axis()
+    dist = np.minimum(ax - grid.box[0], grid.box[1] - ax)
+    # Python ints: the count must not wrap on an oversized d=2 grid
+    offsets = (int(np.count_nonzero(dist > 2.0 * eps))
+               + int(np.count_nonzero(dist > 2.0 * eps_prime)) - 1) ** grid.d
+    return (offsets * quad_cloud(mol, eps, nodes)[1].size
+            * quad_cloud(mol, eps_prime, nodes)[1].size)
+
+
 def mollified_table(spec, grid, eps, eps_prime=None, mol=None, rule="grid",
                     n_levels=None, nodes=32):
     """Assemble the full K_{eps,eps'} table on a regular grid.
@@ -357,10 +408,8 @@ def mollified_table(spec, grid, eps, eps_prime=None, mol=None, rule="grid",
     rule "grid" computes W_eps G W_eps'^T with G the summed level Gram
     (the lattice_row sum indexed by |i - j| in d=1), matching sampled
     covariances exactly.  rule "midpoint" evaluates the continuum
-    quadrature per unique separation vector.
+    quadrature once per lattice offset between the D_eps and D_eps' rows.
     """
-    from .mollifier import weight_matrix
-
     if eps_prime is None:
         eps_prime = eps
     if not 0.0 < eps_prime <= eps <= 1.0:
@@ -368,9 +417,9 @@ def mollified_table(spec, grid, eps, eps_prime=None, mol=None, rule="grid",
     mol = mol if mol is not None else Mollifier(d=spec.d)
     if n_levels is None:
         n_levels = exact_level(spec, eps_prime)
-    rows, w_big = weight_matrix(grid, mol, eps)
-    rows_p, w_small = weight_matrix(grid, mol, eps_prime)
     if rule == "grid":
+        rows, w_big = weight_matrix(grid, mol, eps)
+        rows_p, w_small = weight_matrix(grid, mol, eps_prime)
         if grid.d == 1:
             idx = np.arange(grid.n)
             row = spec.q0_value + lattice_row(spec, range(1, n_levels + 1),
@@ -380,16 +429,10 @@ def mollified_table(spec, grid, eps, eps_prime=None, mol=None, rule="grid",
             g_total = sum(gram(spec, k, grid) for k in range(n_levels + 1))
         values = w_big @ g_total @ w_small.T
     elif rule == "midpoint":
-        px = grid.points[rows]
-        py = grid.points[rows_p]
-        d_all = px[:, None, :] - py[None, :, :]
-        flat = d_all.reshape(-1, grid.d)
-        keys = np.round(flat / 1e-12).astype(np.int64)
-        _, first, inv = np.unique(keys, axis=0, return_index=True,
-                                  return_inverse=True)
-        vals = _mollified_of_seps(spec, flat[first], eps, eps_prime, mol,
-                                  "midpoint", n_levels, None, nodes)
-        values = vals[inv].reshape(len(rows), len(rows_p))
+        rows = interior_rows(grid, mol, eps)
+        rows_p = interior_rows(grid, mol, eps_prime)
+        values = _midpoint_values(spec, grid, rows, rows_p, eps, eps_prime,
+                                  mol, n_levels, nodes)
     else:
         raise ValueError(f"unknown quadrature rule {rule!r}")
     d_all = grid.points[rows][:, None, :] - grid.points[rows_p][None, :, :]

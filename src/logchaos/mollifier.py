@@ -110,14 +110,32 @@ def shrink_domain(box, eps):
     return ShrunkenDomain(eps=eps, lo=lo, hi=hi, empty=lo >= hi)
 
 
+def _check_resolution(eps, h):
+    if h > eps / 4.0:
+        raise ResolutionError(f"h={h} too coarse for eps={eps} (need h <= eps/4)")
+
+
+def interior_rows(grid, mol, eps):
+    """Grid indices of D_eps: the rows of X_eps = W @ field.
+
+    Raises as weight_matrix does, without building W: ValueError on a free
+    point set or a dimension mismatch, ResolutionError for h > eps/4.
+    """
+    if grid.h is None:
+        raise ValueError("convolution requires a regular grid")
+    if grid.d != mol.d:
+        raise ValueError("dimension mismatch between grid and mollifier")
+    _check_resolution(eps, grid.h)
+    return grid.interior_idx(2.0 * eps)
+
+
 def discrete_stencil(mol, eps, h):
     """Lattice offsets and renormalized weights for the discrete convolution.
 
     Returns (offsets, weights): offsets is (M, d) int steps, weights sum to 1
     exactly.  Requires h <= eps/4 so the profile is resolved by >= 8 cells.
     """
-    if h > eps / 4.0:
-        raise ResolutionError(f"h={h} too coarse for eps={eps} (need h <= eps/4)")
+    _check_resolution(eps, h)
     m = int(np.floor(eps / h))
     axes = [np.arange(-m, m + 1)] * mol.d
     offs = np.array(list(itertools.product(*axes)), dtype=int)
@@ -134,12 +152,8 @@ def weight_matrix(grid, mol, eps):
     Returns (rows, W): rows are the grid indices inside the shrunken domain,
     W has shape (len(rows), grid.n).
     """
-    if grid.h is None:
-        raise ValueError("convolution requires a regular grid")
-    if grid.d != mol.d:
-        raise ValueError("dimension mismatch between grid and mollifier")
+    rows = interior_rows(grid, mol, eps)
     offs, w = discrete_stencil(mol, eps, grid.h)
-    rows = grid.interior_idx(2.0 * eps)
     multi = np.stack(np.unravel_index(rows, grid.shape), axis=-1)
     W = np.zeros((rows.size, grid.n))
     arange = np.arange(rows.size)

@@ -87,6 +87,7 @@ class TestWriteCsv:
 REJECTIONS = [
     ({"kind": "kernel-check", "grid_n": 64}, "grid_n"),
     ({"kind": "kernel-check", "check": "everything"}, "check"),
+    ({"kind": "kernel-check", "d": 2}, "d=2, grid_n=512"),
     ({"kind": "moment-check", "estimands": ["variance"]}, "estimand"),
     ({"kind": "moment-check", "gammas": [[1.2, 0.5]]}, "gamma="),
     ({"kind": "moment-check", "gammas": [[0.5, 1.2]]}, "gamma="),
@@ -178,6 +179,13 @@ class TestValidateOnly:
         for cfg in self.MINIMAL:
             resolved, run = plan(dict(cfg))
             assert callable(run) and isinstance(resolved, dict)
+
+    def test_d1_kernel_check_plans_to_4096(self):
+        # the per-table work bound admits every d=1 table up to grid_n 4096
+        plan({"kind": "kernel-check", "grid_n": 4096,
+              "eps_ladder": [2.0 ** -3, 2.0 ** -10]})
+        with pytest.raises(ConfigError, match="d=1, grid_n=8192"):
+            plan({"kind": "kernel-check", "grid_n": 8192})
 
     @pytest.mark.parametrize("cfg", [cfg for cfg, _ in REJECTIONS])
     def test_rejections(self, cfg):

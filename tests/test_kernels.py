@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from logchaos import (Grid, KernelSpec, exact_level, export_table, gram,
-                      k_exact, k_mollified, k_partial, kappa, mollified_table,
-                      pd_check, q_mollified, q_n)
-from logchaos.mollifier import Mollifier
+                      k_exact, k_mollified, k_partial, kappa, kernels,
+                      mollified_table, pd_check, q_mollified, q_n)
+from logchaos.mollifier import Mollifier, ResolutionError
 
 SPEC1 = KernelSpec(d=1)
 SPEC2 = KernelSpec(d=2)
@@ -254,6 +254,76 @@ class TestMollifiedTable:
                                  n_levels=tab.n_levels)
             assert abs(direct - tab.values[i, j]) < 1e-10, \
                 f"({i},{j}): {direct} vs {tab.values[i, j]}"
+
+    @staticmethod
+    def _unique_midpoint(spec, grid, eps, eps_prime, nodes):
+        # the table as built before lattice-offset keys: np.unique over the
+        # rounded separation vectors of every (row, row') pair
+        tab = mollified_table(spec, grid, eps, eps_prime, rule="midpoint",
+                              nodes=nodes)
+        flat = (grid.points[tab.rows][:, None, :]
+                - grid.points[tab.rows_prime][None, :, :]).reshape(-1, grid.d)
+        keys = np.round(flat / 1e-12).astype(np.int64)
+        _, first, inv = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+        vals = kernels._mollified_of_seps(
+            spec, flat[first], eps, eps_prime, Mollifier(d=grid.d),
+            "midpoint", tab.n_levels, None, nodes)
+        return tab, vals[inv.ravel()].reshape(tab.values.shape)
+
+    @pytest.mark.parametrize("d,n,eps,eps_prime,nodes", [
+        (1, 256, 2 ** -4, 2 ** -4, 32),
+        (1, 256, 2 ** -4, 2 ** -5, 32),
+        (2, 40, 2 ** -3, 2 ** -3, 4),
+    ])
+    def test_midpoint_offsets_match_unique(self, d, n, eps, eps_prime, nodes):
+        spec = KernelSpec(d=d)
+        grid = Grid.regular((0.0, 1.0), n, d=d)
+        tab, oracle = self._unique_midpoint(spec, grid, eps, eps_prime, nodes)
+        assert np.array_equal(tab.values, oracle)
+
+    def test_midpoint_one_eval_per_offset(self, monkeypatch):
+        seen = []
+        inner = kernels._mollified_of_seps
+
+        def counted(spec, seps, *args):
+            seen.append(seps.shape[0])
+            return inner(spec, seps, *args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.unique or weight_matrix called")
+
+        monkeypatch.setattr(kernels, "_mollified_of_seps", counted)
+        monkeypatch.setattr(np, "unique", forbidden)
+        monkeypatch.setattr(kernels, "weight_matrix", forbidden)
+        grid = Grid.regular((0.0, 1.0), 256)
+        tab = mollified_table(SPEC1, grid, 2 ** -4, 2 ** -5, rule="midpoint")
+        assert seen == [len(tab.rows) + len(tab.rows_prime) - 1]
+
+    @pytest.mark.parametrize("rule", ["grid", "midpoint"])
+    def test_rows_need_a_resolving_regular_grid(self, rule):
+        with pytest.raises(ResolutionError):
+            mollified_table(SPEC1, Grid.regular((0.0, 1.0), 16), 2 ** -3,
+                            rule=rule)
+        free = Grid.from_points(np.linspace(0.1, 0.9, 9)[:, None], (0.0, 1.0))
+        with pytest.raises(ValueError, match="regular grid"):
+            mollified_table(SPEC1, free, 2 ** -3, rule=rule)
+
+    def test_d2_chunks_count_quadrature_nodes(self, monkeypatch):
+        # d=2 q_n expands each radius over 64 Gauss-Legendre nodes, so a
+        # chunk holds at most 2e7 / 64 radii
+        sizes = []
+
+        def fake_q_n(spec, n, r):
+            sizes.append(np.size(r))
+            return np.zeros(np.shape(r))
+
+        monkeypatch.setattr(kernels, "q_n", fake_q_n)
+        seps = np.zeros((400, 2))
+        kernels._mollified_of_seps(SPEC2, seps, 2 ** -3, 2 ** -3,
+                                   Mollifier(d=2), "midpoint", 1, None, 8)
+        assert sum(sizes) > 2e7 / 64, "one chunk would hold every radius"
+        assert max(sizes) <= 2e7 / 64
 
 
 class TestExport:
