@@ -87,7 +87,6 @@ class TestWriteCsv:
 REJECTIONS = [
     ({"kind": "kernel-check", "grid_n": 64}, "grid_n"),
     ({"kind": "kernel-check", "check": "everything"}, "check"),
-    ({"kind": "kernel-check", "d": 2}, "d=2, grid_n=512"),
     ({"kind": "moment-check", "estimands": ["variance"]}, "estimand"),
     ({"kind": "moment-check", "gammas": [[1.2, 0.5]]}, "gamma="),
     ({"kind": "moment-check", "gammas": [[0.5, 1.2]]}, "gamma="),
@@ -158,6 +157,7 @@ RUN_ONLY_REJECTIONS = [
     ({"kind": "cauchy", "seed": "x"}, "seed"),
     ({"kind": "moment-check", "seed": -1}, "seed"),
     ({"kind": "tilt-check", "lam": 1e300, "replicas": 40}, "lam=1e+300"),
+    ({"kind": "kernel-check", "d": 2}, "d=2, grid_n=512"),
 ]
 
 
