@@ -36,8 +36,9 @@ EXIT_NUMERIC = 3
 
 DEFAULT_LADDER = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
 
-# radii one kernel-check table may evaluate (kernels.midpoint_work); a d=1
-# table at grid_n 4096 needs 8191 offsets x 1024 cloud pairs = 8.4e6
+# radii one kernel-check table may evaluate, bounded from above by
+# kernels.midpoint_work as offsets x cloud pairs; a d=1 table at grid_n 4096
+# counts 8191 offsets x 1024 cloud pairs = 8.4e6
 TABLE_WORK_BOUND = 10 ** 7
 
 

@@ -18,7 +18,9 @@ mollified values K_{eps,eps'} come in two quadrature flavours:
 
 On a regular grid a K_{eps,eps'} table depends only on the lattice offset
 i - j, so the midpoint rule evaluates its quadrature once per lattice offset
-and expands the table by indexing; midpoint_work counts that cost up front.
+and expands the table by indexing.  Each quadrature folds its two clouds into
+their distinct differences u_a - v_b, so the kernel is evaluated once per
+(offset, distinct difference); midpoint_work bounds that cost up front.
 """
 
 from __future__ import annotations
@@ -249,22 +251,31 @@ def _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes
 
     seps has shape (M, d).  Stationarity of the decomposed kernel makes the
     double convolution a function of x - y only, which is what makes table
-    assembly affordable.
+    assembly affordable.  The two clouds fold into one difference cloud
+    u_a - v_b with weights wu_a wv_b, differences equal to rounding merged
+    and their weights summed, so the kernel is evaluated once per
+    (separation, distinct difference) rather than per cloud pair.
     """
     u, wu = _cloud(mol, eps, rule, h, nodes)
     v, wv = _cloud(mol, eps_prime, rule, h, nodes)
+    diffs = (u[:, None, :] - v[None, :, :]).reshape(-1, u.shape[1])
+    # float keys on a 1e-12 eps' lattice, far below the cloud spacing; a
+    # float never wraps as an int64 key would at a tiny eps' / eps
+    keys = np.round(diffs / (1e-12 * eps_prime))
+    order = np.lexsort(keys.T)
+    keys = keys[order]
+    first = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    diffs = diffs[order[first]]
+    ww = np.add.reduceat(np.outer(wu, wv).ravel()[order], first)
     out = np.empty(seps.shape[0])
-    # chunk the (M, |u|, |v|) distance tensor at 2e7 radii; in d=2 q_n
-    # expands each radius over its Gauss-Legendre nodes, so count those too
-    per_sep = ((u.shape[0] * v.shape[0] + 1)
-               * (_GL_NODES.size if spec.d == 2 else 1))
+    # chunk the (M, distinct differences) radii at 2e7; in d=2 q_n expands
+    # each radius over its Gauss-Legendre nodes, so count those too
+    per_sep = (ww.size + 1) * (_GL_NODES.size if spec.d == 2 else 1)
     step = max(1, int(2e7 // per_sep))
     for lo in range(0, seps.shape[0], step):
         blk = seps[lo:lo + step]
-        diffs = blk[:, None, None, :] + u[None, :, None, :] - v[None, None, :, :]
-        r = np.sqrt((diffs ** 2).sum(axis=-1))
-        vals = k_partial(spec, n_levels, r.ravel()).reshape(r.shape)
-        out[lo:lo + step] = np.einsum("i,j,mij->m", wu, wv, vals)
+        r = np.sqrt(((blk[:, None, :] + diffs[None, :, :]) ** 2).sum(axis=-1))
+        out[lo:lo + step] = k_partial(spec, n_levels, r.ravel()).reshape(r.shape) @ ww
     return out
 
 
@@ -385,11 +396,13 @@ def _midpoint_values(spec, grid, rows, rows_p, eps, eps_prime, mol,
 
 
 def midpoint_work(grid, eps, eps_prime, nodes=32):
-    """Radii a midpoint table evaluates: lattice offsets times cloud pairs.
+    """Upper bound on a midpoint table's radii: offsets times cloud pairs.
 
     Counted from the grid axis, without building the table: D_eps is a
     product of per-axis runs of m_eps points, so a (eps, eps') table has
-    (m_eps + m_eps' - 1)^d distinct offsets.
+    (m_eps + m_eps' - 1)^d distinct offsets.  The table evaluates one radius
+    per (offset, distinct cloud difference), and the pairs bound the
+    distinct differences from above.
     """
     mol = Mollifier(d=grid.d)
     ax = grid.axis()

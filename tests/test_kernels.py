@@ -311,7 +311,8 @@ class TestMollifiedTable:
 
     def test_d2_chunks_count_quadrature_nodes(self, monkeypatch):
         # d=2 q_n expands each radius over 64 Gauss-Legendre nodes, so a
-        # chunk holds at most 2e7 / 64 radii
+        # chunk holds at most 2e7 / 64 radii; 2000 separations of the 185
+        # distinct nodes=8 differences need more than one chunk
         sizes = []
 
         def fake_q_n(spec, n, r):
@@ -319,11 +320,62 @@ class TestMollifiedTable:
             return np.zeros(np.shape(r))
 
         monkeypatch.setattr(kernels, "q_n", fake_q_n)
-        seps = np.zeros((400, 2))
+        seps = np.zeros((2000, 2))
         kernels._mollified_of_seps(SPEC2, seps, 2 ** -3, 2 ** -3,
                                    Mollifier(d=2), "midpoint", 1, None, 8)
         assert sum(sizes) > 2e7 / 64, "one chunk would hold every radius"
         assert max(sizes) <= 2e7 / 64
+
+    @staticmethod
+    def _all_pairs(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes):
+        # the quadrature as evaluated before the difference cloud: one radius
+        # per (separation, u_a, v_b), contracted with both weight vectors
+        u, wu = kernels._cloud(mol, eps, rule, h, nodes)
+        v, wv = kernels._cloud(mol, eps_prime, rule, h, nodes)
+        diffs = seps[:, None, None, :] + u[None, :, None, :] - v[None, None, :, :]
+        r = np.sqrt((diffs ** 2).sum(axis=-1))
+        vals = k_partial(spec, n_levels, r.ravel()).reshape(r.shape)
+        return np.einsum("i,j,mij->m", wu, wv, vals)
+
+    @pytest.mark.parametrize("d,eps,eps_prime,rule,nodes", [
+        (1, 2 ** -4, 2 ** -4, "midpoint", 32),
+        (1, 2 ** -4, 2 ** -5, "midpoint", 32),
+        (1, 0.1, 0.07, "midpoint", 32),
+        (2, 2 ** -3, 2 ** -4, "midpoint", 8),
+        (1, 2 ** -4, 2 ** -5, "grid", 32),
+    ])
+    def test_difference_cloud_matches_all_pairs(self, d, eps, eps_prime,
+                                                rule, nodes):
+        spec = KernelSpec(d=d)
+        mol = Mollifier(d=d)
+        rng = np.random.default_rng(3)
+        seps = np.vstack([np.zeros((1, d)), rng.uniform(-0.4, 0.4, (24, d))])
+        h = 1.0 / 512 if rule == "grid" else None
+        n_levels = exact_level(spec, eps_prime)
+        got = kernels._mollified_of_seps(spec, seps, eps, eps_prime, mol, rule,
+                                         n_levels, h, nodes)
+        want = self._all_pairs(spec, seps, eps, eps_prime, mol, rule,
+                               n_levels, h, nodes)
+        assert np.abs(got - want).max() < 1e-13
+
+    @pytest.mark.parametrize("eps_prime,distinct", [(2 ** -4, 63),
+                                                    (2 ** -5, 94)])
+    def test_midpoint_radii_per_distinct_difference(self, monkeypatch,
+                                                    eps_prime, distinct):
+        # the 32-point clouds at eps = eps' have 63 distinct differences,
+        # and 94 at eps' = eps / 2, of 1024 cloud pairs
+        seen = []
+        inner = kernels.k_partial
+
+        def counted(spec, n, r):
+            seen.append(np.size(r))
+            return inner(spec, n, r)
+
+        monkeypatch.setattr(kernels, "k_partial", counted)
+        grid = Grid.regular((0.0, 1.0), 256)
+        tab = mollified_table(SPEC1, grid, 2 ** -4, eps_prime, rule="midpoint")
+        offsets = len(tab.rows) + len(tab.rows_prime) - 1
+        assert sum(seen) == offsets * distinct
 
 
 class TestExport:

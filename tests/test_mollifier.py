@@ -6,8 +6,8 @@ from scipy.integrate import quad
 
 from logchaos import Grid
 from logchaos.mollifier import (Mollifier, ResolutionError, discrete_stencil,
-                                quad_cloud, shrink_domain, theta, theta_eps,
-                                weight_matrix)
+                                interior_rows, quad_cloud, shrink_domain,
+                                theta, theta_eps, weight_matrix)
 
 
 class TestProfile:
@@ -177,3 +177,32 @@ class TestConvolveGrid:
             sups.append(np.abs(va - vb).max())
         assert sups[-1] < sups[0], f"no decay: {sups}"
         assert sups[-1] < 0.01
+
+    @staticmethod
+    def _offset_loop(grid, mol, eps):
+        # W as built before the band write: one fancy-index add per offset
+        rows = interior_rows(grid, mol, eps)
+        offs, w = discrete_stencil(mol, eps, grid.h)
+        multi = np.stack(np.unravel_index(rows, grid.shape), axis=-1)
+        W = np.zeros((rows.size, grid.n))
+        arange = np.arange(rows.size)
+        for off, wt in zip(offs, w):
+            cols = np.ravel_multi_index(tuple((multi + off).T), grid.shape)
+            W[arange, cols] += wt
+        return rows, W
+
+    @pytest.mark.parametrize("d,n,eps,profile", [
+        (1, 512, 2 ** -4, "bump"),
+        (1, 2048, 2 ** -7, "bump"),
+        (1, 2048, 0.1, "quartic"),
+        (1, 64, 0.3, "bump"),
+        (2, 64, 2 ** -3, "bump"),
+        (2, 96, 0.2, "quartic"),
+    ])
+    def test_band_write_matches_offset_loop(self, d, n, eps, profile):
+        grid = Grid.regular((0.0, 1.0), n, d=d)
+        mol = Mollifier(d=d, profile=profile)
+        rows, W = weight_matrix(grid, mol, eps)
+        rows_o, W_o = self._offset_loop(grid, mol, eps)
+        assert np.array_equal(rows, rows_o)
+        assert np.array_equal(W, W_o)
