@@ -21,8 +21,8 @@ from .phase import (BOUNDARY, L2, LABELS, PHASE_II, PHASE_III, SUBCRITICAL,
                     PhaseError, classify, pick_lambda, scan)
 from .sampler import (FieldSample, NumericError, TiltShift,
                       increment_factors, load_sample, replica_normals,
-                      sample_increments, sample_mollified, save_sample,
-                      tilt_shift_rows)
+                      sample_increments, sample_mollified, sampled_rows,
+                      save_sample, tilt_shift_rows)
 from .verify import (Bench, KernelEstimateReport, LadderReport,
                      MomentEstimate, SupFieldReport, TailBoundReport,
                      TiltedEventReport, cauchy_ladder, field_stats,
@@ -31,7 +31,7 @@ from .verify import (Bench, KernelEstimateReport, LadderReport,
                      second_moment_oracle, sobolev_ladder, sup_field_prob,
                      tail_bound_check, tilted_event_prob, trend_verdict)
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "BOUNDARY", "Bench", "ChaosParams", "ChaosValue", "FieldSample", "Grid",
@@ -47,10 +47,10 @@ __all__ = [
     "mc_moment", "mc_moments", "mollified_table", "mollifier_independence",
     "moment_from_values", "pd_check", "pick_lambda", "q0_for", "q_mollified",
     "q_n", "quad_cloud", "replica_normals", "sample_increments",
-    "sample_mollified", "save_sample", "scan", "second_moment_oracle",
-    "shrink_domain", "sobolev_diag", "sobolev_ladder", "sup_field_prob",
-    "tail_bound_check", "theta", "theta_eps", "tilt_shift_rows",
-    "tilted_event_prob", "trend_verdict", "truncation_indicator",
-    "weight_matrix", "wick_exp_flagged",
+    "sample_mollified", "sampled_rows", "save_sample", "scan",
+    "second_moment_oracle", "shrink_domain", "sobolev_diag", "sobolev_ladder",
+    "sup_field_prob", "tail_bound_check", "theta", "theta_eps",
+    "tilt_shift_rows", "tilted_event_prob", "trend_verdict",
+    "truncation_indicator", "weight_matrix", "wick_exp_flagged",
     "__version__",
 ]

@@ -131,13 +131,15 @@ def truncation_indicator(sample, q, lam, support_idx):
     """Barrier event indicators at the support points of one sample.
 
     A_{q,lam}(x) = [Y_k(x) <= k lam for all k in q..n_max], boundary
-    inclusive.  Returns (per_point bools, global conjunction).
+    inclusive; support_idx are grid rows among those the sample holds.
+    Returns (per_point bools, global conjunction).
     """
     if q > sample.n_max:
         raise ValueError(f"q={q} exceeds n_max={sample.n_max}")
     if q < 1:
         raise ValueError("q must be >= 1")
-    below = barrier_below(sample.z[:, :, None], np.asarray(support_idx), lam)
+    below = barrier_below(sample.z[:, :, None],
+                          np.asarray(support_idx) - sample.lo, lam)
     ok = below[q:, :, 0].all(axis=0)
     return ok, bool(ok.all())
 

@@ -1,10 +1,10 @@
 """Config-driven experiment runner.
 
 One experiment per run directory: manifest.json (config, resolved
-parameters, code version, output hashes), one CSV per table, one SVG per
-plot, verdicts.json with the pass/fail gates.  Replays re-execute a
-manifest's config and compare CSV bytes; the fixed-order block reductions
-make those bytes independent of the worker count.
+parameters, code version, numeric environment, output hashes), one CSV per
+table, one SVG per plot, verdicts.json with the pass/fail gates.  Replays
+re-execute a manifest's config and compare CSV bytes; the fixed-order
+block reductions make those bytes independent of the worker count.
 """
 
 from __future__ import annotations
@@ -15,12 +15,14 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, _svg, kernels, phase, verify
 from .chaos import ChaosParams, bump_function, q0_for
@@ -661,6 +663,22 @@ def sha256_file(path):
     return h.hexdigest()
 
 
+def environment(workers):
+    """The numeric environment of a run, for the manifest; replay compares
+    CSV hashes only and never reads it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy < 1.26 prints and returns None
+        blas = None
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": blas,
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "cpu_count": os.cpu_count(),
+            "cpu": platform.processor() or platform.machine(),
+            "workers": workers}
+
+
 def execute(cfg, out_dir, workers):
     """Plan, then run one config into out_dir; returns (verdicts, manifest).
     A config the plan rejects raises ConfigError before anything is written."""
@@ -683,6 +701,7 @@ def execute(cfg, out_dir, workers):
         "resolved": resolved,
         "csv_sha256": csv_hashes,
         "svg_files": sorted(plots),
+        "environment": environment(workers),
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

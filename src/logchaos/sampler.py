@@ -7,15 +7,17 @@ standard normals from the one counter-based stream
 block index, factors): results are identical for any worker count and any
 total replica budget, which is what the replay contract requires.
 
-Each level Q_n has compact support, so on a regular d=1 grid its Gram is a
-banded Toeplitz matrix that embeds exactly in a circulant on any torus of
-M >= N + bandwidth + 1 points, with a nonnegative DFT because the
-periodized Q_n is positive definite (Dietrich & Newsam 1997; Wood & Chan
-1994).  A block scales complex normals of shape (M, BLOCK/2) by
-sqrt(lambda / M) and takes one FFT (pocketfft, outside BLAS): the first N
-real parts are replicas 0-15, the imaginary parts replicas 16-31, two
-independent exact draws.  Free point sets use a small dense Cholesky
-factor in the same block_z.
+A draw holds the W grid rows lo..hi a test function f can read
+(sampled_rows; all N rows without f).  Each level Q_n is stationary with
+compact support, so on a regular d=1 grid its Gram on W consecutive rows
+is banded Toeplitz and embeds exactly in a circulant on any torus of M >=
+W + bandwidth + 1 points, with a nonnegative DFT because the periodized
+Q_n is positive definite (Dietrich & Newsam 1997; Wood & Chan 1994).  A
+block scales complex normals of shape (M, BLOCK/2) by sqrt(lambda / M)
+and takes one FFT (pocketfft, outside BLAS): the first W real parts are
+replicas 0-15, the imaginary parts replicas 16-31, two independent exact
+draws.  Free point sets use a small dense Cholesky factor in the same
+block_z.
 """
 
 from __future__ import annotations
@@ -40,13 +42,14 @@ class NumericError(RuntimeError):
 
 
 class LevelFactor(NamedTuple):
-    """One level's square root and the safety net it used: sqrt(lambda / M)
-    of its circulant on an M-point torus with net the smallest eigenvalue
-    over the largest, or a dense lower Cholesky factor with net the
-    diagonal jitter it needed (0.0 when none)."""
+    """One level's square root, the safety net it used and the rows it
+    samples: sqrt(lambda / M) of its circulant on an M-point torus with net
+    the smallest eigenvalue over the largest, or a dense lower Cholesky
+    factor with net the diagonal jitter it needed (0.0 when none)."""
 
     root: np.ndarray
     net: float
+    rows: int
 
     @property
     def embedded(self):
@@ -54,7 +57,8 @@ class LevelFactor(NamedTuple):
 
 
 def circulant_root(row, name="kernel"):
-    """Square root of the circulant whose first row is row, as sqrt(lambda / M).
+    """Square root of the circulant whose first row is row, as sqrt(lambda / M),
+    sampling all M points of its torus.
 
     Eigenvalues above -1e-12 * lambda_max count as rounding and are clipped
     at zero; a more negative one raises NumericError naming the kernel.
@@ -64,7 +68,8 @@ def circulant_root(row, name="kernel"):
     if ratio < -1e-12:
         raise NumericError(f"circulant embedding of {name} is not positive "
                            f"semidefinite: eigenvalue ratio {ratio:.3g}")
-    return LevelFactor(np.sqrt(np.maximum(lam, 0.0) / row.size), ratio)
+    return LevelFactor(np.sqrt(np.maximum(lam, 0.0) / row.size), ratio,
+                       row.size)
 
 
 def free_cholesky(mat, name="kernel"):
@@ -78,12 +83,12 @@ def free_cholesky(mat, name="kernel"):
     n = mat.shape[0]
     tr = float(np.trace(mat))
     if tr == 0.0 and not mat.any():
-        return LevelFactor(np.zeros_like(mat), 0.0)
+        return LevelFactor(np.zeros_like(mat), 0.0, n)
     base = 1e-10 * tr / n
     for jitter in (0.0, base, base * 10.0, base * 10.0 * 10.0):
         try:
             return LevelFactor(np.linalg.cholesky(mat + jitter * np.eye(n)),
-                               jitter)
+                               jitter, n)
         except np.linalg.LinAlgError:
             continue
     raise NumericError(f"cholesky failed for {name} after jitter escalation")
@@ -109,9 +114,9 @@ class TiltShift:
 class FieldSample:
     """One replica of the coupled field hierarchy on a grid.
 
-    z[k] holds the level-k increment values on the grid (row 0 is the Q_0
-    common mode, zero when q0_kind is "zero"); partial sums and mollified
-    fields are derived views of the same draw.
+    z[k] holds the level-k increment values on grid rows lo, lo + 1, ...
+    (row 0 is the Q_0 common mode, zero when q0_kind is "zero"); partial
+    sums and mollified fields are derived views of the same draw.
     """
 
     spec: kernels.KernelSpec
@@ -120,6 +125,7 @@ class FieldSample:
     replica: int
     n_max: int
     z: np.ndarray = field(repr=False)
+    lo: int = 0
     tilt: TiltShift | None = None
     mol_profile: str | None = None
     mollified: dict = field(default_factory=dict, repr=False)
@@ -132,28 +138,47 @@ class FieldSample:
         return self.z[: n + 1].sum(axis=0)
 
 
-def increment_factors(spec, grid, n_max):
+def sampled_rows(grid, f=None):
+    """(lo, hi): the first and last grid row a draw for test function f holds.
+
+    f is only read at eps < m / 2 (supp(f) inside D_eps, m the distance
+    from supp(f) to the box boundary), where a convolution reaches floor(eps
+    / h) rows; so the rows are supp(f) widened by floor(m / 2h) each side,
+    whatever the eps.  All N rows without f, on free points or d=2 grids.
+    """
+    if f is None or not np.any(f) or grid.h is None or grid.d != 1:
+        return 0, grid.n - 1
+    supp = np.flatnonzero(f)
+    lo, hi = grid.box
+    margin = min(grid.points[supp[0], 0] - lo, hi - grid.points[supp[-1], 0])
+    reach = math.floor(margin / (2.0 * grid.h))
+    return max(int(supp[0]) - reach, 0), min(int(supp[-1]) + reach, grid.n - 1)
+
+
+def increment_factors(spec, grid, n_max, rows=None):
     """Square roots of levels 1..n_max plus the Q_0 amplitude.
 
     Returns (q0_amp, [LevelFactor_1, ..., LevelFactor_n_max]); q0_amp is
     sqrt(q0_const) for the constant smooth part and 0.0 otherwise.  A
-    regular d=1 grid embeds level k in a circulant on the smallest 5-smooth
-    torus with M >= N + bandwidth + 1 points, its row evaluated by
-    kernels.lattice_row; no Gram is built.  Any other point set factors the
-    dense level Gram with free_cholesky.
+    regular d=1 grid embeds level k, on rows consecutive rows (default N),
+    in a circulant on the smallest 5-smooth torus with M >= rows +
+    bandwidth + 1 points, its row evaluated by kernels.lattice_row; no Gram
+    is built.  Any other point set factors the dense level Gram of all N
+    points with free_cholesky.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    rows = grid.n if rows is None else int(rows)
     factors = []
     for k in range(1, n_max + 1):
         if grid.h is not None and grid.d == 1:
             # offsets beyond floor(support / h) lie outside the support;
             # next_fast_len(n, real=True) is the smallest 5-smooth m >= n
             band = math.floor(math.exp(-(spec.t0 + k)) / grid.h)
-            m = next_fast_len(grid.n + band + 1, True)
+            m = next_fast_len(rows + band + 1, True)
             o = np.arange(m)
             row = kernels.lattice_row(spec, [k], grid.h, np.minimum(o, m - o))
-            factors.append(circulant_root(row, name=f"Q_{k}"))
+            factors.append(circulant_root(row, f"Q_{k}")._replace(rows=rows))
         else:
             factors.append(free_cholesky(kernels.gram(spec, k, grid),
                                          name=f"Q_{k}"))
@@ -194,17 +219,18 @@ def tilt_shift_rows(spec, grid, tilt, n_max, mol, nodes=32):
 
 
 def block_z(spec, grid, factors, seed, block_start, n_max, shifts=None):
-    """Increment stack for one replica block: shape (n_max+1, N, BLOCK).
+    """Increment stack for one replica block: shape (n_max+1, W, BLOCK).
 
-    Column j belongs to replica block_start + j.  This is the only code path
-    that touches the RNG or the factors, for samples and benches alike.  An
-    embedded level reads its (M, BLOCK) panel as complex normals of shape
-    (M, BLOCK/2) and takes one FFT along the lattice axis: the first N real
-    parts fill columns 0..BLOCK/2-1, the imaginary parts the rest.
+    W = LevelFactor.rows of the factors.  Column j belongs to replica
+    block_start + j.  This is the only code path that touches the RNG or
+    the factors, for samples and benches alike.  An embedded level reads
+    its (M, BLOCK) panel as complex normals of shape (M, BLOCK/2) and takes
+    one FFT along the lattice axis: the first W real parts fill columns
+    0..BLOCK/2-1, the imaginary parts the rest.
     """
     q0_amp, levels = factors
+    n, half = levels[0].rows, BLOCK // 2
     levels = levels[:n_max]
-    n, half = grid.n, BLOCK // 2
     xi0, panels = replica_normals(seed, block_start,
                                   [level.root.shape[0] for level in levels])
     z = np.empty((n_max + 1, n, BLOCK))
@@ -221,17 +247,20 @@ def block_z(spec, grid, factors, seed, block_start, n_max, shifts=None):
     return z
 
 
-def sample_increments(spec, grid, n_max, seed, replicas=1, mol=None, tilt=None):
+def sample_increments(spec, grid, n_max, seed, replicas=1, mol=None, tilt=None,
+                      f=None):
     """Generate FieldSample objects for replicas 0..replicas-1.
 
-    Factors are computed once; each replica is extracted from its block so
-    the draw agrees byte-for-byte with any batched run using the same seed.
+    Each holds the sampled_rows(grid, f).  Factors are computed once; each
+    replica is extracted from its block so the draw agrees byte-for-byte
+    with any Bench of the same f using the same seed.
     """
     mol = mol if mol is not None else Mollifier(d=spec.d)
-    factors = increment_factors(spec, grid, n_max)
+    lo, hi = sampled_rows(grid, f)
+    factors = increment_factors(spec, grid, n_max, hi - lo + 1)
     shifts = None
     if tilt is not None and tilt.alpha != 0.0:
-        shifts = tilt_shift_rows(spec, grid, tilt, n_max, mol)
+        shifts = tilt_shift_rows(spec, grid, tilt, n_max, mol)[:, lo:hi + 1]
     cache_start, cache = -1, None
     for r in range(replicas):
         start = (r // BLOCK) * BLOCK
@@ -239,16 +268,17 @@ def sample_increments(spec, grid, n_max, seed, replicas=1, mol=None, tilt=None):
             cache = block_z(spec, grid, factors, seed, start, n_max, shifts)
             cache_start = start
         yield FieldSample(spec=spec, grid=grid, seed=seed, replica=r,
-                          n_max=n_max, z=cache[:, :, r - start].copy(),
+                          n_max=n_max, z=cache[:, :, r - start].copy(), lo=lo,
                           tilt=tilt, mol_profile=mol.profile)
 
 
 def sample_mollified(sample, eps_list, mol=None):
     """Attach mollified fields X_eps = W_eps Y_{n_max} for each requested eps.
 
-    The truncation at n_max is covariance-exact at resolved separations
-    because higher levels are supported below the grid scale; the
-    precondition n_max >= ceil(log(1/eps_min)) + 2 enforces that.
+    Kept on the D_eps rows whose stencil lies in the sample's rows.  The
+    truncation at n_max is covariance-exact at resolved separations because
+    higher levels are supported below the grid scale; the precondition
+    n_max >= ceil(log(1/eps_min)) + 2 enforces that.
     """
     mol = mol if mol is not None else Mollifier(d=sample.spec.d)
     eps_min = min(eps_list)
@@ -256,10 +286,12 @@ def sample_mollified(sample, eps_list, mol=None):
     if sample.n_max < need:
         raise ValueError(f"n_max={sample.n_max} < {need} required for eps={eps_min}")
     y_top = sample.y(sample.n_max)
+    lo, end = sample.lo, sample.lo + y_top.shape[0]
     for eps in eps_list:
         rows, w = weight_matrix(sample.grid, mol, eps)
-        sample.mollified[eps] = w @ y_top
-        sample.mollified_rows[eps] = rows
+        keep = ~(w[:, :lo].any(axis=1) | w[:, end:].any(axis=1))
+        sample.mollified[eps] = w[keep, lo:end] @ y_top
+        sample.mollified_rows[eps] = rows[keep]
     sample.mol_profile = mol.profile
     return sample
 
@@ -281,6 +313,7 @@ def save_sample(sample, path):
         "grid_hash": sample.grid.digest(),
         "eps_list": sorted(float(e) for e in sample.mollified),
         "n_max": int(sample.n_max),
+        "rows": [int(sample.lo), int(sample.lo + sample.z.shape[1] - 1)],
         "tilt": tilt,
         "mol_profile": sample.mol_profile,
     }
@@ -302,7 +335,7 @@ def load_sample(path, spec, grid):
         tilt = TiltShift(**manifest["tilt"])
     sample = FieldSample(spec=spec, grid=grid, seed=manifest["seed"],
                          replica=manifest["replica"], n_max=manifest["n_max"],
-                         z=data["z"], tilt=tilt,
+                         z=data["z"], lo=manifest["rows"][0], tilt=tilt,
                          mol_profile=manifest["mol_profile"])
     for eps in manifest["eps_list"]:
         sample.mollified[eps] = data[f"x_{eps!r}"]

@@ -30,7 +30,7 @@ from .grids import Grid
 from .mollifier import Mollifier, weight_matrix
 from .phase import PhaseError
 from .sampler import (BLOCK, TiltShift, block_z, increment_factors,
-                      tilt_shift_rows)
+                      sampled_rows, tilt_shift_rows)
 
 ENV_WORKERS = "LOGCHAOS_WORKERS"
 
@@ -180,14 +180,16 @@ def ladder_from_values(estimator, steps, values, keep=None):
 class Bench:
     """Shared immutable state for block-deterministic Monte Carlo runs.
 
-    One Bench per (spec, grid, n_max).  It holds the level factors (one
-    circulant embedding per level on a regular d=1 grid) and, on such a
-    grid, the summed stationary row Q_0 + sum_k Q_k at offsets 0..N-1,
-    from which g_total indexes any block of the summed level Gram by
-    |i - j|.  The convolution weights of the support rows, cut to their
-    nonzero column window, and the kernel-table diagonals are cached per
-    (mollifier channel, eps); every grid-rule kernel quantity is a couple
-    of matrix products against the Gram block the window touches.
+    One Bench per (spec, grid, n_max, f).  Blocks hold the grid rows lo..hi
+    that f can read (sampler.sampled_rows), z row i being grid row lo + i.
+    It holds the level factors (one circulant embedding per level on a
+    regular d=1 grid) and, on such a grid, the summed stationary row Q_0 +
+    sum_k Q_k at offsets 0..N-1, from which g_total indexes any block of
+    the summed level Gram by |i - j|.  The convolution weights of the
+    support rows, cut to their nonzero column window, and the kernel-table
+    diagonals are cached per (mollifier channel, eps); every grid-rule
+    kernel quantity is a couple of matrix products against the Gram block
+    the window touches.
     """
 
     def __init__(self, spec, grid, n_max, f=None, mol=None):
@@ -195,7 +197,9 @@ class Bench:
         self.grid = grid
         self.n_max = int(n_max)
         self.f = None if f is None else np.asarray(f, dtype=float)
-        self.factors = increment_factors(spec, grid, n_max)
+        self.lo, self.hi = sampled_rows(grid, self.f)
+        self.factors = increment_factors(spec, grid, n_max,
+                                         self.hi - self.lo + 1)
         self.g_row = None if grid.h is None or grid.d != 1 else (
             spec.q0_value + kernels.lattice_row(
                 spec, range(1, self.n_max + 1), grid.h, np.arange(grid.n)))
@@ -211,14 +215,16 @@ class Bench:
         if tilt is None or tilt.alpha == 0.0:
             self.shifts = None
         else:
-            self.shifts = tilt_shift_rows(self.spec, self.grid, tilt,
-                                          self.n_max, self.channels["main"],
-                                          nodes=nodes)
+            self.shifts = tilt_shift_rows(
+                self.spec, self.grid, tilt, self.n_max, self.channels["main"],
+                nodes=nodes)[:, self.lo:self.hi + 1]
 
     def supp_tables(self, channel, eps):
         """(W_win, k_diag_supp, cols) on the test-function support rows:
         the support's weight rows on cols, the column window where they are
-        nonzero, so the mollified field there is W_win @ y[cols]."""
+        nonzero, so the mollified field there is W_win @ y[cols].  cols
+        count from the first sampled row lo, as z's rows do; a window that
+        leaves the sampled rows raises ValueError."""
         key = (channel, float(eps))
         if key not in self._supp_tables:
             if self.supp is None:
@@ -231,6 +237,10 @@ class Bench:
             live = np.flatnonzero(w_supp.any(axis=0))
             cols = np.arange(live[0], live[-1] + 1)
             ws = w_supp[:, cols]
+            cols -= self.lo
+            if cols[0] < 0 or cols[-1] > self.hi - self.lo:
+                raise ValueError(f"convolution at eps={eps} reads outside "
+                                 "the sampled rows")
             k_diag = np.einsum("ij,jk,ik->i", ws, self.g_total(cols, cols),
                                ws, optimize=True)
             self._supp_tables[key] = (ws, k_diag, cols)
@@ -238,12 +248,18 @@ class Bench:
 
     @property
     def safety_net(self):
-        """Per-level safety net, as the resolved block records it:
-        embedding_min_ratio (smallest eigenvalue over the largest) for
-        circulant embeddings, cholesky_jitter (0.0 if none) otherwise."""
+        """Sampled rows [lo, hi] and per-level safety net, as the resolved
+        block records them: embedding_min_ratio (smallest eigenvalue over
+        the largest) and torus_points for circulant embeddings,
+        cholesky_jitter (0.0 if none) otherwise."""
         levels = self.factors[1]
-        key = "embedding_min_ratio" if levels[0].embedded else "cholesky_jitter"
-        return {key: [level.net for level in levels]}
+        net = {"sampled_rows": [self.lo, self.hi]}
+        if levels[0].embedded:
+            net["embedding_min_ratio"] = [level.net for level in levels]
+            net["torus_points"] = [level.root.size for level in levels]
+        else:
+            net["cholesky_jitter"] = [level.net for level in levels]
+        return net
 
     def g_total(self, rows, cols):
         """Dense block [rows, cols] of the summed level Gram."""
@@ -313,12 +329,13 @@ def _block_densities(bench, gammas, keys, trunc):
     """
     tabs = [bench.supp_tables(channel, eps) for channel, eps in keys]
     f_supp = bench.f[bench.supp]
+    supp = bench.supp - bench.lo
 
     def densities(z):
         event = None
         if trunc is not None:
             q, lam = trunc
-            event = barrier_below(z, bench.supp, lam)[q:].all(axis=0)
+            event = barrier_below(z, supp, lam)[q:].all(axis=0)
         cells = [[] for _ in gammas]
         y_top = z.sum(axis=0) if tabs else None
         for w_win, k_diag, cols in tabs:
@@ -661,7 +678,7 @@ def sup_field_prob(bench, lam, ks, qs, replicas, seed, workers=None):
     qs = [int(q) for q in qs]
     if max(ks + qs) > bench.n_max:
         raise ValueError("k or q ladder exceeds n_max")
-    supp = bench.supp
+    supp = bench.supp - bench.lo
 
     def consume(start, z):
         below = barrier_below(z, supp, lam)
@@ -754,13 +771,13 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
     wa, _, ca = bench.supp_tables("main", eps)
     wb, _, cb = bench.supp_tables("main", eps_prime)
     cross = bench.cross_table("main", eps, "main", eps_prime)
-    s = bench.supp.size
+    s, supp = bench.supp.size, bench.supp - bench.lo
     probes = np.stack([rng.integers(0, s, n_probes),
                        rng.integers(0, s, n_probes)])
     mid = s // 2
 
     def consume(start, z):
-        ysum = np.cumsum(z[:, bench.supp, :], axis=0)
+        ysum = np.cumsum(z[:, supp, :], axis=0)
         var_rows = np.stack([ysum[n][mid] ** 2 for n in ns])
         y_top = z.sum(axis=0)
         xa = wa @ y_top[ca[0]:ca[-1] + 1]

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from logchaos.cli import (ConfigError, load_config, main, plan, run_id_of,
@@ -394,6 +395,60 @@ class TestReplay:
         p.write_text(json.dumps({"tool": "other", "config": {}}))
         assert main(["replay", str(p)]) == 2
         assert "not a logchaos run manifest" in capsys.readouterr().err
+
+
+class TestRunRecord:
+    """What a manifest records beside the hashed CSVs: the sampled rows, the
+    torus sizes and the numeric environment.  Replay reads none of them."""
+
+    def replay_tampered(self, tmp_path, capsys, doc):
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["replay", str(tampered), "--out", str(tmp_path / "r")])
+        assert code == 0
+        assert "replay verified" in capsys.readouterr().out
+
+    def test_cauchy_records_sampled_rows(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", cfg_file(tmp_path, CAUCHY_FAIL_CFG),
+                     "--out", str(out)]) == 1
+        doc = json.loads((out / "manifest.json").read_text())
+        resolved = doc["resolved"]
+        # f = bump(0.5, 0.2) on 64 points is nonzero on rows 19..44, 19.5
+        # rows from the boundary, so floor(19.5 / 2) = 9 rows on each side
+        assert resolved["sampled_rows"] == [10, 53]
+        torus = resolved["torus_points"]
+        assert len(torus) == len(resolved["embedding_min_ratio"]) == \
+            resolved["n_max"]
+        assert all(m >= 44 + 1 for m in torus)
+        assert torus == sorted(torus, reverse=True)
+        csvs = sorted(p.name for p in out.glob("*.csv"))
+        assert sorted(doc["csv_sha256"]) == csvs
+        for name in csvs:
+            text = (out / name).read_text()
+            assert "sampled_rows" not in text and "torus_points" not in text
+        doc["resolved"] = dict(resolved, sampled_rows=[0, 63],
+                               torus_points=[1] * len(torus))
+        self.replay_tampered(tmp_path, capsys, doc)
+
+    def test_environment_outside_hashes(self, tmp_path, capsys):
+        p = cfg_file(tmp_path, MOM0_CFG)
+        docs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert main(["--workers", str(workers), "run", p,
+                         "--out", str(out)]) == 0
+            docs.append(json.loads((out / "manifest.json").read_text()))
+        env = docs[0]["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas",
+                            "openblas_num_threads", "cpu_count", "cpu",
+                            "workers"}
+        assert env["numpy"] == np.__version__ and env["workers"] == 1
+        assert docs[1]["environment"]["workers"] == 2
+        assert docs[0]["csv_sha256"] == docs[1]["csv_sha256"]
+        self.replay_tampered(tmp_path, capsys,
+                             dict(docs[0], environment={"numpy": "0.0"}))
 
 
 class TestListEntries:

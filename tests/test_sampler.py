@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from logchaos import (Grid, KernelSpec, Mollifier, NumericError, TiltShift,
-                      gram, increment_factors, load_sample, mollified_table,
-                      replica_normals, sample_increments, sample_mollified,
+from logchaos import (Bench, Grid, KernelSpec, Mollifier, NumericError,
+                      TiltShift, bump_function, gram, increment_factors,
+                      load_sample, mollified_table, replica_normals,
+                      sample_increments, sample_mollified, sampled_rows,
                       save_sample, tilt_shift_rows)
+from logchaos.kernels import lattice_row
+from logchaos.mollifier import discrete_stencil, weight_matrix
 from logchaos.sampler import (BLOCK, block_z, circulant_root, free_cholesky)
 
 SPEC = KernelSpec(d=1)
@@ -124,7 +127,7 @@ class TestMollifiedFields:
         mol = Mollifier(d=1)
         s = next(sample_increments(SPEC, GRID, 7, seed=12))
         sample_mollified(s, [2 ** -4, 2 ** -3], mol=mol)
-        from logchaos.mollifier import weight_matrix
+        from logchaos.mollifier import discrete_stencil, weight_matrix
         rows, w = weight_matrix(GRID, mol, 2 ** -4)
         assert np.allclose(s.mollified[2 ** -4], w @ s.y(7), atol=1e-12)
         assert np.array_equal(s.mollified_rows[2 ** -4], rows)
@@ -299,6 +302,77 @@ class TestBandedEngine:
         assert zero.net == 0.0 and not zero.root.any()
 
 
+class TestSampledWindow:
+    """A draw for a test function f holds only the rows f can read: supp(f)
+    widened by floor(m / 2h), m the distance from supp(f) to the boundary."""
+
+    # (grid_n, f radius, window, torus points per level) at f center 0.5:
+    # the ladder-2048 and moments-128 benchmark geometries
+    CASES = [(2048, 0.05, (461, 1586),
+              [1920, 1440, 1250, 1200, 1152, 1152, 1152, 1152]),
+             (128, 0.2, (19, 108), [144, 108, 100, 96, 96, 96, 96, 96])]
+
+    @pytest.mark.parametrize("n,radius,window,torus", CASES)
+    def test_embedding_reproduces_lattice_row(self, n, radius, window, torus):
+        grid = Grid.regular((0.0, 1.0), n)
+        f = bump_function(grid, center=0.5, radius=radius)
+        lo, hi = sampled_rows(grid, f)
+        assert (lo, hi) == window
+        w = hi - lo + 1
+        _, levels = increment_factors(SPEC, grid, 8, w)
+        assert [lv.root.size for lv in levels] == torus
+        for k, level in enumerate(levels, start=1):
+            assert level.rows == w and level.net > 0.0, f"level {k}"
+            row = np.fft.ifft(level.root.size * level.root ** 2).real
+            ref = lattice_row(SPEC, [k], grid.h, np.arange(w))
+            assert np.abs(row[:w] - ref).max() <= 1e-12 * ref[0], f"level {k}"
+
+    def test_full_grid_without_window(self):
+        # no f, a free point set or a d=2 grid: all N rows
+        f = bump_function(GRID, center=0.5, radius=0.1)
+        assert sampled_rows(GRID) == (0, GRID.n - 1)
+        assert sampled_rows(GRID, np.zeros(GRID.n)) == (0, GRID.n - 1)
+        free = Grid.from_points(GRID.points, (0.0, 1.0))
+        assert sampled_rows(free, f) == (0, GRID.n - 1)
+        plane = Grid.regular((0.0, 1.0), 16, d=2)
+        f2 = bump_function(plane, center=[0.5, 0.5], radius=0.2)
+        assert sampled_rows(plane, f2) == (0, plane.n - 1)
+
+    @pytest.mark.parametrize("tilted", [False, True])
+    def test_sample_matches_bench_block(self, tilted):
+        # the single-replica API draws the Bench's rows, bit for bit
+        grid = Grid.regular((0.0, 1.0), 256)
+        f = bump_function(grid, center=0.4, radius=0.1)
+        t = TiltShift(x=0.38, y=0.42, eps=2 ** -4, eps_prime=2 ** -4,
+                      alpha=0.8 if tilted else 0.0)
+        bench = Bench(SPEC, grid, 6, f=f)
+        bench.set_tilt(t)
+        (z,) = bench.map_blocks(17, 40, lambda start, zb: (zb,))
+        samples = list(sample_increments(SPEC, grid, 6, 17, 40, tilt=t, f=f))
+        assert samples[0].lo == bench.lo
+        assert np.array_equal(np.stack([s.z for s in samples], axis=-1), z)
+
+    def test_mollified_rows_inside_window(self):
+        # X_eps is kept exactly on the D_eps rows whose stencil stays in the
+        # sampled rows, with the values W @ y there
+        mol = Mollifier(d=1)
+        f = bump_function(GRID, center=0.5, radius=0.2)
+        s = next(sample_increments(SPEC, GRID, 7, seed=12, f=f))
+        lo, hi = sampled_rows(GRID, f)
+        assert s.lo == lo and s.z.shape == (8, hi - lo + 1)
+        sample_mollified(s, [2 ** -4, 2 ** -3], mol=mol)
+        padded = np.zeros(GRID.n)
+        padded[lo:hi + 1] = s.y(7)
+        for eps in (2 ** -4, 2 ** -3):
+            reach = np.abs(discrete_stencil(mol, eps, GRID.h)[0]).max()
+            rows, w = weight_matrix(GRID, mol, eps)
+            kept = (rows - reach >= lo) & (rows + reach <= hi)
+            assert np.array_equal(s.mollified_rows[eps], rows[kept])
+            ref = w[kept] @ padded
+            assert np.abs(s.mollified[eps] - ref).max() < 1e-12
+            assert np.all(np.isin(np.flatnonzero(f), rows[kept]))
+
+
 class TestRoundTrip:
     def test_save_load(self, tmp_path):
         s = next(sample_increments(SPEC, GRID, 6, seed=30))
@@ -309,6 +383,18 @@ class TestRoundTrip:
         assert np.array_equal(back.z, s.z)
         assert np.array_equal(back.mollified[2 ** -3], s.mollified[2 ** -3])
         assert back.n_max == s.n_max
+
+    def test_save_load_window(self, tmp_path):
+        f = bump_function(GRID, center=0.5, radius=0.2)
+        s = next(sample_increments(SPEC, GRID, 6, seed=30, f=f))
+        sample_mollified(s, [2 ** -3])
+        path = tmp_path / "sample"
+        save_sample(s, path)
+        back = load_sample(path, SPEC, GRID)
+        assert back.lo == s.lo > 0
+        assert np.array_equal(back.z, s.z)
+        assert np.array_equal(back.mollified_rows[2 ** -3],
+                              s.mollified_rows[2 ** -3])
 
     def test_grid_mismatch_rejected(self, tmp_path):
         s = next(sample_increments(SPEC, GRID, 4, seed=31))

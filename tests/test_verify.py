@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
                       PhaseError, bump_function, cauchy_ladder, chaos_integral,
@@ -11,7 +12,7 @@ from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
                       mollifier_independence, sample_increments,
                       sample_mollified, second_moment_oracle, sobolev_ladder,
                       sup_field_prob, tail_bound_check, tilted_event_prob,
-                      trend_verdict)
+                      trend_verdict, weight_matrix)
 
 SPEC = KernelSpec(d=1)
 GRID = Grid.regular((0.0, 1.0), 128)
@@ -158,6 +159,63 @@ class TestBench:
         assert np.abs(wa - wb).max() > 1e-3, "profiles must differ"
 
 
+class TestSampledWindow:
+    """Bench blocks hold only the rows f can read (sampler.sampled_rows)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([64, 128, 256]),
+           center=st.floats(0.05, 0.95), radius=st.floats(0.005, 0.45),
+           frac=st.floats(0.0, 1.0))
+    def test_support_columns_inside_window(self, n, center, radius, frac):
+        # every eps the program admits for f (h <= eps/4 and supp(f) in
+        # D_eps) convolves only sampled rows, up to the largest such eps
+        grid = Grid.regular((0.0, 1.0), n)
+        f = bump_function(grid, center=center, radius=radius)
+        supp = np.flatnonzero(f)
+        assume(supp.size > 0)
+        pts = grid.points[supp, 0]
+        half = min(pts.min(), 1.0 - pts.max()) / 2.0
+        cands = [2.0 ** -k for k in range(1, 9)]
+        cands += [np.nextafter(half, 0.0),
+                  4.0 * grid.h + frac * (half - 4.0 * grid.h)]
+        admitted = [e for e in cands if grid.h <= e / 4.0 and 0.0 < e <= 1.0
+                    and np.isin(supp, grid.interior_idx(2.0 * e)).all()]
+        bench = Bench(SPEC, grid, 2, f=f)
+        lo, hi = bench.safety_net["sampled_rows"]
+        for eps in admitted:
+            _, w = weight_matrix(grid, Mollifier(d=1), eps)
+            rows = grid.interior_idx(2.0 * eps)
+            live = np.flatnonzero(w[np.isin(rows, supp)].any(axis=0))
+            assert lo <= live[0] and live[-1] <= hi, f"eps={eps}"
+            _, _, cols = bench.supp_tables("main", eps)
+            assert 0 <= cols[0] and cols[-1] <= hi - lo, f"eps={eps}"
+
+    def test_window_leak_raises(self, monkeypatch):
+        # a window narrower than the stencil reach is refused, not read
+        from logchaos import verify
+        monkeypatch.setattr(verify, "sampled_rows", lambda grid, f: (
+            int(np.flatnonzero(f)[0]), int(np.flatnonzero(f)[-1])))
+        with pytest.raises(ValueError, match="outside the sampled rows"):
+            small_bench().supp_tables("main", 2 ** -4)
+
+    def test_draw_independent_of_ladder(self):
+        # the rows depend on f and the grid alone, so two runs over ladders
+        # 2^-3..2^-7 and 2^-4..2^-7 draw the same blocks and share cells
+        grid = Grid.regular((0.0, 1.0), 512)
+        f = bump_function(grid, center=0.5, radius=0.05)
+        params = ChaosParams(f=f, gamma=0.6)
+        blocks, reps = [], []
+        for ladder in ([2.0 ** -k for k in range(3, 8)],
+                       [2.0 ** -k for k in range(4, 8)]):
+            bench = Bench(SPEC, grid, 8, f=f)
+            reps.append(cauchy_ladder(bench, params, ladder, replicas=64,
+                                      seed=4))
+            blocks.append(bench.map_blocks(4, 64, lambda start, z: (z,))[0])
+        assert np.array_equal(blocks[0], blocks[1])
+        assert reps[0].values[1:] == reps[1].values
+        assert reps[0].diff_ses[1:] == reps[1].diff_ses
+
+
 class TestEngineAgreement:
     """The single-replica API against the block engine, replica by replica."""
 
@@ -165,12 +223,17 @@ class TestEngineAgreement:
     N_MAX = 7
 
     def samples(self, seed, replicas):
-        for s in sample_increments(SPEC, GRID, self.N_MAX, seed, replicas):
+        # f=F: the rows a Bench with test function F samples
+        for s in sample_increments(SPEC, GRID, self.N_MAX, seed, replicas,
+                                   f=F):
             yield sample_mollified(s, [self.EPS])
 
     def k_diag(self):
-        return mollified_table(SPEC, GRID, self.EPS, rule="grid",
-                               n_levels=self.N_MAX).diag()
+        # the variance table on the D_eps rows the samples keep
+        table = mollified_table(SPEC, GRID, self.EPS, rule="grid",
+                                n_levels=self.N_MAX)
+        rows = next(self.samples(0, 1)).mollified_rows[self.EPS]
+        return table.diag()[np.isin(table.rows, rows)]
 
     @pytest.mark.parametrize("trunc", [None, (2, 1.6)])
     def test_mean_matches_chaos_integral(self, trunc):
