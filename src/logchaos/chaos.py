@@ -81,15 +81,20 @@ def wick_exp_flagged(u, z, v):
     return np.where(mask, 0.0, vals), mask
 
 
-def barrier_below(z, rows, lam):
-    """below[k] = [Y_k <= k lam] on the given rows of a (levels, N, B) block.
+def barrier_below(z, rows, lam, tops=None):
+    """below[i] = [Y_k <= k lam], k = tops[i], on the given rows of a
+    (slabs, N, B) block.
 
-    Y_k = Z_0 + ... + Z_k is the partial sum, accumulated in level order;
-    the boundary is inclusive.  The barrier event A_{q,lam} at a point is
-    below[q:].all(axis=0).  This is the only barrier evaluator.
+    Slab i sums the levels after tops[i - 1] through its top level tops[i]
+    (default: one slab per level 0, 1, ...), so the cumsum over slabs is
+    the partial sum Y_k, accumulated in level order; the boundary is
+    inclusive.  The barrier event A_{q,lam} at a point is below[i:].all(
+    axis=0), i the slab whose top is q.  This is the only barrier
+    evaluator.
     """
+    tops = np.arange(z.shape[0]) if tops is None else np.asarray(tops)
     y = np.cumsum(z[:, rows, :], axis=0)
-    return y <= lam * np.arange(z.shape[0])[:, None, None]
+    return y <= lam * tops[:, None, None]
 
 
 def chaos_density(u, x, v, f, event=None):

@@ -343,7 +343,7 @@ def plan_field_stats(cfg):
                      "n_max": n_max})
 
     def run(workers, run_id):
-        bench = verify.Bench(spec, grid, n_max, f=f)
+        bench = verify.Bench(spec, grid, n_max, f=f, levels=ns)
         ests = verify.field_stats(bench, ns, probes, eps, eps_prime, replicas,
                                   seed, workers=workers)
         return (*_z_outputs(ests, "field_stats",
@@ -383,7 +383,8 @@ def plan_moment_check(cfg):
                      "seed": seed})
 
     def run(workers, run_id):
-        bench = verify.Bench(spec, grid, resolved["n_max"], f=f)
+        bench = verify.Bench(spec, grid, resolved["n_max"], f=f,
+                             levels=[resolved["n_max"]])
         jobs = [(ChaosParams(f=f, gamma=g), est, eps, eps_prime)
                 for g in gammas for est in estimands]
         ests = verify.mc_moments(bench, jobs, replicas=replicas, seed=seed,
@@ -452,7 +453,10 @@ def plan_ladder(cfg):
     def run(workers, run_id):
         mols = [Mollifier(d=spec.d, profile=p)
                 for p in extra.get("profiles", ["bump"])]
-        bench = verify.Bench(spec, grid, resolved["n_max"], f=f, mol=mols[0])
+        # the barrier reads Y_q..Y_n_max, the convolutions Y_n_max alone
+        n_max = resolved["n_max"]
+        bench = verify.Bench(spec, grid, n_max, f=f, mol=mols[0],
+                             levels=range(q if trunc else n_max, n_max + 1))
         for mol in mols[1:]:
             bench.add_channel("alt", mol)
         report = cells(bench, params, eps_ladder=ladder, replicas=replicas,
@@ -527,7 +531,8 @@ def plan_sup_prob(cfg):
     seed = _int(cfg, "seed", 0, lo=0)
 
     def run(workers, run_id):
-        bench = verify.Bench(spec, grid, n_max, f=f)
+        bench = verify.Bench(spec, grid, n_max, f=f,
+                             levels=[*ks, *range(min(qs), n_max + 1)])
         rep = verify.sup_field_prob(bench, lam, ks, qs, replicas, seed,
                                     workers=workers)
         k_rows = [[k, repr(m.estimate.real), repr(m.se_re), run_id]
@@ -594,7 +599,8 @@ def plan_tilt_check(cfg):
         return tables, plots, verdicts, {
             "slope": rep.slope, "slope_se": rep.slope_se,
             "target": rep.exponent_target,
-            "cholesky_jitter": [list(j) for j in rep.cholesky_jitter]}
+            "cholesky_jitter": [list(j) for j in rep.cholesky_jitter],
+            "level_groups": [list(g) for g in rep.level_groups]}
 
     return {"d": d, "alpha": alpha, "beta": beta, "q": q, "lam": lam,
             "separations": seps, "eps": eps, "n_max": n_max,

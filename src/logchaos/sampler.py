@@ -8,16 +8,19 @@ block index, factors): results are identical for any worker count and any
 total replica budget, which is what the replay contract requires.
 
 A draw holds the W grid rows lo..hi a test function f can read
-(sampled_rows; all N rows without f).  Each level Q_n is stationary with
-compact support, so on a regular d=1 grid its Gram on W consecutive rows
-is banded Toeplitz and embeds exactly in a circulant on any torus of M >=
-W + bandwidth + 1 points, with a nonnegative DFT because the periodized
-Q_n is positive definite (Dietrich & Newsam 1997; Wood & Chan 1994).  A
-block scales complex normals of shape (M, BLOCK/2) by sqrt(lambda / M)
-and takes one FFT (pocketfft, outside BLAS): the first W real parts are
-replicas 0-15, the imaginary parts replicas 16-31, two independent exact
-draws.  Free point sets use a small dense Cholesky factor in the same
-block_z.
+(sampled_rows; all N rows without f), and one slab per group of
+consecutive levels ending at a partial sum Y_l the run reads
+(level_groups).  A group's summed level kernel is stationary with compact
+support, so on a regular d=1 grid its Gram on W consecutive rows is banded
+Toeplitz and embeds exactly in a circulant on any torus of M >= W +
+bandwidth + 1 points, with a nonnegative DFT because the periodized sum is
+positive definite (Dietrich & Newsam 1997; Wood & Chan 1994); the constant
+Q_0 adds at frequency zero.  A block scales complex normals of shape (M,
+BLOCK/2) by sqrt(lambda / M) and takes one FFT (pocketfft, outside BLAS):
+the first W real parts are replicas 0-15, the imaginary parts replicas
+16-31, two independent exact draws.  Free point sets use a small dense
+Cholesky factor of the summed Gram in the same block_z.  Reading every
+level gives one group per level: the per-level draw.
 """
 
 from __future__ import annotations
@@ -42,18 +45,27 @@ class NumericError(RuntimeError):
 
 
 class LevelFactor(NamedTuple):
-    """One level's square root, the safety net it used and the rows it
-    samples: sqrt(lambda / M) of its circulant on an M-point torus with net
-    the smallest eigenvalue over the largest, or a dense lower Cholesky
-    factor with net the diagonal jitter it needed (0.0 when none)."""
+    """One group's square root, the safety net it used and the rows it
+    samples, for the levels first..last: sqrt(lambda / M) of its circulant
+    on an M-point torus with net the smallest eigenvalue over the largest,
+    or a dense lower Cholesky factor with net the diagonal jitter it needed
+    (0.0 when none).  The group 0..0 is the scalar sqrt(Q_0), one normal
+    per replica on every row: a 1-point torus (net 1.0) or jitter 0.0."""
 
     root: np.ndarray
     net: float
     rows: int
+    first: int = 0
+    last: int = 0
 
     @property
     def embedded(self):
         return self.root.ndim == 1
+
+    @property
+    def draws(self):
+        """Rows of its normal panel: M, N, or 1 for the scalar Q_0."""
+        return self.root.shape[0] if self.root.ndim else 1
 
 
 def circulant_root(row, name="kernel"):
@@ -155,48 +167,65 @@ def sampled_rows(grid, f=None):
     return max(int(supp[0]) - reach, 0), min(int(supp[-1]) + reach, grid.n - 1)
 
 
-def increment_factors(spec, grid, n_max, rows=None):
-    """Square roots of levels 1..n_max plus the Q_0 amplitude.
+def level_groups(n_max, levels=None):
+    """[(first, last)] of the slabs a draw reading partial sums Y_l, l in
+    levels (default 0..n_max; n_max always), holds: the read levels split
+    0..n_max into groups of consecutive levels, each ending at a read one."""
+    tops = sorted({int(n_max), *(range(n_max + 1) if levels is None
+                                 else map(int, levels))})
+    if tops[0] < 0 or tops[-1] > n_max:
+        raise ValueError(f"levels {tops} outside 0..{n_max}")
+    return list(zip([0] + [t + 1 for t in tops[:-1]], tops))
 
-    Returns (q0_amp, [LevelFactor_1, ..., LevelFactor_n_max]); q0_amp is
-    sqrt(q0_const) for the constant smooth part and 0.0 otherwise.  A
-    regular d=1 grid embeds level k, on rows consecutive rows (default N),
-    in a circulant on the smallest 5-smooth torus with M >= rows +
-    bandwidth + 1 points, its row evaluated by kernels.lattice_row; no Gram
-    is built.  Any other point set factors the dense level Gram of all N
-    points with free_cholesky.
+
+def increment_factors(spec, grid, n_max, rows=None, levels=None):
+    """One LevelFactor per group of level_groups(n_max, levels).
+
+    A regular d=1 grid embeds group a..b, on rows consecutive rows (default
+    N), in a circulant on the smallest 5-smooth torus with M >= rows +
+    bandwidth + 1 points, the bandwidth of its widest level; its row is
+    kernels.lattice_row over the group's levels, plus Q_0 when a = 0, and
+    no Gram is built.  Any other point set factors the group's summed dense
+    Gram of all N points with free_cholesky.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = grid.n if rows is None else int(rows)
+    embed = grid.h is not None and grid.d == 1
     factors = []
-    for k in range(1, n_max + 1):
-        if grid.h is not None and grid.d == 1:
+    for a, b in level_groups(n_max, levels):
+        name = f"Q_{a}" if a == b else f"Q_{a}..Q_{b}"
+        if b == 0:
+            factors.append(LevelFactor(np.asarray(np.sqrt(spec.q0_value)),
+                                       1.0 if embed else 0.0, rows, 0, 0))
+            continue
+        if embed:
             # offsets beyond floor(support / h) lie outside the support;
             # next_fast_len(n, real=True) is the smallest 5-smooth m >= n
-            band = math.floor(math.exp(-(spec.t0 + k)) / grid.h)
+            band = math.floor(math.exp(-(spec.t0 + max(a, 1))) / grid.h)
             m = next_fast_len(rows + band + 1, True)
             o = np.arange(m)
-            row = kernels.lattice_row(spec, [k], grid.h, np.minimum(o, m - o))
-            factors.append(circulant_root(row, f"Q_{k}")._replace(rows=rows))
+            row = kernels.lattice_row(spec, range(max(a, 1), b + 1), grid.h,
+                                      np.minimum(o, m - o))
+            factor = circulant_root(row + spec.q0_value if a == 0 else row,
+                                    name)._replace(rows=rows)
         else:
-            factors.append(free_cholesky(kernels.gram(spec, k, grid),
-                                         name=f"Q_{k}"))
-    q0_amp = np.sqrt(spec.q0_value)
-    return q0_amp, factors
+            factor = free_cholesky(sum(kernels.gram(spec, k, grid)
+                                       for k in range(a, b + 1)), name=name)
+        factors.append(factor._replace(first=a, last=b))
+    return factors
 
 
 def replica_normals(seed, block_start, rows):
     """The standard normals of the replica block starting at block_start.
 
-    One stream, default_rng([seed, block_start // BLOCK]), yields BLOCK
-    normals for the Q_0 mode (one per replica), then one (m, BLOCK) panel
-    per entry m of rows.  Returns (q0 normals, [panels]).
+    One stream, default_rng([seed, block_start // BLOCK]), yields one
+    (m, BLOCK) panel per entry m of rows, in order.
     """
     rng = np.random.default_rng([seed, block_start // BLOCK])
-    parts = np.split(rng.standard_normal(BLOCK * (1 + sum(rows))),
-                     BLOCK * np.cumsum([1, *rows[:-1]]))
-    return parts[0], [p.reshape(m, BLOCK) for p, m in zip(parts[1:], rows)]
+    parts = np.split(rng.standard_normal(BLOCK * sum(rows)),
+                     BLOCK * np.cumsum(rows[:-1]))
+    return [p.reshape(m, BLOCK) for p, m in zip(parts, rows)]
 
 
 def tilt_shift_rows(spec, grid, tilt, n_max, mol, nodes=32):
@@ -219,29 +248,31 @@ def tilt_shift_rows(spec, grid, tilt, n_max, mol, nodes=32):
 
 
 def block_z(spec, grid, factors, seed, block_start, n_max, shifts=None):
-    """Increment stack for one replica block: shape (n_max+1, W, BLOCK).
+    """Group slabs for one replica block: shape (groups, W, BLOCK).
 
-    W = LevelFactor.rows of the factors.  Column j belongs to replica
+    Slab i holds the sum of the levels of the i-th factor with last <=
+    n_max, so cumsum over the slabs gives the partial sums at the groups'
+    last levels; W = LevelFactor.rows.  Column j belongs to replica
     block_start + j.  This is the only code path that touches the RNG or
-    the factors, for samples and benches alike.  An embedded level reads
+    the factors, for samples and benches alike.  An embedded group reads
     its (M, BLOCK) panel as complex normals of shape (M, BLOCK/2) and takes
     one FFT along the lattice axis: the first W real parts fill columns
-    0..BLOCK/2-1, the imaginary parts the rest.
+    0..BLOCK/2-1, the imaginary parts the rest.  shifts holds one mean row
+    per slab.
     """
-    q0_amp, levels = factors
-    n, half = levels[0].rows, BLOCK // 2
-    levels = levels[:n_max]
-    xi0, panels = replica_normals(seed, block_start,
-                                  [level.root.shape[0] for level in levels])
-    z = np.empty((n_max + 1, n, BLOCK))
-    z[0] = q0_amp * xi0
-    for k, (level, xi) in enumerate(zip(levels, panels), start=1):
-        if level.embedded:
-            y = np.fft.fft(level.root[:, None] * xi.view(complex), axis=0)[:n]
-            z[k, :, :half] = y.real
-            z[k, :, half:] = y.imag
+    groups = [g for g in factors if g.last <= n_max]
+    n, half = groups[-1].rows, BLOCK // 2
+    panels = replica_normals(seed, block_start, [g.draws for g in groups])
+    z = np.empty((len(groups), n, BLOCK))
+    for i, (group, xi) in enumerate(zip(groups, panels)):
+        if group.root.ndim == 0:
+            z[i] = group.root * xi
+        elif group.embedded:
+            y = np.fft.fft(group.root[:, None] * xi.view(complex), axis=0)[:n]
+            z[i, :, :half] = y.real
+            z[i, :, half:] = y.imag
         else:
-            np.matmul(level.root, xi, out=z[k])
+            np.matmul(group.root, xi, out=z[i])
     if shifts is not None:
         z += shifts[:, :, None]
     return z
@@ -252,8 +283,9 @@ def sample_increments(spec, grid, n_max, seed, replicas=1, mol=None, tilt=None,
     """Generate FieldSample objects for replicas 0..replicas-1.
 
     Each holds the sampled_rows(grid, f).  Factors are computed once; each
-    replica is extracted from its block so the draw agrees byte-for-byte
-    with any Bench of the same f using the same seed.
+    replica is extracted from its block so the draw, one slab per level,
+    agrees byte-for-byte with any default-level Bench of the same f using
+    the same seed.
     """
     mol = mol if mol is not None else Mollifier(d=spec.d)
     lo, hi = sampled_rows(grid, f)

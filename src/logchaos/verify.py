@@ -180,10 +180,13 @@ def ladder_from_values(estimator, steps, values, keep=None):
 class Bench:
     """Shared immutable state for block-deterministic Monte Carlo runs.
 
-    One Bench per (spec, grid, n_max, f).  Blocks hold the grid rows lo..hi
-    that f can read (sampler.sampled_rows), z row i being grid row lo + i.
-    It holds the level factors (one circulant embedding per level on a
-    regular d=1 grid) and, on such a grid, the summed stationary row Q_0 +
+    One Bench per (spec, grid, n_max, f, levels).  Blocks hold the grid
+    rows lo..hi that f can read (sampler.sampled_rows), z row i being grid
+    row lo + i, and one slab per group of consecutive levels ending at a
+    level in levels, the partial sums its runs read (default every level
+    0..n_max; n_max always): the cumsum of a block over slabs 0..slab(l) is
+    Y_l.  It holds the group factors (one circulant embedding per group on
+    a regular d=1 grid) and, on such a grid, the summed stationary row Q_0 +
     sum_k Q_k at offsets 0..N-1, from which g_total indexes any block of
     the summed level Gram by |i - j|.  The convolution weights of the
     support rows, cut to their nonzero column window, and the kernel-table
@@ -192,14 +195,15 @@ class Bench:
     the window touches.
     """
 
-    def __init__(self, spec, grid, n_max, f=None, mol=None):
+    def __init__(self, spec, grid, n_max, f=None, mol=None, levels=None):
         self.spec = spec
         self.grid = grid
         self.n_max = int(n_max)
         self.f = None if f is None else np.asarray(f, dtype=float)
         self.lo, self.hi = sampled_rows(grid, self.f)
         self.factors = increment_factors(spec, grid, n_max,
-                                         self.hi - self.lo + 1)
+                                         self.hi - self.lo + 1, levels)
+        self.tops = [g.last for g in self.factors]
         self.g_row = None if grid.h is None or grid.d != 1 else (
             spec.q0_value + kernels.lattice_row(
                 spec, range(1, self.n_max + 1), grid.h, np.arange(grid.n)))
@@ -215,9 +219,19 @@ class Bench:
         if tilt is None or tilt.alpha == 0.0:
             self.shifts = None
         else:
-            self.shifts = tilt_shift_rows(
-                self.spec, self.grid, tilt, self.n_max, self.channels["main"],
-                nodes=nodes)[:, self.lo:self.hi + 1]
+            rows = tilt_shift_rows(self.spec, self.grid, tilt, self.n_max,
+                                   self.channels["main"], nodes=nodes)
+            self.shifts = np.add.reduceat(
+                rows[:, self.lo:self.hi + 1],
+                [g.first for g in self.factors], axis=0)
+
+    def slab(self, level):
+        """Index of the slab whose last level is level; ValueError when the
+        bench does not draw Y_level."""
+        if level not in self.tops:
+            raise ValueError(f"Y_{level} is not drawn: this bench reads "
+                             f"levels {self.tops}")
+        return self.tops.index(level)
 
     def supp_tables(self, channel, eps):
         """(W_win, k_diag_supp, cols) on the test-function support rows:
@@ -248,17 +262,19 @@ class Bench:
 
     @property
     def safety_net(self):
-        """Sampled rows [lo, hi] and per-level safety net, as the resolved
-        block records them: embedding_min_ratio (smallest eigenvalue over
-        the largest) and torus_points for circulant embeddings,
-        cholesky_jitter (0.0 if none) otherwise."""
-        levels = self.factors[1]
-        net = {"sampled_rows": [self.lo, self.hi]}
-        if levels[0].embedded:
-            net["embedding_min_ratio"] = [level.net for level in levels]
-            net["torus_points"] = [level.root.size for level in levels]
+        """Sampled rows [lo, hi], the level_groups [first, last] drawn and
+        per-group safety net, as the resolved block records them:
+        embedding_min_ratio (smallest eigenvalue over the largest) and
+        torus_points for circulant embeddings, cholesky_jitter (0.0 if
+        none) otherwise."""
+        groups = self.factors
+        net = {"sampled_rows": [self.lo, self.hi],
+               "level_groups": [[g.first, g.last] for g in groups]}
+        if groups[-1].embedded:
+            net["embedding_min_ratio"] = [g.net for g in groups]
+            net["torus_points"] = [g.draws for g in groups]
         else:
-            net["cholesky_jitter"] = [level.net for level in levels]
+            net["cholesky_jitter"] = [g.net for g in groups]
         return net
 
     def g_total(self, rows, cols):
@@ -301,11 +317,13 @@ class Bench:
                      for j in range(parts))
 
 
-def _event_consume(rows, q, lam):
+def _event_consume(bench, rows, q, lam):
     """Consume closure: 1.0 per replica where A_{q,lam} holds on every row."""
+    first = bench.slab(q)
 
     def consume(start, z):
-        return (barrier_below(z, rows, lam)[q:].all(axis=(0, 1)).astype(float),)
+        below = barrier_below(z, rows, lam, bench.tops)
+        return (below[first:].all(axis=(0, 1)).astype(float),)
 
     return consume
 
@@ -330,12 +348,13 @@ def _block_densities(bench, gammas, keys, trunc):
     tabs = [bench.supp_tables(channel, eps) for channel, eps in keys]
     f_supp = bench.f[bench.supp]
     supp = bench.supp - bench.lo
+    if trunc is not None:
+        first, lam = bench.slab(trunc[0]), trunc[1]
 
     def densities(z):
         event = None
         if trunc is not None:
-            q, lam = trunc
-            event = barrier_below(z, supp, lam)[q:].all(axis=0)
+            event = barrier_below(z, supp, lam, bench.tops)[first:].all(axis=0)
         cells = [[] for _ in gammas]
         y_top = z.sum(axis=0) if tabs else None
         for w_win, k_diag, cols in tabs:
@@ -670,20 +689,22 @@ def sup_field_prob(bench, lam, ks, qs, replicas, seed, workers=None):
 
     Events are evaluated on the shared replica set, so the q-ladder of
     global-event probabilities is exactly monotone samplewise.  Requires
-    lam > sqrt(2d) (the barrier regime where the decay argument applies).
+    lam > sqrt(2d) (the barrier regime where the decay argument applies),
+    and each k and q..n_max among the levels the bench draws.
     """
     if lam <= math.sqrt(2.0 * bench.spec.d):
         raise ValueError(f"lam={lam} must exceed sqrt(2d)")
     ks = [int(k) for k in ks]
     qs = [int(q) for q in qs]
-    if max(ks + qs) > bench.n_max:
-        raise ValueError("k or q ladder exceeds n_max")
     supp = bench.supp - bench.lo
+    k_slabs = [bench.slab(k) for k in ks]
+    q_slabs = [bench.slab(q) for q in qs]
 
     def consume(start, z):
-        below = barrier_below(z, supp, lam)
-        exceed = np.stack([~below[k].all(axis=0) for k in ks]).astype(float)
-        ok_all = np.stack([below[q:].all(axis=(0, 1)) for q in qs]).astype(float)
+        below = barrier_below(z, supp, lam, bench.tops)
+        exceed = np.stack([~below[i].all(axis=0) for i in k_slabs]).astype(float)
+        ok_all = np.stack([below[i:].all(axis=(0, 1))
+                           for i in q_slabs]).astype(float)
         return exceed, ok_all
 
     exceed, ok_all = bench.map_blocks(seed, replicas, consume, workers)
@@ -716,7 +737,8 @@ class TiltedEventReport:
     slope_se: float
     exponent_target: float  # (2 alpha - lam)^2 / 2
     one_sided_ok: bool      # slope >= target - 0.3
-    cholesky_jitter: tuple = ()  # per separation, per level (0.0 if none)
+    cholesky_jitter: tuple = ()  # per separation, per group (0.0 if none)
+    level_groups: tuple = ()     # (first, last) per group
 
 
 def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
@@ -726,7 +748,9 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
 
     For each separation s the field is sampled jointly at x = center - s/2,
     y = center + s/2 with the alpha-tilt toward both points, and the event
-    {Y_k(x) <= k lam and Y_k(y) <= k lam for all k in q..n_max} is counted.
+    {Y_k(x) <= k lam and Y_k(y) <= k lam for all k in q..n_max} is counted,
+    drawing only those partial sums: each group's summed Gram is
+    Cholesky-factored.
     The log-probability is then regressed on log(s v eps); the decay
     exponent should dominate (2 alpha - lam)^2 / 2 - 0.3 one-sidedly.
     """
@@ -741,11 +765,12 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
     for si, s in enumerate(separations):
         x, y = center - 0.5 * s, center + 0.5 * s
         grid2 = Grid.from_points(np.array([[x], [y]]), spec.box)
-        bench = Bench(spec, grid2, n_max, mol=mol)
+        bench = Bench(spec, grid2, n_max, mol=mol, levels=range(q, n_max + 1))
         bench.set_tilt(TiltShift(x=x, y=y, eps=eps, eps_prime=eps_prime,
                                  alpha=alpha))
         (ind,) = bench.map_blocks(seed + si, replicas,
-                                  _event_consume(slice(None), q, lam), workers)
+                                  _event_consume(bench, slice(None), q, lam),
+                                  workers)
         estimates.append(moment_from_values(f"P~[A_{q}] sep={s}", ind))
         jitter.append(tuple(bench.safety_net["cholesky_jitter"]))
     xs = np.log(np.maximum(np.asarray(separations, dtype=float), eps))
@@ -756,7 +781,9 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
                              estimates=tuple(estimates), slope=slope,
                              slope_se=slope_se, exponent_target=target,
                              one_sided_ok=bool(slope >= target - 0.3),
-                             cholesky_jitter=tuple(jitter))
+                             cholesky_jitter=tuple(jitter),
+                             level_groups=tuple(
+                                 (g.first, g.last) for g in bench.factors))
 
 
 def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
@@ -775,10 +802,11 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
     probes = np.stack([rng.integers(0, s, n_probes),
                        rng.integers(0, s, n_probes)])
     mid = s // 2
+    slabs = [bench.slab(n) for n in ns]
 
     def consume(start, z):
         ysum = np.cumsum(z[:, supp, :], axis=0)
-        var_rows = np.stack([ysum[n][mid] ** 2 for n in ns])
+        var_rows = np.stack([ysum[i][mid] ** 2 for i in slabs])
         y_top = z.sum(axis=0)
         xa = wa @ y_top[ca[0]:ca[-1] + 1]
         xb = wb @ y_top[cb[0]:cb[-1] + 1]

@@ -25,6 +25,11 @@ CAUCHY_FAIL_CFG = {"kind": "cauchy", "gamma": 0.5, "grid_n": 64,
                    "eps_ladder": [0.125, 0.124, 0.123], "replicas": 100,
                    "seed": 0, "f": {"center": 0.5, "radius": 0.2}}
 
+TRUNC_CAUCHY_CFG = {"kind": "cauchy", "gamma": [1.1, 0.25], "q": 2,
+                    "grid_n": 128, "eps_ladder": [0.125, 0.0625],
+                    "replicas": 64, "seed": 0,
+                    "f": {"center": 0.5, "radius": 0.2}}
+
 
 def cfg_file(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
@@ -302,7 +307,7 @@ class TestMainRun:
         assert cells["z_re"] == "0.0"
         resolved = json.loads((out / "manifest.json").read_text())["resolved"]
         ratios = resolved["embedding_min_ratio"]
-        assert len(ratios) == resolved["n_max"]
+        assert len(ratios) == len(resolved["level_groups"])
         assert all(0.0 < r <= 1.0 for r in ratios)
         assert "cholesky_jitter" not in resolved
 
@@ -420,7 +425,7 @@ class TestRunRecord:
         assert resolved["sampled_rows"] == [10, 53]
         torus = resolved["torus_points"]
         assert len(torus) == len(resolved["embedding_min_ratio"]) == \
-            resolved["n_max"]
+            len(resolved["level_groups"])
         assert all(m >= 44 + 1 for m in torus)
         assert torus == sorted(torus, reverse=True)
         csvs = sorted(p.name for p in out.glob("*.csv"))
@@ -431,6 +436,26 @@ class TestRunRecord:
         doc["resolved"] = dict(resolved, sampled_rows=[0, 63],
                                torus_points=[1] * len(torus))
         self.replay_tampered(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("cfg,groups", [
+        # untruncated: the convolutions read Y_n_max alone, one group
+        (MOM0_CFG, lambda n: [[0, n]]),
+        # truncated at q=2: the barrier reads Y_2..Y_n_max
+        (TRUNC_CAUCHY_CFG, lambda n: [[0, 2]] + [[k, k] for k in range(3, n + 1)]),
+    ], ids=["moment-check", "truncated-cauchy"])
+    def test_level_groups_recorded(self, tmp_path, capsys, cfg, groups):
+        out = tmp_path / "out"
+        assert main(["run", cfg_file(tmp_path, cfg), "--out", str(out)]) in (0, 1)
+        doc = json.loads((out / "manifest.json").read_text())
+        resolved = doc["resolved"]
+        assert resolved["level_groups"] == groups(resolved["n_max"])
+        assert len(resolved["torus_points"]) == len(resolved["level_groups"])
+        assert all(r > 0.0 for r in resolved["embedding_min_ratio"])
+        # same-version replay verifies the grouped draw's bytes
+        capsys.readouterr()
+        assert main(["replay", str(out / "manifest.json"),
+                     "--out", str(tmp_path / "r")]) == 0
+        assert "replay verified" in capsys.readouterr().out
 
     def test_environment_outside_hashes(self, tmp_path, capsys):
         p = cfg_file(tmp_path, MOM0_CFG)

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from logchaos import (Bench, Grid, KernelSpec, Mollifier, NumericError,
-                      TiltShift, bump_function, gram, increment_factors,
-                      load_sample, mollified_table, replica_normals,
-                      sample_increments, sample_mollified, sampled_rows,
-                      save_sample, tilt_shift_rows)
+                      TiltShift, barrier_below, bump_function, gram,
+                      increment_factors, load_sample, mollified_table,
+                      replica_normals, sample_increments, sample_mollified,
+                      sampled_rows, save_sample, tilt_shift_rows)
 from logchaos.kernels import lattice_row
 from logchaos.mollifier import discrete_stencil, weight_matrix
 from logchaos.sampler import (BLOCK, block_z, circulant_root, free_cholesky)
@@ -48,14 +49,12 @@ class TestDeterminism:
 
     def test_normals_counter_based(self):
         # one stream per (seed, block): any start inside a block reads it
-        a0, a = replica_normals(5, 9 * BLOCK, [3, 16])
-        b0, b = replica_normals(5, 9 * BLOCK + 7, [3, 16])
-        assert np.array_equal(a0, b0)
+        a = replica_normals(5, 9 * BLOCK, [1, 3, 16])
+        b = replica_normals(5, 9 * BLOCK + 7, [1, 3, 16])
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        assert a0.shape == (BLOCK,)
-        assert [x.shape for x in a] == [(3, BLOCK), (16, BLOCK)]
-        c0, c = replica_normals(5, 10 * BLOCK, [3, 16])
-        assert not np.array_equal(a[0], c[0])
+        assert [x.shape for x in a] == [(1, BLOCK), (3, BLOCK), (16, BLOCK)]
+        c = replica_normals(5, 10 * BLOCK, [1, 3, 16])
+        assert not np.array_equal(a[1], c[1])
 
 
 class TestCovariance:
@@ -218,7 +217,7 @@ class TestBandedEngine:
     @pytest.mark.parametrize("n", [512, 2048])
     def test_embedding_row_matches_gram(self, n):
         grid = Grid.regular((0.0, 1.0), n)
-        _, levels = increment_factors(SPEC, grid, 8)
+        levels = increment_factors(SPEC, grid, 8)[1:]
         for k, level in enumerate(levels, start=1):
             assert level.embedded and level.net > 0.0, f"level {k}"
             m = level.root.size
@@ -237,7 +236,7 @@ class TestBandedEngine:
             raise AssertionError("a Gram was built")
 
         monkeypatch.setattr(kernels, "gram", no_gram)
-        _, levels = increment_factors(SPEC, self.GRID512, 8)
+        levels = increment_factors(SPEC, self.GRID512, 8)[1:]
         assert all(level.embedded for level in levels)
         mollified_table(SPEC, GRID, 2 ** -3, rule="grid", n_levels=6)
 
@@ -253,10 +252,10 @@ class TestBandedEngine:
             shifts = tilt_shift_rows(SPEC, self.GRID512, t, n_max,
                                      Mollifier(d=1))
         z = block_z(SPEC, self.GRID512, factors, seed, start, n_max, shifts)
-        _, panels = replica_normals(seed, start,
-                                    [lv.root.size for lv in factors[1]])
+        panels = replica_normals(seed, start, [lv.draws for lv in factors])
         half = BLOCK // 2
-        for k, (level, xi) in enumerate(zip(factors[1], panels), start=1):
+        for k, (level, xi) in enumerate(zip(factors[1:], panels[1:]),
+                                        start=1):
             # explicit circulant product F diag(root) xi, real and imaginary
             # parts of the complex normals xi[:, 2j] + i xi[:, 2j + 1]
             f = np.fft.fft(np.eye(level.root.size), axis=0)[:n]
@@ -319,7 +318,7 @@ class TestSampledWindow:
         lo, hi = sampled_rows(grid, f)
         assert (lo, hi) == window
         w = hi - lo + 1
-        _, levels = increment_factors(SPEC, grid, 8, w)
+        levels = increment_factors(SPEC, grid, 8, w)[1:]
         assert [lv.root.size for lv in levels] == torus
         for k, level in enumerate(levels, start=1):
             assert level.rows == w and level.net > 0.0, f"level {k}"
@@ -371,6 +370,122 @@ class TestSampledWindow:
             ref = w[kept] @ padded
             assert np.abs(s.mollified[eps] - ref).max() < 1e-12
             assert np.all(np.isin(np.flatnonzero(f), rows[kept]))
+
+
+class TestLevelGroups:
+    """A draw holds one slab per group of consecutive levels ending at a read
+    level; each group embeds as one circulant of its summed lattice row."""
+
+    # (grid_n, f radius, read levels) at f center 0.5, n_max 8: the
+    # moments-128 geometry and the ladder-2048 window
+    CASES = [(128, 0.2, [8]), (128, 0.2, [2, 5, 8]), (128, 0.2, range(2, 9)),
+             (2048, 0.05, range(2, 9)), (2048, 0.05, [8])]
+
+    @pytest.mark.parametrize("q0_kind", ["zero", "constant"])
+    @pytest.mark.parametrize("n,radius,levels", CASES)
+    def test_group_embedding_exact(self, n, radius, levels, q0_kind):
+        spec = KernelSpec(d=1, q0_kind=q0_kind)
+        grid = Grid.regular((0.0, 1.0), n)
+        lo, hi = sampled_rows(grid, bump_function(grid, center=0.5,
+                                                  radius=radius))
+        w = hi - lo + 1
+        groups = increment_factors(spec, grid, 8, w, levels)
+        assert [g.last for g in groups] == sorted({8, *levels})
+        assert [g.first for g in groups] == [0] + [g.last + 1
+                                                   for g in groups[:-1]]
+        for g in groups:
+            assert g.embedded and g.rows == w
+            assert g.net > 0.0, f"group {g.first}..{g.last}"
+            row = np.fft.ifft(g.root.size * g.root ** 2).real
+            ref = lattice_row(spec, range(max(g.first, 1), g.last + 1),
+                              grid.h, np.arange(w))
+            if g.first == 0:
+                ref = ref + spec.q0_value
+            assert np.abs(row[:w] - ref).max() <= 1e-12 * ref[0], \
+                f"group {g.first}..{g.last}"
+
+    @staticmethod
+    def per_level_blocks(spec, grid, lo, hi, n_max, seed, replicas,
+                         shifts=None):
+        """The per-level draw, inline: default_rng([seed, block]) yields the
+        Q_0 normals, then one (M_k, BLOCK) panel per level k, each taken
+        through one FFT of its circulant root (a Cholesky product on free
+        points)."""
+        w, half = hi - lo + 1, BLOCK // 2
+        roots = []
+        for k in range(1, n_max + 1):
+            if grid.h is None:
+                roots.append(np.linalg.cholesky(gram(spec, k, grid)))
+                continue
+            band = math.floor(math.exp(-(spec.t0 + k)) / grid.h)
+            m = next_fast_len(w + band + 1, True)
+            o = np.arange(m)
+            lam = np.fft.fft(lattice_row(spec, [k], grid.h,
+                                         np.minimum(o, m - o))).real
+            roots.append(np.sqrt(np.maximum(lam, 0.0) / m))
+        blocks = []
+        for start in range(0, replicas, BLOCK):
+            rng = np.random.default_rng([seed, start // BLOCK])
+            z = np.empty((n_max + 1, w, BLOCK))
+            z[0] = np.sqrt(spec.q0_value) * rng.standard_normal(BLOCK)
+            for k, root in enumerate(roots, start=1):
+                xi = rng.standard_normal((root.shape[0], BLOCK))
+                if root.ndim == 2:
+                    z[k] = root @ xi
+                    continue
+                y = np.fft.fft(root[:, None] * xi.view(complex), axis=0)[:w]
+                z[k, :, :half] = y.real
+                z[k, :, half:] = y.imag
+            if shifts is not None:
+                z += shifts[:, :, None]
+            blocks.append(z)
+        return np.concatenate(blocks, axis=-1)[..., :replicas]
+
+    @pytest.mark.parametrize("q0_kind", ["zero", "constant"])
+    def test_default_levels_draw_per_level(self, q0_kind):
+        spec = KernelSpec(d=1, q0_kind=q0_kind)
+        grid = Grid.regular((0.0, 1.0), 128)
+        bench = Bench(spec, grid, 8, f=bump_function(grid, center=0.5,
+                                                     radius=0.2))
+        (z,) = bench.map_blocks(3, 64, lambda start, zb: (zb,))
+        ref = self.per_level_blocks(spec, grid, bench.lo, bench.hi, 8, 3, 64)
+        assert np.array_equal(z, ref)
+
+    def test_default_levels_draw_per_level_tilted_free(self):
+        pair = Grid.from_points(np.array([[0.45], [0.55]]), (0.0, 1.0))
+        t = TiltShift(x=0.45, y=0.55, eps=2 ** -4, eps_prime=2 ** -4,
+                      alpha=0.8)
+        bench = Bench(SPEC, pair, 6)
+        bench.set_tilt(t)
+        (z,) = bench.map_blocks(5, 64, lambda start, zb: (zb,))
+        shifts = tilt_shift_rows(SPEC, pair, t, 6, Mollifier(d=1))
+        ref = self.per_level_blocks(SPEC, pair, 0, 1, 6, 5, 64, shifts)
+        assert np.array_equal(z, ref)
+
+    def test_grouped_barrier_reads_group_tops(self):
+        # slabs summing levels a..b compare Y_b against b lam, the same
+        # indicators the per-level block gives at the groups' last levels
+        grid = Grid.regular((0.0, 1.0), 128)
+        f = bump_function(grid, center=0.5, radius=0.2)
+        (z,) = Bench(SPEC, grid, 8, f=f).map_blocks(
+            4, 32, lambda start, zb: (zb,))
+        groups = [(0, 2), (3, 5), (6, 6), (7, 8)]
+        slabs = np.stack([z[a:b + 1].sum(axis=0) for a, b in groups])
+        rows = np.arange(10, 60)
+        tops = [b for _, b in groups]
+        grouped = barrier_below(slabs, rows, 0.9, tops)
+        assert np.array_equal(grouped, barrier_below(z, rows, 0.9)[tops])
+
+    def test_grouped_tilt_sums_shifts(self):
+        # a group's mean row is the sum of its levels' tilt shifts
+        pair = Grid.from_points(np.array([[0.45], [0.55]]), (0.0, 1.0))
+        t = TiltShift(x=0.45, y=0.55, eps=2 ** -4, eps_prime=2 ** -4,
+                      alpha=0.8)
+        bench = Bench(SPEC, pair, 6, levels=[2, 3])
+        bench.set_tilt(t)
+        rows = tilt_shift_rows(SPEC, pair, t, 6, Mollifier(d=1))
+        ref = [rows[0:3].sum(axis=0), rows[3], rows[4:7].sum(axis=0)]
+        assert np.abs(bench.shifts - np.stack(ref)).max() < 1e-14
 
 
 class TestRoundTrip:

@@ -137,14 +137,47 @@ class TestBench:
 
     def test_cholesky_jitter_recorded(self):
         # coincident points make every level Gram singular, so each free-set
-        # factor needs jitter; the acceptance geometry is embedded instead,
-        # with every level's eigenvalue ratio recorded and positive
+        # factor needs jitter (the scalar Q_0 group needs none); the
+        # acceptance geometry is embedded instead, with every group's
+        # eigenvalue ratio recorded and positive
         pair = Grid.from_points(np.array([[0.4], [0.4]]), (0.0, 1.0))
-        jitter = Bench(SPEC, pair, 4).safety_net["cholesky_jitter"]
-        assert len(jitter) == 4 and all(j > 0.0 for j in jitter)
+        net = Bench(SPEC, pair, 4).safety_net
+        jitter = net["cholesky_jitter"]
+        assert net["level_groups"] == [[k, k] for k in range(5)]
+        assert len(jitter) == 5 and jitter[0] == 0.0
+        assert all(j > 0.0 for j in jitter[1:])
+        grouped = Bench(SPEC, pair, 4, levels=[2]).safety_net
+        assert grouped["level_groups"] == [[0, 2], [3, 4]]
+        assert len(grouped["cholesky_jitter"]) == 2
+        assert all(j >= 0.0 for j in grouped["cholesky_jitter"])
         fine = Grid.regular((0.0, 1.0), 2048)
         ratios = Bench(SPEC, fine, 8).safety_net["embedding_min_ratio"]
-        assert len(ratios) == 8 and all(0.0 < r <= 1.0 for r in ratios)
+        assert len(ratios) == 9 and all(0.0 < r <= 1.0 for r in ratios)
+
+    def test_unread_level_raises(self):
+        # a consumer asking for a partial sum the bench does not draw is
+        # refused before sampling, never served from another slab
+        bench = small_bench(8)
+        grouped = Bench(SPEC, GRID, 8, f=F, levels=[5])
+        assert grouped.slab(5) == 0 and grouped.slab(8) == 1
+        assert bench.slab(3) == 3
+        with pytest.raises(ValueError, match="Y_3"):
+            grouped.slab(3)
+        params = ChaosParams(f=F, gamma=1.1 + 0.25j, truncation=True, q=2,
+                             lam=2.0)
+        ladder = [2 ** -3, 2 ** -4]
+        calls = [
+            lambda b: field_stats(b, [2], 2, 2 ** -4, 2 ** -5, 40, 0),
+            lambda b: cauchy_ladder(b, params, ladder, 40, 0),
+            lambda b: mc_moments(b, [(params, "event", 2 ** -4, None)], 40,
+                                 0, trunc=(2, 2.0)),
+            lambda b: sup_field_prob(b, 1.6, [4], [5], 40, 0),
+            lambda b: sup_field_prob(b, 1.6, [5], [4], 40, 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="not drawn"):
+                call(grouped)
+            call(bench)
 
     def test_empty_budget_rejected(self):
         with pytest.raises(ValueError, match="replicas"):
