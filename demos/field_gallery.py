@@ -1,9 +1,10 @@
 """Draw one log-correlated field and watch its ladder build up.
 
 Prints the empirical variance of the partial sums Y_n at the domain center
-against the exact value Q_0 + n, then attaches two mollified fields X_eps and
-reports their variance against the kernel-table diagonal.  Optionally dumps
-one realization's profiles to CSV for plotting elsewhere.
+against the exact value Q_0 + n, then mollifies Y_{n_max} with the discrete
+stencil at two scales eps and reports the variance of X_eps against the
+kernel-table diagonal.  Optionally dumps one realization's profiles to CSV
+for plotting elsewhere.
 """
 
 import argparse
@@ -12,8 +13,17 @@ import math
 
 import numpy as np
 
-from logchaos import (Grid, KernelSpec, Mollifier, mollified_table,
-                      sample_increments, sample_mollified)
+from logchaos import (Grid, KernelSpec, Mollifier, discrete_stencil,
+                      mollified_table, sample_increments)
+from logchaos.mollifier import interior_rows
+
+
+def mollify(y, grid, mol, eps):
+    """(rows, X_eps): the discrete_stencil taps applied to y at the D_eps
+    rows, with no dense weight matrix."""
+    rows = interior_rows(grid, mol, eps)
+    offs, taps = discrete_stencil(mol, eps, grid.h)
+    return rows, sum(t * y[rows + o] for o, t in zip(offs[:, 0], taps))
 
 
 def main():
@@ -29,18 +39,19 @@ def main():
     grid = Grid.regular((0.0, 1.0), args.n)
     mid = args.n // 2
     eps_list = [2.0 ** -4, 2.0 ** -5]
+    mol = Mollifier(d=1)
 
     ys = {k: [] for k in (2, 5, args.n_max)}
     xs = {e: [] for e in eps_list}
     kept = None
     for s in sample_increments(spec, grid, args.n_max, args.seed,
                                replicas=args.replicas):
-        sample_mollified(s, eps_list)
         for k in ys:
             ys[k].append(s.y(k)[mid])
+        y_top = s.y(args.n_max)
         for e in eps_list:
-            xs[e].append(s.mollified[e][np.searchsorted(
-                s.mollified_rows[e], mid)])
+            rows, x = mollify(y_top, grid, mol, e)
+            xs[e].append(x[np.searchsorted(rows, mid)])
         if s.replica == 0:
             kept = s
 
@@ -53,7 +64,6 @@ def main():
         print(f"  Var(Y_{k})  = {var:7.4f}   exact {exact}   "
               f"({(var - exact) / se:+.2f} se)")
 
-    mol = Mollifier(d=1)
     print("mollified fields:")
     for e in eps_list:
         tab = mollified_table(spec, grid, e, e, mol=mol, rule="grid",
@@ -66,13 +76,13 @@ def main():
               f"   table {oracle:7.4f}   ({(var - oracle) / se:+.2f} se)")
 
     if args.csv and kept is not None:
-        rows_e = kept.mollified_rows[eps_list[0]]
+        rows_e, x_e = mollify(kept.y(args.n_max), grid, mol, eps_list[0])
         with open(args.csv, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["x", "y2", "y5", "y_top", "x_eps"])
             y2, y5, yt = kept.y(2), kept.y(5), kept.y(args.n_max)
             xe = np.full(grid.n, np.nan)
-            xe[rows_e] = kept.mollified[eps_list[0]]
+            xe[rows_e] = x_e
             for i in range(grid.n):
                 wr.writerow([grid.points[i, 0], y2[i], y5[i], yt[i], xe[i]])
         print(f"wrote {args.csv}")

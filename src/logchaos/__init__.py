@@ -7,9 +7,8 @@ mollified fields, chaos integrals, phase boundaries, Monte Carlo checks)
 is built on top of that ladder.
 """
 
-from .chaos import (ChaosParams, ChaosValue, barrier_below, bump_function,
-                    chaos_density, chaos_integral, q0_for, sobolev_diag,
-                    truncation_indicator, wick_exp_flagged)
+from .chaos import (ChaosParams, barrier_below, bump_function, chaos_density,
+                    q0_for, sobolev_diag, wick_exp_flagged)
 from .grids import Grid
 from .kernels import (KernelSpec, MollifiedKernelTable, PdReport, exact_level,
                       export_table, gram, k_exact, k_mollified, k_partial,
@@ -21,8 +20,8 @@ from .phase import (BOUNDARY, L2, LABELS, PHASE_II, PHASE_III, SUBCRITICAL,
                     PhaseError, classify, pick_lambda, scan)
 from .sampler import (FieldSample, NumericError, TiltShift,
                       increment_factors, load_sample, replica_normals,
-                      sample_increments, sample_mollified, sampled_rows,
-                      save_sample, tilt_shift_rows)
+                      sample_increments, sampled_rows, save_sample,
+                      tilt_shift_rows)
 from .verify import (Bench, KernelEstimateReport, LadderReport,
                      MomentEstimate, SupFieldReport, TailBoundReport,
                      TiltedEventReport, cauchy_ladder, field_stats,
@@ -34,23 +33,21 @@ from .verify import (Bench, KernelEstimateReport, LadderReport,
 __version__ = "0.6.0"
 
 __all__ = [
-    "BOUNDARY", "Bench", "ChaosParams", "ChaosValue", "FieldSample", "Grid",
+    "BOUNDARY", "Bench", "ChaosParams", "FieldSample", "Grid",
     "KernelEstimateReport", "KernelSpec", "L2", "LABELS", "LadderReport",
     "MollifiedKernelTable", "Mollifier", "MomentEstimate", "NumericError",
     "PHASE_II", "PHASE_III", "PdReport", "PhaseError", "ResolutionError",
     "SUBCRITICAL", "SupFieldReport", "TailBoundReport", "TiltShift",
     "TiltedEventReport", "barrier_below", "bump_function", "cauchy_ladder",
-    "chaos_density", "chaos_integral", "classify", "discrete_stencil",
-    "exact_level", "export_table", "field_stats", "gram",
-    "increment_factors", "k_exact", "k_mollified", "k_partial", "kappa",
-    "kernel_estimate_check", "ladder_from_values", "load_sample",
-    "mc_moment", "mc_moments", "mollified_table", "mollifier_independence",
-    "moment_from_values", "pd_check", "pick_lambda", "q0_for", "q_mollified",
-    "q_n", "quad_cloud", "replica_normals", "sample_increments",
-    "sample_mollified", "sampled_rows", "save_sample", "scan",
-    "second_moment_oracle", "shrink_domain", "sobolev_diag", "sobolev_ladder",
-    "sup_field_prob", "tail_bound_check", "theta", "theta_eps",
-    "tilt_shift_rows", "tilted_event_prob", "trend_verdict",
-    "truncation_indicator", "weight_matrix", "wick_exp_flagged",
-    "__version__",
+    "chaos_density", "classify", "discrete_stencil", "exact_level",
+    "export_table", "field_stats", "gram", "increment_factors", "k_exact",
+    "k_mollified", "k_partial", "kappa", "kernel_estimate_check",
+    "ladder_from_values", "load_sample", "mc_moment", "mc_moments",
+    "mollified_table", "mollifier_independence", "moment_from_values",
+    "pd_check", "pick_lambda", "q0_for", "q_mollified", "q_n",
+    "quad_cloud", "replica_normals", "sample_increments", "sampled_rows",
+    "save_sample", "scan", "second_moment_oracle", "shrink_domain",
+    "sobolev_diag", "sobolev_ladder", "sup_field_prob", "tail_bound_check",
+    "theta", "theta_eps", "tilt_shift_rows", "tilted_event_prob",
+    "trend_verdict", "weight_matrix", "wick_exp_flagged", "__version__",
 ]

@@ -1,7 +1,8 @@
-"""Mollified chaos integrals, truncation events, and the Sobolev diagnostic.
+"""Chaos densities, barrier events, and the Sobolev diagnostic.
 
-The chaos integral is a plain quadrature of Wick-normalized exponentials of
-the sampled mollified field against a compactly supported test function.
+A chaos integral is a plain quadrature of Wick-normalized exponentials of
+the sampled mollified field against a compactly supported test function;
+the block runners in verify sum chaos_density over the support rows.
 Overflow of the exponential is saturated to zero and flagged, never left as
 a silent infinity; estimators downstream exclude flagged replicas and report
 the exclusion count.
@@ -39,18 +40,6 @@ class ChaosParams:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.truncation and self.q < 1:
             raise ValueError("truncation level q must be >= 1")
-
-
-@dataclass(frozen=True)
-class ChaosValue:
-    """One replica's chaos integral with its overflow/truncation state."""
-
-    value: complex
-    mode: str
-    eps: float
-    truncated: bool
-    overflow: bool
-    manifest: str
 
 
 def wick_exp_flagged(u, z, v):
@@ -126,90 +115,24 @@ def q0_for(f, grid):
     return max(1, math.floor(math.log(2.0 / margin)) + 1)
 
 
-def _field_rows(sample, eps):
-    if eps not in sample.mollified:
-        raise KeyError(f"mollified level eps={eps} missing from sample")
-    return sample.mollified[eps], sample.mollified_rows[eps]
-
-
-def truncation_indicator(sample, q, lam, support_idx):
-    """Barrier event indicators at the support points of one sample.
-
-    A_{q,lam}(x) = [Y_k(x) <= k lam for all k in q..n_max], boundary
-    inclusive; support_idx are grid rows among those the sample holds.
-    Returns (per_point bools, global conjunction).
-    """
-    if q > sample.n_max:
-        raise ValueError(f"q={q} exceeds n_max={sample.n_max}")
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    below = barrier_below(sample.z[:, :, None],
-                          np.asarray(support_idx) - sample.lo, lam)
-    ok = below[q:, :, 0].all(axis=0)
-    return ok, bool(ok.all())
-
-
-def chaos_integral(sample, params, eps, k_eps, sample2=None):
-    """Quadrature Sum wick(gamma, X_eps, K_eps) f w over the grid.
-
-    k_eps is the variance table K_eps(x) aligned with the sample's
-    mollified rows (the diagonal of the grid-rule kernel table).  In
-    two-field mode the integrand is exp(alpha X + i beta X' + (beta^2 -
-    alpha^2) K / 2) with an independent second sample.  With
-    params.truncation the barrier indicator A_{q,lam} is inserted, so the
-    value equals the untruncated one exactly on every replica where the
-    global event holds.  This is the single-replica (B = 1) view of the
-    block engine's density kernel.
-    """
-    x_eps, rows = _field_rows(sample, eps)
-    mask = np.ones(sample.grid.n, dtype=bool)
-    mask[rows] = False
-    if np.any(params.f[mask] != 0.0):
-        raise ValueError("test function support leaks outside D_eps")
-    k_eps = np.asarray(k_eps, dtype=float)
-    if k_eps.shape != x_eps.shape:
-        raise ValueError("K_eps table misaligned with the mollified field")
-    u, x = params.gamma, x_eps[:, None]
-    if params.mode == "two-field":
-        if sample2 is None:
-            raise ValueError("two-field mode needs an independent second sample")
-        y_eps, rows2 = _field_rows(sample2, eps)
-        if not np.array_equal(rows, rows2):
-            raise ValueError("second sample on mismatched rows")
-        u, x = (params.alpha, 1j * params.beta), np.stack([x, y_eps[:, None]])
-    event = None
-    if params.truncation:
-        event = truncation_indicator(sample, params.q, params.lam, rows)[0][:, None]
-    dens, overflow = chaos_density(u, x, k_eps, params.f[rows], event)
-    manifest = f"{sample.seed}:{sample.replica}:{sample.grid.digest()}"
-    return ChaosValue(value=complex(dens.sum() * sample.grid.weight),
-                      mode=params.mode, eps=float(eps),
-                      truncated=params.truncation, overflow=bool(overflow[0]),
-                      manifest=manifest)
-
-
 def sobolev_diag(density, grid, u):
-    """Negative-index Sobolev mass Sum |M^(xi)|^2 (1+|xi|^2)^{-u} dxi.
+    """Negative-index Sobolev mass Sum |M^(xi)|^2 (1+xi^2)^{-u} dxi.
 
-    density is a (complex) field on the full grid, already multiplied by
-    the smooth cutoff; the box is treated as a torus for the transform.
-    Requires u > d/2 for the continuum weight to be integrable.
+    density is a (complex) d=1 field of shape (N, ...) on the full grid,
+    already multiplied by the smooth cutoff; it is transformed and summed
+    along axis 0, one mass per trailing index, with the box treated as a
+    torus.  Requires u > 1/2 for the continuum weight to be integrable.
     """
-    if grid.h is None:
-        raise ValueError("sobolev_diag needs a regular grid")
-    if u <= grid.d / 2.0:
-        raise ValueError(f"u={u} must exceed d/2 = {grid.d / 2.0}")
-    arr = np.asarray(density).reshape(grid.shape)
-    h = grid.h
-    m_hat = np.fft.fftn(arr) * (h ** grid.d)
-    axes = [2.0 * np.pi * np.fft.fftfreq(nn, d=h) for nn in grid.shape]
-    if grid.d == 1:
-        xi2 = axes[0] ** 2
-    else:
-        xi2 = axes[0][:, None] ** 2 + axes[1][None, :] ** 2
-    length = grid.box[1] - grid.box[0]
-    dxi = (2.0 * np.pi / length) ** grid.d
-    return float(((np.abs(m_hat) ** 2) * (1.0 + xi2) ** (-u)).sum() * dxi)
+    if grid.h is None or grid.d != 1:
+        raise ValueError("sobolev_diag needs a regular d=1 grid")
+    if u <= 0.5:
+        raise ValueError(f"u={u} must exceed d/2 = 0.5")
+    arr = np.asarray(density)
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.h)
+    weight = ((1.0 + xi ** 2) ** (-u)).reshape((-1,) + (1,) * (arr.ndim - 1))
+    m_hat = np.fft.fft(arr, axis=0) * grid.h
+    dxi = 2.0 * np.pi / (grid.box[1] - grid.box[0])
+    return ((np.abs(m_hat) ** 2) * weight).sum(axis=0) * dxi
 
 
 def bump_function(grid, center=None, radius=0.2, height=1.0):

@@ -1,4 +1,4 @@
-"""Joint Gaussian sampling of increment fields, partial sums, and mollified fields.
+"""Joint Gaussian sampling of increment fields and their partial sums.
 
 All sampling runs through fixed blocks of 32 replicas, padded to exactly 32
 columns (padding replicas are drawn and discarded).  Block b draws its
@@ -35,7 +35,7 @@ from scipy.fft import next_fast_len
 
 from . import kernels
 from .grids import Grid
-from .mollifier import Mollifier, weight_matrix
+from .mollifier import Mollifier
 
 BLOCK = 32
 
@@ -88,9 +88,11 @@ def free_cholesky(mat, name="kernel"):
     """Dense lower Cholesky factor of a free point set's level Gram, with jitter.
 
     A failed factorization retries with diagonal jitter starting at
-    1e-10 * trace/N and escalating x10, at most 3 times; a zero matrix
-    factors to zero.  Raises NumericError naming the offending kernel when
-    escalation is exhausted.
+    1e-10 * trace/N and escalating x10, at most 3 times; an unjittered
+    factor with a squared pivot below that first jitter (a singular Gram
+    that rounding left a tiny positive pivot) counts as failed.  A zero
+    matrix factors to zero.  Raises NumericError naming the offending
+    kernel when escalation is exhausted.
     """
     n = mat.shape[0]
     tr = float(np.trace(mat))
@@ -99,10 +101,11 @@ def free_cholesky(mat, name="kernel"):
     base = 1e-10 * tr / n
     for jitter in (0.0, base, base * 10.0, base * 10.0 * 10.0):
         try:
-            return LevelFactor(np.linalg.cholesky(mat + jitter * np.eye(n)),
-                               jitter, n)
+            root = np.linalg.cholesky(mat + jitter * np.eye(n))
         except np.linalg.LinAlgError:
             continue
+        if jitter > 0.0 or np.diag(root).min() ** 2 >= base:
+            return LevelFactor(root, jitter, n)
     raise NumericError(f"cholesky failed for {name} after jitter escalation")
 
 
@@ -128,7 +131,8 @@ class FieldSample:
 
     z[k] holds the level-k increment values on grid rows lo, lo + 1, ...
     (row 0 is the Q_0 common mode, zero when q0_kind is "zero"); partial
-    sums and mollified fields are derived views of the same draw.
+    sums are derived views of the same draw.  Mollified fields and chaos
+    values come from the block engine (verify.Bench).
     """
 
     spec: kernels.KernelSpec
@@ -140,8 +144,6 @@ class FieldSample:
     lo: int = 0
     tilt: TiltShift | None = None
     mol_profile: str | None = None
-    mollified: dict = field(default_factory=dict, repr=False)
-    mollified_rows: dict = field(default_factory=dict, repr=False)
 
     def y(self, n):
         """Partial sum Y_n = Q_0 mode + Z_1 + ... + Z_n, exact by summation."""
@@ -304,37 +306,11 @@ def sample_increments(spec, grid, n_max, seed, replicas=1, mol=None, tilt=None,
                           tilt=tilt, mol_profile=mol.profile)
 
 
-def sample_mollified(sample, eps_list, mol=None):
-    """Attach mollified fields X_eps = W_eps Y_{n_max} for each requested eps.
-
-    Kept on the D_eps rows whose stencil lies in the sample's rows.  The
-    truncation at n_max is covariance-exact at resolved separations because
-    higher levels are supported below the grid scale; the precondition
-    n_max >= ceil(log(1/eps_min)) + 2 enforces that.
-    """
-    mol = mol if mol is not None else Mollifier(d=sample.spec.d)
-    eps_min = min(eps_list)
-    need = kernels.exact_level(sample.spec, eps_min)
-    if sample.n_max < need:
-        raise ValueError(f"n_max={sample.n_max} < {need} required for eps={eps_min}")
-    y_top = sample.y(sample.n_max)
-    lo, end = sample.lo, sample.lo + y_top.shape[0]
-    for eps in eps_list:
-        rows, w = weight_matrix(sample.grid, mol, eps)
-        keep = ~(w[:, :lo].any(axis=1) | w[:, end:].any(axis=1))
-        sample.mollified[eps] = w[keep, lo:end] @ y_top
-        sample.mollified_rows[eps] = rows[keep]
-    sample.mol_profile = mol.profile
-    return sample
-
-
 def save_sample(sample, path):
-    """Binary arrays plus a JSON manifest; the manifest is the provenance unit."""
-    arrays = {"z": sample.z}
-    for eps, vals in sample.mollified.items():
-        arrays[f"x_{eps!r}"] = vals
-        arrays[f"rows_{eps!r}"] = sample.mollified_rows[eps]
-    np.savez(path, **arrays)
+    """z as .npz plus a JSON manifest of seed, replica, grid hash, n_max,
+    sampled rows, tilt and mollifier profile; the manifest is the provenance
+    unit."""
+    np.savez(path, z=sample.z)
     tilt = None
     if sample.tilt is not None:
         tilt = {"x": sample.tilt.x, "y": sample.tilt.y, "eps": sample.tilt.eps,
@@ -343,7 +319,6 @@ def save_sample(sample, path):
         "seed": int(sample.seed),
         "replica": int(sample.replica),
         "grid_hash": sample.grid.digest(),
-        "eps_list": sorted(float(e) for e in sample.mollified),
         "n_max": int(sample.n_max),
         "rows": [int(sample.lo), int(sample.lo + sample.z.shape[1] - 1)],
         "tilt": tilt,
@@ -365,11 +340,7 @@ def load_sample(path, spec, grid):
     tilt = None
     if manifest["tilt"] is not None:
         tilt = TiltShift(**manifest["tilt"])
-    sample = FieldSample(spec=spec, grid=grid, seed=manifest["seed"],
-                         replica=manifest["replica"], n_max=manifest["n_max"],
-                         z=data["z"], lo=manifest["rows"][0], tilt=tilt,
-                         mol_profile=manifest["mol_profile"])
-    for eps in manifest["eps_list"]:
-        sample.mollified[eps] = data[f"x_{eps!r}"]
-        sample.mollified_rows[eps] = data[f"rows_{eps!r}"]
-    return sample
+    return FieldSample(spec=spec, grid=grid, seed=manifest["seed"],
+                       replica=manifest["replica"], n_max=manifest["n_max"],
+                       z=data["z"], lo=manifest["rows"][0], tilt=tilt,
+                       mol_profile=manifest["mol_profile"])

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import erfc
 
 from . import kernels
-from .chaos import barrier_below, chaos_density
+from .chaos import barrier_below, chaos_density, sobolev_diag
 from .grids import Grid
 from .mollifier import Mollifier, weight_matrix
 from .phase import PhaseError
@@ -331,8 +331,8 @@ def _event_consume(bench, rows, q, lam):
 def _gamma_of(params):
     """The coefficient of single-mode params; the block engine samples one field."""
     if params.mode != "single":
-        raise ValueError("the block engine samples one field; two-field "
-                         "chaos needs chaos_integral with a second sample")
+        raise ValueError("the block engine samples one field: it does not "
+                         "sample two-field chaos yet")
     return params.gamma
 
 
@@ -832,23 +832,16 @@ def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
 
     The density at level eps is the Wick integrand times the test function
     (times the barrier indicator when truncation is on), placed on the full
-    periodized grid; consecutive-pair squared distances feed the usual
-    ladder machinery.
+    periodized d=1 grid; consecutive-pair squared distances (sobolev_diag)
+    feed the usual ladder machinery.
     """
     grid = bench.grid
     if u <= grid.d / 2.0:
         raise ValueError(f"u={u} must exceed d/2")
-    if grid.d != 1:
-        raise NotImplementedError("density ladder is wired for d=1 grids")
     eps_ladder = [float(e) for e in eps_ladder]
     trunc = (params.q, params.lam) if params.truncation else None
     densities = _block_densities(bench, [_gamma_of(params)],
                                  [("main", e) for e in eps_ladder], trunc)
-    h = grid.h
-    xi = 2.0 * np.pi * np.fft.fftfreq(grid.shape[0], d=h)
-    weight = (1.0 + xi ** 2) ** (-u)
-    length = grid.box[1] - grid.box[0]
-    dxi = (2.0 * np.pi / length) ** grid.d
 
     def consume(start, z):
         dens = np.zeros((len(eps_ladder), grid.n, z.shape[2]), dtype=complex)
@@ -860,9 +853,7 @@ def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
         out = np.empty((len(eps_ladder) - 1, z.shape[2]))
         kout = np.empty((len(eps_ladder) - 1, z.shape[2]), dtype=bool)
         for i in range(len(eps_ladder) - 1):
-            diff = dens[i] - dens[i + 1]
-            m_hat = np.fft.fft(diff, axis=0) * (h ** grid.d)
-            out[i] = ((np.abs(m_hat) ** 2) * weight[:, None]).sum(axis=0) * dxi
+            out[i] = sobolev_diag(dens[i] - dens[i + 1], grid, u)
             kout[i] = keep[i] & keep[i + 1]
         return out, kout
 

@@ -4,37 +4,37 @@ import math
 import numpy as np
 import pytest
 
-from logchaos import (ChaosParams, Grid, KernelSpec, Mollifier,
-                      bump_function, chaos_integral, mollified_table, q0_for,
-                      sample_increments, sample_mollified, sobolev_diag,
-                      truncation_indicator, wick_exp_flagged)
-from logchaos.sampler import FieldSample
+from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
+                      ResolutionError, barrier_below, bump_function,
+                      chaos_density, mc_moment, q0_for, sobolev_diag,
+                      wick_exp_flagged)
+from logchaos.verify import _chaos_values_consume
 
 SPEC = KernelSpec(d=1)
 GRID = Grid.regular((0.0, 1.0), 64)
 EPS = 2 ** -3
 MOL = Mollifier(d=1)
+F = bump_function(GRID, radius=0.2)
 
 
-def sampled(seed, n_max=6, replicas=1):
-    for s in sample_increments(SPEC, GRID, n_max, seed, replicas, mol=MOL):
-        yield sample_mollified(s, [EPS], mol=MOL)
+def fields(seed, replicas, f=F, n_max=6):
+    """(bench, X_eps on the supp(f) rows, shape (S, R)) from block draws."""
+    bench = Bench(SPEC, GRID, n_max, f=f, mol=MOL)
+    w, _, cols = bench.supp_tables("main", EPS)
+
+    def consume(start, z):
+        return (w @ z.sum(axis=0)[cols[0]:cols[-1] + 1],)
+
+    return bench, bench.map_blocks(seed, replicas, consume)[0]
 
 
-def k_diag(n_levels=6):
-    tab = mollified_table(SPEC, GRID, EPS, mol=MOL, rule="grid",
-                          n_levels=n_levels)
-    return tab.diag()
-
-
-def fabricated(values, rows, n_max=3, z=None):
-    """Hand-built sample with prescribed mollified values (no sampling)."""
-    zz = np.zeros((n_max + 1, GRID.n)) if z is None else z
-    s = FieldSample(spec=SPEC, grid=GRID, seed=0, replica=0, n_max=n_max,
-                    z=zz)
-    s.mollified[EPS] = np.asarray(values, dtype=float)
-    s.mollified_rows[EPS] = np.asarray(rows)
-    return s
+def chaos_values(bench, gamma, seed, replicas, trunc=None):
+    """Per-replica chaos values of the block engine, with the global barrier
+    event per replica when trunc=(q, lam) is given."""
+    consume = _chaos_values_consume(bench, [gamma], [("main", EPS)], trunc,
+                                    events=trunc is not None)
+    parts = bench.map_blocks(seed, replicas, consume)
+    return parts[0][0], (parts[2] if trunc is not None else None)
 
 
 class TestWick:
@@ -79,15 +79,17 @@ class TestWick:
 
 
 class TestChaosIntegral:
+    """Chaos densities and their quadrature on block-engine draws."""
+
     def test_gamma_zero_is_quadrature(self):
-        f = bump_function(GRID, radius=0.2)
-        params = ChaosParams(f=f, gamma=0.0)
-        s = next(sampled(seed=1))
-        val = chaos_integral(s, params, EPS, k_diag())
-        quad = f[s.mollified_rows[EPS]].astype(complex).sum() * GRID.weight
-        assert val.value == quad, f"{val.value} vs {quad}"
-        assert val.value.imag == 0.0
-        assert not val.overflow
+        bench, x = fields(seed=1, replicas=1)
+        _, kd, _ = bench.supp_tables("main", EPS)
+        dens, ovf = chaos_density(0.0, x, kd, F[bench.supp])
+        val = dens.sum() * GRID.weight
+        quad = F[bench.supp].astype(complex).sum() * GRID.weight
+        assert val == quad, f"{val} vs {quad}"
+        assert val.imag == 0.0
+        assert not ovf.any()
 
     def test_constant_field_factorizes(self):
         c, v = 0.9, 1.4
@@ -95,66 +97,63 @@ class TestChaosIntegral:
         rows = np.arange(20, 44)
         f = np.zeros(GRID.n)
         f[rows] = 1.0
-        s = fabricated(np.full(rows.size, c), rows)
-        params = ChaosParams(f=f, gamma=gamma)
-        val = chaos_integral(s, params, EPS, np.full(rows.size, v))
+        dens, _ = chaos_density(gamma, np.full((rows.size, 1), c),
+                                np.full(rows.size, v), f[rows])
         expect = cmath.exp(gamma * c - 0.5 * gamma * gamma * v) * f.sum() * GRID.weight
-        assert abs(val.value - expect) < 1e-12
+        assert abs(dens.sum() * GRID.weight - expect) < 1e-12
 
     def test_linearity(self):
         f1 = bump_function(GRID, center=0.4, radius=0.12)
         f2 = bump_function(GRID, center=0.6, radius=0.12)
-        s = next(sampled(seed=2))
-        kd = k_diag()
-        a = chaos_integral(s, ChaosParams(f=f1, gamma=0.7), EPS, kd).value
-        b = chaos_integral(s, ChaosParams(f=f2, gamma=0.7), EPS, kd).value
-        c = chaos_integral(s, ChaosParams(f=f1 + f2, gamma=0.7), EPS, kd).value
+        bench, x = fields(seed=2, replicas=1, f=f1 + f2)
+        _, kd, _ = bench.supp_tables("main", EPS)
+        a, b, c = (chaos_density(0.7, x, kd, f[bench.supp])[0].sum()
+                   for f in (f1, f2, f1 + f2))
         assert abs(c - (a + b)) < 1e-12, "quadrature must be linear in f"
 
     def test_conjugation(self):
-        f = bump_function(GRID, radius=0.2)
-        s = next(sampled(seed=3))
-        kd = k_diag()
+        bench, x = fields(seed=3, replicas=1)
+        _, kd, _ = bench.supp_tables("main", EPS)
         g = 0.5 + 0.4j
-        val = chaos_integral(s, ChaosParams(f=f, gamma=g), EPS, kd).value
-        valc = chaos_integral(s, ChaosParams(f=f, gamma=g.conjugate()), EPS,
-                              kd).value
+        val = chaos_density(g, x, kd, F[bench.supp])[0].sum()
+        valc = chaos_density(g.conjugate(), x, kd, F[bench.supp])[0].sum()
         assert abs(valc - val.conjugate()) < 1e-12
 
     def test_support_leak_rejected(self):
         f = np.ones(GRID.n)  # touches the boundary, outside D_eps
-        s = next(sampled(seed=4))
-        with pytest.raises(ValueError):
-            chaos_integral(s, ChaosParams(f=f, gamma=0.5), EPS, k_diag())
+        bench = Bench(SPEC, GRID, 6, f=f, mol=MOL)
+        with pytest.raises(ValueError, match="leaks outside D_eps"):
+            mc_moment(bench, ChaosParams(f=f, gamma=0.5), "mean", EPS,
+                      replicas=2, seed=4)
 
     def test_missing_level_rejected(self):
-        f = bump_function(GRID, radius=0.2)
-        s = next(sampled(seed=5))
-        with pytest.raises(KeyError):
-            chaos_integral(s, ChaosParams(f=f, gamma=0.5), 2 ** -4, k_diag())
+        # a mollifier level the grid cannot resolve (h > eps/4) is refused
+        # before sampling
+        bench = Bench(SPEC, GRID, 6, f=F, mol=MOL)
+        with pytest.raises(ResolutionError):
+            mc_moment(bench, ChaosParams(f=F, gamma=0.5), "mean", 2 ** -5,
+                      replicas=2, seed=5)
 
     def test_mean_identity_small_run(self):
-        R = 2000
-        f = bump_function(GRID, radius=0.2)
-        kd = k_diag()
-        params = ChaosParams(f=f, gamma=0.5)
-        vals = np.array([chaos_integral(s, params, EPS, kd).value
-                         for s in sampled(seed=6, replicas=R)])
-        target = f.sum() * GRID.weight
-        se = vals.real.std(ddof=1) / math.sqrt(R)
-        z = (vals.real.mean() - target) / se
-        assert abs(z) <= 4, f"mean identity z = {z}"
+        m = mc_moment(Bench(SPEC, GRID, 6, f=F, mol=MOL),
+                      ChaosParams(f=F, gamma=0.5), "mean", EPS, replicas=2000,
+                      seed=6)
+        assert m.excluded == 0
+        assert abs(m.z_re) <= 4, f"mean identity z = {m.z_re}"
 
     def test_two_field_mean_identity(self):
+        # two-field chaos exp(alpha X + i beta Y): X and Y from two
+        # independent seeds, stacked with coefficients (alpha, i beta)
         R = 2000
-        f = bump_function(GRID, radius=0.2)
-        kd = k_diag()
-        params = ChaosParams(f=f, mode="two-field", alpha=0.8, beta=0.4)
-        first = sampled(seed=7, replicas=R)
-        second = sampled(seed=8, replicas=R)
-        vals = np.array([chaos_integral(s, params, EPS, kd, sample2=s2).value
-                         for s, s2 in zip(first, second)])
-        target = f.sum() * GRID.weight
+        alpha, beta = 0.8, 0.4
+        bench, x = fields(seed=7, replicas=R)
+        _, y = fields(seed=8, replicas=R)
+        _, kd, _ = bench.supp_tables("main", EPS)
+        dens, ovf = chaos_density((alpha, 1j * beta), np.stack([x, y]), kd,
+                                  F[bench.supp])
+        vals = dens.sum(axis=0) * GRID.weight
+        assert not ovf.any()
+        target = F.sum() * GRID.weight
         se = vals.real.std(ddof=1) / math.sqrt(R)
         z = (vals.real.mean() - target) / se
         assert abs(z) <= 4, f"two-field mean identity z = {z}"
@@ -164,52 +163,40 @@ class TestTruncation:
     def test_boundary_inclusive(self):
         lam = 1.6
         n_max = 3
-        z = np.zeros((n_max + 1, GRID.n))
+        z = np.zeros((n_max + 1, 4, 1))
         z[1:] = lam  # Y_k = k lam exactly
-        s = fabricated(np.zeros(4), np.arange(30, 34), n_max=n_max, z=z)
-        ok, global_ok = truncation_indicator(s, 1, lam, np.arange(30, 34))
-        assert global_ok, "Y_k = k lam must count as inside (<= inclusive)"
-        z2 = z.copy()
-        z2[1] = lam + 1.0
-        s2 = fabricated(np.zeros(4), np.arange(30, 34), n_max=n_max, z=z2)
-        ok2, global2 = truncation_indicator(s2, 1, lam, np.arange(30, 34))
-        assert not global2
+        assert barrier_below(z, np.arange(4), lam)[1:].all(), \
+            "Y_k = k lam must count as inside (<= inclusive)"
+        z[1] = lam + 1.0
+        assert not barrier_below(z, np.arange(4), lam)[1:].all()
 
     def test_q_bounds(self):
-        s = next(sampled(seed=9))
-        with pytest.raises(ValueError):
-            truncation_indicator(s, s.n_max + 1, 1.6, np.arange(4))
-        with pytest.raises(ValueError):
-            truncation_indicator(s, 0, 1.6, np.arange(4))
+        # a barrier level outside the partial sums the bench draws (here
+        # 1..n_max) is refused before sampling, never read from another slab
+        bench = Bench(SPEC, GRID, 6, f=F, mol=MOL, levels=range(1, 7))
+        params = ChaosParams(f=F, gamma=0.5)
+        for q in (0, 7):
+            with pytest.raises(ValueError, match=f"Y_{q}"):
+                mc_moment(bench, params, "mean", EPS, replicas=2, seed=9,
+                          trunc=(q, 1.6))
 
     def test_truncated_equals_full_on_good_replicas(self):
-        f = bump_function(GRID, radius=0.2)
-        kd = k_diag()
-        q = max(2, q0_for(f, GRID))
-        lam = 2.2
-        params = ChaosParams(f=f, gamma=0.8, truncation=True, q=q, lam=lam)
-        plain = ChaosParams(f=f, gamma=0.8)
-        hits = 0
-        for s in sampled(seed=10, replicas=64):
-            supp = np.flatnonzero(f)
-            _, event = truncation_indicator(s, q, lam, supp)
-            tv = chaos_integral(s, params, EPS, kd).value
-            fv = chaos_integral(s, plain, EPS, kd).value
-            if event:
-                hits += 1
-                assert tv == fv, "truncation must be the identity on the event"
-            else:
-                assert abs(tv) <= abs(fv) + 1e-12
-        assert hits > 0, "no replica satisfied the event; test is vacuous"
+        bench = Bench(SPEC, GRID, 6, f=F, mol=MOL)
+        q = max(2, q0_for(F, GRID))
+        tv, event = chaos_values(bench, 0.8, seed=10, replicas=64,
+                                 trunc=(q, 2.2))
+        fv, _ = chaos_values(bench, 0.8, seed=10, replicas=64)
+        on = event == 1.0
+        assert on.any(), "no replica satisfied the event; test is vacuous"
+        assert np.array_equal(tv[on], fv[on]), \
+            "truncation must be the identity on the event"
+        assert np.all(np.abs(tv[~on]) <= np.abs(fv[~on]) + 1e-12)
 
     def test_huge_lambda_is_identity(self):
-        f = bump_function(GRID, radius=0.2)
-        kd = k_diag()
-        params = ChaosParams(f=f, gamma=0.8, truncation=True, q=6, lam=50.0)
-        plain = ChaosParams(f=f, gamma=0.8)
-        s = next(sampled(seed=11))
-        assert chaos_integral(s, params, EPS, kd).value == \
-            chaos_integral(s, plain, EPS, kd).value
+        bench = Bench(SPEC, GRID, 6, f=F, mol=MOL)
+        tv, _ = chaos_values(bench, 0.8, seed=11, replicas=1, trunc=(6, 50.0))
+        fv, _ = chaos_values(bench, 0.8, seed=11, replicas=1)
+        assert np.array_equal(tv, fv)
 
 
 class TestSobolevDiag:
@@ -232,6 +219,25 @@ class TestSobolevDiag:
         grid = Grid.regular((0.0, 1.0), 64)
         with pytest.raises(ValueError):
             sobolev_diag(np.ones(grid.n), grid, u=0.5)
+
+    def test_batched_matches_columns(self):
+        # a (N, a, b) density is transformed along axis 0: each trailing
+        # index equals its own column's call (to summation order)
+        grid = Grid.regular((0.0, 1.0), 128)
+        rng = np.random.default_rng(16)
+        dens = (rng.standard_normal((grid.n, 3, 5))
+                + 1j * rng.standard_normal((grid.n, 3, 5)))
+        batched = sobolev_diag(dens, grid, u=0.75)
+        assert batched.shape == (3, 5)
+        for i in range(3):
+            for j in range(5):
+                col = sobolev_diag(dens[:, i, j], grid, u=0.75)
+                assert abs(batched[i, j] - col) <= 1e-12 * col
+
+    def test_d2_refused(self):
+        plane = Grid.regular((0.0, 1.0), 16, d=2)
+        with pytest.raises(ValueError, match="d=1"):
+            sobolev_diag(np.ones(plane.n), plane, u=1.5)
 
     def test_parseval_scaling(self):
         # norm with weight 1 at u -> equals L2 mass? spot-check with u large

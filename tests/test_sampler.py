@@ -7,14 +7,33 @@ from scipy.fft import next_fast_len
 from logchaos import (Bench, Grid, KernelSpec, Mollifier, NumericError,
                       TiltShift, barrier_below, bump_function, gram,
                       increment_factors, load_sample, mollified_table,
-                      replica_normals, sample_increments, sample_mollified,
-                      sampled_rows, save_sample, tilt_shift_rows)
+                      replica_normals, sample_increments, sampled_rows,
+                      save_sample, tilt_shift_rows)
 from logchaos.kernels import lattice_row
-from logchaos.mollifier import discrete_stencil, weight_matrix
+from logchaos.mollifier import discrete_stencil, interior_rows, weight_matrix
 from logchaos.sampler import (BLOCK, block_z, circulant_root, free_cholesky)
 
 SPEC = KernelSpec(d=1)
 GRID = Grid.regular((0.0, 1.0), 64)
+
+
+def stencil_field(y, eps, mol, grid=GRID):
+    """(rows, X_eps): the discrete_stencil taps applied to a full-grid y of
+    shape (N, ...) at the D_eps rows, with no dense W."""
+    rows = interior_rows(grid, mol, eps)
+    offs, taps = discrete_stencil(mol, eps, grid.h)
+    return rows, sum(t * y[rows + o] for o, t in zip(offs[:, 0], taps))
+
+
+def mollified_draws(n_max, seed, replicas, eps_list, mol):
+    """X_eps at the D_eps rows for each eps, shape (rows, R), on the draws of
+    a default-level Bench without f (every row, one slab per level)."""
+    def consume(start, z):
+        y = z.sum(axis=0)
+        return tuple(stencil_field(y, eps, mol)[1] for eps in eps_list)
+
+    return Bench(SPEC, GRID, n_max, mol=mol).map_blocks(seed, replicas,
+                                                        consume)
 
 
 def draw_matrix(grid, n_max, seed, replicas, level=None, tilt=None):
@@ -116,20 +135,16 @@ class TestCovariance:
 
 
 class TestMollifiedFields:
-    def test_requires_depth(self):
-        s = next(sample_increments(SPEC, GRID, 3, seed=0))
-        with pytest.raises(ValueError):
-            sample_mollified(s, [2 ** -4])
-
     def test_coupling_is_linear(self):
-        # X_eps must equal W_eps @ Y_{n_max} for the same draw
+        # the stencil taps at the D_eps rows equal W_eps @ Y_{n_max} for the
+        # same draw
         mol = Mollifier(d=1)
         s = next(sample_increments(SPEC, GRID, 7, seed=12))
-        sample_mollified(s, [2 ** -4, 2 ** -3], mol=mol)
-        from logchaos.mollifier import discrete_stencil, weight_matrix
-        rows, w = weight_matrix(GRID, mol, 2 ** -4)
-        assert np.allclose(s.mollified[2 ** -4], w @ s.y(7), atol=1e-12)
-        assert np.array_equal(s.mollified_rows[2 ** -4], rows)
+        for eps in (2 ** -4, 2 ** -3):
+            rows, x = stencil_field(s.y(7), eps, mol)
+            w_rows, w = weight_matrix(GRID, mol, eps)
+            assert np.array_equal(rows, w_rows)
+            assert np.allclose(x, w @ s.y(7), atol=1e-12)
 
     def test_variance_matches_grid_table(self):
         # grid-rule table is the exact covariance of the sampled field
@@ -139,11 +154,7 @@ class TestMollifiedFields:
         tab = mollified_table(SPEC, GRID, eps, mol=mol, rule="grid",
                               n_levels=6)
         diag = tab.diag()
-        cols = []
-        for s in sample_increments(SPEC, GRID, 6, seed=14, replicas=R):
-            sample_mollified(s, [eps], mol=mol)
-            cols.append(s.mollified[eps])
-        x = np.stack(cols, axis=1)
+        (x,) = mollified_draws(6, 14, R, [eps], mol)
         var = x.var(axis=1, ddof=1)
         se = var * math.sqrt(2.0 / (R - 1))
         k = len(diag) // 2
@@ -157,13 +168,7 @@ class TestMollifiedFields:
         e1, e2 = 2 ** -3, 2 ** -4
         tab = mollified_table(SPEC, GRID, e1, eps_prime=e2, mol=mol,
                               rule="grid", n_levels=7)
-        xa, xb = [], []
-        for s in sample_increments(SPEC, GRID, 7, seed=15, replicas=R):
-            sample_mollified(s, [e1, e2], mol=mol)
-            xa.append(s.mollified[e1])
-            xb.append(s.mollified[e2])
-        xa = np.stack(xa, axis=1)
-        xb = np.stack(xb, axis=1)
+        xa, xb = mollified_draws(7, 15, R, [e1, e2], mol)
         ia = len(tab.rows) // 2
         ib = len(tab.rows_prime) // 3
         cov = np.cov(xa[ia], xb[ib])[0, 1]
@@ -351,25 +356,26 @@ class TestSampledWindow:
         assert samples[0].lo == bench.lo
         assert np.array_equal(np.stack([s.z for s in samples], axis=-1), z)
 
-    def test_mollified_rows_inside_window(self):
-        # X_eps is kept exactly on the D_eps rows whose stencil stays in the
-        # sampled rows, with the values W @ y there
+    def test_mollified_support_inside_window(self):
+        # the bench convolves the support rows of f inside the sampled rows,
+        # and its windowed product equals the dense W @ y of the same draw
         mol = Mollifier(d=1)
         f = bump_function(GRID, center=0.5, radius=0.2)
-        s = next(sample_increments(SPEC, GRID, 7, seed=12, f=f))
+        bench = Bench(SPEC, GRID, 7, f=f, mol=mol)
         lo, hi = sampled_rows(GRID, f)
-        assert s.lo == lo and s.z.shape == (8, hi - lo + 1)
-        sample_mollified(s, [2 ** -4, 2 ** -3], mol=mol)
-        padded = np.zeros(GRID.n)
-        padded[lo:hi + 1] = s.y(7)
+        (z,) = bench.map_blocks(12, 1, lambda start, zb: (zb,))
+        assert bench.lo == lo and z.shape == (8, hi - lo + 1, 1)
+        padded = np.zeros((GRID.n, 1))
+        padded[lo:hi + 1] = z.sum(axis=0)
+        supp = np.flatnonzero(f)
         for eps in (2 ** -4, 2 ** -3):
-            reach = np.abs(discrete_stencil(mol, eps, GRID.h)[0]).max()
+            w_win, _, cols = bench.supp_tables("main", eps)
+            assert 0 <= cols[0] and cols[-1] <= hi - lo
             rows, w = weight_matrix(GRID, mol, eps)
-            kept = (rows - reach >= lo) & (rows + reach <= hi)
-            assert np.array_equal(s.mollified_rows[eps], rows[kept])
-            ref = w[kept] @ padded
-            assert np.abs(s.mollified[eps] - ref).max() < 1e-12
-            assert np.all(np.isin(np.flatnonzero(f), rows[kept]))
+            assert np.all(np.isin(supp, rows))
+            ref = w[np.searchsorted(rows, supp)] @ padded
+            x = w_win @ padded[lo:hi + 1][cols]
+            assert np.abs(x - ref).max() < 1e-12
 
 
 class TestLevelGroups:
@@ -490,26 +496,27 @@ class TestLevelGroups:
 
 class TestRoundTrip:
     def test_save_load(self, tmp_path):
-        s = next(sample_increments(SPEC, GRID, 6, seed=30))
-        sample_mollified(s, [2 ** -3])
+        # z, the sampled rows, the tilt and the mollifier profile survive
+        t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, eps_prime=2 ** -3,
+                      alpha=0.8)
+        s = next(sample_increments(SPEC, GRID, 6, seed=30, tilt=t))
         path = tmp_path / "sample"
         save_sample(s, path)
         back = load_sample(path, SPEC, GRID)
         assert np.array_equal(back.z, s.z)
-        assert np.array_equal(back.mollified[2 ** -3], s.mollified[2 ** -3])
-        assert back.n_max == s.n_max
+        assert back.n_max == s.n_max and back.tilt == t
+        assert back.mol_profile == s.mol_profile == "bump"
+        assert np.load(str(path) + ".npz").files == ["z"]
 
     def test_save_load_window(self, tmp_path):
         f = bump_function(GRID, center=0.5, radius=0.2)
         s = next(sample_increments(SPEC, GRID, 6, seed=30, f=f))
-        sample_mollified(s, [2 ** -3])
         path = tmp_path / "sample"
         save_sample(s, path)
         back = load_sample(path, SPEC, GRID)
         assert back.lo == s.lo > 0
         assert np.array_equal(back.z, s.z)
-        assert np.array_equal(back.mollified_rows[2 ** -3],
-                              s.mollified_rows[2 ** -3])
+        assert back.z.shape[1] == sampled_rows(GRID, f)[1] - s.lo + 1
 
     def test_grid_mismatch_rejected(self, tmp_path):
         s = next(sample_increments(SPEC, GRID, 4, seed=31))

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
-                      PhaseError, bump_function, cauchy_ladder, chaos_integral,
+                      PhaseError, bump_function, cauchy_ladder, chaos_density,
                       field_stats, kernel_estimate_check, ladder_from_values,
                       mc_moment, mc_moments, mollified_table,
-                      moment_from_values,
-                      mollifier_independence, sample_increments,
-                      sample_mollified, second_moment_oracle, sobolev_ladder,
+                      moment_from_values, mollifier_independence,
+                      sample_increments, second_moment_oracle, sobolev_ladder,
                       sup_field_prob, tail_bound_check, tilted_event_prob,
                       trend_verdict, weight_matrix)
 
@@ -137,7 +136,8 @@ class TestBench:
 
     def test_cholesky_jitter_recorded(self):
         # coincident points make every level Gram singular, so each free-set
-        # factor needs jitter (the scalar Q_0 group needs none); the
+        # factor needs jitter (the scalar Q_0 group needs none), grouped or
+        # not, even where rounding leaves a tiny positive pivot; the
         # acceptance geometry is embedded instead, with every group's
         # eigenvalue ratio recorded and positive
         pair = Grid.from_points(np.array([[0.4], [0.4]]), (0.0, 1.0))
@@ -149,7 +149,7 @@ class TestBench:
         grouped = Bench(SPEC, pair, 4, levels=[2]).safety_net
         assert grouped["level_groups"] == [[0, 2], [3, 4]]
         assert len(grouped["cholesky_jitter"]) == 2
-        assert all(j >= 0.0 for j in grouped["cholesky_jitter"])
+        assert all(j > 0.0 for j in grouped["cholesky_jitter"])
         fine = Grid.regular((0.0, 1.0), 2048)
         ratios = Bench(SPEC, fine, 8).safety_net["embedding_min_ratio"]
         assert len(ratios) == 9 and all(0.0 < r <= 1.0 for r in ratios)
@@ -250,58 +250,67 @@ class TestSampledWindow:
 
 
 class TestEngineAgreement:
-    """The single-replica API against the block engine, replica by replica."""
+    """The block engine's chaos values against an inline numpy Wick sum over
+    the same draws, replica by replica: the oracle convolves with the dense
+    W on the full grid and reads the variance from the grid-rule table."""
 
     EPS = 2 ** -4
     N_MAX = 7
+    SUPP = np.flatnonzero(F)
 
-    def samples(self, seed, replicas):
-        # f=F: the rows a Bench with test function F samples
-        for s in sample_increments(SPEC, GRID, self.N_MAX, seed, replicas,
-                                   f=F):
-            yield sample_mollified(s, [self.EPS])
+    def field(self, bench, seed, replicas):
+        """(X_eps on supp(F), block slabs) of the bench's draws."""
+        (z,) = bench.map_blocks(seed, replicas, lambda start, zb: (zb,))
+        rows, w = weight_matrix(GRID, Mollifier(d=1), self.EPS)
+        y = np.zeros((GRID.n, replicas))
+        y[bench.lo:bench.hi + 1] = z.sum(axis=0)
+        return w[np.searchsorted(rows, self.SUPP)] @ y, z
 
     def k_diag(self):
-        # the variance table on the D_eps rows the samples keep
         table = mollified_table(SPEC, GRID, self.EPS, rule="grid",
                                 n_levels=self.N_MAX)
-        rows = next(self.samples(0, 1)).mollified_rows[self.EPS]
-        return table.diag()[np.isin(table.rows, rows)]
+        return table.diag()[np.searchsorted(table.rows, self.SUPP)]
 
     @pytest.mark.parametrize("trunc", [None, (2, 1.6)])
-    def test_mean_matches_chaos_integral(self, trunc):
+    def test_mean_matches_inline_wick_sum(self, trunc):
         # 40 replicas cross the block-of-32 boundary; the summation order
-        # differs between the engines, so agreement is to 1e-10 relative
+        # differs between the two, so agreement is to 1e-10 relative
         R, seed, gamma = 40, 5, 0.6 + 0.3j
-        q, lam = trunc or (1, 0.0)
-        params = ChaosParams(f=F, gamma=gamma, truncation=trunc is not None,
-                             q=q, lam=lam)
-        kd = self.k_diag()
-        vals = [chaos_integral(s, params, self.EPS, kd).value
-                for s in self.samples(seed, R)]
-        m = mc_moment(small_bench(self.N_MAX), ChaosParams(f=F, gamma=gamma),
-                      "mean", self.EPS, replicas=R, seed=seed, trunc=trunc)
-        assert m.replicas == R and m.excluded == 0
-        assert abs(m.estimate - np.mean(vals)) <= 1e-10 * abs(np.mean(vals))
+        bench = small_bench(self.N_MAX)
+        x, z = self.field(bench, seed, R)
+        dens = (np.exp(gamma * x - 0.5 * gamma ** 2 * self.k_diag()[:, None])
+                * F[self.SUPP][:, None])
+        vals = dens.sum(axis=0) * GRID.weight
         if trunc is not None:
-            plain = ChaosParams(f=F, gamma=gamma)
-            full = [chaos_integral(s, plain, self.EPS, kd).value
-                    for s in self.samples(seed, R)]
-            assert any(a != b for a, b in zip(vals, full)), \
+            # Y_k <= k lam for k in q..n_max: one slab per level
+            q, lam = trunc
+            ys = np.cumsum(z, axis=0)[q:, self.SUPP - bench.lo]
+            ok = (ys <= lam * np.arange(q, self.N_MAX + 1)[:, None, None]
+                  ).all(axis=0)
+            full, vals = vals, (dens * ok).sum(axis=0) * GRID.weight
+            assert np.any(vals != full), \
                 "no replica left the barrier event; the case is vacuous"
+        m = mc_moment(bench, ChaosParams(f=F, gamma=gamma), "mean", self.EPS,
+                      replicas=R, seed=seed, trunc=trunc)
+        assert m.replicas == R and m.excluded == 0
+        assert abs(m.estimate - vals.mean()) <= 1e-10 * abs(vals.mean())
 
     def test_two_field_matches_inline_formula(self):
+        # chaos_density with stacked coefficients (alpha, i beta) over the
+        # bench tables, X and Y drawn at two seeds
         alpha, beta = 0.8, 0.4
-        params = ChaosParams(f=F, mode="two-field", alpha=alpha, beta=beta)
-        kd = self.k_diag()
-        for s, s2 in zip(self.samples(7, 8), self.samples(8, 8)):
-            x, y = s.mollified[self.EPS], s2.mollified[self.EPS]
-            rows = s.mollified_rows[self.EPS]
-            expo = (alpha * x + 1j * beta * y
-                    + 0.5 * (beta ** 2 - alpha ** 2) * kd)
-            expect = (np.exp(expo) * F[rows]).sum() * GRID.weight
-            got = chaos_integral(s, params, self.EPS, kd, sample2=s2).value
-            assert abs(got - expect) <= 1e-10 * abs(expect)
+        bench = small_bench(self.N_MAX)
+        (x, _), (y, _) = self.field(bench, 7, 8), self.field(bench, 8, 8)
+        expo = (alpha * x + 1j * beta * y
+                + 0.5 * (beta ** 2 - alpha ** 2) * self.k_diag()[:, None])
+        expect = (np.exp(expo) * F[self.SUPP][:, None]).sum(axis=0) * GRID.weight
+        w, kd, cols = bench.supp_tables("main", self.EPS)
+        xy = np.stack([bench.map_blocks(seed, 8, lambda start, zb: (
+            w @ zb.sum(axis=0)[cols[0]:cols[-1] + 1],))[0] for seed in (7, 8)])
+        dens, ovf = chaos_density((alpha, 1j * beta), xy, kd, F[bench.supp])
+        got = dens.sum(axis=0) * GRID.weight
+        assert not ovf.any()
+        assert np.all(np.abs(got - expect) <= 1e-10 * np.abs(expect))
 
 
 class TestMcMoment:
