@@ -17,10 +17,11 @@ mollified values K_{eps,eps'} come in two quadrature flavours:
   independent of any sampling grid (used for kernel-level analysis).
 
 On a regular grid a K_{eps,eps'} table depends only on the lattice offset
-i - j, so the midpoint rule evaluates its quadrature once per lattice offset
-and expands the table by indexing.  Each quadrature folds its two clouds into
-their distinct differences u_a - v_b, so the kernel is evaluated once per
-(offset, distinct difference); midpoint_work bounds that cost up front.
+i - j, so both rules evaluate their quadrature once per lattice offset
+(offset_table) and expand the table by indexing; no weight matrix or summed
+Gram is built.  Each quadrature folds its two clouds into their distinct
+differences u_a - v_b, so the kernel is evaluated once per (offset,
+distinct difference); midpoint_work bounds that cost up front.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .grids import Grid
 from .mollifier import (Mollifier, discrete_stencil, interior_rows, quad_cloud,
-                        shrink_domain, weight_matrix)
+                        shrink_domain)
 
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
 
@@ -69,7 +70,7 @@ class KernelSpec:
 
 def _as_radii(r):
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("separation must be nonnegative")
     return arr
 
@@ -106,9 +107,9 @@ def q_n(spec, n, r):
     a = spec.t0 + n
     b = a + 1.0
     pos = arr > 0
-    with np.errstate(divide="ignore"):
-        t_star = np.where(pos, -np.log(np.where(pos, arr, 1.0)), np.inf)
-    c = np.clip(np.minimum(b, t_star), a, b)
+    # the log reads 1.0 where r = 0, so it never divides by zero
+    t_star = np.where(pos, -np.log(np.where(pos, arr, 1.0)), np.inf)
+    c = np.maximum(np.minimum(b, t_star), a)
     if spec.d == 1:
         # int_a^c (1 - e^t r) dt, the integrand is affine in e^t
         out = (c - a) - arr * (np.exp(c) - np.exp(a))
@@ -163,8 +164,9 @@ def k_exact(spec, r):
 def gram(spec, n, grid):
     """Gram matrix [Q_n(|x_i - x_j|)] on the grid; n=0 gives the Q_0 block.
 
-    Dense, by its definition.  Sampling on a regular d=1 grid never builds
-    it: lattice_row gives the same entries from one row per level.
+    Dense, by its definition: for free point sets and pd_check.  Regular
+    grids never build it: lattice_row gives the level rows the sampler
+    embeds, and offset_table the mollified tables.
     """
     pts = grid.points if isinstance(grid, Grid) else np.asarray(grid, dtype=float)
     if pts.ndim == 1:
@@ -181,10 +183,10 @@ def gram(spec, n, grid):
 def lattice_row(spec, levels, h, offsets):
     """Sum over n in levels of Q_n(|o| h), at integer lattice offsets o.
 
-    The one source of level rows on a regular d=1 grid: level n embedded on
-    an M-point torus takes levels [n] and offsets min(o, M - o); the summed
-    Gram row takes levels 1..n_max and offsets 0..N-1, and the Gram is that
-    row indexed by |i - j|.  Only offsets inside a support are evaluated.
+    The one source of level rows on a regular d=1 grid: a group of levels
+    embedded on an M-point torus takes offsets min(o, M - o), and the Gram
+    of those levels is the row at offsets 0..N-1 indexed by |i - j|.  Only
+    offsets inside a support are evaluated.
     """
     r = np.abs(np.asarray(offsets)) * h
     out = np.zeros(r.shape)
@@ -257,7 +259,8 @@ def _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes
     (separation, distinct difference) rather than per cloud pair.
     """
     u, wu = _cloud(mol, eps, rule, h, nodes)
-    v, wv = _cloud(mol, eps_prime, rule, h, nodes)
+    v, wv = (u, wu) if eps_prime == eps else _cloud(mol, eps_prime, rule, h,
+                                                     nodes)
     diffs = (u[:, None, :] - v[None, :, :]).reshape(-1, u.shape[1])
     # float keys on a 1e-12 eps' lattice, far below the cloud spacing; a
     # float never wraps as an int64 key would at a tiny eps' / eps
@@ -369,9 +372,9 @@ class MollifiedKernelTable:
         return np.diag(self.values).copy()
 
 
-def _midpoint_values(spec, grid, rows, rows_p, eps, eps_prime, mol,
-                     n_levels, nodes):
-    """Midpoint-rule table, one quadrature per lattice offset.
+def offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
+                 n_levels, nodes=32):
+    """K_{eps,eps'} under rule on rows x rows_p of a regular grid.
 
     Each (row, row') pair is keyed by its lattice offset, and the offset's
     separation is taken from its row-major first pair; every other pair
@@ -390,8 +393,8 @@ def _midpoint_values(spec, grid, rows, rows_p, eps, eps_prime, mol,
     pick = first[hit]
     seps = (grid.points[rows[pick // len(rows_p)]]
             - grid.points[rows_p[pick % len(rows_p)]])
-    vals = _mollified_of_seps(spec, seps, eps, eps_prime, mol, "midpoint",
-                              n_levels, None, nodes)
+    vals = _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule,
+                              n_levels, grid.h, nodes)
     return vals[np.cumsum(hit)[code] - 1].reshape(len(rows), len(rows_p))
 
 
@@ -418,10 +421,8 @@ def mollified_table(spec, grid, eps, eps_prime=None, mol=None, rule="grid",
                     n_levels=None, nodes=32):
     """Assemble the full K_{eps,eps'} table on a regular grid.
 
-    rule "grid" computes W_eps G W_eps'^T with G the summed level Gram
-    (the lattice_row sum indexed by |i - j| in d=1), matching sampled
-    covariances exactly.  rule "midpoint" evaluates the continuum
-    quadrature once per lattice offset between the D_eps and D_eps' rows.
+    Both rules evaluate the quadrature once per lattice offset between the
+    D_eps and D_eps' rows (offset_table).
     """
     if eps_prime is None:
         eps_prime = eps
@@ -430,24 +431,10 @@ def mollified_table(spec, grid, eps, eps_prime=None, mol=None, rule="grid",
     mol = mol if mol is not None else Mollifier(d=spec.d)
     if n_levels is None:
         n_levels = exact_level(spec, eps_prime)
-    if rule == "grid":
-        rows, w_big = weight_matrix(grid, mol, eps)
-        rows_p, w_small = weight_matrix(grid, mol, eps_prime)
-        if grid.d == 1:
-            idx = np.arange(grid.n)
-            row = spec.q0_value + lattice_row(spec, range(1, n_levels + 1),
-                                              grid.h, idx)
-            g_total = row[np.abs(np.subtract.outer(idx, idx))]
-        else:
-            g_total = sum(gram(spec, k, grid) for k in range(n_levels + 1))
-        values = w_big @ g_total @ w_small.T
-    elif rule == "midpoint":
-        rows = interior_rows(grid, mol, eps)
-        rows_p = interior_rows(grid, mol, eps_prime)
-        values = _midpoint_values(spec, grid, rows, rows_p, eps, eps_prime,
-                                  mol, n_levels, nodes)
-    else:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
+    rows = interior_rows(grid, mol, eps)
+    rows_p = interior_rows(grid, mol, eps_prime)
+    values = offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
+                          n_levels, nodes)
     d_all = grid.points[rows][:, None, :] - grid.points[rows_p][None, :, :]
     r = np.sqrt((d_all ** 2).sum(axis=-1))
     floor = np.maximum(r, max(eps, eps_prime))

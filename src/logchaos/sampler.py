@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -218,16 +219,24 @@ def increment_factors(spec, grid, n_max, rows=None, levels=None):
     return factors
 
 
+def _normals_into(out, seed, block_start, rows):
+    rng = np.random.default_rng([seed, block_start // BLOCK])
+    parts = np.split(rng.standard_normal(out=out), BLOCK * np.cumsum(rows[:-1]))
+    return [p.reshape(m, BLOCK) for p, m in zip(parts, rows)]
+
+
 def replica_normals(seed, block_start, rows):
     """The standard normals of the replica block starting at block_start.
 
     One stream, default_rng([seed, block_start // BLOCK]), yields one
-    (m, BLOCK) panel per entry m of rows, in order.
+    (m, BLOCK) panel per entry m of rows, in order, in fresh arrays.
     """
-    rng = np.random.default_rng([seed, block_start // BLOCK])
-    parts = np.split(rng.standard_normal(BLOCK * sum(rows)),
-                     BLOCK * np.cumsum(rows[:-1]))
-    return [p.reshape(m, BLOCK) for p, m in zip(parts, rows)]
+    return _normals_into(np.empty(BLOCK * sum(rows)), seed, block_start, rows)
+
+
+# block_z's normals, one buffer per thread reused across its blocks: a
+# fresh MB-sized array per block is mapped and faulted in anew each time
+_BUFFER = threading.local()
 
 
 def tilt_shift_rows(spec, grid, tilt, n_max, mol, nodes=32):
@@ -256,15 +265,20 @@ def block_z(spec, grid, factors, seed, block_start, n_max, shifts=None):
     n_max, so cumsum over the slabs gives the partial sums at the groups'
     last levels; W = LevelFactor.rows.  Column j belongs to replica
     block_start + j.  This is the only code path that touches the RNG or
-    the factors, for samples and benches alike.  An embedded group reads
-    its (M, BLOCK) panel as complex normals of shape (M, BLOCK/2) and takes
-    one FFT along the lattice axis: the first W real parts fill columns
-    0..BLOCK/2-1, the imaginary parts the rest.  shifts holds one mean row
-    per slab.
+    the factors, for samples and benches alike; it draws the
+    replica_normals stream into a per-thread buffer (_BUFFER).  An
+    embedded group reads its (M, BLOCK) panel as complex normals of shape
+    (M, BLOCK/2) and takes one FFT along the lattice axis: the first W real
+    parts fill columns 0..BLOCK/2-1, the imaginary parts the rest.  shifts
+    holds one mean row per slab.
     """
     groups = [g for g in factors if g.last <= n_max]
     n, half = groups[-1].rows, BLOCK // 2
-    panels = replica_normals(seed, block_start, [g.draws for g in groups])
+    rows = [g.draws for g in groups]
+    if getattr(_BUFFER, "normals", np.empty(0)).size < BLOCK * sum(rows):
+        _BUFFER.normals = np.empty(BLOCK * sum(rows))
+    panels = _normals_into(_BUFFER.normals[:BLOCK * sum(rows)], seed,
+                           block_start, rows)
     z = np.empty((len(groups), n, BLOCK))
     for i, (group, xi) in enumerate(zip(groups, panels)):
         if group.root.ndim == 0:

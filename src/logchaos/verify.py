@@ -27,7 +27,7 @@ from scipy.special import erfc
 from . import kernels
 from .chaos import barrier_below, chaos_density, sobolev_diag
 from .grids import Grid
-from .mollifier import Mollifier, weight_matrix
+from .mollifier import Mollifier, discrete_stencil, interior_rows
 from .phase import PhaseError
 from .sampler import (BLOCK, TiltShift, block_z, increment_factors,
                       sampled_rows, tilt_shift_rows)
@@ -186,13 +186,10 @@ class Bench:
     level in levels, the partial sums its runs read (default every level
     0..n_max; n_max always): the cumsum of a block over slabs 0..slab(l) is
     Y_l.  It holds the group factors (one circulant embedding per group on
-    a regular d=1 grid) and, on such a grid, the summed stationary row Q_0 +
-    sum_k Q_k at offsets 0..N-1, from which g_total indexes any block of
-    the summed level Gram by |i - j|.  The convolution weights of the
-    support rows, cut to their nonzero column window, and the kernel-table
-    diagonals are cached per (mollifier channel, eps); every grid-rule
-    kernel quantity is a couple of matrix products against the Gram block
-    the window touches.
+    a regular d=1 grid).  The stencil band of the support rows on their
+    column window and the kernel-table diagonal are cached per (mollifier
+    channel, eps); grid-rule kernel values come from the offset quadrature
+    of kernels (k_mollified, offset_table), with no Gram block.
     """
 
     def __init__(self, spec, grid, n_max, f=None, mol=None, levels=None):
@@ -204,9 +201,6 @@ class Bench:
         self.factors = increment_factors(spec, grid, n_max,
                                          self.hi - self.lo + 1, levels)
         self.tops = [g.last for g in self.factors]
-        self.g_row = None if grid.h is None or grid.d != 1 else (
-            spec.q0_value + kernels.lattice_row(
-                spec, range(1, self.n_max + 1), grid.h, np.arange(grid.n)))
         self.channels = {"main": mol if mol is not None else Mollifier(d=spec.d)}
         self.supp = None if self.f is None else np.flatnonzero(self.f != 0.0)
         self.shifts = None
@@ -235,28 +229,34 @@ class Bench:
 
     def supp_tables(self, channel, eps):
         """(W_win, k_diag_supp, cols) on the test-function support rows:
-        the support's weight rows on cols, the column window where they are
-        nonzero, so the mollified field there is W_win @ y[cols].  cols
-        count from the first sampled row lo, as z's rows do; a window that
-        leaves the sampled rows raises ValueError."""
+        the support's stencil taps as a band on cols, the column window
+        they reach, so the mollified field there is W_win @ y[cols].  cols
+        count from the first sampled row lo, as z's rows do.  Raises
+        ValueError when the support leaks out of D_eps or the window leaves
+        the sampled rows.  Every D_eps row of a regular d=1 grid holds the
+        whole stencil, so the diagonal is one offset-0 value."""
         key = (channel, float(eps))
         if key not in self._supp_tables:
             if self.supp is None:
                 raise ValueError("bench has no test function")
-            rows, w = weight_matrix(self.grid, self.channels[channel], eps)
-            pos = np.searchsorted(rows, self.supp)
-            if np.any(pos >= rows.size) or not np.array_equal(rows[np.minimum(pos, rows.size - 1)], self.supp):
+            if self.grid.d != 1:
+                raise ValueError("kernel tables need a regular d=1 grid")
+            mol, supp = self.channels[channel], self.supp
+            if not np.isin(supp, interior_rows(self.grid, mol, eps)).all():
                 raise ValueError(f"test function support leaks outside D_eps at eps={eps}")
-            w_supp = w[pos]
-            live = np.flatnonzero(w_supp.any(axis=0))
-            cols = np.arange(live[0], live[-1] + 1)
-            ws = w_supp[:, cols]
+            offs, w = discrete_stencil(mol, eps, self.grid.h)
+            taps = supp[:, None] + offs[:, 0]
+            cols = np.arange(taps[0, 0], taps[-1, -1] + 1)
+            ws = np.zeros((supp.size, cols.size))
+            ws[np.arange(supp.size)[:, None], taps - cols[0]] = w
             cols -= self.lo
             if cols[0] < 0 or cols[-1] > self.hi - self.lo:
                 raise ValueError(f"convolution at eps={eps} reads outside "
                                  "the sampled rows")
-            k_diag = np.einsum("ij,jk,ik->i", ws, self.g_total(cols, cols),
-                               ws, optimize=True)
+            x = self.grid.points[supp[0]]
+            k_diag = np.full(supp.size, kernels.k_mollified(
+                self.spec, eps, eps, x, x, mol, "grid", self.n_max,
+                self.grid.h))
             self._supp_tables[key] = (ws, k_diag, cols)
         return self._supp_tables[key]
 
@@ -277,17 +277,14 @@ class Bench:
             net["cholesky_jitter"] = [g.net for g in groups]
         return net
 
-    def g_total(self, rows, cols):
-        """Dense block [rows, cols] of the summed level Gram."""
-        if self.g_row is None:
-            raise ValueError("kernel tables need a regular d=1 grid")
-        return self.g_row[np.abs(np.subtract.outer(rows, cols))]
-
-    def cross_table(self, channel, eps, channel2, eps2):
-        """K_{eps,eps2} on support x support rows (grid rule, exact)."""
-        wa, _, ca = self.supp_tables(channel, eps)
-        wb, _, cb = self.supp_tables(channel2, eps2)
-        return wa @ self.g_total(ca, cb) @ wb.T
+    def cross_table(self, eps, eps2):
+        """K_{eps,eps2} on support x support rows of the main channel (grid
+        rule, exact), checked as supp_tables checks each eps."""
+        for e in (eps, eps2):
+            self.supp_tables("main", e)
+        return kernels.offset_table(self.spec, self.grid, self.supp, self.supp,
+                                    eps, eps2, self.channels["main"], "grid",
+                                    self.n_max)
 
     def map_blocks(self, seed, replicas, consume, workers=None):
         """Run consume(start, z_block) over all blocks; fixed-order assembly.
@@ -797,7 +794,7 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
     rng = np.random.default_rng([seed, 424242])
     wa, _, ca = bench.supp_tables("main", eps)
     wb, _, cb = bench.supp_tables("main", eps_prime)
-    cross = bench.cross_table("main", eps, "main", eps_prime)
+    cross = bench.cross_table(eps, eps_prime)
     s, supp = bench.supp.size, bench.supp - bench.lo
     probes = np.stack([rng.integers(0, s, n_probes),
                        rng.integers(0, s, n_probes)])

@@ -181,13 +181,17 @@ class TestTruncation:
                           trunc=(q, 1.6))
 
     def test_truncated_equals_full_on_good_replicas(self):
+        # lam = 1.6 > sqrt(2) leaves 4 of the 64 replicas off the event, so
+        # both branches are checked; gamma stays real, where truncation
+        # can only shrink |M|
         bench = Bench(SPEC, GRID, 6, f=F, mol=MOL)
         q = max(2, q0_for(F, GRID))
         tv, event = chaos_values(bench, 0.8, seed=10, replicas=64,
-                                 trunc=(q, 2.2))
+                                 trunc=(q, 1.6))
         fv, _ = chaos_values(bench, 0.8, seed=10, replicas=64)
         on = event == 1.0
         assert on.any(), "no replica satisfied the event; test is vacuous"
+        assert (~on).any(), "every replica satisfied the event; test is vacuous"
         assert np.array_equal(tv[on], fv[on]), \
             "truncation must be the identity on the event"
         assert np.all(np.abs(tv[~on]) <= np.abs(fv[~on]) + 1e-12)

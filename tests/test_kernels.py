@@ -8,7 +8,8 @@ from scipy.integrate import quad
 from logchaos import (Grid, KernelSpec, exact_level, export_table, gram,
                       k_exact, k_mollified, k_partial, kappa, kernels,
                       mollified_table, pd_check, q_mollified, q_n)
-from logchaos.mollifier import Mollifier, ResolutionError
+from logchaos import mollifier
+from logchaos.mollifier import Mollifier, ResolutionError, weight_matrix
 
 SPEC1 = KernelSpec(d=1)
 SPEC2 = KernelSpec(d=2)
@@ -204,6 +205,11 @@ class TestMollifiedTable:
         # different quadratures of the same smooth integral
         assert np.abs(a.values - b.values).max() < 5e-2
 
+    def test_unknown_rule_refused(self):
+        grid = Grid.regular((0.0, 1.0), 256)
+        with pytest.raises(ValueError, match="unknown quadrature rule"):
+            mollified_table(SPEC1, grid, 2 ** -4, rule="trapezoid")
+
     def test_eps_ordering_enforced(self):
         grid = Grid.regular((0.0, 1.0), 256)
         with pytest.raises(ValueError):
@@ -240,20 +246,49 @@ class TestMollifiedTable:
         assert errs[-1] < errs[0], f"no convergence: {errs}"
         assert errs[-1] < 1e-3, f"final error too large: {errs[-1]}"
 
+    @staticmethod
+    def _dense_table(spec, grid, eps, eps_prime, mol, n_levels):
+        """The grid rule by its definition: W_eps G W_eps'^T with the dense
+        weight matrices and the summed dense level Gram."""
+        rows, w = weight_matrix(grid, mol, eps)
+        rows_p, w_p = weight_matrix(grid, mol, eps_prime)
+        g = sum(gram(spec, k, grid) for k in range(n_levels + 1))
+        return rows, rows_p, w @ g @ w_p.T
+
     def test_pointwise_mollified_matches_table(self):
-        # the table is assembled as W G W^T; the pointwise function walks a
-        # separation-keyed stencil sum instead, so agreement is a real check
+        # the table and the pointwise function both walk the offset stencil
+        # quadrature; the dense W G W^T is an independent oracle for both
         grid = Grid.regular((0.0, 1.0), 128)
         mol = Mollifier(d=1)
         tab = mollified_table(SPEC1, grid, 2 ** -4, mol=mol, rule="grid")
+        rows, rows_p, dense = self._dense_table(SPEC1, grid, 2 ** -4, 2 ** -4,
+                                                mol, tab.n_levels)
+        assert np.array_equal(rows, tab.rows)
+        assert np.array_equal(rows_p, tab.rows_prime)
         for i, j in ((10, 30), (25, 25), (40, 5)):
             x = grid.points[tab.rows[i], 0]
             y = grid.points[tab.rows_prime[j], 0]
             direct = k_mollified(SPEC1, 2 ** -4, 2 ** -4, x, y, mol,
                                  rule="grid", h=grid.h,
                                  n_levels=tab.n_levels)
-            assert abs(direct - tab.values[i, j]) < 1e-10, \
-                f"({i},{j}): {direct} vs {tab.values[i, j]}"
+            assert abs(direct - dense[i, j]) < 1e-10, \
+                f"({i},{j}): {direct} vs {dense[i, j]}"
+            assert abs(tab.values[i, j] - dense[i, j]) < 1e-10, \
+                f"({i},{j}): {tab.values[i, j]} vs {dense[i, j]}"
+
+    def test_d2_grid_table_matches_dense(self):
+        # d=2 offsets are lattice vectors and the stencil a disc of taps;
+        # the constant Q_0 checks the level-0 term
+        spec = KernelSpec(d=2, q0_kind="constant", q0_const=0.3)
+        grid = Grid.regular((0.0, 1.0), 32, d=2)
+        mol = Mollifier(d=2)
+        tab = mollified_table(spec, grid, 2 ** -3, mol=mol, rule="grid",
+                              n_levels=3)
+        rows, rows_p, dense = self._dense_table(spec, grid, 2 ** -3, 2 ** -3,
+                                                mol, 3)
+        assert np.array_equal(rows, tab.rows) and rows.size == 16 ** 2
+        assert np.array_equal(rows_p, tab.rows_prime)
+        assert np.abs(tab.values - dense).max() < 1e-12 * np.abs(dense).max()
 
     @staticmethod
     def _unique_midpoint(spec, grid, eps, eps_prime, nodes):
@@ -282,7 +317,10 @@ class TestMollifiedTable:
         tab, oracle = self._unique_midpoint(spec, grid, eps, eps_prime, nodes)
         assert np.array_equal(tab.values, oracle)
 
-    def test_midpoint_one_eval_per_offset(self, monkeypatch):
+    @pytest.mark.parametrize("rule", ["grid", "midpoint"])
+    def test_midpoint_one_eval_per_offset(self, monkeypatch, rule):
+        # both rules: one quadrature per lattice offset, and no dense weight
+        # matrix or Gram
         seen = []
         inner = kernels._mollified_of_seps
 
@@ -291,13 +329,15 @@ class TestMollifiedTable:
             return inner(spec, seps, *args)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("np.unique or weight_matrix called")
+            raise AssertionError("np.unique, weight_matrix or gram called")
 
         monkeypatch.setattr(kernels, "_mollified_of_seps", counted)
         monkeypatch.setattr(np, "unique", forbidden)
-        monkeypatch.setattr(kernels, "weight_matrix", forbidden)
+        for mod in (mollifier, kernels):
+            monkeypatch.setattr(mod, "weight_matrix", forbidden, raising=False)
+        monkeypatch.setattr(kernels, "gram", forbidden)
         grid = Grid.regular((0.0, 1.0), 256)
-        tab = mollified_table(SPEC1, grid, 2 ** -4, 2 ** -5, rule="midpoint")
+        tab = mollified_table(SPEC1, grid, 2 ** -4, 2 ** -5, rule=rule)
         assert seen == [len(tab.rows) + len(tab.rows_prime) - 1]
 
     @pytest.mark.parametrize("rule", ["grid", "midpoint"])

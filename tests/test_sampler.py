@@ -75,6 +75,21 @@ class TestDeterminism:
         c = replica_normals(5, 10 * BLOCK, [1, 3, 16])
         assert not np.array_equal(a[1], c[1])
 
+    def test_block_z_reads_the_stream_bitwise(self):
+        # block_z draws into a buffer its thread reuses; a small block after
+        # a larger one reads exactly the normals replica_normals returns
+        big = Grid.regular((0.0, 1.0), 512)
+        block_z(SPEC, big, increment_factors(SPEC, big, 8), 3, 0, 8)
+        factors = increment_factors(SPEC, GRID, 4)
+        z = block_z(SPEC, GRID, factors, 4, 2 * BLOCK, 4)
+        panels = replica_normals(4, 2 * BLOCK, [g.draws for g in factors])
+        assert np.array_equal(z[0], np.broadcast_to(
+            factors[0].root * panels[0], z[0].shape))
+        for k, (g, xi) in enumerate(zip(factors[1:], panels[1:]), start=1):
+            y = np.fft.fft(g.root[:, None] * xi.view(complex), axis=0)
+            ref = np.concatenate([y.real, y.imag], axis=1)[:GRID.n]
+            assert np.array_equal(z[k], ref), f"level {k}"
+
 
 class TestCovariance:
     R = 4000
@@ -373,6 +388,12 @@ class TestSampledWindow:
             assert 0 <= cols[0] and cols[-1] <= hi - lo
             rows, w = weight_matrix(GRID, mol, eps)
             assert np.all(np.isin(supp, rows))
+            # the stencil band is the dense W's support rows cut to cols,
+            # bit for bit, with nothing left outside the window
+            w_supp = w[np.searchsorted(rows, supp)]
+            assert np.array_equal(w_win, w_supp[:, lo + cols])
+            w_supp[:, lo + cols] = 0.0
+            assert not w_supp.any()
             ref = w[np.searchsorted(rows, supp)] @ padded
             x = w_win @ padded[lo:hi + 1][cols]
             assert np.abs(x - ref).max() < 1e-12

@@ -1,13 +1,19 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import logchaos
 from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
                       PhaseError, bump_function, cauchy_ladder, chaos_density,
-                      field_stats, kernel_estimate_check, ladder_from_values,
-                      mc_moment, mc_moments, mollified_table,
+                      field_stats, gram, kernel_estimate_check,
+                      ladder_from_values, mc_moment, mc_moments,
+                      mollified_table,
                       moment_from_values, mollifier_independence,
                       sample_increments, second_moment_oracle, sobolev_ladder,
                       sup_field_prob, tail_bound_check, tilted_event_prob,
@@ -131,7 +137,7 @@ class TestBench:
     def test_cross_table_matches_variance_diag(self):
         bench = small_bench()
         _, k_diag, _ = bench.supp_tables("main", 2 ** -4)
-        cross = bench.cross_table("main", 2 ** -4, "main", 2 ** -4)
+        cross = bench.cross_table(2 ** -4, 2 ** -4)
         assert np.abs(np.diag(cross) - k_diag).max() < 1e-12
 
     def test_cholesky_jitter_recorded(self):
@@ -190,6 +196,35 @@ class TestBench:
         wb, _, _ = bench.supp_tables("alt", 2 ** -4)
         assert wa.shape == wb.shape
         assert np.abs(wa - wb).max() > 1e-3, "profiles must differ"
+
+    def test_tables_independent_of_blas_threads(self):
+        # the support diagonals and cross tables of the ladder-2048 geometry
+        # are fixed-order sums, so 1 and 2 BLAS threads give the same bytes
+        script = "\n".join([
+            "import hashlib",
+            "from logchaos import Bench, Grid, KernelSpec, bump_function",
+            "grid = Grid.regular((0.0, 1.0), 2048)",
+            "f = bump_function(grid, center=0.5, radius=0.05)",
+            "bench = Bench(KernelSpec(d=1), grid, 8, f=f)",
+            "ladder = [2.0 ** -k for k in range(3, 8)]",
+            "for eps in ladder:",
+            "    kd = bench.supp_tables('main', eps)[1]",
+            "    print(hashlib.sha256(kd.tobytes()).hexdigest())",
+            "for eps, eps2 in zip(ladder, ladder[1:]):",
+            "    cross = bench.cross_table(eps, eps2)",
+            "    print(hashlib.sha256(cross.tobytes()).hexdigest())",
+        ])
+        src = str(pathlib.Path(logchaos.__file__).resolve().parents[1])
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            out.append(proc.stdout.split())
+        assert len(out[0]) == 9 and out[0] == out[1]
 
 
 class TestSampledWindow:
@@ -252,7 +287,7 @@ class TestSampledWindow:
 class TestEngineAgreement:
     """The block engine's chaos values against an inline numpy Wick sum over
     the same draws, replica by replica: the oracle convolves with the dense
-    W on the full grid and reads the variance from the grid-rule table."""
+    W on the full grid and reads the variance from the dense W G W^T."""
 
     EPS = 2 ** -4
     N_MAX = 7
@@ -267,9 +302,11 @@ class TestEngineAgreement:
         return w[np.searchsorted(rows, self.SUPP)] @ y, z
 
     def k_diag(self):
-        table = mollified_table(SPEC, GRID, self.EPS, rule="grid",
-                                n_levels=self.N_MAX)
-        return table.diag()[np.searchsorted(table.rows, self.SUPP)]
+        """Var(X_eps) on supp(F) by the dense definition diag(W G W^T)."""
+        rows, w = weight_matrix(GRID, Mollifier(d=1), self.EPS)
+        w = w[np.searchsorted(rows, self.SUPP)]
+        g = sum(gram(SPEC, k, GRID) for k in range(self.N_MAX + 1))
+        return np.einsum("ij,jk,ik->i", w, g, w)
 
     @pytest.mark.parametrize("trunc", [None, (2, 1.6)])
     def test_mean_matches_inline_wick_sum(self, trunc):
