@@ -343,7 +343,8 @@ def plan_field_stats(cfg):
                      "n_max": n_max})
 
     def run(workers, run_id):
-        bench = verify.Bench(spec, grid, n_max, f=f, levels=ns)
+        bench = verify.Bench(spec, grid, n_max, f=f, eps_max=max(eps, eps_prime),
+                             levels=ns)
         ests = verify.field_stats(bench, ns, probes, eps, eps_prime, replicas,
                                   seed, workers=workers)
         return (*_z_outputs(ests, "field_stats",
@@ -383,7 +384,9 @@ def plan_moment_check(cfg):
                      "seed": seed})
 
     def run(workers, run_id):
-        bench = verify.Bench(spec, grid, resolved["n_max"], f=f,
+        # a sweep of means alone convolves at eps alone
+        widest = max(eps, eps_prime) if pairs else eps
+        bench = verify.Bench(spec, grid, resolved["n_max"], f=f, eps_max=widest,
                              levels=[resolved["n_max"]])
         jobs = [(ChaosParams(f=f, gamma=g), est, eps, eps_prime)
                 for g in gammas for est in estimands]
@@ -453,9 +456,11 @@ def plan_ladder(cfg):
     def run(workers, run_id):
         mols = [Mollifier(d=spec.d, profile=p)
                 for p in extra.get("profiles", ["bump"])]
-        # the barrier reads Y_q..Y_n_max, the convolutions Y_n_max alone
+        # the barrier reads Y_q..Y_n_max, the convolutions Y_n_max alone,
+        # and the ladder head convolves widest
         n_max = resolved["n_max"]
-        bench = verify.Bench(spec, grid, n_max, f=f, mol=mols[0],
+        bench = verify.Bench(spec, grid, n_max, f=f, eps_max=ladder[0],
+                             mol=mols[0],
                              levels=range(q if trunc else n_max, n_max + 1))
         for mol in mols[1:]:
             bench.add_channel("alt", mol)
@@ -477,8 +482,10 @@ def plan_ladder(cfg):
               "label": report.estimator}],
             title=title.format(gamma=gamma, **extra), xlabel="ladder step",
             ylabel="cell value", logy=all(v > 0 for v in report.values))}
+        # the per-cell safety nets, outside the hashed CSV
         return (tables, plots, {"trend_decreasing": report.verdict},
-                bench.safety_net)
+                {**bench.safety_net, "excluded": list(report.cell_excluded),
+                 "empty_blocks": list(report.empty_blocks)})
 
     return resolved, run
 
@@ -531,7 +538,8 @@ def plan_sup_prob(cfg):
     seed = _int(cfg, "seed", 0, lo=0)
 
     def run(workers, run_id):
-        bench = verify.Bench(spec, grid, n_max, f=f,
+        # the barrier events read the support rows alone
+        bench = verify.Bench(spec, grid, n_max, f=f, eps_max=0.0,
                              levels=[*ks, *range(min(qs), n_max + 1)])
         rep = verify.sup_field_prob(bench, lam, ks, qs, replicas, seed,
                                     workers=workers)

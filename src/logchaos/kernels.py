@@ -19,9 +19,10 @@ mollified values K_{eps,eps'} come in two quadrature flavours:
 On a regular grid a K_{eps,eps'} table depends only on the lattice offset
 i - j, so both rules evaluate their quadrature once per lattice offset
 (offset_table) and expand the table by indexing; no weight matrix or summed
-Gram is built.  Each quadrature folds its two clouds into their distinct
+Gram is built.  Each quadrature reduces its two clouds to their distinct
 differences u_a - v_b, so the kernel is evaluated once per (offset,
-distinct difference); midpoint_work bounds that cost up front.
+distinct difference): two d=1 grid stencils by correlation, any other pair
+of clouds by folding every pair; midpoint_work bounds that cost up front.
 """
 
 from __future__ import annotations
@@ -248,19 +249,10 @@ def _cloud(mol, eps, rule, h, nodes):
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
-def _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes):
-    """Doubly-mollified K_{eps,eps'} as a function of separation vectors.
-
-    seps has shape (M, d).  Stationarity of the decomposed kernel makes the
-    double convolution a function of x - y only, which is what makes table
-    assembly affordable.  The two clouds fold into one difference cloud
-    u_a - v_b with weights wu_a wv_b, differences equal to rounding merged
-    and their weights summed, so the kernel is evaluated once per
-    (separation, distinct difference) rather than per cloud pair.
-    """
-    u, wu = _cloud(mol, eps, rule, h, nodes)
-    v, wv = (u, wu) if eps_prime == eps else _cloud(mol, eps_prime, rule, h,
-                                                     nodes)
+def _fold_clouds(u, wu, v, wv, eps_prime):
+    """(diffs, weights) of the difference cloud u_a - v_b, weights wu_a wv_b:
+    every pair is formed, sorted, and pairs whose differences are equal to
+    rounding are merged with their weights summed."""
     diffs = (u[:, None, :] - v[None, :, :]).reshape(-1, u.shape[1])
     # float keys on a 1e-12 eps' lattice, far below the cloud spacing; a
     # float never wraps as an int64 key would at a tiny eps' / eps
@@ -268,8 +260,31 @@ def _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes
     order = np.lexsort(keys.T)
     keys = keys[order]
     first = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
-    diffs = diffs[order[first]]
-    ww = np.add.reduceat(np.outer(wu, wv).ravel()[order], first)
+    return (diffs[order[first]],
+            np.add.reduceat(np.outer(wu, wv).ravel()[order], first))
+
+
+def _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes):
+    """Doubly-mollified K_{eps,eps'} as a function of separation vectors.
+
+    seps has shape (M, d).  Stationarity of the decomposed kernel makes the
+    double convolution a function of x - y only, which is what makes table
+    assembly affordable.  The kernel is evaluated once per (separation,
+    distinct difference u_a - v_b of the two clouds) rather than per cloud
+    pair.  Two d=1 grid stencils, each on consecutive lattice offsets,
+    differ by every integer lag from offs[0] - offs'[-1] to offs[-1] -
+    offs'[0], with the weights np.correlate(w, w') and no pair built; other
+    clouds go through _fold_clouds.
+    """
+    u, wu = _cloud(mol, eps, rule, h, nodes)
+    v, wv = (u, wu) if eps_prime == eps else _cloud(mol, eps_prime, rule, h,
+                                                     nodes)
+    if rule == "grid" and spec.d == 1:
+        first = round((u[0, 0] - v[-1, 0]) / h)
+        diffs = (first + np.arange(wu.size + wv.size - 1))[:, None] * h
+        ww = np.correlate(wu, wv, "full")
+    else:
+        diffs, ww = _fold_clouds(u, wu, v, wv, eps_prime)
     out = np.empty(seps.shape[0])
     # chunk the (M, distinct differences) radii at 2e7; in d=2 q_n expands
     # each radius over its Gauss-Legendre nodes, so count those too

@@ -153,13 +153,16 @@ class FieldSample:
         return self.z[: n + 1].sum(axis=0)
 
 
-def sampled_rows(grid, f=None):
+def sampled_rows(grid, f=None, eps_max=None):
     """(lo, hi): the first and last grid row a draw for test function f holds.
 
-    f is only read at eps < m / 2 (supp(f) inside D_eps, m the distance
-    from supp(f) to the box boundary), where a convolution reaches floor(eps
-    / h) rows; so the rows are supp(f) widened by floor(m / 2h) each side,
-    whatever the eps.  All N rows without f, on free points or d=2 grids.
+    A convolution at eps reaches floor(eps / h) rows, the discrete_stencil
+    half-width, so the rows are supp(f) widened by floor(eps_max / h) each
+    side, eps_max the widest eps the run convolves at (0 for a run that
+    reads only supp(f)).  f is only read at eps < m / 2 (supp(f) inside
+    D_eps, m the distance from supp(f) to the box boundary), so the reach
+    is clipped to floor(m / 2h), which eps_max=None takes: every eps the
+    program admits.  All N rows without f, on free points or d=2 grids.
     """
     if f is None or not np.any(f) or grid.h is None or grid.d != 1:
         return 0, grid.n - 1
@@ -167,6 +170,8 @@ def sampled_rows(grid, f=None):
     lo, hi = grid.box
     margin = min(grid.points[supp[0], 0] - lo, hi - grid.points[supp[-1], 0])
     reach = math.floor(margin / (2.0 * grid.h))
+    if eps_max is not None:
+        reach = min(reach, math.floor(eps_max / grid.h))
     return max(int(supp[0]) - reach, 0), min(int(supp[-1]) + reach, grid.n - 1)
 
 

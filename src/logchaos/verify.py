@@ -111,7 +111,9 @@ class LadderReport:
     consecutive differences carry SEs from the paired per-block means.
     Verdict rule: every consecutive difference is negative or within 2 SE
     of zero, and the last cell is below half the first (an all-zero ladder
-    counts as converged).
+    counts as converged).  excluded counts the replicas left out over all
+    cells; cell_excluded splits it per cell, and empty_blocks counts per
+    cell the blocks with no replica left, which its median skips.
     """
 
     estimator: str
@@ -122,6 +124,8 @@ class LadderReport:
     diff_ses: tuple
     verdict: bool
     excluded: int = 0
+    cell_excluded: tuple = ()
+    empty_blocks: tuple = ()
 
 
 def trend_verdict(values, diff_ses):
@@ -168,36 +172,42 @@ def ladder_from_values(estimator, steps, values, keep=None):
     diff_counts = np.sum(np.isfinite(paired), axis=1)
     diff_ses = _MEDIAN_FACTOR * np.nanstd(paired, axis=1, ddof=1) / np.sqrt(diff_counts)
     verdict = trend_verdict(cells, diff_ses)
+    dropped = (~keep).sum(axis=1)
     return LadderReport(estimator=estimator, steps=tuple(steps),
                         values=tuple(float(v) for v in cells),
                         ses=tuple(float(s) for s in ses),
                         diffs=tuple(float(d) for d in np.diff(cells)),
                         diff_ses=tuple(float(s) for s in diff_ses),
                         verdict=bool(verdict),
-                        excluded=int((~keep).sum()))
+                        excluded=int(dropped.sum()),
+                        cell_excluded=tuple(int(n) for n in dropped),
+                        empty_blocks=tuple(int(MOM_BLOCKS - n) for n in counts))
 
 
 class Bench:
     """Shared immutable state for block-deterministic Monte Carlo runs.
 
-    One Bench per (spec, grid, n_max, f, levels).  Blocks hold the grid
-    rows lo..hi that f can read (sampler.sampled_rows), z row i being grid
-    row lo + i, and one slab per group of consecutive levels ending at a
-    level in levels, the partial sums its runs read (default every level
-    0..n_max; n_max always): the cumsum of a block over slabs 0..slab(l) is
-    Y_l.  It holds the group factors (one circulant embedding per group on
-    a regular d=1 grid).  The stencil band of the support rows on their
-    column window and the kernel-table diagonal are cached per (mollifier
-    channel, eps); grid-rule kernel values come from the offset quadrature
-    of kernels (k_mollified, offset_table), with no Gram block.
+    One Bench per (spec, grid, n_max, f, levels, eps_max).  Blocks hold the
+    grid rows lo..hi that f can read at the widest eps its runs convolve
+    at, eps_max (sampler.sampled_rows; default every eps f admits), z row i
+    being grid row lo + i, and one slab per group of consecutive levels
+    ending at a level in levels, the partial sums its runs read (default
+    every level 0..n_max; n_max always): the cumsum of a block over slabs
+    0..slab(l) is Y_l.  It holds the group factors (one circulant
+    embedding per group on a regular d=1 grid).  The stencil band of the
+    support rows on their column window and the kernel-table diagonal are
+    cached per (mollifier channel, eps); grid-rule kernel values come from
+    the offset quadrature of kernels (k_mollified, offset_table), with no
+    Gram block.
     """
 
-    def __init__(self, spec, grid, n_max, f=None, mol=None, levels=None):
+    def __init__(self, spec, grid, n_max, f=None, mol=None, levels=None,
+                 eps_max=None):
         self.spec = spec
         self.grid = grid
         self.n_max = int(n_max)
         self.f = None if f is None else np.asarray(f, dtype=float)
-        self.lo, self.hi = sampled_rows(grid, self.f)
+        self.lo, self.hi = sampled_rows(grid, self.f, eps_max)
         self.factors = increment_factors(spec, grid, n_max,
                                          self.hi - self.lo + 1, levels)
         self.tops = [g.last for g in self.factors]

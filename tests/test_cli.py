@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from logchaos import Grid, bump_function, verify
 from logchaos.cli import (ConfigError, load_config, main, plan, run_id_of,
                           sha256_file, write_csv)
 
@@ -29,6 +30,9 @@ TRUNC_CAUCHY_CFG = {"kind": "cauchy", "gamma": [1.1, 0.25], "q": 2,
                     "grid_n": 128, "eps_ladder": [0.125, 0.0625],
                     "replicas": 64, "seed": 0,
                     "f": {"center": 0.5, "radius": 0.2}}
+
+SUP_CFG = {"kind": "sup-prob", "grid_n": 128, "ks": [2, 3, 4], "qs": [2, 4],
+           "replicas": 32, "seed": 0, "f": {"center": 0.5, "radius": 0.2}}
 
 
 def cfg_file(tmp_path, cfg, name="cfg.json"):
@@ -420,22 +424,43 @@ class TestRunRecord:
                      "--out", str(out)]) == 1
         doc = json.loads((out / "manifest.json").read_text())
         resolved = doc["resolved"]
-        # f = bump(0.5, 0.2) on 64 points is nonzero on rows 19..44, 19.5
-        # rows from the boundary, so floor(19.5 / 2) = 9 rows on each side
-        assert resolved["sampled_rows"] == [10, 53]
+        # f = bump(0.5, 0.2) on 64 points is nonzero on rows 19..44, and the
+        # ladder head eps = 0.125 reaches floor(0.125 / h) = floor(0.125 *
+        # 64) = 8 rows on each side (f admits floor(19.5 / 2) = 9)
+        assert resolved["sampled_rows"] == [11, 52]
         torus = resolved["torus_points"]
         assert len(torus) == len(resolved["embedding_min_ratio"]) == \
             len(resolved["level_groups"])
-        assert all(m >= 44 + 1 for m in torus)
+        assert all(m >= 42 + 1 for m in torus)
         assert torus == sorted(torus, reverse=True)
+        # per-cell exclusions and empty median-of-means blocks, 2 cells
+        assert resolved["excluded"] == [0, 0]
+        assert resolved["empty_blocks"] == [0, 0]
         csvs = sorted(p.name for p in out.glob("*.csv"))
         assert sorted(doc["csv_sha256"]) == csvs
         for name in csvs:
             text = (out / name).read_text()
             assert "sampled_rows" not in text and "torus_points" not in text
         doc["resolved"] = dict(resolved, sampled_rows=[0, 63],
-                               torus_points=[1] * len(torus))
+                               torus_points=[1] * len(torus),
+                               excluded=[7, 7], empty_blocks=[1, 1])
         self.replay_tampered(tmp_path, capsys, doc)
+
+    # f = bump(0.5, 0.2) on 128 points; sup-prob reads supp(f) alone,
+    # moment-check and field-stats convolve at eps = 2^-4 and eps' = 2^-5,
+    # reaching floor(2^-4 * 128) = 8 rows on each side, and a moment-check
+    # of means convolves at eps = 2^-5 alone, reaching 4 rows
+    @pytest.mark.parametrize("cfg,reach", [
+        (SUP_CFG, 0), (MOM0_CFG, 8), (FS_CFG, 8),
+        (dict(MOM0_CFG, estimands=["mean"], eps=2 ** -5, eps_prime=2 ** -3), 4),
+    ], ids=["sup-prob", "moment-check", "field-stats", "moment-check-means"])
+    def test_sampled_rows_by_widest_eps(self, tmp_path, cfg, reach):
+        out = tmp_path / "out"
+        assert main(["run", cfg_file(tmp_path, cfg), "--out", str(out)]) in (0, 1)
+        resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+        grid = Grid.regular((0.0, 1.0), cfg["grid_n"])
+        supp = np.flatnonzero(bump_function(grid, center=0.5, radius=0.2))
+        assert resolved["sampled_rows"] == [supp[0] - reach, supp[-1] + reach]
 
     @pytest.mark.parametrize("cfg,groups", [
         # untruncated: the convolutions read Y_n_max alone, one group
@@ -474,6 +499,35 @@ class TestRunRecord:
         assert docs[0]["csv_sha256"] == docs[1]["csv_sha256"]
         self.replay_tampered(tmp_path, capsys,
                              dict(docs[0], environment={"numpy": "0.0"}))
+
+
+class TestReplayContract:
+    """A block's draw depends on (seed, block, grid, n_max, f, the read
+    levels, the widest eps convolved) and on nothing else of the config."""
+
+    def test_draw_depends_on_ladder_head_not_tail(self, monkeypatch):
+        # the three ladders share f, q and n_max; the first two share the
+        # head 2^-3, the third's head 2^-4 convolves narrower
+        draws = []
+        inner = verify.block_z
+
+        def recorded(*args, **kwargs):
+            z = inner(*args, **kwargs)
+            draws[-1].append(z)
+            return z
+
+        monkeypatch.setattr(verify, "block_z", recorded)
+        rows = []
+        for ladder in ([0.125, 0.0625, 0.03125], [0.125, 0.03125],
+                       [0.0625, 0.03125]):
+            draws.append([])
+            _, run = plan(dict(TRUNC_CAUCHY_CFG, grid_n=256,
+                               eps_ladder=ladder))
+            rows.append(run(1, "id")[3]["sampled_rows"])
+        assert rows[0] == rows[1] and len(draws[0]) == len(draws[1]) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(*draws[:2]))
+        assert rows[2][0] > rows[0][0] and rows[2][1] < rows[0][1]
+        assert draws[2][0].shape[1] < draws[0][0].shape[1]
 
 
 class TestListEntries:

@@ -417,6 +417,37 @@ class TestMollifiedTable:
         offsets = len(tab.rows) + len(tab.rows_prime) - 1
         assert sum(seen) == offsets * distinct
 
+    @pytest.mark.parametrize("profile", ["bump", "quartic"])
+    @pytest.mark.parametrize("eps,eps_prime,distinct", [
+        (2 ** -3, 2 ** -3, 1021), (2 ** -3, 2 ** -4, 765),
+        (2 ** -5, 2 ** -7, 157)])
+    def test_grid_lags_match_fold(self, monkeypatch, profile, eps, eps_prime,
+                                  distinct):
+        # d=1 grid stencils at N=2048 (ladder-2048 eps pairs): the integer
+        # lags and their correlated weights give the distinct differences
+        # and weights of the pair fold, the reference kept in
+        # kernels._fold_clouds, and the same kernel values to 1e-15
+        h, mol = 1.0 / 2048, Mollifier(d=1, profile=profile)
+        seps = np.arange(-300, 301)[:, None] * h
+        u, wu = kernels._cloud(mol, eps, "grid", h, 32)
+        v, wv = kernels._cloud(mol, eps_prime, "grid", h, 32)
+        diffs, ww = kernels._fold_clouds(u, wu, v, wv, eps_prime)
+        assert diffs.shape == (distinct, 1)
+        r = np.abs(seps + diffs[:, 0])
+        want = k_partial(SPEC1, 9, r.ravel()).reshape(r.shape) @ ww
+        seen = []
+        inner = kernels.k_partial
+
+        def counted(spec, n, r):
+            seen.append(np.size(r))
+            return inner(spec, n, r)
+
+        monkeypatch.setattr(kernels, "k_partial", counted)
+        got = kernels._mollified_of_seps(SPEC1, seps, eps, eps_prime, mol,
+                                         "grid", 9, h, 32)
+        assert seen == [seps.shape[0] * distinct]
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
 
 class TestExport:
     def test_csv_and_sidecar(self, tmp_path):

@@ -323,7 +323,24 @@ class TestBandedEngine:
 
 class TestSampledWindow:
     """A draw for a test function f holds only the rows f can read: supp(f)
-    widened by floor(m / 2h), m the distance from supp(f) to the boundary."""
+    widened by floor(eps_max / h), eps_max the widest eps the run convolves
+    at, clipped to floor(m / 2h), m the distance from supp(f) to the
+    boundary (eps_max=None: every eps f admits)."""
+
+    # ladder-2048 geometry: supp(f) is rows 922..1125, 0.4504 from the
+    # boundary, so every eps f admits reaches floor(0.4504 / 2h) = 461 rows;
+    # eps_max = 2^-3 reaches floor(2^-3 * 2048) = 256, 2^-4 reaches 128 and
+    # 0 none, and eps_max = 1 is clipped to 461
+    @pytest.mark.parametrize("eps_max,window", [
+        (None, (461, 1586)), (2 ** -3, (666, 1381)), (2 ** -4, (794, 1253)),
+        (0.0, (922, 1125)), (1.0, (461, 1586))])
+    def test_bench_window_by_eps_max(self, eps_max, window):
+        grid = Grid.regular((0.0, 1.0), 2048)
+        f = bump_function(grid, center=0.5, radius=0.05)
+        assert sampled_rows(grid, f, eps_max) == window
+        bench = Bench(SPEC, grid, 8, f=f, levels=[8], eps_max=eps_max)
+        assert bench.safety_net["sampled_rows"] == list(window)
+        assert bench.factors[0].rows == window[1] - window[0] + 1
 
     # (grid_n, f radius, window, torus points per level) at f center 0.5:
     # the ladder-2048 and moments-128 benchmark geometries

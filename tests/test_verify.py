@@ -18,6 +18,7 @@ from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
                       sample_increments, second_moment_oracle, sobolev_ladder,
                       sup_field_prob, tail_bound_check, tilted_event_prob,
                       trend_verdict, weight_matrix)
+from logchaos.mollifier import discrete_stencil
 
 SPEC = KernelSpec(d=1)
 GRID = Grid.regular((0.0, 1.0), 128)
@@ -86,6 +87,17 @@ class TestTrendVerdict:
         assert len(rep.values) == 3
         assert len(rep.diffs) == 2 and len(rep.diff_ses) == 2
         assert rep.verdict
+
+    def test_ladder_counts_exclusions_per_cell(self):
+        # R = 80 gives 40 blocks of 2 replicas: cell 0 loses one replica of
+        # block 0, cell 1 both replicas of blocks 0 and 5 plus one of block 9
+        vals = np.ones((3, 80))
+        keep = np.ones((3, 80), dtype=bool)
+        keep[0, 0] = False
+        keep[1, [0, 1, 10, 11, 18]] = False
+        rep = ladder_from_values("t", [1, 2, 3], vals, keep)
+        assert rep.cell_excluded == (1, 5, 0) and rep.excluded == 6
+        assert rep.empty_blocks == (0, 2, 0)
 
     def test_ladder_needs_one_replica_per_block(self):
         vals = np.ones((2, 20))
@@ -258,17 +270,29 @@ class TestSampledWindow:
             _, _, cols = bench.supp_tables("main", eps)
             assert 0 <= cols[0] and cols[-1] <= hi - lo, f"eps={eps}"
 
-    def test_window_leak_raises(self, monkeypatch):
-        # a window narrower than the stencil reach is refused, not read
-        from logchaos import verify
-        monkeypatch.setattr(verify, "sampled_rows", lambda grid, f: (
-            int(np.flatnonzero(f)[0]), int(np.flatnonzero(f)[-1])))
-        with pytest.raises(ValueError, match="outside the sampled rows"):
-            small_bench().supp_tables("main", 2 ** -4)
+    def test_window_leak_raises(self):
+        # a bench sized for eps_max convolves at eps_max, and refuses, not
+        # reads, a wider eps f admits whose stencil reaches one row further
+        # (1% past (floor(eps_max / h) + 1) h: nearer, the bump's end taps
+        # underflow to 0)
+        for eps_max in (2 ** -4, 0.07):
+            bench = Bench(SPEC, GRID, 7, f=F, eps_max=eps_max)
+            _, _, cols = bench.supp_tables("main", eps_max)
+            assert 0 <= cols[0] and cols[-1] <= bench.hi - bench.lo
+            reach = math.floor(eps_max / GRID.h) + 1
+            wider = 1.01 * reach * GRID.h
+            offs, _ = discrete_stencil(Mollifier(d=1), wider, GRID.h)
+            assert offs[-1, 0] == reach
+            assert np.isin(np.flatnonzero(F),
+                           GRID.interior_idx(2.0 * wider)).all()
+            with pytest.raises(ValueError, match="outside the sampled rows"):
+                bench.supp_tables("main", wider)
 
     def test_draw_independent_of_ladder(self):
-        # the rows depend on f and the grid alone, so two runs over ladders
-        # 2^-3..2^-7 and 2^-4..2^-7 draw the same blocks and share cells
+        # a default-window bench's rows depend on f and the grid alone, so
+        # two runs over ladders 2^-3..2^-7 and 2^-4..2^-7 draw the same
+        # blocks and share cells (a plan's bench also reads the ladder
+        # head: test_cli TestReplayContract)
         grid = Grid.regular((0.0, 1.0), 512)
         f = bump_function(grid, center=0.5, radius=0.05)
         params = ChaosParams(f=f, gamma=0.6)
