@@ -5,7 +5,10 @@ the sampled mollified field against a compactly supported test function;
 the block runners in verify sum chaos_density over the support rows.
 Overflow of the exponential is saturated to zero and flagged, never left as
 a silent infinity; estimators downstream exclude flagged replicas and report
-the exclusion count.
+the exclusion count.  The Wick pass builds its exponent in one buffer and
+exponentiates it in place, in float with numpy's real exp when every
+coefficient is real (real gamma), in complex otherwise; the test function
+and the barrier event then multiply it as one real weight.
 """
 
 from __future__ import annotations
@@ -52,6 +55,11 @@ def wick_exp_flagged(u, z, v):
     mask covers the combined exponent.  Returns (values, overflow_mask);
     overflowing entries are set to 0 and flagged rather than propagating
     infinities.  This is the only place the saturation rule lives.
+
+    The exponent is built in one buffer, real and imaginary parts each as
+    sum_j part(u_j) z_j - part(u . u) v / 2, and exponentiated in place.
+    With every coefficient real the buffer and the values are float and
+    take numpy's real exp; otherwise they are complex.
     """
     v = np.asarray(v, dtype=float)
     if np.any(v < 0):
@@ -61,13 +69,26 @@ def wick_exp_flagged(u, z, v):
     u = [complex(c) for c in u]
     if len(u) != len(z):
         raise ValueError("need one coefficient per stacked field")
-    expo = u[0] * np.asarray(z[0])
-    for c, field in zip(u[1:], z[1:]):
-        expo = expo + c * np.asarray(field)
-    expo = np.asarray(expo - 0.5 * sum(c * c for c in u) * v, dtype=complex)
-    mask = expo.real > OVERFLOW_EXPONENT
-    vals = np.exp(np.where(mask, 0.0, expo))
-    return np.where(mask, 0.0, vals), mask
+    z = [np.asarray(field) for field in z]
+    half = 0.5 * sum(c * c for c in u)
+    real = all(c.imag == 0.0 for c in u)
+    buf = np.empty(np.broadcast_shapes(z[0].shape, v.shape),
+                   dtype=float if real else complex)
+    for part in ("real",) if real else ("real", "imag"):
+        out = getattr(buf, part)  # a float buffer's .real is itself
+        coefs = [getattr(c, part) for c in u]
+        np.multiply(coefs[0], z[0], out=out)
+        for c, field in zip(coefs[1:], z[1:]):
+            out += c * field
+        out -= getattr(half, part) * v
+    mask = buf.real > OVERFLOW_EXPONENT
+    saturated = mask.any()
+    if saturated:  # exp(0) where the exponent would overflow, then 0
+        buf[mask] = 0.0
+    np.exp(buf, out=buf)
+    if saturated:
+        buf[mask] = 0.0
+    return buf, mask
 
 
 def barrier_below(z, rows, lam, tops=None):
@@ -92,13 +113,17 @@ def chaos_density(u, x, v, f, event=None):
     x is the (S, B) mollified field block on the support rows ((fields, S,
     B) stacked for two-field coefficients u), v the (S,) variance table, f
     the (S,) test-function values, and event an optional (S, B) barrier
-    indicator.  Returns (density (S, B), overflow (B,)); a replica column is
-    flagged when any of its rows saturated.
+    indicator.  f and event fold into one real weight that multiplies the
+    Wick values in place; saturated entries are already 0.  Returns
+    (density (S, B), float for real u and complex otherwise, overflow
+    (B,)); a replica column is flagged when any of its rows saturated.
     """
     vals, mask = wick_exp_flagged(u, x, np.asarray(v)[:, None])
+    weight = np.asarray(f, dtype=float)[:, None]
     if event is not None:
-        vals = vals * event
-    return vals * np.asarray(f)[:, None], mask.any(axis=0)
+        weight = event * weight
+    vals *= weight
+    return vals, mask.any(axis=0)
 
 
 def q0_for(f, grid):

@@ -433,6 +433,10 @@ LADDERS = {
 def plan_ladder(cfg):
     default_gamma, default_replicas, own, stem, title = LADDERS[cfg["kind"]]
     ladder = _eps_ladder(cfg)
+    # cauchy and sobolev cells are consecutive pairs of rungs
+    if cfg["kind"] != "mollifier-independence" and len(ladder) < 2:
+        raise ConfigError(f"{cfg['kind']} cells are consecutive pairs: "
+                          f"eps_ladder needs at least 2 rungs, got {ladder}")
     spec, grid, f, resolved = _resolve_common(
         cfg, [("eps_ladder", e) for e in ladder])
     gamma = _gamma_value(cfg.get("gamma", default_gamma))
@@ -685,12 +689,27 @@ def environment(workers):
         blas = f"{blas['name']} {blas.get('version')}"
     except (TypeError, KeyError):  # numpy < 1.26 prints and returns None
         blas = None
+    # real-coefficient chaos values take numpy's dispatched real exp
+    try:
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    except (TypeError, KeyError):
+        simd = None
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "blas": blas,
+            "scipy": scipy.__version__, "blas": blas, "numpy_simd": simd,
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "cpu_count": os.cpu_count(),
             "cpu": platform.processor() or platform.machine(),
             "workers": workers}
+
+
+def safety_nets(resolved):
+    """The safety nets a resolved block records, one number each: the
+    smallest embedding_min_ratio, the largest cholesky_jitter, and the
+    total excluded replicas and empty median-of-means blocks."""
+    reduce = {"embedding_min_ratio": np.min, "cholesky_jitter": np.max,
+              "excluded": np.sum, "empty_blocks": np.sum}
+    return {key: how(resolved[key]).item() for key, how in reduce.items()
+            if key in resolved}
 
 
 def execute(cfg, out_dir, workers):
@@ -721,6 +740,7 @@ def execute(cfg, out_dir, workers):
         json.dump(manifest, fh, indent=2, sort_keys=True)
     with open(out / "verdicts.json", "w") as fh:
         json.dump({"run_id": run_id, "verdicts": verdicts,
+                   "safety_nets": safety_nets(resolved),
                    "pass": all(verdicts.values())}, fh, indent=2,
                   sort_keys=True)
     return verdicts, manifest

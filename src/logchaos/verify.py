@@ -2,9 +2,10 @@
 
 Everything Monte Carlo runs through a Bench: factor matrices, convolution
 weights, and kernel tables are computed once, then replicas are processed
-in the sampler's fixed blocks of 32.  Worker threads claim whole blocks and
-results are assembled in block order, so every estimate is byte-identical
-for any worker count.
+in the sampler's fixed blocks of 32, drawn one stream per block and handed
+to the consume closures a few blocks at a time.  Worker threads claim whole
+batches and results are assembled in batch order, so every estimate is
+byte-identical for any worker count and any batch size.
 
 Ladder cells for squared-difference quantities use median-of-means over 40
 fixed replica blocks: |M_eps - M_eps'|^2 has a one-sided heavy tail in the
@@ -35,6 +36,10 @@ from .sampler import (BLOCK, TiltShift, block_z, increment_factors,
 ENV_WORKERS = "LOGCHAOS_WORKERS"
 
 MOM_BLOCKS = 40
+# values per batch of blocks handed to a consume closure: small blocks are
+# consumed a few at a time, so that per-call overhead is paid once per
+# batch, while a batch's arrays stay below glibc's 128 KB mmap threshold
+BATCH_VALUES = 2 ** 14
 # sd of the median of n block means, relative to block sd: sqrt(pi/2)/sqrt(n)
 _MEDIAN_FACTOR = math.sqrt(math.pi / 2.0)
 
@@ -297,28 +302,39 @@ class Bench:
                                     self.n_max)
 
     def map_blocks(self, seed, replicas, consume, workers=None):
-        """Run consume(start, z_block) over all blocks; fixed-order assembly.
+        """Run consume(start, z) over batches of blocks; fixed-order assembly.
 
-        consume returns a tuple of arrays with trailing axis BLOCK; the
-        concatenated arrays are trimmed to the replica budget.
+        A batch is k consecutive blocks, k = max(1, BATCH_VALUES // the
+        normals one block draws), each drawn by block_z from its own
+        stream; z is their (groups, W, k BLOCK) concatenation along the
+        replica axis (block_z's own array when k = 1), and start is the
+        batch's first replica.  Worker threads claim whole batches.
+        consume returns a tuple of arrays with trailing replica axis; the
+        concatenated arrays are trimmed to the replica budget.  Every
+        consume in this module acts on each replica column alone, so the
+        bytes do not depend on k.
         """
         if replicas < 1:
             raise ValueError(f"map_blocks needs replicas >= 1, got {replicas}")
         workers = workers if workers is not None else default_workers()
-        starts = list(range(0, replicas, BLOCK))
-        outs = [None] * len(starts)
+        drawn = BLOCK * sum(g.draws for g in self.factors)
+        per = max(1, BATCH_VALUES // drawn)
+        blocks = range(0, replicas, BLOCK)
+        batches = [blocks[i:i + per] for i in range(0, len(blocks), per)]
+        outs = [None] * len(batches)
 
         def work(i):
-            z = block_z(self.spec, self.grid, self.factors, seed, starts[i],
-                        self.n_max, self.shifts)
-            outs[i] = consume(starts[i], z)
+            zs = [block_z(self.spec, self.grid, self.factors, seed, start,
+                          self.n_max, self.shifts) for start in batches[i]]
+            z = zs[0] if len(zs) == 1 else np.concatenate(zs, axis=-1)
+            outs[i] = consume(batches[i][0], z)
 
         if workers <= 1:
-            for i in range(len(starts)):
+            for i in range(len(batches)):
                 work(i)
         else:
             with ThreadPoolExecutor(max_workers=workers) as ex:
-                list(ex.map(work, range(len(starts))))
+                list(ex.map(work, range(len(batches))))
         parts = len(outs[0])
         return tuple(np.concatenate([o[j] for o in outs], axis=-1)[..., :replicas]
                      for j in range(parts))
@@ -520,13 +536,22 @@ def mc_moment(bench, params, estimand, eps, eps_prime=None, replicas=1000,
     return m
 
 
+def _pair_ladder(eps_ladder):
+    """The rungs of a ladder whose cells are consecutive pairs, as floats."""
+    eps_ladder = [float(e) for e in eps_ladder]
+    if len(eps_ladder) < 2:
+        raise ValueError("eps_ladder needs at least 2 rungs: its cells are "
+                         f"consecutive pairs, got {eps_ladder}")
+    return eps_ladder
+
+
 def cauchy_ladder(bench, params, eps_ladder, replicas, seed, workers=None):
     """Coupled E|M_{eps,q} - M_{eps',q}|^2 down the ladder.
 
     Consecutive-pair cells from the same underlying increments; truncation
     per params (enabled outside the L2 region, with params.q, params.lam).
     """
-    eps_ladder = [float(e) for e in eps_ladder]
+    eps_ladder = _pair_ladder(eps_ladder)
     if any(a <= b for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
     trunc = (params.q, params.lam) if params.truncation else None
@@ -845,7 +870,7 @@ def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
     grid = bench.grid
     if u <= grid.d / 2.0:
         raise ValueError(f"u={u} must exceed d/2")
-    eps_ladder = [float(e) for e in eps_ladder]
+    eps_ladder = _pair_ladder(eps_ladder)
     trunc = (params.q, params.lam) if params.truncation else None
     densities = _block_densities(bench, [_gamma_of(params)],
                                  [("main", e) for e in eps_ladder], trunc)

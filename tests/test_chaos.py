@@ -78,6 +78,106 @@ class TestWick:
         assert vals[1] == 0.0 and np.all(np.isfinite(vals))
 
 
+def wick_oracle(u, z, v):
+    """The out-of-place Wick exponential the in-place pass replaced: one
+    complex exponent, np.where copies around one complex exp."""
+    v = np.asarray(v, dtype=float)
+    if np.ndim(u) == 0:
+        u, z = [u], [z]
+    u = [complex(c) for c in u]
+    expo = u[0] * np.asarray(z[0])
+    for c, field in zip(u[1:], z[1:]):
+        expo = expo + c * np.asarray(field)
+    expo = np.asarray(expo - 0.5 * sum(c * c for c in u) * v, dtype=complex)
+    mask = expo.real > 700.0
+    vals = np.exp(np.where(mask, 0.0, expo))
+    return np.where(mask, 0.0, vals), mask
+
+
+def density_oracle(u, x, v, f, event=None):
+    vals, mask = wick_oracle(u, x, np.asarray(v)[:, None])
+    if event is not None:
+        vals = vals * event
+    return vals * np.asarray(f)[:, None], mask.any(axis=0)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestWickOracle:
+    """The in-place Wick pass against the out-of-place oracle: complex and
+    two-field coefficients bitwise, real ones within the ulp of numpy's real
+    exp, on a block with saturated entries."""
+
+    S, B = 51, 128
+
+    def block(self, seed=4):
+        rng = np.random.default_rng(seed)
+        x = 3.0 * rng.standard_normal((2, self.S, self.B))
+        x[0, 5, 7] = 900.0  # saturates for every coefficient with Re u >= 1
+        v = rng.uniform(0.0, 4.0, self.S)
+        f = rng.uniform(0.1, 1.0, self.S)
+        event = rng.random((self.S, self.B)) < 0.7
+        return x, v, f, event
+
+    @pytest.mark.parametrize("u", [0.5 + 0.5j, 1.1 + 0.25j, -0.3 + 0.7j,
+                                   1j * 0.8, (1.0, 2.0j), (0.7, 0.3j)])
+    def test_complex_bitwise(self, u):
+        x, v, f, event = self.block()
+        z = x if isinstance(u, tuple) else x[0]
+        vals, mask = wick_exp_flagged(u, z, v[:, None])
+        ref, ref_mask = wick_oracle(u, z, v[:, None])
+        assert same_bytes(vals, ref) and same_bytes(mask, ref_mask)
+        assert np.iscomplexobj(vals)
+        dens, ovf = chaos_density(u, z, v, f)
+        ref, ref_ovf = density_oracle(u, z, v, f)
+        assert same_bytes(dens, ref) and same_bytes(ovf, ref_ovf)
+        # with the barrier event, entries it zeroes may differ from the
+        # oracle's two products in the sign of a zero imaginary part alone,
+        # so the chaos values (row sums) are bitwise the oracle's
+        dens, ovf = chaos_density(u, z, v, f, event)
+        ref, ref_ovf = density_oracle(u, z, v, f, event)
+        assert np.array_equal(dens, ref) and same_bytes(ovf, ref_ovf)
+        assert same_bytes(dens.sum(axis=0), ref.sum(axis=0))
+
+    @pytest.mark.parametrize("u", [0.8, 1.3 + 0j, -0.6, (1.1, 0j)])
+    def test_real_within_one_ulp(self, u):
+        x, v, f, event = self.block()
+        z = x if isinstance(u, tuple) else x[0]
+        vals, mask = wick_exp_flagged(u, z, v[:, None])
+        ref, ref_mask = wick_oracle(u, z, v[:, None])
+        assert vals.dtype == float and same_bytes(mask, ref_mask)
+        assert np.all(ref.imag == 0.0)
+        assert np.all(np.abs(vals - ref.real) <= np.spacing(np.abs(ref.real)))
+        # the density is the Wick values times one real weight, so it moves
+        # by that ulp carried through one rounded product
+        dens, ovf = chaos_density(u, z, v, f, event)
+        ref_dens, ref_ovf = density_oracle(u, z, v, f, event)
+        assert dens.dtype == float and same_bytes(ovf, ref_ovf)
+        assert same_bytes(dens, vals * (event * f[:, None]))
+        assert np.all(np.abs(dens - ref_dens.real)
+                      <= 2.0 * np.spacing(np.abs(ref_dens.real)))
+
+    @pytest.mark.parametrize("u", [1.0, 1.0 + 0.5j, (1.0, 0.5j)])
+    def test_saturation_boundary(self, u):
+        # v = 0 makes the real exponent the field itself, on both paths
+        # 800 would overflow exp: a saturated entry is zeroed before it
+        edge = np.array([700.0, np.nextafter(700.0, np.inf), 800.0])
+        z = np.stack([edge, np.zeros(3)]) if isinstance(u, tuple) else edge
+        with np.errstate(over="raise"):
+            vals, mask = wick_exp_flagged(u, z, 0.0)
+        assert mask.tolist() == [False, True, True]
+        assert np.all(vals[1:] == 0.0) and np.isfinite(vals[0])
+        assert abs(vals[0]) == pytest.approx(math.exp(700.0), rel=1e-15)
+
+    @pytest.mark.parametrize("u", [0.8, 0.5 + 0.5j, (1.0, 2.0j)])
+    def test_negative_variance_raises(self, u):
+        z = np.zeros((2, 3)) if isinstance(u, tuple) else np.zeros(3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            wick_exp_flagged(u, z, np.array([1.0, -1e-300, 0.0]))
+
+
 class TestChaosIntegral:
     """Chaos densities and their quadrature on block-engine draws."""
 
@@ -85,8 +185,11 @@ class TestChaosIntegral:
         bench, x = fields(seed=1, replicas=1)
         _, kd, _ = bench.supp_tables("main", EPS)
         dens, ovf = chaos_density(0.0, x, kd, F[bench.supp])
+        # a real coefficient gives a float density, exp(0) f = f exactly, so
+        # its quadrature sums the same floats in the same order as f's
+        assert dens.dtype == float and np.array_equal(dens[:, 0], F[bench.supp])
         val = dens.sum() * GRID.weight
-        quad = F[bench.supp].astype(complex).sum() * GRID.weight
+        quad = F[bench.supp].sum() * GRID.weight
         assert val == quad, f"{val} vs {quad}"
         assert val.imag == 0.0
         assert not ovf.any()

@@ -5,7 +5,7 @@ import pytest
 
 from logchaos import Grid, bump_function, verify
 from logchaos.cli import (ConfigError, load_config, main, plan, run_id_of,
-                          sha256_file, write_csv)
+                          safety_nets, sha256_file, write_csv)
 
 PHASE_CFG = {"kind": "phase-scan", "d": 1,
              "alpha_range": [-2.0, 2.0, 9], "beta_range": [-2.0, 2.0, 9]}
@@ -168,6 +168,12 @@ RUN_ONLY_REJECTIONS = [
     ({"kind": "moment-check", "seed": -1}, "seed"),
     ({"kind": "tilt-check", "lam": 1e300, "replicas": 40}, "lam=1e+300"),
     ({"kind": "kernel-check", "d": 2}, "d=2, grid_n=512"),
+    # cauchy and sobolev cells are consecutive pairs of rungs (last in the
+    # list, so that the ids of REJECTIONS + RUN_ONLY_REJECTIONS stay put)
+    ({"kind": "cauchy", "grid_n": 128, "eps_ladder": [0.125], "replicas": 40,
+      "seed": 1}, "eps_ladder"),
+    ({"kind": "sobolev", "grid_n": 128, "eps_ladder": [0.125],
+      "replicas": 40, "seed": 1}, "eps_ladder"),
 ]
 
 
@@ -196,6 +202,15 @@ class TestValidateOnly:
               "eps_ladder": [2.0 ** -3, 2.0 ** -10]})
         with pytest.raises(ConfigError, match="d=1, grid_n=8192"):
             plan({"kind": "kernel-check", "grid_n": 8192})
+
+    def test_one_rung_mollifier_independence_runs(self, tmp_path, capsys):
+        # its cells are per rung, so one rung is a one-cell ladder (cauchy
+        # and sobolev, whose cells are pairs of rungs, reject it)
+        cfg = {"kind": "mollifier-independence", "grid_n": 128,
+               "eps_ladder": [0.125], "replicas": 40, "seed": 1}
+        out = tmp_path / "o"
+        assert main(["run", cfg_file(tmp_path, cfg), "--out", str(out)]) in (0, 1)
+        assert len((out / "mollifier_independence.csv").read_text().split()) == 2
 
     @pytest.mark.parametrize("cfg", [cfg for cfg, _ in REJECTIONS])
     def test_rejections(self, cfg):
@@ -284,7 +299,7 @@ class TestMainRun:
         verdicts = json.loads((out / "verdicts.json").read_text())
         assert verdicts == {"run_id": rid,
                             "verdicts": {"all_points_labeled": True},
-                            "pass": True}
+                            "safety_nets": {}, "pass": True}
 
     def test_default_out_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -446,6 +461,29 @@ class TestRunRecord:
                                excluded=[7, 7], empty_blocks=[1, 1])
         self.replay_tampered(tmp_path, capsys, doc)
 
+    def test_safety_nets_in_verdicts(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", cfg_file(tmp_path, TRUNC_CAUCHY_CFG),
+                     "--out", str(out)]) in (0, 1)
+        doc = json.loads((out / "manifest.json").read_text())
+        resolved = doc["resolved"]
+        verdicts = json.loads((out / "verdicts.json").read_text())
+        assert set(verdicts["verdicts"]) == {"trend_decreasing"}
+        assert verdicts["safety_nets"] == {
+            "embedding_min_ratio": min(resolved["embedding_min_ratio"]),
+            "excluded": sum(resolved["excluded"]),
+            "empty_blocks": sum(resolved["empty_blocks"])}
+        assert "safety_nets" not in doc["csv_sha256"]
+        assert main(["replay", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "r")]) == 0
+        assert "replay verified" in capsys.readouterr().out
+
+    def test_safety_nets_reduce_nested_jitter(self):
+        resolved = {"cholesky_jitter": [[0.0, 1e-10], [1e-12, 0.0]],
+                    "level_groups": [[2, 8]]}
+        assert safety_nets(resolved) == {"cholesky_jitter": 1e-10}
+        assert safety_nets({"slope": 1.0}) == {}
+
     # f = bump(0.5, 0.2) on 128 points; sup-prob reads supp(f) alone,
     # moment-check and field-stats convolve at eps = 2^-4 and eps' = 2^-5,
     # reaching floor(2^-4 * 128) = 8 rows on each side, and a moment-check
@@ -491,10 +529,12 @@ class TestRunRecord:
                          "--out", str(out)]) == 0
             docs.append(json.loads((out / "manifest.json").read_text()))
         env = docs[0]["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "blas",
+        assert set(env) == {"python", "numpy", "scipy", "blas", "numpy_simd",
                             "openblas_num_threads", "cpu_count", "cpu",
                             "workers"}
         assert env["numpy"] == np.__version__ and env["workers"] == 1
+        assert env["numpy_simd"] == np.show_config(
+            mode="dicts")["SIMD Extensions"]["found"]
         assert docs[1]["environment"]["workers"] == 2
         assert docs[0]["csv_sha256"] == docs[1]["csv_sha256"]
         self.replay_tampered(tmp_path, capsys,

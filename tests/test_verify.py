@@ -239,6 +239,87 @@ class TestBench:
         assert len(out[0]) == 9 and out[0] == out[1]
 
 
+class TestBatches:
+    """map_blocks hands consume k consecutive blocks at once; its outputs
+    are bitwise those of one consume call per block, whatever k, the
+    budget or the worker count."""
+
+    SEED = 11
+
+    @staticmethod
+    def moments_bench():
+        # the moments-128 geometry: one group, 120 normals per replica
+        grid = Grid.regular((0.0, 1.0), 128)
+        f = bump_function(grid, center=0.5, radius=0.2)
+        return Bench(SPEC, grid, 8, f=f, eps_max=2 ** -4, levels=[8])
+
+    @staticmethod
+    def consume_of(bench):
+        from logchaos.verify import _chaos_values_consume
+        return _chaos_values_consume(bench, [0.8, 0.5 + 0.5j],
+                                     [("main", 2 ** -4), ("main", 2 ** -5)])
+
+    def per_block(self, bench, replicas):
+        from logchaos import verify
+        consume = self.consume_of(bench)
+        outs = [consume(start, verify.block_z(bench.spec, bench.grid,
+                                              bench.factors, self.SEED, start,
+                                              bench.n_max, bench.shifts))
+                for start in range(0, replicas, verify.BLOCK)]
+        return tuple(np.concatenate([o[j] for o in outs], axis=-1)[..., :replicas]
+                     for j in range(len(outs[0])))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("replicas", [1, 33, 128, 300])
+    def test_batches_match_per_block_calls(self, replicas, workers):
+        from logchaos import verify
+        bench = self.moments_bench()
+        consume, calls = self.consume_of(bench), []
+
+        def recorded(start, z):
+            calls.append((start, z.shape[-1]))
+            return consume(start, z)
+
+        got = bench.map_blocks(self.SEED, replicas, recorded, workers)
+        want = self.per_block(bench, replicas)
+        assert [a.shape for a in got] == [(4, replicas)] * 2
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        # 4 blocks of 32 per batch; the last batch holds what is left
+        drawn = -(-replicas // verify.BLOCK) * verify.BLOCK
+        assert sorted(calls) == [(s, min(128, drawn - s))
+                                 for s in range(0, replicas, 128)]
+
+    def test_first_replicas_independent_of_budget(self):
+        bench = self.moments_bench()
+        firsts = [tuple(a[..., :100] for a in bench.map_blocks(
+            self.SEED, r, self.consume_of(bench), workers=1))
+            for r in (100, 128, 300)]
+        for other in firsts[1:]:
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(firsts[0], other))
+
+    def test_ladder_batch_is_one_block_uncopied(self, monkeypatch):
+        # ladder-2048: one block holds 7 groups x 716 rows x 32 values
+        from logchaos import verify
+        grid = Grid.regular((0.0, 1.0), 2048)
+        f = bump_function(grid, center=0.5, radius=0.05)
+        bench = Bench(SPEC, grid, 8, f=f, eps_max=2 ** -3, levels=range(2, 9))
+        drawn, inner = [], verify.block_z
+
+        def recorded(*args, **kwargs):
+            drawn.append(inner(*args, **kwargs))
+            return drawn[-1]
+
+        def consume(start, z):
+            assert z is drawn[-1], "a one-block batch is block_z's array"
+            return (np.full(z.shape[-1], start),)
+
+        monkeypatch.setattr(verify, "block_z", recorded)
+        (starts,) = bench.map_blocks(0, 64, consume, workers=1)
+        assert drawn[0].shape == (7, 716, 32) and len(drawn) == 2
+        assert starts.tolist() == [0] * 32 + [32] * 32
+
+
 class TestSampledWindow:
     """Bench blocks hold only the rows f can read (sampler.sampled_rows)."""
 
@@ -534,6 +615,12 @@ class TestCauchyLadder:
             cauchy_ladder(bench, ChaosParams(f=F, gamma=0.5),
                           [2 ** -4, 2 ** -4], replicas=64, seed=0)
 
+    def test_one_rung_rejected(self):
+        # cells are consecutive pairs: one rung has none
+        with pytest.raises(ValueError, match="eps_ladder needs at least 2"):
+            cauchy_ladder(small_bench(), ChaosParams(f=F, gamma=0.5),
+                          [2 ** -3], replicas=64, seed=0)
+
 
 class TestMollifierIndependence:
     def test_same_profile_is_zero(self):
@@ -732,6 +819,11 @@ class TestSobolevLadder:
         with pytest.raises(ValueError):
             sobolev_ladder(bench, ChaosParams(f=F, gamma=0.5), 0.5,
                            [2 ** -3, 2 ** -4], replicas=64, seed=0)
+
+    def test_one_rung_rejected(self):
+        with pytest.raises(ValueError, match="eps_ladder needs at least 2"):
+            sobolev_ladder(small_bench(), ChaosParams(f=F, gamma=0.5), 0.75,
+                           [2 ** -3], replicas=64, seed=0)
 
     def test_gamma_zero_identically_zero(self):
         bench = small_bench()
