@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from logchaos import (Grid, KernelSpec, Mollifier, discrete_stencil,
-                      mollified_table, sample_increments)
+from logchaos import (Bench, Grid, KernelSpec, Mollifier, discrete_stencil,
+                      mollified_table)
 from logchaos.mollifier import interior_rows
 
 
@@ -41,19 +41,22 @@ def main():
     eps_list = [2.0 ** -4, 2.0 ** -5]
     mol = Mollifier(d=1)
 
-    ys = {k: [] for k in (2, 5, args.n_max)}
-    xs = {e: [] for e in eps_list}
-    kept = None
-    for s in sample_increments(spec, grid, args.n_max, args.seed,
-                               replicas=args.replicas):
-        for k in ys:
-            ys[k].append(s.y(k)[mid])
-        y_top = s.y(args.n_max)
+    levels = (2, 5, args.n_max)
+    # every level drawn on every row: block slabs are the increments Z_k,
+    # and their cumsum the partial sums Y_k
+    bench = Bench(spec, grid, args.n_max, mol=mol)
+
+    def at_center(start, z):
+        y = np.cumsum(z, axis=0)
+        xs = []
         for e in eps_list:
-            rows, x = mollify(y_top, grid, mol, e)
-            xs[e].append(x[np.searchsorted(rows, mid)])
-        if s.replica == 0:
-            kept = s
+            rows, x = mollify(y[-1], grid, mol, e)
+            xs.append(x[np.searchsorted(rows, mid)])
+        return (*y[levels, mid], *xs)
+
+    outs = bench.map_blocks(args.seed, args.replicas, at_center)
+    ys = dict(zip(levels, outs[:len(levels)]))
+    xs = dict(zip(eps_list, outs[len(levels):]))
 
     r = args.replicas
     print(f"partial sums at x = 0.5, R = {r}:")
@@ -75,12 +78,15 @@ def main():
         print(f"  Var(X_eps), eps = 2^{int(math.log2(e))}: {var:7.4f}"
               f"   table {oracle:7.4f}   ({(var - oracle) / se:+.2f} se)")
 
-    if args.csv and kept is not None:
-        rows_e, x_e = mollify(kept.y(args.n_max), grid, mol, eps_list[0])
+    if args.csv:
+        # replica 0: the first column of block 0
+        (kept,) = bench.map_blocks(args.seed, 1,
+                                   lambda start, z: (np.cumsum(z, axis=0),))
+        y2, y5, yt = kept[levels, :, 0]
+        rows_e, x_e = mollify(yt, grid, mol, eps_list[0])
         with open(args.csv, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["x", "y2", "y5", "y_top", "x_eps"])
-            y2, y5, yt = kept.y(2), kept.y(5), kept.y(args.n_max)
             xe = np.full(grid.n, np.nan)
             xe[rows_e] = x_e
             for i in range(grid.n):

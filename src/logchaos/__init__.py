@@ -11,17 +11,15 @@ from .chaos import (ChaosParams, barrier_below, bump_function, chaos_density,
                     q0_for, sobolev_diag, wick_exp_flagged)
 from .grids import Grid
 from .kernels import (KernelSpec, MollifiedKernelTable, PdReport, exact_level,
-                      export_table, gram, k_exact, k_mollified, k_partial,
-                      kappa, mollified_table, pd_check, q_mollified, q_n)
+                      gram, k_exact, k_mollified, k_partial, kappa,
+                      mollified_table, pd_check, q_mollified, q_n)
 from .mollifier import (Mollifier, ResolutionError, discrete_stencil,
                         quad_cloud, shrink_domain, theta, theta_eps,
                         weight_matrix)
 from .phase import (BOUNDARY, L2, LABELS, PHASE_II, PHASE_III, SUBCRITICAL,
                     PhaseError, classify, pick_lambda, scan)
-from .sampler import (FieldSample, NumericError, TiltShift,
-                      increment_factors, load_sample, replica_normals,
-                      sample_increments, sampled_rows, save_sample,
-                      tilt_shift_rows)
+from .sampler import (NumericError, TiltShift, increment_factors,
+                      sampled_rows, tilt_shift_rows)
 from .verify import (Bench, KernelEstimateReport, LadderReport,
                      MomentEstimate, SupFieldReport, TailBoundReport,
                      TiltedEventReport, cauchy_ladder, field_stats,
@@ -33,20 +31,18 @@ from .verify import (Bench, KernelEstimateReport, LadderReport,
 __version__ = "0.9.0"
 
 __all__ = [
-    "BOUNDARY", "Bench", "ChaosParams", "FieldSample", "Grid",
-    "KernelEstimateReport", "KernelSpec", "L2", "LABELS", "LadderReport",
-    "MollifiedKernelTable", "Mollifier", "MomentEstimate", "NumericError",
-    "PHASE_II", "PHASE_III", "PdReport", "PhaseError", "ResolutionError",
-    "SUBCRITICAL", "SupFieldReport", "TailBoundReport", "TiltShift",
-    "TiltedEventReport", "barrier_below", "bump_function", "cauchy_ladder",
-    "chaos_density", "classify", "discrete_stencil", "exact_level",
-    "export_table", "field_stats", "gram", "increment_factors", "k_exact",
-    "k_mollified", "k_partial", "kappa", "kernel_estimate_check",
-    "ladder_from_values", "load_sample", "mc_moment", "mc_moments",
+    "BOUNDARY", "Bench", "ChaosParams", "Grid", "KernelEstimateReport",
+    "KernelSpec", "L2", "LABELS", "LadderReport", "MollifiedKernelTable",
+    "Mollifier", "MomentEstimate", "NumericError", "PHASE_II", "PHASE_III",
+    "PdReport", "PhaseError", "ResolutionError", "SUBCRITICAL",
+    "SupFieldReport", "TailBoundReport", "TiltShift", "TiltedEventReport",
+    "barrier_below", "bump_function", "cauchy_ladder", "chaos_density",
+    "classify", "discrete_stencil", "exact_level", "field_stats", "gram",
+    "increment_factors", "k_exact", "k_mollified", "k_partial", "kappa",
+    "kernel_estimate_check", "ladder_from_values", "mc_moment", "mc_moments",
     "mollified_table", "mollifier_independence", "moment_from_values",
-    "pd_check", "pick_lambda", "q0_for", "q_mollified", "q_n",
-    "quad_cloud", "replica_normals", "sample_increments", "sampled_rows",
-    "save_sample", "scan", "second_moment_oracle", "shrink_domain",
+    "pd_check", "pick_lambda", "q0_for", "q_mollified", "q_n", "quad_cloud",
+    "sampled_rows", "scan", "second_moment_oracle", "shrink_domain",
     "sobolev_diag", "sobolev_ladder", "sup_field_prob", "tail_bound_check",
     "theta", "theta_eps", "tilt_shift_rows", "tilted_event_prob",
     "trend_verdict", "weight_matrix", "wick_exp_flagged", "__version__",

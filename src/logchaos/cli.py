@@ -349,7 +349,7 @@ def plan_field_stats(cfg):
                                   seed, workers=workers)
         return (*_z_outputs(ests, "field_stats",
                             "covariance fidelity z-scores", run_id),
-                bench.safety_net)
+                {**bench.safety_net, "excluded": [m.excluded for m in ests]})
 
     return resolved, run
 
@@ -396,7 +396,7 @@ def plan_moment_check(cfg):
                 for job, m in zip(jobs, ests)]
         return (*_z_outputs(ests, "moments", "moment oracle z-scores",
                             run_id),
-                bench.safety_net)
+                {**bench.safety_net, "excluded": [m.excluded for m in ests]})
 
     return resolved, run
 
@@ -681,6 +681,18 @@ def sha256_file(path):
     return h.hexdigest()
 
 
+def _cpu_model():
+    """The model name of /proc/cpuinfo, else what platform reports."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
 def environment(workers):
     """The numeric environment of a run, for the manifest; replay compares
     CSV hashes only and never reads it."""
@@ -698,7 +710,7 @@ def environment(workers):
             "scipy": scipy.__version__, "blas": blas, "numpy_simd": simd,
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "cpu_count": os.cpu_count(),
-            "cpu": platform.processor() or platform.machine(),
+            "cpu": _cpu_model(),
             "workers": workers}
 
 

@@ -27,8 +27,6 @@ of clouds by folding every pair; midpoint_work bounds that cost up front.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -458,28 +456,3 @@ def mollified_table(spec, grid, eps, eps_prime=None, mol=None, rule="grid",
                                 eps_prime=float(eps_prime), rule=rule,
                                 n_levels=int(n_levels), rows=rows,
                                 rows_prime=rows_p, values=values, log_gap=gap)
-
-
-def export_table(table, csv_path, sidecar_path=None):
-    """Write the table as CSV (x_index, y_index, value) plus a JSON sidecar."""
-    with open(csv_path, "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\r\n")
-        wr.writerow(["x_index", "y_index", "value"])
-        for i, gi in enumerate(table.rows):
-            for j, gj in enumerate(table.rows_prime):
-                wr.writerow([int(gi), int(gj), repr(float(table.values[i, j]))])
-    meta = {
-        "d": table.spec.d,
-        "t0": table.spec.t0,
-        "q0_kind": table.spec.q0_kind,
-        "eps": table.eps,
-        "eps_prime": table.eps_prime,
-        "rule": table.rule,
-        "n_levels": table.n_levels,
-        "grid_hash": table.grid.digest(),
-        "log_gap": table.log_gap,
-    }
-    sidecar = sidecar_path if sidecar_path is not None else str(csv_path) + ".json"
-    with open(sidecar, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-    return sidecar

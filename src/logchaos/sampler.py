@@ -1,7 +1,8 @@
 """Joint Gaussian sampling of increment fields and their partial sums.
 
-All sampling runs through fixed blocks of 32 replicas, padded to exactly 32
-columns (padding replicas are drawn and discarded).  Block b draws its
+All sampling runs through block_z, one block of 32 replicas at a time
+(verify.Bench.map_blocks hands the blocks to every run), padded to exactly
+32 columns (padding replicas are drawn and discarded).  Block b draws its
 standard normals from the one counter-based stream
 ``np.random.default_rng([seed, b])``, so its bytes depend only on (seed,
 block index, factors): results are identical for any worker count and any
@@ -25,18 +26,15 @@ level gives one group per level: the per-level draw.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import next_fast_len
 
 from . import kernels
-from .grids import Grid
-from .mollifier import Mollifier
 
 BLOCK = 32
 
@@ -126,33 +124,6 @@ class TiltShift:
     alpha: float
 
 
-@dataclass
-class FieldSample:
-    """One replica of the coupled field hierarchy on a grid.
-
-    z[k] holds the level-k increment values on grid rows lo, lo + 1, ...
-    (row 0 is the Q_0 common mode, zero when q0_kind is "zero"); partial
-    sums are derived views of the same draw.  Mollified fields and chaos
-    values come from the block engine (verify.Bench).
-    """
-
-    spec: kernels.KernelSpec
-    grid: Grid
-    seed: int
-    replica: int
-    n_max: int
-    z: np.ndarray = field(repr=False)
-    lo: int = 0
-    tilt: TiltShift | None = None
-    mol_profile: str | None = None
-
-    def y(self, n):
-        """Partial sum Y_n = Q_0 mode + Z_1 + ... + Z_n, exact by summation."""
-        if not 0 <= n <= self.n_max:
-            raise ValueError(f"n={n} outside 0..{self.n_max}")
-        return self.z[: n + 1].sum(axis=0)
-
-
 def sampled_rows(grid, f=None, eps_max=None):
     """(lo, hi): the first and last grid row a draw for test function f holds.
 
@@ -224,21 +195,6 @@ def increment_factors(spec, grid, n_max, rows=None, levels=None):
     return factors
 
 
-def _normals_into(out, seed, block_start, rows):
-    rng = np.random.default_rng([seed, block_start // BLOCK])
-    parts = np.split(rng.standard_normal(out=out), BLOCK * np.cumsum(rows[:-1]))
-    return [p.reshape(m, BLOCK) for p, m in zip(parts, rows)]
-
-
-def replica_normals(seed, block_start, rows):
-    """The standard normals of the replica block starting at block_start.
-
-    One stream, default_rng([seed, block_start // BLOCK]), yields one
-    (m, BLOCK) panel per entry m of rows, in order, in fresh arrays.
-    """
-    return _normals_into(np.empty(BLOCK * sum(rows)), seed, block_start, rows)
-
-
 # block_z's normals, one buffer per thread reused across its blocks: a
 # fresh MB-sized array per block is mapped and faulted in anew each time
 _BUFFER = threading.local()
@@ -270,22 +226,26 @@ def block_z(spec, grid, factors, seed, block_start, n_max, shifts=None):
     n_max, so cumsum over the slabs gives the partial sums at the groups'
     last levels; W = LevelFactor.rows.  Column j belongs to replica
     block_start + j.  This is the only code path that touches the RNG or
-    the factors, for samples and benches alike; it draws the
-    replica_normals stream into a per-thread buffer (_BUFFER).  An
-    embedded group reads its (M, BLOCK) panel as complex normals of shape
-    (M, BLOCK/2) and takes one FFT along the lattice axis: the first W real
-    parts fill columns 0..BLOCK/2-1, the imaginary parts the rest.  shifts
-    holds one mean row per slab.
+    the factors.  Block b = block_start // BLOCK draws BLOCK * sum(draws)
+    normals from the one stream default_rng([seed, b]) into a per-thread
+    buffer (_BUFFER) and splits them, in group order, into one (draws,
+    BLOCK) panel per group.  An embedded group reads its (M, BLOCK) panel
+    as complex normals of shape (M, BLOCK/2) and takes one FFT along the
+    lattice axis: the first W real parts fill columns 0..BLOCK/2-1, the
+    imaginary parts the rest.  shifts holds one mean row per slab.
     """
     groups = [g for g in factors if g.last <= n_max]
     n, half = groups[-1].rows, BLOCK // 2
     rows = [g.draws for g in groups]
-    if getattr(_BUFFER, "normals", np.empty(0)).size < BLOCK * sum(rows):
-        _BUFFER.normals = np.empty(BLOCK * sum(rows))
-    panels = _normals_into(_BUFFER.normals[:BLOCK * sum(rows)], seed,
-                           block_start, rows)
+    size = BLOCK * sum(rows)
+    if getattr(_BUFFER, "normals", np.empty(0)).size < size:
+        _BUFFER.normals = np.empty(size)
+    rng = np.random.default_rng([seed, block_start // BLOCK])
+    panels = np.split(rng.standard_normal(out=_BUFFER.normals[:size]),
+                      BLOCK * np.cumsum(rows[:-1]))
     z = np.empty((len(groups), n, BLOCK))
     for i, (group, xi) in enumerate(zip(groups, panels)):
+        xi = xi.reshape(-1, BLOCK)
         if group.root.ndim == 0:
             z[i] = group.root * xi
         elif group.embedded:
@@ -297,69 +257,3 @@ def block_z(spec, grid, factors, seed, block_start, n_max, shifts=None):
     if shifts is not None:
         z += shifts[:, :, None]
     return z
-
-
-def sample_increments(spec, grid, n_max, seed, replicas=1, mol=None, tilt=None,
-                      f=None):
-    """Generate FieldSample objects for replicas 0..replicas-1.
-
-    Each holds the sampled_rows(grid, f).  Factors are computed once; each
-    replica is extracted from its block so the draw, one slab per level,
-    agrees byte-for-byte with any default-level Bench of the same f using
-    the same seed.
-    """
-    mol = mol if mol is not None else Mollifier(d=spec.d)
-    lo, hi = sampled_rows(grid, f)
-    factors = increment_factors(spec, grid, n_max, hi - lo + 1)
-    shifts = None
-    if tilt is not None and tilt.alpha != 0.0:
-        shifts = tilt_shift_rows(spec, grid, tilt, n_max, mol)[:, lo:hi + 1]
-    cache_start, cache = -1, None
-    for r in range(replicas):
-        start = (r // BLOCK) * BLOCK
-        if start != cache_start:
-            cache = block_z(spec, grid, factors, seed, start, n_max, shifts)
-            cache_start = start
-        yield FieldSample(spec=spec, grid=grid, seed=seed, replica=r,
-                          n_max=n_max, z=cache[:, :, r - start].copy(), lo=lo,
-                          tilt=tilt, mol_profile=mol.profile)
-
-
-def save_sample(sample, path):
-    """z as .npz plus a JSON manifest of seed, replica, grid hash, n_max,
-    sampled rows, tilt and mollifier profile; the manifest is the provenance
-    unit."""
-    np.savez(path, z=sample.z)
-    tilt = None
-    if sample.tilt is not None:
-        tilt = {"x": sample.tilt.x, "y": sample.tilt.y, "eps": sample.tilt.eps,
-                "eps_prime": sample.tilt.eps_prime, "alpha": sample.tilt.alpha}
-    manifest = {
-        "seed": int(sample.seed),
-        "replica": int(sample.replica),
-        "grid_hash": sample.grid.digest(),
-        "n_max": int(sample.n_max),
-        "rows": [int(sample.lo), int(sample.lo + sample.z.shape[1] - 1)],
-        "tilt": tilt,
-        "mol_profile": sample.mol_profile,
-    }
-    mpath = str(path) + ".json"
-    with open(mpath, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return mpath
-
-
-def load_sample(path, spec, grid):
-    """Rehydrate a saved sample; the grid must hash-match the manifest."""
-    with open(str(path) + ".json") as fh:
-        manifest = json.load(fh)
-    if manifest["grid_hash"] != grid.digest():
-        raise ValueError("grid hash mismatch against manifest")
-    data = np.load(str(path) if str(path).endswith(".npz") else str(path) + ".npz")
-    tilt = None
-    if manifest["tilt"] is not None:
-        tilt = TiltShift(**manifest["tilt"])
-    return FieldSample(spec=spec, grid=grid, seed=manifest["seed"],
-                       replica=manifest["replica"], n_max=manifest["n_max"],
-                       z=data["z"], lo=manifest["rows"][0], tilt=tilt,
-                       mol_profile=manifest["mol_profile"])

@@ -1,7 +1,13 @@
+import contextlib
+import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from logchaos import Grid, bump_function, verify
 from logchaos.cli import (ConfigError, load_config, main, plan, run_id_of,
@@ -484,6 +490,25 @@ class TestRunRecord:
         assert safety_nets(resolved) == {"cholesky_jitter": 1e-10}
         assert safety_nets({"slope": 1.0}) == {}
 
+    @pytest.mark.parametrize("cfg,stem", [(MOM0_CFG, "moments"),
+                                          (FS_CFG, "field_stats")],
+                             ids=["moment-check", "field-stats"])
+    def test_safety_nets_count_estimate_exclusions(self, tmp_path, capsys,
+                                                   cfg, stem):
+        # each estimate's excluded replicas reach resolved and safety_nets
+        # beside the hashed CSV's column, and replay still verifies
+        out = tmp_path / "out"
+        assert main(["run", cfg_file(tmp_path, cfg), "--out", str(out)]) in (0, 1)
+        with open(out / f"{stem}.csv", newline="") as fh:
+            column = [int(row["excluded"]) for row in csv.DictReader(fh)]
+        resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+        verdicts = json.loads((out / "verdicts.json").read_text())
+        assert resolved["excluded"] == column and column
+        assert verdicts["safety_nets"]["excluded"] == sum(column)
+        assert main(["replay", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "r")]) == 0
+        assert "replay verified" in capsys.readouterr().out
+
     # f = bump(0.5, 0.2) on 128 points; sup-prob reads supp(f) alone,
     # moment-check and field-stats convolve at eps = 2^-4 and eps' = 2^-5,
     # reaching floor(2^-4 * 128) = 8 rows on each side, and a moment-check
@@ -533,6 +558,7 @@ class TestRunRecord:
                             "openblas_num_threads", "cpu_count", "cpu",
                             "workers"}
         assert env["numpy"] == np.__version__ and env["workers"] == 1
+        assert isinstance(env["cpu"], str) and env["cpu"]
         assert env["numpy_simd"] == np.show_config(
             mode="dicts")["SIMD Extensions"]["found"]
         assert docs[1]["environment"]["workers"] == 2
@@ -656,3 +682,81 @@ class TestMomentSweepBlocks:
         assert starts == [0, 32, 64, 96]
         rows = (out / "moments.csv").read_text().splitlines()
         assert len(rows) == 1 + 4
+
+
+# one tiny valid config per kind: grid_n <= 64 and replicas <= 64
+F_TINY = {"center": 0.5, "radius": 0.2}
+TINY = [
+    {"kind": "phase-scan", "alpha_range": [-2.0, 2.0, 5],
+     "beta_range": [-2.0, 2.0, 5]},
+    {"kind": "kernel-check", "grid_n": 64, "eps_ladder": [0.125, 0.0625],
+     "n_ladder": [2, 3, 4], "eps_fixed": 0.125},
+    {"kind": "field-stats", "grid_n": 64, "eps": 0.125, "eps_prime": 0.0625,
+     "var_levels": [2, 3], "probes": 3, "replicas": 40, "seed": 1,
+     "f": F_TINY},
+    {"kind": "moment-check", "grid_n": 64, "gammas": [0.5],
+     "estimands": ["mean", "product"], "eps": 0.125, "eps_prime": 0.0625,
+     "replicas": 40, "seed": 1, "f": F_TINY},
+    {"kind": "cauchy", "gamma": 0.5, "grid_n": 64,
+     "eps_ladder": [0.125, 0.0625], "replicas": 40, "seed": 0, "f": F_TINY},
+    {"kind": "mollifier-independence", "gamma": 0.5, "grid_n": 64,
+     "eps_ladder": [0.125], "replicas": 40, "seed": 0, "f": F_TINY},
+    {"kind": "tail-check", "sigmas": [0.5, 1.0], "u_over_sigma": [0, 1, 2]},
+    {"kind": "sup-prob", "grid_n": 64, "ks": [2, 3], "qs": [2],
+     "replicas": 40, "seed": 0, "f": F_TINY},
+    {"kind": "tilt-check", "n_max": 6, "replicas": 40, "seed": 0},
+    {"kind": "sobolev", "grid_n": 64, "eps_ladder": [0.125, 0.0625],
+     "replicas": 40, "seed": 0, "f": F_TINY},
+]
+
+# every key a plan reads but kind, out and the two scale keys
+FUZZ_KEYS = ["alpha", "alpha_range", "beta", "beta_range", "check", "d",
+             "eps", "eps_fixed", "eps_ladder", "eps_prime", "estimands", "f",
+             "gamma", "gammas", "ks", "lam", "n_ladder", "n_max", "probes",
+             "profiles", "q", "qs", "seed", "separations", "sigmas", "u",
+             "u_over_sigma", "var_levels"]
+FUZZ_VALUES = (
+    st.integers(-2, 12) | st.floats(-2.0, 2.0)
+    | st.sampled_from([None, True, "x", "nan", "auto", "both", "partial",
+                       1e300, float("inf"), [], [0.5], [0.125, 0.0625],
+                       [0.25, 0.125, 0.0625], [0.1, 0.05, 0.02, 0.01],
+                       [2, 3], [1, 2, 4], [-2.0, 2.0, 3], ["mean"],
+                       ["product", "distance2"], [[0.5, 0.5]], [[1.1, 0.25]],
+                       ["bump", "quartic"], {"center": 0.5},
+                       {"radius": 0.1}, {"center": 0.3, "radius": 0.05}]))
+FUZZ_MUTATIONS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(FUZZ_KEYS), st.just(None), st.just(True)),
+    st.tuples(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES, st.just(False)),
+    st.tuples(st.sampled_from(["grid_n", "replicas"]),
+              st.integers(-1, 64) | st.sampled_from([None, "x", 2.5]),
+              st.just(False))), max_size=3)
+
+
+class TestConfigFuzz:
+    """A tiny config of any kind, with keys mutated or missing, exits 0 or 1
+    with its run record, or 2 or 3 with one line and no traceback."""
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(TINY), FUZZ_MUTATIONS)
+    def test_run_ends_cleanly(self, base, mutations):
+        cfg = dict(base)
+        for key, value, drop in mutations:
+            if drop:
+                cfg.pop(key, None)
+            else:
+                cfg[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+            path.write_text(json.dumps(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["run", str(path), "--out", str(out)])
+            if code in (0, 1):
+                assert (out / "manifest.json").exists(), cfg
+                assert (out / "verdicts.json").exists(), cfg
+            else:
+                assert code in (2, 3), cfg
+                assert len(err.getvalue().strip().splitlines()) == 1, cfg

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from logchaos import (Grid, KernelSpec, exact_level, export_table, gram,
-                      k_exact, k_mollified, k_partial, kappa, kernels,
-                      mollified_table, pd_check, q_mollified, q_n)
+from logchaos import (Grid, KernelSpec, exact_level, gram, k_exact,
+                      k_mollified, k_partial, kappa, kernels, mollified_table,
+                      pd_check, q_mollified, q_n)
 from logchaos import mollifier
 from logchaos.mollifier import Mollifier, ResolutionError, weight_matrix
 
@@ -447,19 +447,3 @@ class TestMollifiedTable:
                                          "grid", 9, h, 32)
         assert seen == [seps.shape[0] * distinct]
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-
-
-class TestExport:
-    def test_csv_and_sidecar(self, tmp_path):
-        grid = Grid.regular((0.0, 1.0), 64)
-        tab = mollified_table(SPEC1, grid, 2 ** -3)
-        csv_path = tmp_path / "table.csv"
-        sidecar = export_table(tab, csv_path)
-        assert csv_path.exists()
-        header = csv_path.read_text().splitlines()[0]
-        assert header.split(",")[:3] == ["x_index", "y_index", "value"]
-        import json
-        meta = json.loads(open(sidecar).read())
-        for key in ("d", "t0", "q0_kind", "eps", "eps_prime", "rule",
-                    "grid_hash"):
-            assert key in meta, f"sidecar missing {key}"

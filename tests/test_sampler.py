@@ -6,9 +6,8 @@ from scipy.fft import next_fast_len
 
 from logchaos import (Bench, Grid, KernelSpec, Mollifier, NumericError,
                       TiltShift, barrier_below, bump_function, gram,
-                      increment_factors, load_sample, mollified_table,
-                      replica_normals, sample_increments, sampled_rows,
-                      save_sample, tilt_shift_rows)
+                      increment_factors, mollified_table, sampled_rows,
+                      tilt_shift_rows)
 from logchaos.kernels import lattice_row
 from logchaos.mollifier import discrete_stencil, interior_rows, weight_matrix
 from logchaos.sampler import (BLOCK, block_z, circulant_root, free_cholesky)
@@ -36,53 +35,76 @@ def mollified_draws(n_max, seed, replicas, eps_list, mol):
                                                         consume)
 
 
+def draws(grid, n_max, seed, replicas, tilt=None):
+    """The slabs of a default-level Bench without f (every row, one slab per
+    level), shape (n_max + 1, N, R)."""
+    bench = Bench(SPEC, grid, n_max)
+    bench.set_tilt(tilt)
+    return bench.map_blocks(seed, replicas, lambda start, z: (z,))[0]
+
+
 def draw_matrix(grid, n_max, seed, replicas, level=None, tilt=None):
     """Stack y(n_max) (or a single level) across replicas: shape (N, R)."""
-    cols = []
-    for s in sample_increments(SPEC, grid, n_max, seed, replicas, tilt=tilt):
-        cols.append(s.y(n_max) if level is None else s.z[level])
-    return np.stack(cols, axis=1)
+    z = draws(grid, n_max, seed, replicas, tilt)
+    return z.sum(axis=0) if level is None else z[level]
+
+
+def stream_panels(seed, block, rows):
+    """The stream layout block_z reads: default_rng([seed, block]) yields
+    BLOCK * sum(rows) normals, split in order into one (m, BLOCK) panel per
+    entry m of rows."""
+    normals = np.random.default_rng([seed, block]).standard_normal(
+        BLOCK * sum(rows))
+    parts = np.split(normals, BLOCK * np.cumsum(rows[:-1]))
+    return [p.reshape(m, BLOCK) for p, m in zip(parts, rows)]
 
 
 class TestDeterminism:
     def test_same_seed_same_replica(self):
-        a = next(sample_increments(SPEC, GRID, 5, seed=11))
-        b = next(sample_increments(SPEC, GRID, 5, seed=11))
-        assert np.array_equal(a.z, b.z)
+        a = draws(GRID, 5, seed=11, replicas=1)
+        b = draws(GRID, 5, seed=11, replicas=1)
+        assert np.array_equal(a, b)
 
     def test_replica_stream_isolated(self):
-        # drawing replicas 0..39 and replica 37 alone must agree exactly,
+        # drawing replicas 0..39 and 0..37 must agree exactly on replica 37,
         # across the block-of-32 boundary
-        all_draws = list(sample_increments(SPEC, GRID, 4, seed=3, replicas=40))
-        rep37 = all_draws[37]
-        solo = list(sample_increments(SPEC, GRID, 4, seed=3, replicas=38))[37]
-        assert np.array_equal(rep37.z, solo.z)
-        assert rep37.replica == 37
+        all_draws = draws(GRID, 4, seed=3, replicas=40)
+        solo = draws(GRID, 4, seed=3, replicas=38)
+        assert all_draws.shape[-1] == 40 and solo.shape[-1] == 38
+        assert np.array_equal(all_draws[..., 37], solo[..., 37])
 
     def test_partial_sum_telescoping(self):
-        s = next(sample_increments(SPEC, GRID, 6, seed=1))
-        acc = s.z[0] + s.z[1] + s.z[2] + s.z[3]
-        assert np.allclose(s.y(3), acc, rtol=0, atol=1e-13)
-        assert np.allclose(s.y(6) - s.y(2), s.z[3:7].sum(axis=0),
+        z = draws(GRID, 6, seed=1, replicas=1)[..., 0]
+        y = np.cumsum(z, axis=0)
+        acc = z[0] + z[1] + z[2] + z[3]
+        assert np.allclose(y[3], acc, rtol=0, atol=1e-13)
+        assert np.allclose(y[6] - y[2], z[3:7].sum(axis=0),
                            rtol=0, atol=1e-12)
 
     def test_normals_counter_based(self):
-        # one stream per (seed, block): any start inside a block reads it
-        a = replica_normals(5, 9 * BLOCK, [1, 3, 16])
-        b = replica_normals(5, 9 * BLOCK + 7, [1, 3, 16])
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        assert [x.shape for x in a] == [(1, BLOCK), (3, BLOCK), (16, BLOCK)]
-        c = replica_normals(5, 10 * BLOCK, [1, 3, 16])
+        # one stream per (seed, block): any start inside a block reads it,
+        # and the next block reads the next stream
+        factors = increment_factors(SPEC, GRID, 4)
+        rows = [g.draws for g in factors]
+        a = block_z(SPEC, GRID, factors, 5, 9 * BLOCK, 4)
+        b = block_z(SPEC, GRID, factors, 5, 9 * BLOCK + 7, 4)
+        assert np.array_equal(a, b)
+        c = block_z(SPEC, GRID, factors, 5, 10 * BLOCK, 4)
         assert not np.array_equal(a[1], c[1])
+        for block, z in ((9, a), (10, c)):
+            xi = stream_panels(5, block, rows)[1]
+            y = np.fft.fft(factors[1].root[:, None] * xi.view(complex),
+                           axis=0)[:GRID.n]
+            assert np.array_equal(z[1], np.concatenate([y.real, y.imag], 1))
 
     def test_block_z_reads_the_stream_bitwise(self):
         # block_z draws into a buffer its thread reuses; a small block after
-        # a larger one reads exactly the normals replica_normals returns
+        # a larger one reads exactly the normals of its stream
         big = Grid.regular((0.0, 1.0), 512)
         block_z(SPEC, big, increment_factors(SPEC, big, 8), 3, 0, 8)
         factors = increment_factors(SPEC, GRID, 4)
         z = block_z(SPEC, GRID, factors, 4, 2 * BLOCK, 4)
-        panels = replica_normals(4, 2 * BLOCK, [g.draws for g in factors])
+        panels = stream_panels(4, 2, [g.draws for g in factors])
         assert np.array_equal(z[0], np.broadcast_to(
             factors[0].root * panels[0], z[0].shape))
         for k, (g, xi) in enumerate(zip(factors[1:], panels[1:]), start=1):
@@ -115,12 +137,8 @@ class TestCovariance:
 
     def test_min_rule_across_levels(self):
         # Cov(Y_5(x), Y_9(x)) = 5 since they share levels 1..5
-        cols5, cols9 = [], []
-        for s in sample_increments(SPEC, GRID, 9, seed=6, replicas=self.R):
-            cols5.append(s.y(5))
-            cols9.append(s.y(9))
-        y5 = np.stack(cols5, axis=1)[GRID.n // 2]
-        y9 = np.stack(cols9, axis=1)[GRID.n // 2]
+        z = draws(GRID, 9, seed=6, replicas=self.R)[:, GRID.n // 2]
+        y5, y9 = z[:6].sum(axis=0), z.sum(axis=0)
         cov = np.cov(y5, y9)[0, 1]
         se = math.sqrt((y5.var() * y9.var() + cov ** 2) / self.R)
         assert abs(cov - 5.0) <= 4 * se, f"min-rule Cov = {cov}"
@@ -137,12 +155,8 @@ class TestCovariance:
 
     def test_martingale_regression(self):
         # E[Y_9 | Y_5] = Y_5: regression slope of Y_9 on Y_5 is 1
-        cols5, cols9 = [], []
-        for s in sample_increments(SPEC, GRID, 9, seed=10, replicas=self.R):
-            cols5.append(s.y(5)[GRID.n // 2])
-            cols9.append(s.y(9)[GRID.n // 2])
-        y5 = np.asarray(cols5)
-        y9 = np.asarray(cols9)
+        z = draws(GRID, 9, seed=10, replicas=self.R)[:, GRID.n // 2]
+        y5, y9 = z[:6].sum(axis=0), z.sum(axis=0)
         slope = np.cov(y5, y9)[0, 1] / y5.var(ddof=1)
         resid = y9 - slope * y5
         se = math.sqrt(resid.var(ddof=2) / (y5.var(ddof=1) * (self.R - 1)))
@@ -154,12 +168,12 @@ class TestMollifiedFields:
         # the stencil taps at the D_eps rows equal W_eps @ Y_{n_max} for the
         # same draw
         mol = Mollifier(d=1)
-        s = next(sample_increments(SPEC, GRID, 7, seed=12))
+        y = draw_matrix(GRID, 7, seed=12, replicas=1)[:, 0]
         for eps in (2 ** -4, 2 ** -3):
-            rows, x = stencil_field(s.y(7), eps, mol)
+            rows, x = stencil_field(y, eps, mol)
             w_rows, w = weight_matrix(GRID, mol, eps)
             assert np.array_equal(rows, w_rows)
-            assert np.allclose(x, w @ s.y(7), atol=1e-12)
+            assert np.allclose(x, w @ y, atol=1e-12)
 
     def test_variance_matches_grid_table(self):
         # grid-rule table is the exact covariance of the sampled field
@@ -193,10 +207,10 @@ class TestMollifiedFields:
 
 class TestTilt:
     def test_zero_alpha_identity(self):
-        s = next(sample_increments(SPEC, GRID, 5, seed=20))
+        s = draws(GRID, 5, seed=20, replicas=1)
         t = TiltShift(x=0.5, y=0.6, eps=2 ** -3, eps_prime=2 ** -3, alpha=0.0)
-        tilted = next(sample_increments(SPEC, GRID, 5, seed=20, tilt=t))
-        assert np.array_equal(tilted.z, s.z)
+        tilted = draws(GRID, 5, seed=20, replicas=1, tilt=t)
+        assert np.array_equal(tilted, s)
 
     def test_tilted_mean(self):
         R = 4000
@@ -272,7 +286,8 @@ class TestBandedEngine:
             shifts = tilt_shift_rows(SPEC, self.GRID512, t, n_max,
                                      Mollifier(d=1))
         z = block_z(SPEC, self.GRID512, factors, seed, start, n_max, shifts)
-        panels = replica_normals(seed, start, [lv.draws for lv in factors])
+        panels = stream_panels(seed, start // BLOCK,
+                               [lv.draws for lv in factors])
         half = BLOCK // 2
         for k, (level, xi) in enumerate(zip(factors[1:], panels[1:]),
                                         start=1):
@@ -373,20 +388,6 @@ class TestSampledWindow:
         plane = Grid.regular((0.0, 1.0), 16, d=2)
         f2 = bump_function(plane, center=[0.5, 0.5], radius=0.2)
         assert sampled_rows(plane, f2) == (0, plane.n - 1)
-
-    @pytest.mark.parametrize("tilted", [False, True])
-    def test_sample_matches_bench_block(self, tilted):
-        # the single-replica API draws the Bench's rows, bit for bit
-        grid = Grid.regular((0.0, 1.0), 256)
-        f = bump_function(grid, center=0.4, radius=0.1)
-        t = TiltShift(x=0.38, y=0.42, eps=2 ** -4, eps_prime=2 ** -4,
-                      alpha=0.8 if tilted else 0.0)
-        bench = Bench(SPEC, grid, 6, f=f)
-        bench.set_tilt(t)
-        (z,) = bench.map_blocks(17, 40, lambda start, zb: (zb,))
-        samples = list(sample_increments(SPEC, grid, 6, 17, 40, tilt=t, f=f))
-        assert samples[0].lo == bench.lo
-        assert np.array_equal(np.stack([s.z for s in samples], axis=-1), z)
 
     def test_mollified_support_inside_window(self):
         # the bench convolves the support rows of f inside the sampled rows,
@@ -530,36 +531,3 @@ class TestLevelGroups:
         rows = tilt_shift_rows(SPEC, pair, t, 6, Mollifier(d=1))
         ref = [rows[0:3].sum(axis=0), rows[3], rows[4:7].sum(axis=0)]
         assert np.abs(bench.shifts - np.stack(ref)).max() < 1e-14
-
-
-class TestRoundTrip:
-    def test_save_load(self, tmp_path):
-        # z, the sampled rows, the tilt and the mollifier profile survive
-        t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, eps_prime=2 ** -3,
-                      alpha=0.8)
-        s = next(sample_increments(SPEC, GRID, 6, seed=30, tilt=t))
-        path = tmp_path / "sample"
-        save_sample(s, path)
-        back = load_sample(path, SPEC, GRID)
-        assert np.array_equal(back.z, s.z)
-        assert back.n_max == s.n_max and back.tilt == t
-        assert back.mol_profile == s.mol_profile == "bump"
-        assert np.load(str(path) + ".npz").files == ["z"]
-
-    def test_save_load_window(self, tmp_path):
-        f = bump_function(GRID, center=0.5, radius=0.2)
-        s = next(sample_increments(SPEC, GRID, 6, seed=30, f=f))
-        path = tmp_path / "sample"
-        save_sample(s, path)
-        back = load_sample(path, SPEC, GRID)
-        assert back.lo == s.lo > 0
-        assert np.array_equal(back.z, s.z)
-        assert back.z.shape[1] == sampled_rows(GRID, f)[1] - s.lo + 1
-
-    def test_grid_mismatch_rejected(self, tmp_path):
-        s = next(sample_increments(SPEC, GRID, 4, seed=31))
-        path = tmp_path / "sample"
-        save_sample(s, path)
-        other = Grid.regular((0.0, 1.0), 32)
-        with pytest.raises(ValueError):
-            load_sample(path, SPEC, other)

@@ -15,7 +15,7 @@ from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
                       ladder_from_values, mc_moment, mc_moments,
                       mollified_table,
                       moment_from_values, mollifier_independence,
-                      sample_increments, second_moment_oracle, sobolev_ladder,
+                      second_moment_oracle, sobolev_ladder,
                       sup_field_prob, tail_bound_check, tilted_event_prob,
                       trend_verdict, weight_matrix)
 from logchaos.mollifier import discrete_stencil
@@ -761,14 +761,14 @@ class TestTiltedEventProb:
         s = self.SEPS[0]
         x, y = 0.5 - s / 2, 0.5 + s / 2
         grid2 = Grid.from_points(np.array([[x], [y]]), (0.0, 1.0))
-        hits = []
-        for samp in sample_increments(SPEC, grid2, n_max, seed=99,
-                                      replicas=1200):
-            ok = True
-            for k in range(q, n_max + 1):
-                yk = samp.y(k)
-                ok = ok and yk[0] <= k * lam and yk[1] <= k * lam
-            hits.append(float(ok))
+
+        def below(start, z):
+            # Y_k <= k lam at both points for every k in q..n_max
+            ys = np.cumsum(z, axis=0)[q:]
+            tops = lam * np.arange(q, n_max + 1)[:, None, None]
+            return ((ys <= tops).all(axis=(0, 1)).astype(float),)
+
+        (hits,) = Bench(SPEC, grid2, n_max).map_blocks(99, 1200, below)
         direct = float(np.mean(hits))
         se_d = float(np.std(hits, ddof=1) / math.sqrt(len(hits)))
         est = rep.estimates[0]
