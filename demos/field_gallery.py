@@ -69,10 +69,10 @@ def main():
 
     print("mollified fields:")
     for e in eps_list:
-        tab = mollified_table(spec, grid, e, e, mol=mol, rule="grid",
-                              n_levels=args.n_max)
-        i = np.searchsorted(tab.rows, mid)
-        oracle = float(tab.values[i, i])
+        rows, _, values = mollified_table(spec, grid, e, e, mol=mol,
+                                          rule="grid", n_levels=args.n_max)
+        i = np.searchsorted(rows, mid)
+        oracle = float(values[i, i])
         var = float(np.var(xs[e], ddof=1))
         se = var * math.sqrt(2.0 / (r - 1))
         print(f"  Var(X_eps), eps = 2^{int(math.log2(e))}: {var:7.4f}"

@@ -10,9 +10,9 @@ is built on top of that ladder.
 from .chaos import (ChaosParams, barrier_below, bump_function, chaos_density,
                     q0_for, sobolev_diag, wick_exp_flagged)
 from .grids import Grid
-from .kernels import (KernelSpec, MollifiedKernelTable, PdReport, exact_level,
-                      gram, k_exact, k_mollified, k_partial, kappa,
-                      mollified_table, pd_check, q_mollified, q_n)
+from .kernels import (KernelSpec, PdReport, exact_level, gram, k_exact,
+                      k_mollified, k_partial, kappa, mollified_table,
+                      pd_check, q_mollified, q_n)
 from .mollifier import (Mollifier, ResolutionError, discrete_stencil,
                         quad_cloud, shrink_domain, theta, theta_eps,
                         weight_matrix)
@@ -28,12 +28,12 @@ from .verify import (Bench, KernelEstimateReport, LadderReport,
                      second_moment_oracle, sobolev_ladder, sup_field_prob,
                      tail_bound_check, tilted_event_prob, trend_verdict)
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "BOUNDARY", "Bench", "ChaosParams", "Grid", "KernelEstimateReport",
-    "KernelSpec", "L2", "LABELS", "LadderReport", "MollifiedKernelTable",
-    "Mollifier", "MomentEstimate", "NumericError", "PHASE_II", "PHASE_III",
+    "KernelSpec", "L2", "LABELS", "LadderReport", "Mollifier",
+    "MomentEstimate", "NumericError", "PHASE_II", "PHASE_III",
     "PdReport", "PhaseError", "ResolutionError", "SUBCRITICAL",
     "SupFieldReport", "TailBoundReport", "TiltShift", "TiltedEventReport",
     "barrier_below", "bump_function", "cauchy_ladder", "chaos_density",

@@ -10,6 +10,7 @@ block reductions make those bytes independent of the worker count.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import hashlib
 import json
@@ -693,24 +694,53 @@ def _cpu_model():
     return platform.processor() or platform.machine()
 
 
+def _blas_core():
+    """(core, threads) of the OpenBLAS numpy loaded, read through ctypes: the
+    kernel family it selected for this CPU, which numpy's build string does
+    not name, and its thread count; (None, None) when no such library or
+    symbol is found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            maps = [line.split()[-1] for line in fh if "openblas" in line]
+    except OSError:
+        maps = []
+    root = Path(np.__file__).parent  # wheels: numpy.libs, or .dylibs on macOS
+    wheel = [*root.parent.glob("numpy.libs/*openblas*"),
+             *root.glob(".dylibs/*openblas*")]
+    for path in dict.fromkeys([*maps, *map(str, wheel)]):
+        try:  # RTLD_NOLOAD opens only a library this process already loaded
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except (OSError, AttributeError):
+            continue
+        for name in ("scipy_openblas_get_{}64_", "openblas_get_{}64_",
+                     "openblas_get_{}"):
+            core, threads = (getattr(lib, name.format(what), None)
+                             for what in ("corename", "num_threads"))
+            if core is not None and threads is not None:
+                core.restype = ctypes.c_char_p
+                name = (core() or b"").decode(errors="replace")
+                return name or None, threads()
+    return None, None
+
+
 def environment(workers):
     """The numeric environment of a run, for the manifest; replay compares
     CSV hashes only and never reads it."""
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        config = np.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas.get('version')}"
+        # real-coefficient chaos values take numpy's dispatched real exp
+        simd = config["SIMD Extensions"]["found"]
     except (TypeError, KeyError):  # numpy < 1.26 prints and returns None
-        blas = None
-    # real-coefficient chaos values take numpy's dispatched real exp
-    try:
-        simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
-    except (TypeError, KeyError):
-        simd = None
+        blas = simd = None
+    core, threads = _blas_core()
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "blas": blas, "numpy_simd": simd,
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "cpu_count": os.cpu_count(),
             "cpu": _cpu_model(),
+            "blas_core": core, "blas_threads": threads,
             "workers": workers}
 
 

@@ -17,10 +17,12 @@ mollified values K_{eps,eps'} come in two quadrature flavours:
   independent of any sampling grid (used for kernel-level analysis).
 
 On a regular grid a K_{eps,eps'} table depends only on the lattice offset
-i - j, so both rules evaluate their quadrature once per lattice offset
-(offset_table) and expand the table by indexing; no weight matrix or summed
-Gram is built.  Each quadrature reduces its two clouds to their distinct
-differences u_a - v_b, so the kernel is evaluated once per (offset,
+i - j, so it is one value per offset: both rules evaluate their quadrature
+once per lattice offset (offset_table), kernel-check reads its suprema from
+those values and their separations, and only a caller that needs the rows x
+rows' matrix (mollified_table) gathers it by offset; no weight matrix or
+summed Gram is built.  Each quadrature reduces its two clouds to their
+distinct differences u_a - v_b, so the kernel is evaluated once per (offset,
 distinct difference): two d=1 grid stencils by correlation, any other pair
 of clouds by folding every pair; midpoint_work bounds that cost up front.
 """
@@ -28,7 +30,7 @@ of clouds by folding every pair; midpoint_work bounds that cost up front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -357,58 +359,30 @@ def q_mollified(spec, n, eps, z, x, mol, h=None, rule="grid", nodes=32):
     return vals @ w
 
 
-@dataclass(frozen=True)
-class MollifiedKernelTable:
-    """Tabulated K_{eps,eps'}(x_i, x_j) on the shrunken grid.
-
-    rows / rows_prime are global grid indices (D_eps and D_eps' interiors);
-    values[i, j] pairs rows[i] with rows_prime[j].  log_gap records the
-    measured sup |K_{eps,eps'} - log(1/(|x-y| v eps v eps'))| over the
-    table, the uniform-boundedness diagnostic.
-    """
-
-    spec: KernelSpec
-    grid: Grid = field(repr=False)
-    eps: float
-    eps_prime: float
-    rule: str
-    n_levels: int
-    rows: np.ndarray = field(repr=False)
-    rows_prime: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    log_gap: float
-
-    def diag(self):
-        """K_eps(x) on the D_eps rows; needs a square eps = eps' table."""
-        if self.eps != self.eps_prime or self.rows.shape != self.rows_prime.shape:
-            raise ValueError("diagonal needs eps = eps' on matching rows")
-        return np.diag(self.values).copy()
-
-
 def offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
                  n_levels, nodes=32):
-    """K_{eps,eps'} under rule on rows x rows_p of a regular grid.
+    """K_{eps,eps'} under rule, once per lattice offset of rows x rows_p.
 
-    Each (row, row') pair is keyed by its lattice offset, and the offset's
-    separation is taken from its row-major first pair; every other pair
-    with that offset reads the same value.
+    On each axis the offsets o run over the bounding runs of rows (a0..a1)
+    and rows_p (b0..b1), a0 - b1 .. a1 - b0, and each offset's separation
+    is taken from its row-major first pair, whose row is max(a0, b0 + o).
+    Returns (lo, seps, vals): vals[k] is the value at the offset lo + k
+    (one index per axis) and seps[k] its separation vector.  The rows x
+    rows_p table is vals indexed by np.subtract.outer(a, b) - lo per axis.
     """
-    shape = grid.shape
-    a = np.unravel_index(rows, shape)
-    b = np.unravel_index(rows_p, shape)
-    code = np.ravel_multi_index(
-        tuple(np.subtract.outer(ai, bi) + n - 1
-              for ai, bi, n in zip(a, b, shape)),
-        tuple(2 * n - 1 for n in shape)).ravel()
-    first = np.full(math.prod(2 * n - 1 for n in shape), code.size)
-    np.minimum.at(first, code, np.arange(code.size))
-    hit = first < code.size
-    pick = first[hit]
-    seps = (grid.points[rows[pick // len(rows_p)]]
-            - grid.points[rows_p[pick % len(rows_p)]])
-    vals = _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule,
-                              n_levels, grid.h, nodes)
-    return vals[np.cumsum(hit)[code] - 1].reshape(len(rows), len(rows_p))
+    a = np.unravel_index(rows, grid.shape)
+    b = np.unravel_index(rows_p, grid.shape)
+    runs = [np.arange(ak.min() - bk.max(), ak.max() - bk.min() + 1)
+            for ak, bk in zip(a, b)]
+    firsts = [np.maximum(ak.min(), bk.min() + o)
+              for ak, bk, o in zip(a, b, runs)]
+    ia = np.ravel_multi_index(np.ix_(*firsts), grid.shape)
+    ib = np.ravel_multi_index(np.ix_(*(f - o for f, o in zip(firsts, runs))),
+                              grid.shape)
+    seps = grid.points[ia] - grid.points[ib]
+    vals = _mollified_of_seps(spec, seps.reshape(-1, grid.d), eps, eps_prime,
+                              mol, rule, n_levels, grid.h, nodes)
+    return np.array([o[0] for o in runs]), seps, vals.reshape(ia.shape)
 
 
 def midpoint_work(grid, eps, eps_prime, nodes=32):
@@ -432,11 +406,9 @@ def midpoint_work(grid, eps, eps_prime, nodes=32):
 
 def mollified_table(spec, grid, eps, eps_prime=None, mol=None, rule="grid",
                     n_levels=None, nodes=32):
-    """Assemble the full K_{eps,eps'} table on a regular grid.
-
-    Both rules evaluate the quadrature once per lattice offset between the
-    D_eps and D_eps' rows (offset_table).
-    """
+    """The full K_{eps,eps'} table on a regular grid: (rows, rows_p, values),
+    values[i, j] pairing the D_eps row rows[i] with the D_eps' row
+    rows_p[j], gathered from the per-offset values of offset_table."""
     if eps_prime is None:
         eps_prime = eps
     if not 0.0 < eps_prime <= eps <= 1.0:
@@ -446,13 +418,9 @@ def mollified_table(spec, grid, eps, eps_prime=None, mol=None, rule="grid",
         n_levels = exact_level(spec, eps_prime)
     rows = interior_rows(grid, mol, eps)
     rows_p = interior_rows(grid, mol, eps_prime)
-    values = offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
-                          n_levels, nodes)
-    d_all = grid.points[rows][:, None, :] - grid.points[rows_p][None, :, :]
-    r = np.sqrt((d_all ** 2).sum(axis=-1))
-    floor = np.maximum(r, max(eps, eps_prime))
-    gap = float(np.abs(values + np.log(floor)).max())
-    return MollifiedKernelTable(spec=spec, grid=grid, eps=float(eps),
-                                eps_prime=float(eps_prime), rule=rule,
-                                n_levels=int(n_levels), rows=rows,
-                                rows_prime=rows_p, values=values, log_gap=gap)
+    lo, _, vals = offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol,
+                               rule, n_levels, nodes)
+    a = np.unravel_index(rows, grid.shape)
+    b = np.unravel_index(rows_p, grid.shape)
+    return rows, rows_p, vals[tuple(np.subtract.outer(ak, bk) - k
+                                    for ak, bk, k in zip(a, b, lo))]

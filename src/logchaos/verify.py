@@ -297,9 +297,10 @@ class Bench:
         rule, exact), checked as supp_tables checks each eps."""
         for e in (eps, eps2):
             self.supp_tables("main", e)
-        return kernels.offset_table(self.spec, self.grid, self.supp, self.supp,
-                                    eps, eps2, self.channels["main"], "grid",
-                                    self.n_max)
+        lo, _, vals = kernels.offset_table(
+            self.spec, self.grid, self.supp, self.supp, eps, eps2,
+            self.channels["main"], "grid", self.n_max)
+        return vals[np.subtract.outer(self.supp, self.supp) - lo[0]]
 
     def map_blocks(self, seed, replicas, consume, workers=None):
         """Run consume(start, z) over batches of blocks; fixed-order assembly.
@@ -420,27 +421,23 @@ def second_moment_oracle(spec, gamma, eps, eps_prime, f, grid, mol=None,
     Sum_{x,y} exp(|gamma|^2 K_{eps,eps'}(x,y)) f(x) f(y) w^2, finite because
     the mollified kernel is bounded.  With the grid rule and n_levels equal
     to the sampler's level count this is exact for the sampled fields.
-    table is an already built mollified_table for (eps, eps') to use
-    instead of building one; it depends on gamma not at all.
+    table is an already built mollified_table (rows, rows_p, values) for
+    (eps, eps') to use instead; it depends on gamma not at all.
     """
     if table is None:
         mol = mol if mol is not None else Mollifier(d=spec.d)
         table = kernels.mollified_table(spec, grid, eps, eps_prime, mol=mol,
                                         rule=rule, n_levels=n_levels)
+    rows, rows_p, values = table
     f = np.asarray(f, dtype=float)
-    mask = np.ones(grid.n, dtype=bool)
-    mask[table.rows] = False
-    if np.any(f[mask] != 0.0):
-        raise ValueError("test function support leaks outside D_eps")
-    mask[:] = True
-    mask[table.rows_prime] = False
-    if np.any(f[mask] != 0.0):
-        raise ValueError("test function support leaks outside D_eps'")
+    for r, name in ((rows, "D_eps"), (rows_p, "D_eps'")):
+        mask = np.ones(grid.n, dtype=bool)
+        mask[r] = False
+        if np.any(f[mask] != 0.0):
+            raise ValueError(f"test function support leaks outside {name}")
     g2 = abs(complex(gamma)) ** 2
-    fa = f[table.rows]
-    fb = f[table.rows_prime]
     w = grid.weight
-    return float(fa @ np.exp(g2 * table.values) @ fb * w * w)
+    return float(f[rows] @ np.exp(g2 * values) @ f[rows_p] * w * w)
 
 
 ESTIMANDS = ("mean", "product", "distance2", "event")
@@ -603,37 +600,38 @@ def kernel_estimate_check(spec, kind, grid, mol=None, eps_ladder=(),
     kind "mollified": per eps rung, sup over grid pairs of
     |K_{eps,eps'}(x,y) - log(1/(|x-y| v eps v eps'))| for eps' in {eps, next
     rung}.  kind "partial": per level rung n at fixed eps, sup of
-    |K_{n,eps,eps}(x,y) - min(log 1/|x-y|, log 1/eps, n)|.  Stability =
-    consecutive suprema within a factor 1.5.  log_floor=False drops the log
-    comparison term (degenerate-kernel calibration).
+    |K_{n,eps,eps}(x,y) - min(log 1/|x-y|, log 1/eps, n)|.  On a regular
+    grid each gap depends on x - y alone, so each supremum runs over the
+    lattice offsets of kernels.offset_table between the D_eps and D_eps'
+    rows, one separation each, and no rows x rows' array is built.
+    Stability = consecutive suprema within a factor 1.5.  log_floor=False
+    drops the log comparison term (degenerate-kernel calibration).
     """
     mol = mol if mol is not None else Mollifier(d=spec.d)
 
     def gap_table(eps, eps2, n_levels, cap=None):
-        table = kernels.mollified_table(spec, grid, eps, eps2, mol=mol,
-                                        rule=rule, n_levels=n_levels,
-                                        nodes=nodes)
-        pa = grid.points[table.rows]
-        pb = grid.points[table.rows_prime]
-        r = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1))
+        if not 0.0 < eps2 <= eps <= 1.0:
+            raise ValueError(f"need 0 < eps'={eps2} <= eps={eps} <= 1")
+        _, seps, vals = kernels.offset_table(
+            spec, grid, interior_rows(grid, mol, eps),
+            interior_rows(grid, mol, eps2), eps, eps2, mol, rule, n_levels,
+            nodes)
+        r = np.sqrt((seps ** 2).sum(axis=-1))
         if not log_floor:
             ref = 0.0
         elif cap is None:
             ref = -np.log(np.maximum(r, max(eps, eps2)))
         else:
-            with np.errstate(divide="ignore"):
-                ref = np.minimum(np.where(r > 0, -np.log(np.where(r > 0, r, 1.0)), np.inf),
-                                 min(-math.log(eps), cap))
-        return float(np.abs(table.values - ref).max())
+            with np.errstate(divide="ignore"):  # -log 0 = inf
+                ref = np.minimum(-np.log(r), min(-math.log(eps), cap))
+        return float(np.abs(vals - ref).max())
 
     sups = []
     if kind == "mollified":
         steps = [float(e) for e in eps_ladder]
         for i, eps in enumerate(steps):
-            worst = gap_table(eps, eps, None)
-            if i + 1 < len(steps):
-                worst = max(worst, gap_table(eps, steps[i + 1], None))
-            sups.append(worst)
+            sups.append(max(gap_table(eps, e2, kernels.exact_level(spec, e2))
+                            for e2 in [eps, *steps[i + 1:i + 2]]))
     elif kind == "partial":
         if eps_fixed is None:
             raise ValueError("kind 'partial' needs eps_fixed")
@@ -642,7 +640,7 @@ def kernel_estimate_check(spec, kind, grid, mol=None, eps_ladder=(),
             sups.append(gap_table(eps_fixed, eps_fixed, n, cap=float(n)))
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    ratios = [sups[i + 1] / sups[i] for i in range(len(sups) - 1)] if len(sups) > 1 else []
+    ratios = [b / a for a, b in zip(sups, sups[1:])]
     stable = all(q <= 1.5 for q in ratios)
     return KernelEstimateReport(kind=kind, steps=tuple(steps),
                                 suprema=tuple(sups), ratios=tuple(ratios),

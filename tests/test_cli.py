@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from logchaos import Grid, bump_function, verify
-from logchaos.cli import (ConfigError, load_config, main, plan, run_id_of,
-                          safety_nets, sha256_file, write_csv)
+from logchaos.cli import (ConfigError, _blas_core, load_config, main, plan,
+                          run_id_of, safety_nets, sha256_file, write_csv)
 
 PHASE_CFG = {"kind": "phase-scan", "d": 1,
              "alpha_range": [-2.0, 2.0, 9], "beta_range": [-2.0, 2.0, 9]}
@@ -545,7 +545,7 @@ class TestRunRecord:
                      "--out", str(tmp_path / "r")]) == 0
         assert "replay verified" in capsys.readouterr().out
 
-    def test_environment_outside_hashes(self, tmp_path, capsys):
+    def test_environment_outside_hashes(self, tmp_path, capsys, monkeypatch):
         p = cfg_file(tmp_path, MOM0_CFG)
         docs = []
         for workers in (1, 2):
@@ -556,15 +556,28 @@ class TestRunRecord:
         env = docs[0]["environment"]
         assert set(env) == {"python", "numpy", "scipy", "blas", "numpy_simd",
                             "openblas_num_threads", "cpu_count", "cpu",
-                            "workers"}
+                            "blas_core", "blas_threads", "workers"}
         assert env["numpy"] == np.__version__ and env["workers"] == 1
         assert isinstance(env["cpu"], str) and env["cpu"]
+        # an OpenBLAS numpy names the core it selected and its threads
+        if "openblas" in (env["blas"] or "").lower():
+            assert isinstance(env["blas_core"], str) and env["blas_core"]
+            assert isinstance(env["blas_threads"], int)
+            assert env["blas_threads"] >= 1
         assert env["numpy_simd"] == np.show_config(
             mode="dicts")["SIMD Extensions"]["found"]
         assert docs[1]["environment"]["workers"] == 2
         assert docs[0]["csv_sha256"] == docs[1]["csv_sha256"]
         self.replay_tampered(tmp_path, capsys,
                              dict(docs[0], environment={"numpy": "0.0"}))
+        # no loadable library leaves both entries None, without raising
+        import ctypes
+
+        def no_library(*args, **kwargs):
+            raise OSError("not loaded")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_library)
+        assert _blas_core() == (None, None)
 
 
 class TestReplayContract:

@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -48,3 +49,13 @@ def test_readme_python_blocks(tmp_path):
     for i, code in enumerate(blocks):
         proc = run_python(["-c", code], tmp_path)
         assert proc.returncode == 0, f"block {i}:\n{proc.stderr[-2000:]}"
+
+
+def test_exports_match_all():
+    # a deleted name must leave __all__ with its import, and a new public
+    # name must join it
+    public = {name for name, value in vars(logchaos).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert [n for n in logchaos.__all__ if not hasattr(logchaos, n)] == []
+    assert sorted(public - set(logchaos.__all__)) == []

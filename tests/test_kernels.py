@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from logchaos import (Grid, KernelSpec, exact_level, gram, k_exact,
-                      k_mollified, k_partial, kappa, kernels, mollified_table,
-                      pd_check, q_mollified, q_n)
+from logchaos import (Bench, Grid, KernelSpec, bump_function, exact_level,
+                      gram, k_exact, k_mollified, k_partial, kappa, kernels,
+                      mollified_table, pd_check, q_mollified, q_n)
 from logchaos import mollifier
 from logchaos.mollifier import Mollifier, ResolutionError, weight_matrix
 
@@ -186,6 +186,86 @@ class TestGram:
             assert np.array_equal(gram(SPEC2, n, grid2), dense_gram(SPEC2, n, pts2))
 
 
+def pairwise_offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
+                          n_levels, nodes=32):
+    """The rows x rows_p table as keyed pair by pair: each (row, row') pair
+    by its lattice offset, the offset's separation from its row-major first
+    pair, and every other pair with that offset reading the same value."""
+    shape = grid.shape
+    a = np.unravel_index(rows, shape)
+    b = np.unravel_index(rows_p, shape)
+    code = np.ravel_multi_index(
+        tuple(np.subtract.outer(ai, bi) + n - 1
+              for ai, bi, n in zip(a, b, shape)),
+        tuple(2 * n - 1 for n in shape)).ravel()
+    first = np.full(math.prod(2 * n - 1 for n in shape), code.size)
+    np.minimum.at(first, code, np.arange(code.size))
+    hit = first < code.size
+    pick = first[hit]
+    seps = (grid.points[rows[pick // len(rows_p)]]
+            - grid.points[rows_p[pick % len(rows_p)]])
+    vals = kernels._mollified_of_seps(spec, seps, eps, eps_prime, mol, rule,
+                                      n_levels, grid.h, nodes)
+    return vals[np.cumsum(hit)[code] - 1].reshape(len(rows), len(rows_p))
+
+
+class TestOffsetTable:
+    @staticmethod
+    def offsets_and_oracle(spec, grid, rows, rows_p, eps, eps_prime, rule,
+                           nodes):
+        mol = Mollifier(d=grid.d)
+        n_levels = exact_level(spec, eps_prime)
+        args = (spec, grid, rows, rows_p, eps, eps_prime, mol, rule, n_levels,
+                nodes)
+        lo, seps, vals = kernels.offset_table(*args)
+        a = np.unravel_index(rows, grid.shape)
+        b = np.unravel_index(rows_p, grid.shape)
+        table = vals[tuple(np.subtract.outer(ak, bk) - k
+                           for ak, bk, k in zip(a, b, lo))]
+        assert seps.shape == vals.shape + (grid.d,)
+        return table, pairwise_offset_table(*args)
+
+    @pytest.mark.parametrize("d,n,rule,eps,eps_prime,nodes", [
+        (1, 512, "grid", 2 ** -4, 2 ** -4, 32),
+        (1, 512, "midpoint", 2 ** -4, 2 ** -4, 32),
+        (1, 512, "grid", 2 ** -3, 2 ** -7, 32),
+        (1, 512, "midpoint", 2 ** -3, 2 ** -7, 32),
+        (2, 32, "grid", 2 ** -3, 2 ** -3, 32),
+        (2, 40, "midpoint", 2 ** -3, 2 ** -3, 4),
+    ])
+    def test_interior_tables_bitwise(self, d, n, rule, eps, eps_prime, nodes):
+        spec = KernelSpec(d=d)
+        grid = Grid.regular((0.0, 1.0), n, d=d)
+        mol = Mollifier(d=d)
+        rows = mollifier.interior_rows(grid, mol, eps)
+        rows_p = mollifier.interior_rows(grid, mol, eps_prime)
+        table, oracle = self.offsets_and_oracle(spec, grid, rows, rows_p, eps,
+                                                eps_prime, rule, nodes)
+        assert np.array_equal(table, oracle)
+        assert np.array_equal(mollified_table(spec, grid, eps, eps_prime,
+                                              rule=rule, nodes=nodes)[2],
+                              oracle)
+
+    def test_support_cross_table_bitwise(self):
+        grid = Grid.regular((0.0, 1.0), 128)
+        bench = Bench(SPEC1, grid, 7, f=bump_function(grid, 0.5, 0.2))
+        oracle = pairwise_offset_table(SPEC1, grid, bench.supp, bench.supp,
+                                       2 ** -4, 2 ** -5, Mollifier(d=1),
+                                       "grid", 7)
+        assert np.array_equal(bench.cross_table(2 ** -4, 2 ** -5), oracle)
+
+    def test_gapped_rows_to_rounding(self):
+        # a row set with a gap keeps the offsets of its bounding run; a
+        # separation may come from a pair the set lacks, equal to rounding
+        grid = Grid.regular((0.0, 1.0), 300)
+        rows = np.r_[80:120, 150:200]
+        rows_p = np.r_[90:130, 170:185]
+        table, oracle = self.offsets_and_oracle(SPEC1, grid, rows, rows_p,
+                                                2 ** -4, 2 ** -5, "midpoint",
+                                                32)
+        assert np.abs(table - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
 class TestMollifiedTable:
     def test_constant_kernel_invariance(self):
         # mollifiers integrate to one, so a constant kernel passes through
@@ -193,17 +273,17 @@ class TestMollifiedTable:
         grid = Grid.regular((0.0, 1.0), 256)
         mol = Mollifier(d=1)
         for rule in ("grid", "midpoint"):
-            tab = mollified_table(spec, grid, 2 ** -4, mol=mol, rule=rule,
-                                  n_levels=0)
-            err = np.abs(tab.values - 0.7).max()
+            _, _, values = mollified_table(spec, grid, 2 ** -4, mol=mol,
+                                           rule=rule, n_levels=0)
+            err = np.abs(values - 0.7).max()
             assert err < 1e-10, f"rule={rule} err={err}"
 
     def test_rules_agree(self):
         grid = Grid.regular((0.0, 1.0), 256)
-        a = mollified_table(SPEC1, grid, 2 ** -4, rule="grid")
-        b = mollified_table(SPEC1, grid, 2 ** -4, rule="midpoint")
+        a = mollified_table(SPEC1, grid, 2 ** -4, rule="grid")[2]
+        b = mollified_table(SPEC1, grid, 2 ** -4, rule="midpoint")[2]
         # different quadratures of the same smooth integral
-        assert np.abs(a.values - b.values).max() < 5e-2
+        assert np.abs(a - b).max() < 5e-2
 
     def test_unknown_rule_refused(self):
         grid = Grid.regular((0.0, 1.0), 256)
@@ -214,12 +294,6 @@ class TestMollifiedTable:
         grid = Grid.regular((0.0, 1.0), 256)
         with pytest.raises(ValueError):
             mollified_table(SPEC1, grid, 2 ** -5, eps_prime=2 ** -4)
-
-    def test_diag_requires_equal_eps(self):
-        grid = Grid.regular((0.0, 1.0), 256)
-        tab = mollified_table(SPEC1, grid, 2 ** -4, eps_prime=2 ** -5)
-        with pytest.raises(ValueError):
-            tab.diag()
 
     def test_diagonal_offset_vs_refined_oracle(self):
         # K_{eps,eps}(x,x) = log(1/eps) + O(1); the O(1) offset is checked
@@ -260,21 +334,22 @@ class TestMollifiedTable:
         # quadrature; the dense W G W^T is an independent oracle for both
         grid = Grid.regular((0.0, 1.0), 128)
         mol = Mollifier(d=1)
-        tab = mollified_table(SPEC1, grid, 2 ** -4, mol=mol, rule="grid")
+        n_levels = exact_level(SPEC1, 2 ** -4)
+        t_rows, t_rows_p, values = mollified_table(SPEC1, grid, 2 ** -4,
+                                                   mol=mol, rule="grid")
         rows, rows_p, dense = self._dense_table(SPEC1, grid, 2 ** -4, 2 ** -4,
-                                                mol, tab.n_levels)
-        assert np.array_equal(rows, tab.rows)
-        assert np.array_equal(rows_p, tab.rows_prime)
+                                                mol, n_levels)
+        assert np.array_equal(rows, t_rows)
+        assert np.array_equal(rows_p, t_rows_p)
         for i, j in ((10, 30), (25, 25), (40, 5)):
-            x = grid.points[tab.rows[i], 0]
-            y = grid.points[tab.rows_prime[j], 0]
+            x = grid.points[t_rows[i], 0]
+            y = grid.points[t_rows_p[j], 0]
             direct = k_mollified(SPEC1, 2 ** -4, 2 ** -4, x, y, mol,
-                                 rule="grid", h=grid.h,
-                                 n_levels=tab.n_levels)
+                                 rule="grid", h=grid.h, n_levels=n_levels)
             assert abs(direct - dense[i, j]) < 1e-10, \
                 f"({i},{j}): {direct} vs {dense[i, j]}"
-            assert abs(tab.values[i, j] - dense[i, j]) < 1e-10, \
-                f"({i},{j}): {tab.values[i, j]} vs {dense[i, j]}"
+            assert abs(values[i, j] - dense[i, j]) < 1e-10, \
+                f"({i},{j}): {values[i, j]} vs {dense[i, j]}"
 
     def test_d2_grid_table_matches_dense(self):
         # d=2 offsets are lattice vectors and the stencil a disc of taps;
@@ -282,29 +357,30 @@ class TestMollifiedTable:
         spec = KernelSpec(d=2, q0_kind="constant", q0_const=0.3)
         grid = Grid.regular((0.0, 1.0), 32, d=2)
         mol = Mollifier(d=2)
-        tab = mollified_table(spec, grid, 2 ** -3, mol=mol, rule="grid",
-                              n_levels=3)
+        t_rows, t_rows_p, values = mollified_table(spec, grid, 2 ** -3,
+                                                   mol=mol, rule="grid",
+                                                   n_levels=3)
         rows, rows_p, dense = self._dense_table(spec, grid, 2 ** -3, 2 ** -3,
                                                 mol, 3)
-        assert np.array_equal(rows, tab.rows) and rows.size == 16 ** 2
-        assert np.array_equal(rows_p, tab.rows_prime)
-        assert np.abs(tab.values - dense).max() < 1e-12 * np.abs(dense).max()
+        assert np.array_equal(rows, t_rows) and rows.size == 16 ** 2
+        assert np.array_equal(rows_p, t_rows_p)
+        assert np.abs(values - dense).max() < 1e-12 * np.abs(dense).max()
 
     @staticmethod
     def _unique_midpoint(spec, grid, eps, eps_prime, nodes):
         # the table as built before lattice-offset keys: np.unique over the
         # rounded separation vectors of every (row, row') pair
-        tab = mollified_table(spec, grid, eps, eps_prime, rule="midpoint",
-                              nodes=nodes)
-        flat = (grid.points[tab.rows][:, None, :]
-                - grid.points[tab.rows_prime][None, :, :]).reshape(-1, grid.d)
+        rows, rows_p, values = mollified_table(spec, grid, eps, eps_prime,
+                                               rule="midpoint", nodes=nodes)
+        flat = (grid.points[rows][:, None, :]
+                - grid.points[rows_p][None, :, :]).reshape(-1, grid.d)
         keys = np.round(flat / 1e-12).astype(np.int64)
         _, first, inv = np.unique(keys, axis=0, return_index=True,
                                   return_inverse=True)
         vals = kernels._mollified_of_seps(
             spec, flat[first], eps, eps_prime, Mollifier(d=grid.d),
-            "midpoint", tab.n_levels, None, nodes)
-        return tab, vals[inv.ravel()].reshape(tab.values.shape)
+            "midpoint", exact_level(spec, eps_prime), None, nodes)
+        return values, vals[inv.ravel()].reshape(values.shape)
 
     @pytest.mark.parametrize("d,n,eps,eps_prime,nodes", [
         (1, 256, 2 ** -4, 2 ** -4, 32),
@@ -314,8 +390,9 @@ class TestMollifiedTable:
     def test_midpoint_offsets_match_unique(self, d, n, eps, eps_prime, nodes):
         spec = KernelSpec(d=d)
         grid = Grid.regular((0.0, 1.0), n, d=d)
-        tab, oracle = self._unique_midpoint(spec, grid, eps, eps_prime, nodes)
-        assert np.array_equal(tab.values, oracle)
+        values, oracle = self._unique_midpoint(spec, grid, eps, eps_prime,
+                                               nodes)
+        assert np.array_equal(values, oracle)
 
     @pytest.mark.parametrize("rule", ["grid", "midpoint"])
     def test_midpoint_one_eval_per_offset(self, monkeypatch, rule):
@@ -337,8 +414,9 @@ class TestMollifiedTable:
             monkeypatch.setattr(mod, "weight_matrix", forbidden, raising=False)
         monkeypatch.setattr(kernels, "gram", forbidden)
         grid = Grid.regular((0.0, 1.0), 256)
-        tab = mollified_table(SPEC1, grid, 2 ** -4, 2 ** -5, rule=rule)
-        assert seen == [len(tab.rows) + len(tab.rows_prime) - 1]
+        rows, rows_p, _ = mollified_table(SPEC1, grid, 2 ** -4, 2 ** -5,
+                                          rule=rule)
+        assert seen == [len(rows) + len(rows_p) - 1]
 
     @pytest.mark.parametrize("rule", ["grid", "midpoint"])
     def test_rows_need_a_resolving_regular_grid(self, rule):
@@ -413,8 +491,9 @@ class TestMollifiedTable:
 
         monkeypatch.setattr(kernels, "k_partial", counted)
         grid = Grid.regular((0.0, 1.0), 256)
-        tab = mollified_table(SPEC1, grid, 2 ** -4, eps_prime, rule="midpoint")
-        offsets = len(tab.rows) + len(tab.rows_prime) - 1
+        rows, rows_p, _ = mollified_table(SPEC1, grid, 2 ** -4, eps_prime,
+                                          rule="midpoint")
+        offsets = len(rows) + len(rows_p) - 1
         assert sum(seen) == offsets * distinct
 
     @pytest.mark.parametrize("profile", ["bump", "quartic"])

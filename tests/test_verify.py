@@ -642,22 +642,44 @@ class TestMollifierIndependence:
 
 class TestKernelEstimateCheck:
     def test_single_rung_matches_manual_rebuild(self):
+        # the supremum over every (row, row') pair of the dense table; on
+        # dyadic grids each pair of an offset has the same separation, so
+        # the offset suprema are bitwise equal, and to rounding elsewhere
         import logchaos.kernels as kernels
-        spec = KernelSpec(d=1, q0_kind="constant", q0_const=0.7)
-        grid = Grid.regular((0.0, 1.0), 256)
-        eps = 2 ** -4
-        rep = kernel_estimate_check(spec, "mollified", grid,
-                                    eps_ladder=[eps])
-        tab = kernels.mollified_table(spec, grid, eps, eps,
-                                      mol=Mollifier(d=1), rule="midpoint",
-                                      nodes=32)
-        pa = grid.points[tab.rows]
-        pb = grid.points[tab.rows_prime]
-        r = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1))
-        ref = -np.log(np.maximum(r, eps))
-        manual = float(np.abs(tab.values - ref).max())
-        assert rep.suprema[0] == manual
-        assert rep.ratios == () and rep.stable
+        for d, n, eps, nodes, rtol in ((1, 256, 2 ** -4, 32, 0.0),
+                                       (1, 300, 2 ** -4, 32, 4e-15),
+                                       (2, 32, 2 ** -3, 4, 0.0)):
+            spec = KernelSpec(d=d, q0_kind="constant", q0_const=0.7)
+            grid = Grid.regular((0.0, 1.0), n, d=d)
+            rep = kernel_estimate_check(spec, "mollified", grid,
+                                        eps_ladder=[eps], nodes=nodes)
+            rows, rows_p, values = kernels.mollified_table(
+                spec, grid, eps, eps, mol=Mollifier(d=d), rule="midpoint",
+                nodes=nodes)
+            pa = grid.points[rows]
+            pb = grid.points[rows_p]
+            r = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1))
+            ref = -np.log(np.maximum(r, eps))
+            manual = float(np.abs(values - ref).max())
+            if rtol == 0.0:
+                assert rep.suprema[0] == manual, (d, n)
+            else:
+                assert abs(rep.suprema[0] - manual) <= rtol * manual, (d, n)
+            assert rep.ratios == () and rep.stable
+
+    def test_memory_bounded_by_offsets(self):
+        # a dense 1,024 x 1,536 table of the first cell would hold 12.6 MB
+        # per array; the offset suprema hold a few offset rows
+        import tracemalloc
+        grid = Grid.regular((0.0, 1.0), 2048)
+        tracemalloc.start()
+        try:
+            kernel_estimate_check(SPEC, "mollified", grid,
+                                  eps_ladder=[2 ** -3, 2 ** -4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_log_floor_off_keeps_divergence(self):
         # dropping the log reference leaves the full |K| magnitude behind
