@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from logchaos import (Bench, Grid, KernelSpec, Mollifier, discrete_stencil,
-                      mollified_table)
+                      k_mollified)
 from logchaos.mollifier import interior_rows
 
 
@@ -68,11 +68,10 @@ def main():
               f"({(var - exact) / se:+.2f} se)")
 
     print("mollified fields:")
+    x_mid = grid.points[mid]
     for e in eps_list:
-        rows, _, values = mollified_table(spec, grid, e, e, mol=mol,
-                                          rule="grid", n_levels=args.n_max)
-        i = np.searchsorted(rows, mid)
-        oracle = float(values[i, i])
+        oracle = k_mollified(spec, e, e, x_mid, x_mid, mol, "grid",
+                             args.n_max, grid.h)
         var = float(np.var(xs[e], ddof=1))
         se = var * math.sqrt(2.0 / (r - 1))
         print(f"  Var(X_eps), eps = 2^{int(math.log2(e))}: {var:7.4f}"

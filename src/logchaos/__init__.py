@@ -11,8 +11,8 @@ from .chaos import (ChaosParams, barrier_below, bump_function, chaos_density,
                     q0_for, sobolev_diag, wick_exp_flagged)
 from .grids import Grid
 from .kernels import (KernelSpec, PdReport, exact_level, gram, k_exact,
-                      k_mollified, k_partial, kappa, mollified_table,
-                      pd_check, q_mollified, q_n)
+                      k_mollified, k_partial, kappa, pd_check, q_mollified,
+                      q_n)
 from .mollifier import (Mollifier, ResolutionError, discrete_stencil,
                         quad_cloud, shrink_domain, theta, theta_eps,
                         weight_matrix)
@@ -28,7 +28,7 @@ from .verify import (Bench, KernelEstimateReport, LadderReport,
                      second_moment_oracle, sobolev_ladder, sup_field_prob,
                      tail_bound_check, tilted_event_prob, trend_verdict)
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "BOUNDARY", "Bench", "ChaosParams", "Grid", "KernelEstimateReport",
@@ -40,8 +40,8 @@ __all__ = [
     "classify", "discrete_stencil", "exact_level", "field_stats", "gram",
     "increment_factors", "k_exact", "k_mollified", "k_partial", "kappa",
     "kernel_estimate_check", "ladder_from_values", "mc_moment", "mc_moments",
-    "mollified_table", "mollifier_independence", "moment_from_values",
-    "pd_check", "pick_lambda", "q0_for", "q_mollified", "q_n", "quad_cloud",
+    "mollifier_independence", "moment_from_values", "pd_check",
+    "pick_lambda", "q0_for", "q_mollified", "q_n", "quad_cloud",
     "sampled_rows", "scan", "second_moment_oracle", "shrink_domain",
     "sobolev_diag", "sobolev_ladder", "sup_field_prob", "tail_bound_check",
     "theta", "theta_eps", "tilt_shift_rows", "tilted_event_prob",

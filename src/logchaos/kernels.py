@@ -18,13 +18,14 @@ mollified values K_{eps,eps'} come in two quadrature flavours:
 
 On a regular grid a K_{eps,eps'} table depends only on the lattice offset
 i - j, so it is one value per offset: both rules evaluate their quadrature
-once per lattice offset (offset_table), kernel-check reads its suprema from
-those values and their separations, and only a caller that needs the rows x
-rows' matrix (mollified_table) gathers it by offset; no weight matrix or
-summed Gram is built.  Each quadrature reduces its two clouds to their
-distinct differences u_a - v_b, so the kernel is evaluated once per (offset,
-distinct difference): two d=1 grid stencils by correlation, any other pair
-of clouds by folding every pair; midpoint_work bounds that cost up front.
+once per lattice offset (offset_table).  kernel-check reads its suprema from
+those values and their separations, and the moment oracles gather the
+support x support matrix from them (verify.Bench.cross_table); no weight
+matrix or summed Gram is built.  Each quadrature reduces its two clouds to
+their distinct differences u_a - v_b, so the kernel is evaluated once per
+(offset, distinct difference): two d=1 grid stencils by correlation, any
+other pair of clouds by folding every pair; midpoint_work bounds that cost
+up front.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .grids import Grid
-from .mollifier import (Mollifier, discrete_stencil, interior_rows, quad_cloud,
-                        shrink_domain)
+from .mollifier import Mollifier, discrete_stencil, quad_cloud, shrink_domain
 
 _GL_NODES, _GL_WEIGHTS = leggauss(64)
 
@@ -403,24 +403,3 @@ def midpoint_work(grid, eps, eps_prime, nodes=32):
     return (offsets * quad_cloud(mol, eps, nodes)[1].size
             * quad_cloud(mol, eps_prime, nodes)[1].size)
 
-
-def mollified_table(spec, grid, eps, eps_prime=None, mol=None, rule="grid",
-                    n_levels=None, nodes=32):
-    """The full K_{eps,eps'} table on a regular grid: (rows, rows_p, values),
-    values[i, j] pairing the D_eps row rows[i] with the D_eps' row
-    rows_p[j], gathered from the per-offset values of offset_table."""
-    if eps_prime is None:
-        eps_prime = eps
-    if not 0.0 < eps_prime <= eps <= 1.0:
-        raise ValueError(f"need 0 < eps'={eps_prime} <= eps={eps} <= 1")
-    mol = mol if mol is not None else Mollifier(d=spec.d)
-    if n_levels is None:
-        n_levels = exact_level(spec, eps_prime)
-    rows = interior_rows(grid, mol, eps)
-    rows_p = interior_rows(grid, mol, eps_prime)
-    lo, _, vals = offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol,
-                               rule, n_levels, nodes)
-    a = np.unravel_index(rows, grid.shape)
-    b = np.unravel_index(rows_p, grid.shape)
-    return rows, rows_p, vals[tuple(np.subtract.outer(ak, bk) - k
-                                    for ak, bk, k in zip(a, b, lo))]

@@ -201,9 +201,10 @@ class Bench:
     0..slab(l) is Y_l.  It holds the group factors (one circulant
     embedding per group on a regular d=1 grid).  The stencil band of the
     support rows on their column window and the kernel-table diagonal are
-    cached per (mollifier channel, eps); grid-rule kernel values come from
-    the offset quadrature of kernels (k_mollified, offset_table), with no
-    Gram block.
+    cached per (mollifier channel, eps), and the support x support kernel
+    table per (eps, eps'); grid-rule kernel values at n_max levels come
+    from the offset quadrature of kernels (k_mollified, offset_table), with
+    no Gram block, so they are the exact covariances of the sampled fields.
     """
 
     def __init__(self, spec, grid, n_max, f=None, mol=None, levels=None,
@@ -220,6 +221,7 @@ class Bench:
         self.supp = None if self.f is None else np.flatnonzero(self.f != 0.0)
         self.shifts = None
         self._supp_tables = {}
+        self._cross_tables = {}
 
     def add_channel(self, name, mol):
         self.channels[name] = mol
@@ -294,13 +296,18 @@ class Bench:
 
     def cross_table(self, eps, eps2):
         """K_{eps,eps2} on support x support rows of the main channel (grid
-        rule, exact), checked as supp_tables checks each eps."""
-        for e in (eps, eps2):
-            self.supp_tables("main", e)
-        lo, _, vals = kernels.offset_table(
-            self.spec, self.grid, self.supp, self.supp, eps, eps2,
-            self.channels["main"], "grid", self.n_max)
-        return vals[np.subtract.outer(self.supp, self.supp) - lo[0]]
+        rule, exact), checked as supp_tables checks each eps and cached per
+        (eps, eps2): the one kernel table the moment oracles read."""
+        key = (float(eps), float(eps2))
+        if key not in self._cross_tables:
+            for e in key:
+                self.supp_tables("main", e)
+            lo, _, vals = kernels.offset_table(
+                self.spec, self.grid, self.supp, self.supp, eps, eps2,
+                self.channels["main"], "grid", self.n_max)
+            self._cross_tables[key] = vals[
+                np.subtract.outer(self.supp, self.supp) - lo[0]]
+        return self._cross_tables[key]
 
     def map_blocks(self, seed, replicas, consume, workers=None):
         """Run consume(start, z) over batches of blocks; fixed-order assembly.
@@ -352,11 +359,14 @@ def _event_consume(bench, rows, q, lam):
     return consume
 
 
-def _gamma_of(params):
-    """The coefficient of single-mode params; the block engine samples one field."""
+def _gamma_of(bench, params):
+    """The coefficient of single-mode params; the block engine samples one
+    field and integrates the bench's test function, so params.f must be it."""
     if params.mode != "single":
         raise ValueError("the block engine samples one field: it does not "
                          "sample two-field chaos yet")
+    if not np.array_equal(params.f, bench.f):
+        raise ValueError("params.f differs from the bench's test function")
     return params.gamma
 
 
@@ -414,30 +424,17 @@ def _chaos_values_consume(bench, gammas, keys, trunc=None, events=False):
     return consume
 
 
-def second_moment_oracle(spec, gamma, eps, eps_prime, f, grid, mol=None,
-                         n_levels=None, rule="grid", table=None):
-    """Quadrature oracle for E[M_eps conj(M_eps')].
+def second_moment_oracle(bench, gamma, eps, eps_prime):
+    """Exact E[M_eps conj(M_eps')] for the fields bench samples.
 
-    Sum_{x,y} exp(|gamma|^2 K_{eps,eps'}(x,y)) f(x) f(y) w^2, finite because
-    the mollified kernel is bounded.  With the grid rule and n_levels equal
-    to the sampler's level count this is exact for the sampled fields.
-    table is an already built mollified_table (rows, rows_p, values) for
-    (eps, eps') to use instead; it depends on gamma not at all.
+    Sum over support rows x, y of f(x) f(y) exp(|gamma|^2 K_{eps,eps'}(x,y))
+    w^2, finite because the mollified kernel is bounded.  K is
+    bench.cross_table: the grid rule at the bench's level count, so the
+    oracle is exact to rounding; it depends on gamma only through |gamma|^2.
     """
-    if table is None:
-        mol = mol if mol is not None else Mollifier(d=spec.d)
-        table = kernels.mollified_table(spec, grid, eps, eps_prime, mol=mol,
-                                        rule=rule, n_levels=n_levels)
-    rows, rows_p, values = table
-    f = np.asarray(f, dtype=float)
-    for r, name in ((rows, "D_eps"), (rows_p, "D_eps'")):
-        mask = np.ones(grid.n, dtype=bool)
-        mask[r] = False
-        if np.any(f[mask] != 0.0):
-            raise ValueError(f"test function support leaks outside {name}")
-    g2 = abs(complex(gamma)) ** 2
-    w = grid.weight
-    return float(f[rows] @ np.exp(g2 * values) @ f[rows_p] * w * w)
+    table = bench.cross_table(eps, eps_prime)
+    f_s, w = bench.f[bench.supp], bench.grid.weight
+    return float(f_s @ np.exp(abs(complex(gamma)) ** 2 * table) @ f_s * w * w)
 
 
 ESTIMANDS = ("mean", "product", "distance2", "event")
@@ -451,9 +448,10 @@ def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None, trunc=None):
     drawn once for all jobs: per block the field is summed once, convolved
     once per distinct eps, its barrier event evaluated once, and the chaos
     density computed once per distinct (gamma, eps).  Each estimate equals
-    the one its job would get alone, bit for bit.  Grid-rule kernel tables
-    for the oracles are built once per (eps, eps') pair and shared by the
-    gammas.  Returns one MomentEstimate per job, in job order.
+    the one its job would get alone, bit for bit.  The oracles read the
+    bench's support tables (second_moment_oracle), built once per (eps,
+    eps') pair for every gamma and every sweep on the bench.  Returns one
+    MomentEstimate per job, in job order.
     """
     # distinct gammas and eps, each mapped to its index
     gammas, epss, events = {}, {}, False
@@ -467,7 +465,7 @@ def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None, trunc=None):
             continue
         if estimand != "mean" and eps_prime is None:
             raise ValueError(f"estimand {estimand} needs eps_prime")
-        gammas.setdefault(complex(_gamma_of(params)), len(gammas))
+        gammas.setdefault(complex(_gamma_of(bench, params)), len(gammas))
         for e in (eps,) if estimand == "mean" else (eps, eps_prime):
             epss.setdefault(float(e), len(epss))
 
@@ -475,18 +473,6 @@ def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None, trunc=None):
         bench, list(gammas), [("main", e) for e in epss], trunc, events)
     parts = bench.map_blocks(seed, replicas, consume, workers)
     vals, ovf = parts[:2]
-
-    tables = {}
-
-    def oracle(gamma, eps, eps_prime):
-        key = (float(eps), float(eps_prime))
-        if key not in tables:
-            tables[key] = kernels.mollified_table(
-                bench.spec, bench.grid, eps, eps_prime,
-                mol=bench.channels["main"], rule="grid",
-                n_levels=bench.n_max)
-        return second_moment_oracle(bench.spec, gamma, eps, eps_prime,
-                                    bench.f, bench.grid, table=tables[key])
 
     out = []
     for params, estimand, eps, eps_prime in jobs:
@@ -507,12 +493,13 @@ def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None, trunc=None):
         if estimand == "product":
             name, values = "E[M Mbar']", vals[a] * np.conj(vals[b])
             if trunc is None:
-                orc = oracle(gamma, eps, eps_prime)
+                orc = second_moment_oracle(bench, gamma, eps, eps_prime)
         else:
             name, values = "E|M-M'|^2", np.abs(vals[a] - vals[b]) ** 2
             if trunc is None:
-                orc = (oracle(gamma, eps, eps) + oracle(gamma, eps_prime, eps_prime)
-                       - 2.0 * oracle(gamma, eps, eps_prime))
+                aa, bb, ab = (second_moment_oracle(bench, gamma, *e) for e in (
+                    (eps, eps), (eps_prime, eps_prime), (eps, eps_prime)))
+                orc = aa + bb - 2.0 * ab
         out.append(moment_from_values(f"{name} {eps}x{eps_prime}", values,
                                       oracle=orc, exclude=ovf[a] | ovf[b]))
     return out
@@ -552,7 +539,7 @@ def cauchy_ladder(bench, params, eps_ladder, replicas, seed, workers=None):
     if any(a <= b for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
     trunc = (params.q, params.lam) if params.truncation else None
-    consume = _chaos_values_consume(bench, [_gamma_of(params)],
+    consume = _chaos_values_consume(bench, [_gamma_of(bench, params)],
                                     [("main", e) for e in eps_ladder], trunc)
     vals, ovf = bench.map_blocks(seed, replicas, consume, workers)
     pairs = list(zip(eps_ladder, eps_ladder[1:]))
@@ -573,7 +560,8 @@ def mollifier_independence(bench, params, eps_ladder, replicas, seed,
     eps_ladder = [float(e) for e in eps_ladder]
     trunc = (params.q, params.lam) if params.truncation else None
     keys = [("main", e) for e in eps_ladder] + [(alt, e) for e in eps_ladder]
-    consume = _chaos_values_consume(bench, [_gamma_of(params)], keys, trunc)
+    consume = _chaos_values_consume(bench, [_gamma_of(bench, params)], keys,
+                                    trunc)
     vals, ovf = bench.map_blocks(seed, replicas, consume, workers)
     n = len(eps_ladder)
     d2 = np.abs(vals[:n] - vals[n:]) ** 2
@@ -870,7 +858,7 @@ def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
         raise ValueError(f"u={u} must exceed d/2")
     eps_ladder = _pair_ladder(eps_ladder)
     trunc = (params.q, params.lam) if params.truncation else None
-    densities = _block_densities(bench, [_gamma_of(params)],
+    densities = _block_densities(bench, [_gamma_of(bench, params)],
                                  [("main", e) for e in eps_ladder], trunc)
 
     def consume(start, z):

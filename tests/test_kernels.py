@@ -7,9 +7,10 @@ from scipy.integrate import quad
 
 from logchaos import (Bench, Grid, KernelSpec, bump_function, exact_level,
                       gram, k_exact, k_mollified, k_partial, kappa, kernels,
-                      mollified_table, pd_check, q_mollified, q_n)
+                      kernel_estimate_check, pd_check, q_mollified, q_n)
 from logchaos import mollifier
-from logchaos.mollifier import Mollifier, ResolutionError, weight_matrix
+from logchaos.mollifier import (Mollifier, ResolutionError, interior_rows,
+                                weight_matrix)
 
 SPEC1 = KernelSpec(d=1)
 SPEC2 = KernelSpec(d=2)
@@ -186,6 +187,19 @@ class TestGram:
             assert np.array_equal(gram(SPEC2, n, grid2), dense_gram(SPEC2, n, pts2))
 
 
+def interior_table(spec, grid, eps, eps_prime, mol, rule, n_levels, nodes=32):
+    """(rows, rows_p, values): K_{eps,eps'} on the D_eps x D_eps' rows,
+    gathered from the per-offset values of kernels.offset_table."""
+    rows = interior_rows(grid, mol, eps)
+    rows_p = interior_rows(grid, mol, eps_prime)
+    lo, _, vals = kernels.offset_table(spec, grid, rows, rows_p, eps,
+                                       eps_prime, mol, rule, n_levels, nodes)
+    a = np.unravel_index(rows, grid.shape)
+    b = np.unravel_index(rows_p, grid.shape)
+    return rows, rows_p, vals[tuple(np.subtract.outer(ak, bk) - k
+                                    for ak, bk, k in zip(a, b, lo))]
+
+
 def pairwise_offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
                           n_levels, nodes=32):
     """The rows x rows_p table as keyed pair by pair: each (row, row') pair
@@ -242,9 +256,6 @@ class TestOffsetTable:
         table, oracle = self.offsets_and_oracle(spec, grid, rows, rows_p, eps,
                                                 eps_prime, rule, nodes)
         assert np.array_equal(table, oracle)
-        assert np.array_equal(mollified_table(spec, grid, eps, eps_prime,
-                                              rule=rule, nodes=nodes)[2],
-                              oracle)
 
     def test_support_cross_table_bitwise(self):
         grid = Grid.regular((0.0, 1.0), 128)
@@ -273,27 +284,32 @@ class TestMollifiedTable:
         grid = Grid.regular((0.0, 1.0), 256)
         mol = Mollifier(d=1)
         for rule in ("grid", "midpoint"):
-            _, _, values = mollified_table(spec, grid, 2 ** -4, mol=mol,
-                                           rule=rule, n_levels=0)
+            _, _, values = interior_table(spec, grid, 2 ** -4, 2 ** -4, mol,
+                                          rule, 0)
             err = np.abs(values - 0.7).max()
             assert err < 1e-10, f"rule={rule} err={err}"
 
     def test_rules_agree(self):
         grid = Grid.regular((0.0, 1.0), 256)
-        a = mollified_table(SPEC1, grid, 2 ** -4, rule="grid")[2]
-        b = mollified_table(SPEC1, grid, 2 ** -4, rule="midpoint")[2]
+        mol, n_levels = Mollifier(d=1), exact_level(SPEC1, 2 ** -4)
+        a = interior_table(SPEC1, grid, 2 ** -4, 2 ** -4, mol, "grid",
+                           n_levels)[2]
+        b = interior_table(SPEC1, grid, 2 ** -4, 2 ** -4, mol, "midpoint",
+                           n_levels)[2]
         # different quadratures of the same smooth integral
         assert np.abs(a - b).max() < 5e-2
 
     def test_unknown_rule_refused(self):
         grid = Grid.regular((0.0, 1.0), 256)
         with pytest.raises(ValueError, match="unknown quadrature rule"):
-            mollified_table(SPEC1, grid, 2 ** -4, rule="trapezoid")
+            kernels._cloud(Mollifier(d=1), 2 ** -4, "trapezoid", grid.h, 32)
 
     def test_eps_ordering_enforced(self):
+        # the kernel-check ladder pairs each rung with the next one down
         grid = Grid.regular((0.0, 1.0), 256)
-        with pytest.raises(ValueError):
-            mollified_table(SPEC1, grid, 2 ** -5, eps_prime=2 ** -4)
+        with pytest.raises(ValueError, match="need 0 < eps'"):
+            kernel_estimate_check(SPEC1, "mollified", grid,
+                                  eps_ladder=[2 ** -5, 2 ** -4])
 
     def test_diagonal_offset_vs_refined_oracle(self):
         # K_{eps,eps}(x,x) = log(1/eps) + O(1); the O(1) offset is checked
@@ -335,8 +351,9 @@ class TestMollifiedTable:
         grid = Grid.regular((0.0, 1.0), 128)
         mol = Mollifier(d=1)
         n_levels = exact_level(SPEC1, 2 ** -4)
-        t_rows, t_rows_p, values = mollified_table(SPEC1, grid, 2 ** -4,
-                                                   mol=mol, rule="grid")
+        t_rows, t_rows_p, values = interior_table(SPEC1, grid, 2 ** -4,
+                                                  2 ** -4, mol, "grid",
+                                                  n_levels)
         rows, rows_p, dense = self._dense_table(SPEC1, grid, 2 ** -4, 2 ** -4,
                                                 mol, n_levels)
         assert np.array_equal(rows, t_rows)
@@ -357,9 +374,8 @@ class TestMollifiedTable:
         spec = KernelSpec(d=2, q0_kind="constant", q0_const=0.3)
         grid = Grid.regular((0.0, 1.0), 32, d=2)
         mol = Mollifier(d=2)
-        t_rows, t_rows_p, values = mollified_table(spec, grid, 2 ** -3,
-                                                   mol=mol, rule="grid",
-                                                   n_levels=3)
+        t_rows, t_rows_p, values = interior_table(spec, grid, 2 ** -3,
+                                                  2 ** -3, mol, "grid", 3)
         rows, rows_p, dense = self._dense_table(spec, grid, 2 ** -3, 2 ** -3,
                                                 mol, 3)
         assert np.array_equal(rows, t_rows) and rows.size == 16 ** 2
@@ -370,8 +386,9 @@ class TestMollifiedTable:
     def _unique_midpoint(spec, grid, eps, eps_prime, nodes):
         # the table as built before lattice-offset keys: np.unique over the
         # rounded separation vectors of every (row, row') pair
-        rows, rows_p, values = mollified_table(spec, grid, eps, eps_prime,
-                                               rule="midpoint", nodes=nodes)
+        rows, rows_p, values = interior_table(
+            spec, grid, eps, eps_prime, Mollifier(d=grid.d), "midpoint",
+            exact_level(spec, eps_prime), nodes)
         flat = (grid.points[rows][:, None, :]
                 - grid.points[rows_p][None, :, :]).reshape(-1, grid.d)
         keys = np.round(flat / 1e-12).astype(np.int64)
@@ -414,18 +431,25 @@ class TestMollifiedTable:
             monkeypatch.setattr(mod, "weight_matrix", forbidden, raising=False)
         monkeypatch.setattr(kernels, "gram", forbidden)
         grid = Grid.regular((0.0, 1.0), 256)
-        rows, rows_p, _ = mollified_table(SPEC1, grid, 2 ** -4, 2 ** -5,
-                                          rule=rule)
+        rows, rows_p, _ = interior_table(SPEC1, grid, 2 ** -4, 2 ** -5,
+                                         Mollifier(d=1), rule,
+                                         exact_level(SPEC1, 2 ** -5))
         assert seen == [len(rows) + len(rows_p) - 1]
 
     @pytest.mark.parametrize("rule", ["grid", "midpoint"])
     def test_rows_need_a_resolving_regular_grid(self, rule):
-        with pytest.raises(ResolutionError):
-            mollified_table(SPEC1, Grid.regular((0.0, 1.0), 16), 2 ** -3,
-                            rule=rule)
+        # interior_rows refuses both grids before any quadrature, under
+        # either rule of kernel-check
+        coarse = Grid.regular((0.0, 1.0), 16)
         free = Grid.from_points(np.linspace(0.1, 0.9, 9)[:, None], (0.0, 1.0))
         with pytest.raises(ValueError, match="regular grid"):
-            mollified_table(SPEC1, free, 2 ** -3, rule=rule)
+            interior_rows(free, Mollifier(d=1), 2 ** -3)
+        with pytest.raises(ResolutionError):
+            kernel_estimate_check(SPEC1, "mollified", coarse,
+                                  eps_ladder=[2 ** -3], rule=rule)
+        with pytest.raises(ValueError, match="regular grid"):
+            kernel_estimate_check(SPEC1, "mollified", free,
+                                  eps_ladder=[2 ** -3], rule=rule)
 
     def test_d2_chunks_count_quadrature_nodes(self, monkeypatch):
         # d=2 q_n expands each radius over 64 Gauss-Legendre nodes, so a
@@ -491,8 +515,9 @@ class TestMollifiedTable:
 
         monkeypatch.setattr(kernels, "k_partial", counted)
         grid = Grid.regular((0.0, 1.0), 256)
-        rows, rows_p, _ = mollified_table(SPEC1, grid, 2 ** -4, eps_prime,
-                                          rule="midpoint")
+        rows, rows_p, _ = interior_table(SPEC1, grid, 2 ** -4, eps_prime,
+                                         Mollifier(d=1), "midpoint",
+                                         exact_level(SPEC1, eps_prime))
         offsets = len(rows) + len(rows_p) - 1
         assert sum(seen) == offsets * distinct
 

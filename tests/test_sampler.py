@@ -6,7 +6,7 @@ from scipy.fft import next_fast_len
 
 from logchaos import (Bench, Grid, KernelSpec, Mollifier, NumericError,
                       TiltShift, barrier_below, bump_function, gram,
-                      increment_factors, mollified_table, sampled_rows,
+                      increment_factors, kernels, sampled_rows,
                       tilt_shift_rows)
 from logchaos.kernels import lattice_row
 from logchaos.mollifier import discrete_stencil, interior_rows, weight_matrix
@@ -14,6 +14,17 @@ from logchaos.sampler import (BLOCK, block_z, circulant_root, free_cholesky)
 
 SPEC = KernelSpec(d=1)
 GRID = Grid.regular((0.0, 1.0), 64)
+
+
+def grid_table(eps, eps_prime, mol, n_levels):
+    """(rows, rows_p, values): the grid-rule K_{eps,eps'} on the D_eps x
+    D_eps' rows of GRID, gathered from the per-offset values of
+    kernels.offset_table."""
+    rows = interior_rows(GRID, mol, eps)
+    rows_p = interior_rows(GRID, mol, eps_prime)
+    lo, _, vals = kernels.offset_table(SPEC, GRID, rows, rows_p, eps,
+                                       eps_prime, mol, "grid", n_levels)
+    return rows, rows_p, vals[np.subtract.outer(rows, rows_p) - lo[0]]
 
 
 def stencil_field(y, eps, mol, grid=GRID):
@@ -180,8 +191,7 @@ class TestMollifiedFields:
         R = 4000
         mol = Mollifier(d=1)
         eps = 2 ** -3
-        _, _, values = mollified_table(SPEC, GRID, eps, mol=mol, rule="grid",
-                                       n_levels=6)
+        _, _, values = grid_table(eps, eps, mol, 6)
         diag = np.diag(values)
         (x,) = mollified_draws(6, 14, R, [eps], mol)
         var = x.var(axis=1, ddof=1)
@@ -195,9 +205,7 @@ class TestMollifiedFields:
         R = 4000
         mol = Mollifier(d=1)
         e1, e2 = 2 ** -3, 2 ** -4
-        rows, rows_p, values = mollified_table(SPEC, GRID, e1, eps_prime=e2,
-                                               mol=mol, rule="grid",
-                                               n_levels=7)
+        rows, rows_p, values = grid_table(e1, e2, mol, 7)
         xa, xb = mollified_draws(7, 15, R, [e1, e2], mol)
         ia = len(rows) // 2
         ib = len(rows_p) // 3
@@ -265,15 +273,13 @@ class TestBandedEngine:
 
     def test_regular_grid_builds_no_gram(self, monkeypatch):
         # level factors and grid-rule tables come from lattice rows alone
-        from logchaos import kernels
-
         def no_gram(*args, **kwargs):
             raise AssertionError("a Gram was built")
 
         monkeypatch.setattr(kernels, "gram", no_gram)
         levels = increment_factors(SPEC, self.GRID512, 8)[1:]
         assert all(level.embedded for level in levels)
-        mollified_table(SPEC, GRID, 2 ** -3, rule="grid", n_levels=6)
+        grid_table(2 ** -3, 2 ** -3, Mollifier(d=1), 6)
 
     @pytest.mark.parametrize("tilted", [False, True])
     def test_block_z_matches_dense_product(self, tilted):

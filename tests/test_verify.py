@@ -13,12 +13,11 @@ from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
                       PhaseError, bump_function, cauchy_ladder, chaos_density,
                       field_stats, gram, kernel_estimate_check,
                       ladder_from_values, mc_moment, mc_moments,
-                      mollified_table,
                       moment_from_values, mollifier_independence,
                       second_moment_oracle, sobolev_ladder,
                       sup_field_prob, tail_bound_check, tilted_event_prob,
                       trend_verdict, weight_matrix)
-from logchaos.mollifier import discrete_stencil
+from logchaos.mollifier import discrete_stencil, interior_rows
 
 SPEC = KernelSpec(d=1)
 GRID = Grid.regular((0.0, 1.0), 128)
@@ -107,26 +106,19 @@ class TestTrendVerdict:
 
 class TestSecondMomentOracle:
     def test_gamma_zero(self):
-        val = second_moment_oracle(SPEC, 0.0, 2 ** -4, 2 ** -4, F, GRID)
-        target = (F.sum() * GRID.weight) ** 2
-        assert abs(val - target) < 1e-12
-
-    def test_degenerate_zero_kernel(self):
-        # truncating the level sum at 0 with the zero smooth part kills K
-        val = second_moment_oracle(SPEC, 0.8, 2 ** -4, 2 ** -4, F, GRID,
-                                   n_levels=0)
+        val = second_moment_oracle(small_bench(), 0.0, 2 ** -4, 2 ** -4)
         target = (F.sum() * GRID.weight) ** 2
         assert abs(val - target) < 1e-12
 
     def test_support_violation(self):
-        with pytest.raises(ValueError):
-            second_moment_oracle(SPEC, 0.5, 2 ** -4, 2 ** -4,
-                                 np.ones(GRID.n), GRID)
+        bench = small_bench(f=np.ones(GRID.n))
+        with pytest.raises(ValueError, match="leaks outside D_eps"):
+            second_moment_oracle(bench, 0.5, 2 ** -4, 2 ** -4)
 
     def test_complex_gamma_uses_modulus(self):
-        a = second_moment_oracle(SPEC, 0.5 + 0.5j, 2 ** -4, 2 ** -4, F, GRID)
-        b = second_moment_oracle(SPEC, math.sqrt(0.5), 2 ** -4, 2 ** -4, F,
-                                 GRID)
+        bench = small_bench()
+        a = second_moment_oracle(bench, 0.5 + 0.5j, 2 ** -4, 2 ** -4)
+        b = second_moment_oracle(bench, math.sqrt(0.5), 2 ** -4, 2 ** -4)
         assert abs(a - b) < 1e-12, "oracle depends on gamma only through |gamma|^2"
 
 
@@ -210,11 +202,13 @@ class TestBench:
         assert np.abs(wa - wb).max() > 1e-3, "profiles must differ"
 
     def test_tables_independent_of_blas_threads(self):
-        # the support diagonals and cross tables of the ladder-2048 geometry
-        # are fixed-order sums, so 1 and 2 BLAS threads give the same bytes
+        # the support diagonals, cross tables and moment oracles of the
+        # ladder-2048 geometry are fixed-order sums, so 1 and 2 BLAS threads
+        # give the same bytes
         script = "\n".join([
             "import hashlib",
-            "from logchaos import Bench, Grid, KernelSpec, bump_function",
+            "from logchaos import (Bench, Grid, KernelSpec, bump_function,",
+            "                      second_moment_oracle)",
             "grid = Grid.regular((0.0, 1.0), 2048)",
             "f = bump_function(grid, center=0.5, radius=0.05)",
             "bench = Bench(KernelSpec(d=1), grid, 8, f=f)",
@@ -225,6 +219,8 @@ class TestBench:
             "for eps, eps2 in zip(ladder, ladder[1:]):",
             "    cross = bench.cross_table(eps, eps2)",
             "    print(hashlib.sha256(cross.tobytes()).hexdigest())",
+            "    for g in (0.8, 0.5 + 0.5j):",
+            "        print(second_moment_oracle(bench, g, eps, eps2).hex())",
         ])
         src = str(pathlib.Path(logchaos.__file__).resolve().parents[1])
         out = []
@@ -236,7 +232,7 @@ class TestBench:
                                   capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr[-2000:]
             out.append(proc.stdout.split())
-        assert len(out[0]) == 9 and out[0] == out[1]
+        assert len(out[0]) == 17 and out[0] == out[1]
 
 
 class TestBatches:
@@ -564,22 +560,52 @@ class TestMomentSweep:
 
     def test_oracle_table_per_eps_pair(self, monkeypatch):
         # product and distance2 at two gammas need the (eps, eps'), (eps,
-        # eps) and (eps', eps') tables once each, not once per gamma
+        # eps) and (eps', eps') tables once each, not once per gamma, and
+        # a second sweep on the same bench reads the bench's cached tables
         from logchaos import kernels
         built = []
-        table = kernels.mollified_table
+        table = kernels.offset_table
 
-        def counted(spec, grid, eps, eps_prime=None, **kw):
+        def counted(spec, grid, rows, rows_p, eps, eps_prime, *args):
             built.append((eps, eps_prime))
-            return table(spec, grid, eps, eps_prime, **kw)
+            return table(spec, grid, rows, rows_p, eps, eps_prime, *args)
 
-        monkeypatch.setattr(kernels, "mollified_table", counted)
-        ests = mc_moments(small_bench(), self.jobs(("product", "distance2")),
-                          replicas=40, seed=1)
-        assert all(m.oracle is not None for m in ests)
+        monkeypatch.setattr(kernels, "offset_table", counted)
+        bench = small_bench()
+        for seed in (1, 2):
+            ests = mc_moments(bench, self.jobs(("product", "distance2")),
+                              replicas=40, seed=seed)
+            assert all(m.oracle is not None for m in ests)
         assert sorted(built) == sorted([(self.EPS, self.EPS_PRIME),
                                         (self.EPS, self.EPS),
                                         (self.EPS_PRIME, self.EPS_PRIME)])
+
+    def test_oracle_memory_bounded_by_support(self):
+        # the oracles read support x support tables (204 rows of a
+        # radius-0.05 bump at N=2048), not the 1,536 x 1,792 D_eps x D_eps'
+        # matrix, which holds 22 MB per array
+        import tracemalloc
+        grid = Grid.regular((0.0, 1.0), 2048)
+        f = bump_function(grid, center=0.5, radius=0.05)
+        bench = Bench(SPEC, grid, 8, f=f, eps_max=2 ** -4)
+        jobs = [(ChaosParams(f=f, gamma=g), est, 2 ** -4, 2 ** -5)
+                for g in (0.8, 0.5 + 0.5j) for est in ("product", "distance2")]
+        tracemalloc.start()
+        try:
+            ests = mc_moments(bench, jobs, replicas=64, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(m.oracle is not None for m in ests)
+        assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_params_f_must_be_the_bench_f(self):
+        # the sweep integrates the bench's test function; a different
+        # params.f would be silently ignored
+        other = bump_function(GRID, center=0.5, radius=0.1)
+        with pytest.raises(ValueError, match="params.f"):
+            mc_moments(small_bench(), [(ChaosParams(f=other, gamma=0.5),
+                                        "mean", self.EPS, None)])
 
     def test_bad_job_rejected_before_sampling(self, monkeypatch):
         from logchaos import verify
@@ -614,6 +640,12 @@ class TestCauchyLadder:
         with pytest.raises(ValueError):
             cauchy_ladder(bench, ChaosParams(f=F, gamma=0.5),
                           [2 ** -4, 2 ** -4], replicas=64, seed=0)
+
+    def test_params_f_must_be_the_bench_f(self):
+        other = bump_function(GRID, center=0.5, radius=0.1)
+        with pytest.raises(ValueError, match="params.f"):
+            cauchy_ladder(small_bench(), ChaosParams(f=other, gamma=0.5),
+                          [2 ** -3, 2 ** -4], replicas=64, seed=0)
 
     def test_one_rung_rejected(self):
         # cells are consecutive pairs: one rung has none
@@ -653,9 +685,14 @@ class TestKernelEstimateCheck:
             grid = Grid.regular((0.0, 1.0), n, d=d)
             rep = kernel_estimate_check(spec, "mollified", grid,
                                         eps_ladder=[eps], nodes=nodes)
-            rows, rows_p, values = kernels.mollified_table(
-                spec, grid, eps, eps, mol=Mollifier(d=d), rule="midpoint",
-                nodes=nodes)
+            mol = Mollifier(d=d)
+            rows = rows_p = interior_rows(grid, mol, eps)
+            lo, _, vals = kernels.offset_table(
+                spec, grid, rows, rows_p, eps, eps, mol, "midpoint",
+                kernels.exact_level(spec, eps), nodes)
+            a = np.unravel_index(rows, grid.shape)
+            values = vals[tuple(np.subtract.outer(ak, ak) - k
+                                for ak, k in zip(a, lo))]
             pa = grid.points[rows]
             pb = grid.points[rows_p]
             r = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1))
