@@ -158,17 +158,8 @@ def weight_matrix(grid, mol, eps):
     flat = W.reshape(-1)
     # margin 2*eps > eps guarantees every stencil point stays on the lattice,
     # so each row's stencil is its flat index plus fixed lattice steps
-    if grid.d == 1 and rows.size:
-        # consecutive rows and a contiguous stencil: the band is one view
-        # of W, stepping N + 1 per row
-        band = flat[rows[0] + offs[0, 0]:]
-        step = band.strides[0]
-        np.lib.stride_tricks.as_strided(
-            band, (rows.size, w.size), (step * (grid.n + 1), step))[...] = w
-    else:
-        lattice = np.cumprod((1,) + grid.shape[:0:-1])[::-1]
-        flat[(rows + grid.n * np.arange(rows.size))[:, None]
-             + offs @ lattice] = w
+    lattice = np.cumprod((1,) + grid.shape[:0:-1])[::-1]
+    flat[(rows + grid.n * np.arange(rows.size))[:, None] + offs @ lattice] = w
     return rows, W
 
 

@@ -1,7 +1,7 @@
 """Oracles and statistical checks for the chaos laboratory.
 
-Everything Monte Carlo runs through a Bench: factor matrices, convolution
-weights, and kernel tables are computed once, then replicas are processed
+Everything Monte Carlo runs through a Bench: factor matrices, stencil
+spectra, and kernel tables are computed once, then replicas are processed
 in the sampler's fixed blocks of 32, drawn one stream per block and handed
 to the consume closures a few blocks at a time.  Worker threads claim whole
 batches and results are assembled in batch order, so every estimate is
@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.special import erfc
 
 from . import kernels
@@ -199,10 +200,10 @@ class Bench:
     ending at a level in levels, the partial sums its runs read (default
     every level 0..n_max; n_max always): the cumsum of a block over slabs
     0..slab(l) is Y_l.  It holds the group factors (one circulant
-    embedding per group on a regular d=1 grid).  The stencil band of the
-    support rows on their column window and the kernel-table diagonal are
-    cached per (mollifier channel, eps), and the support x support kernel
-    table per (eps, eps'); grid-rule kernel values at n_max levels come
+    embedding per group on a regular d=1 grid).  The stencil spectrum that
+    mollify applies and the kernel-table diagonal are cached per
+    (mollifier channel, eps), and the support x support kernel table per
+    (eps, eps'); grid-rule kernel values at n_max levels come
     from the offset quadrature of kernels (k_mollified, offset_table), with
     no Gram block, so they are the exact covariances of the sampled fields.
     """
@@ -219,6 +220,7 @@ class Bench:
         self.tops = [g.last for g in self.factors]
         self.channels = {"main": mol if mol is not None else Mollifier(d=spec.d)}
         self.supp = None if self.f is None else np.flatnonzero(self.f != 0.0)
+        self.torus = next_fast_len(self.hi - self.lo + 1, True)
         self.shifts = None
         self._supp_tables = {}
         self._cross_tables = {}
@@ -245,13 +247,14 @@ class Bench:
         return self.tops.index(level)
 
     def supp_tables(self, channel, eps):
-        """(W_win, k_diag_supp, cols) on the test-function support rows:
-        the support's stencil taps as a band on cols, the column window
-        they reach, so the mollified field there is W_win @ y[cols].  cols
-        count from the first sampled row lo, as z's rows do.  Raises
-        ValueError when the support leaks out of D_eps or the window leaves
-        the sampled rows.  Every D_eps row of a regular d=1 grid holds the
-        whole stencil, so the diagonal is one offset-0 value."""
+        """(spectrum, k_diag_supp) on the test-function support rows: the
+        rfft of the stencil taps w(o) placed at -o on a torus of
+        bench.torus = next_fast_len(W) points, so that circular convolution
+        gives X(r) = sum_o w(o) y(r + o), and the kernel-table diagonal.
+        Raises ValueError when the support leaks out of D_eps or its taps
+        leave the W sampled rows, so no tap wraps around the torus.  Every
+        D_eps row of a regular d=1 grid holds the whole stencil, so the
+        diagonal is one offset-0 value."""
         key = (channel, float(eps))
         if key not in self._supp_tables:
             if self.supp is None:
@@ -262,20 +265,28 @@ class Bench:
             if not np.isin(supp, interior_rows(self.grid, mol, eps)).all():
                 raise ValueError(f"test function support leaks outside D_eps at eps={eps}")
             offs, w = discrete_stencil(mol, eps, self.grid.h)
-            taps = supp[:, None] + offs[:, 0]
-            cols = np.arange(taps[0, 0], taps[-1, -1] + 1)
-            ws = np.zeros((supp.size, cols.size))
-            ws[np.arange(supp.size)[:, None], taps - cols[0]] = w
-            cols -= self.lo
-            if cols[0] < 0 or cols[-1] > self.hi - self.lo:
+            if supp[0] + offs[0, 0] < self.lo or supp[-1] + offs[-1, 0] > self.hi:
                 raise ValueError(f"convolution at eps={eps} reads outside "
                                  "the sampled rows")
+            taps = np.zeros(self.torus)
+            taps[-offs[:, 0] % self.torus] = w
             x = self.grid.points[supp[0]]
             k_diag = np.full(supp.size, kernels.k_mollified(
                 self.spec, eps, eps, x, x, mol, "grid", self.n_max,
                 self.grid.h))
-            self._supp_tables[key] = (ws, k_diag, cols)
+            self._supp_tables[key] = (np.fft.rfft(taps), k_diag)
         return self._supp_tables[key]
+
+    def mollify(self, y, keys):
+        """Mollified fields on the support rows, one (S, B) array per
+        (channel, eps) in keys, of y = Y_{n_max} on the sampled rows, shape
+        (W, B): one rfft of y, then per key a product with its supp_tables
+        spectrum and one irfft.  pocketfft transforms each column alone,
+        outside BLAS, so no byte depends on other columns or BLAS threads."""
+        spectra = [self.supp_tables(*key)[0] for key in keys]
+        fy = np.fft.rfft(y, self.torus, axis=0)
+        return [np.fft.irfft(fy * s[:, None], self.torus,
+                             axis=0)[self.supp - self.lo] for s in spectra]
 
     @property
     def safety_net(self):
@@ -319,8 +330,8 @@ class Bench:
         batch's first replica.  Worker threads claim whole batches.
         consume returns a tuple of arrays with trailing replica axis; the
         concatenated arrays are trimmed to the replica budget.  Every
-        consume in this module acts on each replica column alone, so the
-        bytes do not depend on k.
+        consume in this module acts on each replica column alone, its
+        stencil spectra too (mollify), so the bytes do not depend on k.
         """
         if replicas < 1:
             raise ValueError(f"map_blocks needs replicas >= 1, got {replicas}")
@@ -375,11 +386,11 @@ def _block_densities(bench, gammas, keys, trunc):
 
     cells[g][k] = (density, overflow) for gammas[g] and (channel, eps) key
     keys[k]: chaos_density on the support rows of the block's mollified
-    field, which is convolved once per key and shared by the gammas.
+    field, which Bench.mollify convolves once per key for all the gammas.
     trunc=(q, lam) inserts the barrier event A_{q,lam}, returned per
     (support row, replica); event is None without trunc.
     """
-    tabs = [bench.supp_tables(channel, eps) for channel, eps in keys]
+    k_diags = [bench.supp_tables(channel, eps)[1] for channel, eps in keys]
     f_supp = bench.f[bench.supp]
     supp = bench.supp - bench.lo
     if trunc is not None:
@@ -390,9 +401,8 @@ def _block_densities(bench, gammas, keys, trunc):
         if trunc is not None:
             event = barrier_below(z, supp, lam, bench.tops)[first:].all(axis=0)
         cells = [[] for _ in gammas]
-        y_top = z.sum(axis=0) if tabs else None
-        for w_win, k_diag, cols in tabs:
-            x = w_win @ y_top[cols[0]:cols[-1] + 1]
+        xs = bench.mollify(z.sum(axis=0), keys) if keys else []
+        for x, k_diag in zip(xs, k_diags):
             for row, gamma in zip(cells, gammas):
                 row.append(chaos_density(gamma, x, k_diag, f_supp, event))
         return cells, event
@@ -813,8 +823,6 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
     (oracle: grid-rule cross table).
     """
     rng = np.random.default_rng([seed, 424242])
-    wa, _, ca = bench.supp_tables("main", eps)
-    wb, _, cb = bench.supp_tables("main", eps_prime)
     cross = bench.cross_table(eps, eps_prime)
     s, supp = bench.supp.size, bench.supp - bench.lo
     probes = np.stack([rng.integers(0, s, n_probes),
@@ -825,9 +833,8 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
     def consume(start, z):
         ysum = np.cumsum(z[:, supp, :], axis=0)
         var_rows = np.stack([ysum[i][mid] ** 2 for i in slabs])
-        y_top = z.sum(axis=0)
-        xa = wa @ y_top[ca[0]:ca[-1] + 1]
-        xb = wb @ y_top[cb[0]:cb[-1] + 1]
+        xa, xb = bench.mollify(z.sum(axis=0),
+                               [("main", eps), ("main", eps_prime)])
         prods = np.stack([xa[probes[0, j]] * xb[probes[1, j]]
                           for j in range(n_probes)])
         return var_rows, prods

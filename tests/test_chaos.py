@@ -20,10 +20,9 @@ F = bump_function(GRID, radius=0.2)
 def fields(seed, replicas, f=F, n_max=6):
     """(bench, X_eps on the supp(f) rows, shape (S, R)) from block draws."""
     bench = Bench(SPEC, GRID, n_max, f=f, mol=MOL)
-    w, _, cols = bench.supp_tables("main", EPS)
 
     def consume(start, z):
-        return (w @ z.sum(axis=0)[cols[0]:cols[-1] + 1],)
+        return (bench.mollify(z.sum(axis=0), [("main", EPS)])[0],)
 
     return bench, bench.map_blocks(seed, replicas, consume)[0]
 
@@ -183,7 +182,7 @@ class TestChaosIntegral:
 
     def test_gamma_zero_is_quadrature(self):
         bench, x = fields(seed=1, replicas=1)
-        _, kd, _ = bench.supp_tables("main", EPS)
+        _, kd = bench.supp_tables("main", EPS)
         dens, ovf = chaos_density(0.0, x, kd, F[bench.supp])
         # a real coefficient gives a float density, exp(0) f = f exactly, so
         # its quadrature sums the same floats in the same order as f's
@@ -209,14 +208,14 @@ class TestChaosIntegral:
         f1 = bump_function(GRID, center=0.4, radius=0.12)
         f2 = bump_function(GRID, center=0.6, radius=0.12)
         bench, x = fields(seed=2, replicas=1, f=f1 + f2)
-        _, kd, _ = bench.supp_tables("main", EPS)
+        _, kd = bench.supp_tables("main", EPS)
         a, b, c = (chaos_density(0.7, x, kd, f[bench.supp])[0].sum()
                    for f in (f1, f2, f1 + f2))
         assert abs(c - (a + b)) < 1e-12, "quadrature must be linear in f"
 
     def test_conjugation(self):
         bench, x = fields(seed=3, replicas=1)
-        _, kd, _ = bench.supp_tables("main", EPS)
+        _, kd = bench.supp_tables("main", EPS)
         g = 0.5 + 0.4j
         val = chaos_density(g, x, kd, F[bench.supp])[0].sum()
         valc = chaos_density(g.conjugate(), x, kd, F[bench.supp])[0].sum()
@@ -251,7 +250,7 @@ class TestChaosIntegral:
         alpha, beta = 0.8, 0.4
         bench, x = fields(seed=7, replicas=R)
         _, y = fields(seed=8, replicas=R)
-        _, kd, _ = bench.supp_tables("main", EPS)
+        _, kd = bench.supp_tables("main", EPS)
         dens, ovf = chaos_density((alpha, 1j * beta), np.stack([x, y]), kd,
                                   F[bench.supp])
         vals = dens.sum(axis=0) * GRID.weight

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from logchaos import Grid
+from logchaos import Bench, Grid, KernelSpec, bump_function
 from logchaos.mollifier import (Mollifier, ResolutionError, discrete_stencil,
                                 interior_rows, quad_cloud, shrink_domain,
                                 theta, theta_eps, weight_matrix)
@@ -106,6 +106,15 @@ class TestStencil:
         assert np.all(np.sqrt((offs ** 2).sum(axis=1)) < 0.1)
 
 
+def bench_mollify(grid, mol, eps, field):
+    """(rows, X_eps there): Bench.mollify of field on the sampled rows of a
+    bump test function, the stencil apply of the sampled fields."""
+    bench = Bench(KernelSpec(d=1), grid, 1, mol=mol,
+                  f=bump_function(grid, center=0.5, radius=0.2))
+    (x,) = bench.mollify(field[bench.lo:bench.hi + 1, None], [("main", eps)])
+    return bench.supp, x[:, 0]
+
+
 class TestConvolveGrid:
     def test_constant_exact(self):
         grid = Grid.regular((0.0, 1.0), 128)
@@ -113,6 +122,8 @@ class TestConvolveGrid:
         rows, W = weight_matrix(grid, mol, 2 ** -4)
         out = W @ np.full(grid.n, 3.25)
         assert np.abs(out - 3.25).max() < 1e-12, "kernel must sum to one"
+        _, x = bench_mollify(grid, mol, 2 ** -4, np.full(grid.n, 3.25))
+        assert np.abs(x - 3.25).max() <= 64 * np.finfo(float).eps * 3.25
 
     def test_linear_exact(self):
         # symmetric stencil kills odd moments
@@ -122,6 +133,8 @@ class TestConvolveGrid:
         rows, W = weight_matrix(grid, mol, 2 ** -4)
         out = W @ xs
         assert np.abs(out - xs[rows]).max() < 1e-10
+        rows, x = bench_mollify(grid, mol, 2 ** -4, xs)
+        assert np.abs(x - xs[rows]).max() <= 64 * np.finfo(float).eps
 
     def test_smooth_field_vs_fine_stencil_oracle(self):
         # mollify sin(2 pi x) and compare with the same discrete operator

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pathlib
@@ -140,7 +141,7 @@ class TestBench:
 
     def test_cross_table_matches_variance_diag(self):
         bench = small_bench()
-        _, k_diag, _ = bench.supp_tables("main", 2 ** -4)
+        _, k_diag = bench.supp_tables("main", 2 ** -4)
         cross = bench.cross_table(2 ** -4, 2 ** -4)
         assert np.abs(np.diag(cross) - k_diag).max() < 1e-12
 
@@ -196,19 +197,25 @@ class TestBench:
     def test_channels(self):
         bench = small_bench()
         bench.add_channel("alt", Mollifier(d=1, profile="quartic"))
-        wa, _, _ = bench.supp_tables("main", 2 ** -4)
-        wb, _, _ = bench.supp_tables("alt", 2 ** -4)
-        assert wa.shape == wb.shape
-        assert np.abs(wa - wb).max() > 1e-3, "profiles must differ"
+        (y,) = bench.map_blocks(0, 8, lambda start, z: (z.sum(axis=0),))
+        xa, xb = bench.mollify(y, [("main", 2 ** -4), ("alt", 2 ** -4)])
+        assert xa.shape == xb.shape == (bench.supp.size, 8)
+        assert np.abs(xa - xb).max() > 1e-3, "profiles must differ"
 
-    def test_tables_independent_of_blas_threads(self):
+    def test_tables_independent_of_blas_threads(self, tmp_path):
         # the support diagonals, cross tables and moment oracles of the
-        # ladder-2048 geometry are fixed-order sums, so 1 and 2 BLAS threads
-        # give the same bytes
+        # ladder-2048 geometry are fixed-order sums, and the sampled fields
+        # are mollified in pocketfft, so 1 and 2 BLAS threads give the same
+        # bytes, down to a 40-replica ladder-2048 run's CSV
+        cfg = {"kind": "cauchy", "grid_n": 2048, "n_max": 8, "replicas": 40,
+               "eps_ladder": [2.0 ** -k for k in range(3, 8)],
+               "gamma": [1.1, 0.25], "q": 2, "lam": "auto",
+               "f": {"center": 0.5, "radius": 0.05}, "seed": 7}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         script = "\n".join([
-            "import hashlib",
+            "import contextlib, hashlib, io, json, pathlib, sys",
             "from logchaos import (Bench, Grid, KernelSpec, bump_function,",
-            "                      second_moment_oracle)",
+            "                      cli, second_moment_oracle)",
             "grid = Grid.regular((0.0, 1.0), 2048)",
             "f = bump_function(grid, center=0.5, radius=0.05)",
             "bench = Bench(KernelSpec(d=1), grid, 8, f=f)",
@@ -221,6 +228,11 @@ class TestBench:
             "    print(hashlib.sha256(cross.tobytes()).hexdigest())",
             "    for g in (0.8, 0.5 + 0.5j):",
             "        print(second_moment_oracle(bench, g, eps, eps2).hex())",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    code = cli.main(['run', sys.argv[1], '--out', sys.argv[2]])",
+            "run = pathlib.Path(sys.argv[2])",
+            "doc = json.loads((run / 'manifest.json').read_text())",
+            "print(code, doc['csv_sha256']['cauchy_ladder.csv'])",
         ])
         src = str(pathlib.Path(logchaos.__file__).resolve().parents[1])
         out = []
@@ -228,11 +240,13 @@ class TestBench:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join(
                            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-            proc = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True, timeout=300)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / "cfg.json"),
+                 str(tmp_path / f"run{threads}")], env=env,
+                capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr[-2000:]
             out.append(proc.stdout.split())
-        assert len(out[0]) == 17 and out[0] == out[1]
+        assert len(out[0]) == 19 and out[0] == out[1]
 
 
 class TestBatches:
@@ -339,13 +353,19 @@ class TestSampledWindow:
                     and np.isin(supp, grid.interior_idx(2.0 * e)).all()]
         bench = Bench(SPEC, grid, 2, f=f)
         lo, hi = bench.safety_net["sampled_rows"]
+        ramp = np.arange(lo, hi + 1.0)[:, None]
         for eps in admitted:
             _, w = weight_matrix(grid, Mollifier(d=1), eps)
             rows = grid.interior_idx(2.0 * eps)
             live = np.flatnonzero(w[np.isin(rows, supp)].any(axis=0))
             assert lo <= live[0] and live[-1] <= hi, f"eps={eps}"
-            _, _, cols = bench.supp_tables("main", eps)
-            assert 0 <= cols[0] and cols[-1] <= hi - lo, f"eps={eps}"
+            offs, _ = discrete_stencil(Mollifier(d=1), eps, grid.h)
+            taps = supp[:, None] + offs[:, 0]
+            assert lo <= taps.min() and taps.max() <= hi, f"eps={eps}"
+            # the symmetric stencil keeps a linear field, so a tap wrapped
+            # around the torus would show on the grid-row ramp
+            (x,) = bench.mollify(ramp, [("main", eps)])
+            assert np.abs(x[:, 0] - supp).max() < 1e-10, f"eps={eps}"
 
     def test_window_leak_raises(self):
         # a bench sized for eps_max convolves at eps_max, and refuses, not
@@ -354,8 +374,10 @@ class TestSampledWindow:
         # underflow to 0)
         for eps_max in (2 ** -4, 0.07):
             bench = Bench(SPEC, GRID, 7, f=F, eps_max=eps_max)
-            _, _, cols = bench.supp_tables("main", eps_max)
-            assert 0 <= cols[0] and cols[-1] <= bench.hi - bench.lo
+            bench.supp_tables("main", eps_max)
+            offs, _ = discrete_stencil(Mollifier(d=1), eps_max, GRID.h)
+            taps = np.flatnonzero(F)[:, None] + offs[:, 0]
+            assert bench.lo <= taps.min() and taps.max() <= bench.hi
             reach = math.floor(eps_max / GRID.h) + 1
             wider = 1.01 * reach * GRID.h
             offs, _ = discrete_stencil(Mollifier(d=1), wider, GRID.h)
@@ -442,9 +464,10 @@ class TestEngineAgreement:
         expo = (alpha * x + 1j * beta * y
                 + 0.5 * (beta ** 2 - alpha ** 2) * self.k_diag()[:, None])
         expect = (np.exp(expo) * F[self.SUPP][:, None]).sum(axis=0) * GRID.weight
-        w, kd, cols = bench.supp_tables("main", self.EPS)
+        _, kd = bench.supp_tables("main", self.EPS)
         xy = np.stack([bench.map_blocks(seed, 8, lambda start, zb: (
-            w @ zb.sum(axis=0)[cols[0]:cols[-1] + 1],))[0] for seed in (7, 8)])
+            bench.mollify(zb.sum(axis=0), [("main", self.EPS)])[0],))[0]
+            for seed in (7, 8)])
         dens, ovf = chaos_density((alpha, 1j * beta), xy, kd, F[bench.supp])
         got = dens.sum(axis=0) * GRID.weight
         assert not ovf.any()
