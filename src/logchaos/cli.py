@@ -41,7 +41,9 @@ DEFAULT_LADDER = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
 
 # radii one kernel-check table may evaluate, bounded from above by
 # kernels.midpoint_work as offsets x cloud pairs; a d=1 table at grid_n 4096
-# counts 8191 offsets x 1024 cloud pairs = 8.4e6
+# counts 8191 offsets x 1024 cloud pairs = 8.4e6.  A d=1 radius costs one
+# closed-form pass at any level count; a d=2 one costs a Gauss-Legendre
+# quadrature per level
 TABLE_WORK_BOUND = 10 ** 7
 
 
@@ -747,11 +749,17 @@ def environment(workers):
 def safety_nets(resolved):
     """The safety nets a resolved block records, one number each: the
     smallest embedding_min_ratio, the largest cholesky_jitter, and the
-    total excluded replicas and empty median-of-means blocks."""
+    total excluded replicas and empty median-of-means blocks.  fired names
+    each net that changed numbers: an embedding eigenvalue clipped at zero
+    (a negative ratio), jitter added to a factor, replicas excluded or a
+    median-of-means block left empty."""
     reduce = {"embedding_min_ratio": np.min, "cholesky_jitter": np.max,
               "excluded": np.sum, "empty_blocks": np.sum}
-    return {key: how(resolved[key]).item() for key, how in reduce.items()
+    nets = {key: how(resolved[key]).item() for key, how in reduce.items()
             if key in resolved}
+    nets["fired"] = [key for key, v in nets.items()
+                     if (v < 0 if key == "embedding_min_ratio" else v > 0)]
+    return nets
 
 
 def execute(cfg, out_dir, workers):

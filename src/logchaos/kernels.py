@@ -7,8 +7,12 @@ increment kernels
 
 so that Q_0 + sum_{n>=1} Q_n(r) = log(1/r) + smooth remainder.  Every Q_n is
 bounded, Lipschitz, supported on r < e^{-(t0+n)}, and positive definite
-(kappa is a normalized self-convolution of a ball indicator).  Doubly
-mollified values K_{eps,eps'} come in two quadrature flavours:
+(kappa is a normalized self-convolution of a ball indicator).  In d=1 a run
+of consecutive levels a..b telescopes into one integral over
+[t0 + a, t0 + b + 1] with a closed form (level_sum), so q_n, k_partial and
+lattice_row each evaluate a run in one pass over the radii, at any level
+count; d=2 adds its Gauss-Legendre q_n level by level.  Doubly mollified
+values K_{eps,eps'} come in two quadrature flavours:
 
 * "grid": the exact discrete double convolution with the sampler's stencil
   weights, so tables agree with sampled-field covariances to machine
@@ -94,50 +98,90 @@ def kappa(r, d):
     return float(out) if np.ndim(r) == 0 else out
 
 
+def level_sum(spec, a, b, r):
+    """sum_{n=a..b} Q_n(r) over the consecutive levels 1 <= a <= b, in d=1.
+
+    Each Q_n integrates kappa(e^t r) = 1 - e^t r over one unit of t, cut
+    where it turns negative at t* = -log r, so the run telescopes into one
+    integral over [A, t0 + b + 1], A = t0 + a, with the closed form
+
+        (C - A) - r (e^C - e^A),   C = clip(t*, A, t0 + b + 1),
+
+    clamped at 0 against rounding.  It is exactly b - a + 1 at r = 0 and
+    exactly 0 for r >= e^-A; b = a - 1 is the empty run, 0 everywhere.
+    One pass over r at any number of levels.  r: array of radii >= 0.
+    """
+    if spec.d != 1:
+        raise ValueError(f"the telescoped level sum is d=1 only, got d={spec.d}")
+    if a < 1 or b < a - 1:
+        raise ValueError(f"levels {a}..{b} are not a run of levels >= 1")
+    lo = spec.t0 + a
+    with np.errstate(divide="ignore"):  # -log 0 = inf, clipped to the top
+        c = -np.log(r)
+    np.clip(c, lo, spec.t0 + (b + 1), out=c)
+    # (C - A) - r (e^C - e^A) in place: a table's radii need r, c and e alone
+    e = np.exp(c)
+    e -= np.exp(lo)
+    e *= r
+    c -= lo
+    c -= e
+    np.maximum(c, 0.0, out=c)
+    c[r == 0.0] = b - a + 1
+    return c
+
+
 def q_n(spec, n, r):
     """Increment kernel Q_n(r) = int_{t0+n}^{t0+n+1} kappa(e^t r) dt.
 
-    Closed form in d=1; 64-point Gauss-Legendre on the support-clipped
-    t-interval in d=2.  Exactly 1 at r=0 and exactly 0 for r >= e^{-(t0+n)}.
+    The one-level run of level_sum in d=1; 64-point Gauss-Legendre on the
+    support-clipped t-interval in d=2.  Exactly 1 at r=0 and exactly 0 for
+    r >= e^{-(t0+n)}.
     """
     if n < 1:
         raise ValueError(f"level n={n} must be >= 1")
     arr = _as_radii(r)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    a = spec.t0 + n
-    b = a + 1.0
-    pos = arr > 0
-    # the log reads 1.0 where r = 0, so it never divides by zero
-    t_star = np.where(pos, -np.log(np.where(pos, arr, 1.0)), np.inf)
-    c = np.maximum(np.minimum(b, t_star), a)
     if spec.d == 1:
-        # int_a^c (1 - e^t r) dt, the integrand is affine in e^t
-        out = (c - a) - arr * (np.exp(c) - np.exp(a))
+        out = level_sum(spec, n, n, arr)
     else:
+        a = spec.t0 + n
+        pos = arr > 0
+        # the log reads 1.0 where r = 0, so it never divides by zero
+        t_star = np.where(pos, -np.log(np.where(pos, arr, 1.0)), np.inf)
+        c = np.maximum(np.minimum(a + 1.0, t_star), a)
         half = 0.5 * (c - a)
         mid = 0.5 * (c + a)
         t = mid[None, :] + half[None, :] * _GL_NODES[:, None]
         vals = kappa(np.exp(t) * arr[None, :], 2)
         out = half * np.einsum("g,gm->m", _GL_WEIGHTS, vals)
-    out = np.where(pos, np.maximum(out, 0.0), 1.0)
+        out = np.where(pos, np.maximum(out, 0.0), 1.0)
     return float(out[0]) if scalar else out
 
 
 def k_partial(spec, n, r):
-    """Partial sum K_n(r) = Q_0 + sum_{k=1..n} Q_k(r); K_n(0) = Q_0 + n."""
+    """Partial sum K_n(r) = Q_0 + sum_{k=1..n} Q_k(r); K_n(0) = Q_0 + n.
+
+    In d=1 the levels 1..n are one level_sum, so a radius costs the same at
+    every n; d=2 adds its Gauss-Legendre q_n level by level, each on the
+    radii inside that level's support.
+    """
     if n < 0:
         raise ValueError(f"n={n} must be >= 0")
     arr = _as_radii(r)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = np.full(arr.shape, spec.q0_value)
-    for k in range(1, n + 1):
-        support = math.exp(-(spec.t0 + k))
-        live = arr < support
-        if not live.any():
-            continue
-        out[live] += q_n(spec, k, arr[live])
+    if spec.d == 1:
+        out = level_sum(spec, 1, n, arr)
+        out += spec.q0_value
+    else:
+        out = np.full(arr.shape, spec.q0_value)
+        for k in range(1, n + 1):
+            support = math.exp(-(spec.t0 + k))
+            live = arr < support
+            if not live.any():
+                continue
+            out[live] += q_n(spec, k, arr[live])
     return float(out[0]) if scalar else out
 
 
@@ -182,19 +226,19 @@ def gram(spec, n, grid):
 
 
 def lattice_row(spec, levels, h, offsets):
-    """Sum over n in levels of Q_n(|o| h), at integer lattice offsets o.
+    """Sum over the levels n = a..b of Q_n(|o| h), at integer lattice offsets o.
 
     The one source of level rows on a regular d=1 grid: a group of levels
     embedded on an M-point torus takes offsets min(o, M - o), and the Gram
-    of those levels is the row at offsets 0..N-1 indexed by |i - j|.  Only
-    offsets inside a support are evaluated.
+    of those levels is the row at offsets 0..N-1 indexed by |i - j|.  The
+    levels must be one consecutive run, which level_sum evaluates in one
+    pass; a gapped or empty list raises ValueError.
     """
-    r = np.abs(np.asarray(offsets)) * h
-    out = np.zeros(r.shape)
-    for n in levels:
-        live = r < math.exp(-(spec.t0 + n))
-        out[live] += q_n(spec, n, r[live])
-    return out
+    levels = [int(n) for n in levels]
+    if not levels or levels != list(range(levels[0], levels[-1] + 1)):
+        raise ValueError(f"levels {levels} are not one consecutive run")
+    return level_sum(spec, levels[0], levels[-1],
+                     np.abs(np.asarray(offsets)) * h)
 
 
 @dataclass(frozen=True)
@@ -291,9 +335,12 @@ def _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes
     per_sep = (ww.size + 1) * (_GL_NODES.size if spec.d == 2 else 1)
     step = max(1, int(2e7 // per_sep))
     for lo in range(0, seps.shape[0], step):
-        blk = seps[lo:lo + step]
-        r = np.sqrt(((blk[:, None, :] + diffs[None, :, :]) ** 2).sum(axis=-1))
-        out[lo:lo + step] = k_partial(spec, n_levels, r.ravel()).reshape(r.shape) @ ww
+        s = seps[lo:lo + step, None, :] + diffs[None, :, :]
+        if spec.d == 1:  # |s| is the sqrt of its square, bit for bit
+            r = np.abs(s, out=s)[..., 0]
+        else:
+            r = np.sqrt((s ** 2).sum(axis=-1))
+        out[lo:lo + step] = k_partial(spec, n_levels, r) @ ww
     return out
 
 

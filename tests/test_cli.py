@@ -305,7 +305,7 @@ class TestMainRun:
         verdicts = json.loads((out / "verdicts.json").read_text())
         assert verdicts == {"run_id": rid,
                             "verdicts": {"all_points_labeled": True},
-                            "safety_nets": {}, "pass": True}
+                            "safety_nets": {"fired": []}, "pass": True}
 
     def test_default_out_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -478,7 +478,8 @@ class TestRunRecord:
         assert verdicts["safety_nets"] == {
             "embedding_min_ratio": min(resolved["embedding_min_ratio"]),
             "excluded": sum(resolved["excluded"]),
-            "empty_blocks": sum(resolved["empty_blocks"])}
+            "empty_blocks": sum(resolved["empty_blocks"]),
+            "fired": []}
         assert "safety_nets" not in doc["csv_sha256"]
         assert main(["replay", str(out / "manifest.json"), "--out",
                      str(tmp_path / "r")]) == 0
@@ -487,8 +488,44 @@ class TestRunRecord:
     def test_safety_nets_reduce_nested_jitter(self):
         resolved = {"cholesky_jitter": [[0.0, 1e-10], [1e-12, 0.0]],
                     "level_groups": [[2, 8]]}
-        assert safety_nets(resolved) == {"cholesky_jitter": 1e-10}
-        assert safety_nets({"slope": 1.0}) == {}
+        assert safety_nets(resolved) == {"cholesky_jitter": 1e-10,
+                                         "fired": ["cholesky_jitter"]}
+        assert safety_nets({"slope": 1.0}) == {"fired": []}
+
+    @pytest.mark.parametrize("resolved,fired", [
+        # a clipped eigenvalue reads a negative ratio; a tiny positive one
+        # clipped nothing
+        ({"embedding_min_ratio": [0.5, -1e-13]}, ["embedding_min_ratio"]),
+        ({"embedding_min_ratio": [0.5, 6.5e-6]}, []),
+        ({"embedding_min_ratio": [0.5, 0.0]}, []),
+        ({"cholesky_jitter": [0.0, 0.0]}, []),
+        ({"cholesky_jitter": [0.0, 3e-9]}, ["cholesky_jitter"]),
+        ({"excluded": [0, 2, 0], "empty_blocks": [0, 0]}, ["excluded"]),
+        ({"excluded": [0], "empty_blocks": [[0, 1]]}, ["empty_blocks"]),
+        ({"embedding_min_ratio": [-1e-14], "cholesky_jitter": [1e-10],
+          "excluded": [1], "empty_blocks": [1]},
+         ["embedding_min_ratio", "cholesky_jitter", "excluded",
+          "empty_blocks"]),
+    ])
+    def test_safety_nets_name_the_fired(self, resolved, fired):
+        assert safety_nets(resolved)["fired"] == fired
+
+    def test_ladder_geometry_fires_no_net(self, tmp_path, capsys):
+        # the acceptance geometry: every group embedding is positive (the
+        # smallest ratio 6.5e-6, group 0..2), and no replica is excluded
+        cfg = {"kind": "cauchy", "grid_n": 2048, "n_max": 8,
+               "replicas": 2000, "seed": 7,
+               "eps_ladder": [2.0 ** -k for k in range(3, 8)],
+               "gamma": [1.1, 0.25], "q": 2, "lam": "auto",
+               "f": {"center": 0.5, "radius": 0.05}}
+        out = tmp_path / "out"
+        assert main(["run", cfg_file(tmp_path, cfg), "--out", str(out)]) == 0
+        resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+        nets = json.loads((out / "verdicts.json").read_text())["safety_nets"]
+        assert len(resolved["embedding_min_ratio"]) == 7
+        assert 0.0 < nets["embedding_min_ratio"] < 1e-5
+        assert nets["fired"] == []
+        assert not any("fired" in p.read_text() for p in out.glob("*.csv"))
 
     @pytest.mark.parametrize("cfg,stem", [(MOM0_CFG, "moments"),
                                           (FS_CFG, "field_stats")],

@@ -9,6 +9,7 @@ from logchaos import (Bench, Grid, KernelSpec, bump_function, exact_level,
                       gram, k_exact, k_mollified, k_partial, kappa, kernels,
                       kernel_estimate_check, pd_check, q_mollified, q_n)
 from logchaos import mollifier
+from logchaos.kernels import lattice_row
 from logchaos.mollifier import (Mollifier, ResolutionError, interior_rows,
                                 weight_matrix)
 
@@ -138,6 +139,80 @@ class TestPartialAndExact:
     def test_constant_mode(self):
         spec = KernelSpec(d=1, q0_kind="constant", q0_const=1.5)
         assert abs(k_partial(spec, 4, 0.5) - (k_partial(SPEC1, 4, 0.5) + 1.5)) < 1e-12
+
+
+def level_loop(spec, n, r):
+    """K_n(r) level by level: Q_0 plus q_n(k) on the radii inside level k's
+    support, for k = 1..n, the per-level sum the d=1 closed form replaces."""
+    out = np.full(r.shape, spec.q0_value)
+    for k in range(1, n + 1):
+        live = r < math.exp(-(spec.t0 + k))
+        out[live] += q_n(spec, k, r[live])
+    return out
+
+
+class TestLevelSum:
+    """In d=1 a run of consecutive levels telescopes into one closed form."""
+
+    @staticmethod
+    def radii(t0):
+        # 0, a tiny radius, uniform draws on two scales, and
+        # every support edge e^-(t0+k) with the floats one ulp either side
+        edges = np.exp(-(t0 + np.arange(0, 23)))
+        rng = np.random.default_rng(20)
+        return np.concatenate([[0.0, 1e-300], rng.uniform(0.0, 1.0, 400),
+                               rng.uniform(0.0, 1e-4, 400), edges,
+                               np.nextafter(edges, 0.0),
+                               np.nextafter(edges, 1.0)])
+
+    # at t0 = 0.2 the integral's length (t0 + b + 1) - (t0 + a) rounds away
+    # from b - a + 1, so r = 0 needs its own exact value
+    @pytest.mark.parametrize("q0_kind", ["zero", "constant"])
+    @pytest.mark.parametrize("t0", [0.0, 0.5, 0.2])
+    def test_partial_matches_level_loop(self, t0, q0_kind):
+        spec = KernelSpec(d=1, t0=t0, q0_kind=q0_kind)
+        r = self.radii(t0)
+        for n in range(1, 21):
+            got = k_partial(spec, n, r)
+            want = level_loop(spec, n, r)
+            assert np.abs(got - want).max() <= 1e-14, f"n={n}"
+            assert got.min() >= 0.0
+            assert got[0] == spec.q0_value + n, "K_n(0) = Q_0 + n exactly"
+
+    @pytest.mark.parametrize("t0", [0.0, 0.5, 0.2])
+    def test_lattice_row_is_partial_difference(self, t0):
+        # a sampled group's row equals the difference of two partial-sum
+        # tables, which is what makes sampled rows and kernel tables agree
+        spec = KernelSpec(d=1, t0=t0, q0_kind="constant")
+        h = 1.0 / 2048
+        o = np.arange(-1200, 1201)
+        for a, b in ((1, 1), (1, 8), (2, 8), (3, 5), (7, 7), (9, 14)):
+            row = lattice_row(spec, range(a, b + 1), h, o)
+            ref = (k_partial(spec, b, np.abs(o) * h)
+                   - k_partial(spec, a - 1, np.abs(o) * h))
+            assert np.abs(row - ref).max() <= 1e-14, f"levels {a}..{b}"
+            assert row[o == 0][0] == b - a + 1
+
+    def test_lattice_row_needs_one_run(self):
+        for levels in ([1, 3], [2, 4, 5], [], [3, 2]):
+            with pytest.raises(ValueError, match="consecutive run"):
+                lattice_row(SPEC1, levels, 0.01, np.arange(5))
+        with pytest.raises(ValueError, match="d=1 only"):
+            kernels.level_sum(SPEC2, 1, 3, np.zeros(3))
+
+    def test_q_n_is_one_level_run(self):
+        r = self.radii(0.0)
+        for n in (1, 4, 11):
+            assert np.array_equal(q_n(SPEC1, n, r),
+                                  kernels.level_sum(SPEC1, n, n, r))
+
+    @pytest.mark.parametrize("q0_kind", ["zero", "constant"])
+    def test_d2_partial_bitwise_level_loop(self, q0_kind):
+        spec = KernelSpec(d=2, q0_kind=q0_kind)
+        r = np.concatenate([[0.0], np.random.default_rng(4).uniform(0, 0.5, 300),
+                            np.exp(-np.arange(1, 8))])
+        for n in (1, 3, 7):
+            assert np.array_equal(k_partial(spec, n, r), level_loop(spec, n, r))
 
 
 class TestPdCheck:

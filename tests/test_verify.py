@@ -622,6 +622,27 @@ class TestMomentSweep:
         assert all(m.oracle is not None for m in ests)
         assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
 
+    def test_cross_tables_memory_bounded(self):
+        # the nine support x support tables of an exact Cauchy ladder at
+        # N=2048 (bump radius 0.05, eps 2^-3..2^-7, pairs (i, i) and
+        # (i, i+1)): the d=1 kernel holds its radii once, at any level
+        # count, where a level-by-level sum peaked at 31 MB
+        import tracemalloc
+        grid = Grid.regular((0.0, 1.0), 2048)
+        bench = Bench(SPEC, grid, 8, f=bump_function(grid, 0.5, 0.05),
+                      levels=[8], eps_max=2 ** -3)
+        ladder = [2.0 ** -k for k in range(3, 8)]
+        pairs = [(e, e) for e in ladder] + list(zip(ladder, ladder[1:]))
+        tracemalloc.start()
+        try:
+            tables = [bench.cross_table(e, e2) for e, e2 in pairs]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tables) == 9
+        assert all(t.shape == (bench.supp.size,) * 2 for t in tables)
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_params_f_must_be_the_bench_f(self):
         # the sweep integrates the bench's test function; a different
         # params.f would be silently ignored
