@@ -346,8 +346,7 @@ def plan_field_stats(cfg):
                      "n_max": n_max})
 
     def run(workers, run_id):
-        bench = verify.Bench(spec, grid, n_max, f=f, eps_max=max(eps, eps_prime),
-                             levels=ns)
+        bench = verify.Bench(spec, grid, n_max, f=f, eps_max=max(eps, eps_prime))
         ests = verify.field_stats(bench, ns, probes, eps, eps_prime, replicas,
                                   seed, workers=workers)
         return (*_z_outputs(ests, "field_stats",
@@ -389,8 +388,7 @@ def plan_moment_check(cfg):
     def run(workers, run_id):
         # a sweep of means alone convolves at eps alone
         widest = max(eps, eps_prime) if pairs else eps
-        bench = verify.Bench(spec, grid, resolved["n_max"], f=f, eps_max=widest,
-                             levels=[resolved["n_max"]])
+        bench = verify.Bench(spec, grid, resolved["n_max"], f=f, eps_max=widest)
         jobs = [(ChaosParams(f=f, gamma=g), est, eps, eps_prime)
                 for g in gammas for est in estimands]
         ests = verify.mc_moments(bench, jobs, replicas=replicas, seed=seed,
@@ -463,12 +461,9 @@ def plan_ladder(cfg):
     def run(workers, run_id):
         mols = [Mollifier(d=spec.d, profile=p)
                 for p in extra.get("profiles", ["bump"])]
-        # the barrier reads Y_q..Y_n_max, the convolutions Y_n_max alone,
-        # and the ladder head convolves widest
-        n_max = resolved["n_max"]
-        bench = verify.Bench(spec, grid, n_max, f=f, eps_max=ladder[0],
-                             mol=mols[0],
-                             levels=range(q if trunc else n_max, n_max + 1))
+        # the ladder head convolves widest
+        bench = verify.Bench(spec, grid, resolved["n_max"], f=f,
+                             eps_max=ladder[0], mol=mols[0])
         for mol in mols[1:]:
             bench.add_channel("alt", mol)
         report = cells(bench, params, eps_ladder=ladder, replicas=replicas,
@@ -546,8 +541,7 @@ def plan_sup_prob(cfg):
 
     def run(workers, run_id):
         # the barrier events read the support rows alone
-        bench = verify.Bench(spec, grid, n_max, f=f, eps_max=0.0,
-                             levels=[*ks, *range(min(qs), n_max + 1)])
+        bench = verify.Bench(spec, grid, n_max, f=f, eps_max=0.0)
         rep = verify.sup_field_prob(bench, lam, ks, qs, replicas, seed,
                                     workers=workers)
         k_rows = [[k, repr(m.estimate.real), repr(m.se_re), run_id]

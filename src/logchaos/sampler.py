@@ -10,7 +10,7 @@ total replica budget, which is what the replay contract requires.
 
 A draw holds the W grid rows lo..hi a test function f can read
 (sampled_rows; all N rows without f), and one slab per group of
-consecutive levels ending at a partial sum Y_l the run reads
+consecutive levels ending at a partial sum Y_l its estimator reads
 (level_groups).  A group's summed level kernel is stationary with compact
 support, so on a regular d=1 grid its Gram on W consecutive rows is banded
 Toeplitz and embeds exactly in a circulant on any torus of M >= W +

@@ -32,7 +32,7 @@ from .grids import Grid
 from .mollifier import Mollifier, discrete_stencil, interior_rows
 from .phase import PhaseError
 from .sampler import (BLOCK, TiltShift, block_z, increment_factors,
-                      sampled_rows, tilt_shift_rows)
+                      level_groups, sampled_rows, tilt_shift_rows)
 
 ENV_WORKERS = "LOGCHAOS_WORKERS"
 
@@ -193,35 +193,34 @@ def ladder_from_values(estimator, steps, values, keep=None):
 class Bench:
     """Shared immutable state for block-deterministic Monte Carlo runs.
 
-    One Bench per (spec, grid, n_max, f, levels, eps_max).  Blocks hold the
-    grid rows lo..hi that f can read at the widest eps its runs convolve
-    at, eps_max (sampler.sampled_rows; default every eps f admits), z row i
+    One Bench per (spec, grid, n_max, f, eps_max).  Blocks hold the grid
+    rows lo..hi that f can read at the widest eps its runs convolve at,
+    eps_max (sampler.sampled_rows; default every eps f admits), z row i
     being grid row lo + i, and one slab per group of consecutive levels
-    ending at a level in levels, the partial sums its runs read (default
-    every level 0..n_max; n_max always): the cumsum of a block over slabs
-    0..slab(l) is Y_l.  It holds the group factors (one circulant
-    embedding per group on a regular d=1 grid).  The stencil spectrum that
+    ending at a partial sum Y_l the draw reads.  Each estimator draws
+    exactly the levels it reads, passing them to map_blocks: the cumsum of
+    a block over slabs 0..slab(l, levels) is Y_l.  A level set's group
+    factors (one circulant embedding per group on a regular d=1 grid) are
+    built on its first use and cached per set.  The stencil spectrum that
     mollify applies and the kernel-table diagonal are cached per
     (mollifier channel, eps), and the support x support kernel table per
-    (eps, eps'); grid-rule kernel values at n_max levels come
-    from the offset quadrature of kernels (k_mollified, offset_table), with
-    no Gram block, so they are the exact covariances of the sampled fields.
+    (eps, eps'); grid-rule kernel values at n_max levels come from the
+    offset quadrature of kernels (k_mollified, offset_table), with no Gram
+    block, so they are the exact covariances of the sampled fields.
     """
 
-    def __init__(self, spec, grid, n_max, f=None, mol=None, levels=None,
-                 eps_max=None):
+    def __init__(self, spec, grid, n_max, f=None, mol=None, eps_max=None):
         self.spec = spec
         self.grid = grid
         self.n_max = int(n_max)
         self.f = None if f is None else np.asarray(f, dtype=float)
         self.lo, self.hi = sampled_rows(grid, self.f, eps_max)
-        self.factors = increment_factors(spec, grid, n_max,
-                                         self.hi - self.lo + 1, levels)
-        self.tops = [g.last for g in self.factors]
         self.channels = {"main": mol if mol is not None else Mollifier(d=spec.d)}
         self.supp = None if self.f is None else np.flatnonzero(self.f != 0.0)
         self.torus = next_fast_len(self.hi - self.lo + 1, True)
-        self.shifts = None
+        self.drawn = None
+        self._tilt_rows = None
+        self._groups = {}
         self._supp_tables = {}
         self._cross_tables = {}
 
@@ -229,22 +228,50 @@ class Bench:
         self.channels[name] = mol
 
     def set_tilt(self, tilt, nodes=32):
+        """Shift every draw by the tilt's per-level means (None or alpha = 0:
+        no shift); each draw sums them over its groups (shifts)."""
         if tilt is None or tilt.alpha == 0.0:
-            self.shifts = None
+            self._tilt_rows = None
         else:
             rows = tilt_shift_rows(self.spec, self.grid, tilt, self.n_max,
                                    self.channels["main"], nodes=nodes)
-            self.shifts = np.add.reduceat(
-                rows[:, self.lo:self.hi + 1],
-                [g.first for g in self.factors], axis=0)
+            self._tilt_rows = rows[:, self.lo:self.hi + 1]
 
-    def slab(self, level):
-        """Index of the slab whose last level is level; ValueError when the
-        bench does not draw Y_level."""
-        if level not in self.tops:
-            raise ValueError(f"Y_{level} is not drawn: this bench reads "
-                             f"levels {self.tops}")
-        return self.tops.index(level)
+    def tops(self, levels=None):
+        """The last level of each group of a draw reading Y_l, l in levels
+        (sampler.level_groups: default every level; n_max always)."""
+        return tuple(b for _, b in level_groups(self.n_max, levels))
+
+    def slab(self, level, levels=None):
+        """Index of the slab whose last level is level in a draw reading
+        levels; ValueError when that draw does not hold Y_level."""
+        tops = self.tops(levels)
+        if level not in tops:
+            raise ValueError(f"Y_{level} is not drawn: the draw reads "
+                             f"levels {list(tops)}")
+        return tops.index(level)
+
+    def groups(self, levels=None):
+        """One LevelFactor per group of a draw reading levels, built on the
+        first use of the level set and cached per set."""
+        key = self.tops(levels)
+        if key not in self._groups:
+            self._groups[key] = increment_factors(
+                self.spec, self.grid, self.n_max, self.hi - self.lo + 1, key)
+        return self._groups[key]
+
+    @property
+    def factors(self):
+        """The every-level draw's factors, one group per level."""
+        return self.groups()
+
+    def shifts(self, levels=None):
+        """The tilt's mean row per group of a draw reading levels, on the
+        sampled rows: the sum of its levels' shifts (None untilted)."""
+        if self._tilt_rows is None:
+            return None
+        firsts = [a for a, _ in level_groups(self.n_max, levels)]
+        return np.add.reduceat(self._tilt_rows, firsts, axis=0)
 
     def supp_tables(self, channel, eps):
         """(spectrum, k_diag_supp) on the test-function support rows: the
@@ -290,12 +317,12 @@ class Bench:
 
     @property
     def safety_net(self):
-        """Sampled rows [lo, hi], the level_groups [first, last] drawn and
-        per-group safety net, as the resolved block records them:
-        embedding_min_ratio (smallest eigenvalue over the largest) and
-        torus_points for circulant embeddings, cholesky_jitter (0.0 if
-        none) otherwise."""
-        groups = self.factors
+        """Sampled rows [lo, hi], the level_groups [first, last] of the last
+        draw (every level before any draw) and per-group safety net, as the
+        resolved block records them: embedding_min_ratio (smallest
+        eigenvalue over the largest) and torus_points for circulant
+        embeddings, cholesky_jitter (0.0 if none) otherwise."""
+        groups = self.groups(self.drawn)
         net = {"sampled_rows": [self.lo, self.hi],
                "level_groups": [[g.first, g.last] for g in groups]}
         if groups[-1].embedded:
@@ -320,31 +347,34 @@ class Bench:
                 np.subtract.outer(self.supp, self.supp) - lo[0]]
         return self._cross_tables[key]
 
-    def map_blocks(self, seed, replicas, consume, workers=None):
+    def map_blocks(self, seed, replicas, consume, workers=None, levels=None):
         """Run consume(start, z) over batches of blocks; fixed-order assembly.
 
         A batch is k consecutive blocks, k = max(1, BATCH_VALUES // the
         normals one block draws), each drawn by block_z from its own
-        stream; z is their (groups, W, k BLOCK) concatenation along the
-        replica axis (block_z's own array when k = 1), and start is the
-        batch's first replica.  Worker threads claim whole batches.
-        consume returns a tuple of arrays with trailing replica axis; the
-        concatenated arrays are trimmed to the replica budget.  Every
-        consume in this module acts on each replica column alone, its
-        stencil spectra too (mollify), so the bytes do not depend on k.
+        stream with the groups of the partial sums in levels (default
+        every level: one group per level, the per-level draw); z is their
+        (groups, W, k BLOCK) concatenation along the replica axis
+        (block_z's own array when k = 1), and start is the batch's first
+        replica.  Worker threads claim whole batches.  consume returns a
+        tuple of arrays with trailing replica axis; the concatenated
+        arrays are trimmed to the replica budget.  Every consume in this
+        module acts on each replica column alone, its stencil spectra too
+        (mollify), so the bytes do not depend on k.
         """
         if replicas < 1:
             raise ValueError(f"map_blocks needs replicas >= 1, got {replicas}")
         workers = workers if workers is not None else default_workers()
-        drawn = BLOCK * sum(g.draws for g in self.factors)
-        per = max(1, BATCH_VALUES // drawn)
+        factors, shifts = self.groups(levels), self.shifts(levels)
+        self.drawn = self.tops(levels)
+        per = max(1, BATCH_VALUES // (BLOCK * sum(g.draws for g in factors)))
         blocks = range(0, replicas, BLOCK)
         batches = [blocks[i:i + per] for i in range(0, len(blocks), per)]
         outs = [None] * len(batches)
 
         def work(i):
-            zs = [block_z(self.spec, self.grid, self.factors, seed, start,
-                          self.n_max, self.shifts) for start in batches[i]]
+            zs = [block_z(self.spec, self.grid, factors, seed, start,
+                          self.n_max, shifts) for start in batches[i]]
             z = zs[0] if len(zs) == 1 else np.concatenate(zs, axis=-1)
             outs[i] = consume(batches[i][0], z)
 
@@ -359,15 +389,16 @@ class Bench:
                      for j in range(parts))
 
 
-def _event_consume(bench, rows, q, lam):
-    """Consume closure: 1.0 per replica where A_{q,lam} holds on every row."""
-    first = bench.slab(q)
-
-    def consume(start, z):
-        below = barrier_below(z, rows, lam, bench.tops)
-        return (below[first:].all(axis=(0, 1)).astype(float),)
-
-    return consume
+def _chaos_levels(bench, trunc):
+    """The partial sums a chaos value reads: Y_q..Y_n_max under the barrier
+    trunc=(q, lam), each the top of its own slab, Y_n_max alone without.
+    Raises ValueError for a barrier level outside 1..n_max."""
+    if trunc is None:
+        return [bench.n_max]
+    q = trunc[0]
+    if not 1 <= q <= bench.n_max:
+        raise ValueError(f"barrier level Y_{q} outside Y_1..Y_{bench.n_max}")
+    return list(range(q, bench.n_max + 1))
 
 
 def _gamma_of(bench, params):
@@ -388,18 +419,18 @@ def _block_densities(bench, gammas, keys, trunc):
     keys[k]: chaos_density on the support rows of the block's mollified
     field, which Bench.mollify convolves once per key for all the gammas.
     trunc=(q, lam) inserts the barrier event A_{q,lam}, returned per
-    (support row, replica); event is None without trunc.
+    (support row, replica); event is None without trunc.  z is a draw of
+    the levels _chaos_levels(bench, trunc).
     """
+    tops = _chaos_levels(bench, trunc)
     k_diags = [bench.supp_tables(channel, eps)[1] for channel, eps in keys]
     f_supp = bench.f[bench.supp]
     supp = bench.supp - bench.lo
-    if trunc is not None:
-        first, lam = bench.slab(trunc[0]), trunc[1]
 
     def densities(z):
         event = None
         if trunc is not None:
-            event = barrier_below(z, supp, lam, bench.tops)[first:].all(axis=0)
+            event = barrier_below(z, supp, trunc[1], tops).all(axis=0)
         cells = [[] for _ in gammas]
         xs = bench.mollify(z.sum(axis=0), keys) if keys else []
         for x, k_diag in zip(xs, k_diags):
@@ -457,9 +488,11 @@ def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None, trunc=None):
     (eps_prime is ignored by "mean" and "event").  Every replica block is
     drawn once for all jobs: per block the field is summed once, convolved
     once per distinct eps, its barrier event evaluated once, and the chaos
-    density computed once per distinct (gamma, eps).  Each estimate equals
-    the one its job would get alone, bit for bit.  The oracles read the
-    bench's support tables (second_moment_oracle), built once per (eps,
+    density computed once per distinct (gamma, eps).  A block holds
+    Y_q..Y_n_max under trunc=(q, lam) and Y_n_max alone otherwise; a q
+    outside 1..n_max raises ValueError before sampling.  Each estimate
+    equals the one its job would get alone, bit for bit.  The oracles read
+    the bench's support tables (second_moment_oracle), built once per (eps,
     eps') pair for every gamma and every sweep on the bench.  Returns one
     MomentEstimate per job, in job order.
     """
@@ -481,7 +514,8 @@ def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None, trunc=None):
 
     consume = _chaos_values_consume(
         bench, list(gammas), [("main", e) for e in epss], trunc, events)
-    parts = bench.map_blocks(seed, replicas, consume, workers)
+    parts = bench.map_blocks(seed, replicas, consume, workers,
+                             _chaos_levels(bench, trunc))
     vals, ovf = parts[:2]
 
     out = []
@@ -551,7 +585,8 @@ def cauchy_ladder(bench, params, eps_ladder, replicas, seed, workers=None):
     trunc = (params.q, params.lam) if params.truncation else None
     consume = _chaos_values_consume(bench, [_gamma_of(bench, params)],
                                     [("main", e) for e in eps_ladder], trunc)
-    vals, ovf = bench.map_blocks(seed, replicas, consume, workers)
+    vals, ovf = bench.map_blocks(seed, replicas, consume, workers,
+                                 _chaos_levels(bench, trunc))
     pairs = list(zip(eps_ladder, eps_ladder[1:]))
     d2 = np.abs(vals[:-1] - vals[1:]) ** 2
     name = "cauchy" + (" truncated" if params.truncation else "")
@@ -572,7 +607,8 @@ def mollifier_independence(bench, params, eps_ladder, replicas, seed,
     keys = [("main", e) for e in eps_ladder] + [(alt, e) for e in eps_ladder]
     consume = _chaos_values_consume(bench, [_gamma_of(bench, params)], keys,
                                     trunc)
-    vals, ovf = bench.map_blocks(seed, replicas, consume, workers)
+    vals, ovf = bench.map_blocks(seed, replicas, consume, workers,
+                                 _chaos_levels(bench, trunc))
     n = len(eps_ladder)
     d2 = np.abs(vals[:n] - vals[n:]) ** 2
     return ladder_from_values("mollifier independence", eps_ladder, d2,
@@ -717,25 +753,28 @@ def sup_field_prob(bench, lam, ks, qs, replicas, seed, workers=None):
 
     Events are evaluated on the shared replica set, so the q-ladder of
     global-event probabilities is exactly monotone samplewise.  Requires
-    lam > sqrt(2d) (the barrier regime where the decay argument applies),
-    and each k and q..n_max among the levels the bench draws.
+    lam > sqrt(2d) (the barrier regime where the decay argument applies).
+    A block holds Y_k for each k and Y_q..Y_n_max from the smallest q.
     """
     if lam <= math.sqrt(2.0 * bench.spec.d):
         raise ValueError(f"lam={lam} must exceed sqrt(2d)")
     ks = [int(k) for k in ks]
     qs = [int(q) for q in qs]
+    levels = [*ks, *range(min(qs), bench.n_max + 1)]
+    tops = bench.tops(levels)
     supp = bench.supp - bench.lo
-    k_slabs = [bench.slab(k) for k in ks]
-    q_slabs = [bench.slab(q) for q in qs]
+    k_slabs = [bench.slab(k, levels) for k in ks]
+    q_slabs = [bench.slab(q, levels) for q in qs]
 
     def consume(start, z):
-        below = barrier_below(z, supp, lam, bench.tops)
+        below = barrier_below(z, supp, lam, tops)
         exceed = np.stack([~below[i].all(axis=0) for i in k_slabs]).astype(float)
         ok_all = np.stack([below[i:].all(axis=(0, 1))
                            for i in q_slabs]).astype(float)
         return exceed, ok_all
 
-    exceed, ok_all = bench.map_blocks(seed, replicas, consume, workers)
+    exceed, ok_all = bench.map_blocks(seed, replicas, consume, workers,
+                                      levels)
     k_probs = [moment_from_values(f"P[sup Y_{k} > {lam}k]", exceed[i])
                for i, k in enumerate(ks)]
     q_probs = [moment_from_values(f"P[event q={q}]", ok_all[i])
@@ -789,16 +828,20 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
     if lam <= math.sqrt(2.0 * spec.d):
         raise PhaseError(f"lam={lam} must exceed sqrt(2d)")
     mol = mol if mol is not None else Mollifier(d=spec.d)
+    tops = range(q, n_max + 1)
+
+    def event(start, z):
+        below = barrier_below(z, slice(None), lam, tops)
+        return (below.all(axis=(0, 1)).astype(float),)
+
     estimates, jitter = [], []
     for si, s in enumerate(separations):
         x, y = center - 0.5 * s, center + 0.5 * s
         grid2 = Grid.from_points(np.array([[x], [y]]), spec.box)
-        bench = Bench(spec, grid2, n_max, mol=mol, levels=range(q, n_max + 1))
+        bench = Bench(spec, grid2, n_max, mol=mol)
         bench.set_tilt(TiltShift(x=x, y=y, eps=eps, eps_prime=eps_prime,
                                  alpha=alpha))
-        (ind,) = bench.map_blocks(seed + si, replicas,
-                                  _event_consume(bench, slice(None), q, lam),
-                                  workers)
+        (ind,) = bench.map_blocks(seed + si, replicas, event, workers, tops)
         estimates.append(moment_from_values(f"P~[A_{q}] sep={s}", ind))
         jitter.append(tuple(bench.safety_net["cholesky_jitter"]))
     xs = np.log(np.maximum(np.asarray(separations, dtype=float), eps))
@@ -810,8 +853,8 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
                              slope_se=slope_se, exponent_target=target,
                              one_sided_ok=bool(slope >= target - 0.3),
                              cholesky_jitter=tuple(jitter),
-                             level_groups=tuple(
-                                 (g.first, g.last) for g in bench.factors))
+                             level_groups=tuple(map(
+                                 tuple, bench.safety_net["level_groups"])))
 
 
 def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
@@ -820,7 +863,8 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
 
     Var(Y_n(x)) at a center point for each n (oracle Q_0 + n), plus
     Cov(X_eps(x), X_eps'(y)) on n_probes seeded random support pairs
-    (oracle: grid-rule cross table).
+    (oracle: grid-rule cross table).  A block holds Y_n for each n and
+    Y_n_max.
     """
     rng = np.random.default_rng([seed, 424242])
     cross = bench.cross_table(eps, eps_prime)
@@ -828,7 +872,7 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
     probes = np.stack([rng.integers(0, s, n_probes),
                        rng.integers(0, s, n_probes)])
     mid = s // 2
-    slabs = [bench.slab(n) for n in ns]
+    slabs = [bench.slab(n, ns) for n in ns]
 
     def consume(start, z):
         ysum = np.cumsum(z[:, supp, :], axis=0)
@@ -839,7 +883,7 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
                           for j in range(n_probes)])
         return var_rows, prods
 
-    var_rows, prods = bench.map_blocks(seed, replicas, consume, workers)
+    var_rows, prods = bench.map_blocks(seed, replicas, consume, workers, ns)
     out = []
     for i, n in enumerate(ns):
         oracle = bench.spec.q0_value + n
@@ -882,6 +926,7 @@ def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
             kout[i] = keep[i] & keep[i + 1]
         return out, kout
 
-    d2, keep = bench.map_blocks(seed, replicas, consume, workers)
+    d2, keep = bench.map_blocks(seed, replicas, consume, workers,
+                                _chaos_levels(bench, trunc))
     pairs = list(zip(eps_ladder, eps_ladder[1:]))
     return ladder_from_values(f"sobolev u={u}", pairs, d2, keep)

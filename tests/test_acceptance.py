@@ -33,17 +33,18 @@ def report(num, name, ok):
 def bench2048():
     grid = Grid.regular((0.0, 1.0), 2048)
     f = bump_function(grid, center=0.5, radius=0.05)
-    # the partial sums the truncated (q=2) ladders read, as their plans draw
-    bench = Bench(SPEC, grid, 8, f=f, levels=range(2, 9))
+    # each ladder draws the partial sums it reads: Y_2..Y_8 truncated at
+    # q=2, Y_8 alone untruncated
+    bench = Bench(SPEC, grid, 8, f=f)
     bench.add_channel("alt", Mollifier(d=1, profile="quartic"))
     return bench
 
 
-def bench128(levels):
-    """The 128-point Bench drawing the partial sums Y_l, l in levels."""
+def bench128():
+    """The 128-point Bench of the moment and covariance checks."""
     grid = Grid.regular((0.0, 1.0), 128)
     f = bump_function(grid, center=0.5, radius=0.2)
-    return Bench(SPEC, grid, 8, f=f, levels=levels)
+    return Bench(SPEC, grid, 8, f=f)
 
 
 class TestAcceptance:
@@ -65,13 +66,13 @@ class TestAcceptance:
         report(2, "positive definiteness", ok)
 
     def test_03_covariance_fidelity(self):
-        ests = field_stats(bench128([2, 5, 8]), ns=[2, 5, 8], n_probes=20, eps=2 ** -4,
+        ests = field_stats(bench128(), ns=[2, 5, 8], n_probes=20, eps=2 ** -4,
                            eps_prime=2 ** -5, replicas=10000, seed=0)
         ok = all(m.max_z is not None and m.max_z <= 4.0 for m in ests)
         report(3, "covariance fidelity", ok)
 
     def test_04_mean_identity(self):
-        bench = bench128([8])
+        bench = bench128()
         f = bench.f
         ok = True
         for g in [0.5, 0.8, 0.5 + 0.5j, 1.1 + 0.25j]:
@@ -81,7 +82,7 @@ class TestAcceptance:
         report(4, "mean identity", ok)
 
     def test_05_second_moment_oracle(self):
-        bench = bench128([8])
+        bench = bench128()
         f = bench.f
         ok = True
         for g in [0.8, 0.5 + 0.5j]:

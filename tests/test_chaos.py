@@ -1,14 +1,16 @@
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
                       ResolutionError, barrier_below, bump_function,
-                      chaos_density, mc_moment, q0_for, sobolev_diag,
-                      wick_exp_flagged)
-from logchaos.verify import _chaos_values_consume
+                      cauchy_ladder, chaos_density, mc_moment,
+                      mollifier_independence, q0_for, sobolev_diag,
+                      sobolev_ladder, wick_exp_flagged)
+from logchaos.verify import _chaos_levels, _chaos_values_consume
 
 SPEC = KernelSpec(d=1)
 GRID = Grid.regular((0.0, 1.0), 64)
@@ -27,12 +29,16 @@ def fields(seed, replicas, f=F, n_max=6):
     return bench, bench.map_blocks(seed, replicas, consume)[0]
 
 
-def chaos_values(bench, gamma, seed, replicas, trunc=None):
+def chaos_values(bench, gamma, seed, replicas, trunc=None, levels=None):
     """Per-replica chaos values of the block engine, with the global barrier
-    event per replica when trunc=(q, lam) is given."""
+    event per replica when trunc=(q, lam) is given, on a draw of levels
+    (default the estimators' own: Y_q..Y_n_max truncated, Y_n_max alone
+    otherwise)."""
     consume = _chaos_values_consume(bench, [gamma], [("main", EPS)], trunc,
                                     events=trunc is not None)
-    parts = bench.map_blocks(seed, replicas, consume)
+    if levels is None:
+        levels = _chaos_levels(bench, trunc)
+    parts = bench.map_blocks(seed, replicas, consume, levels=levels)
     return parts[0][0], (parts[2] if trunc is not None else None)
 
 
@@ -272,25 +278,44 @@ class TestTruncation:
         z[1] = lam + 1.0
         assert not barrier_below(z, np.arange(4), lam)[1:].all()
 
-    def test_q_bounds(self):
-        # a barrier level outside the partial sums the bench draws (here
-        # 1..n_max) is refused before sampling, never read from another slab
-        bench = Bench(SPEC, GRID, 6, f=F, mol=MOL, levels=range(1, 7))
+    def test_q_bounds(self, monkeypatch):
+        # a barrier level outside 1..n_max is refused before sampling, never
+        # drawn and read: the estimator, not the bench, picks the levels,
+        # in mc_moment and in each ladder that truncates (ChaosParams
+        # itself refuses q < 1 there)
+        from logchaos import verify
+
+        def no_draws(*a, **k):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(verify, "block_z", no_draws)
+        bench = Bench(SPEC, GRID, 6, f=F, mol=MOL)
         params = ChaosParams(f=F, gamma=0.5)
         for q in (0, 7):
             with pytest.raises(ValueError, match=f"Y_{q}"):
                 mc_moment(bench, params, "mean", EPS, replicas=2, seed=9,
                           trunc=(q, 1.6))
+        bench.add_channel("alt", Mollifier(d=1, profile="quartic"))
+        params = ChaosParams(f=F, gamma=1.1 + 0.25j, truncation=True, q=7,
+                             lam=1.6)
+        ladder = [EPS, EPS / 2]
+        for call in (partial(cauchy_ladder, bench, params, ladder),
+                     partial(mollifier_independence, bench, params, ladder),
+                     partial(sobolev_ladder, bench, params, 0.75, ladder)):
+            with pytest.raises(ValueError, match="Y_7"):
+                call(replicas=40, seed=9)
 
     def test_truncated_equals_full_on_good_replicas(self):
-        # lam = 1.6 > sqrt(2) leaves 4 of the 64 replicas off the event, so
+        # lam = 1.6 > sqrt(2) leaves 9 of the 64 replicas off the event, so
         # both branches are checked; gamma stays real, where truncation
         # can only shrink |M|
+        # both branches read the truncated run's draw of Y_q..Y_6
         bench = Bench(SPEC, GRID, 6, f=F, mol=MOL)
         q = max(2, q0_for(F, GRID))
         tv, event = chaos_values(bench, 0.8, seed=10, replicas=64,
                                  trunc=(q, 1.6))
-        fv, _ = chaos_values(bench, 0.8, seed=10, replicas=64)
+        fv, _ = chaos_values(bench, 0.8, seed=10, replicas=64,
+                             levels=range(q, 7))
         on = event == 1.0
         assert on.any(), "no replica satisfied the event; test is vacuous"
         assert (~on).any(), "every replica satisfied the event; test is vacuous"

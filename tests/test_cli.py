@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
-from logchaos import Grid, bump_function, verify
+from logchaos import ChaosParams, Grid, KernelSpec, bump_function, verify
 from logchaos.cli import (ConfigError, _blas_core, load_config, main, plan,
                           run_id_of, safety_nets, sha256_file, write_csv)
 
@@ -36,6 +36,8 @@ TRUNC_CAUCHY_CFG = {"kind": "cauchy", "gamma": [1.1, 0.25], "q": 2,
                     "grid_n": 128, "eps_ladder": [0.125, 0.0625],
                     "replicas": 64, "seed": 0,
                     "f": {"center": 0.5, "radius": 0.2}}
+
+F_CENTER = {"center": 0.5, "radius": 0.2}
 
 SUP_CFG = {"kind": "sup-prob", "grid_n": 128, "ks": [2, 3, 4], "qs": [2, 4],
            "replicas": 32, "seed": 0, "f": {"center": 0.5, "radius": 0.2}}
@@ -732,6 +734,81 @@ class TestMomentSweepBlocks:
         assert starts == [0, 32, 64, 96]
         rows = (out / "moments.csv").read_text().splitlines()
         assert len(rows) == 1 + 4
+
+
+SHORT = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5]
+
+
+class TestEstimatorLevels:
+    """Each estimator draws the partial sums it reads, which are the sets
+    each plan once passed its Bench: the same groups and tori per kind."""
+
+    # the acceptance test_13 configs of each sampled kind and a truncated
+    # cauchy, with their level_groups and torus_points (None: Cholesky)
+    @pytest.mark.parametrize("cfg,groups,torus", [
+        ({"kind": "field-stats", "grid_n": 128, "eps": 2.0 ** -4,
+          "eps_prime": 2.0 ** -5, "var_levels": [2, 4], "probes": 3,
+          "replicas": 300, "f": F_CENTER},
+         [[0, 2], [3, 4], [5, 7]], [120, 75, 72]),
+        ({"kind": "moment-check", "grid_n": 128, "gammas": [0.5],
+          "estimands": ["mean"], "eps": 2.0 ** -5, "replicas": 400,
+          "f": F_CENTER}, [[0, 7]], [108]),
+        ({"kind": "cauchy", "grid_n": 256, "gamma": 0.5,
+          "eps_ladder": SHORT, "replicas": 300,
+          "f": {"center": 0.5, "radius": 0.1}}, [[0, 7]], [216]),
+        ({"kind": "mollifier-independence", "grid_n": 256, "gamma": 0.5,
+          "eps_ladder": SHORT, "replicas": 300,
+          "f": {"center": 0.5, "radius": 0.1}}, [[0, 7]], [216]),
+        ({"kind": "sup-prob", "grid_n": 512, "lam": 1.6, "ks": [4, 5, 6],
+          "qs": [2, 4], "replicas": 400, "f": F_CENTER},
+         [[0, 2], [3, 3], [4, 4], [5, 5], [6, 6]],
+         [400, 240, 216, 216, 216]),
+        ({"kind": "tilt-check", "replicas": 500},
+         [[0, 2]] + [[k, k] for k in range(3, 9)], None),
+        ({"kind": "sobolev", "grid_n": 256, "eps_ladder": SHORT,
+          "replicas": 200, "f": {"center": 0.5, "radius": 0.1}},
+         [[0, 2]] + [[k, k] for k in range(3, 8)],
+         [216, 135, 125, 120, 120, 120]),
+        (TRUNC_CAUCHY_CFG, [[0, 2]] + [[k, k] for k in range(3, 7)],
+         [135, 96, 90, 90, 90]),
+    ], ids=["field-stats", "moment-check", "cauchy", "mollifier-independence",
+            "sup-prob", "tilt-check", "sobolev", "truncated-cauchy"])
+    def test_groups_match_plan_sets(self, cfg, groups, torus):
+        _, run = plan(dict(cfg, seed=9))
+        nets = run(1, "id")[3]
+        assert nets["level_groups"] == groups
+        assert nets.get("torus_points") == torus
+
+    def test_untruncated_moments_draw_one_group(self):
+        grid = Grid.regular((0.0, 1.0), 128)
+        f = bump_function(grid, center=0.5, radius=0.2)
+        bench = verify.Bench(KernelSpec(d=1), grid, 8, f=f)
+        verify.mc_moments(bench, [(ChaosParams(f=f, gamma=0.8), "product",
+                                   2 ** -4, 2 ** -5)], replicas=40, seed=1)
+        assert bench.safety_net["level_groups"] == [[0, 8]]
+
+    def test_library_moments_equal_cli_csv(self, tmp_path, capsys):
+        # mc_moments on a Bench built with no level argument, at the run's
+        # widest eps, gives the run's moments.csv estimates bit for bit
+        cfg = {"kind": "moment-check", "grid_n": 128, "replicas": 300,
+               "gammas": [0.8, [0.5, 0.5]], "estimands": ["mean", "product"],
+               "eps": 2.0 ** -4, "eps_prime": 2.0 ** -5, "seed": 7,
+               "f": F_CENTER}
+        out = tmp_path / "out"
+        assert main(["run", cfg_file(tmp_path, cfg), "--out", str(out)]) == 0
+        resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+        with open(out / "moments.csv", newline="") as fh:
+            rows = [(r["estimate_re"], r["estimate_im"])
+                    for r in csv.DictReader(fh)]
+        grid = Grid.regular((0.0, 1.0), 128)
+        f = bump_function(grid, center=0.5, radius=0.2)
+        bench = verify.Bench(KernelSpec(d=1), grid, resolved["n_max"], f=f,
+                             eps_max=2.0 ** -4)
+        jobs = [(ChaosParams(f=f, gamma=g), est, 2.0 ** -4, 2.0 ** -5)
+                for g in (0.8, 0.5 + 0.5j) for est in ("mean", "product")]
+        ests = verify.mc_moments(bench, jobs, replicas=300, seed=7)
+        assert rows == [(repr(m.estimate.real), repr(m.estimate.imag))
+                        for m in ests]
 
 
 # one tiny valid config per kind: grid_n <= 64 and replicas <= 64

@@ -37,7 +37,8 @@ def stencil_field(y, eps, mol, grid=GRID):
 
 def mollified_draws(n_max, seed, replicas, eps_list, mol):
     """X_eps at the D_eps rows for each eps, shape (rows, R), on the draws of
-    a default-level Bench without f (every row, one slab per level)."""
+    a Bench without f at map_blocks' default levels (every row, one slab
+    per level)."""
     def consume(start, z):
         y = z.sum(axis=0)
         return tuple(stencil_field(y, eps, mol)[1] for eps in eps_list)
@@ -47,8 +48,8 @@ def mollified_draws(n_max, seed, replicas, eps_list, mol):
 
 
 def draws(grid, n_max, seed, replicas, tilt=None):
-    """The slabs of a default-level Bench without f (every row, one slab per
-    level), shape (n_max + 1, N, R)."""
+    """The slabs of a Bench without f at map_blocks' default levels (every
+    row, one slab per level), shape (n_max + 1, N, R)."""
     bench = Bench(SPEC, grid, n_max)
     bench.set_tilt(tilt)
     return bench.map_blocks(seed, replicas, lambda start, z: (z,))[0]
@@ -360,9 +361,9 @@ class TestSampledWindow:
         grid = Grid.regular((0.0, 1.0), 2048)
         f = bump_function(grid, center=0.5, radius=0.05)
         assert sampled_rows(grid, f, eps_max) == window
-        bench = Bench(SPEC, grid, 8, f=f, levels=[8], eps_max=eps_max)
+        bench = Bench(SPEC, grid, 8, f=f, eps_max=eps_max)
         assert bench.safety_net["sampled_rows"] == list(window)
-        assert bench.factors[0].rows == window[1] - window[0] + 1
+        assert bench.groups([8])[0].rows == window[1] - window[0] + 1
 
     # (grid_n, f radius, window, torus points per level) at f center 0.5:
     # the ladder-2048 and moments-128 benchmark geometries
@@ -529,8 +530,8 @@ class TestLevelGroups:
         pair = Grid.from_points(np.array([[0.45], [0.55]]), (0.0, 1.0))
         t = TiltShift(x=0.45, y=0.55, eps=2 ** -4, eps_prime=2 ** -4,
                       alpha=0.8)
-        bench = Bench(SPEC, pair, 6, levels=[2, 3])
+        bench = Bench(SPEC, pair, 6)
         bench.set_tilt(t)
         rows = tilt_shift_rows(SPEC, pair, t, 6, Mollifier(d=1))
         ref = [rows[0:3].sum(axis=0), rows[3], rows[4:7].sum(axis=0)]
-        assert np.abs(bench.shifts - np.stack(ref)).max() < 1e-14
+        assert np.abs(bench.shifts([2, 3]) - np.stack(ref)).max() < 1e-14

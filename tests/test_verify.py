@@ -150,14 +150,17 @@ class TestBench:
         # factor needs jitter (the scalar Q_0 group needs none), grouped or
         # not, even where rounding leaves a tiny positive pivot; the
         # acceptance geometry is embedded instead, with every group's
-        # eigenvalue ratio recorded and positive
+        # eigenvalue ratio recorded and positive; a bench reports the
+        # groups of its last draw, every level before any
         pair = Grid.from_points(np.array([[0.4], [0.4]]), (0.0, 1.0))
         net = Bench(SPEC, pair, 4).safety_net
         jitter = net["cholesky_jitter"]
         assert net["level_groups"] == [[k, k] for k in range(5)]
         assert len(jitter) == 5 and jitter[0] == 0.0
         assert all(j > 0.0 for j in jitter[1:])
-        grouped = Bench(SPEC, pair, 4, levels=[2]).safety_net
+        bench = Bench(SPEC, pair, 4)
+        bench.map_blocks(0, 1, lambda start, z: (z,), levels=[2])
+        grouped = bench.safety_net
         assert grouped["level_groups"] == [[0, 2], [3, 4]]
         assert len(grouped["cholesky_jitter"]) == 2
         assert all(j > 0.0 for j in grouped["cholesky_jitter"])
@@ -165,30 +168,42 @@ class TestBench:
         ratios = Bench(SPEC, fine, 8).safety_net["embedding_min_ratio"]
         assert len(ratios) == 9 and all(0.0 < r <= 1.0 for r in ratios)
 
-    def test_unread_level_raises(self):
-        # a consumer asking for a partial sum the bench does not draw is
-        # refused before sampling, never served from another slab
+    def test_unread_level_raises(self, monkeypatch):
+        # a consumer asking for a partial sum a draw does not hold is
+        # refused, never served from another slab; each estimator draws
+        # exactly the partial sums it reads, so none asks for another
+        from logchaos import verify
         bench = small_bench(8)
-        grouped = Bench(SPEC, GRID, 8, f=F, levels=[5])
-        assert grouped.slab(5) == 0 and grouped.slab(8) == 1
+        assert bench.slab(5, [5]) == 0 and bench.slab(8, [5]) == 1
         assert bench.slab(3) == 3
-        with pytest.raises(ValueError, match="Y_3"):
-            grouped.slab(3)
+        with pytest.raises(ValueError, match="Y_3 is not drawn"):
+            bench.slab(3, [5])
+        drawn, inner = [], verify.block_z
+
+        def recorded(spec, grid, factors, *args):
+            drawn.append([(g.first, g.last) for g in factors])
+            return inner(spec, grid, factors, *args)
+
+        monkeypatch.setattr(verify, "block_z", recorded)
         params = ChaosParams(f=F, gamma=1.1 + 0.25j, truncation=True, q=2,
                              lam=2.0)
         ladder = [2 ** -3, 2 ** -4]
+        barrier = [(0, 2)] + [(k, k) for k in range(3, 9)]
         calls = [
-            lambda b: field_stats(b, [2], 2, 2 ** -4, 2 ** -5, 40, 0),
-            lambda b: cauchy_ladder(b, params, ladder, 40, 0),
-            lambda b: mc_moments(b, [(params, "event", 2 ** -4, None)], 40,
-                                 0, trunc=(2, 2.0)),
-            lambda b: sup_field_prob(b, 1.6, [4], [5], 40, 0),
-            lambda b: sup_field_prob(b, 1.6, [5], [4], 40, 0),
+            (lambda b: field_stats(b, [2], 2, 2 ** -4, 2 ** -5, 40, 0),
+             [(0, 2), (3, 8)]),
+            (lambda b: cauchy_ladder(b, params, ladder, 40, 0), barrier),
+            (lambda b: mc_moments(b, [(params, "event", 2 ** -4, None)], 40,
+                                  0, trunc=(2, 2.0)), barrier),
+            (lambda b: sup_field_prob(b, 1.6, [4], [5], 40, 0),
+             [(0, 4)] + [(k, k) for k in range(5, 9)]),
+            (lambda b: sup_field_prob(b, 1.6, [5], [4], 40, 0),
+             [(0, 4)] + [(k, k) for k in range(5, 9)]),
         ]
-        for call in calls:
-            with pytest.raises(ValueError, match="not drawn"):
-                call(grouped)
+        for call, groups in calls:
+            drawn.clear()
             call(bench)
+            assert drawn and all(g == groups for g in drawn)
 
     def test_empty_budget_rejected(self):
         with pytest.raises(ValueError, match="replicas"):
@@ -256,12 +271,15 @@ class TestBatches:
 
     SEED = 11
 
+    # an untruncated sweep reads Y_8 alone: one group, 120 normals per
+    # replica on the moments-128 geometry
+    LEVELS = [8]
+
     @staticmethod
     def moments_bench():
-        # the moments-128 geometry: one group, 120 normals per replica
         grid = Grid.regular((0.0, 1.0), 128)
         f = bump_function(grid, center=0.5, radius=0.2)
-        return Bench(SPEC, grid, 8, f=f, eps_max=2 ** -4, levels=[8])
+        return Bench(SPEC, grid, 8, f=f, eps_max=2 ** -4)
 
     @staticmethod
     def consume_of(bench):
@@ -272,9 +290,12 @@ class TestBatches:
     def per_block(self, bench, replicas):
         from logchaos import verify
         consume = self.consume_of(bench)
+        assert verify._chaos_levels(bench, None) == self.LEVELS
+        factors = bench.groups(self.LEVELS)
         outs = [consume(start, verify.block_z(bench.spec, bench.grid,
-                                              bench.factors, self.SEED, start,
-                                              bench.n_max, bench.shifts))
+                                              factors, self.SEED, start,
+                                              bench.n_max,
+                                              bench.shifts(self.LEVELS)))
                 for start in range(0, replicas, verify.BLOCK)]
         return tuple(np.concatenate([o[j] for o in outs], axis=-1)[..., :replicas]
                      for j in range(len(outs[0])))
@@ -290,7 +311,8 @@ class TestBatches:
             calls.append((start, z.shape[-1]))
             return consume(start, z)
 
-        got = bench.map_blocks(self.SEED, replicas, recorded, workers)
+        got = bench.map_blocks(self.SEED, replicas, recorded, workers,
+                               self.LEVELS)
         want = self.per_block(bench, replicas)
         assert [a.shape for a in got] == [(4, replicas)] * 2
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
@@ -302,18 +324,19 @@ class TestBatches:
     def test_first_replicas_independent_of_budget(self):
         bench = self.moments_bench()
         firsts = [tuple(a[..., :100] for a in bench.map_blocks(
-            self.SEED, r, self.consume_of(bench), workers=1))
-            for r in (100, 128, 300)]
+            self.SEED, r, self.consume_of(bench), workers=1,
+            levels=self.LEVELS)) for r in (100, 128, 300)]
         for other in firsts[1:]:
             assert all(a.tobytes() == b.tobytes()
                        for a, b in zip(firsts[0], other))
 
     def test_ladder_batch_is_one_block_uncopied(self, monkeypatch):
-        # ladder-2048: one block holds 7 groups x 716 rows x 32 values
+        # ladder-2048: one block of the truncated (q=2) ladder's draw of
+        # Y_2..Y_8 holds 7 groups x 716 rows x 32 values
         from logchaos import verify
         grid = Grid.regular((0.0, 1.0), 2048)
         f = bump_function(grid, center=0.5, radius=0.05)
-        bench = Bench(SPEC, grid, 8, f=f, eps_max=2 ** -3, levels=range(2, 9))
+        bench = Bench(SPEC, grid, 8, f=f, eps_max=2 ** -3)
         drawn, inner = [], verify.block_z
 
         def recorded(*args, **kwargs):
@@ -325,7 +348,8 @@ class TestBatches:
             return (np.full(z.shape[-1], start),)
 
         monkeypatch.setattr(verify, "block_z", recorded)
-        (starts,) = bench.map_blocks(0, 64, consume, workers=1)
+        (starts,) = bench.map_blocks(0, 64, consume, workers=1,
+                                     levels=range(2, 9))
         assert drawn[0].shape == (7, 716, 32) and len(drawn) == 2
         assert starts.tolist() == [0] * 32 + [32] * 32
 
@@ -416,9 +440,10 @@ class TestEngineAgreement:
     N_MAX = 7
     SUPP = np.flatnonzero(F)
 
-    def field(self, bench, seed, replicas):
-        """(X_eps on supp(F), block slabs) of the bench's draws."""
-        (z,) = bench.map_blocks(seed, replicas, lambda start, zb: (zb,))
+    def field(self, bench, seed, replicas, levels=None):
+        """(X_eps on supp(F), block slabs) of the bench's draws of levels."""
+        (z,) = bench.map_blocks(seed, replicas, lambda start, zb: (zb,),
+                                levels=levels)
         rows, w = weight_matrix(GRID, Mollifier(d=1), self.EPS)
         y = np.zeros((GRID.n, replicas))
         y[bench.lo:bench.hi + 1] = z.sum(axis=0)
@@ -435,16 +460,18 @@ class TestEngineAgreement:
     def test_mean_matches_inline_wick_sum(self, trunc):
         # 40 replicas cross the block-of-32 boundary; the summation order
         # differs between the two, so agreement is to 1e-10 relative
+        # on the draw the estimator reads: Y_q..Y_n_max, or Y_n_max alone
         R, seed, gamma = 40, 5, 0.6 + 0.3j
         bench = small_bench(self.N_MAX)
-        x, z = self.field(bench, seed, R)
+        q = self.N_MAX if trunc is None else trunc[0]
+        x, z = self.field(bench, seed, R, range(q, self.N_MAX + 1))
         dens = (np.exp(gamma * x - 0.5 * gamma ** 2 * self.k_diag()[:, None])
                 * F[self.SUPP][:, None])
         vals = dens.sum(axis=0) * GRID.weight
         if trunc is not None:
-            # Y_k <= k lam for k in q..n_max: one slab per level
-            q, lam = trunc
-            ys = np.cumsum(z, axis=0)[q:, self.SUPP - bench.lo]
+            # Y_k <= k lam for k in q..n_max: slab i sums up to level q + i
+            lam = trunc[1]
+            ys = np.cumsum(z, axis=0)[:, self.SUPP - bench.lo]
             ok = (ys <= lam * np.arange(q, self.N_MAX + 1)[:, None, None]
                   ).all(axis=0)
             full, vals = vals, (dens * ok).sum(axis=0) * GRID.weight
@@ -630,7 +657,7 @@ class TestMomentSweep:
         import tracemalloc
         grid = Grid.regular((0.0, 1.0), 2048)
         bench = Bench(SPEC, grid, 8, f=bump_function(grid, 0.5, 0.05),
-                      levels=[8], eps_max=2 ** -3)
+                      eps_max=2 ** -3)
         ladder = [2.0 ** -k for k in range(3, 8)]
         pairs = [(e, e) for e in ladder] + list(zip(ladder, ladder[1:]))
         tracemalloc.start()
