@@ -27,9 +27,20 @@ def _fmt(x):
     return f"{x:.6g}"
 
 
-def _ticks(lo, hi, n=5):
+def _span(lo, hi):
+    """(lo, hi), widened to a span ticks can step through: 1.0 if empty, and
+    at least 1e-9 of the larger magnitude (a span of a few ulps gives a
+    step that cannot advance) and 1e-300 (a fifth of it must not underflow),
+    downward where upward would overflow."""
     if hi <= lo:
         hi = lo + 1.0
+    width = max(1e-9 * max(abs(lo), abs(hi)), 1e-300)
+    if hi - lo >= width:
+        return lo, hi
+    return (lo, lo + width) if math.isfinite(lo + width) else (hi - width, hi)
+
+
+def _ticks(lo, hi, n=5):
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1, 2, 2.5, 5, 10):
@@ -39,7 +50,7 @@ def _ticks(lo, hi, n=5):
     start = math.ceil(lo / step) * step
     out = []
     t = start
-    while t <= hi + 1e-9 * step:
+    while t - hi <= 1e-9 * step:  # hi + 1e-9 step may overflow
         out.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return out
@@ -52,12 +63,8 @@ class _Axes:
         tx = math.log10 if logx else float
         ty = math.log10 if logy else float
         self.logx, self.logy = logx, logy
-        self.xlo, self.xhi = tx(xlo), tx(xhi)
-        self.ylo, self.yhi = ty(ylo), ty(yhi)
-        if self.xhi <= self.xlo:
-            self.xhi = self.xlo + 1.0
-        if self.yhi <= self.ylo:
-            self.yhi = self.ylo + 1.0
+        self.xlo, self.xhi = _span(tx(xlo), tx(xhi))
+        self.ylo, self.yhi = _span(ty(ylo), ty(yhi))
 
     def px(self, x):
         v = math.log10(x) if self.logx else x

@@ -249,15 +249,19 @@ def _z_outputs(estimates, stem, title, run_id):
 
 
 def _scan_axis(cfg, key):
-    """A phase-scan axis [lo, hi, count]: finite numbers, integer count >= 1."""
+    """A phase-scan axis [lo, hi, count]: finite numbers with a finite span
+    hi - lo (the plot's axis ticks divide it), integer count >= 1."""
     v = cfg.get(key, [-2.5, 2.5, 200])
     try:
         if not isinstance(v, list) or len(v) != 3 or _integer(v[2]) < 1:
             raise ValueError
-        return np.linspace(_finite(v[0]), _finite(v[1]), v[2])
+        lo, hi = _finite(v[0]), _finite(v[1])
+        _finite(hi - lo)
+        return np.linspace(lo, hi, v[2])
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be [lo, hi, count] with finite numbers "
-                          f"lo, hi and an integer count >= 1, got {v!r}")
+                          f"lo, hi, a finite span hi - lo and an integer "
+                          f"count >= 1, got {v!r}")
 
 
 def plan_phase_scan(cfg):
@@ -499,6 +503,19 @@ def plan_tail_check(cfg):
         raise ConfigError("sigmas and u_over_sigma must be nonempty")
     if any(s <= 0 for s in sigmas) or any(u < 0 for u in ratios):
         raise ConfigError("need sigmas > 0 and u_over_sigma >= 0")
+    # the bound's exponent u^2 / (2 sigma^2), in tail_bound_check's own
+    # arithmetic: a subnormal or overflowing sigma^2 or an overflowing
+    # quotient would divide by zero or write a wrong bound
+    for s in sigmas:
+        if not sys.float_info.min <= s * s <= 0.5 * sys.float_info.max:
+            raise ConfigError(f"sigmas entry {s!r}: sigma^2 must be a normal "
+                              f"float and 2 sigma^2 finite")
+        for k in ratios:
+            u = k * s
+            if not math.isfinite(u * u / (2.0 * s * s)):
+                raise ConfigError(
+                    f"u_over_sigma entry {k!r} at sigma {s!r}: the exponent "
+                    f"u^2 / (2 sigma^2) overflows")
 
     def run(workers, run_id):
         report = verify.tail_bound_check(sigmas, ratios)

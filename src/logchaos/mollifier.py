@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class ResolutionError(ValueError):
@@ -37,6 +36,9 @@ _PROFILES = {"bump": _bump, "quartic": _quartic}
 @lru_cache(maxsize=None)
 def _norm_const(profile, d):
     """c_d with integral theta = c_d * int profile(|x|) dx = 1."""
+    # imported here: no run reads c_d, so no run loads scipy.integrate
+    from scipy.integrate import quad
+
     phi = _PROFILES[profile]
 
     def scalar(rho):

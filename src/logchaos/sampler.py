@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from . import kernels
 
@@ -65,6 +64,21 @@ class LevelFactor(NamedTuple):
     def draws(self):
         """Rows of its normal panel: M, N, or 1 for the scalar Q_0."""
         return self.root.shape[0] if self.root.ndim else 1
+
+
+def next_fast_len(n):
+    """The smallest 5-smooth integer m >= n, a fast real FFT length for
+    numpy's pocketfft: the least of 3^b 5^c times the smallest power of
+    two reaching n, over the O(log^2 n) odd parts below 2^ceil(log2 n)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def circulant_root(row, name="kernel"):
@@ -179,10 +193,9 @@ def increment_factors(spec, grid, n_max, rows=None, levels=None):
                                        1.0 if embed else 0.0, rows, 0, 0))
             continue
         if embed:
-            # offsets beyond floor(support / h) lie outside the support;
-            # next_fast_len(n, real=True) is the smallest 5-smooth m >= n
+            # offsets beyond floor(support / h) lie outside the support
             band = math.floor(math.exp(-(spec.t0 + max(a, 1))) / grid.h)
-            m = next_fast_len(rows + band + 1, True)
+            m = next_fast_len(rows + band + 1)
             o = np.arange(m)
             row = kernels.lattice_row(spec, range(max(a, 1), b + 1), grid.h,
                                       np.minimum(o, m - o))

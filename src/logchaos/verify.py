@@ -23,8 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.special import erfc
 
 from . import kernels
 from .chaos import barrier_below, chaos_density, sobolev_diag
@@ -32,7 +30,8 @@ from .grids import Grid
 from .mollifier import Mollifier, discrete_stencil, interior_rows
 from .phase import PhaseError
 from .sampler import (BLOCK, TiltShift, block_z, increment_factors,
-                      level_groups, sampled_rows, tilt_shift_rows)
+                      level_groups, next_fast_len, sampled_rows,
+                      tilt_shift_rows)
 
 ENV_WORKERS = "LOGCHAOS_WORKERS"
 
@@ -217,7 +216,7 @@ class Bench:
         self.lo, self.hi = sampled_rows(grid, self.f, eps_max)
         self.channels = {"main": mol if mol is not None else Mollifier(d=spec.d)}
         self.supp = None if self.f is None else np.flatnonzero(self.f != 0.0)
-        self.torus = next_fast_len(self.hi - self.lo + 1, True)
+        self.torus = next_fast_len(self.hi - self.lo + 1)
         self.drawn = None
         self._tilt_rows = None
         self._groups = {}
@@ -701,6 +700,9 @@ def tail_bound_check(sigmas=(0.5, 1.0, 2.0, 4.0), u_over_sigma=(0, 1, 2, 3, 4, 5
     fails at (sigma=1, u=3), where the exact tail 1.35e-3 exceeds
     2 e^{-9} = 2.47e-4.  Both facts are recorded.
     """
+    # imported here, so that only tail-check loads scipy.special
+    from scipy.special import erfc
+
     rows = []
     all_hold = True
     for s in sigmas:

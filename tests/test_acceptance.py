@@ -23,6 +23,36 @@ import pytest
 SPEC = KernelSpec(d=1)
 LADDER = [2.0 ** -k for k in range(3, 8)]
 
+# every runner kind at reduced scale, for test_13 (the import guard of
+# tests/test_imports.py runs three of them)
+SHORT = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5]
+REPRO_CONFIGS = {
+    "phase-scan": {"alpha_range": [-2.0, 2.0, 15],
+                   "beta_range": [-2.0, 2.0, 15]},
+    "kernel-check": {"grid_n": 512, "eps_ladder": SHORT,
+                     "n_ladder": [4, 6, 8], "eps_fixed": 2.0 ** -4},
+    "field-stats": {"grid_n": 128, "eps": 2.0 ** -4,
+                    "eps_prime": 2.0 ** -5, "var_levels": [2, 4],
+                    "probes": 3, "replicas": 300,
+                    "f": {"center": 0.5, "radius": 0.2}},
+    "moment-check": {"grid_n": 128, "gammas": [0.5],
+                     "estimands": ["mean"], "eps": 2.0 ** -5,
+                     "replicas": 400,
+                     "f": {"center": 0.5, "radius": 0.2}},
+    "cauchy": {"grid_n": 256, "gamma": 0.5, "eps_ladder": SHORT,
+               "replicas": 300, "f": {"center": 0.5, "radius": 0.1}},
+    "mollifier-independence": {"grid_n": 256, "gamma": 0.5,
+                               "eps_ladder": SHORT, "replicas": 300,
+                               "f": {"center": 0.5, "radius": 0.1}},
+    "tail-check": {},
+    "sup-prob": {"grid_n": 512, "lam": 1.6, "ks": [4, 5, 6],
+                 "qs": [2, 4], "replicas": 400,
+                 "f": {"center": 0.5, "radius": 0.2}},
+    "tilt-check": {"replicas": 500},
+    "sobolev": {"grid_n": 256, "eps_ladder": SHORT, "replicas": 200,
+                "f": {"center": 0.5, "radius": 0.1}},
+}
+
 
 def report(num, name, ok):
     print(f"acceptance {num:02d} {name}: {'PASS' if ok else 'FAIL'}")
@@ -150,35 +180,8 @@ class TestAcceptance:
     def test_13_reproducibility(self, tmp_path, capsys):
         # every runner kind at reduced scale: identical CSV bytes for 1 and
         # 8 workers, and a byte-verified replay of each run
-        short = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5]
-        configs = {
-            "phase-scan": {"alpha_range": [-2.0, 2.0, 15],
-                           "beta_range": [-2.0, 2.0, 15]},
-            "kernel-check": {"grid_n": 512, "eps_ladder": short,
-                             "n_ladder": [4, 6, 8], "eps_fixed": 2.0 ** -4},
-            "field-stats": {"grid_n": 128, "eps": 2.0 ** -4,
-                            "eps_prime": 2.0 ** -5, "var_levels": [2, 4],
-                            "probes": 3, "replicas": 300,
-                            "f": {"center": 0.5, "radius": 0.2}},
-            "moment-check": {"grid_n": 128, "gammas": [0.5],
-                             "estimands": ["mean"], "eps": 2.0 ** -5,
-                             "replicas": 400,
-                             "f": {"center": 0.5, "radius": 0.2}},
-            "cauchy": {"grid_n": 256, "gamma": 0.5, "eps_ladder": short,
-                       "replicas": 300, "f": {"center": 0.5, "radius": 0.1}},
-            "mollifier-independence": {"grid_n": 256, "gamma": 0.5,
-                                       "eps_ladder": short, "replicas": 300,
-                                       "f": {"center": 0.5, "radius": 0.1}},
-            "tail-check": {},
-            "sup-prob": {"grid_n": 512, "lam": 1.6, "ks": [4, 5, 6],
-                         "qs": [2, 4], "replicas": 400,
-                         "f": {"center": 0.5, "radius": 0.2}},
-            "tilt-check": {"replicas": 500},
-            "sobolev": {"grid_n": 256, "eps_ladder": short, "replicas": 200,
-                        "f": {"center": 0.5, "radius": 0.1}},
-        }
         ok = True
-        for kind, body in configs.items():
+        for kind, body in REPRO_CONFIGS.items():
             cfg = dict(body, kind=kind, seed=9)
             p = tmp_path / f"{kind}.json"
             p.write_text(json.dumps(cfg))

@@ -182,6 +182,29 @@ RUN_ONLY_REJECTIONS = [
       "seed": 1}, "eps_ladder"),
     ({"kind": "sobolev", "grid_n": 128, "eps_ladder": [0.125],
       "replicas": 40, "seed": 1}, "eps_ladder"),
+    # tail exponents u^2 / (2 sigma^2) out of float range: sigma^2
+    # underflows (a division by zero), u^2 overflows (a NaN bound, so a
+    # false FAIL), or both (a NaN plot axis)
+    ({"kind": "tail-check", "sigmas": [1e-200], "u_over_sigma": [1]},
+     "sigmas entry 1e-200"),
+    ({"kind": "tail-check", "sigmas": [1e-170], "u_over_sigma": [1]},
+     "sigmas entry 1e-170"),
+    ({"kind": "tail-check", "sigmas": [1e-200], "u_over_sigma": [0]},
+     "sigmas entry 1e-200"),
+    ({"kind": "tail-check", "sigmas": [1e200], "u_over_sigma": [1]},
+     "sigmas entry 1e+200"),
+    ({"kind": "tail-check", "sigmas": [1e308], "u_over_sigma": [1e308]},
+     "sigmas entry 1e+308"),
+    ({"kind": "tail-check", "sigmas": [1.0], "u_over_sigma": [0, 1e200]},
+     "u_over_sigma entry 1e+200"),
+    # a subnormal sigma^2 (bounds 0.1% off at 1e-160, 7 times at 2e-162),
+    # an overflowing 2 sigma^2 (exponents 0, then NaN: a false FAIL)
+    ({"kind": "tail-check", "sigmas": [1e-160]}, "sigmas entry 1e-160"),
+    ({"kind": "tail-check", "sigmas": [1e154]}, "sigmas entry 1e+154"),
+    # a phase-scan axis whose span hi - lo overflows
+    ({"kind": "phase-scan", "alpha_range": [-1e308, 1e308, 5],
+      "beta_range": [-2, 2, 5]}, "alpha_range"),
+    ({"kind": "phase-scan", "beta_range": [1e308, -1e308, 5]}, "beta_range"),
 ]
 
 
@@ -700,6 +723,13 @@ class TestBadRunInputs:
             assert main(argv) == 2, f"{argv[0]} {key}={value!r}"
             assert key in capsys.readouterr().err
 
+    def test_tail_check_extreme_in_range_sigmas_run(self, tmp_path, capsys):
+        # sigma^2 normal and 2 sigma^2 finite at both ends: the bound holds
+        cfg = {"kind": "tail-check", "sigmas": [1e-150, 1e150],
+               "u_over_sigma": [0, 1, 5]}
+        assert main(["run", cfg_file(tmp_path, cfg), "--out",
+                     str(tmp_path / "o")]) == 0
+
     @pytest.mark.parametrize("change,named", [
         ({"estimands": []}, "estimands"), ({"gammas": []}, "gammas"),
         ({"estimands": "mean"}, "estimands"),
@@ -859,6 +889,20 @@ FUZZ_MUTATIONS = st.lists(st.one_of(
               st.just(False))), max_size=3)
 
 
+# finite floats, half of them at the ends of the double range
+FUZZ_EXTREMES = st.floats(allow_nan=False, allow_infinity=False) | \
+    st.sampled_from([1e308, -1e308, 1e-300, 5e-324])
+FUZZ_AXIS = st.tuples(FUZZ_EXTREMES, FUZZ_EXTREMES, st.integers(1, 4)).map(list)
+# tail-check and phase-scan, the kinds whose numbers alone set their scale
+FUZZ_SCALES = (
+    st.builds(lambda s, u: {"kind": "tail-check", "sigmas": s,
+                            "u_over_sigma": u},
+              st.lists(FUZZ_EXTREMES.map(abs), min_size=1, max_size=3),
+              st.lists(FUZZ_EXTREMES.map(abs), min_size=1, max_size=3))
+    | st.builds(lambda a, b: {"kind": "phase-scan", "alpha_range": a,
+                              "beta_range": b}, FUZZ_AXIS, FUZZ_AXIS))
+
+
 class TestConfigFuzz:
     """A tiny config of any kind, with keys mutated or missing, exits 0 or 1
     with its run record, or 2 or 3 with one line and no traceback."""
@@ -874,6 +918,16 @@ class TestConfigFuzz:
                 cfg.pop(key, None)
             else:
                 cfg[key] = value
+        self.ends_cleanly(cfg)
+
+    @seed(20261019)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(FUZZ_SCALES)
+    def test_extreme_scales_end_cleanly(self, cfg):
+        self.ends_cleanly(cfg)
+
+    @staticmethod
+    def ends_cleanly(cfg):
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
             path.write_text(json.dumps(cfg))

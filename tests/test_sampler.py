@@ -10,7 +10,8 @@ from logchaos import (Bench, Grid, KernelSpec, Mollifier, NumericError,
                       tilt_shift_rows)
 from logchaos.kernels import lattice_row
 from logchaos.mollifier import discrete_stencil, interior_rows, weight_matrix
-from logchaos.sampler import (BLOCK, block_z, circulant_root, free_cholesky)
+from logchaos.sampler import (BLOCK, block_z, circulant_root, free_cholesky,
+                              next_fast_len as torus_len)
 
 SPEC = KernelSpec(d=1)
 GRID = Grid.regular((0.0, 1.0), 64)
@@ -257,6 +258,14 @@ class TestBandedEngine:
     Cholesky factor on free point sets."""
 
     GRID512 = Grid.regular((0.0, 1.0), 512)
+
+    def test_torus_len_matches_scipy(self):
+        # the torus size: scipy's real-transform next_fast_len, bit for bit
+        for n in range(1, 2 ** 15 + 1):
+            assert torus_len(n) == next_fast_len(n, real=True), n
+        for n in (2 ** 20 + 1, 10 ** 6 + 7, 3 ** 12 + 1):
+            m = torus_len(n)
+            assert type(m) is int and m == next_fast_len(n, real=True), n
 
     @pytest.mark.parametrize("n", [512, 2048])
     def test_embedding_row_matches_gram(self, n):
