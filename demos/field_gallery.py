@@ -1,10 +1,11 @@
 """Draw one log-correlated field and watch its ladder build up.
 
 Prints the empirical variance of the partial sums Y_n at the domain center
-against the exact value Q_0 + n, then mollifies Y_{n_max} with the discrete
-stencil at two scales eps and reports the variance of X_eps against the
-kernel-table diagonal.  Optionally dumps one realization's profiles to CSV
-for plotting elsewhere.
+against the exact value Q_0 + n, then mollifies Y_{n_max} at two scales eps
+with Bench.mollify, the library's one convolution path, and reports the
+variance of X_eps against the kernel-table diagonal.  Optionally dumps one
+realization's profiles to CSV for plotting elsewhere; a row outside the
+drawn window leaves its cells empty.
 """
 
 import argparse
@@ -13,17 +14,8 @@ import math
 
 import numpy as np
 
-from logchaos import (Bench, Grid, KernelSpec, Mollifier, discrete_stencil,
-                      k_mollified)
+from logchaos import Bench, Grid, KernelSpec, Mollifier, k_mollified
 from logchaos.mollifier import interior_rows
-
-
-def mollify(y, grid, mol, eps):
-    """(rows, X_eps): the discrete_stencil taps applied to y at the D_eps
-    rows, with no dense weight matrix."""
-    rows = interior_rows(grid, mol, eps)
-    offs, taps = discrete_stencil(mol, eps, grid.h)
-    return rows, sum(t * y[rows + o] for o, t in zip(offs[:, 0], taps))
 
 
 def main():
@@ -42,17 +34,19 @@ def main():
     mol = Mollifier(d=1)
 
     levels = (2, 5, args.n_max)
-    # every level drawn on every row: block slabs are the increments Z_k,
-    # and their cumsum the partial sums Y_k
-    bench = Bench(spec, grid, args.n_max, mol=mol)
+    keys = [("main", e) for e in eps_list]
+    # f marks the D_eps rows of the wider eps, where mollify returns X_eps;
+    # every level is drawn on the rows lo..hi those convolutions read:
+    # block slabs are the increments Z_k, and their cumsum the partial sums
+    f = np.zeros(grid.n)
+    f[interior_rows(grid, mol, eps_list[0])] = 1.0
+    bench = Bench(spec, grid, args.n_max, f=f, mol=mol, eps_max=eps_list[0])
+    at = np.searchsorted(bench.supp, mid)
 
     def at_center(start, z):
         y = np.cumsum(z, axis=0)
-        xs = []
-        for e in eps_list:
-            rows, x = mollify(y[-1], grid, mol, e)
-            xs.append(x[np.searchsorted(rows, mid)])
-        return (*y[levels, mid], *xs)
+        xs = [x[at] for x in bench.mollify(y[-1], keys)]
+        return (*y[levels, mid - bench.lo], *xs)
 
     outs = bench.map_blocks(args.seed, args.replicas, at_center)
     ys = dict(zip(levels, outs[:len(levels)]))
@@ -81,15 +75,16 @@ def main():
         # replica 0: the first column of block 0
         (kept,) = bench.map_blocks(args.seed, 1,
                                    lambda start, z: (np.cumsum(z, axis=0),))
-        y2, y5, yt = kept[levels, :, 0]
-        rows_e, x_e = mollify(yt, grid, mol, eps_list[0])
+        (x_e,) = bench.mollify(kept[-1], keys[:1])
+        cols = np.full((4, grid.n), np.nan)
+        cols[:3, bench.lo:bench.hi + 1] = kept[levels, :, 0]
+        cols[3, bench.supp] = x_e[:, 0]
         with open(args.csv, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["x", "y2", "y5", "y_top", "x_eps"])
-            xe = np.full(grid.n, np.nan)
-            xe[rows_e] = x_e
             for i in range(grid.n):
-                wr.writerow([grid.points[i, 0], y2[i], y5[i], yt[i], xe[i]])
+                wr.writerow([grid.points[i, 0],
+                             *("" if np.isnan(v) else v for v in cols[:, i])])
         print(f"wrote {args.csv}")
 
 

@@ -1,7 +1,8 @@
 """Map the complex-parameter plane gamma = alpha + i beta into its phases.
 
 Scans a square window, counts grid points per label, and spot-checks a few
-landmark parameter values.  With --svg the colored map is written out.
+landmark parameter values.  The map itself, point by point, is the CSV of a
+`logchaos run` of a phase-scan config.
 """
 
 import argparse
@@ -9,7 +10,7 @@ from collections import Counter
 
 import numpy as np
 
-from logchaos import _svg, phase
+from logchaos import phase
 
 
 LANDMARKS = [
@@ -26,7 +27,6 @@ def main():
     ap.add_argument("--d", type=int, default=1, choices=(1, 2))
     ap.add_argument("--extent", type=float, default=2.5)
     ap.add_argument("--n", type=int, default=301, help="points per axis")
-    ap.add_argument("--svg", default=None, help="write the phase map here")
     args = ap.parse_args()
 
     alphas = np.linspace(-args.extent, args.extent, args.n)
@@ -49,15 +49,6 @@ def main():
             lam = phase.pick_lambda(args.d, a, b)
             extra = f"  barrier slope lambda = {lam:.4f}"
         print(f"  gamma = {a} + {b}i -> {lab}{extra}  [{note}]")
-
-    if args.svg:
-        grid_rows = [[labels[i, j] for i in range(args.n)]
-                     for j in range(args.n)]
-        svg = _svg.phase_map(list(alphas), list(betas), grid_rows,
-                             title=f"phase labels, d={args.d}")
-        with open(args.svg, "w") as fh:
-            fh.write(svg)
-        print(f"\nwrote {args.svg}")
 
 
 if __name__ == "__main__":

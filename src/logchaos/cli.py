@@ -2,7 +2,7 @@
 
 One experiment per run directory: manifest.json (config, resolved
 parameters, code version, numeric environment, output hashes), one CSV per
-table, one SVG per plot, verdicts.json with the pass/fail gates.  Replays
+table and verdicts.json with the pass/fail gates, and nothing else.  Replays
 re-execute a manifest's config and compare CSV bytes; the fixed-order
 block reductions make those bytes independent of the worker count.
 """
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, _svg, kernels, phase, verify
+from . import __version__, kernels, phase, verify
 from .chaos import ChaosParams, bump_function, q0_for
 from .grids import Grid
 from .kernels import KernelSpec
@@ -45,6 +45,12 @@ DEFAULT_LADDER = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
 # closed-form pass at any level count; a d=2 one costs a Gauss-Legendre
 # quadrature per level
 TABLE_WORK_BOUND = 10 ** 7
+
+# points one phase scan may label, 25 times the 200 x 200 default.  On a
+# 2-vCPU Xeon, phase.classify takes 2.3 us a point (10^5 points in 0.23 s),
+# and a run of 10^6 points takes 8 s, peaks at 300 MB of RSS and writes a
+# 68 MB CSV
+SCAN_POINT_BOUND = 10 ** 6
 
 
 class ConfigError(ValueError):
@@ -236,28 +242,24 @@ def _moment_rows(estimates, run_id):
              "run_id"], rows)
 
 
-def _z_outputs(estimates, stem, title, run_id):
-    """(tables, plots, verdicts) of oracle-scored estimates: |z| <= 4 each."""
-    gated = [m for m in estimates if m.max_z is not None]
-    plot = _svg.bar_plot([m.estimator for m in gated],
-                         [m.max_z for m in gated], title=title,
-                         ylabel="|z| (worst component)",
-                         hlines=[(4.0, "gate 4")])
+def _z_outputs(estimates, stem, run_id):
+    """(tables, verdicts) of oracle-scored estimates: |z| <= 4 each."""
     return ({f"{stem}.csv": _moment_rows(estimates, run_id)},
-            {f"{stem}.svg": plot},
-            {"all_z_within_4se": all(m.max_z <= 4.0 for m in gated)})
+            {"all_z_within_4se": all(m.max_z <= 4.0 for m in estimates
+                                     if m.max_z is not None)})
 
 
 def _scan_axis(cfg, key):
-    """A phase-scan axis [lo, hi, count]: finite numbers with a finite span
-    hi - lo (the plot's axis ticks divide it), integer count >= 1."""
+    """A phase-scan axis (lo, hi, count): finite numbers with a finite span
+    hi - lo (np.linspace(-1e308, 1e308, 3) is [nan, inf, 1e308], which
+    would write NaN into the CSV), integer count >= 1."""
     v = cfg.get(key, [-2.5, 2.5, 200])
     try:
         if not isinstance(v, list) or len(v) != 3 or _integer(v[2]) < 1:
             raise ValueError
         lo, hi = _finite(v[0]), _finite(v[1])
         _finite(hi - lo)
-        return np.linspace(lo, hi, v[2])
+        return lo, hi, v[2]
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be [lo, hi, count] with finite numbers "
                           f"lo, hi, a finite span hi - lo and an integer "
@@ -266,8 +268,17 @@ def _scan_axis(cfg, key):
 
 def plan_phase_scan(cfg):
     d = _dim(cfg, sampled=False)
-    alphas = _scan_axis(cfg, "alpha_range")
-    betas = _scan_axis(cfg, "beta_range")
+    axes, points = [], 1
+    for key in ("alpha_range", "beta_range"):
+        lo, hi, count = _scan_axis(cfg, key)
+        points *= count
+        # checked before np.linspace allocates the axis
+        if points > SCAN_POINT_BOUND:
+            raise ConfigError(f"{key} count {count} takes the scan to "
+                              f"{points} points, over the bound "
+                              f"{SCAN_POINT_BOUND:.0e}")
+        axes.append(np.linspace(lo, hi, count))
+    alphas, betas = axes
 
     def run(workers, run_id):
         labels = phase.scan(d, alphas, betas)
@@ -278,10 +289,7 @@ def plan_phase_scan(cfg):
                                               for lb in labels.flat)}
         tables = {"phase_scan.csv": (["alpha", "beta", "label", "run_id"],
                                      rows)}
-        plots = {"phase_scan.svg": _svg.phase_map(
-            list(alphas), list(betas), [list(col) for col in labels.T],
-            title=f"phase labels d={d}")}
-        return tables, plots, verdicts, {}
+        return tables, verdicts, {}
 
     return {"d": d, "alphas": len(alphas), "betas": len(betas)}, run
 
@@ -310,7 +318,7 @@ def plan_kernel_check(cfg):
             f"{TABLE_WORK_BOUND:.0e}")
 
     def run(workers, run_id):
-        rows, series, verdicts = [], [], {}
+        rows, verdicts = [], {}
         for kind in kinds:
             rep = verify.kernel_estimate_check(
                 spec, kind, grid, eps_ladder=ladder, n_ladder=n_ladder,
@@ -320,14 +328,9 @@ def plan_kernel_check(cfg):
                              "" if i == 0 else repr(rep.ratios[i - 1]),
                              run_id])
             verdicts[f"{rep.kind}_stable"] = rep.stable
-            series.append({"x": list(range(1, len(rep.steps) + 1)),
-                           "y": list(rep.suprema), "label": rep.kind})
         tables = {"kernel_check.csv": (["kind", "step", "supremum",
                                         "ratio_prev", "run_id"], rows)}
-        plots = {"kernel_check.svg": _svg.line_plot(
-            series, title="kernel estimate suprema", xlabel="ladder step",
-            ylabel="supremum")}
-        return tables, plots, verdicts, {}
+        return tables, verdicts, {}
 
     return {"d": spec.d, "grid_n": grid.shape[0], "eps_ladder": ladder,
             "n_ladder": n_ladder, "eps_fixed": eps_fixed,
@@ -353,8 +356,7 @@ def plan_field_stats(cfg):
         bench = verify.Bench(spec, grid, n_max, f=f, eps_max=max(eps, eps_prime))
         ests = verify.field_stats(bench, ns, probes, eps, eps_prime, replicas,
                                   seed, workers=workers)
-        return (*_z_outputs(ests, "field_stats",
-                            "covariance fidelity z-scores", run_id),
+        return (*_z_outputs(ests, "field_stats", run_id),
                 {**bench.safety_net, "excluded": [m.excluded for m in ests]})
 
     return resolved, run
@@ -399,8 +401,7 @@ def plan_moment_check(cfg):
                                  workers=workers)
         ests = [replace(m, estimator=f"{m.estimator} gamma={job[0].gamma}")
                 for job, m in zip(jobs, ests)]
-        return (*_z_outputs(ests, "moments", "moment oracle z-scores",
-                            run_id),
+        return (*_z_outputs(ests, "moments", run_id),
                 {**bench.safety_net, "excluded": [m.excluded for m in ests]})
 
     return resolved, run
@@ -423,20 +424,18 @@ def _sobolev_index(cfg, spec):
 
 
 # What the ladder kinds do not share: default gamma and replicas, a reader of
-# the kind's own key -> (resolved entries, verify call), file stem and title.
+# the kind's own key -> (resolved entries, verify call), and file stem.
 LADDERS = {
     "cauchy": (0.8, 2000, lambda cfg, spec: ({}, verify.cauchy_ladder),
-               "cauchy_ladder", "coupled |M_eps - M_eps'|^2, gamma={gamma}"),
-    "mollifier-independence": (
-        0.8, 2000, _profiles, "mollifier_independence",
-        "|M^theta - M^theta'|^2, {profiles[0]} vs {profiles[1]}"),
-    "sobolev": ([1.1, 0.25], 500, _sobolev_index, "sobolev_ladder",
-                "H^-{u} coupled distance, gamma={gamma}"),
+               "cauchy_ladder"),
+    "mollifier-independence": (0.8, 2000, _profiles,
+                               "mollifier_independence"),
+    "sobolev": ([1.1, 0.25], 500, _sobolev_index, "sobolev_ladder"),
 }
 
 
 def plan_ladder(cfg):
-    default_gamma, default_replicas, own, stem, title = LADDERS[cfg["kind"]]
+    default_gamma, default_replicas, own, stem = LADDERS[cfg["kind"]]
     ladder = _eps_ladder(cfg)
     # cauchy and sobolev cells are consecutive pairs of rungs
     if cfg["kind"] != "mollifier-independence" and len(ladder) < 2:
@@ -482,14 +481,8 @@ def plan_ladder(cfg):
                          run_id])
         tables = {f"{stem}.csv": (["eps_hi", "eps_lo", "value", "se",
                                    "diff_prev", "diff_se", "run_id"], rows)}
-        plots = {f"{stem}.svg": _svg.line_plot(
-            [{"x": list(range(1, len(report.values) + 1)),
-              "y": list(report.values), "err": list(report.ses),
-              "label": report.estimator}],
-            title=title.format(gamma=gamma, **extra), xlabel="ladder step",
-            ylabel="cell value", logy=all(v > 0 for v in report.values))}
         # the per-cell safety nets, outside the hashed CSV
-        return (tables, plots, {"trend_decreasing": report.verdict},
+        return (tables, {"trend_decreasing": report.verdict},
                 {**bench.safety_net, "excluded": list(report.cell_excluded),
                  "empty_blocks": list(report.empty_blocks)})
 
@@ -524,19 +517,11 @@ def plan_tail_check(cfg):
         rows.append(["literal_at_sigma1_u3", repr(3.0),
                      repr(report.literal_exact), repr(report.literal_bound),
                      not report.literal_violated, run_id])
-        one = [r for r in report.rows if r[0] == sigmas[0]]
-        plots = {"tail_bound.svg": _svg.line_plot(
-            [{"x": [r[1] for r in one], "y": [max(r[2], 1e-18) for r in one],
-              "label": "exact tail"},
-             {"x": [r[1] for r in one], "y": [r[3] for r in one],
-              "label": "bound"}],
-            title=f"Gaussian tail vs bound, sigma={sigmas[0]}", xlabel="u",
-            ylabel="probability", logy=True)}
         verdicts = {"corrected_bound_holds": report.all_hold,
                     "literal_bound_violated": report.literal_violated}
         tables = {"tail_bound.csv": (["sigma", "u", "exact_tail", "bound",
                                       "holds", "run_id"], rows)}
-        return tables, plots, verdicts, {}
+        return tables, verdicts, {}
 
     return {"sigmas": sigmas, "u_over_sigma": ratios}, run
 
@@ -570,14 +555,7 @@ def plan_sup_prob(cfg):
         tables = {"sup_exceedance.csv": (["k", "prob", "se", "run_id"],
                                          k_rows),
                   "event_prob.csv": (["q", "prob", "se", "run_id"], q_rows)}
-        live = [(k, m.estimate.real) for k, m in zip(rep.ks, rep.k_probs)
-                if m.estimate.real > 0]
-        plots = {"sup_exceedance.svg": _svg.line_plot(
-            [{"x": [k for k, _ in live], "y": [p for _, p in live],
-              "label": "P(sup Y_k > lam k)"}],
-            title=f"barrier exceedance, lam={lam} (slope {rep.slope:.3f})",
-            xlabel="k", ylabel="probability", logy=True)}
-        return tables, plots, verdicts, {
+        return tables, verdicts, {
             "slope": rep.slope, "slope_se": rep.slope_se, **bench.safety_net}
 
     return {"d": d, "lam": lam, "ks": ks, "qs": qs, "n_max": n_max,
@@ -614,15 +592,7 @@ def plan_tilt_check(cfg):
         verdicts = {"exponent_dominates_bound": rep.one_sided_ok}
         tables = {"tilted_event.csv": (["separation", "prob", "se", "run_id"],
                                        rows)}
-        plots = {"tilted_event.svg": _svg.line_plot(
-            [{"x": [max(s, eps) for s in rep.separations],
-              "y": [max(m.estimate.real, 1e-12) for m in rep.estimates],
-              "label": "P~[A_q(x,y)]"}],
-            title=(f"tilted event vs separation (slope {rep.slope:.3f}, "
-                   f"target {rep.exponent_target:.3f})"),
-            xlabel="separation v eps", ylabel="probability", logx=True,
-            logy=True)}
-        return tables, plots, verdicts, {
+        return tables, verdicts, {
             "slope": rep.slope, "slope_se": rep.slope_se,
             "target": rep.exponent_target,
             "cholesky_jitter": [list(j) for j in rep.cholesky_jitter],
@@ -659,8 +629,8 @@ def plan(cfg):
 
     plan_<kind>(cfg) reads and checks every key of the config and resolves
     its parameters without sampling.  run(workers, run_id) samples, never
-    reads cfg, and returns (tables, plots, verdicts, the resolved entries
-    known only after sampling).
+    reads cfg, and returns (tables, verdicts, the resolved entries known
+    only after sampling).
     """
     return PLANS[_kind(cfg)](cfg)
 
@@ -778,15 +748,13 @@ def execute(cfg, out_dir, workers):
     A config the plan rejects raises ConfigError before anything is written."""
     run_id = run_id_of(cfg)
     resolved, run = plan(cfg)
-    tables, plots, verdicts, late = run(workers, run_id)
+    tables, verdicts, late = run(workers, run_id)
     resolved.update(late)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_hashes = {}
     for name, (header, rows) in tables.items():
         csv_hashes[name] = write_csv(out / name, header, rows)
-    for name, svg in plots.items():
-        (out / name).write_text(svg)
     manifest = {
         "tool": "logchaos",
         "version": __version__,
@@ -794,7 +762,6 @@ def execute(cfg, out_dir, workers):
         "config": cfg,
         "resolved": resolved,
         "csv_sha256": csv_hashes,
-        "svg_files": sorted(plots),
         "environment": environment(workers),
     }
     with open(out / "manifest.json", "w") as fh:

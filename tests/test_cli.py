@@ -205,6 +205,11 @@ RUN_ONLY_REJECTIONS = [
     ({"kind": "phase-scan", "alpha_range": [-1e308, 1e308, 5],
       "beta_range": [-2, 2, 5]}, "alpha_range"),
     ({"kind": "phase-scan", "beta_range": [1e308, -1e308, 5]}, "beta_range"),
+    # phase-scan grids over the point bound, refused before np.linspace
+    # allocates an axis: 10^13 points on one axis, 10^10 on two
+    ({"kind": "phase-scan", "alpha_range": [0, 1, 10 ** 13]}, "alpha_range"),
+    ({"kind": "phase-scan", "alpha_range": [0, 1, 10 ** 5],
+      "beta_range": [0, 1, 10 ** 5]}, "beta_range"),
 ]
 
 
@@ -259,7 +264,9 @@ class TestValidateRunParity:
         out = tmp_path / "o"
         for argv in (["validate", path], ["run", path, "--out", str(out)]):
             assert main(argv) == 2, f"{argv[0]} {cfg}"
-            assert named in capsys.readouterr().err, argv[0]
+            err = capsys.readouterr().err
+            assert named in err, argv[0]
+            assert len(err.strip().splitlines()) == 1, argv[0]
         assert not out.exists(), "nothing is written"
 
     def test_bad_workers_env(self, tmp_path, capsys, monkeypatch):
@@ -324,8 +331,8 @@ class TestMainRun:
         assert manifest["config"] == PHASE_CFG
         assert manifest["csv_sha256"]["phase_scan.csv"] == sha256_file(
             out / "phase_scan.csv")
-        assert manifest["svg_files"] == ["phase_scan.svg"]
-        assert (out / "phase_scan.svg").read_text().lstrip().startswith("<svg")
+        assert "svg_files" not in manifest
+        assert not list(out.glob("*.svg"))
 
         verdicts = json.loads((out / "verdicts.json").read_text())
         assert verdicts == {"run_id": rid,
@@ -664,7 +671,7 @@ class TestReplayContract:
             draws.append([])
             _, run = plan(dict(TRUNC_CAUCHY_CFG, grid_n=256,
                                eps_ladder=ladder))
-            rows.append(run(1, "id")[3]["sampled_rows"])
+            rows.append(run(1, "id")[2]["sampled_rows"])
         assert rows[0] == rows[1] and len(draws[0]) == len(draws[1]) == 2
         assert all(np.array_equal(a, b) for a, b in zip(*draws[:2]))
         assert rows[2][0] > rows[0][0] and rows[2][1] < rows[0][1]
@@ -805,7 +812,7 @@ class TestEstimatorLevels:
             "sup-prob", "tilt-check", "sobolev", "truncated-cauchy"])
     def test_groups_match_plan_sets(self, cfg, groups, torus):
         _, run = plan(dict(cfg, seed=9))
-        nets = run(1, "id")[3]
+        nets = run(1, "id")[2]
         assert nets["level_groups"] == groups
         assert nets.get("torus_points") == torus
 
@@ -901,6 +908,19 @@ FUZZ_SCALES = (
               st.lists(FUZZ_EXTREMES.map(abs), min_size=1, max_size=3))
     | st.builds(lambda a, b: {"kind": "phase-scan", "alpha_range": a,
                               "beta_range": b}, FUZZ_AXIS, FUZZ_AXIS))
+
+
+class TestRunDirectory:
+    """A run writes its CSV tables, manifest.json and verdicts.json, and
+    nothing else."""
+
+    @pytest.mark.parametrize("cfg", TINY, ids=[cfg["kind"] for cfg in TINY])
+    def test_only_tables_and_records(self, tmp_path, capsys, cfg):
+        out = tmp_path / "out"
+        assert main(["run", cfg_file(tmp_path, cfg), "--out", str(out)]) in (0, 1)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*manifest["csv_sha256"], "manifest.json", "verdicts.json"])
 
 
 class TestConfigFuzz:
