@@ -36,19 +36,20 @@ def main():
     levels = (2, 5, args.n_max)
     keys = [("main", e) for e in eps_list]
     # f marks the D_eps rows of the wider eps, where mollify returns X_eps;
-    # every level is drawn on the rows lo..hi those convolutions read:
+    # every level is drawn on the rows lo..hi the keys' convolutions read:
     # block slabs are the increments Z_k, and their cumsum the partial sums
     f = np.zeros(grid.n)
     f[interior_rows(grid, mol, eps_list[0])] = 1.0
-    bench = Bench(spec, grid, args.n_max, f=f, mol=mol, eps_max=eps_list[0])
+    bench = Bench(spec, grid, args.n_max, f=f, mol=mol)
     at = np.searchsorted(bench.supp, mid)
+    draw = bench.draw(keys=keys)
 
     def at_center(start, z):
         y = np.cumsum(z, axis=0)
-        xs = [x[at] for x in bench.mollify(y[-1], keys)]
-        return (*y[levels, mid - bench.lo], *xs)
+        xs = [x[at] for x in bench.mollify(y[-1], keys, draw)]
+        return (*y[levels, mid - draw.lo], *xs)
 
-    outs = bench.map_blocks(args.seed, args.replicas, at_center)
+    outs = bench.map_blocks(args.seed, args.replicas, at_center, keys=keys)
     ys = dict(zip(levels, outs[:len(levels)]))
     xs = dict(zip(eps_list, outs[len(levels):]))
 
@@ -74,10 +75,11 @@ def main():
     if args.csv:
         # replica 0: the first column of block 0
         (kept,) = bench.map_blocks(args.seed, 1,
-                                   lambda start, z: (np.cumsum(z, axis=0),))
-        (x_e,) = bench.mollify(kept[-1], keys[:1])
+                                   lambda start, z: (np.cumsum(z, axis=0),),
+                                   keys=keys)
+        (x_e,) = bench.mollify(kept[-1], keys[:1], draw)
         cols = np.full((4, grid.n), np.nan)
-        cols[:3, bench.lo:bench.hi + 1] = kept[levels, :, 0]
+        cols[:3, draw.lo:draw.hi + 1] = kept[levels, :, 0]
         cols[3, bench.supp] = x_e[:, 0]
         with open(args.csv, "w", newline="") as fh:
             wr = csv.writer(fh)

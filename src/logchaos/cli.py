@@ -282,8 +282,9 @@ def plan_phase_scan(cfg):
 
     def run(workers, run_id):
         labels = phase.scan(d, alphas, betas)
-        rows = [[repr(float(a)), repr(float(b)), labels[i, j], run_id]
-                for i, a in enumerate(alphas) for j, b in enumerate(betas)]
+        # a generator, so that write_csv streams the rows
+        rows = ([repr(float(a)), repr(float(b)), labels[i, j], run_id]
+                for i, a in enumerate(alphas) for j, b in enumerate(betas))
         known = set(phase.LABELS)
         verdicts = {"all_points_labeled": all(lb in known
                                               for lb in labels.flat)}
@@ -353,7 +354,7 @@ def plan_field_stats(cfg):
                      "n_max": n_max})
 
     def run(workers, run_id):
-        bench = verify.Bench(spec, grid, n_max, f=f, eps_max=max(eps, eps_prime))
+        bench = verify.Bench(spec, grid, n_max, f=f)
         ests = verify.field_stats(bench, ns, probes, eps, eps_prime, replicas,
                                   seed, workers=workers)
         return (*_z_outputs(ests, "field_stats", run_id),
@@ -392,9 +393,7 @@ def plan_moment_check(cfg):
                      "seed": seed})
 
     def run(workers, run_id):
-        # a sweep of means alone convolves at eps alone
-        widest = max(eps, eps_prime) if pairs else eps
-        bench = verify.Bench(spec, grid, resolved["n_max"], f=f, eps_max=widest)
+        bench = verify.Bench(spec, grid, resolved["n_max"], f=f)
         jobs = [(ChaosParams(f=f, gamma=g), est, eps, eps_prime)
                 for g in gammas for est in estimands]
         ests = verify.mc_moments(bench, jobs, replicas=replicas, seed=seed,
@@ -464,9 +463,7 @@ def plan_ladder(cfg):
     def run(workers, run_id):
         mols = [Mollifier(d=spec.d, profile=p)
                 for p in extra.get("profiles", ["bump"])]
-        # the ladder head convolves widest
-        bench = verify.Bench(spec, grid, resolved["n_max"], f=f,
-                             eps_max=ladder[0], mol=mols[0])
+        bench = verify.Bench(spec, grid, resolved["n_max"], f=f, mol=mols[0])
         for mol in mols[1:]:
             bench.add_channel("alt", mol)
         report = cells(bench, params, eps_ladder=ladder, replicas=replicas,
@@ -542,8 +539,7 @@ def plan_sup_prob(cfg):
     seed = _int(cfg, "seed", 0, lo=0)
 
     def run(workers, run_id):
-        # the barrier events read the support rows alone
-        bench = verify.Bench(spec, grid, n_max, f=f, eps_max=0.0)
+        bench = verify.Bench(spec, grid, n_max, f=f)
         rep = verify.sup_field_prob(bench, lam, ks, qs, replicas, seed,
                                     workers=workers)
         k_rows = [[k, repr(m.estimate.real), repr(m.se_re), run_id]
@@ -641,7 +637,8 @@ def load_config(path):
             cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}")
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, UnicodeDecodeError, integers over the digit limit
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -795,7 +792,7 @@ def cmd_replay(args):
     try:
         with open(args.manifest) as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise ConfigError(f"cannot read manifest: {e}")
     if (not isinstance(manifest, dict) or manifest.get("tool") != "logchaos"
             or not isinstance(manifest.get("config"), dict)):

@@ -8,8 +8,8 @@ standard normals from the one counter-based stream
 block index, factors): results are identical for any worker count and any
 total replica budget, which is what the replay contract requires.
 
-A draw holds the W grid rows lo..hi a test function f can read
-(sampled_rows; all N rows without f), and one slab per group of
+A draw holds the W grid rows lo..hi its estimator's mollified fields
+read (sampled_rows; all N rows without f), and one slab per group of
 consecutive levels ending at a partial sum Y_l its estimator reads
 (level_groups).  A group's summed level kernel is stationary with compact
 support, so on a regular d=1 grid its Gram on W consecutive rows is banded
@@ -138,25 +138,21 @@ class TiltShift:
     alpha: float
 
 
-def sampled_rows(grid, f=None, eps_max=None):
-    """(lo, hi): the first and last grid row a draw for test function f holds.
+def sampled_rows(grid, f=None, eps_max=0.0):
+    """(lo, hi): the first and last grid row of a draw for test function f
+    whose mollified fields convolve at eps <= eps_max.
 
     A convolution at eps reaches floor(eps / h) rows, the discrete_stencil
     half-width, so the rows are supp(f) widened by floor(eps_max / h) each
-    side, eps_max the widest eps the run convolves at (0 for a run that
-    reads only supp(f)).  f is only read at eps < m / 2 (supp(f) inside
-    D_eps, m the distance from supp(f) to the box boundary), so the reach
-    is clipped to floor(m / 2h), which eps_max=None takes: every eps the
-    program admits.  All N rows without f, on free points or d=2 grids.
+    side and clipped to the grid; eps_max=0 keeps the rows of supp(f), all
+    a draw that convolves nothing reads.  Bench.draw passes the widest eps
+    among the keys its draw mollifies.  All N rows without f, on free
+    points or d=2 grids.
     """
     if f is None or not np.any(f) or grid.h is None or grid.d != 1:
         return 0, grid.n - 1
     supp = np.flatnonzero(f)
-    lo, hi = grid.box
-    margin = min(grid.points[supp[0], 0] - lo, hi - grid.points[supp[-1], 0])
-    reach = math.floor(margin / (2.0 * grid.h))
-    if eps_max is not None:
-        reach = min(reach, math.floor(eps_max / grid.h))
+    reach = math.floor(eps_max / grid.h)
     return max(int(supp[0]) - reach, 0), min(int(supp[-1]) + reach, grid.n - 1)
 
 

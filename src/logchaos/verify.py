@@ -189,42 +189,77 @@ def ladder_from_values(estimator, steps, values, keep=None):
                         empty_blocks=tuple(int(MOM_BLOCKS - n) for n in counts))
 
 
-class Bench:
-    """Shared immutable state for block-deterministic Monte Carlo runs.
+@dataclass(frozen=True)
+class Draw:
+    """The window of one draw: grid rows lo..hi (z row i is grid row
+    lo + i) on a torus of next_fast_len(hi - lo + 1) points, and tops, the
+    last level of each of its level groups.  A function of the draw's own
+    levels and keys (Bench.draw), never of earlier draws."""
 
-    One Bench per (spec, grid, n_max, f, eps_max).  Blocks hold the grid
-    rows lo..hi that f can read at the widest eps its runs convolve at,
-    eps_max (sampler.sampled_rows; default every eps f admits), z row i
-    being grid row lo + i, and one slab per group of consecutive levels
-    ending at a partial sum Y_l the draw reads.  Each estimator draws
-    exactly the levels it reads, passing them to map_blocks: the cumsum of
-    a block over slabs 0..slab(l, levels) is Y_l.  A level set's group
-    factors (one circulant embedding per group on a regular d=1 grid) are
-    built on its first use and cached per set.  The stencil spectrum that
-    mollify applies and the kernel-table diagonal are cached per
-    (mollifier channel, eps), and the support x support kernel table per
-    (eps, eps'); grid-rule kernel values at n_max levels come from the
-    offset quadrature of kernels (k_mollified, offset_table), with no Gram
-    block, so they are the exact covariances of the sampled fields.
+    lo: int
+    hi: int
+    torus: int
+    tops: tuple
+
+    @property
+    def rows(self):
+        return self.hi - self.lo + 1
+
+
+class Bench:
+    """Shared state for block-deterministic Monte Carlo runs.
+
+    One Bench per (spec, grid, n_max, f).  A draw (Bench.draw) holds the
+    grid rows lo..hi = sampled_rows(grid, f, widest eps among the
+    (channel, eps) keys its consume mollifies) and one slab per group of
+    consecutive levels ending at a partial sum Y_l it reads: the cumsum of
+    a block over slabs 0..slab(l, levels) is Y_l.  Each estimator passes
+    map_blocks the levels it reads and the keys it mollifies, and its
+    consume reads the rows of its own Draw (bench.draw with the same
+    levels and keys), so calls that share a Bench never read each other's
+    rows.  The caches only grow: group factors (one circulant embedding
+    per group on a regular d=1 grid) per (level set, rows), stencil
+    spectra per (channel, eps, torus), the kernel-table diagonal per
+    (channel, eps) and the support x support kernel table per (eps, eps');
+    grid-rule kernel values at n_max levels come from the offset
+    quadrature of kernels (k_mollified, offset_table), with no Gram block,
+    so they are the exact covariances of the sampled fields.  last_draw
+    records the Draw of the last map_blocks call (a new bench: every level
+    on supp(f)), which factors, groups, shifts and safety_net report.
     """
 
-    def __init__(self, spec, grid, n_max, f=None, mol=None, eps_max=None):
+    def __init__(self, spec, grid, n_max, f=None, mol=None):
         self.spec = spec
         self.grid = grid
         self.n_max = int(n_max)
         self.f = None if f is None else np.asarray(f, dtype=float)
-        self.lo, self.hi = sampled_rows(grid, self.f, eps_max)
         self.channels = {"main": mol if mol is not None else Mollifier(d=spec.d)}
         self.supp = None if self.f is None else np.flatnonzero(self.f != 0.0)
-        self.torus = next_fast_len(self.hi - self.lo + 1)
-        self.drawn = None
         self._tilt_rows = None
         self._groups = {}
         self._supp_tables = {}
+        self._spectra = {}
         self._cross_tables = {}
+        self.last_draw = self.draw()
 
     def add_channel(self, name, mol):
         self.channels[name] = mol
+
+    def draw(self, levels=None, keys=()):
+        """The Draw of the partial sums in levels (default every level)
+        whose consume mollifies the (channel, eps) keys: rows lo..hi =
+        sampled_rows(grid, f, widest eps in keys, 0 for none).  Bad levels
+        or keys raise ValueError; the keys' stencil spectra are built here,
+        so that worker threads only read the cache."""
+        tops = self.tops(levels)
+        for key in keys:
+            self.supp_tables(*key)
+        widest = max((float(eps) for _, eps in keys), default=0.0)
+        lo, hi = sampled_rows(self.grid, self.f, widest)
+        out = Draw(lo, hi, next_fast_len(hi - lo + 1), tops)
+        for key in keys:
+            self._spectrum(*key, out)
+        return out
 
     def set_tilt(self, tilt, nodes=32):
         """Shift every draw by the tilt's per-level means (None or alpha = 0:
@@ -232,9 +267,9 @@ class Bench:
         if tilt is None or tilt.alpha == 0.0:
             self._tilt_rows = None
         else:
-            rows = tilt_shift_rows(self.spec, self.grid, tilt, self.n_max,
-                                   self.channels["main"], nodes=nodes)
-            self._tilt_rows = rows[:, self.lo:self.hi + 1]
+            self._tilt_rows = tilt_shift_rows(
+                self.spec, self.grid, tilt, self.n_max, self.channels["main"],
+                nodes=nodes)
 
     def tops(self, levels=None):
         """The last level of each group of a draw reading Y_l, l in levels
@@ -250,37 +285,50 @@ class Bench:
                              f"levels {list(tops)}")
         return tops.index(level)
 
-    def groups(self, levels=None):
-        """One LevelFactor per group of a draw reading levels, built on the
-        first use of the level set and cached per set."""
-        key = self.tops(levels)
+    def _factors(self, draw):
+        """One LevelFactor per group of draw, cached per (level set, rows)."""
+        key = (draw.tops, draw.rows)
         if key not in self._groups:
             self._groups[key] = increment_factors(
-                self.spec, self.grid, self.n_max, self.hi - self.lo + 1, key)
+                self.spec, self.grid, self.n_max, draw.rows, draw.tops)
         return self._groups[key]
+
+    def _shifts(self, draw):
+        """The tilt's mean row per group of draw on its rows: the sum of
+        its levels' shifts (None untilted)."""
+        if self._tilt_rows is None:
+            return None
+        firsts = [0, *(t + 1 for t in draw.tops[:-1])]
+        return np.add.reduceat(self._tilt_rows[:, draw.lo:draw.hi + 1],
+                               firsts, axis=0)
+
+    def _last(self, levels):
+        """The last draw's rows with the groups of a draw reading levels."""
+        return Draw(self.last_draw.lo, self.last_draw.hi,
+                    self.last_draw.torus, self.tops(levels))
+
+    def groups(self, levels=None):
+        """One LevelFactor per group of a draw reading levels on the last
+        draw's rows."""
+        return self._factors(self._last(levels))
 
     @property
     def factors(self):
-        """The every-level draw's factors, one group per level."""
+        """The every-level factors on the last draw's rows."""
         return self.groups()
 
     def shifts(self, levels=None):
         """The tilt's mean row per group of a draw reading levels, on the
-        sampled rows: the sum of its levels' shifts (None untilted)."""
-        if self._tilt_rows is None:
-            return None
-        firsts = [a for a, _ in level_groups(self.n_max, levels)]
-        return np.add.reduceat(self._tilt_rows, firsts, axis=0)
+        last draw's rows (None untilted)."""
+        return self._shifts(self._last(levels))
 
     def supp_tables(self, channel, eps):
-        """(spectrum, k_diag_supp) on the test-function support rows: the
-        rfft of the stencil taps w(o) placed at -o on a torus of
-        bench.torus = next_fast_len(W) points, so that circular convolution
-        gives X(r) = sum_o w(o) y(r + o), and the kernel-table diagonal.
-        Raises ValueError when the support leaks out of D_eps or its taps
-        leave the W sampled rows, so no tap wraps around the torus.  Every
-        D_eps row of a regular d=1 grid holds the whole stencil, so the
-        diagonal is one offset-0 value."""
+        """((offsets, weights), k_diag_supp) on the test-function support
+        rows: the channel's discrete_stencil at eps, tap w(o) reading row
+        r + o for support row r, and the kernel-table diagonal.  Raises
+        ValueError when the support leaks out of D_eps.  Every D_eps row of
+        a regular d=1 grid holds the whole stencil, so the diagonal is one
+        offset-0 value."""
         key = (channel, float(eps))
         if key not in self._supp_tables:
             if self.supp is None:
@@ -290,39 +338,52 @@ class Bench:
             mol, supp = self.channels[channel], self.supp
             if not np.isin(supp, interior_rows(self.grid, mol, eps)).all():
                 raise ValueError(f"test function support leaks outside D_eps at eps={eps}")
-            offs, w = discrete_stencil(mol, eps, self.grid.h)
-            if supp[0] + offs[0, 0] < self.lo or supp[-1] + offs[-1, 0] > self.hi:
-                raise ValueError(f"convolution at eps={eps} reads outside "
-                                 "the sampled rows")
-            taps = np.zeros(self.torus)
-            taps[-offs[:, 0] % self.torus] = w
             x = self.grid.points[supp[0]]
             k_diag = np.full(supp.size, kernels.k_mollified(
                 self.spec, eps, eps, x, x, mol, "grid", self.n_max,
                 self.grid.h))
-            self._supp_tables[key] = (np.fft.rfft(taps), k_diag)
+            self._supp_tables[key] = (discrete_stencil(mol, eps, self.grid.h),
+                                      k_diag)
         return self._supp_tables[key]
 
-    def mollify(self, y, keys):
+    def _spectrum(self, channel, eps, draw):
+        """The rfft of the stencil taps w(o) placed at -o on draw's torus,
+        so that circular convolution gives X(r) = sum_o w(o) y(r + o).
+        ValueError when a support row's taps leave draw's rows, so no tap
+        wraps around the torus."""
+        (offs, w), _ = self.supp_tables(channel, eps)
+        if (self.supp[0] + offs[0, 0] < draw.lo
+                or self.supp[-1] + offs[-1, 0] > draw.hi):
+            raise ValueError(f"convolution at eps={eps} reads outside "
+                             "the sampled rows")
+        key = (channel, float(eps), draw.torus)
+        if key not in self._spectra:
+            taps = np.zeros(draw.torus)
+            taps[-offs[:, 0] % draw.torus] = w
+            self._spectra[key] = np.fft.rfft(taps)
+        return self._spectra[key]
+
+    def mollify(self, y, keys, draw):
         """Mollified fields on the support rows, one (S, B) array per
-        (channel, eps) in keys, of y = Y_{n_max} on the sampled rows, shape
-        (W, B): one rfft of y, then per key a product with its supp_tables
-        spectrum and one irfft.  pocketfft transforms each column alone,
-        outside BLAS, so no byte depends on other columns or BLAS threads."""
-        spectra = [self.supp_tables(*key)[0] for key in keys]
-        fy = np.fft.rfft(y, self.torus, axis=0)
-        return [np.fft.irfft(fy * s[:, None], self.torus,
-                             axis=0)[self.supp - self.lo] for s in spectra]
+        (channel, eps) in keys, of y = Y_{n_max} on draw's rows, shape
+        (W, B): one rfft of y, then per key a product with its _spectrum
+        and one irfft.  pocketfft transforms each column alone, outside
+        BLAS, so no byte depends on other columns or BLAS threads."""
+        spectra = [self._spectrum(*key, draw) for key in keys]
+        fy = np.fft.rfft(y, draw.torus, axis=0)
+        return [np.fft.irfft(fy * s[:, None], draw.torus,
+                             axis=0)[self.supp - draw.lo] for s in spectra]
 
     @property
     def safety_net(self):
-        """Sampled rows [lo, hi], the level_groups [first, last] of the last
-        draw (every level before any draw) and per-group safety net, as the
-        resolved block records them: embedding_min_ratio (smallest
-        eigenvalue over the largest) and torus_points for circulant
-        embeddings, cholesky_jitter (0.0 if none) otherwise."""
-        groups = self.groups(self.drawn)
-        net = {"sampled_rows": [self.lo, self.hi],
+        """Sampled rows [lo, hi] and level_groups [first, last] of the last
+        draw and per-group safety net, as the resolved block records them:
+        embedding_min_ratio (smallest eigenvalue over the largest) and
+        torus_points for circulant embeddings, cholesky_jitter (0.0 if
+        none) otherwise."""
+        d = self.last_draw
+        groups = self._factors(d)
+        net = {"sampled_rows": [d.lo, d.hi],
                "level_groups": [[g.first, g.last] for g in groups]}
         if groups[-1].embedded:
             net["embedding_min_ratio"] = [g.net for g in groups]
@@ -346,26 +407,31 @@ class Bench:
                 np.subtract.outer(self.supp, self.supp) - lo[0]]
         return self._cross_tables[key]
 
-    def map_blocks(self, seed, replicas, consume, workers=None, levels=None):
+    def map_blocks(self, seed, replicas, consume, workers=None, levels=None,
+                   keys=()):
         """Run consume(start, z) over batches of blocks; fixed-order assembly.
 
-        A batch is k consecutive blocks, k = max(1, BATCH_VALUES // the
-        normals one block draws), each drawn by block_z from its own
-        stream with the groups of the partial sums in levels (default
-        every level: one group per level, the per-level draw); z is their
-        (groups, W, k BLOCK) concatenation along the replica axis
-        (block_z's own array when k = 1), and start is the batch's first
-        replica.  Worker threads claim whole batches.  consume returns a
-        tuple of arrays with trailing replica axis; the concatenated
-        arrays are trimmed to the replica budget.  Every consume in this
-        module acts on each replica column alone, its stencil spectra too
-        (mollify), so the bytes do not depend on k.
+        z is a block of draw(levels, keys): the partial sums in levels
+        (default every level: one group per level, the per-level draw) on
+        the rows the (channel, eps) keys consume mollifies read (default
+        none: supp(f)); a consume that reads rows or mollifies takes them
+        from that Draw, which it builds itself, and this call records it as
+        last_draw.  A batch is k consecutive blocks, k = max(1,
+        BATCH_VALUES // the normals one block draws), each drawn by block_z
+        from its own stream; z is their (groups, W, k BLOCK) concatenation
+        along the replica axis (block_z's own array when k = 1), and start
+        is the batch's first replica.  Worker threads claim whole batches.
+        consume returns a tuple of arrays with trailing replica axis; the
+        concatenated arrays are trimmed to the replica budget.  Every
+        consume in this module acts on each replica column alone, its
+        stencil spectra too (mollify), so the bytes do not depend on k.
         """
         if replicas < 1:
             raise ValueError(f"map_blocks needs replicas >= 1, got {replicas}")
         workers = workers if workers is not None else default_workers()
-        factors, shifts = self.groups(levels), self.shifts(levels)
-        self.drawn = self.tops(levels)
+        draw = self.draw(levels, keys)
+        self.last_draw = draw
+        factors, shifts = self._factors(draw), self._shifts(draw)
         per = max(1, BATCH_VALUES // (BLOCK * sum(g.draws for g in factors)))
         blocks = range(0, replicas, BLOCK)
         batches = [blocks[i:i + per] for i in range(0, len(blocks), per)]
@@ -411,27 +477,27 @@ def _gamma_of(bench, params):
     return params.gamma
 
 
-def _block_densities(bench, gammas, keys, trunc):
+def _block_densities(bench, draw, gammas, keys, trunc):
     """densities(z) -> (cells, event) of a block.
 
     cells[g][k] = (density, overflow) for gammas[g] and (channel, eps) key
     keys[k]: chaos_density on the support rows of the block's mollified
     field, which Bench.mollify convolves once per key for all the gammas.
     trunc=(q, lam) inserts the barrier event A_{q,lam}, returned per
-    (support row, replica); event is None without trunc.  z is a draw of
-    the levels _chaos_levels(bench, trunc).
+    (support row, replica); event is None without trunc.  z is a block of
+    draw, bench.draw(_chaos_levels(bench, trunc), keys).
     """
     tops = _chaos_levels(bench, trunc)
     k_diags = [bench.supp_tables(channel, eps)[1] for channel, eps in keys]
     f_supp = bench.f[bench.supp]
-    supp = bench.supp - bench.lo
+    rows = bench.supp - draw.lo
 
     def densities(z):
         event = None
         if trunc is not None:
-            event = barrier_below(z, supp, trunc[1], tops).all(axis=0)
+            event = barrier_below(z, rows, trunc[1], tops).all(axis=0)
         cells = [[] for _ in gammas]
-        xs = bench.mollify(z.sum(axis=0), keys) if keys else []
+        xs = bench.mollify(z.sum(axis=0), keys, draw) if keys else []
         for x, k_diag in zip(xs, k_diags):
             for row, gamma in zip(cells, gammas):
                 row.append(chaos_density(gamma, x, k_diag, f_supp, event))
@@ -441,12 +507,14 @@ def _block_densities(bench, gammas, keys, trunc):
 
 
 def _chaos_values_consume(bench, gammas, keys, trunc=None, events=False):
-    """Consume closure returning chaos values and overflow flags.
+    """Consume closure returning chaos values and overflow flags, for a
+    map_blocks draw of _chaos_levels(bench, trunc) and keys.
 
     Rows run over (gamma, key) pairs, gamma-major; events=True appends the
     global barrier event A_{q,lam} per replica (1.0 where it holds).
     """
-    densities = _block_densities(bench, gammas, keys, trunc)
+    draw = bench.draw(_chaos_levels(bench, trunc), keys)
+    densities = _block_densities(bench, draw, gammas, keys, trunc)
     wgt = bench.grid.weight
 
     def consume(start, z):
@@ -489,11 +557,14 @@ def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None, trunc=None):
     once per distinct eps, its barrier event evaluated once, and the chaos
     density computed once per distinct (gamma, eps).  A block holds
     Y_q..Y_n_max under trunc=(q, lam) and Y_n_max alone otherwise; a q
-    outside 1..n_max raises ValueError before sampling.  Each estimate
-    equals the one its job would get alone, bit for bit.  The oracles read
-    the bench's support tables (second_moment_oracle), built once per (eps,
-    eps') pair for every gamma and every sweep on the bench.  Returns one
-    MomentEstimate per job, in job order.
+    outside 1..n_max raises ValueError before sampling.  The sweep draws
+    the rows its widest eps reads (Bench.draw), so each estimate equals
+    the one its job would get alone, bit for bit, when the job convolves
+    at that eps; an event job convolves nothing, and alone it draws the
+    rows of supp(f).  The oracles read the bench's support tables
+    (second_moment_oracle), built once per (eps, eps') pair for every
+    gamma and every sweep on the bench.  Returns one MomentEstimate per
+    job, in job order.
     """
     # distinct gammas and eps, each mapped to its index
     gammas, epss, events = {}, {}, False
@@ -511,10 +582,10 @@ def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None, trunc=None):
         for e in (eps,) if estimand == "mean" else (eps, eps_prime):
             epss.setdefault(float(e), len(epss))
 
-    consume = _chaos_values_consume(
-        bench, list(gammas), [("main", e) for e in epss], trunc, events)
+    keys = [("main", e) for e in epss]
+    consume = _chaos_values_consume(bench, list(gammas), keys, trunc, events)
     parts = bench.map_blocks(seed, replicas, consume, workers,
-                             _chaos_levels(bench, trunc))
+                             _chaos_levels(bench, trunc), keys)
     vals, ovf = parts[:2]
 
     out = []
@@ -582,10 +653,11 @@ def cauchy_ladder(bench, params, eps_ladder, replicas, seed, workers=None):
     if any(a <= b for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
     trunc = (params.q, params.lam) if params.truncation else None
-    consume = _chaos_values_consume(bench, [_gamma_of(bench, params)],
-                                    [("main", e) for e in eps_ladder], trunc)
+    keys = [("main", e) for e in eps_ladder]
+    consume = _chaos_values_consume(bench, [_gamma_of(bench, params)], keys,
+                                    trunc)
     vals, ovf = bench.map_blocks(seed, replicas, consume, workers,
-                                 _chaos_levels(bench, trunc))
+                                 _chaos_levels(bench, trunc), keys)
     pairs = list(zip(eps_ladder, eps_ladder[1:]))
     d2 = np.abs(vals[:-1] - vals[1:]) ** 2
     name = "cauchy" + (" truncated" if params.truncation else "")
@@ -607,7 +679,7 @@ def mollifier_independence(bench, params, eps_ladder, replicas, seed,
     consume = _chaos_values_consume(bench, [_gamma_of(bench, params)], keys,
                                     trunc)
     vals, ovf = bench.map_blocks(seed, replicas, consume, workers,
-                                 _chaos_levels(bench, trunc))
+                                 _chaos_levels(bench, trunc), keys)
     n = len(eps_ladder)
     d2 = np.abs(vals[:n] - vals[n:]) ** 2
     return ladder_from_values("mollifier independence", eps_ladder, d2,
@@ -756,7 +828,8 @@ def sup_field_prob(bench, lam, ks, qs, replicas, seed, workers=None):
     Events are evaluated on the shared replica set, so the q-ladder of
     global-event probabilities is exactly monotone samplewise.  Requires
     lam > sqrt(2d) (the barrier regime where the decay argument applies).
-    A block holds Y_k for each k and Y_q..Y_n_max from the smallest q.
+    A block holds Y_k for each k and Y_q..Y_n_max from the smallest q, on
+    the rows of supp(f).
     """
     if lam <= math.sqrt(2.0 * bench.spec.d):
         raise ValueError(f"lam={lam} must exceed sqrt(2d)")
@@ -764,12 +837,12 @@ def sup_field_prob(bench, lam, ks, qs, replicas, seed, workers=None):
     qs = [int(q) for q in qs]
     levels = [*ks, *range(min(qs), bench.n_max + 1)]
     tops = bench.tops(levels)
-    supp = bench.supp - bench.lo
     k_slabs = [bench.slab(k, levels) for k in ks]
     q_slabs = [bench.slab(q, levels) for q in qs]
+    rows = bench.supp - bench.draw(levels).lo
 
     def consume(start, z):
-        below = barrier_below(z, supp, lam, tops)
+        below = barrier_below(z, rows, lam, tops)
         exceed = np.stack([~below[i].all(axis=0) for i in k_slabs]).astype(float)
         ok_all = np.stack([below[i:].all(axis=(0, 1))
                            for i in q_slabs]).astype(float)
@@ -870,22 +943,25 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
     """
     rng = np.random.default_rng([seed, 424242])
     cross = bench.cross_table(eps, eps_prime)
-    s, supp = bench.supp.size, bench.supp - bench.lo
+    s = bench.supp.size
     probes = np.stack([rng.integers(0, s, n_probes),
                        rng.integers(0, s, n_probes)])
     mid = s // 2
     slabs = [bench.slab(n, ns) for n in ns]
+    keys = [("main", eps), ("main", eps_prime)]
+    draw = bench.draw(ns, keys)
+    rows = bench.supp - draw.lo
 
     def consume(start, z):
-        ysum = np.cumsum(z[:, supp, :], axis=0)
+        ysum = np.cumsum(z[:, rows, :], axis=0)
         var_rows = np.stack([ysum[i][mid] ** 2 for i in slabs])
-        xa, xb = bench.mollify(z.sum(axis=0),
-                               [("main", eps), ("main", eps_prime)])
+        xa, xb = bench.mollify(z.sum(axis=0), keys, draw)
         prods = np.stack([xa[probes[0, j]] * xb[probes[1, j]]
                           for j in range(n_probes)])
         return var_rows, prods
 
-    var_rows, prods = bench.map_blocks(seed, replicas, consume, workers, ns)
+    var_rows, prods = bench.map_blocks(seed, replicas, consume, workers, ns,
+                                       keys)
     out = []
     for i, n in enumerate(ns):
         oracle = bench.spec.q0_value + n
@@ -897,6 +973,12 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
     return out
 
 
+def _reflect(z, shifts):
+    """The antithetic partner of block z: z reflected about its mean, the
+    draw's tilt shifts per slab (-z untilted), so it is equal in law."""
+    return -z if shifts is None else 2.0 * shifts[:, :, None] - z
+
+
 def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
                    workers=None):
     """H^{-u} distance between consecutive chaos densities, per replica.
@@ -904,31 +986,40 @@ def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
     The density at level eps is the Wick integrand times the test function
     (times the barrier indicator when truncation is on), placed on the full
     periodized d=1 grid; consecutive-pair squared distances (sobolev_diag)
-    feed the usual ladder machinery.
+    feed the usual ladder machinery.  A replica's value is the mean of its
+    distances at z and at its antithetic partner (_reflect): the two draws
+    are equal in law, so the mean keeps the cell's expectation and lowers
+    its variance, and a replica is kept only when neither draw overflowed.
     """
     grid = bench.grid
     if u <= grid.d / 2.0:
         raise ValueError(f"u={u} must exceed d/2")
     eps_ladder = _pair_ladder(eps_ladder)
     trunc = (params.q, params.lam) if params.truncation else None
-    densities = _block_densities(bench, [_gamma_of(bench, params)],
-                                 [("main", e) for e in eps_ladder], trunc)
+    keys = [("main", e) for e in eps_ladder]
+    levels = _chaos_levels(bench, trunc)
+    draw = bench.draw(levels, keys)
+    shifts = bench._shifts(draw)
+    densities = _block_densities(bench, draw, [_gamma_of(bench, params)],
+                                 keys, trunc)
 
     def consume(start, z):
-        dens = np.zeros((len(eps_ladder), grid.n, z.shape[2]), dtype=complex)
-        keep = np.ones((len(eps_ladder), z.shape[2]), dtype=bool)
-        cells, _ = densities(z)
-        for i, (density, ovf) in enumerate(cells[0]):
-            dens[i, bench.supp, :] = density
-            keep[i] = ~ovf
-        out = np.empty((len(eps_ladder) - 1, z.shape[2]))
-        kout = np.empty((len(eps_ladder) - 1, z.shape[2]), dtype=bool)
-        for i in range(len(eps_ladder) - 1):
-            out[i] = sobolev_diag(dens[i] - dens[i + 1], grid, u)
-            kout[i] = keep[i] & keep[i + 1]
+        out = np.zeros((len(eps_ladder) - 1, z.shape[2]))
+        kout = np.ones((len(eps_ladder) - 1, z.shape[2]), dtype=bool)
+        for zz in (z, _reflect(z, shifts)):
+            dens = np.zeros((len(eps_ladder), grid.n, z.shape[2]),
+                            dtype=complex)
+            keep = np.ones((len(eps_ladder), z.shape[2]), dtype=bool)
+            cells, _ = densities(zz)
+            for i, (density, ovf) in enumerate(cells[0]):
+                dens[i, bench.supp, :] = density
+                keep[i] = ~ovf
+            for i in range(len(eps_ladder) - 1):
+                out[i] += 0.5 * sobolev_diag(dens[i] - dens[i + 1], grid, u)
+                kout[i] &= keep[i] & keep[i + 1]
         return out, kout
 
-    d2, keep = bench.map_blocks(seed, replicas, consume, workers,
-                                _chaos_levels(bench, trunc))
+    d2, keep = bench.map_blocks(seed, replicas, consume, workers, levels,
+                                keys)
     pairs = list(zip(eps_ladder, eps_ladder[1:]))
     return ladder_from_values(f"sobolev u={u}", pairs, d2, keep)

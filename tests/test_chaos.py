@@ -20,13 +20,16 @@ F = bump_function(GRID, radius=0.2)
 
 
 def fields(seed, replicas, f=F, n_max=6):
-    """(bench, X_eps on the supp(f) rows, shape (S, R)) from block draws."""
+    """(bench, X_eps on the supp(f) rows, shape (S, R)) from block draws
+    of the rows the eps convolution reads."""
     bench = Bench(SPEC, GRID, n_max, f=f, mol=MOL)
+    keys = [("main", EPS)]
+    draw = bench.draw(keys=keys)
 
     def consume(start, z):
-        return (bench.mollify(z.sum(axis=0), [("main", EPS)])[0],)
+        return (bench.mollify(z.sum(axis=0), keys, draw)[0],)
 
-    return bench, bench.map_blocks(seed, replicas, consume)[0]
+    return bench, bench.map_blocks(seed, replicas, consume, keys=keys)[0]
 
 
 def chaos_values(bench, gamma, seed, replicas, trunc=None, levels=None):
@@ -34,11 +37,13 @@ def chaos_values(bench, gamma, seed, replicas, trunc=None, levels=None):
     event per replica when trunc=(q, lam) is given, on a draw of levels
     (default the estimators' own: Y_q..Y_n_max truncated, Y_n_max alone
     otherwise)."""
-    consume = _chaos_values_consume(bench, [gamma], [("main", EPS)], trunc,
+    keys = [("main", EPS)]
+    consume = _chaos_values_consume(bench, [gamma], keys, trunc,
                                     events=trunc is not None)
     if levels is None:
         levels = _chaos_levels(bench, trunc)
-    parts = bench.map_blocks(seed, replicas, consume, levels=levels)
+    parts = bench.map_blocks(seed, replicas, consume, levels=levels,
+                             keys=keys)
     return parts[0][0], (parts[2] if trunc is not None else None)
 
 

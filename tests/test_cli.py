@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
-from logchaos import ChaosParams, Grid, KernelSpec, bump_function, verify
+from logchaos import (ChaosParams, Grid, KernelSpec, bump_function, phase,
+                      verify)
 from logchaos.cli import (ConfigError, _blas_core, load_config, main, plan,
                           run_id_of, safety_nets, sha256_file, write_csv)
 
@@ -269,6 +270,30 @@ class TestValidateRunParity:
             assert len(err.strip().splitlines()) == 1, argv[0]
         assert not out.exists(), "nothing is written"
 
+    # files json.load cannot read: a UnicodeDecodeError, a RecursionError
+    # and the ValueError of an integer over Python's 4,300-digit limit
+    UNREADABLE = [b"\xff{}", b"[" * 200000,
+                  b'{"kind": "phase-scan", "alpha_range": [0, 1, '
+                  + b"9" * 5000 + b"]}"]
+
+    @pytest.mark.parametrize("raw", UNREADABLE,
+                             ids=["not-utf8", "deep-nesting", "huge-int"])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(raw)
+        out = tmp_path / "o"
+        for argv, named in (
+                (["validate", str(path)], "config is not valid JSON"),
+                (["run", str(path), "--out", str(out)],
+                 "config is not valid JSON"),
+                (["replay", str(path), "--out", str(out)],
+                 "cannot read manifest")):
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert named in err, argv[0]
+            assert len(err.strip().splitlines()) == 1, argv[0]
+        assert not out.exists(), "nothing is written"
+
     def test_bad_workers_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("LOGCHAOS_WORKERS", "abc")
         path = cfg_file(tmp_path, PHASE_CFG)
@@ -338,6 +363,23 @@ class TestMainRun:
         assert verdicts == {"run_id": rid,
                             "verdicts": {"all_points_labeled": True},
                             "safety_nets": {"fired": []}, "pass": True}
+
+    def test_phase_scan_rows_point_by_point(self, tmp_path, capsys):
+        # the streamed CSV equals rows built point by point from
+        # phase.classify on the axes np.linspace gives
+        cfg = {"kind": "phase-scan", "d": 2, "alpha_range": [-2.0, 1.5, 7],
+               "beta_range": [0.0, 2.5, 4]}
+        out = tmp_path / "out"
+        assert main(["run", cfg_file(tmp_path, cfg), "--out", str(out)]) == 0
+        rid = run_id_of(cfg)
+        want = io.StringIO()
+        wr = csv.writer(want, lineterminator="\r\n")
+        wr.writerow(["alpha", "beta", "label", "run_id"])
+        for a in np.linspace(-2.0, 1.5, 7):
+            for b in np.linspace(0.0, 2.5, 4):
+                wr.writerow([repr(float(a)), repr(float(b)),
+                             phase.classify(2, a, b), rid])
+        assert (out / "phase_scan.csv").read_bytes() == want.getvalue().encode()
 
     def test_default_out_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -825,8 +867,8 @@ class TestEstimatorLevels:
         assert bench.safety_net["level_groups"] == [[0, 8]]
 
     def test_library_moments_equal_cli_csv(self, tmp_path, capsys):
-        # mc_moments on a Bench built with no level argument, at the run's
-        # widest eps, gives the run's moments.csv estimates bit for bit
+        # mc_moments on a Bench built with no level or window argument
+        # gives the run's moments.csv estimates bit for bit
         cfg = {"kind": "moment-check", "grid_n": 128, "replicas": 300,
                "gammas": [0.8, [0.5, 0.5]], "estimands": ["mean", "product"],
                "eps": 2.0 ** -4, "eps_prime": 2.0 ** -5, "seed": 7,
@@ -839,8 +881,7 @@ class TestEstimatorLevels:
                     for r in csv.DictReader(fh)]
         grid = Grid.regular((0.0, 1.0), 128)
         f = bump_function(grid, center=0.5, radius=0.2)
-        bench = verify.Bench(KernelSpec(d=1), grid, resolved["n_max"], f=f,
-                             eps_max=2.0 ** -4)
+        bench = verify.Bench(KernelSpec(d=1), grid, resolved["n_max"], f=f)
         jobs = [(ChaosParams(f=f, gamma=g), est, 2.0 ** -4, 2.0 ** -5)
                 for g in (0.8, 0.5 + 0.5j) for est in ("mean", "product")]
         ests = verify.mc_moments(bench, jobs, replicas=300, seed=7)

@@ -107,11 +107,14 @@ class TestStencil:
 
 
 def bench_mollify(grid, mol, eps, field):
-    """(rows, X_eps there): Bench.mollify of field on the sampled rows of a
-    bump test function, the stencil apply of the sampled fields."""
+    """(rows, X_eps there): Bench.mollify of field on the rows a draw at
+    eps holds for a bump test function, the stencil apply of the sampled
+    fields."""
     bench = Bench(KernelSpec(d=1), grid, 1, mol=mol,
                   f=bump_function(grid, center=0.5, radius=0.2))
-    (x,) = bench.mollify(field[bench.lo:bench.hi + 1, None], [("main", eps)])
+    keys = [("main", eps)]
+    draw = bench.draw(keys=keys)
+    (x,) = bench.mollify(field[draw.lo:draw.hi + 1, None], keys, draw)
     return bench.supp, x[:, 0]
 
 

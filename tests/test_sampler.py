@@ -354,24 +354,33 @@ class TestBandedEngine:
 
 
 class TestSampledWindow:
-    """A draw for a test function f holds only the rows f can read: supp(f)
-    widened by floor(eps_max / h), eps_max the widest eps the run convolves
-    at, clipped to floor(m / 2h), m the distance from supp(f) to the
-    boundary (eps_max=None: every eps f admits)."""
+    """A draw for a test function f holds only the rows its keys read:
+    supp(f) widened by floor(eps_max / h), eps_max the widest eps among the
+    (channel, eps) keys the draw mollifies (0 for none), clipped to the
+    grid."""
 
-    # ladder-2048 geometry: supp(f) is rows 922..1125, 0.4504 from the
-    # boundary, so every eps f admits reaches floor(0.4504 / 2h) = 461 rows;
-    # eps_max = 2^-3 reaches floor(2^-3 * 2048) = 256, 2^-4 reaches 128 and
-    # 0 none, and eps_max = 1 is clipped to 461
+    # ladder-2048 geometry: supp(f) is rows 922..1125; eps_max = 2^-3
+    # reaches floor(2^-3 * 2048) = 256 rows, 2^-4 reaches 128, and a draw
+    # of no key (None) or eps_max = 0 none; eps_max = 1, which f does not
+    # admit, is clipped to the grid and refused by the draw
     @pytest.mark.parametrize("eps_max,window", [
-        (None, (461, 1586)), (2 ** -3, (666, 1381)), (2 ** -4, (794, 1253)),
-        (0.0, (922, 1125)), (1.0, (461, 1586))])
+        (None, (922, 1125)), (2 ** -3, (666, 1381)), (2 ** -4, (794, 1253)),
+        (0.0, (922, 1125)), (1.0, (0, 2047))])
     def test_bench_window_by_eps_max(self, eps_max, window):
         grid = Grid.regular((0.0, 1.0), 2048)
         f = bump_function(grid, center=0.5, radius=0.05)
-        assert sampled_rows(grid, f, eps_max) == window
-        bench = Bench(SPEC, grid, 8, f=f, eps_max=eps_max)
+        assert sampled_rows(grid, f, eps_max or 0.0) == window
+        bench = Bench(SPEC, grid, 8, f=f)
+        # the widest key sets the rows, wherever it stands
+        keys = [("main", eps_max / 2), ("main", eps_max)] if eps_max else []
+        if eps_max == 1.0:
+            with pytest.raises(ValueError, match="leaks outside D_eps"):
+                bench.map_blocks(0, 1, lambda start, z: (z,), keys=keys)
+            return
+        (z,) = bench.map_blocks(0, 1, lambda start, z: (z,), levels=[8],
+                                keys=keys)
         assert bench.safety_net["sampled_rows"] == list(window)
+        assert z.shape[1] == window[1] - window[0] + 1
         assert bench.groups([8])[0].rows == window[1] - window[0] + 1
 
     # (grid_n, f radius, window, torus points per level) at f center 0.5:
@@ -382,9 +391,12 @@ class TestSampledWindow:
 
     @pytest.mark.parametrize("n,radius,window,torus", CASES)
     def test_embedding_reproduces_lattice_row(self, n, radius, window, torus):
+        # the rows of a draw at m / 2, the widest eps f admits (m the
+        # distance from supp(f) to the boundary)
         grid = Grid.regular((0.0, 1.0), n)
         f = bump_function(grid, center=0.5, radius=radius)
-        lo, hi = sampled_rows(grid, f)
+        pts = grid.points[np.flatnonzero(f), 0]
+        lo, hi = sampled_rows(grid, f, min(pts[0], 1.0 - pts[-1]) / 2.0)
         assert (lo, hi) == window
         w = hi - lo + 1
         levels = increment_factors(SPEC, grid, 8, w)[1:]
@@ -412,9 +424,11 @@ class TestSampledWindow:
         mol = Mollifier(d=1)
         f = bump_function(GRID, center=0.5, radius=0.2)
         bench = Bench(SPEC, GRID, 7, f=f, mol=mol)
-        lo, hi = sampled_rows(GRID, f)
-        (z,) = bench.map_blocks(12, 1, lambda start, zb: (zb,))
-        assert bench.lo == lo and z.shape == (8, hi - lo + 1, 1)
+        keys = [("main", 2 ** -4), ("main", 2 ** -3)]
+        lo, hi = sampled_rows(GRID, f, 2 ** -3)
+        (z,) = bench.map_blocks(12, 1, lambda start, zb: (zb,), keys=keys)
+        draw = bench.last_draw
+        assert draw.lo == lo and z.shape == (8, hi - lo + 1, 1)
         padded = np.zeros((GRID.n, 1))
         padded[lo:hi + 1] = z.sum(axis=0)
         supp = np.flatnonzero(f)
@@ -426,7 +440,7 @@ class TestSampledWindow:
             ref = w_supp @ padded
             w_supp[:, lo:hi + 1] = 0.0
             assert not w_supp.any()
-            (x,) = bench.mollify(z.sum(axis=0), [("main", eps)])
+            (x,) = bench.mollify(z.sum(axis=0), [("main", eps)], draw)
             assert np.abs(x - ref).max() < 1e-12
 
 
@@ -435,9 +449,11 @@ class TestLevelGroups:
     level; each group embeds as one circulant of its summed lattice row."""
 
     # (grid_n, f radius, read levels) at f center 0.5, n_max 8: the
-    # moments-128 geometry and the ladder-2048 window
+    # moments-128 geometry and the ladder-2048 window, on the rows their
+    # widest eps (WIDEST) convolves
     CASES = [(128, 0.2, [8]), (128, 0.2, [2, 5, 8]), (128, 0.2, range(2, 9)),
              (2048, 0.05, range(2, 9)), (2048, 0.05, [8])]
+    WIDEST = {128: 2.0 ** -4, 2048: 2.0 ** -3}
 
     @pytest.mark.parametrize("q0_kind", ["zero", "constant"])
     @pytest.mark.parametrize("n,radius,levels", CASES)
@@ -445,7 +461,8 @@ class TestLevelGroups:
         spec = KernelSpec(d=1, q0_kind=q0_kind)
         grid = Grid.regular((0.0, 1.0), n)
         lo, hi = sampled_rows(grid, bump_function(grid, center=0.5,
-                                                  radius=radius))
+                                                  radius=radius),
+                              self.WIDEST[n])
         w = hi - lo + 1
         groups = increment_factors(spec, grid, 8, w, levels)
         assert [g.last for g in groups] == sorted({8, *levels})
@@ -506,7 +523,8 @@ class TestLevelGroups:
         bench = Bench(spec, grid, 8, f=bump_function(grid, center=0.5,
                                                      radius=0.2))
         (z,) = bench.map_blocks(3, 64, lambda start, zb: (zb,))
-        ref = self.per_level_blocks(spec, grid, bench.lo, bench.hi, 8, 3, 64)
+        draw = bench.last_draw
+        ref = self.per_level_blocks(spec, grid, draw.lo, draw.hi, 8, 3, 64)
         assert np.array_equal(z, ref)
 
     def test_default_levels_draw_per_level_tilted_free(self):
@@ -526,7 +544,7 @@ class TestLevelGroups:
         grid = Grid.regular((0.0, 1.0), 128)
         f = bump_function(grid, center=0.5, radius=0.2)
         (z,) = Bench(SPEC, grid, 8, f=f).map_blocks(
-            4, 32, lambda start, zb: (zb,))
+            4, 32, lambda start, zb: (zb,), keys=[("main", 2 ** -3)])
         groups = [(0, 2), (3, 5), (6, 6), (7, 8)]
         slabs = np.stack([z[a:b + 1].sum(axis=0) for a, b in groups])
         rows = np.arange(10, 60)

@@ -15,7 +15,7 @@ from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
                       field_stats, gram, kernel_estimate_check,
                       ladder_from_values, mc_moment, mc_moments,
                       moment_from_values, mollifier_independence,
-                      second_moment_oracle, sobolev_ladder,
+                      sampled_rows, second_moment_oracle, sobolev_ladder,
                       sup_field_prob, tail_bound_check, tilted_event_prob,
                       trend_verdict, weight_matrix)
 from logchaos.mollifier import discrete_stencil, interior_rows
@@ -212,8 +212,10 @@ class TestBench:
     def test_channels(self):
         bench = small_bench()
         bench.add_channel("alt", Mollifier(d=1, profile="quartic"))
-        (y,) = bench.map_blocks(0, 8, lambda start, z: (z.sum(axis=0),))
-        xa, xb = bench.mollify(y, [("main", 2 ** -4), ("alt", 2 ** -4)])
+        keys = [("main", 2 ** -4), ("alt", 2 ** -4)]
+        (y,) = bench.map_blocks(0, 8, lambda start, z: (z.sum(axis=0),),
+                                keys=keys)
+        xa, xb = bench.mollify(y, keys, bench.last_draw)
         assert xa.shape == xb.shape == (bench.supp.size, 8)
         assert np.abs(xa - xb).max() > 1e-3, "profiles must differ"
 
@@ -271,21 +273,21 @@ class TestBatches:
 
     SEED = 11
 
-    # an untruncated sweep reads Y_8 alone: one group, 120 normals per
-    # replica on the moments-128 geometry
+    # an untruncated sweep reads Y_8 alone on the rows its widest eps
+    # convolves: one group, 120 normals per replica on the moments-128
+    # geometry
     LEVELS = [8]
+    KEYS = [("main", 2 ** -4), ("main", 2 ** -5)]
 
     @staticmethod
     def moments_bench():
         grid = Grid.regular((0.0, 1.0), 128)
         f = bump_function(grid, center=0.5, radius=0.2)
-        return Bench(SPEC, grid, 8, f=f, eps_max=2 ** -4)
+        return Bench(SPEC, grid, 8, f=f)
 
-    @staticmethod
-    def consume_of(bench):
+    def consume_of(self, bench):
         from logchaos.verify import _chaos_values_consume
-        return _chaos_values_consume(bench, [0.8, 0.5 + 0.5j],
-                                     [("main", 2 ** -4), ("main", 2 ** -5)])
+        return _chaos_values_consume(bench, [0.8, 0.5 + 0.5j], self.KEYS)
 
     def per_block(self, bench, replicas):
         from logchaos import verify
@@ -312,7 +314,8 @@ class TestBatches:
             return consume(start, z)
 
         got = bench.map_blocks(self.SEED, replicas, recorded, workers,
-                               self.LEVELS)
+                               self.LEVELS, self.KEYS)
+        assert sum(g.draws for g in bench.groups(self.LEVELS)) == 120
         want = self.per_block(bench, replicas)
         assert [a.shape for a in got] == [(4, replicas)] * 2
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
@@ -325,18 +328,19 @@ class TestBatches:
         bench = self.moments_bench()
         firsts = [tuple(a[..., :100] for a in bench.map_blocks(
             self.SEED, r, self.consume_of(bench), workers=1,
-            levels=self.LEVELS)) for r in (100, 128, 300)]
+            levels=self.LEVELS, keys=self.KEYS)) for r in (100, 128, 300)]
         for other in firsts[1:]:
             assert all(a.tobytes() == b.tobytes()
                        for a, b in zip(firsts[0], other))
 
     def test_ladder_batch_is_one_block_uncopied(self, monkeypatch):
         # ladder-2048: one block of the truncated (q=2) ladder's draw of
-        # Y_2..Y_8 holds 7 groups x 716 rows x 32 values
+        # Y_2..Y_8, on the rows its head 2^-3 convolves, holds 7 groups x
+        # 716 rows x 32 values
         from logchaos import verify
         grid = Grid.regular((0.0, 1.0), 2048)
         f = bump_function(grid, center=0.5, radius=0.05)
-        bench = Bench(SPEC, grid, 8, f=f, eps_max=2 ** -3)
+        bench = Bench(SPEC, grid, 8, f=f)
         drawn, inner = [], verify.block_z
 
         def recorded(*args, **kwargs):
@@ -349,13 +353,15 @@ class TestBatches:
 
         monkeypatch.setattr(verify, "block_z", recorded)
         (starts,) = bench.map_blocks(0, 64, consume, workers=1,
-                                     levels=range(2, 9))
+                                     levels=range(2, 9),
+                                     keys=[("main", 2 ** -3)])
         assert drawn[0].shape == (7, 716, 32) and len(drawn) == 2
         assert starts.tolist() == [0] * 32 + [32] * 32
 
 
 class TestSampledWindow:
-    """Bench blocks hold only the rows f can read (sampler.sampled_rows)."""
+    """A draw holds only the rows its keys convolve (sampler.sampled_rows
+    at the widest eps among them)."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.sampled_from([64, 128, 256]),
@@ -363,7 +369,8 @@ class TestSampledWindow:
            frac=st.floats(0.0, 1.0))
     def test_support_columns_inside_window(self, n, center, radius, frac):
         # every eps the program admits for f (h <= eps/4 and supp(f) in
-        # D_eps) convolves only sampled rows, up to the largest such eps
+        # D_eps), up to the largest such eps, convolves only the rows of
+        # a draw that mollifies at it
         grid = Grid.regular((0.0, 1.0), n)
         f = bump_function(grid, center=center, radius=radius)
         supp = np.flatnonzero(f)
@@ -376,9 +383,11 @@ class TestSampledWindow:
         admitted = [e for e in cands if grid.h <= e / 4.0 and 0.0 < e <= 1.0
                     and np.isin(supp, grid.interior_idx(2.0 * e)).all()]
         bench = Bench(SPEC, grid, 2, f=f)
-        lo, hi = bench.safety_net["sampled_rows"]
-        ramp = np.arange(lo, hi + 1.0)[:, None]
         for eps in admitted:
+            keys = [("main", eps)]
+            draw = bench.draw(keys=keys)
+            lo, hi = draw.lo, draw.hi
+            assert (lo, hi) == sampled_rows(grid, f, eps)
             _, w = weight_matrix(grid, Mollifier(d=1), eps)
             rows = grid.interior_idx(2.0 * eps)
             live = np.flatnonzero(w[np.isin(rows, supp)].any(axis=0))
@@ -388,47 +397,129 @@ class TestSampledWindow:
             assert lo <= taps.min() and taps.max() <= hi, f"eps={eps}"
             # the symmetric stencil keeps a linear field, so a tap wrapped
             # around the torus would show on the grid-row ramp
-            (x,) = bench.mollify(ramp, [("main", eps)])
+            (x,) = bench.mollify(np.arange(lo, hi + 1.0)[:, None], keys,
+                                 draw)
             assert np.abs(x[:, 0] - supp).max() < 1e-10, f"eps={eps}"
 
     def test_window_leak_raises(self):
-        # a bench sized for eps_max convolves at eps_max, and refuses, not
+        # a draw whose widest key is eps convolves at eps, and refuses, not
         # reads, a wider eps f admits whose stencil reaches one row further
-        # (1% past (floor(eps_max / h) + 1) h: nearer, the bump's end taps
+        # (1% past (floor(eps / h) + 1) h: nearer, the bump's end taps
         # underflow to 0)
-        for eps_max in (2 ** -4, 0.07):
-            bench = Bench(SPEC, GRID, 7, f=F, eps_max=eps_max)
-            bench.supp_tables("main", eps_max)
-            offs, _ = discrete_stencil(Mollifier(d=1), eps_max, GRID.h)
+        for eps in (2 ** -4, 0.07):
+            bench = Bench(SPEC, GRID, 7, f=F)
+            keys = [("main", eps)]
+            (y,) = bench.map_blocks(0, 1, lambda start, z: (z.sum(axis=0),),
+                                    keys=keys)
+            draw = bench.last_draw
+            bench.mollify(y, keys, draw)
+            offs, _ = discrete_stencil(Mollifier(d=1), eps, GRID.h)
             taps = np.flatnonzero(F)[:, None] + offs[:, 0]
-            assert bench.lo <= taps.min() and taps.max() <= bench.hi
-            reach = math.floor(eps_max / GRID.h) + 1
+            assert draw.lo <= taps.min() and taps.max() <= draw.hi
+            reach = math.floor(eps / GRID.h) + 1
             wider = 1.01 * reach * GRID.h
             offs, _ = discrete_stencil(Mollifier(d=1), wider, GRID.h)
             assert offs[-1, 0] == reach
             assert np.isin(np.flatnonzero(F),
                            GRID.interior_idx(2.0 * wider)).all()
+            bench.supp_tables("main", wider)
             with pytest.raises(ValueError, match="outside the sampled rows"):
-                bench.supp_tables("main", wider)
+                bench.mollify(y, [("main", wider)], draw)
 
-    def test_draw_independent_of_ladder(self):
-        # a default-window bench's rows depend on f and the grid alone, so
-        # two runs over ladders 2^-3..2^-7 and 2^-4..2^-7 draw the same
-        # blocks and share cells (a plan's bench also reads the ladder
-        # head: test_cli TestReplayContract)
+    # each estimator's call on a Bench built with no window, and the
+    # widest eps it mollifies (0: its events read supp(f) alone); the
+    # truncated calls read Y_2..Y_8
+    TRUNC = ChaosParams(f=F, gamma=1.1 + 0.25j, truncation=True, q=2,
+                        lam=1.6)
+    ESTIMATORS = [
+        (lambda b: mc_moments(b, [(ChaosParams(f=F, gamma=0.5), "mean",
+                                   2 ** -4, None)], 40, 0), 2 ** -4),
+        (lambda b: mc_moment(b, ChaosParams(f=F, gamma=0.5), "product",
+                             2 ** -5, eps_prime=2 ** -4, replicas=40),
+         2 ** -4),
+        (lambda b: mc_moments(b, [(ChaosParams(f=F, gamma=0.5), "event",
+                                   2 ** -3, None)], 40, 0, trunc=(2, 1.6)),
+         0.0),
+        (lambda b: cauchy_ladder(b, TestSampledWindow.TRUNC,
+                                 [2 ** -3, 2 ** -4], 40, 0), 2 ** -3),
+        (lambda b: mollifier_independence(
+            b, ChaosParams(f=F, gamma=0.5), [2 ** -4, 2 ** -3], 40, 0),
+         2 ** -3),
+        (lambda b: sobolev_ladder(b, TestSampledWindow.TRUNC, 0.75,
+                                  [2 ** -3, 2 ** -4], 40, 0), 2 ** -3),
+        (lambda b: field_stats(b, [2], 2, 2 ** -5, 2 ** -4, 40, 0), 2 ** -4),
+        (lambda b: sup_field_prob(b, 1.6, [4], [2], 40, 0), 0.0),
+    ]
+
+    @pytest.mark.parametrize("call,widest", ESTIMATORS, ids=[
+        "mc_moments", "mc_moment", "event", "cauchy_ladder",
+        "mollifier_independence", "sobolev_ladder", "field_stats",
+        "sup_field_prob"])
+    def test_estimator_draws_its_widest_rows(self, call, widest):
+        # tilted_event_prob draws free points, all N rows of which a draw
+        # holds (test_sampler test_full_grid_without_window)
+        bench = Bench(SPEC, GRID, 8, f=F)
+        bench.add_channel("alt", Mollifier(d=1, profile="quartic"))
+        bench.draw(keys=[("main", 0.14)])
+        call(bench)
+        rows = sampled_rows(GRID, F, widest)
+        assert bench.safety_net["sampled_rows"] == list(rows)
+        assert rows != sampled_rows(GRID, F, 0.14)
+
+    def test_ladders_share_blocks_by_head(self):
+        # a draw's rows depend on its widest eps alone: ladders 2^-3..2^-7
+        # and 2^-3..2^-6 share the head, so they draw the same blocks and
+        # share cells, while 2^-4..2^-7 draws fewer rows (test_cli
+        # TestReplayContract: the runs draw the same way)
+        from logchaos import verify
         grid = Grid.regular((0.0, 1.0), 512)
         f = bump_function(grid, center=0.5, radius=0.05)
         params = ChaosParams(f=f, gamma=0.6)
-        blocks, reps = [], []
+        blocks, reps, rows = [], [], []
         for ladder in ([2.0 ** -k for k in range(3, 8)],
+                       [2.0 ** -k for k in range(3, 7)],
                        [2.0 ** -k for k in range(4, 8)]):
             bench = Bench(SPEC, grid, 8, f=f)
             reps.append(cauchy_ladder(bench, params, ladder, replicas=64,
                                       seed=4))
-            blocks.append(bench.map_blocks(4, 64, lambda start, z: (z,))[0])
+            rows.append(bench.safety_net["sampled_rows"])
+            blocks.append(bench.map_blocks(
+                4, 64, lambda start, z: (z,), levels=[8],
+                keys=[("main", e) for e in ladder])[0])
+            assert verify._chaos_levels(bench, None) == [8]
+        assert rows[0] == rows[1] == list(sampled_rows(grid, f, 2.0 ** -3))
         assert np.array_equal(blocks[0], blocks[1])
-        assert reps[0].values[1:] == reps[1].values
-        assert reps[0].diff_ses[1:] == reps[1].diff_ses
+        assert reps[0].values[:3] == reps[1].values
+        assert reps[0].diff_ses[:2] == reps[1].diff_ses
+        assert rows[2] == list(sampled_rows(grid, f, 2.0 ** -4))
+        assert rows[0][0] < rows[2][0] and rows[2][1] < rows[0][1]
+        assert blocks[2].shape[1] < blocks[0].shape[1]
+
+    @pytest.mark.parametrize("call,widest", ESTIMATORS, ids=[
+        "mc_moments", "mc_moment", "event", "cauchy_ladder",
+        "mollifier_independence", "sobolev_ladder", "field_stats",
+        "sup_field_prob"])
+    def test_estimator_reads_its_own_draw(self, call, widest):
+        # another call on the same Bench draws wider rows before every
+        # batch, as a second thread would: each consume reads the rows of
+        # its own Draw, so the estimate keeps its bytes
+        def bench():
+            b = Bench(SPEC, GRID, 8, f=F)
+            b.add_channel("alt", Mollifier(d=1, profile="quartic"))
+            return b
+
+        ref, shared = call(bench()), bench()
+        own = shared.map_blocks
+
+        def interleaved(seed, replicas, consume, *args, **kw):
+            def wrapped(start, z):
+                own(0, 1, lambda s, zb: (zb[0, 0],), keys=[("main", 0.14)])
+                assert shared.last_draw.lo < sampled_rows(GRID, F, widest)[0]
+                return consume(start, z)
+            return own(seed, replicas, wrapped, *args, **kw)
+
+        shared.map_blocks = interleaved
+        assert repr(call(shared)) == repr(ref)
 
 
 class TestEngineAgreement:
@@ -441,12 +532,13 @@ class TestEngineAgreement:
     SUPP = np.flatnonzero(F)
 
     def field(self, bench, seed, replicas, levels=None):
-        """(X_eps on supp(F), block slabs) of the bench's draws of levels."""
+        """(X_eps on supp(F), block slabs) of the bench's draws of levels on
+        the rows the eps convolution reads."""
         (z,) = bench.map_blocks(seed, replicas, lambda start, zb: (zb,),
-                                levels=levels)
+                                levels=levels, keys=[("main", self.EPS)])
         rows, w = weight_matrix(GRID, Mollifier(d=1), self.EPS)
         y = np.zeros((GRID.n, replicas))
-        y[bench.lo:bench.hi + 1] = z.sum(axis=0)
+        y[bench.last_draw.lo:bench.last_draw.hi + 1] = z.sum(axis=0)
         return w[np.searchsorted(rows, self.SUPP)] @ y, z
 
     def k_diag(self):
@@ -471,7 +563,7 @@ class TestEngineAgreement:
         if trunc is not None:
             # Y_k <= k lam for k in q..n_max: slab i sums up to level q + i
             lam = trunc[1]
-            ys = np.cumsum(z, axis=0)[:, self.SUPP - bench.lo]
+            ys = np.cumsum(z, axis=0)[:, self.SUPP - bench.last_draw.lo]
             ok = (ys <= lam * np.arange(q, self.N_MAX + 1)[:, None, None]
                   ).all(axis=0)
             full, vals = vals, (dens * ok).sum(axis=0) * GRID.weight
@@ -492,8 +584,10 @@ class TestEngineAgreement:
                 + 0.5 * (beta ** 2 - alpha ** 2) * self.k_diag()[:, None])
         expect = (np.exp(expo) * F[self.SUPP][:, None]).sum(axis=0) * GRID.weight
         _, kd = bench.supp_tables("main", self.EPS)
+        keys = [("main", self.EPS)]
+        draw = bench.draw(keys=keys)
         xy = np.stack([bench.map_blocks(seed, 8, lambda start, zb: (
-            bench.mollify(zb.sum(axis=0), [("main", self.EPS)])[0],))[0]
+            bench.mollify(zb.sum(axis=0), keys, draw)[0],), keys=keys)[0]
             for seed in (7, 8)])
         dens, ovf = chaos_density((alpha, 1j * beta), xy, kd, F[bench.supp])
         got = dens.sum(axis=0) * GRID.weight
@@ -588,9 +682,18 @@ class TestMomentSweep:
                            workers=workers, trunc=trunc)
         assert len(sweep) == len(jobs)
         for (params, est, eps, eps_p), m in zip(jobs, sweep):
-            alone = mc_moment(bench, params, est, eps, eps_prime=eps_p,
-                              replicas=100, seed=6, workers=workers,
-                              trunc=trunc)
+            if est == "event":
+                # an event convolves nothing, so alone it draws the rows of
+                # supp(f) only: a mean at the sweep's widest eps (every
+                # job's eps here) gives it the sweep's rows
+                alone = mc_moments(bench, [(params, est, eps, eps_p),
+                                           (params, "mean", self.EPS, None)],
+                                   replicas=100, seed=6, workers=workers,
+                                   trunc=trunc)[0]
+            else:
+                alone = mc_moment(bench, params, est, eps, eps_prime=eps_p,
+                                  replicas=100, seed=6, workers=workers,
+                                  trunc=trunc)
             # repr tells -0.0 from 0.0: estimate, SEs, z, oracle, excluded
             assert repr(m) == repr(alone), est
 
@@ -637,7 +740,7 @@ class TestMomentSweep:
         import tracemalloc
         grid = Grid.regular((0.0, 1.0), 2048)
         f = bump_function(grid, center=0.5, radius=0.05)
-        bench = Bench(SPEC, grid, 8, f=f, eps_max=2 ** -4)
+        bench = Bench(SPEC, grid, 8, f=f)
         jobs = [(ChaosParams(f=f, gamma=g), est, 2 ** -4, 2 ** -5)
                 for g in (0.8, 0.5 + 0.5j) for est in ("product", "distance2")]
         tracemalloc.start()
@@ -656,8 +759,7 @@ class TestMomentSweep:
         # count, where a level-by-level sum peaked at 31 MB
         import tracemalloc
         grid = Grid.regular((0.0, 1.0), 2048)
-        bench = Bench(SPEC, grid, 8, f=bump_function(grid, 0.5, 0.05),
-                      eps_max=2 ** -3)
+        bench = Bench(SPEC, grid, 8, f=bump_function(grid, 0.5, 0.05))
         ladder = [2.0 ** -k for k in range(3, 8)]
         pairs = [(e, e) for e in ladder] + list(zip(ladder, ladder[1:]))
         tracemalloc.start()
@@ -969,3 +1071,23 @@ class TestSobolevLadder:
                              [2 ** -3, 2 ** -4, 2 ** -5], replicas=400,
                              seed=1)
         assert all(v >= 0.0 for v in rep.values)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.8])
+    def test_antithetic_partner_reflects_about_the_mean(self, alpha):
+        # the partner of a block is the block reflected about the draw's
+        # tilt shifts (about 0 untilted), so the pair is equal in law
+        from logchaos.sampler import TiltShift
+        from logchaos.verify import _reflect
+        bench = small_bench()
+        bench.set_tilt(TiltShift(x=0.45, y=0.55, eps=2 ** -4,
+                                 eps_prime=2 ** -4, alpha=alpha))
+        keys = [("main", 2 ** -3)]
+        (z,) = bench.map_blocks(3, 32, lambda start, zb: (zb,), levels=[2],
+                                keys=keys)
+        shifts = bench.shifts([2])
+        partner = _reflect(z, shifts)
+        if alpha == 0.0:
+            assert shifts is None and np.array_equal(partner, -z)
+        else:
+            assert np.abs(shifts).max() > 0.1
+            assert np.abs(0.5 * (z + partner) - shifts[:, :, None]).max() < 1e-12
