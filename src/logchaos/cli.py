@@ -41,9 +41,10 @@ DEFAULT_LADDER = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
 
 # radii one kernel-check table may evaluate, bounded from above by
 # kernels.midpoint_work as offsets x cloud pairs; a d=1 table at grid_n 4096
-# counts 8191 offsets x 1024 cloud pairs = 8.4e6.  A d=1 radius costs one
-# closed-form pass at any level count; a d=2 one costs a Gauss-Legendre
-# quadrature per level
+# counts 8191 offsets x 1024 cloud pairs = 8.4e6.  The bound is the per-offset
+# fold's; a d=1 table on the lattice path evaluates one radius per lag and
+# undercuts it.  A d=1 radius costs one closed-form pass at any level count;
+# a d=2 one costs a Gauss-Legendre quadrature per level
 TABLE_WORK_BOUND = 10 ** 7
 
 # points one phase scan may label, 25 times the 200 x 200 default.  On a

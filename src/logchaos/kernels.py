@@ -21,15 +21,20 @@ values K_{eps,eps'} come in two quadrature flavours:
   independent of any sampling grid (used for kernel-level analysis).
 
 On a regular grid a K_{eps,eps'} table depends only on the lattice offset
-i - j, so it is one value per offset: both rules evaluate their quadrature
-once per lattice offset (offset_table).  kernel-check reads its suprema from
-those values and their separations, and the moment oracles gather the
-support x support matrix from them (verify.Bench.cross_table); no weight
-matrix or summed Gram is built.  Each quadrature reduces its two clouds to
-their distinct differences u_a - v_b, so the kernel is evaluated once per
-(offset, distinct difference): two d=1 grid stencils by correlation, any
-other pair of clouds by folding every pair; midpoint_work bounds that cost
-up front.
+i - j, so it is one value per offset (offset_table).  kernel-check reads its
+suprema from those values and their separations, and the moment oracles
+sum over them (verify.Bench.cross_table); no weight matrix or summed Gram
+is built.  On a d=1 grid both clouds of either rule sit on multiples of
+h / q for some integer q (q = 1 for grid stencils, q <= 8 for 32-node
+midpoint clouds at dyadic eps on a dyadic grid), so every radius
+|o h + u_a - v_b| is a lag of one lattice: the kernel is evaluated once per
+lag and correlated with the cloud-pair weights binned by lag
+(_lattice_table).  Where no such lattice evaluates fewer radii than the
+per-offset fold (d=2, and midpoint clouds off the lattice or on a fine
+one, as at N=300), each offset folds the two clouds into their distinct
+differences u_a - v_b and evaluates the kernel once per (offset, distinct
+difference); midpoint_work bounds that cost up front, and the lattice
+undercuts it.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
 from .grids import Grid
@@ -314,21 +320,13 @@ def _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes
     seps has shape (M, d).  Stationarity of the decomposed kernel makes the
     double convolution a function of x - y only, which is what makes table
     assembly affordable.  The kernel is evaluated once per (separation,
-    distinct difference u_a - v_b of the two clouds) rather than per cloud
-    pair.  Two d=1 grid stencils, each on consecutive lattice offsets,
-    differ by every integer lag from offs[0] - offs'[-1] to offs[-1] -
-    offs'[0], with the weights np.correlate(w, w') and no pair built; other
-    clouds go through _fold_clouds.
+    distinct difference u_a - v_b of the two clouds, from _fold_clouds)
+    rather than per cloud pair.
     """
     u, wu = _cloud(mol, eps, rule, h, nodes)
     v, wv = (u, wu) if eps_prime == eps else _cloud(mol, eps_prime, rule, h,
                                                      nodes)
-    if rule == "grid" and spec.d == 1:
-        first = round((u[0, 0] - v[-1, 0]) / h)
-        diffs = (first + np.arange(wu.size + wv.size - 1))[:, None] * h
-        ww = np.correlate(wu, wv, "full")
-    else:
-        diffs, ww = _fold_clouds(u, wu, v, wv, eps_prime)
+    diffs, ww = _fold_clouds(u, wu, v, wv, eps_prime)
     out = np.empty(seps.shape[0])
     # chunk the (M, distinct differences) radii at 2e7; in d=2 q_n expands
     # each radius over its Gauss-Legendre nodes, so count those too
@@ -342,6 +340,79 @@ def _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes
             r = np.sqrt((s ** 2).sum(axis=-1))
         out[lo:lo + step] = k_partial(spec, n_levels, r) @ ww
     return out
+
+
+def _lattice_q(u, v, h, tol, q_max):
+    """Smallest q <= q_max with every point of the d=1 clouds u and v within
+    tol of a multiple of h / q, or None.  q = 1..8 (midpoint clouds at
+    dyadic eps on a dyadic grid) are tried on all points first, larger q
+    only where they place the first point of u and the last of v."""
+    pts = np.concatenate([u[:, 0], v[:, 0]]) / h
+
+    def on(qs, x):
+        t = qs * x
+        return np.abs(t - np.round(t)) <= tol / h * qs
+
+    qs = np.arange(1, q_max + 1)
+    for lo, hi in ((0, 8), (8, q_max)):
+        cand = qs[lo:hi]
+        if lo:
+            cand = cand[on(cand, pts[0]) & on(cand, pts[-1])]
+        hit = np.flatnonzero(on(cand[:, None], pts).all(axis=1))
+        if hit.size:
+            return int(cand[hit[0]])
+    return None
+
+
+def _lattice_table(spec, offsets, eps, eps_prime, mol, rule, n_levels, h,
+                   nodes):
+    """K_{eps,eps'} at the separations o h of the consecutive integer
+    offsets o of a d=1 table, by one kernel evaluation per lag of the
+    lattice h / q both clouds sit on; None when that evaluates more radii,
+    (offsets - 1) q + lags, than the fold's offsets x occupied lags.
+
+    Offset o meets the cloud lag l at lag o q + l, so each value is the
+    correlation of the kernel row with the pair weights binned by lag.
+    Grid stencils are consecutive taps on the grid (q = 1): np.correlate
+    bins their weights and correlates the row, with no pair built.
+    Midpoint clouds take the smallest q that fits them to 1e-12 eps' (the
+    _fold_clouds tolerance), a bincount of their pairs and a sum over the
+    occupied lags.
+    """
+    u, wu = _cloud(mol, eps, rule, h, nodes)
+    v, wv = (u, wu) if eps_prime == eps else _cloud(mol, eps_prime, rule, h,
+                                                     nodes)
+    n_off = offsets.size
+    if rule == "grid":
+        q, first = 1, round((u[0, 0] - v[-1, 0]) / h)
+        ww = np.correlate(wu, wv, "full")
+    else:
+        # no larger q evaluates fewer radii than the fold's upper bound;
+        # d=1 clouds are ascending
+        span = (u[-1, 0] - u[0, 0] + v[-1, 0] - v[0, 0]) / h
+        q = _lattice_q(u, v, h, 1e-12 * eps_prime,
+                       int((n_off * wu.size * wv.size - 1)
+                           // max(n_off - 1 + span, 1.0)))
+        if q is None:
+            return None
+        iu = np.round(u[:, 0] * (q / h)).astype(np.int64)
+        iv = np.round(v[:, 0] * (q / h)).astype(np.int64)
+        first = iu[0] - iv[-1]
+        ww = np.bincount((iu[:, None] - iv[None, :] - first).ravel(),
+                         np.outer(wu, wv).ravel())
+        taps = np.flatnonzero(ww)
+        if (n_off - 1) * q + ww.size > n_off * taps.size:
+            return None
+    lags = np.arange(offsets[0] * q + first,
+                     offsets[-1] * q + first + ww.size)
+    krow = k_partial(spec, n_levels, np.abs(lags) * (h / q))
+    if rule == "grid":
+        return np.correlate(krow, ww, "valid")
+    # row o holds the lags o q + first ..; chunked at 2e7 as the fold is
+    win = sliding_window_view(krow, ww.size)[::q]
+    step = max(1, int(2e7 // taps.size))
+    return np.concatenate([win[lo:lo + step, taps] @ ww[taps]
+                           for lo in range(0, n_off, step)])
 
 
 def _check_domain(spec, point, eps, who):
@@ -377,6 +448,14 @@ def k_mollified(spec, eps, eps_prime, x, y, mol=None, rule="midpoint",
     if n_levels is None:
         n_levels = exact_level(spec, eps_prime)
     sep = (px - py)[None, :]
+    if rule == "grid" and spec.d == 1 and h is not None:
+        # points a lattice offset apart read one lattice row, as tables do
+        o = round(float(sep[0, 0]) / h)
+        if abs(sep[0, 0] - o * h) <= 1e-12 * eps_prime:
+            vals = _lattice_table(spec, np.array([o]), eps, eps_prime, mol,
+                                  rule, n_levels, h, nodes)
+            if vals is not None:
+                return float(vals[0])
     return float(_mollified_of_seps(spec, sep, eps, eps_prime, mol, rule,
                                     n_levels, h, nodes)[0])
 
@@ -416,6 +495,8 @@ def offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
     Returns (lo, seps, vals): vals[k] is the value at the offset lo + k
     (one index per axis) and seps[k] its separation vector.  The rows x
     rows_p table is vals indexed by np.subtract.outer(a, b) - lo per axis.
+    A d=1 table comes from _lattice_table at the separations o h where it
+    can; otherwise each offset folds at its separation.
     """
     a = np.unravel_index(rows, grid.shape)
     b = np.unravel_index(rows_p, grid.shape)
@@ -427,8 +508,14 @@ def offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
     ib = np.ravel_multi_index(np.ix_(*(f - o for f, o in zip(firsts, runs))),
                               grid.shape)
     seps = grid.points[ia] - grid.points[ib]
-    vals = _mollified_of_seps(spec, seps.reshape(-1, grid.d), eps, eps_prime,
-                              mol, rule, n_levels, grid.h, nodes)
+    vals = None
+    if grid.d == 1:
+        vals = _lattice_table(spec, runs[0], eps, eps_prime, mol, rule,
+                              n_levels, grid.h, nodes)
+    if vals is None:
+        vals = _mollified_of_seps(spec, seps.reshape(-1, grid.d), eps,
+                                  eps_prime, mol, rule, n_levels, grid.h,
+                                  nodes)
     return np.array([o[0] for o in runs]), seps, vals.reshape(ia.shape)
 
 
@@ -437,9 +524,10 @@ def midpoint_work(grid, eps, eps_prime, nodes=32):
 
     Counted from the grid axis, without building the table: D_eps is a
     product of per-axis runs of m_eps points, so a (eps, eps') table has
-    (m_eps + m_eps' - 1)^d distinct offsets.  The table evaluates one radius
-    per (offset, distinct cloud difference), and the pairs bound the
-    distinct differences from above.
+    (m_eps + m_eps' - 1)^d distinct offsets.  The per-offset fold evaluates
+    one radius per (offset, distinct cloud difference), and the pairs bound
+    the distinct differences from above; a d=1 lattice table evaluates
+    fewer radii still.
     """
     mol = Mollifier(d=grid.d)
     ax = grid.axis()

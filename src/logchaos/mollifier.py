@@ -8,7 +8,6 @@ convolution and makes downstream moment identities exact at grid level.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -139,8 +138,8 @@ def discrete_stencil(mol, eps, h):
     """
     _check_resolution(eps, h)
     m = int(np.floor(eps / h))
-    axes = [np.arange(-m, m + 1)] * mol.d
-    offs = np.array(list(itertools.product(*axes)), dtype=int)
+    # the (2m + 1)^d lattice steps in row-major order
+    offs = np.indices((2 * m + 1,) * mol.d).reshape(mol.d, -1).T - m
     rho = np.sqrt((offs ** 2).sum(axis=1)) * h / eps
     w = mol.radial(rho)
     keep = w > 0

@@ -35,7 +35,8 @@ def classify(d, alpha, beta):
     """
     if d not in (1, 2):
         raise ValueError(f"d={d} unsupported, need 1 or 2")
-    a, b = abs(alpha), abs(beta)
+    # Python floats: an overflow to inf stays silent, where numpy scalars warn
+    a, b = abs(float(alpha)), abs(float(beta))
     s = a * a + b * b
     rd2 = math.sqrt(d / 2.0)
     r2d = math.sqrt(2.0 * d)
@@ -62,7 +63,7 @@ def pick_lambda(d, alpha, beta):
     if label != SUBCRITICAL:
         raise PhaseError(f"pick_lambda needs {SUBCRITICAL}, got {label}"
                          f" at (d={d}, alpha={alpha}, beta={beta})")
-    a = abs(alpha)
+    a, beta = abs(float(alpha)), float(beta)
     s = a * a + beta * beta
     lo = math.sqrt(2.0 * d)
     hi = 2.0 * a - math.sqrt(2.0 * max(s - d, 0.0))

@@ -220,12 +220,13 @@ class Bench:
     rows.  The caches only grow: group factors (one circulant embedding
     per group on a regular d=1 grid) per (level set, rows), stencil
     spectra per (channel, eps, torus), the kernel-table diagonal per
-    (channel, eps) and the support x support kernel table per (eps, eps');
-    grid-rule kernel values at n_max levels come from the offset
-    quadrature of kernels (k_mollified, offset_table), with no Gram block,
-    so they are the exact covariances of the sampled fields.  last_draw
-    records the Draw of the last map_blocks call (a new bench: every level
-    on supp(f)), which factors, groups, shifts and safety_net report.
+    (channel, eps) and the support kernel table per (eps, eps'), one value
+    per row offset; grid-rule kernel values at n_max levels come from
+    the lattice rows of kernels (k_mollified, offset_table), with no Gram
+    block, so they are the exact covariances of the sampled fields.
+    last_draw records the Draw of the last map_blocks call (a new bench:
+    every level on supp(f)), which factors, groups, shifts and safety_net
+    report.
     """
 
     def __init__(self, spec, grid, n_max, f=None, mol=None):
@@ -328,7 +329,8 @@ class Bench:
         r + o for support row r, and the kernel-table diagonal.  Raises
         ValueError when the support leaks out of D_eps.  Every D_eps row of
         a regular d=1 grid holds the whole stencil, so the diagonal is one
-        offset-0 value."""
+        offset-0 value: k_mollified reads it from the one-offset lattice
+        row, as cross_table's offset 0, so the two agree bit for bit."""
         key = (channel, float(eps))
         if key not in self._supp_tables:
             if self.supp is None:
@@ -393,18 +395,18 @@ class Bench:
         return net
 
     def cross_table(self, eps, eps2):
-        """K_{eps,eps2} on support x support rows of the main channel (grid
-        rule, exact), checked as supp_tables checks each eps and cached per
-        (eps, eps2): the one kernel table the moment oracles read."""
+        """K_{eps,eps2} of the main channel (grid rule, exact) at the 2S - 1
+        row offsets o = x - y of the S-row support run, x at eps and y at
+        eps2: entry o + S - 1 holds offset o.  Checked as supp_tables checks
+        each eps and cached per (eps, eps2): the one kernel table the
+        moment oracles read."""
         key = (float(eps), float(eps2))
         if key not in self._cross_tables:
             for e in key:
                 self.supp_tables("main", e)
-            lo, _, vals = kernels.offset_table(
+            self._cross_tables[key] = kernels.offset_table(
                 self.spec, self.grid, self.supp, self.supp, eps, eps2,
-                self.channels["main"], "grid", self.n_max)
-            self._cross_tables[key] = vals[
-                np.subtract.outer(self.supp, self.supp) - lo[0]]
+                self.channels["main"], "grid", self.n_max)[2]
         return self._cross_tables[key]
 
     def map_blocks(self, seed, replicas, consume, workers=None, levels=None,
@@ -539,10 +541,16 @@ def second_moment_oracle(bench, gamma, eps, eps_prime):
     w^2, finite because the mollified kernel is bounded.  K is
     bench.cross_table: the grid rule at the bench's level count, so the
     oracle is exact to rounding; it depends on gamma only through |gamma|^2.
+    K depends on x - y = o alone, so the sum is sum_o acf_f(o) exp(|gamma|^2
+    K(o)) w^2, with acf_f the autocorrelation of f on the support run, and
+    np.sum takes the sum over offsets, outside BLAS.
     """
     table = bench.cross_table(eps, eps_prime)
-    f_s, w = bench.f[bench.supp], bench.grid.weight
-    return float(f_s @ np.exp(abs(complex(gamma)) ** 2 * table) @ f_s * w * w)
+    f_s = bench.f[bench.supp[0]:bench.supp[-1] + 1]
+    acf = np.correlate(f_s, f_s, "full")
+    w = bench.grid.weight
+    return float(np.sum(acf * np.exp(abs(complex(gamma)) ** 2 * table))
+                 * w * w)
 
 
 ESTIMANDS = ("mean", "product", "distance2", "event")
@@ -966,8 +974,10 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
     for i, n in enumerate(ns):
         oracle = bench.spec.q0_value + n
         out.append(moment_from_values(f"Var(Y_{n})", var_rows[i], oracle=oracle))
+    offsets = (bench.supp[probes[0]] - bench.supp[probes[1]]
+               + bench.supp[-1] - bench.supp[0])
     for j in range(n_probes):
-        oracle = cross[probes[0, j], probes[1, j]]
+        oracle = cross[offsets[j]]
         out.append(moment_from_values(f"Cov(X,X') probe {j}", prods[j],
                                       oracle=oracle))
     return out

@@ -323,6 +323,9 @@ class TestOffsetTable:
         (2, 40, "midpoint", 2 ** -3, 2 ** -3, 4),
     ])
     def test_interior_tables_bitwise(self, d, n, rule, eps, eps_prime, nodes):
+        # d=2 tables fold per offset, bit for bit the pairwise table; d=1
+        # tables take the lattice, equal to rounding to the fold at the
+        # pairs' separations, which on a dyadic grid are exactly o h
         spec = KernelSpec(d=d)
         grid = Grid.regular((0.0, 1.0), n, d=d)
         mol = Mollifier(d=d)
@@ -330,15 +333,26 @@ class TestOffsetTable:
         rows_p = mollifier.interior_rows(grid, mol, eps_prime)
         table, oracle = self.offsets_and_oracle(spec, grid, rows, rows_p, eps,
                                                 eps_prime, rule, nodes)
-        assert np.array_equal(table, oracle)
+        if d == 2:
+            assert np.array_equal(table, oracle)
+        else:
+            assert np.abs(table - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
     def test_support_cross_table_bitwise(self):
+        # the cross table is the support offset_table, one value per row
+        # offset; gathered by offset it is the pairwise table to rounding
         grid = Grid.regular((0.0, 1.0), 128)
         bench = Bench(SPEC1, grid, 7, f=bump_function(grid, 0.5, 0.2))
-        oracle = pairwise_offset_table(SPEC1, grid, bench.supp, bench.supp,
-                                       2 ** -4, 2 ** -5, Mollifier(d=1),
-                                       "grid", 7)
-        assert np.array_equal(bench.cross_table(2 ** -4, 2 ** -5), oracle)
+        supp, mol = bench.supp, Mollifier(d=1)
+        cross = bench.cross_table(2 ** -4, 2 ** -5)
+        _, _, vals = kernels.offset_table(SPEC1, grid, supp, supp, 2 ** -4,
+                                          2 ** -5, mol, "grid", 7)
+        assert cross.shape == (2 * supp.size - 1,)
+        assert np.array_equal(cross, vals)
+        oracle = pairwise_offset_table(SPEC1, grid, supp, supp, 2 ** -4,
+                                       2 ** -5, mol, "grid", 7)
+        table = cross[np.subtract.outer(supp, supp) + supp.size - 1]
+        assert np.abs(table - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
     def test_gapped_rows_to_rounding(self):
         # a row set with a gap keeps the offsets of its bounding run; a
@@ -350,6 +364,93 @@ class TestOffsetTable:
                                                 2 ** -4, 2 ** -5, "midpoint",
                                                 32)
         assert np.abs(table - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+LADDER = [2.0 ** -k for k in range(3, 8)]
+
+
+def ladder_tables(spec):
+    """(eps, eps', n_levels) of the default kernel-check ladder: the
+    mollified pairs (eps, eps) and (eps, next rung) of 2^-3..2^-7, which
+    are also the ladder-2048 cross-table pairs, then the partial tables at
+    eps = 2^-4 with every n_levels 4..12."""
+    pairs = [(e, e2, exact_level(spec, e2)) for i, e in enumerate(LADDER)
+             for e2 in [e, *LADDER[i + 1:i + 2]]]
+    return pairs + [(2 ** -4, 2 ** -4, n) for n in range(4, 13)]
+
+
+class TestLatticeTable:
+    @pytest.mark.parametrize("rule", ["grid", "midpoint"])
+    @pytest.mark.parametrize("n", [512, 2048, 8192])
+    def test_matches_exact_separations(self, n, rule):
+        # every d=1 table of the default ladders against the per-offset fold
+        # at the exact separations o h, on 40 spread offsets and those
+        # within 3 of 0
+        grid = Grid.regular((0.0, 1.0), n)
+        mol = Mollifier(d=1)
+        for eps, eps_prime, n_levels in ladder_tables(SPEC1):
+            rows = interior_rows(grid, mol, eps)
+            rows_p = interior_rows(grid, mol, eps_prime)
+            lo, _, vals = kernels.offset_table(SPEC1, grid, rows, rows_p, eps,
+                                               eps_prime, mol, rule, n_levels)
+            offs = lo[0] + np.arange(vals.size)
+            pick = np.union1d(np.linspace(0, vals.size - 1, 40).astype(int),
+                              np.flatnonzero(np.abs(offs) <= 3))
+            want = kernels._mollified_of_seps(
+                SPEC1, offs[pick, None] * grid.h, eps, eps_prime, mol, rule,
+                n_levels, grid.h, 32)
+            err = np.abs(vals[pick] - want).max()
+            assert err <= 1e-14 * np.abs(want).max(), (eps, eps_prime,
+                                                       n_levels, err)
+
+    def test_off_lattice_midpoint_folds(self, monkeypatch):
+        # at N=300 the midpoint clouds sit on multiples of h/q only for q =
+        # 64..512, where the lattice would evaluate more radii than the
+        # fold, so each table folds per offset at its pairs' separations,
+        # as every table did up to v0.15.0, bit for bit
+        grid = Grid.regular((0.0, 1.0), 300)
+        mol = Mollifier(d=1)
+        lattice = []
+        inner = kernels._lattice_table
+
+        def counted(*args):
+            lattice.append(inner(*args))
+            return lattice[-1]
+
+        monkeypatch.setattr(kernels, "_lattice_table", counted)
+        for eps, eps_prime, n_levels in ladder_tables(SPEC1)[:7]:
+            rows = interior_rows(grid, mol, eps)
+            rows_p = interior_rows(grid, mol, eps_prime)
+            _, seps, vals = kernels.offset_table(SPEC1, grid, rows, rows_p,
+                                                 eps, eps_prime, mol,
+                                                 "midpoint", n_levels)
+            want = kernels._mollified_of_seps(SPEC1, seps, eps, eps_prime,
+                                              mol, "midpoint", n_levels,
+                                              grid.h, 32)
+            assert np.array_equal(vals, want), (eps, eps_prime)
+        assert len(lattice) == 7 and all(v is None for v in lattice)
+
+    def test_kernel_tables_512_radii(self, monkeypatch):
+        # the 14 tables of kernel-check at N=512 (ladder 2^-3..2^-7,
+        # n_ladder 4..12 step 2 at eps 2^-4) all take the lattice, q <= 8,
+        # and evaluate 34,562 radii; the per-offset fold evaluated 818,322
+        seen = []
+        inner = kernels.k_partial
+
+        def counted(spec, n, r):
+            seen.append(np.size(r))
+            return inner(spec, n, r)
+
+        def forbidden(*args):
+            raise AssertionError("a kernel-tables-512 table folded")
+
+        monkeypatch.setattr(kernels, "k_partial", counted)
+        monkeypatch.setattr(kernels, "_mollified_of_seps", forbidden)
+        grid = Grid.regular((0.0, 1.0), 512)
+        kernel_estimate_check(SPEC1, "mollified", grid, eps_ladder=LADDER)
+        kernel_estimate_check(SPEC1, "partial", grid,
+                              n_ladder=[4, 6, 8, 10, 12], eps_fixed=2 ** -4)
+        assert len(seen) == 14 and sum(seen) == 34562
 
 
 class TestMollifiedTable:
@@ -443,6 +544,33 @@ class TestMollifiedTable:
             assert abs(values[i, j] - dense[i, j]) < 1e-10, \
                 f"({i},{j}): {values[i, j]} vs {dense[i, j]}"
 
+    def test_pointwise_grid_rule_on_lattice(self, monkeypatch):
+        # grid points of a d=1 grid sit a lattice offset apart, so the grid
+        # rule reads one lattice row of 2 x 511 - 1 lags (N=2048, eps =
+        # 2^-3), bit for bit the one-offset table, where the fold would
+        # form 511^2 stencil pairs
+        grid = Grid.regular((0.0, 1.0), 2048)
+        mol, eps = Mollifier(d=1), 2 ** -3
+        x, y = grid.points[1000, 0], grid.points[997, 0]
+        rows = np.array([1000])
+        _, _, table = kernels.offset_table(SPEC1, grid, rows, rows - 3, eps,
+                                           eps, mol, "grid", 8)
+        fold = kernels._mollified_of_seps(SPEC1, np.array([[3 * grid.h]]),
+                                          eps, eps, mol, "grid", 8, grid.h,
+                                          32)
+        seen = []
+        inner = kernels.k_partial
+
+        def counted(spec, n, r):
+            seen.append(np.size(r))
+            return inner(spec, n, r)
+
+        monkeypatch.setattr(kernels, "k_partial", counted)
+        got = k_mollified(SPEC1, eps, eps, x, y, mol, "grid", 8, grid.h)
+        assert seen == [1021]
+        assert got == table[0]
+        assert abs(got - fold[0]) <= 1e-14 * abs(fold[0])
+
     def test_d2_grid_table_matches_dense(self):
         # d=2 offsets are lattice vectors and the stencil a disc of taps;
         # the constant Q_0 checks the level-0 term
@@ -480,27 +608,35 @@ class TestMollifiedTable:
         (2, 40, 2 ** -3, 2 ** -3, 4),
     ])
     def test_midpoint_offsets_match_unique(self, d, n, eps, eps_prime, nodes):
+        # bit for bit in d=2; d=1 tables take the lattice, equal to rounding
+        # (the dyadic grid's pair separations are exactly o h)
         spec = KernelSpec(d=d)
         grid = Grid.regular((0.0, 1.0), n, d=d)
         values, oracle = self._unique_midpoint(spec, grid, eps, eps_prime,
                                                nodes)
-        assert np.array_equal(values, oracle)
+        if d == 2:
+            assert np.array_equal(values, oracle)
+        else:
+            assert (np.abs(values - oracle).max()
+                    <= 1e-14 * np.abs(oracle).max())
 
     @pytest.mark.parametrize("rule", ["grid", "midpoint"])
     def test_midpoint_one_eval_per_offset(self, monkeypatch, rule):
-        # both rules: one quadrature per lattice offset, and no dense weight
-        # matrix or Gram
+        # both rules: one lattice routine over every offset of the d=1
+        # table, no per-offset fold, and no dense weight matrix or Gram
         seen = []
-        inner = kernels._mollified_of_seps
+        inner = kernels._lattice_table
 
-        def counted(spec, seps, *args):
-            seen.append(seps.shape[0])
-            return inner(spec, seps, *args)
+        def counted(spec, offsets, *args):
+            seen.append(offsets.size)
+            return inner(spec, offsets, *args)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("np.unique, weight_matrix or gram called")
+            raise AssertionError("np.unique, the per-offset fold, "
+                                 "weight_matrix or gram called")
 
-        monkeypatch.setattr(kernels, "_mollified_of_seps", counted)
+        monkeypatch.setattr(kernels, "_lattice_table", counted)
+        monkeypatch.setattr(kernels, "_mollified_of_seps", forbidden)
         monkeypatch.setattr(np, "unique", forbidden)
         for mod in (mollifier, kernels):
             monkeypatch.setattr(mod, "weight_matrix", forbidden, raising=False)
@@ -579,8 +715,12 @@ class TestMollifiedTable:
                                                     (2 ** -5, 94)])
     def test_midpoint_radii_per_distinct_difference(self, monkeypatch,
                                                     eps_prime, distinct):
-        # the 32-point clouds at eps = eps' have 63 distinct differences,
-        # and 94 at eps' = eps / 2, of 1024 cloud pairs
+        # at N=256 the 32-point clouds sit on odd multiples of h/2 (eps =
+        # 2^-4) and h/4 (eps' = 2^-5), so q = 2 and 4; their differences
+        # span 125 and 187 lags, of which 63 and 94 (of 1024 cloud pairs)
+        # are occupied.  The lattice evaluates (offsets - 1) q + lags radii,
+        # below the fold's offsets x distinct differences
+        q, lags = {2 ** -4: (2, 125), 2 ** -5: (4, 187)}[eps_prime]
         seen = []
         inner = kernels.k_partial
 
@@ -594,7 +734,12 @@ class TestMollifiedTable:
                                          Mollifier(d=1), "midpoint",
                                          exact_level(SPEC1, eps_prime))
         offsets = len(rows) + len(rows_p) - 1
-        assert sum(seen) == offsets * distinct
+        assert seen == [(offsets - 1) * q + lags]
+        assert (offsets - 1) * q + lags < offsets * distinct
+        u, wu = kernels._cloud(Mollifier(d=1), 2 ** -4, "midpoint", None, 32)
+        v, wv = kernels._cloud(Mollifier(d=1), eps_prime, "midpoint", None,
+                               32)
+        assert kernels._fold_clouds(u, wu, v, wv, eps_prime)[1].size == distinct
 
     @pytest.mark.parametrize("profile", ["bump", "quartic"])
     @pytest.mark.parametrize("eps,eps_prime,distinct", [
@@ -602,18 +747,29 @@ class TestMollifiedTable:
         (2 ** -5, 2 ** -7, 157)])
     def test_grid_lags_match_fold(self, monkeypatch, profile, eps, eps_prime,
                                   distinct):
-        # d=1 grid stencils at N=2048 (ladder-2048 eps pairs): the integer
-        # lags and their correlated weights give the distinct differences
-        # and weights of the pair fold, the reference kept in
-        # kernels._fold_clouds, and the same kernel values to 1e-15
+        # d=1 grid stencils at N=2048 (ladder-2048 eps pairs): the lattice
+        # routine evaluates the kernel once per lag of the 601 offsets, 600
+        # plus the distinct differences of the pair fold (the reference kept
+        # in kernels._fold_clouds).  Both sum the same kernel values (the
+        # dyadic radii |o + l| h are exact) in different orders, so each is
+        # held to 1e-15 of the pair sums taken in extended precision
         h, mol = 1.0 / 2048, Mollifier(d=1, profile=profile)
-        seps = np.arange(-300, 301)[:, None] * h
+        offsets = np.arange(-300, 301)
+        seps = offsets[:, None] * h
         u, wu = kernels._cloud(mol, eps, "grid", h, 32)
         v, wv = kernels._cloud(mol, eps_prime, "grid", h, 32)
         diffs, ww = kernels._fold_clouds(u, wu, v, wv, eps_prime)
         assert diffs.shape == (distinct, 1)
         r = np.abs(seps + diffs[:, 0])
         want = k_partial(SPEC1, 9, r.ravel()).reshape(r.shape) @ ww
+        lags = np.rint(np.r_[seps[0, 0] + diffs[0, 0],
+                             seps[-1, 0] + diffs[-1, 0]] / h).astype(int)
+        krow = k_partial(SPEC1, 9, np.abs(np.arange(lags[0], lags[1] + 1)) * h)
+        ext = np.longdouble
+        exact = np.correlate(krow.astype(ext), np.correlate(
+            wu.astype(ext), wv.astype(ext), "full"), "valid")
+        scale = 1e-15 * np.abs(want).max()
+        assert np.abs(want - exact).max() <= scale
         seen = []
         inner = kernels.k_partial
 
@@ -622,7 +778,7 @@ class TestMollifiedTable:
             return inner(spec, n, r)
 
         monkeypatch.setattr(kernels, "k_partial", counted)
-        got = kernels._mollified_of_seps(SPEC1, seps, eps, eps_prime, mol,
-                                         "grid", 9, h, 32)
-        assert seen == [seps.shape[0] * distinct]
-        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        got = kernels._lattice_table(SPEC1, offsets, eps, eps_prime, mol,
+                                     "grid", 9, h, 32)
+        assert seen == [offsets.size - 1 + distinct]
+        assert np.abs(got - exact).max() <= scale

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,18 @@ class TestClassify:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             classify(3, 0.5, 0.5)
+
+    def test_extreme_numpy_inputs_silent(self):
+        # phase-scan hands classify numpy scalars; at +-1e308 a * a + b * b
+        # overflows to inf, which must neither warn nor change the label
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (1e308, -1e308, 0.0):
+                for b in (1e308, -1e308, 0.0):
+                    lab = classify(1, np.float64(a), np.float64(b))
+                    assert lab == classify(1, a, b)
+            with pytest.raises(PhaseError):
+                pick_lambda(1, np.float64(1e308), np.float64(-1e308))
 
     @given(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5))
     @settings(max_examples=80, deadline=None)

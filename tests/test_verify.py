@@ -122,6 +122,22 @@ class TestSecondMomentOracle:
         b = second_moment_oracle(bench, math.sqrt(0.5), 2 ** -4, 2 ** -4)
         assert abs(a - b) < 1e-12, "oracle depends on gamma only through |gamma|^2"
 
+    @pytest.mark.parametrize("n,radius", [(128, 0.2), (2048, 0.05)])
+    def test_offset_sum_matches_pair_sum(self, n, radius):
+        # sum_o acf_f(o) exp(c T(o)) w^2 against the sum over support pairs
+        # f(x) f(y) exp(c T(x - y)) w^2 of the same offset values
+        grid = Grid.regular((0.0, 1.0), n)
+        bench = small_bench(f=bump_function(grid, 0.5, radius), grid=grid)
+        supp, w = bench.supp, grid.weight
+        f_s = bench.f[supp]
+        for eps, eps2 in ((2 ** -4, 2 ** -4), (2 ** -4, 2 ** -5)):
+            cross = bench.cross_table(eps, eps2)
+            table = cross[np.subtract.outer(supp, supp) + supp.size - 1]
+            for g in (0.8, 0.5 + 0.5j):
+                pairs = f_s @ np.exp(abs(g) ** 2 * table) @ f_s * w * w
+                got = second_moment_oracle(bench, g, eps, eps2)
+                assert abs(got - pairs) <= 1e-14 * pairs
+
 
 class TestBench:
     def test_block_determinism_across_workers(self):
@@ -140,10 +156,18 @@ class TestBench:
             bench.supp_tables("main", 2 ** -4)
 
     def test_cross_table_matches_variance_diag(self):
-        bench = small_bench()
-        _, k_diag = bench.supp_tables("main", 2 ** -4)
-        cross = bench.cross_table(2 ** -4, 2 ** -4)
-        assert np.abs(np.diag(cross) - k_diag).max() < 1e-12
+        # the Wick variance is the cross table at offset 0, bit for bit: both
+        # come from the one lattice routine (moments-128 and ladder-2048
+        # geometries)
+        for n, radius, ks in ((128, 0.2, (4, 5)), (2048, 0.05, range(3, 8))):
+            grid = Grid.regular((0.0, 1.0), n)
+            bench = small_bench(n_max=8, f=bump_function(grid, 0.5, radius),
+                                grid=grid)
+            s = bench.supp.size
+            for eps in (2.0 ** -k for k in ks):
+                _, k_diag = bench.supp_tables("main", eps)
+                cross = bench.cross_table(eps, eps)
+                assert np.array_equal(k_diag, np.full(s, cross[s - 1])), eps
 
     def test_cholesky_jitter_recorded(self):
         # coincident points make every level Gram singular, so each free-set
@@ -720,7 +744,8 @@ class TestMomentSweep:
         table = kernels.offset_table
 
         def counted(spec, grid, rows, rows_p, eps, eps_prime, *args):
-            built.append((eps, eps_prime))
+            if rows.size > 1:  # one-row tables are the Wick variances
+                built.append((eps, eps_prime))
             return table(spec, grid, rows, rows_p, eps, eps_prime, *args)
 
         monkeypatch.setattr(kernels, "offset_table", counted)
@@ -769,7 +794,7 @@ class TestMomentSweep:
         finally:
             tracemalloc.stop()
         assert len(tables) == 9
-        assert all(t.shape == (bench.supp.size,) * 2 for t in tables)
+        assert all(t.shape == (2 * bench.supp.size - 1,) for t in tables)
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_params_f_must_be_the_bench_f(self):
