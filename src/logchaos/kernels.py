@@ -29,18 +29,19 @@ h / q for some integer q (q = 1 for grid stencils, q <= 8 for 32-node
 midpoint clouds at dyadic eps on a dyadic grid), so every radius
 |o h + u_a - v_b| is a lag of one lattice: the kernel is evaluated once per
 lag and correlated with the cloud-pair weights binned by lag
-(_lattice_table).  Where no such lattice evaluates fewer radii than the
-per-offset fold (d=2, and midpoint clouds off the lattice or on a fine
-one, as at N=300), each offset folds the two clouds into their distinct
-differences u_a - v_b and evaluates the kernel once per (offset, distinct
-difference); midpoint_work bounds that cost up front, and the lattice
-undercuts it.
+(_lattice_table).  Where no lattice with q <= 8 evaluates fewer radii
+than the per-offset fold (d=2, and midpoint clouds off the lattice or on
+a finer one, as at N=300 or 1000), each offset folds the two clouds into
+their distinct differences u_a - v_b and evaluates the kernel once per
+(offset, distinct difference); midpoint_work bounds that cost up front,
+and the lattice undercuts it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -288,15 +289,22 @@ def pd_check(spec, grid, n=3):
                     fourier_min=float(spec_min), fourier_points=m)
 
 
+@lru_cache(maxsize=128)
 def _cloud(mol, eps, rule, h, nodes):
+    """(offsets (M, d), weights) of one quadrature rule, read-only: a table
+    that tries the lattice and then folds, and every k_mollified call at
+    one eps, build it once."""
     if rule == "grid":
         if h is None:
             raise ValueError("rule 'grid' needs the sampling grid spacing")
         offs, w = discrete_stencil(mol, eps, h)
-        return offs * h, w
-    if rule == "midpoint":
-        return quad_cloud(mol, eps, nodes)
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+        offs = offs * h
+    elif rule == "midpoint":
+        offs, w = quad_cloud(mol, eps, nodes)
+    else:
+        raise ValueError(f"unknown quadrature rule {rule!r}")
+    offs.flags.writeable = w.flags.writeable = False
+    return offs, w
 
 
 def _fold_clouds(u, wu, v, wv, eps_prime):
@@ -342,34 +350,25 @@ def _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes
     return out
 
 
-def _lattice_q(u, v, h, tol, q_max):
-    """Smallest q <= q_max with every point of the d=1 clouds u and v within
-    tol of a multiple of h / q, or None.  q = 1..8 (midpoint clouds at
-    dyadic eps on a dyadic grid) are tried on all points first, larger q
-    only where they place the first point of u and the last of v."""
-    pts = np.concatenate([u[:, 0], v[:, 0]]) / h
-
-    def on(qs, x):
-        t = qs * x
-        return np.abs(t - np.round(t)) <= tol / h * qs
-
-    qs = np.arange(1, q_max + 1)
-    for lo, hi in ((0, 8), (8, q_max)):
-        cand = qs[lo:hi]
-        if lo:
-            cand = cand[on(cand, pts[0]) & on(cand, pts[-1])]
-        hit = np.flatnonzero(on(cand[:, None], pts).all(axis=1))
-        if hit.size:
-            return int(cand[hit[0]])
-    return None
+def _lattice_q(u, v, h, tol):
+    """Smallest q = 1..8 with every point of the d=1 clouds u and v within
+    tol of a multiple of h / q, or None.  32-node midpoint clouds at dyadic
+    eps on a dyadic grid take q <= 8; a finer lattice gathers each offset's
+    occupied lags from a row over q times as long, and from q = 32 on
+    (N = 1000, 3000) it ran slower than the per-offset fold."""
+    qs = np.arange(1, 9)[:, None]
+    t = qs * (np.concatenate([u[:, 0], v[:, 0]]) / h)
+    fit = (np.abs(t - np.round(t)) <= qs * (tol / h)).all(axis=1)
+    return int(np.argmax(fit)) + 1 if fit.any() else None
 
 
 def _lattice_table(spec, offsets, eps, eps_prime, mol, rule, n_levels, h,
-                   nodes):
-    """K_{eps,eps'} at the separations o h of the consecutive integer
-    offsets o of a d=1 table, by one kernel evaluation per lag of the
-    lattice h / q both clouds sit on; None when that evaluates more radii,
-    (offsets - 1) q + lags, than the fold's offsets x occupied lags.
+                   nodes, shift=0.0):
+    """K_{eps,eps'} at the separations shift + o h of the consecutive
+    integer offsets o of a d=1 table, by one kernel evaluation per lag of
+    the lattice h / q both clouds sit on; None when there is no such
+    lattice with q <= 8 or it evaluates more radii, (offsets - 1) q + lags,
+    than the fold's offsets x occupied lags.
 
     Offset o meets the cloud lag l at lag o q + l, so each value is the
     correlation of the kernel row with the pair weights binned by lag.
@@ -387,14 +386,10 @@ def _lattice_table(spec, offsets, eps, eps_prime, mol, rule, n_levels, h,
         q, first = 1, round((u[0, 0] - v[-1, 0]) / h)
         ww = np.correlate(wu, wv, "full")
     else:
-        # no larger q evaluates fewer radii than the fold's upper bound;
-        # d=1 clouds are ascending
-        span = (u[-1, 0] - u[0, 0] + v[-1, 0] - v[0, 0]) / h
-        q = _lattice_q(u, v, h, 1e-12 * eps_prime,
-                       int((n_off * wu.size * wv.size - 1)
-                           // max(n_off - 1 + span, 1.0)))
+        q = _lattice_q(u, v, h, 1e-12 * eps_prime)
         if q is None:
             return None
+        # d=1 clouds are ascending
         iu = np.round(u[:, 0] * (q / h)).astype(np.int64)
         iv = np.round(v[:, 0] * (q / h)).astype(np.int64)
         first = iu[0] - iv[-1]
@@ -405,7 +400,7 @@ def _lattice_table(spec, offsets, eps, eps_prime, mol, rule, n_levels, h,
             return None
     lags = np.arange(offsets[0] * q + first,
                      offsets[-1] * q + first + ww.size)
-    krow = k_partial(spec, n_levels, np.abs(lags) * (h / q))
+    krow = k_partial(spec, n_levels, np.abs(lags * (h / q) + shift))
     if rule == "grid":
         return np.correlate(krow, ww, "valid")
     # row o holds the lags o q + first ..; chunked at 2e7 as the fold is
@@ -448,14 +443,11 @@ def k_mollified(spec, eps, eps_prime, x, y, mol=None, rule="midpoint",
     if n_levels is None:
         n_levels = exact_level(spec, eps_prime)
     sep = (px - py)[None, :]
-    if rule == "grid" and spec.d == 1 and h is not None:
-        # points a lattice offset apart read one lattice row, as tables do
-        o = round(float(sep[0, 0]) / h)
-        if abs(sep[0, 0] - o * h) <= 1e-12 * eps_prime:
-            vals = _lattice_table(spec, np.array([o]), eps, eps_prime, mol,
-                                  rule, n_levels, h, nodes)
-            if vals is not None:
-                return float(vals[0])
+    if rule == "grid" and spec.d == 1:
+        # one lattice row at the separation, as tables read theirs
+        return float(_lattice_table(spec, np.zeros(1, dtype=np.int64), eps,
+                                    eps_prime, mol, rule, n_levels, h, nodes,
+                                    float(sep[0, 0]))[0])
     return float(_mollified_of_seps(spec, sep, eps, eps_prime, mol, rule,
                                     n_levels, h, nodes)[0])
 

@@ -403,12 +403,14 @@ class TestLatticeTable:
             assert err <= 1e-14 * np.abs(want).max(), (eps, eps_prime,
                                                        n_levels, err)
 
-    def test_off_lattice_midpoint_folds(self, monkeypatch):
-        # at N=300 the midpoint clouds sit on multiples of h/q only for q =
-        # 64..512, where the lattice would evaluate more radii than the
-        # fold, so each table folds per offset at its pairs' separations,
-        # as every table did up to v0.15.0, bit for bit
-        grid = Grid.regular((0.0, 1.0), 300)
+    @pytest.mark.parametrize("n,tables", [(300, 7), (1000, 9)])
+    def test_off_lattice_midpoint_folds(self, monkeypatch, n, tables):
+        # at N=300 and N=1000 the midpoint clouds sit on multiples of h/q
+        # only for q = 32..512, where gathering each offset's lags from the
+        # long row costs more than the fold, so each table folds per offset
+        # at its pairs' separations, as every table did up to v0.15.0, bit
+        # for bit
+        grid = Grid.regular((0.0, 1.0), n)
         mol = Mollifier(d=1)
         lattice = []
         inner = kernels._lattice_table
@@ -418,7 +420,7 @@ class TestLatticeTable:
             return lattice[-1]
 
         monkeypatch.setattr(kernels, "_lattice_table", counted)
-        for eps, eps_prime, n_levels in ladder_tables(SPEC1)[:7]:
+        for eps, eps_prime, n_levels in ladder_tables(SPEC1)[:tables]:
             rows = interior_rows(grid, mol, eps)
             rows_p = interior_rows(grid, mol, eps_prime)
             _, seps, vals = kernels.offset_table(SPEC1, grid, rows, rows_p,
@@ -428,7 +430,7 @@ class TestLatticeTable:
                                               mol, "midpoint", n_levels,
                                               grid.h, 32)
             assert np.array_equal(vals, want), (eps, eps_prime)
-        assert len(lattice) == 7 and all(v is None for v in lattice)
+        assert len(lattice) == tables and all(v is None for v in lattice)
 
     def test_kernel_tables_512_radii(self, monkeypatch):
         # the 14 tables of kernel-check at N=512 (ladder 2^-3..2^-7,
@@ -545,10 +547,11 @@ class TestMollifiedTable:
                 f"({i},{j}): {values[i, j]} vs {dense[i, j]}"
 
     def test_pointwise_grid_rule_on_lattice(self, monkeypatch):
-        # grid points of a d=1 grid sit a lattice offset apart, so the grid
-        # rule reads one lattice row of 2 x 511 - 1 lags (N=2048, eps =
-        # 2^-3), bit for bit the one-offset table, where the fold would
-        # form 511^2 stencil pairs
+        # the grid rule reads one lattice row of 2 x 511 - 1 lags at any
+        # separation (N=2048, eps = 2^-3), where the fold would form 511^2
+        # stencil pairs: at grid points, a lattice offset apart, bit for
+        # bit the one-offset table, and between them within 1e-14 of the
+        # fold
         grid = Grid.regular((0.0, 1.0), 2048)
         mol, eps = Mollifier(d=1), 2 ** -3
         x, y = grid.points[1000, 0], grid.points[997, 0]
@@ -569,6 +572,12 @@ class TestMollifiedTable:
         got = k_mollified(SPEC1, eps, eps, x, y, mol, "grid", 8, grid.h)
         assert seen == [1021]
         assert got == table[0]
+        assert abs(got - fold[0]) <= 1e-14 * abs(fold[0])
+        sep = 3.3 * grid.h
+        got = k_mollified(SPEC1, eps, eps, x, x - sep, mol, "grid", 8, grid.h)
+        assert seen == [1021, 1021]
+        fold = kernels._mollified_of_seps(SPEC1, np.array([[sep]]), eps, eps,
+                                          mol, "grid", 8, grid.h, 32)
         assert abs(got - fold[0]) <= 1e-14 * abs(fold[0])
 
     def test_d2_grid_table_matches_dense(self):

@@ -744,8 +744,7 @@ class TestMomentSweep:
         table = kernels.offset_table
 
         def counted(spec, grid, rows, rows_p, eps, eps_prime, *args):
-            if rows.size > 1:  # one-row tables are the Wick variances
-                built.append((eps, eps_prime))
+            built.append((eps, eps_prime))
             return table(spec, grid, rows, rows_p, eps, eps_prime, *args)
 
         monkeypatch.setattr(kernels, "offset_table", counted)
