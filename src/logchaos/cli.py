@@ -23,7 +23,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, kernels, phase, verify
 from .chaos import ChaosParams, bump_function, q0_for
@@ -53,6 +52,20 @@ TABLE_WORK_BOUND = 10 ** 7
 # 68 MB CSV
 SCAN_POINT_BOUND = 10 ** 6
 
+# size bounds, each checked at plan time.  LEVEL_BOUND: kernels.level_sum
+# evaluates exp(t0 + n + 1), finite up to n = 708 at the runs' t0 = 0 (a
+# field-stats var_levels entry 709 overflows it).  GRID_POINT_BOUND, on
+# grid_n ** d before Grid.regular allocates: it admits d=1 exact ladders at
+# N = 2^17, where a 40-replica run of a sampled kind takes 1-5 s and peaks at
+# 180-710 MB of RSS (sobolev the most) on a 2-vCPU Xeon.  REPLICA_BOUND: a run
+# holds every output column for every replica; a field-stats run at
+# PROBE_BOUND probes (5 times the default 20) holds 1.6 KB a replica there
+# (10^5 replicas: 2.0 s and 199 MB, against 56 MB at 10^4)
+LEVEL_BOUND = 708
+GRID_POINT_BOUND = 2 ** 17
+REPLICA_BOUND = 10 ** 6
+PROBE_BOUND = 100
+
 
 class ConfigError(ValueError):
     """Validation failure; the message names the violated precondition."""
@@ -74,12 +87,14 @@ def _num(cfg, key, default):
         raise ConfigError(f"{key} must be a finite number, got {v!r}")
 
 
-def _int(cfg, key, default, lo=None):
+def _int(cfg, key, default, lo=None, hi=None):
     v = cfg.get(key, default)
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(f"{key} must be an integer, got {v!r}")
     if lo is not None and v < lo:
         raise ConfigError(f"{key} must be >= {lo}, got {v}")
+    if hi is not None and v > hi:
+        raise ConfigError(f"{key} must be <= {hi}, got {v}")
     return v
 
 
@@ -102,17 +117,17 @@ def _integer(v):
 
 
 def _levels(cfg, key, default, lo):
-    """A nonempty list of integer levels, each >= lo."""
+    """A nonempty list of integer levels, each in lo..LEVEL_BOUND."""
     ns = _list(cfg, key, default, _integer)
-    if not ns or min(ns) < lo:
-        raise ConfigError(
-            f"{key} must be a nonempty list of levels >= {lo}, got {ns}")
+    if not ns or min(ns) < lo or max(ns) > LEVEL_BOUND:
+        raise ConfigError(f"{key} must be a nonempty list of levels in "
+                          f"{lo}..{LEVEL_BOUND}, got {ns}")
     return ns
 
 
 def _replicas(cfg, default):
     """Replica budget of a sampled kind; every estimate needs two replicas."""
-    return _int(cfg, "replicas", default, lo=2)
+    return _int(cfg, "replicas", default, lo=2, hi=REPLICA_BOUND)
 
 
 def _dim(cfg, sampled=True):
@@ -151,8 +166,12 @@ def run_id_of(cfg):
 def _grid(cfg, spec, default_n, used=()):
     """Grid of grid_n points per axis; for each (key, eps) in used it
     resolves the mollifier (h <= eps/4) and has a point in D_eps."""
-    grid = Grid.regular(spec.box, _int(cfg, "grid_n", default_n, lo=1),
-                        d=spec.d)
+    n = _int(cfg, "grid_n", default_n, lo=1)
+    # checked before Grid.regular allocates the points
+    if n ** spec.d > GRID_POINT_BOUND:
+        raise ConfigError(f"d={spec.d}, grid_n={n} makes {n ** spec.d} grid "
+                          f"points, over the bound {GRID_POINT_BOUND}")
+    grid = Grid.regular(spec.box, n, d=spec.d)
     for key, eps in used:
         if grid.h > eps / 4.0:
             raise ConfigError(
@@ -194,7 +213,7 @@ def _resolve_common(cfg, used, default_n=2048, default_radius=0.05,
     f, center, radius = _test_function(cfg, grid, used if convolved is None
                                        else convolved, default_radius)
     level = kernels.exact_level(spec, min(eps for _, eps in used))
-    n_max = _int(cfg, "n_max", level + 1, lo=level)
+    n_max = _int(cfg, "n_max", level + 1, lo=level, hi=LEVEL_BOUND)
     return spec, grid, f, {"d": spec.d, "grid_n": grid.shape[0],
                            "f_center": center, "f_radius": radius,
                            "q_floor": q0_for(f, grid), "n_max": n_max,
@@ -347,7 +366,7 @@ def plan_field_stats(cfg):
         default_radius=0.2)
     ns = _levels(cfg, "var_levels", [2, 5, 8], 0)
     n_max = max(resolved["n_max"], max(ns))
-    probes = _int(cfg, "probes", 20, lo=1)
+    probes = _int(cfg, "probes", 20, lo=1, hi=PROBE_BOUND)
     replicas = _replicas(cfg, 10000)
     seed = _int(cfg, "seed", 0, lo=0)
     resolved.update({"eps": eps, "eps_prime": eps_prime, "var_levels": ns,
@@ -488,40 +507,25 @@ def plan_ladder(cfg):
 
 
 def plan_tail_check(cfg):
-    sigmas = _list(cfg, "sigmas", [0.5, 1.0, 2.0, 4.0])
     ratios = _list(cfg, "u_over_sigma", [0, 1, 2, 3, 4, 5])
-    if not sigmas or not ratios:
-        raise ConfigError("sigmas and u_over_sigma must be nonempty")
-    if any(s <= 0 for s in sigmas) or any(u < 0 for u in ratios):
-        raise ConfigError("need sigmas > 0 and u_over_sigma >= 0")
-    # the bound's exponent u^2 / (2 sigma^2), in tail_bound_check's own
-    # arithmetic: a subnormal or overflowing sigma^2 or an overflowing
-    # quotient would divide by zero or write a wrong bound
-    for s in sigmas:
-        if not sys.float_info.min <= s * s <= 0.5 * sys.float_info.max:
-            raise ConfigError(f"sigmas entry {s!r}: sigma^2 must be a normal "
-                              f"float and 2 sigma^2 finite")
-        for k in ratios:
-            u = k * s
-            if not math.isfinite(u * u / (2.0 * s * s)):
-                raise ConfigError(
-                    f"u_over_sigma entry {k!r} at sigma {s!r}: the exponent "
-                    f"u^2 / (2 sigma^2) overflows")
+    if not ratios or min(ratios) < 0:
+        raise ConfigError("u_over_sigma must be a nonempty list of numbers "
+                          f">= 0, got {ratios}")
 
     def run(workers, run_id):
-        report = verify.tail_bound_check(sigmas, ratios)
-        rows = [[repr(s), repr(u), repr(exact), repr(bound), holds, run_id]
-                for s, u, exact, bound, holds in report.rows]
-        rows.append(["literal_at_sigma1_u3", repr(3.0),
-                     repr(report.literal_exact), repr(report.literal_bound),
-                     not report.literal_violated, run_id])
+        report = verify.tail_bound_check(ratios)
+        rows = [[repr(k), repr(exact), repr(bound), holds, run_id]
+                for k, exact, bound, holds in report.rows]
+        rows.append(["literal_at_3", repr(report.literal_exact),
+                     repr(report.literal_bound), not report.literal_violated,
+                     run_id])
         verdicts = {"corrected_bound_holds": report.all_hold,
                     "literal_bound_violated": report.literal_violated}
-        tables = {"tail_bound.csv": (["sigma", "u", "exact_tail", "bound",
+        tables = {"tail_bound.csv": (["u_over_sigma", "exact_tail", "bound",
                                       "holds", "run_id"], rows)}
         return tables, verdicts, {}
 
-    return {"sigmas": sigmas, "u_over_sigma": ratios}, run
+    return {"u_over_sigma": ratios}, run
 
 
 def plan_sup_prob(cfg):
@@ -529,10 +533,11 @@ def plan_sup_prob(cfg):
     lam = _lam(cfg, d, 1.6)
     ks = _list(cfg, "ks", list(range(4, 11)), _integer)
     qs = _list(cfg, "qs", [2, 4, 6, 8], _integer)
-    if not ks or not qs or min(ks + qs) < 0:
-        raise ConfigError("ks and qs must each name at least one level >= 0")
+    if not ks or not qs or min(ks + qs) < 0 or max(ks + qs) > LEVEL_BOUND:
+        raise ConfigError("ks and qs must each name at least one level, "
+                          f"each in 0..{LEVEL_BOUND}")
     deepest = max(ks + qs + [1])
-    n_max = _int(cfg, "n_max", deepest, lo=deepest)
+    n_max = _int(cfg, "n_max", deepest, lo=deepest, hi=LEVEL_BOUND)
     spec = KernelSpec(d=d)
     grid = _grid(cfg, spec, 512)
     f, _, _ = _test_function(cfg, grid, [], 0.2)
@@ -575,7 +580,7 @@ def plan_tilt_check(cfg):
     eps = _num(cfg, "eps", math.exp(-5))
     if not 0.0 < eps <= 1.0:
         raise ConfigError(f"eps must lie in (0, 1], got {eps}")
-    n_max = _int(cfg, "n_max", 8, lo=1)
+    n_max = _int(cfg, "n_max", 8, lo=1, hi=LEVEL_BOUND)
     q = _q(cfg, n_max)
     replicas = _replicas(cfg, 10000)
     seed = _int(cfg, "seed", 0, lo=0)
@@ -717,7 +722,7 @@ def environment(workers):
         blas = simd = None
     core, threads = _blas_core()
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "blas": blas, "numpy_simd": simd,
+            "blas": blas, "numpy_simd": simd,
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "cpu_count": os.cpu_count(),
             "cpu": _cpu_model(),

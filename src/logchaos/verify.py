@@ -764,38 +764,33 @@ def kernel_estimate_check(spec, kind, grid, mol=None, eps_ladder=(),
 class TailBoundReport:
     """Exact Gaussian tails against the corrected two-sided bound."""
 
-    rows: tuple            # (sigma, u, exact, bound, holds)
+    rows: tuple            # (u / sigma, exact, bound, holds)
     all_hold: bool
-    literal_exact: float   # exact tail at (sigma=1, u=3)
+    literal_exact: float   # exact tail at u / sigma = 3
     literal_bound: float   # the uncorrected bound 2 exp(-u^2/sigma^2) there
     literal_violated: bool
 
 
-def tail_bound_check(sigmas=(0.5, 1.0, 2.0, 4.0), u_over_sigma=(0, 1, 2, 3, 4, 5)):
+def tail_bound_check(u_over_sigma=(0, 1, 2, 3, 4, 5)):
     """Tabulate the upper Gaussian tail against 2 exp(-u^2 / (2 sigma^2)).
 
     The exact tail is (1/sqrt(2 pi) sigma) int_u^inf e^{-x^2/(2 sigma^2)} dx
-    = erfc(u / (sigma sqrt 2)) / 2.  With the exponent u^2/(2 sigma^2) the
-    bound holds everywhere; with the uncorrected exponent u^2/sigma^2 it
-    fails at (sigma=1, u=3), where the exact tail 1.35e-3 exceeds
-    2 e^{-9} = 2.47e-4.  Both facts are recorded.
+    = erfc(k / sqrt 2) / 2 and the bound is 2 exp(-k^2 / 2), so both depend
+    on k = u / sigma alone.  With the exponent u^2/(2 sigma^2) the bound
+    holds everywhere; with the uncorrected exponent u^2/sigma^2 it fails at
+    k = 3, where the exact tail 1.35e-3 exceeds 2 e^{-9} = 2.47e-4.  Both
+    facts are recorded.  Both columns are finite at every finite k >= 0.
     """
-    # imported here, so that only tail-check loads scipy.special
-    from scipy.special import erfc
-
     rows = []
-    all_hold = True
-    for s in sigmas:
-        for k in u_over_sigma:
-            u = k * s
-            exact = 0.5 * float(erfc(u / (s * math.sqrt(2.0))))
-            bound = 2.0 * math.exp(-u * u / (2.0 * s * s))
-            holds = exact <= bound
-            all_hold &= holds
-            rows.append((float(s), float(u), exact, bound, holds))
-    lit_exact = 0.5 * float(erfc(3.0 / math.sqrt(2.0)))
+    for k in u_over_sigma:
+        k = float(k)
+        exact = 0.5 * math.erfc(k / math.sqrt(2.0))
+        bound = 2.0 * math.exp(-k * k / 2.0)
+        rows.append((k, exact, bound, exact <= bound))
+    lit_exact = 0.5 * math.erfc(3.0 / math.sqrt(2.0))
     lit_bound = 2.0 * math.exp(-9.0)
-    return TailBoundReport(rows=tuple(rows), all_hold=all_hold,
+    return TailBoundReport(rows=tuple(rows),
+                           all_hold=all(row[3] for row in rows),
                            literal_exact=lit_exact, literal_bound=lit_bound,
                            literal_violated=lit_exact > lit_bound)
 
@@ -817,17 +812,18 @@ class SupFieldReport:
 
 
 def _ls_fit(xs, ys):
-    """Least-squares slope with its SE; needs >= 3 points for the SE."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    """Least-squares slope with its SE, in closed form: slope = Sxy / Sxx and
+    SE = sqrt(RSS / (n - 2) / Sxx); NaN without two distinct xs (the slope)
+    or three points (the SE)."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     n = xs.size
-    a = np.vstack([np.ones(n), xs]).T
-    coef, res, _, _ = np.linalg.lstsq(a, ys, rcond=None)
-    if n > 2 and res.size:
-        sigma2 = float(res[0]) / (n - 2)
-        cov = sigma2 * np.linalg.inv(a.T @ a)
-        return float(coef[1]), float(math.sqrt(cov[1, 1]))
-    return float(coef[1]), float("nan")
+    if n < 2 or xs.min() == xs.max():
+        return float("nan"), float("nan")
+    dx, dy = xs - xs.mean(), ys - ys.mean()
+    sxx = float(np.sum(dx * dx))
+    slope = float(np.sum(dx * dy)) / sxx
+    rss = float(np.sum((dy - slope * dx) ** 2))
+    return slope, math.sqrt(rss / (n - 2) / sxx) if n > 2 else float("nan")
 
 
 def sup_field_prob(bench, lam, ks, qs, replicas, seed, workers=None):

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,8 +84,8 @@ class TestRunId:
         assert all(c in "0123456789abcdef" for c in rid)
 
     def test_key_order_invariant(self):
-        a = {"kind": "tail-check", "sigmas": [1.0]}
-        b = {"sigmas": [1.0], "kind": "tail-check"}
+        a = {"kind": "tail-check", "u_over_sigma": [1.0]}
+        b = {"u_over_sigma": [1.0], "kind": "tail-check"}
         assert run_id_of(a) == run_id_of(b)
 
     def test_value_sensitive(self):
@@ -117,7 +118,7 @@ REJECTIONS = [
     ({"kind": "cauchy", "eps_ladder": [1.5, 0.5]}, "eps_ladder"),
     ({"kind": "cauchy", "d": 2}, "d=2"),
     ({"kind": "field-stats", "grid_n": 16}, "grid_n"),
-    ({"kind": "tail-check", "sigmas": [-1.0]}, "sigmas"),
+    ({"kind": "kernel-check", "grid_n": 10 ** 11}, "grid_n"),
     ({"kind": "tail-check", "u_over_sigma": [-1]}, "u_over_sigma"),
     ({"kind": "sup-prob", "n_max": 3}, "n_max"),
     ({"kind": "sup-prob", "ks": [], "qs": []}, "ks and qs"),
@@ -140,8 +141,8 @@ RUN_ONLY_REJECTIONS = [
     ({"kind": "moment-check", "eps": float("inf")}, "eps"),
     ({"kind": "moment-check", "eps": "nan"}, "eps"),
     ({"kind": "sobolev", "u": "nan"}, "u"),
-    ({"kind": "tail-check", "sigmas": [float("inf")]}, "sigmas"),
-    ({"kind": "tail-check", "sigmas": []}, "sigmas"),
+    ({"kind": "tail-check", "u_over_sigma": [float("inf")]}, "u_over_sigma"),
+    ({"kind": "tail-check", "u_over_sigma": []}, "u_over_sigma"),
     ({"kind": "moment-check", "f": 3}, "f must be an object"),
     ({"kind": "moment-check", "f": {"radius": 0}}, "radius"),
     ({"kind": "sup-prob", "grid_n": 128, "f": {"radius": 0}}, "radius"),
@@ -183,25 +184,16 @@ RUN_ONLY_REJECTIONS = [
       "seed": 1}, "eps_ladder"),
     ({"kind": "sobolev", "grid_n": 128, "eps_ladder": [0.125],
       "replicas": 40, "seed": 1}, "eps_ladder"),
-    # tail exponents u^2 / (2 sigma^2) out of float range: sigma^2
-    # underflows (a division by zero), u^2 overflows (a NaN bound, so a
-    # false FAIL), or both (a NaN plot axis)
-    ({"kind": "tail-check", "sigmas": [1e-200], "u_over_sigma": [1]},
-     "sigmas entry 1e-200"),
-    ({"kind": "tail-check", "sigmas": [1e-170], "u_over_sigma": [1]},
-     "sigmas entry 1e-170"),
-    ({"kind": "tail-check", "sigmas": [1e-200], "u_over_sigma": [0]},
-     "sigmas entry 1e-200"),
-    ({"kind": "tail-check", "sigmas": [1e200], "u_over_sigma": [1]},
-     "sigmas entry 1e+200"),
-    ({"kind": "tail-check", "sigmas": [1e308], "u_over_sigma": [1e308]},
-     "sigmas entry 1e+308"),
-    ({"kind": "tail-check", "sigmas": [1.0], "u_over_sigma": [0, 1e200]},
-     "u_over_sigma entry 1e+200"),
-    # a subnormal sigma^2 (bounds 0.1% off at 1e-160, 7 times at 2e-162),
-    # an overflowing 2 sigma^2 (exponents 0, then NaN: a false FAIL)
-    ({"kind": "tail-check", "sigmas": [1e-160]}, "sigmas entry 1e-160"),
-    ({"kind": "tail-check", "sigmas": [1e154]}, "sigmas entry 1e+154"),
+    # sizes over the plan-time bounds, refused before anything allocates
+    # (eight entries, so that the ids of the phase-scan entries below stay)
+    ({"kind": "moment-check", "grid_n": 10 ** 11}, "grid_n"),
+    ({"kind": "moment-check", "n_max": 10 ** 11}, "n_max"),
+    ({"kind": "sup-prob", "n_max": 10 ** 11}, "n_max"),
+    ({"kind": "tilt-check", "n_max": 10 ** 11}, "n_max"),
+    ({"kind": "field-stats", "var_levels": [10 ** 11]}, "var_levels"),
+    ({"kind": "kernel-check", "n_ladder": [4, 10 ** 300]}, "n_ladder"),
+    ({"kind": "field-stats", "probes": 10 ** 9}, "probes"),
+    ({"kind": "cauchy", "replicas": 10 ** 15}, "replicas"),
     # a phase-scan axis whose span hi - lo overflows
     ({"kind": "phase-scan", "alpha_range": [-1e308, 1e308, 5],
       "beta_range": [-2, 2, 5]}, "alpha_range"),
@@ -211,6 +203,17 @@ RUN_ONLY_REJECTIONS = [
     ({"kind": "phase-scan", "alpha_range": [0, 1, 10 ** 13]}, "alpha_range"),
     ({"kind": "phase-scan", "alpha_range": [0, 1, 10 ** 5],
       "beta_range": [0, 1, 10 ** 5]}, "beta_range"),
+    # each bound one past its limit: levels to 708, where exp(t0 + n + 1)
+    # is still finite, grids to 2^17 points, and d=2 grids by their points
+    ({"kind": "field-stats", "var_levels": [2, 709]}, "var_levels"),
+    ({"kind": "kernel-check", "n_ladder": [709]}, "n_ladder"),
+    ({"kind": "cauchy", "n_max": 709}, "n_max"),
+    ({"kind": "sup-prob", "ks": [4, 709]}, "ks and qs"),
+    ({"kind": "sup-prob", "qs": [10 ** 11]}, "ks and qs"),
+    ({"kind": "sobolev", "grid_n": 2 ** 17 + 1}, "grid_n"),
+    ({"kind": "kernel-check", "d": 2, "grid_n": 10 ** 5}, "grid_n"),
+    ({"kind": "field-stats", "probes": 101}, "probes"),
+    ({"kind": "moment-check", "replicas": 10 ** 6 + 1}, "replicas"),
 ]
 
 
@@ -239,6 +242,24 @@ class TestValidateOnly:
               "eps_ladder": [2.0 ** -3, 2.0 ** -10]})
         with pytest.raises(ConfigError, match="d=1, grid_n=8192"):
             plan({"kind": "kernel-check", "grid_n": 8192})
+
+    def test_size_bounds_admit_their_limits(self):
+        # the parity tables refuse one past each of these
+        for cfg in ({"kind": "sobolev", "grid_n": 2 ** 17},
+                    {"kind": "field-stats", "var_levels": [2, 708],
+                     "probes": 100, "replicas": 10 ** 6},
+                    {"kind": "sup-prob", "ks": [4, 708], "qs": [708]},
+                    {"kind": "kernel-check", "n_ladder": [708]},
+                    {"kind": "cauchy", "n_max": 708}):
+            plan(cfg)
+
+    def test_deepest_level_runs_silently(self, tmp_path, capsys):
+        # exp(t0 + n + 1) at n = 708 is finite: no overflow warning
+        cfg = dict(TINY[2], var_levels=[2, 708])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", cfg_file(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")]) in (0, 1)
 
     def test_one_rung_mollifier_independence_runs(self, tmp_path, capsys):
         # its cells are per rung, so one rung is a one-cell ladder (cauchy
@@ -383,8 +404,7 @@ class TestMainRun:
 
     def test_default_out_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        cfg = {"kind": "tail-check", "sigmas": [1.0],
-               "u_over_sigma": [0, 1, 2, 3]}
+        cfg = {"kind": "tail-check", "u_over_sigma": [0, 1, 2, 3]}
         assert main(["run", cfg_file(tmp_path, cfg)]) == 0
         assert (tmp_path / "runs" / "tail-check" / "tail_bound.csv").exists()
 
@@ -665,7 +685,7 @@ class TestRunRecord:
                          "--out", str(out)]) == 0
             docs.append(json.loads((out / "manifest.json").read_text()))
         env = docs[0]["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "blas", "numpy_simd",
+        assert set(env) == {"python", "numpy", "blas", "numpy_simd",
                             "openblas_num_threads", "cpu_count", "cpu",
                             "blas_core", "blas_threads", "workers"}
         assert env["numpy"] == np.__version__ and env["workers"] == 1
@@ -723,7 +743,7 @@ class TestReplayContract:
 class TestListEntries:
     @pytest.mark.parametrize("kind,key", [
         ("cauchy", "eps_ladder"), ("kernel-check", "n_ladder"),
-        ("field-stats", "var_levels"), ("tail-check", "sigmas"),
+        ("field-stats", "var_levels"), ("moment-check", "gammas"),
         ("tail-check", "u_over_sigma"), ("sup-prob", "ks"),
         ("sup-prob", "qs"), ("tilt-check", "separations"),
     ])
@@ -772,12 +792,23 @@ class TestBadRunInputs:
             assert main(argv) == 2, f"{argv[0]} {key}={value!r}"
             assert key in capsys.readouterr().err
 
-    def test_tail_check_extreme_in_range_sigmas_run(self, tmp_path, capsys):
-        # sigma^2 normal and 2 sigma^2 finite at both ends: the bound holds
-        cfg = {"kind": "tail-check", "sigmas": [1e-150, 1e150],
-               "u_over_sigma": [0, 1, 5]}
-        assert main(["run", cfg_file(tmp_path, cfg), "--out",
-                     str(tmp_path / "o")]) == 0
+    def test_tail_check_extreme_ratios_run(self, tmp_path, capsys):
+        # both columns are finite at every finite u / sigma >= 0: the exact
+        # tail underflows to 0 by 38.5 and the bound by 38.7, and past
+        # 1.3e154 the bound's k^2 overflows to an exp(-inf) of 0
+        ratios = [0, 5e-324, 1, 38.5, 38.6, 38.7, 1e154, 1e308, 1.79e308]
+        cfg = {"kind": "tail-check", "u_over_sigma": ratios}
+        out = tmp_path / "o"
+        assert main(["run", cfg_file(tmp_path, cfg), "--out", str(out)]) == 0
+        with open(out / "tail_bound.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["u_over_sigma"]) for r in rows[:-1]] == ratios
+        assert float(rows[5]["bound"]) == 0.0 < float(rows[4]["bound"])
+        assert rows[-1]["u_over_sigma"] == "literal_at_3"
+        for r in rows[:-1]:
+            assert r["holds"] == "True"
+            exact, bound = float(r["exact_tail"]), float(r["bound"])
+            assert 0.0 <= exact <= bound <= 2.0
 
     @pytest.mark.parametrize("change,named", [
         ({"estimands": []}, "estimands"), ({"gammas": []}, "gammas"),
@@ -906,7 +937,7 @@ TINY = [
      "eps_ladder": [0.125, 0.0625], "replicas": 40, "seed": 0, "f": F_TINY},
     {"kind": "mollifier-independence", "gamma": 0.5, "grid_n": 64,
      "eps_ladder": [0.125], "replicas": 40, "seed": 0, "f": F_TINY},
-    {"kind": "tail-check", "sigmas": [0.5, 1.0], "u_over_sigma": [0, 1, 2]},
+    {"kind": "tail-check", "u_over_sigma": [0, 1, 2]},
     {"kind": "sup-prob", "grid_n": 64, "ks": [2, 3], "qs": [2],
      "replicas": 40, "seed": 0, "f": F_TINY},
     {"kind": "tilt-check", "n_max": 6, "replicas": 40, "seed": 0},
@@ -918,7 +949,7 @@ TINY = [
 FUZZ_KEYS = ["alpha", "alpha_range", "beta", "beta_range", "check", "d",
              "eps", "eps_fixed", "eps_ladder", "eps_prime", "estimands", "f",
              "gamma", "gammas", "ks", "lam", "n_ladder", "n_max", "probes",
-             "profiles", "q", "qs", "seed", "separations", "sigmas", "u",
+             "profiles", "q", "qs", "seed", "separations", "u",
              "u_over_sigma", "var_levels"]
 FUZZ_VALUES = (
     st.integers(-2, 12) | st.floats(-2.0, 2.0)
@@ -943,9 +974,7 @@ FUZZ_EXTREMES = st.floats(allow_nan=False, allow_infinity=False) | \
 FUZZ_AXIS = st.tuples(FUZZ_EXTREMES, FUZZ_EXTREMES, st.integers(1, 4)).map(list)
 # tail-check and phase-scan, the kinds whose numbers alone set their scale
 FUZZ_SCALES = (
-    st.builds(lambda s, u: {"kind": "tail-check", "sigmas": s,
-                            "u_over_sigma": u},
-              st.lists(FUZZ_EXTREMES.map(abs), min_size=1, max_size=3),
+    st.builds(lambda u: {"kind": "tail-check", "u_over_sigma": u},
               st.lists(FUZZ_EXTREMES.map(abs), min_size=1, max_size=3))
     | st.builds(lambda a, b: {"kind": "phase-scan", "alpha_range": a,
                               "beta_range": b}, FUZZ_AXIS, FUZZ_AXIS))

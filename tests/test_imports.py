@@ -1,6 +1,6 @@
-"""A run imports numpy and scipy's top-level package, not scipy's heavy
-subpackages: scipy.special loads only for tail-check, and no run loads
-scipy.integrate, scipy.fft or what they pull in."""
+"""No run loads scipy: numpy is the package's only runtime dependency, and
+neither importing the CLI, a run of any kind nor the continuum mollifier
+constant c_d imports a scipy module."""
 
 import json
 import os
@@ -9,21 +9,17 @@ import subprocess
 import sys
 
 import logchaos
-from test_acceptance import REPRO_CONFIGS
+from test_cli import TINY
 
 SRC = str(pathlib.Path(logchaos.__file__).resolve().parents[1])
 
-HEAVY = [f"scipy.{m}" for m in ("fft", "special", "integrate", "linalg",
-                                 "sparse", "optimize", "spatial")]
-
-# argv: one config path per run; prints, as its last line, the heavy
-# subpackages loaded after the imports and after each run
-SCRIPT = f"""
+# argv: one config path per run; prints, as its last line, the scipy
+# modules loaded after the imports, after each run and after reading c_d
+SCRIPT = """
 import contextlib, io, json, sys
-HEAVY = {HEAVY!r}
 
 def loaded():
-    return [m for m in HEAVY if m in sys.modules]
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 import logchaos
 import logchaos.cli
@@ -32,16 +28,18 @@ for path in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = logchaos.cli.main(["run", path, "--out", path + ".out"])
     seen.append([path, code, loaded()])
+from logchaos.mollifier import Mollifier
+[Mollifier(d=d, profile=p).c_d for d in (1, 2) for p in ("bump", "quartic")]
+seen.append(["c_d", 0, loaded()])
 print(json.dumps(seen))
 """
 
 
 def test_runs_load_no_heavy_scipy(tmp_path):
     paths = []
-    for kind in ("moment-check", "cauchy", "kernel-check", "tail-check"):
-        path = tmp_path / f"{kind}.json"
-        path.write_text(json.dumps(dict(REPRO_CONFIGS[kind], kind=kind,
-                                        seed=9)))
+    for cfg in TINY:
+        path = tmp_path / f"{cfg['kind']}.json"
+        path.write_text(json.dumps(cfg))
         paths.append(str(path))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -50,7 +48,6 @@ def test_runs_load_no_heavy_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    *before, (_, tail_code, tail_loaded) = seen
-    for step, code, mods in before:
+    assert len(seen) == 2 + len(TINY)
+    for step, code, mods in seen:
         assert code in (0, 1) and mods == [], (step, code, mods)
-    assert tail_code == 0 and "scipy.special" in tail_loaded

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.special import erfc
 
 import logchaos
 from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
@@ -19,6 +20,8 @@ from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
                       sup_field_prob, tail_bound_check, tilted_event_prob,
                       trend_verdict, weight_matrix)
 from logchaos.mollifier import discrete_stencil, interior_rows
+from logchaos.verify import _ls_fit
+from test_cli import TINY
 
 SPEC = KernelSpec(d=1)
 GRID = Grid.regular((0.0, 1.0), 128)
@@ -247,12 +250,16 @@ class TestBench:
         # the support diagonals, cross tables and moment oracles of the
         # ladder-2048 geometry are fixed-order sums, and the sampled fields
         # are mollified in pocketfft, so 1 and 2 BLAS threads give the same
-        # bytes, down to a 40-replica ladder-2048 run's CSV
-        cfg = {"kind": "cauchy", "grid_n": 2048, "n_max": 8, "replicas": 40,
-               "eps_ladder": [2.0 ** -k for k in range(3, 8)],
-               "gamma": [1.1, 0.25], "q": 2, "lam": "auto",
-               "f": {"center": 0.5, "radius": 0.05}, "seed": 7}
-        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        # bytes: the tables, a 40-replica ladder-2048 run's CSV, and every
+        # CSV and resolved slope of a tiny run of each kind
+        cfgs = [{"kind": "cauchy", "grid_n": 2048, "n_max": 8,
+                 "replicas": 40, "eps_ladder": [2.0 ** -k for k in range(3, 8)],
+                 "gamma": [1.1, 0.25], "q": 2, "lam": "auto",
+                 "f": {"center": 0.5, "radius": 0.05}, "seed": 7}, *TINY]
+        paths = []
+        for i, cfg in enumerate(cfgs):
+            paths.append(tmp_path / f"cfg{i}.json")
+            paths[-1].write_text(json.dumps(cfg))
         script = "\n".join([
             "import contextlib, hashlib, io, json, pathlib, sys",
             "from logchaos import (Bench, Grid, KernelSpec, bump_function,",
@@ -269,11 +276,15 @@ class TestBench:
             "    print(hashlib.sha256(cross.tobytes()).hexdigest())",
             "    for g in (0.8, 0.5 + 0.5j):",
             "        print(second_moment_oracle(bench, g, eps, eps2).hex())",
-            "with contextlib.redirect_stdout(io.StringIO()):",
-            "    code = cli.main(['run', sys.argv[1], '--out', sys.argv[2]])",
-            "run = pathlib.Path(sys.argv[2])",
-            "doc = json.loads((run / 'manifest.json').read_text())",
-            "print(code, doc['csv_sha256']['cauchy_ladder.csv'])",
+            "for path in sys.argv[1:]:",
+            "    out = path + '.out'",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        code = cli.main(['run', path, '--out', out])",
+            "    doc = json.loads((pathlib.Path(out) / 'manifest.json')",
+            "                     .read_text())",
+            "    slopes = [doc['resolved'].get(k) for k in ('slope', 'slope_se')]",
+            "    print(json.dumps([code, doc['csv_sha256'], slopes],",
+            "                     sort_keys=True).replace(' ', ''))",
         ])
         src = str(pathlib.Path(logchaos.__file__).resolve().parents[1])
         out = []
@@ -282,12 +293,16 @@ class TestBench:
                        PYTHONPATH=os.pathsep.join(
                            p for p in (src, os.environ.get("PYTHONPATH")) if p))
             proc = subprocess.run(
-                [sys.executable, "-c", script, str(tmp_path / "cfg.json"),
-                 str(tmp_path / f"run{threads}")], env=env,
+                [sys.executable, "-c", script, *map(str, paths)], env=env,
                 capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr[-2000:]
             out.append(proc.stdout.split())
-        assert len(out[0]) == 19 and out[0] == out[1]
+        assert len(out[0]) == 17 + len(cfgs) and out[0] == out[1]
+        runs = [json.loads(line) for line in out[0][17:]]
+        assert all(code in (0, 1) and hashes for code, hashes, _ in runs)
+        slopes = {cfg["kind"]: s for cfg, (_, _, s) in zip(cfgs, runs)}
+        assert all(v is not None for k in ("sup-prob", "tilt-check")
+                   for v in slopes[k])
 
 
 class TestBatches:
@@ -955,26 +970,62 @@ class TestTailBound:
         rep = tail_bound_check()
         assert rep.all_hold, "corrected bound must dominate the exact tail"
         assert rep.literal_violated, "the u^2/sigma^2 exponent must fail at 3 sigma"
-        by_key = {(s, u): (exact, bound) for s, u, exact, bound, _ in rep.rows}
-        exact0, bound0 = by_key[(1.0, 0.0)]
+        by_k = {k: (exact, bound) for k, exact, bound, _ in rep.rows}
+        assert sorted(by_k) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        exact0, bound0 = by_k[0.0]
         assert exact0 == 0.5 and bound0 == 2.0
-        exact3, bound3 = by_key[(1.0, 3.0)]
+        exact3, bound3 = by_k[3.0]
         assert abs(exact3 - 0.0013499) < 1e-6
         assert abs(bound3 - 2 * math.exp(-4.5)) < 1e-12
         assert abs(rep.literal_bound - 2 * math.exp(-9.0)) < 1e-12
         assert rep.literal_exact > rep.literal_bound
+        # math.erfc against scipy's: at these k each is within 1 ulp of the
+        # correctly rounded tail, so they differ by at most 2 (k = 4 and 5)
+        for k, (exact, _) in by_k.items():
+            want = 0.5 * float(erfc(k / math.sqrt(2.0)))
+            assert abs(exact - want) <= 2 * math.ulp(want), k
+
+    def test_bound_holds_at_every_scale(self):
+        # both columns depend on k = u / sigma alone and stay finite at
+        # every finite k >= 0, so the bound holds without any guard
+        ks = [*np.linspace(0.0, 45.0, 4501), 1e154, 1e308, sys.float_info.max]
+        rep = tail_bound_check(ks)
+        assert rep.all_hold
+        for k, exact, bound, _ in rep.rows:
+            assert math.isfinite(exact) and math.isfinite(bound), k
 
     def test_tail_monotone_in_u(self):
-        rep = tail_bound_check(sigmas=(1.0,), u_over_sigma=(0, 1, 2, 3))
-        exacts = [r[2] for r in rep.rows]
+        rep = tail_bound_check((0, 1, 2, 3))
+        exacts = [r[1] for r in rep.rows]
         assert all(b < a for a, b in zip(exacts, exacts[1:]))
 
     def test_literal_flags_independent_of_table(self):
         # the 3-sigma counterexample is recorded even when the table
         # never visits that point
-        rep = tail_bound_check(sigmas=(0.5,), u_over_sigma=(0,))
+        rep = tail_bound_check((0,))
         assert rep.literal_violated
         assert abs(rep.literal_exact - 0.0013499) < 1e-6
+
+
+class TestLsFit:
+    def test_matches_polyfit(self):
+        # the closed form against numpy's least squares, on seeded lines
+        # with noise, at the sizes the fits see (sup-prob ks, separations)
+        rng = np.random.default_rng(5)
+        for n in (3, 4, 7, 20):
+            xs = np.sort(rng.uniform(-6.0, 10.0, n))
+            ys = -1.3 * xs + 0.4 + rng.normal(0.0, 0.2, n)
+            slope, se = _ls_fit(xs, ys)
+            coef, cov = np.polyfit(xs, ys, 1, cov=True)
+            assert abs(slope - coef[0]) <= 1e-12 * abs(coef[0]), n
+            assert abs(se - math.sqrt(cov[0, 0])) <= 1e-12 * se, n
+
+    def test_undefined_fits_are_nan(self):
+        # two points give no SE; one point or equal xs give no slope
+        slope, se = _ls_fit([1.0, 2.0], [1.0, 3.0])
+        assert slope == 2.0 and math.isnan(se)
+        for xs, ys in (([], []), ([2.0], [1.0]), ([3.0] * 3, [1.0, 2.0, 4.0])):
+            assert all(map(math.isnan, _ls_fit(xs, ys))), xs
 
 
 class TestSupFieldProb:
