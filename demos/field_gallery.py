@@ -49,7 +49,7 @@ def main():
         xs = [x[at] for x in bench.mollify(y[-1], keys, draw)]
         return (*y[levels, mid - draw.lo], *xs)
 
-    outs = bench.map_blocks(args.seed, args.replicas, at_center, keys=keys)
+    outs = bench.map_blocks(args.seed, args.replicas, at_center, draw=draw)
     ys = dict(zip(levels, outs[:len(levels)]))
     xs = dict(zip(eps_list, outs[len(levels):]))
 
@@ -58,7 +58,7 @@ def main():
     for k, vals in sorted(ys.items()):
         var = float(np.var(vals, ddof=1))
         se = var * math.sqrt(2.0 / (r - 1))
-        exact = spec.q0_value + k
+        exact = spec.q0 + k
         print(f"  Var(Y_{k})  = {var:7.4f}   exact {exact}   "
               f"({(var - exact) / se:+.2f} se)")
 
@@ -76,7 +76,7 @@ def main():
         # replica 0: the first column of block 0
         (kept,) = bench.map_blocks(args.seed, 1,
                                    lambda start, z: (np.cumsum(z, axis=0),),
-                                   keys=keys)
+                                   draw=draw)
         (x_e,) = bench.mollify(kept[-1], keys[:1], draw)
         cols = np.full((4, grid.n), np.nan)
         cols[:3, draw.lo:draw.hi + 1] = kept[levels, :, 0]

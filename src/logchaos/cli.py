@@ -139,13 +139,13 @@ def _dim(cfg, sampled=True):
 
 
 def _gamma_value(raw):
-    if isinstance(raw, (int, float)):
-        return complex(raw)
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        try:
+    try:
+        if isinstance(raw, (int, float)):
+            return complex(raw)
+        if isinstance(raw, (list, tuple)) and len(raw) == 2:
             return complex(float(raw[0]), float(raw[1]))
-        except (TypeError, ValueError):
-            pass
+    except (TypeError, ValueError, OverflowError):
+        pass
     raise ConfigError(f"gamma must be a number or [re, im] pair, got {raw!r}")
 
 
@@ -621,7 +621,7 @@ PLANS = {
 
 def _kind(cfg):
     kind = cfg.get("kind")
-    if kind not in PLANS:
+    if not isinstance(kind, str) or kind not in PLANS:
         raise ConfigError(f"kind must be one of {', '.join(PLANS)}; got {kind!r}")
     return kind
 
@@ -634,7 +634,10 @@ def plan(cfg):
     reads cfg, and returns (tables, verdicts, the resolved entries known
     only after sampling).
     """
-    return PLANS[_kind(cfg)](cfg)
+    kind, out = _kind(cfg), cfg.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a path string, got {out!r}")
+    return PLANS[kind](cfg)
 
 
 def load_config(path):
@@ -748,13 +751,17 @@ def safety_nets(resolved):
 
 def execute(cfg, out_dir, workers):
     """Plan, then run one config into out_dir; returns (verdicts, manifest).
-    A config the plan rejects raises ConfigError before anything is written."""
+    A config the plan rejects raises ConfigError before anything is written,
+    and an out_dir that cannot be made raises it before sampling."""
     run_id = run_id_of(cfg)
     resolved, run = plan(cfg)
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"out directory {out_dir} cannot be made: {e}")
     tables, verdicts, late = run(workers, run_id)
     resolved.update(late)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     csv_hashes = {}
     for name, (header, rows) in tables.items():
         csv_hashes[name] = write_csv(out / name, header, rows)

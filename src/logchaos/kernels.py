@@ -57,14 +57,13 @@ _GL_NODES, _GL_WEIGHTS = leggauss(64)
 class KernelSpec:
     """Parameters of the decomposed kernel K = Q_0 + sum Q_n.
 
-    q0_kind selects the smooth part: "zero" (reference kernel) or
-    "constant" (Q_0 identically equal to q0_const, a common Gaussian mode).
+    q0 is the smooth part Q_0, a constant: 0 for the reference kernel, or
+    the variance of a common Gaussian mode.
     """
 
     d: int = 1
     t0: float = 0.0
-    q0_kind: str = "zero"
-    q0_const: float = 1.0
+    q0: float = 0.0
     box: tuple = (0.0, 1.0)
 
     def __post_init__(self):
@@ -72,12 +71,9 @@ class KernelSpec:
             raise ValueError(f"d={self.d} unsupported, need 1 or 2")
         if self.t0 < 0:
             raise ValueError("t0 must be >= 0")
-        if self.q0_kind not in ("zero", "constant"):
-            raise ValueError(f"unknown q0_kind {self.q0_kind!r}")
-
-    @property
-    def q0_value(self):
-        return self.q0_const if self.q0_kind == "constant" else 0.0
+        object.__setattr__(self, "q0", float(self.q0))
+        if not (math.isfinite(self.q0) and self.q0 >= 0):
+            raise ValueError(f"q0={self.q0} must be finite and >= 0")
 
 
 def _as_radii(r):
@@ -180,9 +176,9 @@ def k_partial(spec, n, r):
     arr = np.atleast_1d(arr)
     if spec.d == 1:
         out = level_sum(spec, 1, n, arr)
-        out += spec.q0_value
+        out += spec.q0
     else:
-        out = np.full(arr.shape, spec.q0_value)
+        out = np.full(arr.shape, spec.q0)
         for k in range(1, n + 1):
             support = math.exp(-(spec.t0 + k))
             live = arr < support
@@ -224,7 +220,7 @@ def gram(spec, n, grid):
     if pts.ndim == 1:
         pts = pts[:, None]
     if n == 0:
-        return np.full((pts.shape[0],) * 2, spec.q0_value)
+        return np.full((pts.shape[0],) * 2, spec.q0)
     r = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
     out = np.zeros(r.shape)
     live = r < math.exp(-(spec.t0 + n))
@@ -465,7 +461,7 @@ def q_mollified(spec, n, eps, z, x, mol, h=None, rule="grid", nodes=32):
     if zz.ndim == 1 and spec.d == 1:
         zz = zz[:, None]
     if n == 0:
-        return np.full(zz.shape[0], spec.q0_value)
+        return np.full(zz.shape[0], spec.q0)
     offs, w = _cloud(mol, eps, rule, h, nodes)
     u = np.atleast_1d(np.asarray(x, dtype=float))[None, :] + offs
     diffs = zz[:, None, :] - u[None, :, :]

@@ -185,7 +185,7 @@ def increment_factors(spec, grid, n_max, rows=None, levels=None):
     for a, b in level_groups(n_max, levels):
         name = f"Q_{a}" if a == b else f"Q_{a}..Q_{b}"
         if b == 0:
-            factors.append(LevelFactor(np.asarray(np.sqrt(spec.q0_value)),
+            factors.append(LevelFactor(np.asarray(np.sqrt(spec.q0)),
                                        1.0 if embed else 0.0, rows, 0, 0))
             continue
         if embed:
@@ -195,7 +195,7 @@ def increment_factors(spec, grid, n_max, rows=None, levels=None):
             o = np.arange(m)
             row = kernels.lattice_row(spec, range(max(a, 1), b + 1), grid.h,
                                       np.minimum(o, m - o))
-            factor = circulant_root(row + spec.q0_value if a == 0 else row,
+            factor = circulant_root(row + spec.q0 if a == 0 else row,
                                     name)._replace(rows=rows)
         else:
             factor = free_cholesky(sum(kernels.gram(spec, k, grid)

@@ -191,10 +191,10 @@ def ladder_from_values(estimator, steps, values, keep=None):
 
 @dataclass(frozen=True)
 class Draw:
-    """The window of one draw: grid rows lo..hi (z row i is grid row
+    """What one sweep samples: grid rows lo..hi (z row i is grid row
     lo + i) on a torus of next_fast_len(hi - lo + 1) points, and tops, the
-    last level of each of its level groups.  A function of the draw's own
-    levels and keys (Bench.draw), never of earlier draws."""
+    last level of each of its level groups (slabs).  A function of the
+    draw's own levels and keys (Bench.draw), never of earlier draws."""
 
     lo: int
     hi: int
@@ -205,28 +205,34 @@ class Draw:
     def rows(self):
         return self.hi - self.lo + 1
 
+    def slab(self, level):
+        """Index of the slab whose last level is level; ValueError when
+        this draw does not hold Y_level."""
+        if level not in self.tops:
+            raise ValueError(f"Y_{level} is not drawn: the draw reads "
+                             f"levels {list(self.tops)}")
+        return self.tops.index(level)
+
 
 class Bench:
     """Shared state for block-deterministic Monte Carlo runs.
 
-    One Bench per (spec, grid, n_max, f).  A draw (Bench.draw) holds the
-    grid rows lo..hi = sampled_rows(grid, f, widest eps among the
-    (channel, eps) keys its consume mollifies) and one slab per group of
-    consecutive levels ending at a partial sum Y_l it reads: the cumsum of
-    a block over slabs 0..slab(l, levels) is Y_l.  Each estimator passes
-    map_blocks the levels it reads and the keys it mollifies, and its
-    consume reads the rows of its own Draw (bench.draw with the same
-    levels and keys), so calls that share a Bench never read each other's
-    rows.  The caches only grow: group factors (one circulant embedding
-    per group on a regular d=1 grid) per (level set, rows), stencil
-    spectra per (channel, eps, torus), the kernel-table diagonal per
-    (channel, eps) and the support kernel table per (eps, eps'), one value
-    per row offset; grid-rule kernel values at n_max levels come from
-    the lattice rows of kernels (k_mollified, offset_table), with no Gram
-    block, so they are the exact covariances of the sampled fields.
+    One Bench per (spec, grid, n_max, f).  Each estimator builds the Draw
+    of its sweep once (Bench.draw of the levels it reads and the (channel,
+    eps) keys it mollifies) and hands that same Draw to its consume and to
+    map_blocks, so calls that share a Bench never read each other's rows.
+    A draw holds the grid rows lo..hi = sampled_rows(grid, f, widest eps
+    among its keys) and one slab per group of consecutive levels ending at
+    a partial sum Y_l it reads: the cumsum of a block over slabs
+    0..draw.slab(l) is Y_l.  The caches only grow: group factors (one
+    circulant embedding per group on a regular d=1 grid) per (tops, rows),
+    stencil spectra per (channel, eps, torus), the kernel-table diagonal
+    per (channel, eps) and the support kernel table per (eps, eps'), one
+    value per row offset; grid-rule kernel values at n_max levels come
+    from the lattice rows of kernels (k_mollified, offset_table), with no
+    Gram block, so they are the exact covariances of the sampled fields.
     last_draw records the Draw of the last map_blocks call (a new bench:
-    every level on supp(f)), which factors, groups, shifts and safety_net
-    report.
+    every level on supp(f)), which factors and safety_net report.
     """
 
     def __init__(self, spec, grid, n_max, f=None, mol=None):
@@ -252,7 +258,7 @@ class Bench:
         sampled_rows(grid, f, widest eps in keys, 0 for none).  Bad levels
         or keys raise ValueError; the keys' stencil spectra are built here,
         so that worker threads only read the cache."""
-        tops = self.tops(levels)
+        tops = tuple(b for _, b in level_groups(self.n_max, levels))
         for key in keys:
             self.supp_tables(*key)
         widest = max((float(eps) for _, eps in keys), default=0.0)
@@ -264,27 +270,13 @@ class Bench:
 
     def set_tilt(self, tilt, nodes=32):
         """Shift every draw by the tilt's per-level means (None or alpha = 0:
-        no shift); each draw sums them over its groups (shifts)."""
+        no shift); each draw sums them over its groups (_shifts)."""
         if tilt is None or tilt.alpha == 0.0:
             self._tilt_rows = None
         else:
             self._tilt_rows = tilt_shift_rows(
                 self.spec, self.grid, tilt, self.n_max, self.channels["main"],
                 nodes=nodes)
-
-    def tops(self, levels=None):
-        """The last level of each group of a draw reading Y_l, l in levels
-        (sampler.level_groups: default every level; n_max always)."""
-        return tuple(b for _, b in level_groups(self.n_max, levels))
-
-    def slab(self, level, levels=None):
-        """Index of the slab whose last level is level in a draw reading
-        levels; ValueError when that draw does not hold Y_level."""
-        tops = self.tops(levels)
-        if level not in tops:
-            raise ValueError(f"Y_{level} is not drawn: the draw reads "
-                             f"levels {list(tops)}")
-        return tops.index(level)
 
     def _factors(self, draw):
         """One LevelFactor per group of draw, cached per (level set, rows)."""
@@ -303,25 +295,10 @@ class Bench:
         return np.add.reduceat(self._tilt_rows[:, draw.lo:draw.hi + 1],
                                firsts, axis=0)
 
-    def _last(self, levels):
-        """The last draw's rows with the groups of a draw reading levels."""
-        return Draw(self.last_draw.lo, self.last_draw.hi,
-                    self.last_draw.torus, self.tops(levels))
-
-    def groups(self, levels=None):
-        """One LevelFactor per group of a draw reading levels on the last
-        draw's rows."""
-        return self._factors(self._last(levels))
-
     @property
     def factors(self):
-        """The every-level factors on the last draw's rows."""
-        return self.groups()
-
-    def shifts(self, levels=None):
-        """The tilt's mean row per group of a draw reading levels, on the
-        last draw's rows (None untilted)."""
-        return self._shifts(self._last(levels))
+        """One LevelFactor per group of last_draw."""
+        return self._factors(self.last_draw)
 
     def supp_tables(self, channel, eps):
         """((offsets, weights), k_diag_supp) on the test-function support
@@ -409,20 +386,18 @@ class Bench:
                 self.channels["main"], "grid", self.n_max)[2]
         return self._cross_tables[key]
 
-    def map_blocks(self, seed, replicas, consume, workers=None, levels=None,
-                   keys=()):
+    def map_blocks(self, seed, replicas, consume, workers=None, draw=None):
         """Run consume(start, z) over batches of blocks; fixed-order assembly.
 
-        z is a block of draw(levels, keys): the partial sums in levels
-        (default every level: one group per level, the per-level draw) on
-        the rows the (channel, eps) keys consume mollifies read (default
-        none: supp(f)); a consume that reads rows or mollifies takes them
-        from that Draw, which it builds itself, and this call records it as
-        last_draw.  A batch is k consecutive blocks, k = max(1,
-        BATCH_VALUES // the normals one block draws), each drawn by block_z
-        from its own stream; z is their (groups, W, k BLOCK) concatenation
-        along the replica axis (block_z's own array when k = 1), and start
-        is the batch's first replica.  Worker threads claim whole batches.
+        z is a block of draw, a Draw of this bench (default self.draw():
+        every level, one group per level, on the rows of supp(f)); a
+        consume that reads rows or mollifies takes them from the same
+        Draw, and this call records it as last_draw.  A batch is k
+        consecutive blocks, k = max(1, BATCH_VALUES // the normals one
+        block draws), each drawn by block_z from its own stream; z is their
+        (groups, W, k BLOCK) concatenation along the replica axis
+        (block_z's own array when k = 1), and start is the batch's first
+        replica.  Worker threads claim whole batches.
         consume returns a tuple of arrays with trailing replica axis; the
         concatenated arrays are trimmed to the replica budget.  Every
         consume in this module acts on each replica column alone, its
@@ -431,7 +406,7 @@ class Bench:
         if replicas < 1:
             raise ValueError(f"map_blocks needs replicas >= 1, got {replicas}")
         workers = workers if workers is not None else default_workers()
-        draw = self.draw(levels, keys)
+        draw = self.draw() if draw is None else draw
         self.last_draw = draw
         factors, shifts = self._factors(draw), self._shifts(draw)
         per = max(1, BATCH_VALUES // (BLOCK * sum(g.draws for g in factors)))
@@ -468,15 +443,16 @@ def _chaos_levels(bench, trunc):
     return list(range(q, bench.n_max + 1))
 
 
-def _gamma_of(bench, params):
-    """The coefficient of single-mode params; the block engine samples one
-    field and integrates the bench's test function, so params.f must be it."""
+def _gamma_trunc(bench, params):
+    """(gamma, trunc) of single-mode params, trunc = (q, lam) under
+    truncation and None without; the block engine samples one field and
+    integrates the bench's test function, so params.f must be it."""
     if params.mode != "single":
         raise ValueError("the block engine samples one field: it does not "
                          "sample two-field chaos yet")
     if not np.array_equal(params.f, bench.f):
         raise ValueError("params.f differs from the bench's test function")
-    return params.gamma
+    return params.gamma, (params.q, params.lam) if params.truncation else None
 
 
 def _block_densities(bench, draw, gammas, keys, trunc):
@@ -486,10 +462,9 @@ def _block_densities(bench, draw, gammas, keys, trunc):
     keys[k]: chaos_density on the support rows of the block's mollified
     field, which Bench.mollify convolves once per key for all the gammas.
     trunc=(q, lam) inserts the barrier event A_{q,lam}, returned per
-    (support row, replica); event is None without trunc.  z is a block of
-    draw, bench.draw(_chaos_levels(bench, trunc), keys).
+    (support row, replica), against the slab tops of draw; event is None
+    without trunc.  z is a block of draw.
     """
-    tops = _chaos_levels(bench, trunc)
     k_diags = [bench.supp_tables(channel, eps)[1] for channel, eps in keys]
     f_supp = bench.f[bench.supp]
     rows = bench.supp - draw.lo
@@ -497,7 +472,7 @@ def _block_densities(bench, draw, gammas, keys, trunc):
     def densities(z):
         event = None
         if trunc is not None:
-            event = barrier_below(z, rows, trunc[1], tops).all(axis=0)
+            event = barrier_below(z, rows, trunc[1], draw.tops).all(axis=0)
         cells = [[] for _ in gammas]
         xs = bench.mollify(z.sum(axis=0), keys, draw) if keys else []
         for x, k_diag in zip(xs, k_diags):
@@ -508,13 +483,12 @@ def _block_densities(bench, draw, gammas, keys, trunc):
     return densities
 
 
-def _chaos_values_consume(bench, gammas, keys, trunc=None, events=False):
-    """Consume closure returning chaos values and overflow flags, for a
-    map_blocks draw of _chaos_levels(bench, trunc) and keys.
-
-    Rows run over (gamma, key) pairs, gamma-major; events=True appends the
-    global barrier event A_{q,lam} per replica (1.0 where it holds).
-    """
+def _chaos_values(bench, gammas, keys, trunc, replicas, seed, workers,
+                  events=False):
+    """(values, overflow flags) of one sweep of the draw of
+    _chaos_levels(bench, trunc) and keys: chaos values per replica, one row
+    per (gamma, key) pair, gamma-major; events=True appends the global
+    barrier event A_{q,lam} per replica (1.0 where it holds)."""
     draw = bench.draw(_chaos_levels(bench, trunc), keys)
     densities = _block_densities(bench, draw, gammas, keys, trunc)
     wgt = bench.grid.weight
@@ -531,7 +505,7 @@ def _chaos_values_consume(bench, gammas, keys, trunc=None, events=False):
             return vals, ovf, event.all(axis=0).astype(float)
         return vals, ovf
 
-    return consume
+    return bench.map_blocks(seed, replicas, consume, workers, draw)
 
 
 def second_moment_oracle(bench, gamma, eps, eps_prime):
@@ -586,14 +560,13 @@ def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None, trunc=None):
             continue
         if estimand != "mean" and eps_prime is None:
             raise ValueError(f"estimand {estimand} needs eps_prime")
-        gammas.setdefault(complex(_gamma_of(bench, params)), len(gammas))
+        gammas.setdefault(complex(_gamma_trunc(bench, params)[0]),
+                          len(gammas))
         for e in (eps,) if estimand == "mean" else (eps, eps_prime):
             epss.setdefault(float(e), len(epss))
 
-    keys = [("main", e) for e in epss]
-    consume = _chaos_values_consume(bench, list(gammas), keys, trunc, events)
-    parts = bench.map_blocks(seed, replicas, consume, workers,
-                             _chaos_levels(bench, trunc), keys)
+    parts = _chaos_values(bench, list(gammas), [("main", e) for e in epss],
+                          trunc, replicas, seed, workers, events)
     vals, ovf = parts[:2]
 
     out = []
@@ -643,12 +616,27 @@ def mc_moment(bench, params, estimand, eps, eps_prime=None, replicas=1000,
 
 
 def _pair_ladder(eps_ladder):
-    """The rungs of a ladder whose cells are consecutive pairs, as floats."""
+    """The rungs of a ladder whose cells are consecutive pairs, as floats,
+    strictly decreasing."""
     eps_ladder = [float(e) for e in eps_ladder]
     if len(eps_ladder) < 2:
         raise ValueError("eps_ladder needs at least 2 rungs: its cells are "
                          f"consecutive pairs, got {eps_ladder}")
+    if any(a <= b for a, b in zip(eps_ladder, eps_ladder[1:])):
+        raise ValueError("eps ladder must be strictly decreasing")
     return eps_ladder
+
+
+def _distance_ladder(name, steps, bench, params, keys, a, b, replicas, seed,
+                     workers):
+    """Ladder of E|M_a - M_b|^2 cells, M_a and M_b the chaos-value rows a
+    and b (slices over keys) of one sweep, a replica kept where neither
+    overflowed."""
+    gamma, trunc = _gamma_trunc(bench, params)
+    vals, ovf = _chaos_values(bench, [gamma], keys, trunc, replicas, seed,
+                              workers)
+    return ladder_from_values(name, steps, np.abs(vals[a] - vals[b]) ** 2,
+                              ~(ovf[a] | ovf[b]))
 
 
 def cauchy_ladder(bench, params, eps_ladder, replicas, seed, workers=None):
@@ -658,18 +646,11 @@ def cauchy_ladder(bench, params, eps_ladder, replicas, seed, workers=None):
     per params (enabled outside the L2 region, with params.q, params.lam).
     """
     eps_ladder = _pair_ladder(eps_ladder)
-    if any(a <= b for a, b in zip(eps_ladder, eps_ladder[1:])):
-        raise ValueError("eps ladder must be strictly decreasing")
-    trunc = (params.q, params.lam) if params.truncation else None
-    keys = [("main", e) for e in eps_ladder]
-    consume = _chaos_values_consume(bench, [_gamma_of(bench, params)], keys,
-                                    trunc)
-    vals, ovf = bench.map_blocks(seed, replicas, consume, workers,
-                                 _chaos_levels(bench, trunc), keys)
-    pairs = list(zip(eps_ladder, eps_ladder[1:]))
-    d2 = np.abs(vals[:-1] - vals[1:]) ** 2
-    name = "cauchy" + (" truncated" if params.truncation else "")
-    return ladder_from_values(name, pairs, d2, ~(ovf[:-1] | ovf[1:]))
+    return _distance_ladder(
+        "cauchy" + (" truncated" if params.truncation else ""),
+        list(zip(eps_ladder, eps_ladder[1:])), bench, params,
+        [("main", e) for e in eps_ladder], slice(None, -1), slice(1, None),
+        replicas, seed, workers)
 
 
 def mollifier_independence(bench, params, eps_ladder, replicas, seed,
@@ -682,16 +663,11 @@ def mollifier_independence(bench, params, eps_ladder, replicas, seed,
     if alt not in bench.channels:
         raise ValueError(f"bench is missing mollifier channel {alt!r}")
     eps_ladder = [float(e) for e in eps_ladder]
-    trunc = (params.q, params.lam) if params.truncation else None
-    keys = [("main", e) for e in eps_ladder] + [(alt, e) for e in eps_ladder]
-    consume = _chaos_values_consume(bench, [_gamma_of(bench, params)], keys,
-                                    trunc)
-    vals, ovf = bench.map_blocks(seed, replicas, consume, workers,
-                                 _chaos_levels(bench, trunc), keys)
     n = len(eps_ladder)
-    d2 = np.abs(vals[:n] - vals[n:]) ** 2
-    return ladder_from_values("mollifier independence", eps_ladder, d2,
-                              ~(ovf[:n] | ovf[n:]))
+    keys = [(c, e) for c in ("main", alt) for e in eps_ladder]
+    return _distance_ladder("mollifier independence", eps_ladder, bench,
+                            params, keys, slice(None, n), slice(n, None),
+                            replicas, seed, workers)
 
 
 @dataclass(frozen=True)
@@ -839,21 +815,19 @@ def sup_field_prob(bench, lam, ks, qs, replicas, seed, workers=None):
         raise ValueError(f"lam={lam} must exceed sqrt(2d)")
     ks = [int(k) for k in ks]
     qs = [int(q) for q in qs]
-    levels = [*ks, *range(min(qs), bench.n_max + 1)]
-    tops = bench.tops(levels)
-    k_slabs = [bench.slab(k, levels) for k in ks]
-    q_slabs = [bench.slab(q, levels) for q in qs]
-    rows = bench.supp - bench.draw(levels).lo
+    draw = bench.draw([*ks, *range(min(qs), bench.n_max + 1)])
+    k_slabs = [draw.slab(k) for k in ks]
+    q_slabs = [draw.slab(q) for q in qs]
+    rows = bench.supp - draw.lo
 
     def consume(start, z):
-        below = barrier_below(z, rows, lam, tops)
+        below = barrier_below(z, rows, lam, draw.tops)
         exceed = np.stack([~below[i].all(axis=0) for i in k_slabs]).astype(float)
         ok_all = np.stack([below[i:].all(axis=(0, 1))
                            for i in q_slabs]).astype(float)
         return exceed, ok_all
 
-    exceed, ok_all = bench.map_blocks(seed, replicas, consume, workers,
-                                      levels)
+    exceed, ok_all = bench.map_blocks(seed, replicas, consume, workers, draw)
     k_probs = [moment_from_values(f"P[sup Y_{k} > {lam}k]", exceed[i])
                for i, k in enumerate(ks)]
     q_probs = [moment_from_values(f"P[event q={q}]", ok_all[i])
@@ -920,7 +894,8 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
         bench = Bench(spec, grid2, n_max, mol=mol)
         bench.set_tilt(TiltShift(x=x, y=y, eps=eps, eps_prime=eps_prime,
                                  alpha=alpha))
-        (ind,) = bench.map_blocks(seed + si, replicas, event, workers, tops)
+        (ind,) = bench.map_blocks(seed + si, replicas, event, workers,
+                                  bench.draw(tops))
         estimates.append(moment_from_values(f"P~[A_{q}] sep={s}", ind))
         jitter.append(tuple(bench.safety_net["cholesky_jitter"]))
     xs = np.log(np.maximum(np.asarray(separations, dtype=float), eps))
@@ -951,24 +926,21 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
     probes = np.stack([rng.integers(0, s, n_probes),
                        rng.integers(0, s, n_probes)])
     mid = s // 2
-    slabs = [bench.slab(n, ns) for n in ns]
     keys = [("main", eps), ("main", eps_prime)]
     draw = bench.draw(ns, keys)
+    slabs = [draw.slab(n) for n in ns]
     rows = bench.supp - draw.lo
 
     def consume(start, z):
         ysum = np.cumsum(z[:, rows, :], axis=0)
         var_rows = np.stack([ysum[i][mid] ** 2 for i in slabs])
         xa, xb = bench.mollify(z.sum(axis=0), keys, draw)
-        prods = np.stack([xa[probes[0, j]] * xb[probes[1, j]]
-                          for j in range(n_probes)])
-        return var_rows, prods
+        return var_rows, xa[probes[0]] * xb[probes[1]]
 
-    var_rows, prods = bench.map_blocks(seed, replicas, consume, workers, ns,
-                                       keys)
+    var_rows, prods = bench.map_blocks(seed, replicas, consume, workers, draw)
     out = []
     for i, n in enumerate(ns):
-        oracle = bench.spec.q0_value + n
+        oracle = bench.spec.q0 + n
         out.append(moment_from_values(f"Var(Y_{n})", var_rows[i], oracle=oracle))
     offsets = (bench.supp[probes[0]] - bench.supp[probes[1]]
                + bench.supp[-1] - bench.supp[0])
@@ -1001,31 +973,24 @@ def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
     if u <= grid.d / 2.0:
         raise ValueError(f"u={u} must exceed d/2")
     eps_ladder = _pair_ladder(eps_ladder)
-    trunc = (params.q, params.lam) if params.truncation else None
+    gamma, trunc = _gamma_trunc(bench, params)
     keys = [("main", e) for e in eps_ladder]
-    levels = _chaos_levels(bench, trunc)
-    draw = bench.draw(levels, keys)
+    draw = bench.draw(_chaos_levels(bench, trunc), keys)
     shifts = bench._shifts(draw)
-    densities = _block_densities(bench, draw, [_gamma_of(bench, params)],
-                                 keys, trunc)
+    densities = _block_densities(bench, draw, [gamma], keys, trunc)
 
     def consume(start, z):
         out = np.zeros((len(eps_ladder) - 1, z.shape[2]))
         kout = np.ones((len(eps_ladder) - 1, z.shape[2]), dtype=bool)
+        diff = np.zeros((grid.n, z.shape[2]), dtype=complex)
         for zz in (z, _reflect(z, shifts)):
-            dens = np.zeros((len(eps_ladder), grid.n, z.shape[2]),
-                            dtype=complex)
-            keep = np.ones((len(eps_ladder), z.shape[2]), dtype=bool)
-            cells, _ = densities(zz)
-            for i, (density, ovf) in enumerate(cells[0]):
-                dens[i, bench.supp, :] = density
-                keep[i] = ~ovf
-            for i in range(len(eps_ladder) - 1):
-                out[i] += 0.5 * sobolev_diag(dens[i] - dens[i + 1], grid, u)
-                kout[i] &= keep[i] & keep[i + 1]
+            (row,), _ = densities(zz)
+            for i, ((da, oa), (db, ob)) in enumerate(zip(row, row[1:])):
+                diff[bench.supp] = da - db
+                out[i] += 0.5 * sobolev_diag(diff, grid, u)
+                kout[i] &= ~(oa | ob)
         return out, kout
 
-    d2, keep = bench.map_blocks(seed, replicas, consume, workers, levels,
-                                keys)
+    d2, keep = bench.map_blocks(seed, replicas, consume, workers, draw)
     pairs = list(zip(eps_ladder, eps_ladder[1:]))
     return ladder_from_values(f"sobolev u={u}", pairs, d2, keep)

@@ -10,7 +10,7 @@ from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
                       cauchy_ladder, chaos_density, mc_moment,
                       mollifier_independence, q0_for, sobolev_diag,
                       sobolev_ladder, wick_exp_flagged)
-from logchaos.verify import _chaos_levels, _chaos_values_consume
+from logchaos.verify import _block_densities, _chaos_values
 
 SPEC = KernelSpec(d=1)
 GRID = Grid.regular((0.0, 1.0), 64)
@@ -29,22 +29,29 @@ def fields(seed, replicas, f=F, n_max=6):
     def consume(start, z):
         return (bench.mollify(z.sum(axis=0), keys, draw)[0],)
 
-    return bench, bench.map_blocks(seed, replicas, consume, keys=keys)[0]
+    return bench, bench.map_blocks(seed, replicas, consume, draw=draw)[0]
 
 
-def chaos_values(bench, gamma, seed, replicas, trunc=None, levels=None):
+def chaos_values(bench, gamma, seed, replicas, trunc=None):
     """Per-replica chaos values of the block engine, with the global barrier
-    event per replica when trunc=(q, lam) is given, on a draw of levels
-    (default the estimators' own: Y_q..Y_n_max truncated, Y_n_max alone
-    otherwise)."""
-    keys = [("main", EPS)]
-    consume = _chaos_values_consume(bench, [gamma], keys, trunc,
-                                    events=trunc is not None)
-    if levels is None:
-        levels = _chaos_levels(bench, trunc)
-    parts = bench.map_blocks(seed, replicas, consume, levels=levels,
-                             keys=keys)
+    event per replica when trunc=(q, lam) is given, on the estimators' own
+    draw: Y_q..Y_n_max truncated, Y_n_max alone otherwise."""
+    parts = _chaos_values(bench, [gamma], [("main", EPS)], trunc, replicas,
+                          seed, None, events=trunc is not None)
     return parts[0][0], (parts[2] if trunc is not None else None)
+
+
+def full_values(bench, gamma, seed, replicas, levels):
+    """Per-replica untruncated chaos values on a draw of levels."""
+    keys = [("main", EPS)]
+    draw = bench.draw(levels, keys)
+    densities = _block_densities(bench, draw, [gamma], keys, None)
+
+    def consume(start, z):
+        (((dens, _),),), _ = densities(z)
+        return (dens.sum(axis=0) * bench.grid.weight,)
+
+    return bench.map_blocks(seed, replicas, consume, draw=draw)[0]
 
 
 class TestWick:
@@ -319,8 +326,8 @@ class TestTruncation:
         q = max(2, q0_for(F, GRID))
         tv, event = chaos_values(bench, 0.8, seed=10, replicas=64,
                                  trunc=(q, 1.6))
-        fv, _ = chaos_values(bench, 0.8, seed=10, replicas=64,
-                             levels=range(q, 7))
+        fv = full_values(bench, 0.8, seed=10, replicas=64,
+                         levels=range(q, 7))
         on = event == 1.0
         assert on.any(), "no replica satisfied the event; test is vacuous"
         assert (~on).any(), "every replica satisfied the event; test is vacuous"

@@ -214,6 +214,15 @@ RUN_ONLY_REJECTIONS = [
     ({"kind": "kernel-check", "d": 2, "grid_n": 10 ** 5}, "grid_n"),
     ({"kind": "field-stats", "probes": 101}, "probes"),
     ({"kind": "moment-check", "replicas": 10 ** 6 + 1}, "replicas"),
+    # a kind that is not a string, a gamma past the float range alone or as
+    # a pair, and an out that is not a path string
+    ({"kind": ["cauchy"]}, "kind"),
+    ({"kind": {"a": 1}}, "kind"),
+    ({"kind": "cauchy", "gamma": 10 ** 400}, "gamma"),
+    ({"kind": "sobolev", "gamma": 10 ** 400}, "gamma"),
+    ({"kind": "mollifier-independence", "gamma": [10 ** 400, 0]}, "gamma"),
+    ({"kind": "tail-check", "out": 5}, "out"),
+    ({"kind": "tail-check", "out": ["a"]}, "out"),
 ]
 
 
@@ -412,6 +421,23 @@ class TestMainRun:
         cfg = {"kind": "tail-check", "out": str(tmp_path / "somewhere")}
         assert main(["run", cfg_file(tmp_path, cfg)]) == 0
         assert (tmp_path / "somewhere" / "tail_bound.csv").exists()
+
+    def test_out_that_cannot_be_made_exits_2(self, tmp_path, capsys,
+                                             monkeypatch):
+        # a run directory under a plain file is refused before sampling
+        from logchaos import verify
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"
+        sampled = []
+        monkeypatch.setattr(verify, "block_z",
+                            lambda *a: sampled.append(a))
+        for cfg, argv in (
+                (TINY[4], ["--out", str(out)]),
+                ({**TINY[6], "out": str(out)}, [])):
+            assert main(["run", cfg_file(tmp_path, cfg), *argv]) == 2
+            err = capsys.readouterr().err
+            assert "out" in err and len(err.strip().splitlines()) == 1
+        assert not sampled
 
     def test_exact_zero_moment_run(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -959,13 +985,16 @@ FUZZ_VALUES = (
                        [2, 3], [1, 2, 4], [-2.0, 2.0, 3], ["mean"],
                        ["product", "distance2"], [[0.5, 0.5]], [[1.1, 0.25]],
                        ["bump", "quartic"], {"center": 0.5},
-                       {"radius": 0.1}, {"center": 0.3, "radius": 0.05}]))
+                       {"radius": 0.1}, {"center": 0.3, "radius": 0.05},
+                       10 ** 400, [10 ** 400, 0]]))
 FUZZ_MUTATIONS = st.lists(st.one_of(
     st.tuples(st.sampled_from(FUZZ_KEYS), st.just(None), st.just(True)),
     st.tuples(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES, st.just(False)),
     st.tuples(st.sampled_from(["grid_n", "replicas"]),
               st.integers(-1, 64) | st.sampled_from([None, "x", 2.5]),
-              st.just(False))), max_size=3)
+              st.just(False)),
+    st.tuples(st.sampled_from(["kind", "out"]), FUZZ_VALUES,
+              st.sampled_from([False, True]))), max_size=3)
 
 
 # finite floats, half of them at the ends of the double range

@@ -137,14 +137,22 @@ class TestPartialAndExact:
         assert abs(offs[4] - offs[8]) > abs(offs[6] - offs[8])
 
     def test_constant_mode(self):
-        spec = KernelSpec(d=1, q0_kind="constant", q0_const=1.5)
+        spec = KernelSpec(d=1, q0=1.5)
         assert abs(k_partial(spec, 4, 0.5) - (k_partial(SPEC1, 4, 0.5) + 1.5)) < 1e-12
+
+    def test_q0_finite_nonnegative(self):
+        # Q_0 is the one constant q0: it reaches K_n, and a negative or
+        # non-finite value is refused before any field is drawn
+        assert k_partial(KernelSpec(d=1, q0=5.0), 2, 0.0) == 7.0
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="q0"):
+                KernelSpec(d=1, q0=bad)
 
 
 def level_loop(spec, n, r):
     """K_n(r) level by level: Q_0 plus q_n(k) on the radii inside level k's
     support, for k = 1..n, the per-level sum the d=1 closed form replaces."""
-    out = np.full(r.shape, spec.q0_value)
+    out = np.full(r.shape, spec.q0)
     for k in range(1, n + 1):
         live = r < math.exp(-(spec.t0 + k))
         out[live] += q_n(spec, k, r[live])
@@ -167,23 +175,23 @@ class TestLevelSum:
 
     # at t0 = 0.2 the integral's length (t0 + b + 1) - (t0 + a) rounds away
     # from b - a + 1, so r = 0 needs its own exact value
-    @pytest.mark.parametrize("q0_kind", ["zero", "constant"])
+    @pytest.mark.parametrize("q0", [0.0, 1.0], ids=["zero", "constant"])
     @pytest.mark.parametrize("t0", [0.0, 0.5, 0.2])
-    def test_partial_matches_level_loop(self, t0, q0_kind):
-        spec = KernelSpec(d=1, t0=t0, q0_kind=q0_kind)
+    def test_partial_matches_level_loop(self, t0, q0):
+        spec = KernelSpec(d=1, t0=t0, q0=q0)
         r = self.radii(t0)
         for n in range(1, 21):
             got = k_partial(spec, n, r)
             want = level_loop(spec, n, r)
             assert np.abs(got - want).max() <= 1e-14, f"n={n}"
             assert got.min() >= 0.0
-            assert got[0] == spec.q0_value + n, "K_n(0) = Q_0 + n exactly"
+            assert got[0] == spec.q0 + n, "K_n(0) = Q_0 + n exactly"
 
     @pytest.mark.parametrize("t0", [0.0, 0.5, 0.2])
     def test_lattice_row_is_partial_difference(self, t0):
         # a sampled group's row equals the difference of two partial-sum
         # tables, which is what makes sampled rows and kernel tables agree
-        spec = KernelSpec(d=1, t0=t0, q0_kind="constant")
+        spec = KernelSpec(d=1, t0=t0, q0=1.0)
         h = 1.0 / 2048
         o = np.arange(-1200, 1201)
         for a, b in ((1, 1), (1, 8), (2, 8), (3, 5), (7, 7), (9, 14)):
@@ -206,9 +214,9 @@ class TestLevelSum:
             assert np.array_equal(q_n(SPEC1, n, r),
                                   kernels.level_sum(SPEC1, n, n, r))
 
-    @pytest.mark.parametrize("q0_kind", ["zero", "constant"])
-    def test_d2_partial_bitwise_level_loop(self, q0_kind):
-        spec = KernelSpec(d=2, q0_kind=q0_kind)
+    @pytest.mark.parametrize("q0", [0.0, 1.0], ids=["zero", "constant"])
+    def test_d2_partial_bitwise_level_loop(self, q0):
+        spec = KernelSpec(d=2, q0=q0)
         r = np.concatenate([[0.0], np.random.default_rng(4).uniform(0, 0.5, 300),
                             np.exp(-np.arange(1, 8))])
         for n in (1, 3, 7):
@@ -227,7 +235,7 @@ class TestPdCheck:
         assert eig.min() >= -1e-8 * np.trace(g), f"min eig {eig.min()}"
 
     def test_constant_kernel_gram(self):
-        spec = KernelSpec(d=1, q0_kind="constant", q0_const=2.0)
+        spec = KernelSpec(d=1, q0=2.0)
         grid = Grid.regular((0.0, 1.0), 32)
         g = gram(spec, 0, grid)
         eig = np.linalg.eigvalsh(g)
@@ -458,7 +466,7 @@ class TestLatticeTable:
 class TestMollifiedTable:
     def test_constant_kernel_invariance(self):
         # mollifiers integrate to one, so a constant kernel passes through
-        spec = KernelSpec(d=1, q0_kind="constant", q0_const=0.7)
+        spec = KernelSpec(d=1, q0=0.7)
         grid = Grid.regular((0.0, 1.0), 256)
         mol = Mollifier(d=1)
         for rule in ("grid", "midpoint"):
@@ -583,7 +591,7 @@ class TestMollifiedTable:
     def test_d2_grid_table_matches_dense(self):
         # d=2 offsets are lattice vectors and the stencil a disc of taps;
         # the constant Q_0 checks the level-0 term
-        spec = KernelSpec(d=2, q0_kind="constant", q0_const=0.3)
+        spec = KernelSpec(d=2, q0=0.3)
         grid = Grid.regular((0.0, 1.0), 32, d=2)
         mol = Mollifier(d=2)
         t_rows, t_rows_p, values = interior_table(spec, grid, 2 ** -3,

@@ -375,13 +375,13 @@ class TestSampledWindow:
         keys = [("main", eps_max / 2), ("main", eps_max)] if eps_max else []
         if eps_max == 1.0:
             with pytest.raises(ValueError, match="leaks outside D_eps"):
-                bench.map_blocks(0, 1, lambda start, z: (z,), keys=keys)
+                bench.draw(keys=keys)
             return
-        (z,) = bench.map_blocks(0, 1, lambda start, z: (z,), levels=[8],
-                                keys=keys)
+        (z,) = bench.map_blocks(0, 1, lambda start, z: (z,),
+                                draw=bench.draw([8], keys))
         assert bench.safety_net["sampled_rows"] == list(window)
         assert z.shape[1] == window[1] - window[0] + 1
-        assert bench.groups([8])[0].rows == window[1] - window[0] + 1
+        assert bench.factors[0].rows == window[1] - window[0] + 1
 
     # (grid_n, f radius, window, torus points per level) at f center 0.5:
     # the ladder-2048 and moments-128 benchmark geometries
@@ -426,8 +426,8 @@ class TestSampledWindow:
         bench = Bench(SPEC, GRID, 7, f=f, mol=mol)
         keys = [("main", 2 ** -4), ("main", 2 ** -3)]
         lo, hi = sampled_rows(GRID, f, 2 ** -3)
-        (z,) = bench.map_blocks(12, 1, lambda start, zb: (zb,), keys=keys)
-        draw = bench.last_draw
+        draw = bench.draw(keys=keys)
+        (z,) = bench.map_blocks(12, 1, lambda start, zb: (zb,), draw=draw)
         assert draw.lo == lo and z.shape == (8, hi - lo + 1, 1)
         padded = np.zeros((GRID.n, 1))
         padded[lo:hi + 1] = z.sum(axis=0)
@@ -455,10 +455,10 @@ class TestLevelGroups:
              (2048, 0.05, range(2, 9)), (2048, 0.05, [8])]
     WIDEST = {128: 2.0 ** -4, 2048: 2.0 ** -3}
 
-    @pytest.mark.parametrize("q0_kind", ["zero", "constant"])
+    @pytest.mark.parametrize("q0", [0.0, 1.0], ids=["zero", "constant"])
     @pytest.mark.parametrize("n,radius,levels", CASES)
-    def test_group_embedding_exact(self, n, radius, levels, q0_kind):
-        spec = KernelSpec(d=1, q0_kind=q0_kind)
+    def test_group_embedding_exact(self, n, radius, levels, q0):
+        spec = KernelSpec(d=1, q0=q0)
         grid = Grid.regular((0.0, 1.0), n)
         lo, hi = sampled_rows(grid, bump_function(grid, center=0.5,
                                                   radius=radius),
@@ -475,7 +475,7 @@ class TestLevelGroups:
             ref = lattice_row(spec, range(max(g.first, 1), g.last + 1),
                               grid.h, np.arange(w))
             if g.first == 0:
-                ref = ref + spec.q0_value
+                ref = ref + spec.q0
             assert np.abs(row[:w] - ref).max() <= 1e-12 * ref[0], \
                 f"group {g.first}..{g.last}"
 
@@ -502,7 +502,7 @@ class TestLevelGroups:
         for start in range(0, replicas, BLOCK):
             rng = np.random.default_rng([seed, start // BLOCK])
             z = np.empty((n_max + 1, w, BLOCK))
-            z[0] = np.sqrt(spec.q0_value) * rng.standard_normal(BLOCK)
+            z[0] = np.sqrt(spec.q0) * rng.standard_normal(BLOCK)
             for k, root in enumerate(roots, start=1):
                 xi = rng.standard_normal((root.shape[0], BLOCK))
                 if root.ndim == 2:
@@ -516,9 +516,9 @@ class TestLevelGroups:
             blocks.append(z)
         return np.concatenate(blocks, axis=-1)[..., :replicas]
 
-    @pytest.mark.parametrize("q0_kind", ["zero", "constant"])
-    def test_default_levels_draw_per_level(self, q0_kind):
-        spec = KernelSpec(d=1, q0_kind=q0_kind)
+    @pytest.mark.parametrize("q0", [0.0, 1.0], ids=["zero", "constant"])
+    def test_default_levels_draw_per_level(self, q0):
+        spec = KernelSpec(d=1, q0=q0)
         grid = Grid.regular((0.0, 1.0), 128)
         bench = Bench(spec, grid, 8, f=bump_function(grid, center=0.5,
                                                      radius=0.2))
@@ -543,8 +543,9 @@ class TestLevelGroups:
         # indicators the per-level block gives at the groups' last levels
         grid = Grid.regular((0.0, 1.0), 128)
         f = bump_function(grid, center=0.5, radius=0.2)
-        (z,) = Bench(SPEC, grid, 8, f=f).map_blocks(
-            4, 32, lambda start, zb: (zb,), keys=[("main", 2 ** -3)])
+        bench = Bench(SPEC, grid, 8, f=f)
+        (z,) = bench.map_blocks(4, 32, lambda start, zb: (zb,),
+                                draw=bench.draw(keys=[("main", 2 ** -3)]))
         groups = [(0, 2), (3, 5), (6, 6), (7, 8)]
         slabs = np.stack([z[a:b + 1].sum(axis=0) for a, b in groups])
         rows = np.arange(10, 60)
@@ -561,4 +562,5 @@ class TestLevelGroups:
         bench.set_tilt(t)
         rows = tilt_shift_rows(SPEC, pair, t, 6, Mollifier(d=1))
         ref = [rows[0:3].sum(axis=0), rows[3], rows[4:7].sum(axis=0)]
-        assert np.abs(bench.shifts([2, 3]) - np.stack(ref)).max() < 1e-14
+        shifts = bench._shifts(bench.draw([2, 3]))
+        assert np.abs(shifts - np.stack(ref)).max() < 1e-14

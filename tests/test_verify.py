@@ -13,7 +13,8 @@ from scipy.special import erfc
 import logchaos
 from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
                       PhaseError, bump_function, cauchy_ladder, chaos_density,
-                      field_stats, gram, kernel_estimate_check,
+                      field_stats, gram, increment_factors,
+                      kernel_estimate_check,
                       ladder_from_values, mc_moment, mc_moments,
                       moment_from_values, mollifier_independence,
                       sampled_rows, second_moment_oracle, sobolev_ladder,
@@ -186,7 +187,7 @@ class TestBench:
         assert len(jitter) == 5 and jitter[0] == 0.0
         assert all(j > 0.0 for j in jitter[1:])
         bench = Bench(SPEC, pair, 4)
-        bench.map_blocks(0, 1, lambda start, z: (z,), levels=[2])
+        bench.map_blocks(0, 1, lambda start, z: (z,), draw=bench.draw([2]))
         grouped = bench.safety_net
         assert grouped["level_groups"] == [[0, 2], [3, 4]]
         assert len(grouped["cholesky_jitter"]) == 2
@@ -201,10 +202,11 @@ class TestBench:
         # exactly the partial sums it reads, so none asks for another
         from logchaos import verify
         bench = small_bench(8)
-        assert bench.slab(5, [5]) == 0 and bench.slab(8, [5]) == 1
-        assert bench.slab(3) == 3
+        draw = bench.draw([5])
+        assert draw.slab(5) == 0 and draw.slab(8) == 1
+        assert bench.draw().slab(3) == 3
         with pytest.raises(ValueError, match="Y_3 is not drawn"):
-            bench.slab(3, [5])
+            draw.slab(3)
         drawn, inner = [], verify.block_z
 
         def recorded(spec, grid, factors, *args):
@@ -241,7 +243,7 @@ class TestBench:
         bench.add_channel("alt", Mollifier(d=1, profile="quartic"))
         keys = [("main", 2 ** -4), ("alt", 2 ** -4)]
         (y,) = bench.map_blocks(0, 8, lambda start, z: (z.sum(axis=0),),
-                                keys=keys)
+                                draw=bench.draw(keys=keys))
         xa, xb = bench.mollify(y, keys, bench.last_draw)
         assert xa.shape == xb.shape == (bench.supp.size, 8)
         assert np.abs(xa - xb).max() > 1e-3, "profiles must differ"
@@ -324,19 +326,30 @@ class TestBatches:
         f = bump_function(grid, center=0.5, radius=0.2)
         return Bench(SPEC, grid, 8, f=f)
 
-    def consume_of(self, bench):
-        from logchaos.verify import _chaos_values_consume
-        return _chaos_values_consume(bench, [0.8, 0.5 + 0.5j], self.KEYS)
+    def sweep(self, bench):
+        """(consume, draw) that the moments sweep (verify._chaos_values)
+        hands map_blocks."""
+        from logchaos import verify
+        seen = {}
+
+        def record(seed, replicas, consume, workers=None, draw=None):
+            seen.update(consume=consume, draw=draw)
+
+        bench.map_blocks = record
+        verify._chaos_values(bench, [0.8, 0.5 + 0.5j], self.KEYS, None, 1,
+                             self.SEED, 1)
+        del bench.map_blocks
+        return seen["consume"], seen["draw"]
 
     def per_block(self, bench, replicas):
         from logchaos import verify
-        consume = self.consume_of(bench)
-        assert verify._chaos_levels(bench, None) == self.LEVELS
-        factors = bench.groups(self.LEVELS)
+        consume, draw = self.sweep(bench)
+        assert draw.tops == tuple(self.LEVELS)
+        factors = increment_factors(bench.spec, bench.grid, bench.n_max,
+                                    draw.rows, draw.tops)
         outs = [consume(start, verify.block_z(bench.spec, bench.grid,
                                               factors, self.SEED, start,
-                                              bench.n_max,
-                                              bench.shifts(self.LEVELS)))
+                                              bench.n_max, None))
                 for start in range(0, replicas, verify.BLOCK)]
         return tuple(np.concatenate([o[j] for o in outs], axis=-1)[..., :replicas]
                      for j in range(len(outs[0])))
@@ -346,15 +359,14 @@ class TestBatches:
     def test_batches_match_per_block_calls(self, replicas, workers):
         from logchaos import verify
         bench = self.moments_bench()
-        consume, calls = self.consume_of(bench), []
+        (consume, draw), calls = self.sweep(bench), []
 
         def recorded(start, z):
             calls.append((start, z.shape[-1]))
             return consume(start, z)
 
-        got = bench.map_blocks(self.SEED, replicas, recorded, workers,
-                               self.LEVELS, self.KEYS)
-        assert sum(g.draws for g in bench.groups(self.LEVELS)) == 120
+        got = bench.map_blocks(self.SEED, replicas, recorded, workers, draw)
+        assert sum(g.draws for g in bench.factors) == 120
         want = self.per_block(bench, replicas)
         assert [a.shape for a in got] == [(4, replicas)] * 2
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
@@ -365,9 +377,10 @@ class TestBatches:
 
     def test_first_replicas_independent_of_budget(self):
         bench = self.moments_bench()
+        consume, draw = self.sweep(bench)
         firsts = [tuple(a[..., :100] for a in bench.map_blocks(
-            self.SEED, r, self.consume_of(bench), workers=1,
-            levels=self.LEVELS, keys=self.KEYS)) for r in (100, 128, 300)]
+            self.SEED, r, consume, workers=1, draw=draw))
+            for r in (100, 128, 300)]
         for other in firsts[1:]:
             assert all(a.tobytes() == b.tobytes()
                        for a, b in zip(firsts[0], other))
@@ -391,9 +404,9 @@ class TestBatches:
             return (np.full(z.shape[-1], start),)
 
         monkeypatch.setattr(verify, "block_z", recorded)
-        (starts,) = bench.map_blocks(0, 64, consume, workers=1,
-                                     levels=range(2, 9),
-                                     keys=[("main", 2 ** -3)])
+        (starts,) = bench.map_blocks(
+            0, 64, consume, workers=1,
+            draw=bench.draw(range(2, 9), [("main", 2 ** -3)]))
         assert drawn[0].shape == (7, 716, 32) and len(drawn) == 2
         assert starts.tolist() == [0] * 32 + [32] * 32
 
@@ -448,9 +461,9 @@ class TestSampledWindow:
         for eps in (2 ** -4, 0.07):
             bench = Bench(SPEC, GRID, 7, f=F)
             keys = [("main", eps)]
+            draw = bench.draw(keys=keys)
             (y,) = bench.map_blocks(0, 1, lambda start, z: (z.sum(axis=0),),
-                                    keys=keys)
-            draw = bench.last_draw
+                                    draw=draw)
             bench.mollify(y, keys, draw)
             offs, _ = discrete_stencil(Mollifier(d=1), eps, GRID.h)
             taps = np.flatnonzero(F)[:, None] + offs[:, 0]
@@ -489,11 +502,11 @@ class TestSampledWindow:
         (lambda b: field_stats(b, [2], 2, 2 ** -5, 2 ** -4, 40, 0), 2 ** -4),
         (lambda b: sup_field_prob(b, 1.6, [4], [2], 40, 0), 0.0),
     ]
+    ESTIMATOR_IDS = ["mc_moments", "mc_moment", "event", "cauchy_ladder",
+                     "mollifier_independence", "sobolev_ladder",
+                     "field_stats", "sup_field_prob"]
 
-    @pytest.mark.parametrize("call,widest", ESTIMATORS, ids=[
-        "mc_moments", "mc_moment", "event", "cauchy_ladder",
-        "mollifier_independence", "sobolev_ladder", "field_stats",
-        "sup_field_prob"])
+    @pytest.mark.parametrize("call,widest", ESTIMATORS, ids=ESTIMATOR_IDS)
     def test_estimator_draws_its_widest_rows(self, call, widest):
         # tilted_event_prob draws free points, all N rows of which a draw
         # holds (test_sampler test_full_grid_without_window)
@@ -523,8 +536,8 @@ class TestSampledWindow:
                                       seed=4))
             rows.append(bench.safety_net["sampled_rows"])
             blocks.append(bench.map_blocks(
-                4, 64, lambda start, z: (z,), levels=[8],
-                keys=[("main", e) for e in ladder])[0])
+                4, 64, lambda start, z: (z,),
+                draw=bench.draw([8], [("main", e) for e in ladder]))[0])
             assert verify._chaos_levels(bench, None) == [8]
         assert rows[0] == rows[1] == list(sampled_rows(grid, f, 2.0 ** -3))
         assert np.array_equal(blocks[0], blocks[1])
@@ -534,10 +547,7 @@ class TestSampledWindow:
         assert rows[0][0] < rows[2][0] and rows[2][1] < rows[0][1]
         assert blocks[2].shape[1] < blocks[0].shape[1]
 
-    @pytest.mark.parametrize("call,widest", ESTIMATORS, ids=[
-        "mc_moments", "mc_moment", "event", "cauchy_ladder",
-        "mollifier_independence", "sobolev_ladder", "field_stats",
-        "sup_field_prob"])
+    @pytest.mark.parametrize("call,widest", ESTIMATORS, ids=ESTIMATOR_IDS)
     def test_estimator_reads_its_own_draw(self, call, widest):
         # another call on the same Bench draws wider rows before every
         # batch, as a second thread would: each consume reads the rows of
@@ -552,13 +562,30 @@ class TestSampledWindow:
 
         def interleaved(seed, replicas, consume, *args, **kw):
             def wrapped(start, z):
-                own(0, 1, lambda s, zb: (zb[0, 0],), keys=[("main", 0.14)])
+                own(0, 1, lambda s, zb: (zb[0, 0],),
+                    draw=shared.draw(keys=[("main", 0.14)]))
                 assert shared.last_draw.lo < sampled_rows(GRID, F, widest)[0]
                 return consume(start, z)
             return own(seed, replicas, wrapped, *args, **kw)
 
         shared.map_blocks = interleaved
         assert repr(call(shared)) == repr(ref)
+
+    @pytest.mark.parametrize("call,widest", ESTIMATORS, ids=ESTIMATOR_IDS)
+    def test_estimator_draws_once(self, call, widest):
+        # each estimator builds the Draw of its sweep once and hands that
+        # same Draw to its consume and to map_blocks
+        bench = Bench(SPEC, GRID, 8, f=F)
+        bench.add_channel("alt", Mollifier(d=1, profile="quartic"))
+        calls, own = [], bench.draw
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return own(*args, **kw)
+
+        bench.draw = counted
+        call(bench)
+        assert len(calls) == 1
 
 
 class TestEngineAgreement:
@@ -574,7 +601,7 @@ class TestEngineAgreement:
         """(X_eps on supp(F), block slabs) of the bench's draws of levels on
         the rows the eps convolution reads."""
         (z,) = bench.map_blocks(seed, replicas, lambda start, zb: (zb,),
-                                levels=levels, keys=[("main", self.EPS)])
+                                draw=bench.draw(levels, [("main", self.EPS)]))
         rows, w = weight_matrix(GRID, Mollifier(d=1), self.EPS)
         y = np.zeros((GRID.n, replicas))
         y[bench.last_draw.lo:bench.last_draw.hi + 1] = z.sum(axis=0)
@@ -626,7 +653,7 @@ class TestEngineAgreement:
         keys = [("main", self.EPS)]
         draw = bench.draw(keys=keys)
         xy = np.stack([bench.map_blocks(seed, 8, lambda start, zb: (
-            bench.mollify(zb.sum(axis=0), keys, draw)[0],), keys=keys)[0]
+            bench.mollify(zb.sum(axis=0), keys, draw)[0],), draw=draw)[0]
             for seed in (7, 8)])
         dens, ovf = chaos_density((alpha, 1j * beta), xy, kd, F[bench.supp])
         got = dens.sum(axis=0) * GRID.weight
@@ -893,7 +920,7 @@ class TestKernelEstimateCheck:
         for d, n, eps, nodes, rtol in ((1, 256, 2 ** -4, 32, 0.0),
                                        (1, 300, 2 ** -4, 32, 4e-15),
                                        (2, 32, 2 ** -3, 4, 0.0)):
-            spec = KernelSpec(d=d, q0_kind="constant", q0_const=0.7)
+            spec = KernelSpec(d=d, q0=0.7)
             grid = Grid.regular((0.0, 1.0), n, d=d)
             rep = kernel_estimate_check(spec, "mollified", grid,
                                         eps_ladder=[eps], nodes=nodes)
@@ -1132,6 +1159,18 @@ class TestSobolevLadder:
             sobolev_ladder(small_bench(), ChaosParams(f=F, gamma=0.5), 0.75,
                            [2 ** -3], replicas=64, seed=0)
 
+    @pytest.mark.parametrize("ladder", [[2 ** -4, 2 ** -3],
+                                        [2 ** -3, 2 ** -3]])
+    def test_ladder_not_decreasing_rejected(self, ladder):
+        # both pair ladders read their rungs through one check: a ladder
+        # that does not strictly decrease is refused by each alike
+        params = ChaosParams(f=F, gamma=0.5)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            cauchy_ladder(small_bench(), params, ladder, replicas=64, seed=0)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            sobolev_ladder(small_bench(), params, 0.75, ladder, replicas=64,
+                           seed=0)
+
     def test_gamma_zero_identically_zero(self):
         bench = small_bench()
         rep = sobolev_ladder(bench, ChaosParams(f=F, gamma=0.0), 0.75,
@@ -1157,9 +1196,9 @@ class TestSobolevLadder:
         bench.set_tilt(TiltShift(x=0.45, y=0.55, eps=2 ** -4,
                                  eps_prime=2 ** -4, alpha=alpha))
         keys = [("main", 2 ** -3)]
-        (z,) = bench.map_blocks(3, 32, lambda start, zb: (zb,), levels=[2],
-                                keys=keys)
-        shifts = bench.shifts([2])
+        draw = bench.draw([2], keys)
+        (z,) = bench.map_blocks(3, 32, lambda start, zb: (zb,), draw=draw)
+        shifts = bench._shifts(draw)
         partner = _reflect(z, shifts)
         if alpha == 0.0:
             assert shifts is None and np.array_equal(partner, -z)
