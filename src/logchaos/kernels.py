@@ -28,13 +28,13 @@ is built.  On a d=1 grid both clouds of either rule sit on multiples of
 h / q for some integer q (q = 1 for grid stencils, q <= 8 for 32-node
 midpoint clouds at dyadic eps on a dyadic grid), so every radius
 |o h + u_a - v_b| is a lag of one lattice: the kernel is evaluated once per
-lag and correlated with the cloud-pair weights binned by lag
-(_lattice_table).  Where no lattice with q <= 8 evaluates fewer radii
-than the per-offset fold (d=2, and midpoint clouds off the lattice or on
-a finer one, as at N=300 or 1000), each offset folds the two clouds into
-their distinct differences u_a - v_b and evaluates the kernel once per
-(offset, distinct difference); midpoint_work bounds that cost up front,
-and the lattice undercuts it.
+lag and correlated with the cloud-pair weights binned by lag, bins cached
+per eps pair (_lattice_bins, _lattice_table).  Where no lattice with
+q <= 8 evaluates fewer radii than the per-offset fold (d=2, and midpoint
+clouds off the lattice or on a finer one, as at N=300 or 1000), each
+offset folds the two clouds into their distinct differences u_a - v_b and
+evaluates the kernel once per (offset, distinct difference); midpoint_work
+bounds that cost up front, and the lattice undercuts it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial.legendre import leggauss
 
 from .grids import Grid
@@ -346,61 +346,68 @@ def _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes
     return out
 
 
-def _lattice_q(u, v, h, tol):
-    """Smallest q = 1..8 with every point of the d=1 clouds u and v within
-    tol of a multiple of h / q, or None.  32-node midpoint clouds at dyadic
-    eps on a dyadic grid take q <= 8; a finer lattice gathers each offset's
-    occupied lags from a row over q times as long, and from q = 32 on
-    (N = 1000, 3000) it ran slower than the per-offset fold."""
-    qs = np.arange(1, 9)[:, None]
-    t = qs * (np.concatenate([u[:, 0], v[:, 0]]) / h)
-    fit = (np.abs(t - np.round(t)) <= qs * (tol / h)).all(axis=1)
-    return int(np.argmax(fit)) + 1 if fit.any() else None
+@lru_cache(maxsize=32)
+def _lattice_bins(mol, eps, eps_prime, rule, h, nodes):
+    """(q, first, ww, taps) of the d=1 clouds of eps and eps' on the lattice
+    h / q, read-only and cached per eps pair: ww[l] is the weight of the
+    cloud pairs at lag first + l and taps the lags some pair occupies
+    (every lag for grid stencils, q = 1).  Midpoint clouds take the
+    smallest q <= 8 that fits every point to 1e-12 eps' (the _fold_clouds
+    tolerance), or None: from q = 32 on (N = 1000, 3000) gathering each
+    offset's lags from a row q times as long ran slower than the fold.
+    ww and taps hold about 2 x cloud width / (h / q) entries each: 0.5 MB
+    apiece for a grid stencil at eps = 2^-3 and N = 2^17."""
+    u, wu = _cloud(mol, eps, rule, h, nodes)
+    v, wv = (u, wu) if eps_prime == eps else _cloud(mol, eps_prime, rule, h,
+                                                     nodes)
+    if rule == "grid":
+        q, first = 1, round((u[0, 0] - v[-1, 0]) / h)
+        ww = np.correlate(wu, wv, "full")
+        taps = np.arange(ww.size)
+    else:
+        qs = np.arange(1, 9)[:, None]
+        t = qs * (np.concatenate([u[:, 0], v[:, 0]]) / h)
+        fit = (np.abs(t - np.rint(t)) <= qs * (1e-12 * eps_prime / h)).all(1)
+        if not fit.any():
+            return None
+        q = int(np.argmax(fit)) + 1
+        # d=1 clouds are ascending
+        iu, iv = (np.rint(c[:, 0] * (q / h)).astype(np.int64) for c in (u, v))
+        first = int(iu[0] - iv[-1])
+        ww = np.bincount((iu[:, None] - iv[None, :] - first).ravel(),
+                         np.outer(wu, wv).ravel())
+        taps = np.flatnonzero(ww)
+    ww.flags.writeable = taps.flags.writeable = False
+    return q, first, ww, taps
 
 
 def _lattice_table(spec, offsets, eps, eps_prime, mol, rule, n_levels, h,
                    nodes, shift=0.0):
     """K_{eps,eps'} at the separations shift + o h of the consecutive
     integer offsets o of a d=1 table, by one kernel evaluation per lag of
-    the lattice h / q both clouds sit on; None when there is no such
-    lattice with q <= 8 or it evaluates more radii, (offsets - 1) q + lags,
-    than the fold's offsets x occupied lags.
-
-    Offset o meets the cloud lag l at lag o q + l, so each value is the
-    correlation of the kernel row with the pair weights binned by lag.
-    Grid stencils are consecutive taps on the grid (q = 1): np.correlate
-    bins their weights and correlates the row, with no pair built.
-    Midpoint clouds take the smallest q that fits them to 1e-12 eps' (the
-    _fold_clouds tolerance), a bincount of their pairs and a sum over the
-    occupied lags.
+    the lattice of _lattice_bins; None when there is no such lattice or it
+    evaluates more radii, (offsets - 1) q + lags, than the fold's offsets x
+    occupied lags.  Offset o meets the cloud lag l at lag o q + l, so each
+    value correlates the kernel row with the binned pair weights: by
+    np.correlate on q = 1, else over the occupied lags of strided windows.
     """
-    u, wu = _cloud(mol, eps, rule, h, nodes)
-    v, wv = (u, wu) if eps_prime == eps else _cloud(mol, eps_prime, rule, h,
-                                                     nodes)
+    bins = _lattice_bins(mol, eps, eps_prime, rule, h, nodes)
+    if bins is None:
+        return None
+    q, first, ww, taps = bins
     n_off = offsets.size
-    if rule == "grid":
-        q, first = 1, round((u[0, 0] - v[-1, 0]) / h)
-        ww = np.correlate(wu, wv, "full")
-    else:
-        q = _lattice_q(u, v, h, 1e-12 * eps_prime)
-        if q is None:
-            return None
-        # d=1 clouds are ascending
-        iu = np.round(u[:, 0] * (q / h)).astype(np.int64)
-        iv = np.round(v[:, 0] * (q / h)).astype(np.int64)
-        first = iu[0] - iv[-1]
-        ww = np.bincount((iu[:, None] - iv[None, :] - first).ravel(),
-                         np.outer(wu, wv).ravel())
-        taps = np.flatnonzero(ww)
-        if (n_off - 1) * q + ww.size > n_off * taps.size:
-            return None
+    if (n_off - 1) * q + ww.size > n_off * taps.size:
+        return None
     lags = np.arange(offsets[0] * q + first,
                      offsets[-1] * q + first + ww.size)
     krow = k_partial(spec, n_levels, np.abs(lags * (h / q) + shift))
-    if rule == "grid":
+    # a correlated lag costs about a tenth of a gathered one (2-vCPU Xeon):
+    # N=4096 midpoint tables with eps, eps' >= 2^-4 occupy 1 lag in 16, 32
+    if q == 1 and ww.size <= 8 * taps.size:
         return np.correlate(krow, ww, "valid")
     # row o holds the lags o q + first ..; chunked at 2e7 as the fold is
-    win = sliding_window_view(krow, ww.size)[::q]
+    win = as_strided(krow, (n_off, ww.size),
+                     (q * krow.itemsize, krow.itemsize), writeable=False)
     step = max(1, int(2e7 // taps.size))
     return np.concatenate([win[lo:lo + step, taps] @ ww[taps]
                            for lo in range(0, n_off, step)])
@@ -477,9 +484,10 @@ def offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
                  n_levels, nodes=32):
     """K_{eps,eps'} under rule, once per lattice offset of rows x rows_p.
 
-    On each axis the offsets o run over the bounding runs of rows (a0..a1)
+    On each axis k the offsets o run over the bounding runs of rows (a0..a1)
     and rows_p (b0..b1), a0 - b1 .. a1 - b0, and each offset's separation
-    is taken from its row-major first pair, whose row is max(a0, b0 + o).
+    is taken from its first pair, x_k[f] - x_k[f - o] with f = max(a0, b0 +
+    o) and x_k = grid.axis(k).
     Returns (lo, seps, vals): vals[k] is the value at the offset lo + k
     (one index per axis) and seps[k] its separation vector.  The rows x
     rows_p table is vals indexed by np.subtract.outer(a, b) - lo per axis.
@@ -490,12 +498,11 @@ def offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
     b = np.unravel_index(rows_p, grid.shape)
     runs = [np.arange(ak.min() - bk.max(), ak.max() - bk.min() + 1)
             for ak, bk in zip(a, b)]
-    firsts = [np.maximum(ak.min(), bk.min() + o)
-              for ak, bk, o in zip(a, b, runs)]
-    ia = np.ravel_multi_index(np.ix_(*firsts), grid.shape)
-    ib = np.ravel_multi_index(np.ix_(*(f - o for f, o in zip(firsts, runs))),
-                              grid.shape)
-    seps = grid.points[ia] - grid.points[ib]
+    seps = np.empty([o.size for o in runs] + [grid.d])
+    for k, (ak, bk, o) in enumerate(zip(a, b, runs)):
+        f, x = np.maximum(ak.min(), bk.min() + o), grid.axis(k)
+        # axis k's separations, broadcast over the other axes
+        seps[..., k] = (x[f] - x[f - o]).reshape([-1] + [1] * (grid.d - 1 - k))
     vals = None
     if grid.d == 1:
         vals = _lattice_table(spec, runs[0], eps, eps_prime, mol, rule,
@@ -504,7 +511,8 @@ def offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
         vals = _mollified_of_seps(spec, seps.reshape(-1, grid.d), eps,
                                   eps_prime, mol, rule, n_levels, grid.h,
                                   nodes)
-    return np.array([o[0] for o in runs]), seps, vals.reshape(ia.shape)
+    return (np.array([o[0] for o in runs]), seps,
+            vals.reshape(seps.shape[:-1]))
 
 
 def midpoint_work(grid, eps, eps_prime, nodes=32):
@@ -523,6 +531,7 @@ def midpoint_work(grid, eps, eps_prime, nodes=32):
     # Python ints: the count must not wrap on an oversized d=2 grid
     offsets = (int(np.count_nonzero(dist > 2.0 * eps))
                + int(np.count_nonzero(dist > 2.0 * eps_prime)) - 1) ** grid.d
-    return (offsets * quad_cloud(mol, eps, nodes)[1].size
-            * quad_cloud(mol, eps_prime, nodes)[1].size)
+    # the run's own cached clouds, so planning warms what the tables read
+    return (offsets * _cloud(mol, eps, "midpoint", grid.h, nodes)[1].size
+            * _cloud(mol, eps_prime, "midpoint", grid.h, nodes)[1].size)
 

@@ -258,7 +258,9 @@ def block_z(spec, grid, factors, seed, block_start, n_max, shifts=None):
         if group.root.ndim == 0:
             z[i] = group.root * xi
         elif group.embedded:
-            y = np.fft.fft(group.root[:, None] * xi.view(complex), axis=0)[:n]
+            a = xi.view(complex)  # the block's scratch, scaled in place
+            a *= group.root[:, None]
+            y = np.fft.fft(a, axis=0)[:n]
             z[i, :, :half] = y.real
             z[i, :, half:] = y.imag
         else:

@@ -21,6 +21,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -397,9 +398,10 @@ class Bench:
         block draws), each drawn by block_z from its own stream; z is their
         (groups, W, k BLOCK) concatenation along the replica axis
         (block_z's own array when k = 1), and start is the batch's first
-        replica.  Worker threads claim whole batches.
-        consume returns a tuple of arrays with trailing replica axis; the
-        concatenated arrays are trimmed to the replica budget.  Every
+        replica.  Batch 0 runs in the calling thread, worker threads claim
+        the others whole.  consume returns a tuple of arrays with trailing
+        replica axis; each batch writes them into one array per output,
+        shaped by batch 0 and trimmed to the replica budget.  Every
         consume in this module acts on each replica column alone, its
         stencil spectra too (mollify), so the bytes do not depend on k.
         """
@@ -412,23 +414,30 @@ class Bench:
         per = max(1, BATCH_VALUES // (BLOCK * sum(g.draws for g in factors)))
         blocks = range(0, replicas, BLOCK)
         batches = [blocks[i:i + per] for i in range(0, len(blocks), per)]
-        outs = [None] * len(batches)
 
-        def work(i):
+        def run(i):
             zs = [block_z(self.spec, self.grid, factors, seed, start,
                           self.n_max, shifts) for start in batches[i]]
             z = zs[0] if len(zs) == 1 else np.concatenate(zs, axis=-1)
-            outs[i] = consume(batches[i][0], z)
+            return consume(batches[i][0], z)
 
+        first = run(0)
+        outs = tuple(np.empty((*o.shape[:-1], replicas), o.dtype)
+                     for o in first)
+
+        def put(i, parts):
+            lo = batches[i][0]
+            for out, part in zip(outs, parts):
+                out[..., lo:lo + part.shape[-1]] = part[..., :replicas - lo]
+
+        put(0, first)
         if workers <= 1:
-            for i in range(len(batches)):
-                work(i)
+            for i in range(1, len(batches)):
+                put(i, run(i))
         else:
             with ThreadPoolExecutor(max_workers=workers) as ex:
-                list(ex.map(work, range(len(batches))))
-        parts = len(outs[0])
-        return tuple(np.concatenate([o[j] for o in outs], axis=-1)[..., :replicas]
-                     for j in range(parts))
+                list(ex.map(lambda i: put(i, run(i)), range(1, len(batches))))
+        return outs
 
 
 def _chaos_levels(bench, trunc):
@@ -697,14 +706,14 @@ def kernel_estimate_check(spec, kind, grid, mol=None, eps_ladder=(),
     drops the log comparison term (degenerate-kernel calibration).
     """
     mol = mol if mol is not None else Mollifier(d=spec.d)
+    d_rows = cache(lambda eps: interior_rows(grid, mol, eps))  # once per eps
 
     def gap_table(eps, eps2, n_levels, cap=None):
         if not 0.0 < eps2 <= eps <= 1.0:
             raise ValueError(f"need 0 < eps'={eps2} <= eps={eps} <= 1")
         _, seps, vals = kernels.offset_table(
-            spec, grid, interior_rows(grid, mol, eps),
-            interior_rows(grid, mol, eps2), eps, eps2, mol, rule, n_levels,
-            nodes)
+            spec, grid, d_rows(eps), d_rows(eps2), eps, eps2, mol, rule,
+            n_levels, nodes)
         r = np.sqrt((seps ** 2).sum(axis=-1))
         if not log_floor:
             ref = 0.0

@@ -252,6 +252,16 @@ class TestValidateOnly:
         with pytest.raises(ConfigError, match="d=1, grid_n=8192"):
             plan({"kind": "kernel-check", "grid_n": 8192})
 
+    def test_kernel_check_plan_warms_the_run_clouds(self):
+        # the plan-time work bound reads the run's own cached midpoint
+        # clouds, so the run builds none of its own
+        from logchaos import kernels
+        kernels._cloud.cache_clear()
+        _, run = plan({"kind": "kernel-check", "grid_n": 512})
+        planned = kernels._cloud.cache_info().misses
+        run(1, "warm")
+        assert planned == 5 and kernels._cloud.cache_info().misses == 5
+
     def test_size_bounds_admit_their_limits(self):
         # the parity tables refuse one past each of these
         for cfg in ({"kind": "sobolev", "grid_n": 2 ** 17},

@@ -462,6 +462,110 @@ class TestLatticeTable:
                               n_ladder=[4, 6, 8, 10, 12], eps_fixed=2 ** -4)
         assert len(seen) == 14 and sum(seen) == 34562
 
+    def test_kernel_tables_512_bins_once_per_pair(self):
+        # the 14 tables of kernel-check at N=512 share 9 (eps, eps') pairs,
+        # and the lag bins are built once per pair (the lattice fit ran
+        # once per table, 14 times, before the bins were cached)
+        kernels._lattice_bins.cache_clear()
+        grid = Grid.regular((0.0, 1.0), 512)
+        kernel_estimate_check(SPEC1, "mollified", grid, eps_ladder=LADDER)
+        kernel_estimate_check(SPEC1, "partial", grid,
+                              n_ladder=[4, 6, 8, 10, 12], eps_fixed=2 ** -4)
+        info = kernels._lattice_bins.cache_info()
+        assert (info.misses, info.hits) == (9, 5)
+        bins = [kernels._lattice_bins(Mollifier(d=1), eps, eps_prime,
+                                      "midpoint", grid.h, 32)
+                for eps, eps_prime, _ in ladder_tables(SPEC1)[:9]]
+        assert kernels._lattice_bins.cache_info().misses == 9
+        assert [b[0] for b in bins] == [1, 1, 1, 2, 2, 4, 4, 8, 8]
+        assert not any(b[2].flags.writeable or b[3].flags.writeable
+                       for b in bins)
+
+    def test_grid_lattice_midpoint_tables_correlate(self, monkeypatch):
+        # midpoint clouds on the grid itself (q = 1: eps, eps' in {2^-3,
+        # 2^-4} at N=512) take one np.correlate of the kernel row with the
+        # lag bins: no strided window of the row is gathered, so no
+        # matrix-vector product runs.  Finer lattices (q = 2, 4, 8) gather,
+        # and so do q = 1 bins that occupy under 1 lag in 8 (N=4096, eps =
+        # 2^-3: 63 of 1985)
+        grid = Grid.regular((0.0, 1.0), 512)
+        mol = Mollifier(d=1)
+        windows = []
+        inner = kernels.as_strided
+
+        def counted(*args, **kwargs):
+            windows.append(args[1])
+            return inner(*args, **kwargs)
+
+        def forbidden(*args):
+            raise AssertionError("a d=1 midpoint table folded")
+
+        monkeypatch.setattr(kernels, "as_strided", counted)
+        monkeypatch.setattr(kernels, "_mollified_of_seps", forbidden)
+        qs = []
+        for eps, eps_prime, n_levels in ladder_tables(SPEC1):
+            qs.append(kernels._lattice_bins(mol, eps, eps_prime, "midpoint",
+                                            grid.h, 32)[0])
+            before = len(windows)
+            kernels.offset_table(SPEC1, grid, interior_rows(grid, mol, eps),
+                                 interior_rows(grid, mol, eps_prime), eps,
+                                 eps_prime, mol, "midpoint", n_levels)
+            assert len(windows) - before == (qs[-1] > 1), (eps, eps_prime)
+        assert qs.count(1) == 12 and len(windows) == 6
+        grid = Grid.regular((0.0, 1.0), 4096)
+        rows = interior_rows(grid, mol, 2 ** -3)
+        kernels.offset_table(SPEC1, grid, rows, rows, 2 ** -3, 2 ** -3, mol,
+                             "midpoint", exact_level(SPEC1, 2 ** -3))
+        assert len(windows) == 7
+
+
+def flat_index_offsets(grid, rows, rows_p):
+    """(lo, seps) of offset_table as computed up to v0.17.0: each offset's
+    first pair through flat grid indices, its separation from grid.points."""
+    a = np.unravel_index(rows, grid.shape)
+    b = np.unravel_index(rows_p, grid.shape)
+    runs = [np.arange(ak.min() - bk.max(), ak.max() - bk.min() + 1)
+            for ak, bk in zip(a, b)]
+    firsts = [np.maximum(ak.min(), bk.min() + o)
+              for ak, bk, o in zip(a, b, runs)]
+    ia = np.ravel_multi_index(np.ix_(*firsts), grid.shape)
+    ib = np.ravel_multi_index(np.ix_(*(f - o for f, o in zip(firsts, runs))),
+                              grid.shape)
+    return np.array([o[0] for o in runs]), grid.points[ia] - grid.points[ib]
+
+
+class TestOffsetSeparations:
+    @staticmethod
+    def assert_same(grid, rows, rows_p, *table_args):
+        lo, seps, vals = kernels.offset_table(SPEC1 if grid.d == 1 else SPEC2,
+                                              grid, rows, rows_p,
+                                              *table_args)
+        want_lo, want_seps = flat_index_offsets(grid, rows, rows_p)
+        assert lo.tolist() == want_lo.tolist()
+        assert seps.shape == want_seps.shape == vals.shape + (grid.d,)
+        assert seps.tobytes() == want_seps.tobytes()
+
+    def test_d1_ladder_tables_bit_for_bit(self):
+        # per-axis separations x[f] - x[f - o] equal the flat-index ones at
+        # every default kernel-check table of N=512
+        grid = Grid.regular((0.0, 1.0), 512)
+        mol = Mollifier(d=1)
+        for eps, eps_prime, n_levels in ladder_tables(SPEC1):
+            self.assert_same(grid, interior_rows(grid, mol, eps),
+                             interior_rows(grid, mol, eps_prime), eps,
+                             eps_prime, mol, "midpoint", n_levels)
+
+    def test_d2_bit_for_bit(self):
+        # d=2 at grid_n 32: the D_eps box at eps = 2^-3 against itself, and
+        # two scattered row sets whose bounding runs differ per axis
+        grid = Grid.regular((0.0, 1.0), 32, d=2)
+        mol = Mollifier(d=2)
+        rows = interior_rows(grid, mol, 2 ** -3)
+        for a, b in [(rows, rows), (rows[::5], rows[3::7]),
+                     (np.array([40, 300, 77]), np.array([500, 33]))]:
+            self.assert_same(grid, a, b, 2 ** -3, 2 ** -3, mol, "midpoint",
+                             0, 4)
+
 
 class TestMollifiedTable:
     def test_constant_kernel_invariance(self):

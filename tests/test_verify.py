@@ -354,7 +354,7 @@ class TestBatches:
         return tuple(np.concatenate([o[j] for o in outs], axis=-1)[..., :replicas]
                      for j in range(len(outs[0])))
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("replicas", [1, 33, 128, 300])
     def test_batches_match_per_block_calls(self, replicas, workers):
         from logchaos import verify
@@ -409,6 +409,39 @@ class TestBatches:
             draw=bench.draw(range(2, 9), [("main", 2 ** -3)]))
         assert drawn[0].shape == (7, 716, 32) and len(drawn) == 2
         assert starts.tolist() == [0] * 32 + [32] * 32
+
+    def test_outputs_held_once(self, monkeypatch):
+        # every batch writes into one output array per consume result, so
+        # a field-stats sweep at 100 probes (824 B a replica) peaks near its
+        # output bytes, under 1 and 2 workers alike; concatenating the kept
+        # batches held them twice
+        import tracemalloc
+        from logchaos import verify
+        grid = Grid.regular((0.0, 1.0), 256)
+        bench = Bench(SPEC, grid, 6, f=bump_function(grid, center=0.5,
+                                                     radius=0.2))
+        bench.cross_table(2 ** -4, 2 ** -5)
+        seen, inner = {}, verify.Bench.map_blocks
+
+        def traced(self, *args, **kwargs):
+            tracemalloc.start()
+            try:
+                out = inner(self, *args, **kwargs)
+                seen["peak"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            seen["bytes"] = sum(o.nbytes for o in out)
+            return out
+
+        monkeypatch.setattr(verify.Bench, "map_blocks", traced)
+        results = []
+        for workers in (1, 2):
+            ests = field_stats(bench, [2, 4, 6], 100, 2 ** -4, 2 ** -5,
+                               10 ** 4, 7, workers=workers)
+            assert seen["bytes"] == 10 ** 4 * 103 * 8
+            assert seen["peak"] < 1.3 * seen["bytes"], (workers, seen)
+            results.append([(m.estimate, m.se_re, m.se_im) for m in ests])
+        assert results[0] == results[1]
 
 
 class TestSampledWindow:
