@@ -389,7 +389,8 @@ def _lattice_table(spec, offsets, eps, eps_prime, mol, rule, n_levels, h,
     evaluates more radii, (offsets - 1) q + lags, than the fold's offsets x
     occupied lags.  Offset o meets the cloud lag l at lag o q + l, so each
     value correlates the kernel row with the binned pair weights: by
-    np.correlate on q = 1, else over the occupied lags of strided windows.
+    np.correlate on q = 1 with at least 1 lag in 8 occupied, else over the
+    occupied lags of strided windows of the row.
     """
     bins = _lattice_bins(mol, eps, eps_prime, rule, h, nodes)
     if bins is None:
@@ -401,8 +402,7 @@ def _lattice_table(spec, offsets, eps, eps_prime, mol, rule, n_levels, h,
     lags = np.arange(offsets[0] * q + first,
                      offsets[-1] * q + first + ww.size)
     krow = k_partial(spec, n_levels, np.abs(lags * (h / q) + shift))
-    # a correlated lag costs about a tenth of a gathered one (2-vCPU Xeon):
-    # N=4096 midpoint tables with eps, eps' >= 2^-4 occupy 1 lag in 16, 32
+    # a correlated lag costs about a tenth of a gathered one (2-vCPU Xeon)
     if q == 1 and ww.size <= 8 * taps.size:
         return np.correlate(krow, ww, "valid")
     # row o holds the lags o q + first ..; chunked at 2e7 as the fold is

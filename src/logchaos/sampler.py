@@ -258,7 +258,7 @@ def block_z(spec, grid, factors, seed, block_start, n_max, shifts=None):
         if group.root.ndim == 0:
             z[i] = group.root * xi
         elif group.embedded:
-            a = xi.view(complex)  # the block's scratch, scaled in place
+            a = xi.view(complex)  # the block's own panel, scaled in place
             a *= group.root[:, None]
             y = np.fft.fft(a, axis=0)[:n]
             z[i, :, :half] = y.real
