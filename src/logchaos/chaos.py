@@ -148,8 +148,8 @@ def sobolev_diag(density, grid, u):
     along axis 0, one mass per trailing index, with the box treated as a
     torus.  Requires u > 1/2 for the continuum weight to be integrable.
     """
-    if grid.h is None or grid.d != 1:
-        raise ValueError("sobolev_diag needs a regular d=1 grid")
+    if grid.h is None:
+        raise ValueError("sobolev_diag needs a regular grid")
     if u <= 0.5:
         raise ValueError(f"u={u} must exceed d/2 = 0.5")
     arr = np.asarray(density)
@@ -161,20 +161,17 @@ def sobolev_diag(density, grid, u):
 
 
 def bump_function(grid, center=None, radius=0.2, height=1.0):
-    """Smooth compactly supported test function on the grid (tensor in d=2).
+    """Smooth compactly supported test function on the grid.
 
-    The profile is exp(1 - 1/(1 - rho^2)) per axis, equal to `height` at the
-    center and identically zero outside the radius.
+    The profile is exp(1 - 1/(1 - rho^2)), equal to `height` at the center
+    (default: the middle of the box) and identically zero outside the
+    radius.
     """
-    pts = grid.points
     if center is None:
-        center = [0.5 * (grid.box[0] + grid.box[1])] * grid.d
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    out = np.full(grid.n, float(height))
-    for ax in range(grid.d):
-        rho = (pts[:, ax] - center[ax]) / radius
-        vals = np.zeros(grid.n)
-        inside = np.abs(rho) < 1.0
-        vals[inside] = np.exp(1.0 - 1.0 / (1.0 - rho[inside] ** 2))
-        out *= vals
+        center = 0.5 * (grid.box[0] + grid.box[1])
+    rho = (grid.points[:, 0] - float(center)) / radius
+    out = np.zeros(grid.n)
+    inside = np.abs(rho) < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - rho[inside] ** 2))
+    out *= float(height)
     return out

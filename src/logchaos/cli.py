@@ -39,11 +39,10 @@ EXIT_NUMERIC = 3
 DEFAULT_LADDER = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
 
 # radii one kernel-check table may evaluate, bounded from above by
-# kernels.midpoint_work as offsets x cloud pairs; a d=1 table at grid_n 4096
+# kernels.midpoint_work as offsets x cloud pairs; a table at grid_n 4096
 # counts 8191 offsets x 1024 cloud pairs = 8.4e6.  The bound is the per-offset
-# fold's; a d=1 table on the lattice path evaluates one radius per lag and
-# undercuts it.  A d=1 radius costs one closed-form pass at any level count;
-# a d=2 one costs a Gauss-Legendre quadrature per level
+# fold's; a table on the lattice path evaluates one radius per lag and
+# undercuts it.  A radius costs one closed-form pass at any level count
 TABLE_WORK_BOUND = 10 ** 7
 
 # points one phase scan may label, 25 times the 200 x 200 default.  On a
@@ -55,9 +54,9 @@ SCAN_POINT_BOUND = 10 ** 6
 # size bounds, each checked at plan time.  LEVEL_BOUND: kernels.level_sum
 # evaluates exp(t0 + n + 1), finite up to n = 708 at the runs' t0 = 0 (a
 # field-stats var_levels entry 709 overflows it).  GRID_POINT_BOUND, on
-# grid_n ** d before Grid.regular allocates: it admits d=1 exact ladders at
-# N = 2^17, where a 40-replica run of a sampled kind takes 1-5 s and peaks at
-# 180-710 MB of RSS (sobolev the most) on a 2-vCPU Xeon.  REPLICA_BOUND: a run
+# grid_n before Grid.regular allocates: it admits exact ladders at N = 2^17,
+# where a 40-replica run of a sampled kind takes 1-5 s and peaks at 180-710
+# MB of RSS (sobolev the most) on a 2-vCPU Xeon.  REPLICA_BOUND: a run
 # holds every output column for every replica; a field-stats run at
 # PROBE_BOUND probes (5 times the default 20) holds 1.6 KB a replica there
 # (10^5 replicas: 2.0 s and 199 MB, against 56 MB at 10^4)
@@ -130,11 +129,12 @@ def _replicas(cfg, default):
     return _int(cfg, "replicas", default, lo=2, hi=REPLICA_BOUND)
 
 
-def _dim(cfg, sampled=True):
-    """Dimension d: 1 or 2, and 1 for the sampled kinds."""
-    d, allowed = _int(cfg, "d", 1), [1] if sampled else [1, 2]
+def _dim(cfg, allowed=(1,)):
+    """Dimension d: 1, or one of allowed (phase-scan's formula takes 2)."""
+    d = _int(cfg, "d", 1)
     if d not in allowed:
-        raise ConfigError(f"d={d} unsupported, this kind needs d in {allowed}")
+        raise ConfigError(f"d={d} unsupported, this kind needs d in "
+                          f"{list(allowed)}")
     return d
 
 
@@ -164,14 +164,11 @@ def run_id_of(cfg):
 
 
 def _grid(cfg, spec, default_n, used=()):
-    """Grid of grid_n points per axis; for each (key, eps) in used it
-    resolves the mollifier (h <= eps/4) and has a point in D_eps."""
-    n = _int(cfg, "grid_n", default_n, lo=1)
+    """Grid of grid_n points; for each (key, eps) in used it resolves the
+    mollifier (h <= eps/4) and has a point in D_eps."""
     # checked before Grid.regular allocates the points
-    if n ** spec.d > GRID_POINT_BOUND:
-        raise ConfigError(f"d={spec.d}, grid_n={n} makes {n ** spec.d} grid "
-                          f"points, over the bound {GRID_POINT_BOUND}")
-    grid = Grid.regular(spec.box, n, d=spec.d)
+    n = _int(cfg, "grid_n", default_n, lo=1, hi=GRID_POINT_BOUND)
+    grid = Grid.regular(spec.box, n)
     for key, eps in used:
         if grid.h > eps / 4.0:
             raise ConfigError(
@@ -229,14 +226,18 @@ def _phase(d, gamma, allowed, key="gamma"):
     return label
 
 
-def _lam(cfg, d, default="auto", gamma=None):
-    """Barrier slope lam > sqrt(2d); "auto" picks phase.pick_lambda at gamma."""
+def _lam(cfg, d, n_max, default="auto", gamma=None):
+    """Barrier slope lam > sqrt(2d) whose barrier lam * n_max at the deepest
+    level is finite; "auto" picks phase.pick_lambda at gamma."""
     if gamma is not None and cfg.get("lam", default) == "auto":
         return phase.pick_lambda(d, gamma.real, gamma.imag)
     lam = _num(cfg, "lam", default)
     if lam <= math.sqrt(2.0 * d):
         raise ConfigError(
             f"barrier slope precondition violated: lam={lam} <= sqrt(2d)")
+    if not math.isfinite(lam * n_max):
+        raise ConfigError(f"lam={lam} is too large: the barrier lam * n_max "
+                          f"at n_max={n_max} overflows")
     return lam
 
 
@@ -287,7 +288,7 @@ def _scan_axis(cfg, key):
 
 
 def plan_phase_scan(cfg):
-    d = _dim(cfg, sampled=False)
+    d = _dim(cfg, allowed=(1, 2))
     axes, points = [], 1
     for key in ("alpha_range", "beta_range"):
         lo, hi, count = _scan_axis(cfg, key)
@@ -316,7 +317,7 @@ def plan_phase_scan(cfg):
 
 
 def plan_kernel_check(cfg):
-    spec = KernelSpec(d=_dim(cfg, sampled=False))
+    spec = KernelSpec(d=_dim(cfg))
     which = cfg.get("check", "both")
     if which not in ("mollified", "partial", "both"):
         raise ConfigError(f"check must be mollified|partial|both, got {which!r}")
@@ -428,7 +429,7 @@ def plan_moment_check(cfg):
 
 def _profiles(cfg, spec):
     profiles = _list(cfg, "profiles", ["bump", "quartic"],
-                     lambda p: Mollifier(d=spec.d, profile=p).profile)
+                     lambda p: Mollifier(profile=p).profile)
     if len(profiles) != 2:
         raise ConfigError(
             f"profiles must name exactly two mollifiers, got {profiles}")
@@ -467,7 +468,7 @@ def plan_ladder(cfg):
     # the barrier truncates outside the L2 phase only
     trunc = label == phase.SUBCRITICAL
     q = _q(cfg, resolved["n_max"]) if trunc else 0
-    lam = _lam(cfg, spec.d, gamma=gamma) if trunc else 0.0
+    lam = _lam(cfg, spec.d, resolved["n_max"], gamma=gamma) if trunc else 0.0
     extra, cells = own(cfg, spec)
     replicas = _replicas(cfg, default_replicas)
     if replicas < verify.MOM_BLOCKS:
@@ -481,7 +482,7 @@ def plan_ladder(cfg):
                     replicas=replicas, seed=seed)
 
     def run(workers, run_id):
-        mols = [Mollifier(d=spec.d, profile=p)
+        mols = [Mollifier(profile=p)
                 for p in extra.get("profiles", ["bump"])]
         bench = verify.Bench(spec, grid, resolved["n_max"], f=f, mol=mols[0])
         for mol in mols[1:]:
@@ -530,7 +531,6 @@ def plan_tail_check(cfg):
 
 def plan_sup_prob(cfg):
     d = _dim(cfg)
-    lam = _lam(cfg, d, 1.6)
     ks = _list(cfg, "ks", list(range(4, 11)), _integer)
     qs = _list(cfg, "qs", [2, 4, 6, 8], _integer)
     if not ks or not qs or min(ks + qs) < 0 or max(ks + qs) > LEVEL_BOUND:
@@ -538,6 +538,7 @@ def plan_sup_prob(cfg):
                           f"each in 0..{LEVEL_BOUND}")
     deepest = max(ks + qs + [1])
     n_max = _int(cfg, "n_max", deepest, lo=deepest, hi=LEVEL_BOUND)
+    lam = _lam(cfg, d, n_max, 1.6)
     spec = KernelSpec(d=d)
     grid = _grid(cfg, spec, 512)
     f, _, _ = _test_function(cfg, grid, [], 0.2)
@@ -569,7 +570,9 @@ def plan_tilt_check(cfg):
     d = _dim(cfg)
     gamma = complex(_num(cfg, "alpha", 1.1), _num(cfg, "beta", 0.25))
     _phase(d, gamma, (phase.SUBCRITICAL,), "alpha + i beta")
-    alpha, beta, lam = gamma.real, gamma.imag, _lam(cfg, d, gamma=gamma)
+    n_max = _int(cfg, "n_max", 8, lo=1, hi=LEVEL_BOUND)
+    alpha, beta = gamma.real, gamma.imag
+    lam = _lam(cfg, d, n_max, gamma=gamma)
     if not math.isfinite((2.0 * alpha - lam) * (2.0 * alpha - lam)):
         raise ConfigError(f"lam={lam} is too large: the exponent target "
                           "(2 alpha - lam)^2 / 2 overflows")
@@ -580,7 +583,6 @@ def plan_tilt_check(cfg):
     eps = _num(cfg, "eps", math.exp(-5))
     if not 0.0 < eps <= 1.0:
         raise ConfigError(f"eps must lie in (0, 1], got {eps}")
-    n_max = _int(cfg, "n_max", 8, lo=1, hi=LEVEL_BOUND)
     q = _q(cfg, n_max)
     replicas = _replicas(cfg, 10000)
     seed = _int(cfg, "seed", 0, lo=0)

@@ -1,4 +1,4 @@
-"""Regular evaluation grids on axis-aligned box domains."""
+"""Regular evaluation grids on an interval."""
 
 from __future__ import annotations
 
@@ -10,18 +10,18 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Ordered set of evaluation points in a box, with quadrature weights.
+    """Ordered set of d=1 evaluation points in an interval.
 
     Parameters
     ----------
-    points : ndarray, shape (N, d)
-        Evaluation points, C-order over the lattice for regular grids.
+    points : ndarray, shape (N, 1)
+        Evaluation points, ascending for regular grids.
     box : tuple of float
-        (lo, hi) interval shared by every axis.
+        (lo, hi) interval.
     h : float or None
         Lattice spacing for regular grids; None for free point sets.
     shape : tuple of int or None
-        Per-axis point counts for regular grids; None for free point sets.
+        (N,) for regular grids; None for free point sets.
     """
 
     points: np.ndarray
@@ -30,55 +30,49 @@ class Grid:
     shape: tuple[int, ...] | None = None
 
     @classmethod
-    def regular(cls, box, n, d=1):
-        """Cell-centered regular grid with n points per axis."""
+    def regular(cls, box, n):
+        """Cell-centered regular grid with n points."""
         lo, hi = float(box[0]), float(box[1])
         if hi <= lo:
             raise ValueError(f"degenerate box {box}")
         h = (hi - lo) / n
-        axis = lo + (np.arange(n) + 0.5) * h
-        if d == 1:
-            pts = axis[:, None]
-        else:
-            mesh = np.meshgrid(*([axis] * d), indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        return cls(points=pts, box=(lo, hi), h=h, shape=(n,) * d)
+        pts = lo + (np.arange(n) + 0.5) * h
+        return cls(points=pts[:, None], box=(lo, hi), h=h, shape=(n,))
 
     @classmethod
     def from_points(cls, points, box):
-        """Free point set (no lattice structure, no convolution support)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] == 1 and pts.shape[1] > 2:
-            pts = pts.T
-        return cls(points=pts, box=(float(box[0]), float(box[1])))
+        """Free point set (no lattice structure, no convolution support) of
+        d=1 points, shape (N,) or (N, 1)."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 2 and pts.shape[1] == 1:
+            pts = pts[:, 0]
+        if pts.ndim != 1:
+            raise ValueError(f"free points must be d=1, shape (N,) or (N, 1), "
+                             f"got shape {pts.shape}")
+        return cls(points=pts[:, None], box=(float(box[0]), float(box[1])))
 
     @property
     def n(self):
         return self.points.shape[0]
 
     @property
-    def d(self):
-        return self.points.shape[1]
-
-    @property
     def weight(self):
-        """Midpoint-rule cell weight h^d (regular grids only)."""
+        """Midpoint-rule cell weight h (regular grids only)."""
         if self.h is None:
             raise ValueError("free point sets carry no quadrature weights")
-        return self.h ** self.d
+        return self.h
 
-    def axis(self, i=0):
-        """Coordinate values along axis i (regular grids)."""
+    def axis(self):
+        """Coordinate values, shape (N,) (regular grids)."""
         if self.shape is None:
             raise ValueError("not a regular grid")
-        lo = self.box[0]
-        return lo + (np.arange(self.shape[i]) + 0.5) * self.h
+        return self.points[:, 0]
 
     def interior_idx(self, margin):
         """Indices of points whose distance to the box boundary exceeds margin."""
         lo, hi = self.box
-        dist = np.minimum(self.points - lo, hi - self.points).min(axis=1)
-        return np.where(dist > margin)[0]
+        x = self.points[:, 0]
+        return np.where(np.minimum(x - lo, hi - x) > margin)[0]
 
     def digest(self):
         """Stable hash of the point set, used in table sidecars and manifests."""

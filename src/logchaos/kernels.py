@@ -7,31 +7,31 @@ increment kernels
 
 so that Q_0 + sum_{n>=1} Q_n(r) = log(1/r) + smooth remainder.  Every Q_n is
 bounded, Lipschitz, supported on r < e^{-(t0+n)}, and positive definite
-(kappa is a normalized self-convolution of a ball indicator).  In d=1 a run
-of consecutive levels a..b telescopes into one integral over
-[t0 + a, t0 + b + 1] with a closed form (level_sum), so q_n, k_partial and
-lattice_row each evaluate a run in one pass over the radii, at any level
-count; d=2 adds its Gauss-Legendre q_n level by level.  Doubly mollified
-values K_{eps,eps'} come in two quadrature flavours:
+(kappa is a normalized self-convolution of an interval indicator).  The
+kernel layer is one-dimensional: a run of consecutive levels a..b
+telescopes into one integral over [t0 + a, t0 + b + 1] with a closed form
+(level_sum), so q_n, k_partial and lattice_row each evaluate a run in one
+pass over the radii, at any level count.  Doubly mollified values
+K_{eps,eps'} come in two quadrature flavours:
 
 * "grid": the exact discrete double convolution with the sampler's stencil
   weights, so tables agree with sampled-field covariances to machine
   precision (the oracle the Monte Carlo checks are scored against);
-* "midpoint": a continuum tensor midpoint rule over the mollifier supports,
+* "midpoint": a continuum midpoint rule over the mollifier supports,
   independent of any sampling grid (used for kernel-level analysis).
 
 On a regular grid a K_{eps,eps'} table depends only on the lattice offset
 i - j, so it is one value per offset (offset_table).  kernel-check reads its
 suprema from those values and their separations, and the moment oracles
 sum over them (verify.Bench.cross_table); no weight matrix or summed Gram
-is built.  On a d=1 grid both clouds of either rule sit on multiples of
+is built.  On the grid both clouds of either rule sit on multiples of
 h / q for some integer q (q = 1 for grid stencils, q <= 8 for 32-node
 midpoint clouds at dyadic eps on a dyadic grid), so every radius
 |o h + u_a - v_b| is a lag of one lattice: the kernel is evaluated once per
 lag and correlated with the cloud-pair weights binned by lag, bins cached
 per eps pair (_lattice_bins, _lattice_table).  Where no lattice with
-q <= 8 evaluates fewer radii than the per-offset fold (d=2, and midpoint
-clouds off the lattice or on a finer one, as at N=300 or 1000), each
+q <= 8 evaluates fewer radii than the per-offset fold (midpoint clouds
+off the lattice or on a finer one, as at N=300 or 1000), each
 offset folds the two clouds into their distinct differences u_a - v_b and
 evaluates the kernel once per (offset, distinct difference); midpoint_work
 bounds that cost up front, and the lattice undercuts it.
@@ -45,12 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from numpy.polynomial.legendre import leggauss
 
-from .grids import Grid
 from .mollifier import Mollifier, discrete_stencil, quad_cloud, shrink_domain
-
-_GL_NODES, _GL_WEIGHTS = leggauss(64)
 
 
 @dataclass(frozen=True)
@@ -58,7 +54,8 @@ class KernelSpec:
     """Parameters of the decomposed kernel K = Q_0 + sum Q_n.
 
     q0 is the smooth part Q_0, a constant: 0 for the reference kernel, or
-    the variance of a common Gaussian mode.
+    the variance of a common Gaussian mode.  d is the dimension, and only
+    d=1 is implemented.
     """
 
     d: int = 1
@@ -67,8 +64,8 @@ class KernelSpec:
     box: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        if self.d not in (1, 2):
-            raise ValueError(f"d={self.d} unsupported, need 1 or 2")
+        if self.d != 1:
+            raise ValueError(f"d={self.d} unsupported, the kernels are d=1 only")
         if self.t0 < 0:
             raise ValueError("t0 must be >= 0")
         object.__setattr__(self, "q0", float(self.q0))
@@ -83,26 +80,17 @@ def _as_radii(r):
     return arr
 
 
-def kappa(r, d):
-    """Normalized overlap |B(0,1) n B(2r e1, 1)| / |B(0,1)|.
+def kappa(r):
+    """Normalized overlap |(-1, 1) n (2r - 1, 2r + 1)| / 2 = (1 - r)_+.
 
-    Equals 1 at r=0, vanishes for r >= 1, Lipschitz (constant 1 in d=1,
-    4/pi in d=2).
+    Equals 1 at r=0, vanishes for r >= 1, Lipschitz with constant 1.
     """
-    arr = _as_radii(r)
-    if d == 1:
-        out = np.maximum(1.0 - arr, 0.0)
-    elif d == 2:
-        rc = np.clip(arr, 0.0, 1.0)
-        area = 2.0 * np.arccos(rc) - 2.0 * rc * np.sqrt(np.maximum(1.0 - rc * rc, 0.0))
-        out = np.where(arr < 1.0, area / np.pi, 0.0)
-    else:
-        raise ValueError(f"d={d} unsupported, need 1 or 2")
+    out = np.maximum(1.0 - _as_radii(r), 0.0)
     return float(out) if np.ndim(r) == 0 else out
 
 
 def level_sum(spec, a, b, r):
-    """sum_{n=a..b} Q_n(r) over the consecutive levels 1 <= a <= b, in d=1.
+    """sum_{n=a..b} Q_n(r) over the consecutive levels 1 <= a <= b.
 
     Each Q_n integrates kappa(e^t r) = 1 - e^t r over one unit of t, cut
     where it turns negative at t* = -log r, so the run telescopes into one
@@ -114,8 +102,6 @@ def level_sum(spec, a, b, r):
     exactly 0 for r >= e^-A; b = a - 1 is the empty run, 0 everywhere.
     One pass over r at any number of levels.  r: array of radii >= 0.
     """
-    if spec.d != 1:
-        raise ValueError(f"the telescoped level sum is d=1 only, got d={spec.d}")
     if a < 1 or b < a - 1:
         raise ValueError(f"levels {a}..{b} are not a run of levels >= 1")
     lo = spec.t0 + a
@@ -136,56 +122,28 @@ def level_sum(spec, a, b, r):
 def q_n(spec, n, r):
     """Increment kernel Q_n(r) = int_{t0+n}^{t0+n+1} kappa(e^t r) dt.
 
-    The one-level run of level_sum in d=1; 64-point Gauss-Legendre on the
-    support-clipped t-interval in d=2.  Exactly 1 at r=0 and exactly 0 for
+    The one-level run of level_sum: exactly 1 at r=0 and exactly 0 for
     r >= e^{-(t0+n)}.
     """
     if n < 1:
         raise ValueError(f"level n={n} must be >= 1")
     arr = _as_radii(r)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if spec.d == 1:
-        out = level_sum(spec, n, n, arr)
-    else:
-        a = spec.t0 + n
-        pos = arr > 0
-        # the log reads 1.0 where r = 0, so it never divides by zero
-        t_star = np.where(pos, -np.log(np.where(pos, arr, 1.0)), np.inf)
-        c = np.maximum(np.minimum(a + 1.0, t_star), a)
-        half = 0.5 * (c - a)
-        mid = 0.5 * (c + a)
-        t = mid[None, :] + half[None, :] * _GL_NODES[:, None]
-        vals = kappa(np.exp(t) * arr[None, :], 2)
-        out = half * np.einsum("g,gm->m", _GL_WEIGHTS, vals)
-        out = np.where(pos, np.maximum(out, 0.0), 1.0)
-    return float(out[0]) if scalar else out
+    out = level_sum(spec, n, n, np.atleast_1d(arr))
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def k_partial(spec, n, r):
     """Partial sum K_n(r) = Q_0 + sum_{k=1..n} Q_k(r); K_n(0) = Q_0 + n.
 
-    In d=1 the levels 1..n are one level_sum, so a radius costs the same at
-    every n; d=2 adds its Gauss-Legendre q_n level by level, each on the
-    radii inside that level's support.
+    The levels 1..n are one level_sum, so a radius costs the same at every
+    n.
     """
     if n < 0:
         raise ValueError(f"n={n} must be >= 0")
     arr = _as_radii(r)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if spec.d == 1:
-        out = level_sum(spec, 1, n, arr)
-        out += spec.q0
-    else:
-        out = np.full(arr.shape, spec.q0)
-        for k in range(1, n + 1):
-            support = math.exp(-(spec.t0 + k))
-            live = arr < support
-            if not live.any():
-                continue
-            out[live] += q_n(spec, k, arr[live])
-    return float(out[0]) if scalar else out
+    out = level_sum(spec, 1, n, np.atleast_1d(arr))
+    out += spec.q0
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def exact_level(spec, r_min):
@@ -210,18 +168,16 @@ def k_exact(spec, r):
 
 
 def gram(spec, n, grid):
-    """Gram matrix [Q_n(|x_i - x_j|)] on the grid; n=0 gives the Q_0 block.
+    """Gram matrix [Q_n(|x_i - x_j|)] on the Grid; n=0 gives the Q_0 block.
 
     Dense, by its definition: for free point sets and pd_check.  Regular
     grids never build it: lattice_row gives the level rows the sampler
     embeds, and offset_table the mollified tables.
     """
-    pts = grid.points if isinstance(grid, Grid) else np.asarray(grid, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     if n == 0:
-        return np.full((pts.shape[0],) * 2, spec.q0)
-    r = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+        return np.full((grid.n,) * 2, spec.q0)
+    x = grid.points[:, 0]
+    r = np.abs(x[:, None] - x[None, :])
     out = np.zeros(r.shape)
     live = r < math.exp(-(spec.t0 + n))
     out[live] = q_n(spec, n, r[live])
@@ -231,7 +187,7 @@ def gram(spec, n, grid):
 def lattice_row(spec, levels, h, offsets):
     """Sum over the levels n = a..b of Q_n(|o| h), at integer lattice offsets o.
 
-    The one source of level rows on a regular d=1 grid: a group of levels
+    The one source of level rows on a regular grid: a group of levels
     embedded on an M-point torus takes offsets min(o, M - o), and the Gram
     of those levels is the row at offsets 0..N-1 indexed by |i - j|.  The
     levels must be one consecutive run, which level_sum evaluates in one
@@ -272,31 +228,26 @@ def pd_check(spec, grid, n=3):
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite kernel values in Gram matrix")
     eigs = np.linalg.eigvalsh(g)
-    m = grid.shape[0] if isinstance(grid, Grid) else int(round(len(grid) ** (1.0 / spec.d)))
-    m = max(m, 64)
+    m = max(grid.n, 64)
     ax = np.arange(m) * (2.0 / m)
-    ax = np.minimum(ax, 2.0 - ax)
-    if spec.d == 1:
-        spec_min = np.fft.fft(kappa(ax, 1)).real.min()
-    else:
-        rr = np.sqrt(ax[:, None] ** 2 + ax[None, :] ** 2)
-        spec_min = np.fft.fft2(kappa(rr, 2)).real.min()
+    spec_min = np.fft.fft(kappa(np.minimum(ax, 2.0 - ax))).real.min()
     return PdReport(level=n, min_eigenvalue=float(eigs[0]), trace=float(np.trace(g)),
                     fourier_min=float(spec_min), fourier_points=m)
 
 
 @lru_cache(maxsize=128)
 def _cloud(mol, eps, rule, h, nodes):
-    """(offsets (M, d), weights) of one quadrature rule, read-only: a table
-    that tries the lattice and then folds, and every k_mollified call at
-    one eps, build it once."""
+    """(offsets (M,), weights) of one quadrature rule, ascending and
+    read-only: a table that tries the lattice and then folds, and every
+    k_mollified call at one eps, build it once."""
     if rule == "grid":
         if h is None:
             raise ValueError("rule 'grid' needs the sampling grid spacing")
         offs, w = discrete_stencil(mol, eps, h)
-        offs = offs * h
+        offs = offs[:, 0] * h
     elif rule == "midpoint":
         offs, w = quad_cloud(mol, eps, nodes)
+        offs = offs[:, 0]
     else:
         raise ValueError(f"unknown quadrature rule {rule!r}")
     offs.flags.writeable = w.flags.writeable = False
@@ -307,21 +258,21 @@ def _fold_clouds(u, wu, v, wv, eps_prime):
     """(diffs, weights) of the difference cloud u_a - v_b, weights wu_a wv_b:
     every pair is formed, sorted, and pairs whose differences are equal to
     rounding are merged with their weights summed."""
-    diffs = (u[:, None, :] - v[None, :, :]).reshape(-1, u.shape[1])
+    diffs = (u[:, None] - v[None, :]).ravel()
     # float keys on a 1e-12 eps' lattice, far below the cloud spacing; a
     # float never wraps as an int64 key would at a tiny eps' / eps
     keys = np.round(diffs / (1e-12 * eps_prime))
-    order = np.lexsort(keys.T)
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    first = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     return (diffs[order[first]],
             np.add.reduceat(np.outer(wu, wv).ravel()[order], first))
 
 
 def _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes):
-    """Doubly-mollified K_{eps,eps'} as a function of separation vectors.
+    """Doubly-mollified K_{eps,eps'} as a function of separations.
 
-    seps has shape (M, d).  Stationarity of the decomposed kernel makes the
+    seps has shape (M,).  Stationarity of the decomposed kernel makes the
     double convolution a function of x - y only, which is what makes table
     assembly affordable.  The kernel is evaluated once per (separation,
     distinct difference u_a - v_b of the two clouds, from _fold_clouds)
@@ -331,24 +282,18 @@ def _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes
     v, wv = (u, wu) if eps_prime == eps else _cloud(mol, eps_prime, rule, h,
                                                      nodes)
     diffs, ww = _fold_clouds(u, wu, v, wv, eps_prime)
-    out = np.empty(seps.shape[0])
-    # chunk the (M, distinct differences) radii at 2e7; in d=2 q_n expands
-    # each radius over its Gauss-Legendre nodes, so count those too
-    per_sep = (ww.size + 1) * (_GL_NODES.size if spec.d == 2 else 1)
-    step = max(1, int(2e7 // per_sep))
-    for lo in range(0, seps.shape[0], step):
-        s = seps[lo:lo + step, None, :] + diffs[None, :, :]
-        if spec.d == 1:  # |s| is the sqrt of its square, bit for bit
-            r = np.abs(s, out=s)[..., 0]
-        else:
-            r = np.sqrt((s ** 2).sum(axis=-1))
-        out[lo:lo + step] = k_partial(spec, n_levels, r) @ ww
+    out = np.empty(seps.size)
+    # chunk the (M, distinct differences) radii at 2e7
+    step = max(1, int(2e7 // (ww.size + 1)))
+    for lo in range(0, seps.size, step):
+        s = seps[lo:lo + step, None] + diffs[None, :]
+        out[lo:lo + step] = k_partial(spec, n_levels, np.abs(s, out=s)) @ ww
     return out
 
 
 @lru_cache(maxsize=32)
 def _lattice_bins(mol, eps, eps_prime, rule, h, nodes):
-    """(q, first, ww, taps) of the d=1 clouds of eps and eps' on the lattice
+    """(q, first, ww, taps) of the clouds of eps and eps' on the lattice
     h / q, read-only and cached per eps pair: ww[l] is the weight of the
     cloud pairs at lag first + l and taps the lags some pair occupies
     (every lag for grid stencils, q = 1).  Midpoint clouds take the
@@ -361,18 +306,17 @@ def _lattice_bins(mol, eps, eps_prime, rule, h, nodes):
     v, wv = (u, wu) if eps_prime == eps else _cloud(mol, eps_prime, rule, h,
                                                      nodes)
     if rule == "grid":
-        q, first = 1, round((u[0, 0] - v[-1, 0]) / h)
+        q, first = 1, round((u[0] - v[-1]) / h)
         ww = np.correlate(wu, wv, "full")
         taps = np.arange(ww.size)
     else:
         qs = np.arange(1, 9)[:, None]
-        t = qs * (np.concatenate([u[:, 0], v[:, 0]]) / h)
+        t = qs * (np.concatenate([u, v]) / h)
         fit = (np.abs(t - np.rint(t)) <= qs * (1e-12 * eps_prime / h)).all(1)
         if not fit.any():
             return None
         q = int(np.argmax(fit)) + 1
-        # d=1 clouds are ascending
-        iu, iv = (np.rint(c[:, 0] * (q / h)).astype(np.int64) for c in (u, v))
+        iu, iv = (np.rint(c * (q / h)).astype(np.int64) for c in (u, v))
         first = int(iu[0] - iv[-1])
         ww = np.bincount((iu[:, None] - iv[None, :] - first).ravel(),
                          np.outer(wu, wv).ravel())
@@ -384,7 +328,7 @@ def _lattice_bins(mol, eps, eps_prime, rule, h, nodes):
 def _lattice_table(spec, offsets, eps, eps_prime, mol, rule, n_levels, h,
                    nodes, shift=0.0):
     """K_{eps,eps'} at the separations shift + o h of the consecutive
-    integer offsets o of a d=1 table, by one kernel evaluation per lag of
+    integer offsets o of a table, by one kernel evaluation per lag of
     the lattice of _lattice_bins; None when there is no such lattice or it
     evaluates more radii, (offsets - 1) q + lags, than the fold's offsets x
     occupied lags.  Offset o meets the cloud lag l at lag o q + l, so each
@@ -417,8 +361,8 @@ def _check_domain(spec, point, eps, who):
     dom = shrink_domain(spec.box, eps)
     if dom.empty:
         raise ValueError(f"domain empty at eps={eps}")
-    pt = np.atleast_1d(np.asarray(point, dtype=float))
-    if np.any(pt < dom.lo - 1e-12) or np.any(pt > dom.hi + 1e-12):
+    pt = float(np.asarray(point, dtype=float).reshape(()))
+    if pt < dom.lo - 1e-12 or pt > dom.hi + 1e-12:
         raise ValueError(f"{who}={pt} outside shrunken domain [{dom.lo}, {dom.hi}]")
     return pt
 
@@ -433,26 +377,25 @@ def k_mollified(spec, eps, eps_prime, x, y, mol=None, rule="midpoint",
 
     Parameters
     ----------
-    rule : "midpoint" (continuum tensor rule, `nodes` per axis) or "grid"
+    rule : "midpoint" (continuum midpoint rule, `nodes` points) or "grid"
         (the sampler's discrete stencil; pass the grid spacing `h` and the
         sampler's level count as `n_levels` to reproduce sampled
         covariances exactly).
     """
     if not 0.0 < eps_prime <= eps <= 1.0:
         raise ValueError(f"need 0 < eps'={eps_prime} <= eps={eps} <= 1")
-    mol = mol if mol is not None else Mollifier(d=spec.d)
-    px = _check_domain(spec, x, eps, "x")
-    py = _check_domain(spec, y, eps_prime, "y")
+    mol = mol if mol is not None else Mollifier()
+    sep = (_check_domain(spec, x, eps, "x")
+           - _check_domain(spec, y, eps_prime, "y"))
     if n_levels is None:
         n_levels = exact_level(spec, eps_prime)
-    sep = (px - py)[None, :]
-    if rule == "grid" and spec.d == 1:
+    if rule == "grid":
         # one lattice row at the separation, as tables read theirs
         return float(_lattice_table(spec, np.zeros(1, dtype=np.int64), eps,
                                     eps_prime, mol, rule, n_levels, h, nodes,
-                                    float(sep[0, 0]))[0])
-    return float(_mollified_of_seps(spec, sep, eps, eps_prime, mol, rule,
-                                    n_levels, h, nodes)[0])
+                                    sep)[0])
+    return float(_mollified_of_seps(spec, np.array([sep]), eps, eps_prime,
+                                    mol, rule, n_levels, h, nodes)[0])
 
 
 def q_mollified(spec, n, eps, z, x, mol, h=None, rule="grid", nodes=32):
@@ -462,17 +405,13 @@ def q_mollified(spec, n, eps, z, x, mol, h=None, rule="grid", nodes=32):
     stencil is used, so the result is the exact covariance between the
     sampled increment at z and the sampled mollified field at x; rule
     "midpoint" uses the continuum cloud (for free point sets with no grid).
-    z may be an array of points (P, d) or (P,) in d=1.
+    z may be an array of points of shape (P,) or (P, 1), and x is a scalar.
     """
-    zz = np.asarray(z, dtype=float)
-    if zz.ndim == 1 and spec.d == 1:
-        zz = zz[:, None]
+    zz = np.asarray(z, dtype=float).reshape(-1)
     if n == 0:
-        return np.full(zz.shape[0], spec.q0)
+        return np.full(zz.size, spec.q0)
     offs, w = _cloud(mol, eps, rule, h, nodes)
-    u = np.atleast_1d(np.asarray(x, dtype=float))[None, :] + offs
-    diffs = zz[:, None, :] - u[None, :, :]
-    r = np.sqrt((diffs ** 2).sum(axis=-1))
+    r = np.abs(zz[:, None] - (offs + float(x))[None, :])
     vals = np.zeros_like(r)
     live = r < math.exp(-(spec.t0 + n))
     if live.any():
@@ -484,53 +423,42 @@ def offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
                  n_levels, nodes=32):
     """K_{eps,eps'} under rule, once per lattice offset of rows x rows_p.
 
-    On each axis k the offsets o run over the bounding runs of rows (a0..a1)
-    and rows_p (b0..b1), a0 - b1 .. a1 - b0, and each offset's separation
-    is taken from its first pair, x_k[f] - x_k[f - o] with f = max(a0, b0 +
-    o) and x_k = grid.axis(k).
-    Returns (lo, seps, vals): vals[k] is the value at the offset lo + k
-    (one index per axis) and seps[k] its separation vector.  The rows x
-    rows_p table is vals indexed by np.subtract.outer(a, b) - lo per axis.
-    A d=1 table comes from _lattice_table at the separations o h where it
-    can; otherwise each offset folds at its separation.
+    The offsets o run over the bounding runs of rows (a0..a1) and rows_p
+    (b0..b1), a0 - b1 .. a1 - b0, and each offset's separation is taken
+    from its first pair, x[f] - x[f - o] with f = max(a0, b0 + o) and x =
+    grid.axis().
+    Returns (lo, seps, vals): vals[k] is the value at the offset lo + k and
+    seps[k] its separation.  The rows x rows_p table is vals indexed by
+    np.subtract.outer(rows, rows_p) - lo.  The table comes from
+    _lattice_table at the separations o h where it can; otherwise each
+    offset folds at its separation.
     """
-    a = np.unravel_index(rows, grid.shape)
-    b = np.unravel_index(rows_p, grid.shape)
-    runs = [np.arange(ak.min() - bk.max(), ak.max() - bk.min() + 1)
-            for ak, bk in zip(a, b)]
-    seps = np.empty([o.size for o in runs] + [grid.d])
-    for k, (ak, bk, o) in enumerate(zip(a, b, runs)):
-        f, x = np.maximum(ak.min(), bk.min() + o), grid.axis(k)
-        # axis k's separations, broadcast over the other axes
-        seps[..., k] = (x[f] - x[f - o]).reshape([-1] + [1] * (grid.d - 1 - k))
-    vals = None
-    if grid.d == 1:
-        vals = _lattice_table(spec, runs[0], eps, eps_prime, mol, rule,
-                              n_levels, grid.h, nodes)
+    a0, b0 = rows.min(), rows_p.min()
+    o = np.arange(a0 - rows_p.max(), rows.max() - b0 + 1)
+    f, x = np.maximum(a0, b0 + o), grid.axis()
+    seps = x[f] - x[f - o]
+    vals = _lattice_table(spec, o, eps, eps_prime, mol, rule, n_levels,
+                          grid.h, nodes)
     if vals is None:
-        vals = _mollified_of_seps(spec, seps.reshape(-1, grid.d), eps,
-                                  eps_prime, mol, rule, n_levels, grid.h,
-                                  nodes)
-    return (np.array([o[0] for o in runs]), seps,
-            vals.reshape(seps.shape[:-1]))
+        vals = _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule,
+                                  n_levels, grid.h, nodes)
+    return int(o[0]), seps, vals
 
 
 def midpoint_work(grid, eps, eps_prime, nodes=32):
     """Upper bound on a midpoint table's radii: offsets times cloud pairs.
 
     Counted from the grid axis, without building the table: D_eps is a
-    product of per-axis runs of m_eps points, so a (eps, eps') table has
-    (m_eps + m_eps' - 1)^d distinct offsets.  The per-offset fold evaluates
-    one radius per (offset, distinct cloud difference), and the pairs bound
-    the distinct differences from above; a d=1 lattice table evaluates
-    fewer radii still.
+    run of m_eps points, so a (eps, eps') table has m_eps + m_eps' - 1
+    distinct offsets.  The per-offset fold evaluates one radius per
+    (offset, distinct cloud difference), and the pairs bound the distinct
+    differences from above; a lattice table evaluates fewer radii still.
     """
-    mol = Mollifier(d=grid.d)
+    mol = Mollifier()
     ax = grid.axis()
     dist = np.minimum(ax - grid.box[0], grid.box[1] - ax)
-    # Python ints: the count must not wrap on an oversized d=2 grid
-    offsets = (int(np.count_nonzero(dist > 2.0 * eps))
-               + int(np.count_nonzero(dist > 2.0 * eps_prime)) - 1) ** grid.d
+    offsets = (np.count_nonzero(dist > 2.0 * eps)
+               + np.count_nonzero(dist > 2.0 * eps_prime) - 1)
     # the run's own cached clouds, so planning warms what the tables read
     return (offsets * _cloud(mol, eps, "midpoint", grid.h, nodes)[1].size
             * _cloud(mol, eps_prime, "midpoint", grid.h, nodes)[1].size)

@@ -146,10 +146,10 @@ def sampled_rows(grid, f=None, eps_max=0.0):
     half-width, so the rows are supp(f) widened by floor(eps_max / h) each
     side and clipped to the grid; eps_max=0 keeps the rows of supp(f), all
     a draw that convolves nothing reads.  Bench.draw passes the widest eps
-    among the keys its draw mollifies.  All N rows without f, on free
-    points or d=2 grids.
+    among the keys its draw mollifies.  All N rows without f or on free
+    points.
     """
-    if f is None or not np.any(f) or grid.h is None or grid.d != 1:
+    if f is None or not np.any(f) or grid.h is None:
         return 0, grid.n - 1
     supp = np.flatnonzero(f)
     reach = math.floor(eps_max / grid.h)
@@ -170,7 +170,7 @@ def level_groups(n_max, levels=None):
 def increment_factors(spec, grid, n_max, rows=None, levels=None):
     """One LevelFactor per group of level_groups(n_max, levels).
 
-    A regular d=1 grid embeds group a..b, on rows consecutive rows (default
+    A regular grid embeds group a..b, on rows consecutive rows (default
     N), in a circulant on the smallest 5-smooth torus with M >= rows +
     bandwidth + 1 points, the bandwidth of its widest level; its row is
     kernels.lattice_row over the group's levels, plus Q_0 when a = 0, and
@@ -180,7 +180,7 @@ def increment_factors(spec, grid, n_max, rows=None, levels=None):
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = grid.n if rows is None else int(rows)
-    embed = grid.h is not None and grid.d == 1
+    embed = grid.h is not None
     factors = []
     for a, b in level_groups(n_max, levels):
         name = f"Q_{a}" if a == b else f"Q_{a}..Q_{b}"

@@ -226,7 +226,7 @@ class Bench:
     among its keys) and one slab per group of consecutive levels ending at
     a partial sum Y_l it reads: the cumsum of a block over slabs
     0..draw.slab(l) is Y_l.  The caches only grow: group factors (one
-    circulant embedding per group on a regular d=1 grid) per (tops, rows),
+    circulant embedding per group on a regular grid) per (tops, rows),
     stencil spectra per (channel, eps, torus), the kernel-table diagonal
     per (channel, eps) and the support kernel table per (eps, eps'), one
     value per row offset; grid-rule kernel values at n_max levels come
@@ -241,7 +241,7 @@ class Bench:
         self.grid = grid
         self.n_max = int(n_max)
         self.f = None if f is None else np.asarray(f, dtype=float)
-        self.channels = {"main": mol if mol is not None else Mollifier(d=spec.d)}
+        self.channels = {"main": mol if mol is not None else Mollifier()}
         self.supp = None if self.f is None else np.flatnonzero(self.f != 0.0)
         self._tilt_rows = None
         self._groups = {}
@@ -306,15 +306,13 @@ class Bench:
         rows: the channel's discrete_stencil at eps, tap w(o) reading row
         r + o for support row r, and the kernel-table diagonal.  Raises
         ValueError when the support leaks out of D_eps.  Every D_eps row of
-        a regular d=1 grid holds the whole stencil, so the diagonal is one
+        a regular grid holds the whole stencil, so the diagonal is one
         offset-0 value: k_mollified reads it from the one-offset lattice
         row, as cross_table's offset 0, so the two agree bit for bit."""
         key = (channel, float(eps))
         if key not in self._supp_tables:
             if self.supp is None:
                 raise ValueError("bench has no test function")
-            if self.grid.d != 1:
-                raise ValueError("kernel tables need a regular d=1 grid")
             mol, supp = self.channels[channel], self.supp
             if not np.isin(supp, interior_rows(self.grid, mol, eps)).all():
                 raise ValueError(f"test function support leaks outside D_eps at eps={eps}")
@@ -705,37 +703,40 @@ def kernel_estimate_check(spec, kind, grid, mol=None, eps_ladder=(),
     Stability = consecutive suprema within a factor 1.5.  log_floor=False
     drops the log comparison term (degenerate-kernel calibration).
     """
-    mol = mol if mol is not None else Mollifier(d=spec.d)
+    mol = mol if mol is not None else Mollifier()
     d_rows = cache(lambda eps: interior_rows(grid, mol, eps))  # once per eps
 
-    def gap_table(eps, eps2, n_levels, cap=None):
+    def table(eps, eps2, n_levels):
+        """(separations, values) of the (eps, eps2) table's offsets."""
         if not 0.0 < eps2 <= eps <= 1.0:
             raise ValueError(f"need 0 < eps'={eps2} <= eps={eps} <= 1")
-        _, seps, vals = kernels.offset_table(
-            spec, grid, d_rows(eps), d_rows(eps2), eps, eps2, mol, rule,
-            n_levels, nodes)
-        r = np.sqrt((seps ** 2).sum(axis=-1))
-        if not log_floor:
-            ref = 0.0
-        elif cap is None:
-            ref = -np.log(np.maximum(r, max(eps, eps2)))
-        else:
-            with np.errstate(divide="ignore"):  # -log 0 = inf
-                ref = np.minimum(-np.log(r), min(-math.log(eps), cap))
-        return float(np.abs(vals - ref).max())
+        return kernels.offset_table(spec, grid, d_rows(eps), d_rows(eps2),
+                                    eps, eps2, mol, rule, n_levels, nodes)[1:]
 
     sups = []
     if kind == "mollified":
         steps = [float(e) for e in eps_ladder]
         for i, eps in enumerate(steps):
-            sups.append(max(gap_table(eps, e2, kernels.exact_level(spec, e2))
-                            for e2 in [eps, *steps[i + 1:i + 2]]))
+            gaps = []
+            for e2 in [eps, *steps[i + 1:i + 2]]:
+                seps, vals = table(eps, e2, kernels.exact_level(spec, e2))
+                if log_floor:
+                    vals = vals + np.log(np.maximum(np.abs(seps), eps))
+                gaps.append(float(np.abs(vals).max()))
+            sups.append(max(gaps))
     elif kind == "partial":
         if eps_fixed is None:
             raise ValueError("kind 'partial' needs eps_fixed")
         steps = [int(n) for n in n_ladder]
+        log_r = None  # every rung has the same offsets: -log r once
         for n in steps:
-            sups.append(gap_table(eps_fixed, eps_fixed, n, cap=float(n)))
+            seps, vals = table(eps_fixed, eps_fixed, n)
+            if log_r is None:
+                with np.errstate(divide="ignore"):  # -log 0 = inf
+                    log_r = -np.log(np.abs(seps))
+            if log_floor:
+                vals = vals - np.minimum(log_r, min(-math.log(eps_fixed), n))
+            sups.append(float(np.abs(vals).max()))
     else:
         raise ValueError(f"unknown kind {kind!r}")
     ratios = [b / a for a, b in zip(sups, sups[1:])]
@@ -889,7 +890,7 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
         raise ValueError(f"q={q} outside 1..{n_max}")
     if lam <= math.sqrt(2.0 * spec.d):
         raise PhaseError(f"lam={lam} must exceed sqrt(2d)")
-    mol = mol if mol is not None else Mollifier(d=spec.d)
+    mol = mol if mol is not None else Mollifier()
     tops = range(q, n_max + 1)
 
     def event(start, z):
@@ -972,15 +973,15 @@ def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
 
     The density at level eps is the Wick integrand times the test function
     (times the barrier indicator when truncation is on), placed on the full
-    periodized d=1 grid; consecutive-pair squared distances (sobolev_diag)
+    periodized grid; consecutive-pair squared distances (sobolev_diag)
     feed the usual ladder machinery.  A replica's value is the mean of its
     distances at z and at its antithetic partner (_reflect): the two draws
     are equal in law, so the mean keeps the cell's expectation and lowers
     its variance, and a replica is kept only when neither draw overflowed.
     """
     grid = bench.grid
-    if u <= grid.d / 2.0:
-        raise ValueError(f"u={u} must exceed d/2")
+    if u <= 0.5:
+        raise ValueError(f"u={u} must exceed d/2 = 0.5")
     eps_ladder = _pair_ladder(eps_ladder)
     gamma, trunc = _gamma_trunc(bench, params)
     keys = [("main", e) for e in eps_ladder]

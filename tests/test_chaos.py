@@ -377,10 +377,10 @@ class TestSobolevDiag:
                 col = sobolev_diag(dens[:, i, j], grid, u=0.75)
                 assert abs(batched[i, j] - col) <= 1e-12 * col
 
-    def test_d2_refused(self):
-        plane = Grid.regular((0.0, 1.0), 16, d=2)
-        with pytest.raises(ValueError, match="d=1"):
-            sobolev_diag(np.ones(plane.n), plane, u=1.5)
+    def test_free_points_refused(self):
+        free = Grid.from_points(np.linspace(0.1, 0.9, 16), (0.0, 1.0))
+        with pytest.raises(ValueError, match="regular grid"):
+            sobolev_diag(np.ones(free.n), free, u=1.5)
 
     def test_parseval_scaling(self):
         # norm with weight 1 at u -> equals L2 mass? spot-check with u large

@@ -177,7 +177,7 @@ RUN_ONLY_REJECTIONS = [
     ({"kind": "cauchy", "seed": "x"}, "seed"),
     ({"kind": "moment-check", "seed": -1}, "seed"),
     ({"kind": "tilt-check", "lam": 1e300, "replicas": 40}, "lam=1e+300"),
-    ({"kind": "kernel-check", "d": 2}, "d=2, grid_n=512"),
+    ({"kind": "kernel-check", "d": 2}, "d=2 unsupported"),
     # cauchy and sobolev cells are consecutive pairs of rungs (last in the
     # list, so that the ids of REJECTIONS + RUN_ONLY_REJECTIONS stay put)
     ({"kind": "cauchy", "grid_n": 128, "eps_ladder": [0.125], "replicas": 40,
@@ -204,14 +204,14 @@ RUN_ONLY_REJECTIONS = [
     ({"kind": "phase-scan", "alpha_range": [0, 1, 10 ** 5],
       "beta_range": [0, 1, 10 ** 5]}, "beta_range"),
     # each bound one past its limit: levels to 708, where exp(t0 + n + 1)
-    # is still finite, grids to 2^17 points, and d=2 grids by their points
+    # is still finite, and grids to 2^17 points
     ({"kind": "field-stats", "var_levels": [2, 709]}, "var_levels"),
     ({"kind": "kernel-check", "n_ladder": [709]}, "n_ladder"),
     ({"kind": "cauchy", "n_max": 709}, "n_max"),
     ({"kind": "sup-prob", "ks": [4, 709]}, "ks and qs"),
     ({"kind": "sup-prob", "qs": [10 ** 11]}, "ks and qs"),
     ({"kind": "sobolev", "grid_n": 2 ** 17 + 1}, "grid_n"),
-    ({"kind": "kernel-check", "d": 2, "grid_n": 10 ** 5}, "grid_n"),
+    ({"kind": "kernel-check", "grid_n": 2 ** 17 + 1}, "grid_n"),
     ({"kind": "field-stats", "probes": 101}, "probes"),
     ({"kind": "moment-check", "replicas": 10 ** 6 + 1}, "replicas"),
     # a kind that is not a string, a gamma past the float range alone or as
@@ -223,6 +223,15 @@ RUN_ONLY_REJECTIONS = [
     ({"kind": "mollifier-independence", "gamma": [10 ** 400, 0]}, "gamma"),
     ({"kind": "tail-check", "out": 5}, "out"),
     ({"kind": "tail-check", "out": ["a"]}, "out"),
+    # barrier slopes whose barrier lam * n_max overflows
+    ({"kind": "sup-prob", "lam": 1e308, "replicas": 40, "grid_n": 64},
+     "lam=1e+308"),
+    ({"kind": "cauchy", "gamma": [1.1, 0.25], "lam": 1e308, "replicas": 40},
+     "lam=1e+308"),
+    # the kernel layer is d=1 only, also where a d=2 table would be small:
+    # here D_eps is one point per axis
+    ({"kind": "kernel-check", "d": 2, "grid_n": 17, "eps_ladder": [0.24],
+      "check": "mollified"}, "d=2 unsupported"),
 ]
 
 

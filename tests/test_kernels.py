@@ -14,50 +14,28 @@ from logchaos.mollifier import (Mollifier, ResolutionError, interior_rows,
                                 weight_matrix)
 
 SPEC1 = KernelSpec(d=1)
-SPEC2 = KernelSpec(d=2)
 
 
 class TestKappa:
     def test_endpoints(self):
-        for d in (1, 2):
-            assert kappa(0.0, d) == 1.0, f"kappa(0) must be 1 in d={d}"
-            assert kappa(1.0, d) == 0.0
-            assert kappa(3.7, d) == 0.0
-
-    def test_d2_half_overlap(self):
-        # frozen Monte Carlo oracle: area of two unit discs at center
-        # distance 1, from 4e6 quasi-uniform points (separate script)
-        oracle = 0.3910022189557706
-        assert abs(kappa(0.5, 2) - oracle) < 1e-6, \
-            f"kappa(0.5, 2) = {kappa(0.5, 2)} vs disc-overlap oracle {oracle}"
-
-    def test_d2_quadrature_oracle(self):
-        # independent derivation: overlap area via 1-D integral of chord
-        # lengths, adaptive quadrature
-        for r in (0.1, 0.3, 0.7, 0.9):
-            chord, _ = quad(lambda x: 2.0 * np.sqrt(1.0 - x * x), r, 1.0)
-            oracle = 2.0 * chord / np.pi
-            assert abs(kappa(r, 2) - oracle) < 1e-10, f"r={r}"
+        assert kappa(0.0) == 1.0, "kappa(0) must be 1"
+        assert kappa(1.0) == 0.0
+        assert kappa(3.7) == 0.0
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            kappa(-0.2, 1)
-        with pytest.raises(ValueError):
-            kappa(0.5, 3)
+            kappa(-0.2)
 
     @given(st.floats(0.0, 1.5), st.floats(0.0, 1.5))
     @settings(max_examples=60, deadline=None)
     def test_lipschitz(self, r, s):
-        # Lipschitz constants: 1 in d=1, 4/pi in d=2
-        assert abs(kappa(r, 1) - kappa(s, 1)) <= abs(r - s) + 1e-12
-        assert abs(kappa(r, 2) - kappa(s, 2)) <= (4.0 / np.pi) * abs(r - s) + 1e-12
+        assert abs(kappa(r) - kappa(s)) <= abs(r - s) + 1e-12
 
 
 class TestIncrementKernel:
     def test_unit_diagonal(self):
         for n in (1, 3, 9):
             assert abs(q_n(SPEC1, n, 0.0) - 1.0) < 1e-13
-            assert abs(q_n(SPEC2, n, 0.0) - 1.0) < 1e-13
 
     def test_support(self):
         # Q_n vanishes for r >= e^{-(t0+n)}
@@ -72,10 +50,9 @@ class TestIncrementKernel:
 
     def test_quadrature_oracle(self):
         # independent adaptive quadrature of kappa(e^t r) over the t-interval
-        for d, spec in ((1, SPEC1), (2, SPEC2)):
-            for n, r in ((1, 0.05), (2, 0.03), (4, 0.01)):
-                oracle, _ = quad(lambda t: kappa(math.exp(t) * r, d), n, n + 1)
-                assert abs(q_n(spec, n, r) - oracle) < 1e-9, f"d={d} n={n} r={r}"
+        for n, r in ((1, 0.05), (2, 0.03), (4, 0.01)):
+            oracle, _ = quad(lambda t: kappa(math.exp(t) * r), n, n + 1)
+            assert abs(q_n(SPEC1, n, r) - oracle) < 1e-9, f"n={n} r={r}"
 
     def test_range_and_lipschitz_bound(self):
         rs = np.linspace(0.0, 1.0, 400)
@@ -125,17 +102,6 @@ class TestPartialAndExact:
         assert exact_level(SPEC1, 0.9) == 3
         assert exact_level(KernelSpec(d=1, t0=2.0), math.exp(-3)) == 3
 
-    def test_d2_diagonal_offset_settles(self):
-        # in d=2 the exact kernel has no closed form, but the diagonal offset
-        # k(r) + log(r) should settle to a constant as r -> 0.  The drift is
-        # O(r), exactly as in the d=1 closed form where it equals e * r, so at
-        # r = e^-4 the offset is still ~0.06 away from its limit; agreement at
-        # the 0.01 level only starts around r = e^-6.
-        offs = {m: k_exact(SPEC2, math.exp(-m)) - m for m in (4, 6, 8)}
-        assert abs(offs[4] - offs[8]) < 0.1, f"offset drift {offs[4] - offs[8]}"
-        assert abs(offs[6] - offs[8]) < 0.01, f"offset drift {offs[6] - offs[8]}"
-        assert abs(offs[4] - offs[8]) > abs(offs[6] - offs[8])
-
     def test_constant_mode(self):
         spec = KernelSpec(d=1, q0=1.5)
         assert abs(k_partial(spec, 4, 0.5) - (k_partial(SPEC1, 4, 0.5) + 1.5)) < 1e-12
@@ -151,7 +117,7 @@ class TestPartialAndExact:
 
 def level_loop(spec, n, r):
     """K_n(r) level by level: Q_0 plus q_n(k) on the radii inside level k's
-    support, for k = 1..n, the per-level sum the d=1 closed form replaces."""
+    support, for k = 1..n, the per-level sum the closed form replaces."""
     out = np.full(r.shape, spec.q0)
     for k in range(1, n + 1):
         live = r < math.exp(-(spec.t0 + k))
@@ -160,7 +126,7 @@ def level_loop(spec, n, r):
 
 
 class TestLevelSum:
-    """In d=1 a run of consecutive levels telescopes into one closed form."""
+    """A run of consecutive levels telescopes into one closed form."""
 
     @staticmethod
     def radii(t0):
@@ -206,21 +172,13 @@ class TestLevelSum:
             with pytest.raises(ValueError, match="consecutive run"):
                 lattice_row(SPEC1, levels, 0.01, np.arange(5))
         with pytest.raises(ValueError, match="d=1 only"):
-            kernels.level_sum(SPEC2, 1, 3, np.zeros(3))
+            KernelSpec(d=2)
 
     def test_q_n_is_one_level_run(self):
         r = self.radii(0.0)
         for n in (1, 4, 11):
             assert np.array_equal(q_n(SPEC1, n, r),
                                   kernels.level_sum(SPEC1, n, n, r))
-
-    @pytest.mark.parametrize("q0", [0.0, 1.0], ids=["zero", "constant"])
-    def test_d2_partial_bitwise_level_loop(self, q0):
-        spec = KernelSpec(d=2, q0=q0)
-        r = np.concatenate([[0.0], np.random.default_rng(4).uniform(0, 0.5, 300),
-                            np.exp(-np.arange(1, 8))])
-        for n in (1, 3, 7):
-            assert np.array_equal(k_partial(spec, n, r), level_loop(spec, n, r))
 
 
 class TestPdCheck:
@@ -244,8 +202,7 @@ class TestPdCheck:
 
 def dense_gram(spec, n, points):
     """The Gram by its definition: Q_n at every pairwise distance."""
-    diffs = points[:, None, :] - points[None, :, :]
-    r = np.sqrt((diffs ** 2).sum(axis=-1))
+    r = np.abs(points - points.T)
     out = np.zeros(r.shape)
     live = r < math.exp(-(spec.t0 + n))
     out[live] = q_n(spec, n, r[live])
@@ -264,10 +221,15 @@ class TestGram:
         grid = Grid.from_points(pts, (0.0, 1.0))
         for n in range(1, 4):
             assert np.array_equal(gram(SPEC1, n, grid), dense_gram(SPEC1, n, pts))
-        pts2 = np.random.default_rng(3).uniform(0.0, 1.0, (150, 2))
-        grid2 = Grid.from_points(pts2, (0.0, 1.0))
-        for n in range(1, 4):
-            assert np.array_equal(gram(SPEC2, n, grid2), dense_gram(SPEC2, n, pts2))
+
+    def test_free_points_are_d1(self):
+        # a free point set holds d=1 points, given as (N,) or (N, 1); a
+        # single row of several points is no longer read as a column
+        row = Grid.from_points([0.61, 0.3, 0.45], (0.0, 1.0))
+        assert row.points.tolist() == [[0.61], [0.3], [0.45]]
+        for bad in (np.zeros((4, 2)), [[0.1, 0.2, 0.3]], np.zeros((2, 1, 1))):
+            with pytest.raises(ValueError, match="d=1"):
+                Grid.from_points(bad, (0.0, 1.0))
 
 
 def interior_table(spec, grid, eps, eps_prime, mol, rule, n_levels, nodes=32):
@@ -277,10 +239,7 @@ def interior_table(spec, grid, eps, eps_prime, mol, rule, n_levels, nodes=32):
     rows_p = interior_rows(grid, mol, eps_prime)
     lo, _, vals = kernels.offset_table(spec, grid, rows, rows_p, eps,
                                        eps_prime, mol, rule, n_levels, nodes)
-    a = np.unravel_index(rows, grid.shape)
-    b = np.unravel_index(rows_p, grid.shape)
-    return rows, rows_p, vals[tuple(np.subtract.outer(ak, bk) - k
-                                    for ak, bk, k in zip(a, b, lo))]
+    return rows, rows_p, vals[np.subtract.outer(rows, rows_p) - lo]
 
 
 def pairwise_offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
@@ -288,19 +247,13 @@ def pairwise_offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
     """The rows x rows_p table as keyed pair by pair: each (row, row') pair
     by its lattice offset, the offset's separation from its row-major first
     pair, and every other pair with that offset reading the same value."""
-    shape = grid.shape
-    a = np.unravel_index(rows, shape)
-    b = np.unravel_index(rows_p, shape)
-    code = np.ravel_multi_index(
-        tuple(np.subtract.outer(ai, bi) + n - 1
-              for ai, bi, n in zip(a, b, shape)),
-        tuple(2 * n - 1 for n in shape)).ravel()
-    first = np.full(math.prod(2 * n - 1 for n in shape), code.size)
+    code = (np.subtract.outer(rows, rows_p) + grid.n - 1).ravel()
+    first = np.full(2 * grid.n - 1, code.size)
     np.minimum.at(first, code, np.arange(code.size))
     hit = first < code.size
     pick = first[hit]
-    seps = (grid.points[rows[pick // len(rows_p)]]
-            - grid.points[rows_p[pick % len(rows_p)]])
+    seps = (grid.points[rows[pick // len(rows_p)], 0]
+            - grid.points[rows_p[pick % len(rows_p)], 0])
     vals = kernels._mollified_of_seps(spec, seps, eps, eps_prime, mol, rule,
                                       n_levels, grid.h, nodes)
     return vals[np.cumsum(hit)[code] - 1].reshape(len(rows), len(rows_p))
@@ -310,41 +263,33 @@ class TestOffsetTable:
     @staticmethod
     def offsets_and_oracle(spec, grid, rows, rows_p, eps, eps_prime, rule,
                            nodes):
-        mol = Mollifier(d=grid.d)
+        mol = Mollifier(d=1)
         n_levels = exact_level(spec, eps_prime)
         args = (spec, grid, rows, rows_p, eps, eps_prime, mol, rule, n_levels,
                 nodes)
         lo, seps, vals = kernels.offset_table(*args)
-        a = np.unravel_index(rows, grid.shape)
-        b = np.unravel_index(rows_p, grid.shape)
-        table = vals[tuple(np.subtract.outer(ak, bk) - k
-                           for ak, bk, k in zip(a, b, lo))]
-        assert seps.shape == vals.shape + (grid.d,)
-        return table, pairwise_offset_table(*args)
+        assert seps.shape == vals.shape
+        return (vals[np.subtract.outer(rows, rows_p) - lo],
+                pairwise_offset_table(*args))
 
+    # the leading 1 is the dimension d, the only one the kernels implement
     @pytest.mark.parametrize("d,n,rule,eps,eps_prime,nodes", [
         (1, 512, "grid", 2 ** -4, 2 ** -4, 32),
         (1, 512, "midpoint", 2 ** -4, 2 ** -4, 32),
         (1, 512, "grid", 2 ** -3, 2 ** -7, 32),
         (1, 512, "midpoint", 2 ** -3, 2 ** -7, 32),
-        (2, 32, "grid", 2 ** -3, 2 ** -3, 32),
-        (2, 40, "midpoint", 2 ** -3, 2 ** -3, 4),
     ])
     def test_interior_tables_bitwise(self, d, n, rule, eps, eps_prime, nodes):
-        # d=2 tables fold per offset, bit for bit the pairwise table; d=1
-        # tables take the lattice, equal to rounding to the fold at the
+        # the tables take the lattice, equal to rounding to the fold at the
         # pairs' separations, which on a dyadic grid are exactly o h
         spec = KernelSpec(d=d)
-        grid = Grid.regular((0.0, 1.0), n, d=d)
+        grid = Grid.regular((0.0, 1.0), n)
         mol = Mollifier(d=d)
         rows = mollifier.interior_rows(grid, mol, eps)
         rows_p = mollifier.interior_rows(grid, mol, eps_prime)
         table, oracle = self.offsets_and_oracle(spec, grid, rows, rows_p, eps,
                                                 eps_prime, rule, nodes)
-        if d == 2:
-            assert np.array_equal(table, oracle)
-        else:
-            assert np.abs(table - oracle).max() <= 1e-14 * np.abs(oracle).max()
+        assert np.abs(table - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
     def test_support_cross_table_bitwise(self):
         # the cross table is the support offset_table, one value per row
@@ -401,11 +346,11 @@ class TestLatticeTable:
             rows_p = interior_rows(grid, mol, eps_prime)
             lo, _, vals = kernels.offset_table(SPEC1, grid, rows, rows_p, eps,
                                                eps_prime, mol, rule, n_levels)
-            offs = lo[0] + np.arange(vals.size)
+            offs = lo + np.arange(vals.size)
             pick = np.union1d(np.linspace(0, vals.size - 1, 40).astype(int),
                               np.flatnonzero(np.abs(offs) <= 3))
             want = kernels._mollified_of_seps(
-                SPEC1, offs[pick, None] * grid.h, eps, eps_prime, mol, rule,
+                SPEC1, offs[pick] * grid.h, eps, eps_prime, mol, rule,
                 n_levels, grid.h, 32)
             err = np.abs(vals[pick] - want).max()
             assert err <= 1e-14 * np.abs(want).max(), (eps, eps_prime,
@@ -531,38 +476,31 @@ def flat_index_offsets(grid, rows, rows_p):
     ia = np.ravel_multi_index(np.ix_(*firsts), grid.shape)
     ib = np.ravel_multi_index(np.ix_(*(f - o for f, o in zip(firsts, runs))),
                               grid.shape)
-    return np.array([o[0] for o in runs]), grid.points[ia] - grid.points[ib]
+    return runs[0][0], (grid.points[ia] - grid.points[ib])[:, 0]
 
 
 class TestOffsetSeparations:
     @staticmethod
     def assert_same(grid, rows, rows_p, *table_args):
-        lo, seps, vals = kernels.offset_table(SPEC1 if grid.d == 1 else SPEC2,
-                                              grid, rows, rows_p,
+        lo, seps, vals = kernels.offset_table(SPEC1, grid, rows, rows_p,
                                               *table_args)
         want_lo, want_seps = flat_index_offsets(grid, rows, rows_p)
-        assert lo.tolist() == want_lo.tolist()
-        assert seps.shape == want_seps.shape == vals.shape + (grid.d,)
+        assert lo == want_lo
+        assert seps.shape == want_seps.shape == vals.shape
         assert seps.tobytes() == want_seps.tobytes()
 
     def test_d1_ladder_tables_bit_for_bit(self):
-        # per-axis separations x[f] - x[f - o] equal the flat-index ones at
-        # every default kernel-check table of N=512
+        # separations x[f] - x[f - o] equal the flat-index ones at every
+        # default kernel-check table of N=512, and for scattered row sets
         grid = Grid.regular((0.0, 1.0), 512)
         mol = Mollifier(d=1)
         for eps, eps_prime, n_levels in ladder_tables(SPEC1):
             self.assert_same(grid, interior_rows(grid, mol, eps),
                              interior_rows(grid, mol, eps_prime), eps,
                              eps_prime, mol, "midpoint", n_levels)
-
-    def test_d2_bit_for_bit(self):
-        # d=2 at grid_n 32: the D_eps box at eps = 2^-3 against itself, and
-        # two scattered row sets whose bounding runs differ per axis
-        grid = Grid.regular((0.0, 1.0), 32, d=2)
-        mol = Mollifier(d=2)
         rows = interior_rows(grid, mol, 2 ** -3)
-        for a, b in [(rows, rows), (rows[::5], rows[3::7]),
-                     (np.array([40, 300, 77]), np.array([500, 33]))]:
+        for a, b in [(rows[::5], rows[3::7]),
+                     (np.array([140, 300, 177]), np.array([350, 133]))]:
             self.assert_same(grid, a, b, 2 ** -3, 2 ** -3, mol, "midpoint",
                              0, 4)
 
@@ -670,7 +608,7 @@ class TestMollifiedTable:
         rows = np.array([1000])
         _, _, table = kernels.offset_table(SPEC1, grid, rows, rows - 3, eps,
                                            eps, mol, "grid", 8)
-        fold = kernels._mollified_of_seps(SPEC1, np.array([[3 * grid.h]]),
+        fold = kernels._mollified_of_seps(SPEC1, np.array([3 * grid.h]),
                                           eps, eps, mol, "grid", 8, grid.h,
                                           32)
         seen = []
@@ -688,58 +626,39 @@ class TestMollifiedTable:
         sep = 3.3 * grid.h
         got = k_mollified(SPEC1, eps, eps, x, x - sep, mol, "grid", 8, grid.h)
         assert seen == [1021, 1021]
-        fold = kernels._mollified_of_seps(SPEC1, np.array([[sep]]), eps, eps,
+        fold = kernels._mollified_of_seps(SPEC1, np.array([sep]), eps, eps,
                                           mol, "grid", 8, grid.h, 32)
         assert abs(got - fold[0]) <= 1e-14 * abs(fold[0])
-
-    def test_d2_grid_table_matches_dense(self):
-        # d=2 offsets are lattice vectors and the stencil a disc of taps;
-        # the constant Q_0 checks the level-0 term
-        spec = KernelSpec(d=2, q0=0.3)
-        grid = Grid.regular((0.0, 1.0), 32, d=2)
-        mol = Mollifier(d=2)
-        t_rows, t_rows_p, values = interior_table(spec, grid, 2 ** -3,
-                                                  2 ** -3, mol, "grid", 3)
-        rows, rows_p, dense = self._dense_table(spec, grid, 2 ** -3, 2 ** -3,
-                                                mol, 3)
-        assert np.array_equal(rows, t_rows) and rows.size == 16 ** 2
-        assert np.array_equal(rows_p, t_rows_p)
-        assert np.abs(values - dense).max() < 1e-12 * np.abs(dense).max()
 
     @staticmethod
     def _unique_midpoint(spec, grid, eps, eps_prime, nodes):
         # the table as built before lattice-offset keys: np.unique over the
         # rounded separation vectors of every (row, row') pair
         rows, rows_p, values = interior_table(
-            spec, grid, eps, eps_prime, Mollifier(d=grid.d), "midpoint",
+            spec, grid, eps, eps_prime, Mollifier(d=1), "midpoint",
             exact_level(spec, eps_prime), nodes)
-        flat = (grid.points[rows][:, None, :]
-                - grid.points[rows_p][None, :, :]).reshape(-1, grid.d)
+        flat = (grid.points[rows] - grid.points[rows_p].T).ravel()
         keys = np.round(flat / 1e-12).astype(np.int64)
-        _, first, inv = np.unique(keys, axis=0, return_index=True,
+        _, first, inv = np.unique(keys, return_index=True,
                                   return_inverse=True)
         vals = kernels._mollified_of_seps(
-            spec, flat[first], eps, eps_prime, Mollifier(d=grid.d),
+            spec, flat[first], eps, eps_prime, Mollifier(d=1),
             "midpoint", exact_level(spec, eps_prime), None, nodes)
         return values, vals[inv.ravel()].reshape(values.shape)
 
+    # the leading 1 is the dimension d, the only one the kernels implement
     @pytest.mark.parametrize("d,n,eps,eps_prime,nodes", [
         (1, 256, 2 ** -4, 2 ** -4, 32),
         (1, 256, 2 ** -4, 2 ** -5, 32),
-        (2, 40, 2 ** -3, 2 ** -3, 4),
     ])
     def test_midpoint_offsets_match_unique(self, d, n, eps, eps_prime, nodes):
-        # bit for bit in d=2; d=1 tables take the lattice, equal to rounding
+        # the tables take the lattice, equal to rounding to the unique fold
         # (the dyadic grid's pair separations are exactly o h)
         spec = KernelSpec(d=d)
-        grid = Grid.regular((0.0, 1.0), n, d=d)
+        grid = Grid.regular((0.0, 1.0), n)
         values, oracle = self._unique_midpoint(spec, grid, eps, eps_prime,
                                                nodes)
-        if d == 2:
-            assert np.array_equal(values, oracle)
-        else:
-            assert (np.abs(values - oracle).max()
-                    <= 1e-14 * np.abs(oracle).max())
+        assert np.abs(values - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("rule", ["grid", "midpoint"])
     def test_midpoint_one_eval_per_offset(self, monkeypatch, rule):
@@ -783,39 +702,21 @@ class TestMollifiedTable:
             kernel_estimate_check(SPEC1, "mollified", free,
                                   eps_ladder=[2 ** -3], rule=rule)
 
-    def test_d2_chunks_count_quadrature_nodes(self, monkeypatch):
-        # d=2 q_n expands each radius over 64 Gauss-Legendre nodes, so a
-        # chunk holds at most 2e7 / 64 radii; 2000 separations of the 185
-        # distinct nodes=8 differences need more than one chunk
-        sizes = []
-
-        def fake_q_n(spec, n, r):
-            sizes.append(np.size(r))
-            return np.zeros(np.shape(r))
-
-        monkeypatch.setattr(kernels, "q_n", fake_q_n)
-        seps = np.zeros((2000, 2))
-        kernels._mollified_of_seps(SPEC2, seps, 2 ** -3, 2 ** -3,
-                                   Mollifier(d=2), "midpoint", 1, None, 8)
-        assert sum(sizes) > 2e7 / 64, "one chunk would hold every radius"
-        assert max(sizes) <= 2e7 / 64
-
     @staticmethod
     def _all_pairs(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes):
         # the quadrature as evaluated before the difference cloud: one radius
         # per (separation, u_a, v_b), contracted with both weight vectors
         u, wu = kernels._cloud(mol, eps, rule, h, nodes)
         v, wv = kernels._cloud(mol, eps_prime, rule, h, nodes)
-        diffs = seps[:, None, None, :] + u[None, :, None, :] - v[None, None, :, :]
-        r = np.sqrt((diffs ** 2).sum(axis=-1))
+        r = np.abs(seps[:, None, None] + u[None, :, None] - v[None, None, :])
         vals = k_partial(spec, n_levels, r.ravel()).reshape(r.shape)
         return np.einsum("i,j,mij->m", wu, wv, vals)
 
+    # the leading 1 is the dimension d, the only one the kernels implement
     @pytest.mark.parametrize("d,eps,eps_prime,rule,nodes", [
         (1, 2 ** -4, 2 ** -4, "midpoint", 32),
         (1, 2 ** -4, 2 ** -5, "midpoint", 32),
         (1, 0.1, 0.07, "midpoint", 32),
-        (2, 2 ** -3, 2 ** -4, "midpoint", 8),
         (1, 2 ** -4, 2 ** -5, "grid", 32),
     ])
     def test_difference_cloud_matches_all_pairs(self, d, eps, eps_prime,
@@ -823,7 +724,7 @@ class TestMollifiedTable:
         spec = KernelSpec(d=d)
         mol = Mollifier(d=d)
         rng = np.random.default_rng(3)
-        seps = np.vstack([np.zeros((1, d)), rng.uniform(-0.4, 0.4, (24, d))])
+        seps = np.r_[0.0, rng.uniform(-0.4, 0.4, 24)]
         h = 1.0 / 512 if rule == "grid" else None
         n_levels = exact_level(spec, eps_prime)
         got = kernels._mollified_of_seps(spec, seps, eps, eps_prime, mol, rule,
@@ -880,11 +781,11 @@ class TestMollifiedTable:
         u, wu = kernels._cloud(mol, eps, "grid", h, 32)
         v, wv = kernels._cloud(mol, eps_prime, "grid", h, 32)
         diffs, ww = kernels._fold_clouds(u, wu, v, wv, eps_prime)
-        assert diffs.shape == (distinct, 1)
-        r = np.abs(seps + diffs[:, 0])
+        assert diffs.shape == (distinct,)
+        r = np.abs(seps + diffs)
         want = k_partial(SPEC1, 9, r.ravel()).reshape(r.shape) @ ww
-        lags = np.rint(np.r_[seps[0, 0] + diffs[0, 0],
-                             seps[-1, 0] + diffs[-1, 0]] / h).astype(int)
+        lags = np.rint(np.r_[seps[0, 0] + diffs[0],
+                             seps[-1, 0] + diffs[-1]] / h).astype(int)
         krow = k_partial(SPEC1, 9, np.abs(np.arange(lags[0], lags[1] + 1)) * h)
         ext = np.longdouble
         exact = np.correlate(krow.astype(ext), np.correlate(

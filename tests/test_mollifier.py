@@ -20,30 +20,22 @@ class TestProfile:
         assert abs(mol.c_d - 2.25228) < 1e-4
 
     def test_unit_mass(self):
-        for d in (1, 2):
-            for profile in ("bump", "quartic"):
-                mol = Mollifier(d=d, profile=profile)
-                if d == 1:
-                    mass, _ = quad(lambda x: theta(mol, np.array([x]))[()], -1, 1)
-                else:
-                    # radial: 2 pi int_0^1 theta(rho) rho drho
-                    mass, _ = quad(
-                        lambda r: 2 * np.pi * r * mol.c_d * float(mol.radial(r)),
-                        0, 1)
-                assert abs(mass - 1.0) < 1e-8, f"{profile} d={d}: mass {mass}"
+        for profile in ("bump", "quartic"):
+            mol = Mollifier(d=1, profile=profile)
+            mass, _ = quad(lambda x: theta(mol, np.array([x]))[()], -1, 1)
+            assert abs(mass - 1.0) < 1e-8, f"{profile}: mass {mass}"
 
     def test_normalization_matches_quad(self):
         # the 128-node Gauss-Legendre c_d against adaptive quadrature of the
-        # profile: within 6.5e-15 relative (quartic, d=2) in all four cases
-        for d in (1, 2):
-            for profile in ("bump", "quartic"):
-                mol = Mollifier(d=d, profile=profile)
-                if d == 1:
-                    mass, _ = quad(lambda x: float(mol.radial(abs(x))), -1, 1)
-                else:
-                    mass, _ = quad(
-                        lambda r: 2 * np.pi * r * float(mol.radial(r)), 0, 1)
-                assert abs(mol.c_d * mass - 1.0) < 1e-14, (profile, d)
+        # profile, for both profiles
+        for profile in ("bump", "quartic"):
+            mol = Mollifier(d=1, profile=profile)
+            mass, _ = quad(lambda x: float(mol.radial(abs(x))), -1, 1)
+            assert abs(mol.c_d * mass - 1.0) < 1e-14, profile
+
+    def test_d1_only(self):
+        with pytest.raises(ValueError, match="d=1 only"):
+            Mollifier(d=2)
 
     def test_support(self):
         mol = Mollifier(d=1)
@@ -104,19 +96,21 @@ class TestStencil:
         assert w.sum() == 1.0
 
     def test_weights_normalized_nonnegative(self):
-        for d in (1, 2):
-            mol = Mollifier(d=d)
-            offs, w = discrete_stencil(mol, 0.25, 0.25 / 8)
-            assert np.all(w >= 0)
-            assert abs(w.sum() - 1.0) < 1e-15
-            # symmetric stencil
-            assert np.allclose(sorted(w), sorted(w[::-1]))
+        mol = Mollifier(d=1)
+        offs, w = discrete_stencil(mol, 0.25, 0.25 / 8)
+        assert np.all(w >= 0)
+        assert abs(w.sum() - 1.0) < 1e-15
+        # symmetric stencil on ascending steps
+        assert np.array_equal(offs[:, 0], -offs[::-1, 0])
+        assert np.all(np.diff(offs[:, 0]) == 1)
+        assert np.allclose(w, w[::-1])
 
     def test_quad_cloud_normalized(self):
-        mol = Mollifier(d=2)
+        mol = Mollifier(d=1)
         offs, w = quad_cloud(mol, 0.1, nodes_per_axis=16)
+        assert offs.shape == (16, 1)
         assert abs(w.sum() - 1.0) < 1e-15
-        assert np.all(np.sqrt((offs ** 2).sum(axis=1)) < 0.1)
+        assert np.all(np.abs(offs) < 0.1) and np.all(np.diff(offs[:, 0]) > 0)
 
 
 def bench_mollify(grid, mol, eps, field):
@@ -220,16 +214,15 @@ class TestConvolveGrid:
             W[arange, cols] += wt
         return rows, W
 
+    # the leading 1 is the dimension d, the only one mollifiers implement
     @pytest.mark.parametrize("d,n,eps,profile", [
         (1, 512, 2 ** -4, "bump"),
         (1, 2048, 2 ** -7, "bump"),
         (1, 2048, 0.1, "quartic"),
         (1, 64, 0.3, "bump"),
-        (2, 64, 2 ** -3, "bump"),
-        (2, 96, 0.2, "quartic"),
     ])
     def test_band_write_matches_offset_loop(self, d, n, eps, profile):
-        grid = Grid.regular((0.0, 1.0), n, d=d)
+        grid = Grid.regular((0.0, 1.0), n)
         mol = Mollifier(d=d, profile=profile)
         rows, W = weight_matrix(grid, mol, eps)
         rows_o, W_o = self._offset_loop(grid, mol, eps)
