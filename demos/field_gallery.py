@@ -39,7 +39,7 @@ def main():
     # every level is drawn on the rows lo..hi the keys' convolutions read:
     # block slabs are the increments Z_k, and their cumsum the partial sums
     f = np.zeros(grid.n)
-    f[interior_rows(grid, mol, eps_list[0])] = 1.0
+    f[interior_rows(grid, eps_list[0])] = 1.0
     bench = Bench(spec, grid, args.n_max, f=f, mol=mol)
     at = np.searchsorted(bench.supp, mid)
     draw = bench.draw(keys=keys)

@@ -583,6 +583,10 @@ def plan_tilt_check(cfg):
     eps = _num(cfg, "eps", math.exp(-5))
     if not 0.0 < eps <= 1.0:
         raise ConfigError(f"eps must lie in (0, 1], got {eps}")
+    try:
+        verify.fit_abscissae(seps, eps)
+    except ValueError as e:
+        raise ConfigError(str(e))
     q = _q(cfg, n_max)
     replicas = _replicas(cfg, 10000)
     seed = _int(cfg, "seed", 0, lo=0)
@@ -599,7 +603,8 @@ def plan_tilt_check(cfg):
         return tables, verdicts, {
             "slope": rep.slope, "slope_se": rep.slope_se,
             "target": rep.exponent_target,
-            "cholesky_jitter": [list(j) for j in rep.cholesky_jitter],
+            "embedding_min_ratio": [list(r)
+                                    for r in rep.embedding_min_ratio],
             "level_groups": [list(g) for g in rep.level_groups]}
 
     return {"d": d, "alpha": alpha, "beta": beta, "q": q, "lam": lam,
@@ -737,13 +742,13 @@ def environment(workers):
 
 def safety_nets(resolved):
     """The safety nets a resolved block records, one number each: the
-    smallest embedding_min_ratio, the largest cholesky_jitter, and the
-    total excluded replicas and empty median-of-means blocks.  fired names
-    each net that changed numbers: an embedding eigenvalue clipped at zero
-    (a negative ratio), jitter added to a factor, replicas excluded or a
-    median-of-means block left empty."""
-    reduce = {"embedding_min_ratio": np.min, "cholesky_jitter": np.max,
-              "excluded": np.sum, "empty_blocks": np.sum}
+    smallest embedding_min_ratio (over every group, and every separation
+    of tilt-check), and the total excluded replicas and empty
+    median-of-means blocks.  fired names each net that changed numbers:
+    an embedding eigenvalue clipped at zero (a negative ratio), replicas
+    excluded or a median-of-means block left empty."""
+    reduce = {"embedding_min_ratio": np.min, "excluded": np.sum,
+              "empty_blocks": np.sum}
     nets = {key: how(resolved[key]).item() for key, how in reduce.items()
             if key in resolved}
     nets["fired"] = [key for key, v in nets.items()

@@ -170,9 +170,9 @@ def k_exact(spec, r):
 def gram(spec, n, grid):
     """Gram matrix [Q_n(|x_i - x_j|)] on the Grid; n=0 gives the Q_0 block.
 
-    Dense, by its definition: for free point sets and pd_check.  Regular
-    grids never build it: lattice_row gives the level rows the sampler
-    embeds, and offset_table the mollified tables.
+    Dense, by its definition: for pd_check and as a reference.  No draw
+    builds it: lattice_row gives the level rows the sampler embeds, on a
+    regular grid or a free pair, and offset_table the mollified tables.
     """
     if n == 0:
         return np.full((grid.n,) * 2, spec.q0)

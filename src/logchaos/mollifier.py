@@ -108,7 +108,7 @@ def _check_resolution(eps, h):
         raise ResolutionError(f"h={h} too coarse for eps={eps} (need h <= eps/4)")
 
 
-def interior_rows(grid, mol, eps):
+def interior_rows(grid, eps):
     """Grid indices of D_eps: the rows of X_eps = W @ field.
 
     Raises as weight_matrix does, without building W: ValueError on a free
@@ -141,7 +141,7 @@ def weight_matrix(grid, mol, eps):
     Returns (rows, W): rows are the grid indices inside the shrunken domain,
     W has shape (len(rows), grid.n).
     """
-    rows = interior_rows(grid, mol, eps)
+    rows = interior_rows(grid, eps)
     offs, w = discrete_stencil(mol, eps, grid.h)
     W = np.zeros((rows.size, grid.n))
     flat = W.reshape(-1)

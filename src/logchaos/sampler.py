@@ -19,13 +19,15 @@ positive definite (Dietrich & Newsam 1997; Wood & Chan 1994); the constant
 Q_0 adds at frequency zero.  A block scales complex normals of shape (M,
 BLOCK/2) by sqrt(lambda / M) and takes one FFT (pocketfft, outside BLAS):
 the first W real parts are replicas 0-15, the imaginary parts replicas
-16-31, two independent exact draws.  Free point sets use a small dense
-Cholesky factor of the summed Gram in the same block_z.  Reading every
+16-31, two independent exact draws.  A free pair of points s apart is a
+2-point torus of spacing s: its Gram [[L(0), L(s)], [L(s), L(0)]] is
+itself a circulant, with eigenvalues L(0) +- L(s) >= 0.  Reading every
 level gives one group per level: the per-level draw.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -39,16 +41,15 @@ BLOCK = 32
 
 
 class NumericError(RuntimeError):
-    """Factorization or overflow failure that invalidates a run."""
+    """Embedding or overflow failure that invalidates a run."""
 
 
 class LevelFactor(NamedTuple):
     """One group's square root, the safety net it used and the rows it
     samples, for the levels first..last: sqrt(lambda / M) of its circulant
-    on an M-point torus with net the smallest eigenvalue over the largest,
-    or a dense lower Cholesky factor with net the diagonal jitter it needed
-    (0.0 when none).  The group 0..0 is the scalar sqrt(Q_0), one normal
-    per replica on every row: a 1-point torus (net 1.0) or jitter 0.0."""
+    on an M-point torus, with net the smallest eigenvalue over the largest.
+    The group 0..0 is the scalar sqrt(Q_0), one normal per replica on every
+    row: a 1-point torus (net 1.0)."""
 
     root: np.ndarray
     net: float
@@ -57,12 +58,8 @@ class LevelFactor(NamedTuple):
     last: int = 0
 
     @property
-    def embedded(self):
-        return self.root.ndim == 1
-
-    @property
     def draws(self):
-        """Rows of its normal panel: M, N, or 1 for the scalar Q_0."""
+        """Rows of its normal panel: M, or 1 for the scalar Q_0."""
         return self.root.shape[0] if self.root.ndim else 1
 
 
@@ -95,31 +92,6 @@ def circulant_root(row, name="kernel"):
                            f"semidefinite: eigenvalue ratio {ratio:.3g}")
     return LevelFactor(np.sqrt(np.maximum(lam, 0.0) / row.size), ratio,
                        row.size)
-
-
-def free_cholesky(mat, name="kernel"):
-    """Dense lower Cholesky factor of a free point set's level Gram, with jitter.
-
-    A failed factorization retries with diagonal jitter starting at
-    1e-10 * trace/N and escalating x10, at most 3 times; an unjittered
-    factor with a squared pivot below that first jitter (a singular Gram
-    that rounding left a tiny positive pivot) counts as failed.  A zero
-    matrix factors to zero.  Raises NumericError naming the offending
-    kernel when escalation is exhausted.
-    """
-    n = mat.shape[0]
-    tr = float(np.trace(mat))
-    if tr == 0.0 and not mat.any():
-        return LevelFactor(np.zeros_like(mat), 0.0, n)
-    base = 1e-10 * tr / n
-    for jitter in (0.0, base, base * 10.0, base * 10.0 * 10.0):
-        try:
-            root = np.linalg.cholesky(mat + jitter * np.eye(n))
-        except np.linalg.LinAlgError:
-            continue
-        if jitter > 0.0 or np.diag(root).min() ** 2 >= base:
-            return LevelFactor(root, jitter, n)
-    raise NumericError(f"cholesky failed for {name} after jitter escalation")
 
 
 @dataclass(frozen=True)
@@ -172,35 +144,36 @@ def increment_factors(spec, grid, n_max, rows=None, levels=None):
 
     A regular grid embeds group a..b, on rows consecutive rows (default
     N), in a circulant on the smallest 5-smooth torus with M >= rows +
-    bandwidth + 1 points, the bandwidth of its widest level; its row is
-    kernels.lattice_row over the group's levels, plus Q_0 when a = 0, and
-    no Gram is built.  Any other point set factors the group's summed dense
-    Gram of all N points with free_cholesky.
+    bandwidth + 1 points, the bandwidth of its widest level; a free pair
+    of points takes M = 2 and spacing h = |x1 - x0|.  The circulant's row
+    is kernels.lattice_row over the group's levels at offsets min(o, M -
+    o), plus Q_0 when a = 0, and no Gram is built.  Any other free point
+    set raises ValueError.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = grid.n if rows is None else int(rows)
-    embed = grid.h is not None
+    h = grid.h
+    if h is None:
+        if grid.n != 2:
+            raise ValueError("a free point set is sampled as a pair only, "
+                             f"got {grid.n} points")
+        h = abs(float(grid.points[1, 0] - grid.points[0, 0]))
     factors = []
     for a, b in level_groups(n_max, levels):
-        name = f"Q_{a}" if a == b else f"Q_{a}..Q_{b}"
         if b == 0:
-            factors.append(LevelFactor(np.asarray(np.sqrt(spec.q0)),
-                                       1.0 if embed else 0.0, rows, 0, 0))
+            factors.append(LevelFactor(np.asarray(np.sqrt(spec.q0)), 1.0,
+                                       rows, 0, 0))
             continue
-        if embed:
-            # offsets beyond floor(support / h) lie outside the support
-            band = math.floor(math.exp(-(spec.t0 + max(a, 1))) / grid.h)
-            m = next_fast_len(rows + band + 1)
-            o = np.arange(m)
-            row = kernels.lattice_row(spec, range(max(a, 1), b + 1), grid.h,
-                                      np.minimum(o, m - o))
-            factor = circulant_root(row + spec.q0 if a == 0 else row,
-                                    name)._replace(rows=rows)
-        else:
-            factor = free_cholesky(sum(kernels.gram(spec, k, grid)
-                                       for k in range(a, b + 1)), name=name)
-        factors.append(factor._replace(first=a, last=b))
+        # offsets beyond floor(support / h) lie outside the support
+        m = 2 if grid.h is None else next_fast_len(
+            rows + math.floor(math.exp(-(spec.t0 + max(a, 1))) / h) + 1)
+        o = np.arange(m)
+        row = kernels.lattice_row(spec, range(max(a, 1), b + 1), h,
+                                  np.minimum(o, m - o))
+        name = f"Q_{a}" if a == b else f"Q_{a}..Q_{b}"
+        factor = circulant_root(row + spec.q0 if a == 0 else row, name)
+        factors.append(factor._replace(rows=rows, first=a, last=b))
     return factors
 
 
@@ -237,34 +210,38 @@ def block_z(spec, grid, factors, seed, block_start, n_max, shifts=None):
     block_start + j.  This is the only code path that touches the RNG or
     the factors.  Block b = block_start // BLOCK draws BLOCK * sum(draws)
     normals from the one stream default_rng([seed, b]) into a per-thread
-    buffer (_BUFFER) and splits them, in group order, into one (draws,
-    BLOCK) panel per group.  An embedded group reads its (M, BLOCK) panel
-    as complex normals of shape (M, BLOCK/2) and takes one FFT along the
-    lattice axis: the first W real parts fill columns 0..BLOCK/2-1, the
-    imaginary parts the rest.  shifts holds one mean row per slab.
+    buffer (_BUFFER), read in group order as one (draws, BLOCK) panel per
+    group.  A group reads its (M, BLOCK) panel as complex normals of shape
+    (M, BLOCK/2) and takes one FFT along the lattice axis: the first W
+    real parts fill columns 0..BLOCK/2-1, the imaginary parts the rest.
+    Consecutive groups of one torus size (tori shrink with level) stack
+    their panels into one FFT call, which transforms each panel alone.
+    shifts holds one mean row per slab.
     """
     groups = [g for g in factors if g.last <= n_max]
     n, half = groups[-1].rows, BLOCK // 2
-    rows = [g.draws for g in groups]
-    size = BLOCK * sum(rows)
+    sizes = [g.draws for g in groups]
+    size = BLOCK * sum(sizes)
     if getattr(_BUFFER, "normals", np.empty(0)).size < size:
         _BUFFER.normals = np.empty(size)
     rng = np.random.default_rng([seed, block_start // BLOCK])
-    panels = np.split(rng.standard_normal(out=_BUFFER.normals[:size]),
-                      BLOCK * np.cumsum(rows[:-1]))
+    normals = rng.standard_normal(out=_BUFFER.normals[:size])
     z = np.empty((len(groups), n, BLOCK))
-    for i, (group, xi) in enumerate(zip(groups, panels)):
-        xi = xi.reshape(-1, BLOCK)
-        if group.root.ndim == 0:
-            z[i] = group.root * xi
-        elif group.embedded:
-            a = xi.view(complex)  # the block's own panel, scaled in place
-            a *= group.root[:, None]
-            y = np.fft.fft(a, axis=0)[:n]
-            z[i, :, :half] = y.real
-            z[i, :, half:] = y.imag
+    i = used = 0
+    for m, run in itertools.groupby(sizes):
+        k = len(list(run))
+        xi = normals[used:used + k * m * BLOCK].reshape(k, m, BLOCK)
+        roots = [g.root for g in groups[i:i + k]]
+        if m == 1:  # the scalar Q_0 group, one normal per replica
+            z[i:i + k] = np.array(roots)[:, None, None] * xi
         else:
-            np.matmul(group.root, xi, out=z[i])
+            a = xi.view(complex)  # the block's own panels, scaled in place
+            # by complex roots: a float factor's products, without its cast
+            a *= np.array(roots, dtype=complex)[:, :, None]
+            y = np.fft.fft(a, axis=1)[:, :n]
+            z[i:i + k, :, :half] = y.real
+            z[i:i + k, :, half:] = y.imag
+        i, used = i + k, used + k * m * BLOCK
     if shifts is not None:
         z += shifts[:, :, None]
     return z

@@ -226,7 +226,7 @@ class Bench:
     among its keys) and one slab per group of consecutive levels ending at
     a partial sum Y_l it reads: the cumsum of a block over slabs
     0..draw.slab(l) is Y_l.  The caches only grow: group factors (one
-    circulant embedding per group on a regular grid) per (tops, rows),
+    circulant embedding per group) per (tops, rows),
     stencil spectra per (channel, eps, torus), the kernel-table diagonal
     per (channel, eps) and the support kernel table per (eps, eps'), one
     value per row offset; grid-rule kernel values at n_max levels come
@@ -314,7 +314,7 @@ class Bench:
             if self.supp is None:
                 raise ValueError("bench has no test function")
             mol, supp = self.channels[channel], self.supp
-            if not np.isin(supp, interior_rows(self.grid, mol, eps)).all():
+            if not np.isin(supp, interior_rows(self.grid, eps)).all():
                 raise ValueError(f"test function support leaks outside D_eps at eps={eps}")
             x = self.grid.points[supp[0]]
             k_diag = np.full(supp.size, kernels.k_mollified(
@@ -355,20 +355,15 @@ class Bench:
     @property
     def safety_net(self):
         """Sampled rows [lo, hi] and level_groups [first, last] of the last
-        draw and per-group safety net, as the resolved block records them:
-        embedding_min_ratio (smallest eigenvalue over the largest) and
-        torus_points for circulant embeddings, cholesky_jitter (0.0 if
-        none) otherwise."""
+        draw and, per group, its circulant embedding's safety net, as the
+        resolved block records them: embedding_min_ratio (smallest
+        eigenvalue over the largest) and torus_points."""
         d = self.last_draw
         groups = self._factors(d)
-        net = {"sampled_rows": [d.lo, d.hi],
-               "level_groups": [[g.first, g.last] for g in groups]}
-        if groups[-1].embedded:
-            net["embedding_min_ratio"] = [g.net for g in groups]
-            net["torus_points"] = [g.draws for g in groups]
-        else:
-            net["cholesky_jitter"] = [g.net for g in groups]
-        return net
+        return {"sampled_rows": [d.lo, d.hi],
+                "level_groups": [[g.first, g.last] for g in groups],
+                "embedding_min_ratio": [g.net for g in groups],
+                "torus_points": [g.draws for g in groups]}
 
     def cross_table(self, eps, eps2):
         """K_{eps,eps2} of the main channel (grid rule, exact) at the 2S - 1
@@ -537,16 +532,18 @@ def second_moment_oracle(bench, gamma, eps, eps_prime):
 ESTIMANDS = ("mean", "product", "distance2", "event")
 
 
-def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None, trunc=None):
+def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None):
     """Seeded Monte Carlo estimates of several chaos moments from one sweep.
 
     Each job is (params, estimand, eps, eps_prime), read as by mc_moment
     (eps_prime is ignored by "mean" and "event").  Every replica block is
     drawn once for all jobs: per block the field is summed once, convolved
     once per distinct eps, its barrier event evaluated once, and the chaos
-    density computed once per distinct (gamma, eps).  A block holds
-    Y_q..Y_n_max under trunc=(q, lam) and Y_n_max alone otherwise; a q
-    outside 1..n_max raises ValueError before sampling.  The sweep draws
+    density computed once per distinct (gamma, eps).  The jobs' params
+    set one barrier for the sweep: a block holds Y_q..Y_n_max under
+    truncated params (q, lam) and Y_n_max alone otherwise.  Jobs whose
+    truncations differ, an event job on untruncated params and a q
+    outside 1..n_max raise ValueError before sampling.  The sweep draws
     the rows its widest eps reads (Bench.draw), so each estimate equals
     the one its job would get alone, bit for bit, when the job convolves
     at that eps; an event job convolves nothing, and alone it draws the
@@ -556,21 +553,26 @@ def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None, trunc=None):
     job, in job order.
     """
     # distinct gammas and eps, each mapped to its index
-    gammas, epss, events = {}, {}, False
+    gammas, epss, truncs, events = {}, {}, set(), False
     for params, estimand, eps, eps_prime in jobs:
         if estimand not in ESTIMANDS:
             raise ValueError(f"unknown estimand {estimand!r}")
+        gamma, trunc = _gamma_trunc(bench, params)
+        truncs.add(trunc)
         if estimand == "event":
             if trunc is None:
-                raise ValueError("event estimand needs trunc=(q, lam)")
+                raise ValueError("event estimand needs truncated params")
             events = True
             continue
         if estimand != "mean" and eps_prime is None:
             raise ValueError(f"estimand {estimand} needs eps_prime")
-        gammas.setdefault(complex(_gamma_trunc(bench, params)[0]),
-                          len(gammas))
+        gammas.setdefault(complex(gamma), len(gammas))
         for e in (eps,) if estimand == "mean" else (eps, eps_prime):
             epss.setdefault(float(e), len(epss))
+    if len(truncs) > 1:
+        raise ValueError("a sweep draws one barrier, but its jobs' "
+                         f"truncations (q, lam) differ: {list(truncs)}")
+    trunc = truncs.pop() if truncs else None
 
     parts = _chaos_values(bench, list(gammas), [("main", e) for e in epss],
                           trunc, replicas, seed, workers, events)
@@ -585,10 +587,11 @@ def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None, trunc=None):
         row = gammas[complex(gamma)] * len(epss)
         a = row + epss[float(eps)]
         if estimand == "mean":
-            out.append(moment_from_values(
-                f"E[M] eps={eps}", vals[a],
-                oracle=complex(bench.f.sum() * bench.grid.weight),
-                exclude=ovf[a]))
+            # int f is the untruncated mean; the barrier event lowers it
+            orc = (None if trunc
+                   else complex(bench.f.sum() * bench.grid.weight))
+            out.append(moment_from_values(f"E[M] eps={eps}", vals[a],
+                                          oracle=orc, exclude=ovf[a]))
             continue
         b = row + epss[float(eps_prime)]
         orc = None
@@ -608,17 +611,18 @@ def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None, trunc=None):
 
 
 def mc_moment(bench, params, estimand, eps, eps_prime=None, replicas=1000,
-              seed=0, workers=None, trunc=None):
+              seed=0, workers=None):
     """Seeded Monte Carlo estimate of one chaos moment.
 
     estimand: "mean" (E[M], oracle int f), "product" (E[M conj(M')], oracle
     from second_moment_oracle), "distance2" (E|M - M'|^2, oracle by
     expanding the square), or "event" (P[global barrier event], needs
-    trunc=(q, lam)).  A one-job mc_moments sweep.
+    truncated params).  Truncated params put the barrier event A_{q,lam}
+    in each chaos value, and their moments have no oracle.  A one-job
+    mc_moments sweep.
     """
     (m,) = mc_moments(bench, [(params, estimand, eps, eps_prime)],
-                      replicas=replicas, seed=seed, workers=workers,
-                      trunc=trunc)
+                      replicas=replicas, seed=seed, workers=workers)
     return m
 
 
@@ -704,7 +708,7 @@ def kernel_estimate_check(spec, kind, grid, mol=None, eps_ladder=(),
     drops the log comparison term (degenerate-kernel calibration).
     """
     mol = mol if mol is not None else Mollifier()
-    d_rows = cache(lambda eps: interior_rows(grid, mol, eps))  # once per eps
+    d_rows = cache(lambda eps: interior_rows(grid, eps))  # once per eps
 
     def table(eps, eps2, n_levels):
         """(separations, values) of the (eps, eps2) table's offsets."""
@@ -857,6 +861,18 @@ def sup_field_prob(bench, lam, ks, qs, replicas, seed, workers=None):
                           q_final=float(q_vals[-1]) if q_vals else float("nan"))
 
 
+def fit_abscissae(separations, eps):
+    """log(max(s, eps)) per separation s: the abscissae of the tilted
+    exponent fit.  ValueError when they take one value, where no slope
+    can be fitted."""
+    xs = np.log(np.maximum(np.asarray(separations, dtype=float), eps))
+    if xs.min() == xs.max():
+        raise ValueError("the exponent fit needs two distinct log(max(s, "
+                         f"eps)): separations {list(separations)} at "
+                         f"eps={eps} give one")
+    return xs
+
+
 @dataclass(frozen=True)
 class TiltedEventReport:
     """Tilted barrier-event probabilities across a separation ladder."""
@@ -867,7 +883,7 @@ class TiltedEventReport:
     slope_se: float
     exponent_target: float  # (2 alpha - lam)^2 / 2
     one_sided_ok: bool      # slope >= target - 0.3
-    cholesky_jitter: tuple = ()  # per separation, per group (0.0 if none)
+    embedding_min_ratio: tuple = ()  # per separation, per group
     level_groups: tuple = ()     # (first, last) per group
 
 
@@ -879,13 +895,13 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
     For each separation s the field is sampled jointly at x = center - s/2,
     y = center + s/2 with the alpha-tilt toward both points, and the event
     {Y_k(x) <= k lam and Y_k(y) <= k lam for all k in q..n_max} is counted,
-    drawing only those partial sums: each group's summed Gram is
-    Cholesky-factored.
-    The log-probability is then regressed on log(s v eps); the decay
-    exponent should dominate (2 alpha - lam)^2 / 2 - 0.3 one-sidedly.
+    drawing only those partial sums: each group's pair is a 2-point torus.
+    The log-probability is then regressed on log(s v eps) (fit_abscissae);
+    the decay exponent should dominate (2 alpha - lam)^2 / 2 - 0.3 one-sidedly.
     """
     if len(separations) < 4:
         raise ValueError("exponent fits need at least 4 separations")
+    xs = fit_abscissae(separations, eps)
     if not q >= 1 or q > n_max:
         raise ValueError(f"q={q} outside 1..{n_max}")
     if lam <= math.sqrt(2.0 * spec.d):
@@ -897,7 +913,7 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
         below = barrier_below(z, slice(None), lam, tops)
         return (below.all(axis=(0, 1)).astype(float),)
 
-    estimates, jitter = [], []
+    estimates, ratios = [], []
     for si, s in enumerate(separations):
         x, y = center - 0.5 * s, center + 0.5 * s
         grid2 = Grid.from_points(np.array([[x], [y]]), spec.box)
@@ -907,8 +923,7 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
         (ind,) = bench.map_blocks(seed + si, replicas, event, workers,
                                   bench.draw(tops))
         estimates.append(moment_from_values(f"P~[A_{q}] sep={s}", ind))
-        jitter.append(tuple(bench.safety_net["cholesky_jitter"]))
-    xs = np.log(np.maximum(np.asarray(separations, dtype=float), eps))
+        ratios.append(tuple(bench.safety_net["embedding_min_ratio"]))
     probs = np.asarray([max(e.estimate.real, 0.5 / replicas) for e in estimates])
     slope, slope_se = _ls_fit(xs, np.log(probs))
     target = 0.5 * (2.0 * alpha - lam) ** 2
@@ -916,7 +931,7 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
                              estimates=tuple(estimates), slope=slope,
                              slope_se=slope_se, exponent_target=target,
                              one_sided_ok=bool(slope >= target - 0.3),
-                             cholesky_jitter=tuple(jitter),
+                             embedding_min_ratio=tuple(ratios),
                              level_groups=tuple(map(
                                  tuple, bench.safety_net["level_groups"])))
 

@@ -293,25 +293,23 @@ class TestTruncation:
     def test_q_bounds(self, monkeypatch):
         # a barrier level outside 1..n_max is refused before sampling, never
         # drawn and read: the estimator, not the bench, picks the levels,
-        # in mc_moment and in each ladder that truncates (ChaosParams
-        # itself refuses q < 1 there)
+        # in mc_moment and in each ladder that truncates, all of which read
+        # q from params (ChaosParams itself refuses q < 1)
         from logchaos import verify
 
         def no_draws(*a, **k):
             raise AssertionError("a block was drawn")
 
         monkeypatch.setattr(verify, "block_z", no_draws)
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            ChaosParams(f=F, gamma=0.5, truncation=True, q=0, lam=1.6)
         bench = Bench(SPEC, GRID, 6, f=F, mol=MOL)
-        params = ChaosParams(f=F, gamma=0.5)
-        for q in (0, 7):
-            with pytest.raises(ValueError, match=f"Y_{q}"):
-                mc_moment(bench, params, "mean", EPS, replicas=2, seed=9,
-                          trunc=(q, 1.6))
         bench.add_channel("alt", Mollifier(d=1, profile="quartic"))
         params = ChaosParams(f=F, gamma=1.1 + 0.25j, truncation=True, q=7,
                              lam=1.6)
         ladder = [EPS, EPS / 2]
-        for call in (partial(cauchy_ladder, bench, params, ladder),
+        for call in (partial(mc_moment, bench, params, "mean", EPS),
+                     partial(cauchy_ladder, bench, params, ladder),
                      partial(mollifier_independence, bench, params, ladder),
                      partial(sobolev_ladder, bench, params, 0.75, ladder)):
             with pytest.raises(ValueError, match="Y_7"):

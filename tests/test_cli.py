@@ -232,6 +232,13 @@ RUN_ONLY_REJECTIONS = [
     # here D_eps is one point per axis
     ({"kind": "kernel-check", "d": 2, "grid_n": 17, "eps_ladder": [0.24],
       "check": "mollified"}, "d=2 unsupported"),
+    # tilt-check separations whose fit abscissae log(max(s, eps)) take one
+    # value, so that no exponent can be fitted
+    ({"kind": "tilt-check", "separations": [0.1, 0.1, 0.1, 0.1]},
+     "separations"),
+    ({"kind": "tilt-check", "eps": 1.0}, "separations"),
+    ({"kind": "tilt-check", "separations": [1e-300, 1e-300, 2e-300, 3e-300]},
+     "separations"),
 ]
 
 
@@ -624,11 +631,12 @@ class TestRunRecord:
                      str(tmp_path / "r")]) == 0
         assert "replay verified" in capsys.readouterr().out
 
-    def test_safety_nets_reduce_nested_jitter(self):
-        resolved = {"cholesky_jitter": [[0.0, 1e-10], [1e-12, 0.0]],
+    def test_safety_nets_reduce_nested_ratios(self):
+        # tilt-check records one ratio per group per separation
+        resolved = {"embedding_min_ratio": [[1.0, 0.5], [1.0, -1e-13]],
                     "level_groups": [[2, 8]]}
-        assert safety_nets(resolved) == {"cholesky_jitter": 1e-10,
-                                         "fired": ["cholesky_jitter"]}
+        assert safety_nets(resolved) == {"embedding_min_ratio": -1e-13,
+                                         "fired": ["embedding_min_ratio"]}
         assert safety_nets({"slope": 1.0}) == {"fired": []}
 
     @pytest.mark.parametrize("resolved,fired", [
@@ -637,14 +645,14 @@ class TestRunRecord:
         ({"embedding_min_ratio": [0.5, -1e-13]}, ["embedding_min_ratio"]),
         ({"embedding_min_ratio": [0.5, 6.5e-6]}, []),
         ({"embedding_min_ratio": [0.5, 0.0]}, []),
-        ({"cholesky_jitter": [0.0, 0.0]}, []),
-        ({"cholesky_jitter": [0.0, 3e-9]}, ["cholesky_jitter"]),
+        ({"embedding_min_ratio": [[1.0, 0.5], [1.0, 0.0]]}, []),
+        ({"embedding_min_ratio": [[1.0, -1e-14], [1.0, 0.5]]},
+         ["embedding_min_ratio"]),
         ({"excluded": [0, 2, 0], "empty_blocks": [0, 0]}, ["excluded"]),
         ({"excluded": [0], "empty_blocks": [[0, 1]]}, ["empty_blocks"]),
-        ({"embedding_min_ratio": [-1e-14], "cholesky_jitter": [1e-10],
-          "excluded": [1], "empty_blocks": [1]},
-         ["embedding_min_ratio", "cholesky_jitter", "excluded",
-          "empty_blocks"]),
+        ({"embedding_min_ratio": [-1e-14], "excluded": [1],
+          "empty_blocks": [1]},
+         ["embedding_min_ratio", "excluded", "empty_blocks"]),
     ])
     def test_safety_nets_name_the_fired(self, resolved, fired):
         assert safety_nets(resolved)["fired"] == fired
@@ -899,7 +907,8 @@ class TestEstimatorLevels:
     each plan once passed its Bench: the same groups and tori per kind."""
 
     # the acceptance test_13 configs of each sampled kind and a truncated
-    # cauchy, with their level_groups and torus_points (None: Cholesky)
+    # cauchy, with their level_groups and torus_points (None: tilt-check
+    # records ratios per separation, each group on a 2-point torus)
     @pytest.mark.parametrize("cfg,groups,torus", [
         ({"kind": "field-stats", "grid_n": 128, "eps": 2.0 ** -4,
           "eps_prime": 2.0 ** -5, "var_levels": [2, 4], "probes": 3,
@@ -933,6 +942,10 @@ class TestEstimatorLevels:
         nets = run(1, "id")[2]
         assert nets["level_groups"] == groups
         assert nets.get("torus_points") == torus
+        if torus is None:  # per separation, one positive ratio per group
+            ratios = nets["embedding_min_ratio"]
+            assert len(ratios) == 4
+            assert all(len(r) == len(groups) and min(r) > 0 for r in ratios)
 
     def test_untruncated_moments_draw_one_group(self):
         grid = Grid.regular((0.0, 1.0), 128)
@@ -1039,6 +1052,18 @@ class TestRunDirectory:
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(p.name for p in out.iterdir()) == sorted(
             [*manifest["csv_sha256"], "manifest.json", "verdicts.json"])
+
+    def test_no_run_factors_a_matrix(self, tmp_path, capsys, monkeypatch):
+        # every sampled kind, tilt-check's pair too, draws through circulant
+        # roots alone: no run asks LAPACK for a Cholesky factor
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense Cholesky factor was built")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        for i, cfg in enumerate(TINY):
+            out = tmp_path / f"out{i}"
+            code = main(["run", cfg_file(tmp_path, cfg), "--out", str(out)])
+            assert code in (0, 1), cfg["kind"]
 
 
 class TestConfigFuzz:

@@ -235,8 +235,8 @@ class TestGram:
 def interior_table(spec, grid, eps, eps_prime, mol, rule, n_levels, nodes=32):
     """(rows, rows_p, values): K_{eps,eps'} on the D_eps x D_eps' rows,
     gathered from the per-offset values of kernels.offset_table."""
-    rows = interior_rows(grid, mol, eps)
-    rows_p = interior_rows(grid, mol, eps_prime)
+    rows = interior_rows(grid, eps)
+    rows_p = interior_rows(grid, eps_prime)
     lo, _, vals = kernels.offset_table(spec, grid, rows, rows_p, eps,
                                        eps_prime, mol, rule, n_levels, nodes)
     return rows, rows_p, vals[np.subtract.outer(rows, rows_p) - lo]
@@ -284,9 +284,8 @@ class TestOffsetTable:
         # pairs' separations, which on a dyadic grid are exactly o h
         spec = KernelSpec(d=d)
         grid = Grid.regular((0.0, 1.0), n)
-        mol = Mollifier(d=d)
-        rows = mollifier.interior_rows(grid, mol, eps)
-        rows_p = mollifier.interior_rows(grid, mol, eps_prime)
+        rows = mollifier.interior_rows(grid, eps)
+        rows_p = mollifier.interior_rows(grid, eps_prime)
         table, oracle = self.offsets_and_oracle(spec, grid, rows, rows_p, eps,
                                                 eps_prime, rule, nodes)
         assert np.abs(table - oracle).max() <= 1e-14 * np.abs(oracle).max()
@@ -342,8 +341,8 @@ class TestLatticeTable:
         grid = Grid.regular((0.0, 1.0), n)
         mol = Mollifier(d=1)
         for eps, eps_prime, n_levels in ladder_tables(SPEC1):
-            rows = interior_rows(grid, mol, eps)
-            rows_p = interior_rows(grid, mol, eps_prime)
+            rows = interior_rows(grid, eps)
+            rows_p = interior_rows(grid, eps_prime)
             lo, _, vals = kernels.offset_table(SPEC1, grid, rows, rows_p, eps,
                                                eps_prime, mol, rule, n_levels)
             offs = lo + np.arange(vals.size)
@@ -374,8 +373,8 @@ class TestLatticeTable:
 
         monkeypatch.setattr(kernels, "_lattice_table", counted)
         for eps, eps_prime, n_levels in ladder_tables(SPEC1)[:tables]:
-            rows = interior_rows(grid, mol, eps)
-            rows_p = interior_rows(grid, mol, eps_prime)
+            rows = interior_rows(grid, eps)
+            rows_p = interior_rows(grid, eps_prime)
             _, seps, vals = kernels.offset_table(SPEC1, grid, rows, rows_p,
                                                  eps, eps_prime, mol,
                                                  "midpoint", n_levels)
@@ -452,13 +451,13 @@ class TestLatticeTable:
             qs.append(kernels._lattice_bins(mol, eps, eps_prime, "midpoint",
                                             grid.h, 32)[0])
             before = len(windows)
-            kernels.offset_table(SPEC1, grid, interior_rows(grid, mol, eps),
-                                 interior_rows(grid, mol, eps_prime), eps,
+            kernels.offset_table(SPEC1, grid, interior_rows(grid, eps),
+                                 interior_rows(grid, eps_prime), eps,
                                  eps_prime, mol, "midpoint", n_levels)
             assert len(windows) - before == (qs[-1] > 1), (eps, eps_prime)
         assert qs.count(1) == 12 and len(windows) == 6
         grid = Grid.regular((0.0, 1.0), 4096)
-        rows = interior_rows(grid, mol, 2 ** -3)
+        rows = interior_rows(grid, 2 ** -3)
         kernels.offset_table(SPEC1, grid, rows, rows, 2 ** -3, 2 ** -3, mol,
                              "midpoint", exact_level(SPEC1, 2 ** -3))
         assert len(windows) == 7
@@ -495,10 +494,10 @@ class TestOffsetSeparations:
         grid = Grid.regular((0.0, 1.0), 512)
         mol = Mollifier(d=1)
         for eps, eps_prime, n_levels in ladder_tables(SPEC1):
-            self.assert_same(grid, interior_rows(grid, mol, eps),
-                             interior_rows(grid, mol, eps_prime), eps,
+            self.assert_same(grid, interior_rows(grid, eps),
+                             interior_rows(grid, eps_prime), eps,
                              eps_prime, mol, "midpoint", n_levels)
-        rows = interior_rows(grid, mol, 2 ** -3)
+        rows = interior_rows(grid, 2 ** -3)
         for a, b in [(rows[::5], rows[3::7]),
                      (np.array([140, 300, 177]), np.array([350, 133]))]:
             self.assert_same(grid, a, b, 2 ** -3, 2 ** -3, mol, "midpoint",
@@ -694,7 +693,7 @@ class TestMollifiedTable:
         coarse = Grid.regular((0.0, 1.0), 16)
         free = Grid.from_points(np.linspace(0.1, 0.9, 9)[:, None], (0.0, 1.0))
         with pytest.raises(ValueError, match="regular grid"):
-            interior_rows(free, Mollifier(d=1), 2 ** -3)
+            interior_rows(free, 2 ** -3)
         with pytest.raises(ResolutionError):
             kernel_estimate_check(SPEC1, "mollified", coarse,
                                   eps_ladder=[2 ** -3], rule=rule)

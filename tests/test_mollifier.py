@@ -204,7 +204,7 @@ class TestConvolveGrid:
     @staticmethod
     def _offset_loop(grid, mol, eps):
         # W as built before the band write: one fancy-index add per offset
-        rows = interior_rows(grid, mol, eps)
+        rows = interior_rows(grid, eps)
         offs, w = discrete_stencil(mol, eps, grid.h)
         multi = np.stack(np.unravel_index(rows, grid.shape), axis=-1)
         W = np.zeros((rows.size, grid.n))

@@ -10,7 +10,7 @@ from logchaos import (Bench, Grid, KernelSpec, Mollifier, NumericError,
                       tilt_shift_rows)
 from logchaos.kernels import lattice_row
 from logchaos.mollifier import discrete_stencil, interior_rows, weight_matrix
-from logchaos.sampler import (BLOCK, block_z, circulant_root, free_cholesky,
+from logchaos.sampler import (BLOCK, block_z, circulant_root,
                               next_fast_len as torus_len)
 
 SPEC = KernelSpec(d=1)
@@ -21,8 +21,8 @@ def grid_table(eps, eps_prime, mol, n_levels):
     """(rows, rows_p, values): the grid-rule K_{eps,eps'} on the D_eps x
     D_eps' rows of GRID, gathered from the per-offset values of
     kernels.offset_table."""
-    rows = interior_rows(GRID, mol, eps)
-    rows_p = interior_rows(GRID, mol, eps_prime)
+    rows = interior_rows(GRID, eps)
+    rows_p = interior_rows(GRID, eps_prime)
     lo, _, vals = kernels.offset_table(SPEC, GRID, rows, rows_p, eps,
                                        eps_prime, mol, "grid", n_levels)
     return rows, rows_p, vals[np.subtract.outer(rows, rows_p) - lo]
@@ -31,7 +31,7 @@ def grid_table(eps, eps_prime, mol, n_levels):
 def stencil_field(y, eps, mol, grid=GRID):
     """(rows, X_eps): the discrete_stencil taps applied to a full-grid y of
     shape (N, ...) at the D_eps rows, with no dense W."""
-    rows = interior_rows(grid, mol, eps)
+    rows = interior_rows(grid, eps)
     offs, taps = discrete_stencil(mol, eps, grid.h)
     return rows, sum(t * y[rows + o] for o, t in zip(offs[:, 0], taps))
 
@@ -254,8 +254,8 @@ class TestTilt:
 
 class TestBandedEngine:
     """The level engine for banded (compactly supported) level Grams: an
-    exact circulant embedding per level on regular d=1 grids, a dense
-    Cholesky factor on free point sets."""
+    exact circulant embedding per level, on the lattice of a regular d=1
+    grid or on the 2-point torus of a free pair."""
 
     GRID512 = Grid.regular((0.0, 1.0), 512)
 
@@ -272,7 +272,7 @@ class TestBandedEngine:
         grid = Grid.regular((0.0, 1.0), n)
         levels = increment_factors(SPEC, grid, 8)[1:]
         for k, level in enumerate(levels, start=1):
-            assert level.embedded and level.net > 0.0, f"level {k}"
+            assert level.root.ndim == 1 and level.net > 0.0, f"level {k}"
             m = level.root.size
             assert m >= n + 1
             row = np.fft.ifft(m * level.root ** 2).real
@@ -288,7 +288,7 @@ class TestBandedEngine:
 
         monkeypatch.setattr(kernels, "gram", no_gram)
         levels = increment_factors(SPEC, self.GRID512, 8)[1:]
-        assert all(level.embedded for level in levels)
+        assert all(level.root.ndim == 1 for level in levels)
         grid_table(2 ** -3, 2 ** -3, Mollifier(d=1), 6)
 
     @pytest.mark.parametrize("tilted", [False, True])
@@ -341,16 +341,95 @@ class TestBandedEngine:
         with pytest.raises(NumericError, match="Q_3"):
             circulant_root(row, name="Q_3")
 
-    def test_jitter_policy(self):
-        # needs a diagonal shift above 2.5e-10: the first step, 1e-10 *
-        # trace / N, fails and the x10 escalation succeeds
-        near = np.array([[1.0, 1.0], [1.0, 1.0 - 5e-10]])
-        base = 1e-10 * np.trace(near) / 2
-        assert free_cholesky(near).net == base * 10.0
-        with pytest.raises(NumericError, match="Q_3"):
-            free_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]), name="Q_3")
-        zero = free_cholesky(np.zeros((3, 3)))
-        assert zero.net == 0.0 and not zero.root.any()
+    @pytest.mark.parametrize("q0", [0.0, 1.0], ids=["zero", "constant"])
+    @pytest.mark.parametrize("sep", [math.exp(-2), math.exp(-5), 0.3, 0.0],
+                             ids=["e-2", "e-5", "outside", "coincident"])
+    def test_pair_rows_match_gram(self, sep, q0):
+        # a free pair's group Gram [[L(0), L(s)], [L(s), L(0)]] is the
+        # circulant of its 2-point torus: its factor reproduces the dense
+        # Gram sums of the tilt-check groups and of the per-level draw
+        spec = KernelSpec(d=1, q0=q0)
+        pair = Grid.from_points(np.array([0.5 - sep / 2, 0.5 + sep / 2]),
+                                (0.0, 1.0))
+        for levels in (None, range(2, 9)):
+            for g in increment_factors(spec, pair, 8, levels=levels)[1:]:
+                assert g.root.shape == (2,) and g.rows == 2
+                ref = sum(gram(spec, k, pair)
+                          for k in range(g.first, g.last + 1))
+                row = np.fft.ifft(2 * g.root ** 2).real
+                assert np.abs(row - ref[0]).max() <= 1e-15 * ref[0, 0], \
+                    f"group {g.first}..{g.last}"
+                assert g.net >= 0.0 and (g.net == 0.0) == (sep == 0.0)
+
+    def test_pair_builds_no_gram(self, monkeypatch):
+        # every group factor is a circulant root: the pair reads lattice
+        # rows, and LAPACK is never asked for a factor
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense factor was built")
+
+        monkeypatch.setattr(kernels, "gram", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        pair = Grid.from_points(np.array([0.45, 0.55]), (0.0, 1.0))
+        groups = increment_factors(SPEC, pair, 8, levels=range(2, 9))
+        assert [g.draws for g in groups] == [2] * 7
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_other_free_sets_refused(self, n):
+        free = Grid.from_points(np.linspace(0.1, 0.9, n), (0.0, 1.0))
+        with pytest.raises(ValueError, match="pair only"):
+            increment_factors(SPEC, free, 4)
+
+    @staticmethod
+    def fft_calls(monkeypatch, *args):
+        """(block_z(*args), the input shape of each np.fft.fft call it
+        made)."""
+        calls, fft = [], np.fft.fft
+
+        def counted(*a, **k):
+            calls.append(a[0].shape)
+            return fft(*a, **k)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.fft, "fft", counted)
+            z = block_z(*args)
+        return z, calls
+
+    def test_block_z_matches_per_group_fft(self, monkeypatch):
+        # the ladder-2048 draw: levels 7 and 8 share their 720-point torus
+        # and one FFT call, every other group transforms alone; the bytes
+        # equal one FFT per group of its own panel
+        grid = Grid.regular((0.0, 1.0), 2048)
+        bench = Bench(SPEC, grid, 8, f=bump_function(grid, center=0.5,
+                                                     radius=0.05))
+        draw = bench.draw(range(2, 9), [("main", 2 ** -3)])
+        factors = bench._factors(draw)
+        assert [g.draws for g in factors] == [1500, 864, 768, 750, 729,
+                                              720, 720]
+        seed, start = 7, 96
+        z, calls = self.fft_calls(monkeypatch, SPEC, grid, factors, seed,
+                                  start, 8)
+        half = BLOCK // 2
+        assert calls == [(1, 1500, half), (1, 864, half), (1, 768, half),
+                         (1, 750, half), (1, 729, half), (2, 720, half)]
+        panels = stream_panels(seed, start // BLOCK,
+                               [g.draws for g in factors])
+        for i, (g, xi) in enumerate(zip(factors, panels)):
+            y = np.fft.fft(g.root[:, None] * xi.view(complex), axis=0)
+            ref = np.concatenate([y.real, y.imag], axis=1)[:draw.rows]
+            assert np.array_equal(z[i], ref), f"group {g.first}..{g.last}"
+
+    def test_pair_draws_in_one_fft(self, monkeypatch):
+        # tilt-check's draw: the pair's seven groups share M = 2, so a
+        # block takes one FFT call, with the bytes of the per-level draw's
+        # FFT of each panel alone
+        pair = Grid.from_points(np.array([0.45, 0.55]), (0.0, 1.0))
+        bench = Bench(SPEC, pair, 8)
+        factors = bench._factors(bench.draw(range(2, 9)))
+        z, calls = self.fft_calls(monkeypatch, SPEC, pair, factors, 3, 32, 8)
+        assert calls == [(7, 2, BLOCK // 2)] and z.shape == (7, 2, BLOCK)
+        for g, xi, zi in zip(factors, stream_panels(3, 1, [2] * 7), z):
+            y = np.fft.fft(g.root[:, None] * xi.view(complex), axis=0)
+            assert np.array_equal(zi, np.concatenate([y.real, y.imag], 1))
 
 
 class TestSampledWindow:
@@ -468,7 +547,7 @@ class TestLevelGroups:
         assert [g.first for g in groups] == [0] + [g.last + 1
                                                    for g in groups[:-1]]
         for g in groups:
-            assert g.embedded and g.rows == w
+            assert g.root.ndim == 1 and g.rows == w
             assert g.net > 0.0, f"group {g.first}..{g.last}"
             row = np.fft.ifft(g.root.size * g.root ** 2).real
             ref = lattice_row(spec, range(max(g.first, 1), g.last + 1),
@@ -483,18 +562,19 @@ class TestLevelGroups:
                          shifts=None):
         """The per-level draw, inline: default_rng([seed, block]) yields the
         Q_0 normals, then one (M_k, BLOCK) panel per level k, each taken
-        through one FFT of its circulant root (a Cholesky product on free
-        points)."""
+        through one FFT of its circulant root (on a 2-point torus of
+        spacing |x1 - x0| for a free pair)."""
         w, half = hi - lo + 1, BLOCK // 2
         roots = []
         for k in range(1, n_max + 1):
             if grid.h is None:
-                roots.append(np.linalg.cholesky(gram(spec, k, grid)))
-                continue
-            band = math.floor(math.exp(-(spec.t0 + k)) / grid.h)
-            m = next_fast_len(w + band + 1, True)
+                h, m = abs(np.diff(grid.points[:, 0])[0]), 2
+            else:
+                h = grid.h
+                band = math.floor(math.exp(-(spec.t0 + k)) / h)
+                m = next_fast_len(w + band + 1, True)
             o = np.arange(m)
-            lam = np.fft.fft(lattice_row(spec, [k], grid.h,
+            lam = np.fft.fft(lattice_row(spec, [k], h,
                                          np.minimum(o, m - o))).real
             roots.append(np.sqrt(np.maximum(lam, 0.0) / m))
         blocks = []
@@ -503,10 +583,7 @@ class TestLevelGroups:
             z = np.empty((n_max + 1, w, BLOCK))
             z[0] = np.sqrt(spec.q0) * rng.standard_normal(BLOCK)
             for k, root in enumerate(roots, start=1):
-                xi = rng.standard_normal((root.shape[0], BLOCK))
-                if root.ndim == 2:
-                    z[k] = root @ xi
-                    continue
+                xi = rng.standard_normal((root.size, BLOCK))
                 y = np.fft.fft(root[:, None] * xi.view(complex), axis=0)[:w]
                 z[k, :, :half] = y.real
                 z[k, :, half:] = y.imag

@@ -33,6 +33,13 @@ def small_bench(n_max=7, f=F, grid=GRID):
     return Bench(SPEC, grid, n_max, f=f)
 
 
+def truncated(trunc):
+    """ChaosParams keywords of the barrier trunc = (q, lam), none for None."""
+    if trunc is None:
+        return {}
+    return {"truncation": True, "q": trunc[0], "lam": trunc[1]}
+
+
 class TestMomentEstimate:
     def test_moments_and_se(self):
         vals = np.array([1.0, 2.0, 3.0, 4.0])
@@ -173,25 +180,29 @@ class TestBench:
                 cross = bench.cross_table(eps, eps)
                 assert np.array_equal(k_diag, np.full(s, cross[s - 1])), eps
 
-    def test_cholesky_jitter_recorded(self):
-        # coincident points make every level Gram singular, so each free-set
-        # factor needs jitter (the scalar Q_0 group needs none), grouped or
-        # not, even where rounding leaves a tiny positive pivot; the
-        # acceptance geometry is embedded instead, with every group's
-        # eigenvalue ratio recorded and positive; a bench reports the
-        # groups of its last draw, every level before any
+    def test_coincident_pair_embeds(self):
+        # coincident points make every level Gram singular: on its 2-point
+        # torus each group's eigenvalues are 2 L(0) and exactly 0, so every
+        # ratio reads 0.0 (the scalar Q_0 group 1.0), no eigenvalue is
+        # clipped and both points draw the same bytes, grouped or not; the
+        # acceptance geometry has every group's ratio positive; a bench
+        # reports the groups of its last draw, every level before any
+        from logchaos.cli import safety_nets
         pair = Grid.from_points(np.array([[0.4], [0.4]]), (0.0, 1.0))
         net = Bench(SPEC, pair, 4).safety_net
-        jitter = net["cholesky_jitter"]
         assert net["level_groups"] == [[k, k] for k in range(5)]
-        assert len(jitter) == 5 and jitter[0] == 0.0
-        assert all(j > 0.0 for j in jitter[1:])
-        bench = Bench(SPEC, pair, 4)
-        bench.map_blocks(0, 1, lambda start, z: (z,), draw=bench.draw([2]))
-        grouped = bench.safety_net
-        assert grouped["level_groups"] == [[0, 2], [3, 4]]
-        assert len(grouped["cholesky_jitter"]) == 2
-        assert all(j > 0.0 for j in grouped["cholesky_jitter"])
+        assert net["embedding_min_ratio"] == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert net["torus_points"] == [1, 2, 2, 2, 2]
+        assert safety_nets(net)["fired"] == []
+        for levels, groups in ((None, [[k, k] for k in range(5)]),
+                               ([2], [[0, 2], [3, 4]])):
+            bench = Bench(SPEC, pair, 4)
+            (z,) = bench.map_blocks(0, 64, lambda start, zb: (zb,),
+                                    draw=bench.draw(levels))
+            ratios = bench.safety_net["embedding_min_ratio"]
+            assert bench.safety_net["level_groups"] == groups
+            assert ratios == [ratios[0]] + [0.0] * (len(groups) - 1)
+            assert np.array_equal(z[:, 0], z[:, 1]) and z[1:].any()
         fine = Grid.regular((0.0, 1.0), 2048)
         ratios = Bench(SPEC, fine, 8).safety_net["embedding_min_ratio"]
         assert len(ratios) == 9 and all(0.0 < r <= 1.0 for r in ratios)
@@ -223,7 +234,7 @@ class TestBench:
              [(0, 2), (3, 8)]),
             (lambda b: cauchy_ladder(b, params, ladder, 40, 0), barrier),
             (lambda b: mc_moments(b, [(params, "event", 2 ** -4, None)], 40,
-                                  0, trunc=(2, 2.0)), barrier),
+                                  0), barrier),
             (lambda b: sup_field_prob(b, 1.6, [4], [5], 40, 0),
              [(0, 4)] + [(k, k) for k in range(5, 9)]),
             (lambda b: sup_field_prob(b, 1.6, [5], [4], 40, 0),
@@ -522,9 +533,8 @@ class TestSampledWindow:
         (lambda b: mc_moment(b, ChaosParams(f=F, gamma=0.5), "product",
                              2 ** -5, eps_prime=2 ** -4, replicas=40),
          2 ** -4),
-        (lambda b: mc_moments(b, [(ChaosParams(f=F, gamma=0.5), "event",
-                                   2 ** -3, None)], 40, 0, trunc=(2, 1.6)),
-         0.0),
+        (lambda b: mc_moments(b, [(TestSampledWindow.TRUNC, "event",
+                                   2 ** -3, None)], 40, 0), 0.0),
         (lambda b: cauchy_ladder(b, TestSampledWindow.TRUNC,
                                  [2 ** -3, 2 ** -4], 40, 0), 2 ** -3),
         (lambda b: mollifier_independence(
@@ -668,8 +678,8 @@ class TestEngineAgreement:
             full, vals = vals, (dens * ok).sum(axis=0) * GRID.weight
             assert np.any(vals != full), \
                 "no replica left the barrier event; the case is vacuous"
-        m = mc_moment(bench, ChaosParams(f=F, gamma=gamma), "mean", self.EPS,
-                      replicas=R, seed=seed, trunc=trunc)
+        params = ChaosParams(f=F, gamma=gamma, **truncated(trunc))
+        m = mc_moment(bench, params, "mean", self.EPS, replicas=R, seed=seed)
         assert m.replicas == R and m.excluded == 0
         assert abs(m.estimate - vals.mean()) <= 1e-10 * abs(vals.mean())
 
@@ -737,15 +747,34 @@ class TestMcMoment:
     def test_event_sure_at_huge_lambda(self):
         bench = small_bench()
         params = ChaosParams(f=F, gamma=0.8, truncation=True, q=2, lam=50.0)
-        m = mc_moment(bench, params, "event", 2 ** -4, replicas=200, seed=5,
-                      trunc=(2, 50.0))
+        m = mc_moment(bench, params, "event", 2 ** -4, replicas=200, seed=5)
         assert m.estimate == 1.0 + 0j and m.se_re == 0.0
 
     def test_event_needs_trunc(self):
         bench = small_bench()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="truncated params"):
             mc_moment(bench, ChaosParams(f=F, gamma=0.8), "event", 2 ** -4,
                       replicas=64, seed=0)
+
+    def test_truncation_read_from_params(self):
+        # truncated params put the barrier event in the chaos value: the
+        # mean moves off the untruncated one, and a sweep whose jobs
+        # disagree on (q, lam) is refused before sampling
+        bench = small_bench()
+        trunc = ChaosParams(f=F, gamma=1.1 + 0.25j, **truncated((2, 1.6)))
+        plain = ChaosParams(f=F, gamma=1.1 + 0.25j)
+        a, b = (mc_moment(bench, p, "mean", 2 ** -4, replicas=400, seed=3)
+                for p in (trunc, plain))
+        assert a.estimate != b.estimate
+        # int f is the untruncated mean alone
+        assert a.oracle is None and b.oracle is not None
+        other = ChaosParams(f=F, gamma=0.5, **truncated((3, 1.6)))
+        for jobs in ([(trunc, "mean", 2 ** -4, None),
+                      (plain, "mean", 2 ** -4, None)],
+                     [(trunc, "event", 2 ** -4, None),
+                      (other, "mean", 2 ** -4, None)]):
+            with pytest.raises(ValueError, match="truncations"):
+                mc_moments(bench, jobs, replicas=40, seed=0)
 
     def test_two_field_params_rejected(self):
         # one sampled field cannot carry two-field chaos; reading
@@ -772,13 +801,14 @@ class TestMomentSweep:
 
     EPS, EPS_PRIME = 2 ** -3, 2 ** -4
 
-    def jobs(self, estimands=("mean", "product", "distance2")):
-        return [(ChaosParams(f=F, gamma=g), est, self.EPS, self.EPS_PRIME)
+    def jobs(self, estimands=("mean", "product", "distance2"), trunc=None):
+        return [(ChaosParams(f=F, gamma=g, **truncated(trunc)), est,
+                 self.EPS, self.EPS_PRIME)
                 for g in (0.8, 0.5 + 0.5j) for est in estimands]
 
-    def assert_bitwise(self, bench, jobs, workers, trunc=None):
+    def assert_bitwise(self, bench, jobs, workers):
         sweep = mc_moments(bench, jobs, replicas=100, seed=6,
-                           workers=workers, trunc=trunc)
+                           workers=workers)
         assert len(sweep) == len(jobs)
         for (params, est, eps, eps_p), m in zip(jobs, sweep):
             if est == "event":
@@ -787,12 +817,11 @@ class TestMomentSweep:
                 # job's eps here) gives it the sweep's rows
                 alone = mc_moments(bench, [(params, est, eps, eps_p),
                                            (params, "mean", self.EPS, None)],
-                                   replicas=100, seed=6, workers=workers,
-                                   trunc=trunc)[0]
+                                   replicas=100, seed=6,
+                                   workers=workers)[0]
             else:
                 alone = mc_moment(bench, params, est, eps, eps_prime=eps_p,
-                                  replicas=100, seed=6, workers=workers,
-                                  trunc=trunc)
+                                  replicas=100, seed=6, workers=workers)
             # repr tells -0.0 from 0.0: estimate, SEs, z, oracle, excluded
             assert repr(m) == repr(alone), est
 
@@ -804,10 +833,10 @@ class TestMomentSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_truncated_with_event(self, workers):
         bench = small_bench()
-        jobs = self.jobs(("mean", "event", "product", "distance2"))
-        self.assert_bitwise(bench, jobs, workers, trunc=(2, 1.6))
-        event = mc_moments(bench, jobs[1:2], replicas=100, seed=6,
-                           trunc=(2, 1.6))[0]
+        jobs = self.jobs(("mean", "event", "product", "distance2"),
+                         trunc=(2, 1.6))
+        self.assert_bitwise(bench, jobs, workers)
+        event = mc_moments(bench, jobs[1:2], replicas=100, seed=6)[0]
         assert 0.0 < event.estimate.real < 1.0, "the barrier event is vacuous"
 
     def test_oracle_table_per_eps_pair(self, monkeypatch):
@@ -957,7 +986,7 @@ class TestKernelEstimateCheck:
             rep = kernel_estimate_check(spec, "mollified", grid,
                                         eps_ladder=[eps], nodes=nodes)
             mol = Mollifier(d=1)
-            rows = rows_p = interior_rows(grid, mol, eps)
+            rows = rows_p = interior_rows(grid, eps)
             lo, _, vals = kernels.offset_table(
                 spec, grid, rows, rows_p, eps, eps, mol, "midpoint",
                 kernels.exact_level(spec, eps), nodes)
@@ -1137,6 +1166,15 @@ class TestTiltedEventProb:
         gap = abs(est.estimate.real - direct)
         se = math.hypot(est.se_re, se_d)
         assert gap <= 4 * se, f"tilt-free vs direct: {est.estimate.real} vs {direct}"
+
+    @pytest.mark.parametrize("seps,eps", [
+        ([0.1] * 4, math.exp(-5)), (SEPS, 1.0),
+        ([1e-300, 1e-300, 2e-300, 3e-300], math.exp(-5))])
+    def test_one_abscissa_refused(self, seps, eps):
+        # log(max(s, eps)) takes one value: no slope, refused before a draw
+        with pytest.raises(ValueError, match="two distinct"):
+            tilted_event_prob(SPEC, seps, eps, eps, 2, 1.6, 1.1, 6,
+                              replicas=64, seed=0)
 
     def test_needs_four_separations(self):
         with pytest.raises(ValueError):
