@@ -38,12 +38,16 @@ EXIT_NUMERIC = 3
 
 DEFAULT_LADDER = [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7]
 
-# radii one kernel-check table may evaluate, bounded from above by
-# kernels.midpoint_work as offsets x cloud pairs; a table at grid_n 4096
-# counts 8191 offsets x 1024 cloud pairs = 8.4e6.  The bound is the per-offset
-# fold's; a table on the lattice path evaluates one radius per lag and
-# undercuts it.  A radius costs one closed-form pass at any level count
-TABLE_WORK_BOUND = 10 ** 7
+# products one kernel-check run may take, summed over the tables it builds
+# (kernels.table_work: offsets x stencil-pair lags, one np.correlate per
+# table).  Up to v0.20.0 a table was admitted up to 9,765 offsets, and a
+# table has at most N + 1 lags, so 9,765 x (2^17 + 1) admits every such
+# table.  On a 2-vCPU Xeon the default ladders at grid_n 16384 (1.1e9
+# products) take 0.21 s, and grid_n 2^17 with eps_ladder [0.245] takes
+# 0.08 s for its 6.7e8 products, after 0.61 s building the bins of its
+# 64,183-tap stencils: the bins, quadratic in the stencil width and built
+# once per eps pair, are not counted
+TABLE_WORK_BOUND = 9765 * (2 ** 17 + 1)
 
 # points one phase scan may label, 25 times the 200 x 200 default.  On a
 # 2-vCPU Xeon, phase.classify takes 2.3 us a point (10^5 points in 0.23 s),
@@ -211,7 +215,7 @@ def _resolve_common(cfg, used, default_n=2048, default_radius=0.05,
                                        else convolved, default_radius)
     level = kernels.exact_level(spec, min(eps for _, eps in used))
     n_max = _int(cfg, "n_max", level + 1, lo=level, hi=LEVEL_BOUND)
-    return spec, grid, f, {"d": spec.d, "grid_n": grid.shape[0],
+    return spec, grid, f, {"d": spec.d, "grid_n": grid.n,
                            "f_center": center, "f_radius": radius,
                            "q_floor": q0_for(f, grid), "n_max": n_max,
                            "grid_digest": grid.digest()}
@@ -331,13 +335,19 @@ def plan_kernel_check(cfg):
     if "partial" in kinds:
         used.append(("eps_fixed", eps_fixed))
     grid = _grid(cfg, spec, 512, used)
-    # a (eps, eps') table has no more offsets than the (eps', eps') one
-    work = max(kernels.midpoint_work(grid, e, e) for _, e in used)
+    # the tables the run builds: (eps, eps) and (eps, next rung) per rung,
+    # and one (eps_fixed, eps_fixed) per level rung
+    pairs = []
+    if "mollified" in kinds:
+        pairs += [(e, e2) for i, e in enumerate(ladder)
+                  for e2 in [e, *ladder[i + 1:i + 2]]]
+    if "partial" in kinds:
+        pairs += [(eps_fixed, eps_fixed)] * len(n_ladder)
+    work = sum(kernels.table_work(grid, e, e2) for e, e2 in pairs)
     if work > TABLE_WORK_BOUND:
         raise ConfigError(
-            f"kernel-check at d={spec.d}, grid_n={grid.shape[0]} needs "
-            f"{work:.3g} kernel radii per table, over the bound "
-            f"{TABLE_WORK_BOUND:.0e}")
+            f"kernel-check at d={spec.d}, grid_n={grid.n} needs {work:.3g} "
+            f"kernel-table products, over the bound {TABLE_WORK_BOUND:.3g}")
 
     def run(workers, run_id):
         rows, verdicts = [], {}
@@ -354,7 +364,7 @@ def plan_kernel_check(cfg):
                                         "ratio_prev", "run_id"], rows)}
         return tables, verdicts, {}
 
-    return {"d": spec.d, "grid_n": grid.shape[0], "eps_ladder": ladder,
+    return {"d": spec.d, "grid_n": grid.n, "eps_ladder": ladder,
             "n_ladder": n_ladder, "eps_fixed": eps_fixed,
             "grid_digest": grid.digest()}, run
 
@@ -562,7 +572,7 @@ def plan_sup_prob(cfg):
             "slope": rep.slope, "slope_se": rep.slope_se, **bench.safety_net}
 
     return {"d": d, "lam": lam, "ks": ks, "qs": qs, "n_max": n_max,
-            "grid_n": grid.shape[0], "replicas": replicas, "seed": seed,
+            "grid_n": grid.n, "replicas": replicas, "seed": seed,
             "grid_digest": grid.digest()}, run
 
 

@@ -15,26 +15,21 @@ pass over the radii, at any level count.  Doubly mollified values
 K_{eps,eps'} come in two quadrature flavours:
 
 * "grid": the exact discrete double convolution with the sampler's stencil
-  weights, so tables agree with sampled-field covariances to machine
+  weights, so values agree with sampled-field covariances to machine
   precision (the oracle the Monte Carlo checks are scored against);
 * "midpoint": a continuum midpoint rule over the mollifier supports,
-  independent of any sampling grid (used for kernel-level analysis).
+  independent of any sampling grid (k_mollified's continuum reference and
+  q_mollified on a free point pair).
 
-On a regular grid a K_{eps,eps'} table depends only on the lattice offset
-i - j, so it is one value per offset (offset_table).  kernel-check reads its
-suprema from those values and their separations, and the moment oracles
-sum over them (verify.Bench.cross_table); no weight matrix or summed Gram
-is built.  On the grid both clouds of either rule sit on multiples of
-h / q for some integer q (q = 1 for grid stencils, q <= 8 for 32-node
-midpoint clouds at dyadic eps on a dyadic grid), so every radius
-|o h + u_a - v_b| is a lag of one lattice: the kernel is evaluated once per
-lag and correlated with the cloud-pair weights binned by lag, bins cached
-per eps pair (_lattice_bins, _lattice_table).  Where no lattice with
-q <= 8 evaluates fewer radii than the per-offset fold (midpoint clouds
-off the lattice or on a finer one, as at N=300 or 1000), each
-offset folds the two clouds into their distinct differences u_a - v_b and
-evaluates the kernel once per (offset, distinct difference); midpoint_work
-bounds that cost up front, and the lattice undercuts it.
+Every table is the grid rule.  On a regular grid a K_{eps,eps'} table
+depends only on the lattice offset i - j, so it is one value per offset
+(offset_table): kernel-check reads its suprema from those values and
+their separations, and the moment oracles sum over them
+(verify.Bench.cross_table); no weight matrix or summed Gram is built.
+Both stencils sit on the grid lattice, so every radius |o h + u_a - v_b|
+is a lag of it: the kernel is evaluated once per lag and correlated with
+the stencil-pair weights binned by lag, bins cached per eps pair
+(_lattice_bins, _lattice_table).  table_work counts that cost up front.
 """
 
 from __future__ import annotations
@@ -44,9 +39,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .mollifier import Mollifier, discrete_stencil, quad_cloud, shrink_domain
+from .mollifier import (Mollifier, discrete_stencil, interior_rows,
+                        quad_cloud, shrink_domain)
 
 
 @dataclass(frozen=True)
@@ -238,123 +233,48 @@ def pd_check(spec, grid, n=3):
 @lru_cache(maxsize=128)
 def _cloud(mol, eps, rule, h, nodes):
     """(offsets (M,), weights) of one quadrature rule, ascending and
-    read-only: a table that tries the lattice and then folds, and every
-    k_mollified call at one eps, build it once."""
+    read-only: every q_mollified and k_mollified call at one eps builds it
+    once."""
     if rule == "grid":
         if h is None:
             raise ValueError("rule 'grid' needs the sampling grid spacing")
         offs, w = discrete_stencil(mol, eps, h)
-        offs = offs[:, 0] * h
+        offs = offs * h
     elif rule == "midpoint":
         offs, w = quad_cloud(mol, eps, nodes)
-        offs = offs[:, 0]
     else:
         raise ValueError(f"unknown quadrature rule {rule!r}")
     offs.flags.writeable = w.flags.writeable = False
     return offs, w
 
 
-def _fold_clouds(u, wu, v, wv, eps_prime):
-    """(diffs, weights) of the difference cloud u_a - v_b, weights wu_a wv_b:
-    every pair is formed, sorted, and pairs whose differences are equal to
-    rounding are merged with their weights summed."""
-    diffs = (u[:, None] - v[None, :]).ravel()
-    # float keys on a 1e-12 eps' lattice, far below the cloud spacing; a
-    # float never wraps as an int64 key would at a tiny eps' / eps
-    keys = np.round(diffs / (1e-12 * eps_prime))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    return (diffs[order[first]],
-            np.add.reduceat(np.outer(wu, wv).ravel()[order], first))
-
-
-def _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes):
-    """Doubly-mollified K_{eps,eps'} as a function of separations.
-
-    seps has shape (M,).  Stationarity of the decomposed kernel makes the
-    double convolution a function of x - y only, which is what makes table
-    assembly affordable.  The kernel is evaluated once per (separation,
-    distinct difference u_a - v_b of the two clouds, from _fold_clouds)
-    rather than per cloud pair.
-    """
-    u, wu = _cloud(mol, eps, rule, h, nodes)
-    v, wv = (u, wu) if eps_prime == eps else _cloud(mol, eps_prime, rule, h,
-                                                     nodes)
-    diffs, ww = _fold_clouds(u, wu, v, wv, eps_prime)
-    out = np.empty(seps.size)
-    # chunk the (M, distinct differences) radii at 2e7
-    step = max(1, int(2e7 // (ww.size + 1)))
-    for lo in range(0, seps.size, step):
-        s = seps[lo:lo + step, None] + diffs[None, :]
-        out[lo:lo + step] = k_partial(spec, n_levels, np.abs(s, out=s)) @ ww
-    return out
-
-
 @lru_cache(maxsize=32)
-def _lattice_bins(mol, eps, eps_prime, rule, h, nodes):
-    """(q, first, ww, taps) of the clouds of eps and eps' on the lattice
-    h / q, read-only and cached per eps pair: ww[l] is the weight of the
-    cloud pairs at lag first + l and taps the lags some pair occupies
-    (every lag for grid stencils, q = 1).  Midpoint clouds take the
-    smallest q <= 8 that fits every point to 1e-12 eps' (the _fold_clouds
-    tolerance), or None: from q = 32 on (N = 1000, 3000) gathering each
-    offset's lags from a row q times as long ran slower than the fold.
-    ww and taps hold about 2 x cloud width / (h / q) entries each: 0.5 MB
-    apiece for a grid stencil at eps = 2^-3 and N = 2^17."""
-    u, wu = _cloud(mol, eps, rule, h, nodes)
-    v, wv = (u, wu) if eps_prime == eps else _cloud(mol, eps_prime, rule, h,
-                                                     nodes)
-    if rule == "grid":
-        q, first = 1, round((u[0] - v[-1]) / h)
-        ww = np.correlate(wu, wv, "full")
-        taps = np.arange(ww.size)
-    else:
-        qs = np.arange(1, 9)[:, None]
-        t = qs * (np.concatenate([u, v]) / h)
-        fit = (np.abs(t - np.rint(t)) <= qs * (1e-12 * eps_prime / h)).all(1)
-        if not fit.any():
-            return None
-        q = int(np.argmax(fit)) + 1
-        iu, iv = (np.rint(c * (q / h)).astype(np.int64) for c in (u, v))
-        first = int(iu[0] - iv[-1])
-        ww = np.bincount((iu[:, None] - iv[None, :] - first).ravel(),
-                         np.outer(wu, wv).ravel())
-        taps = np.flatnonzero(ww)
-    ww.flags.writeable = taps.flags.writeable = False
-    return q, first, ww, taps
+def _lattice_bins(mol, eps, eps_prime, h):
+    """(first, ww) of the grid stencils of eps and eps', read-only and
+    cached per eps pair: ww[l] is the weight of the stencil pairs u_a - v_b
+    at lag first + l, the correlation of the two tap vectors.  ww holds
+    about 2 (eps + eps') / h entries: 0.5 MB at eps = eps' = 2^-3 and
+    N = 2^17."""
+    u, wu = _cloud(mol, eps, "grid", h, None)
+    v, wv = (u, wu) if eps_prime == eps else _cloud(mol, eps_prime, "grid",
+                                                     h, None)
+    ww = np.correlate(wu, wv, "full")
+    ww.flags.writeable = False
+    return round((u[0] - v[-1]) / h), ww
 
 
-def _lattice_table(spec, offsets, eps, eps_prime, mol, rule, n_levels, h,
-                   nodes, shift=0.0):
-    """K_{eps,eps'} at the separations shift + o h of the consecutive
-    integer offsets o of a table, by one kernel evaluation per lag of
-    the lattice of _lattice_bins; None when there is no such lattice or it
-    evaluates more radii, (offsets - 1) q + lags, than the fold's offsets x
-    occupied lags.  Offset o meets the cloud lag l at lag o q + l, so each
-    value correlates the kernel row with the binned pair weights: by
-    np.correlate on q = 1 with at least 1 lag in 8 occupied, else over the
-    occupied lags of strided windows of the row.
-    """
-    bins = _lattice_bins(mol, eps, eps_prime, rule, h, nodes)
-    if bins is None:
-        return None
-    q, first, ww, taps = bins
-    n_off = offsets.size
-    if (n_off - 1) * q + ww.size > n_off * taps.size:
-        return None
-    lags = np.arange(offsets[0] * q + first,
-                     offsets[-1] * q + first + ww.size)
-    krow = k_partial(spec, n_levels, np.abs(lags * (h / q) + shift))
-    # a correlated lag costs about a tenth of a gathered one (2-vCPU Xeon)
-    if q == 1 and ww.size <= 8 * taps.size:
-        return np.correlate(krow, ww, "valid")
-    # row o holds the lags o q + first ..; chunked at 2e7 as the fold is
-    win = as_strided(krow, (n_off, ww.size),
-                     (q * krow.itemsize, krow.itemsize), writeable=False)
-    step = max(1, int(2e7 // taps.size))
-    return np.concatenate([win[lo:lo + step, taps] @ ww[taps]
-                           for lo in range(0, n_off, step)])
+def _lattice_table(spec, offsets, eps, eps_prime, mol, n_levels, h,
+                   shift=0.0):
+    """Grid-rule K_{eps,eps'} at the separations shift + o h of the
+    consecutive integer offsets o of a table.  Offset o meets the stencil
+    lag l at lag o + l, so the kernel is evaluated once per lag of the run
+    and each value is one np.correlate of that row with the lag bins of
+    _lattice_bins: (offsets - 1) + lags radii and offsets x lags
+    products (table_work)."""
+    first, ww = _lattice_bins(mol, eps, eps_prime, h)
+    lags = np.arange(offsets[0] + first, offsets[-1] + first + ww.size)
+    krow = k_partial(spec, n_levels, np.abs(lags * h + shift))
+    return np.correlate(krow, ww, "valid")
 
 
 def _check_domain(spec, point, eps, who):
@@ -392,10 +312,12 @@ def k_mollified(spec, eps, eps_prime, x, y, mol=None, rule="midpoint",
     if rule == "grid":
         # one lattice row at the separation, as tables read theirs
         return float(_lattice_table(spec, np.zeros(1, dtype=np.int64), eps,
-                                    eps_prime, mol, rule, n_levels, h, nodes,
-                                    sep)[0])
-    return float(_mollified_of_seps(spec, np.array([sep]), eps, eps_prime,
-                                    mol, rule, n_levels, h, nodes)[0])
+                                    eps_prime, mol, n_levels, h, sep)[0])
+    # every cloud pair, wu_a K(|sep + u_a - v_b|) wv_b
+    u, wu = _cloud(mol, eps, rule, h, nodes)
+    v, wv = _cloud(mol, eps_prime, rule, h, nodes)
+    return float(wu @ k_partial(spec, n_levels,
+                                np.abs(sep + u[:, None] - v[None, :])) @ wv)
 
 
 def q_mollified(spec, n, eps, z, x, mol, h=None, rule="grid", nodes=32):
@@ -419,9 +341,8 @@ def q_mollified(spec, n, eps, z, x, mol, h=None, rule="grid", nodes=32):
     return vals @ w
 
 
-def offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
-                 n_levels, nodes=32):
-    """K_{eps,eps'} under rule, once per lattice offset of rows x rows_p.
+def offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, n_levels):
+    """Grid-rule K_{eps,eps'} once per lattice offset of rows x rows_p.
 
     The offsets o run over the bounding runs of rows (a0..a1) and rows_p
     (b0..b1), a0 - b1 .. a1 - b0, and each offset's separation is taken
@@ -429,37 +350,25 @@ def offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
     grid.axis().
     Returns (lo, seps, vals): vals[k] is the value at the offset lo + k and
     seps[k] its separation.  The rows x rows_p table is vals indexed by
-    np.subtract.outer(rows, rows_p) - lo.  The table comes from
-    _lattice_table at the separations o h where it can; otherwise each
-    offset folds at its separation.
+    np.subtract.outer(rows, rows_p) - lo.  The values are _lattice_table's
+    at the separations o h.
     """
     a0, b0 = rows.min(), rows_p.min()
     o = np.arange(a0 - rows_p.max(), rows.max() - b0 + 1)
     f, x = np.maximum(a0, b0 + o), grid.axis()
-    seps = x[f] - x[f - o]
-    vals = _lattice_table(spec, o, eps, eps_prime, mol, rule, n_levels,
-                          grid.h, nodes)
-    if vals is None:
-        vals = _mollified_of_seps(spec, seps, eps, eps_prime, mol, rule,
-                                  n_levels, grid.h, nodes)
-    return int(o[0]), seps, vals
+    return (int(o[0]), x[f] - x[f - o],
+            _lattice_table(spec, o, eps, eps_prime, mol, n_levels, grid.h))
 
 
-def midpoint_work(grid, eps, eps_prime, nodes=32):
-    """Upper bound on a midpoint table's radii: offsets times cloud pairs.
+def table_work(grid, eps, eps_prime):
+    """Products of the (eps, eps') table over D_eps x D_eps': offsets x lags.
 
-    Counted from the grid axis, without building the table: D_eps is a
-    run of m_eps points, so a (eps, eps') table has m_eps + m_eps' - 1
-    distinct offsets.  The per-offset fold evaluates one radius per
-    (offset, distinct cloud difference), and the pairs bound the distinct
-    differences from above; a lattice table evaluates fewer radii still.
+    D_eps is a run of m_eps rows, so the table has m_eps + m_eps' - 1
+    offsets, and each correlates the kernel row with the stencil-pair lag
+    bins, read from the run's own cache (_lattice_bins), so that planning
+    warms what the tables read.
     """
-    mol = Mollifier()
-    ax = grid.axis()
-    dist = np.minimum(ax - grid.box[0], grid.box[1] - ax)
-    offsets = (np.count_nonzero(dist > 2.0 * eps)
-               + np.count_nonzero(dist > 2.0 * eps_prime) - 1)
-    # the run's own cached clouds, so planning warms what the tables read
-    return (offsets * _cloud(mol, eps, "midpoint", grid.h, nodes)[1].size
-            * _cloud(mol, eps_prime, "midpoint", grid.h, nodes)[1].size)
-
+    offsets = (interior_rows(grid, eps).size
+               + interior_rows(grid, eps_prime).size - 1)
+    return offsets * _lattice_bins(Mollifier(), eps, eps_prime,
+                                   grid.h)[1].size

@@ -123,7 +123,7 @@ def interior_rows(grid, eps):
 def discrete_stencil(mol, eps, h):
     """Lattice offsets and renormalized weights for the discrete convolution.
 
-    Returns (offsets, weights): offsets is (M, 1) int steps, ascending,
+    Returns (offsets, weights): offsets is (M,) int steps, ascending,
     weights sum to 1 exactly.  Requires h <= eps/4 so the profile is
     resolved by >= 8 cells.
     """
@@ -132,7 +132,7 @@ def discrete_stencil(mol, eps, h):
     offs = np.arange(-m, m + 1)
     w = mol.radial(np.abs(offs) * h / eps)
     keep = w > 0
-    return offs[keep, None], w[keep] / w[keep].sum()
+    return offs[keep], w[keep] / w[keep].sum()
 
 
 def weight_matrix(grid, mol, eps):
@@ -145,21 +145,20 @@ def weight_matrix(grid, mol, eps):
     offs, w = discrete_stencil(mol, eps, grid.h)
     W = np.zeros((rows.size, grid.n))
     flat = W.reshape(-1)
-    # margin 2*eps > eps guarantees every stencil point stays on the lattice,
-    # so each row's stencil is its flat index plus fixed lattice steps
-    lattice = np.cumprod((1,) + grid.shape[:0:-1])[::-1]
-    flat[(rows + grid.n * np.arange(rows.size))[:, None] + offs @ lattice] = w
+    # margin 2*eps > eps keeps every stencil point on the grid, so row k's
+    # taps sit at flat index k N + rows[k] + offs
+    flat[(rows + grid.n * np.arange(rows.size))[:, None] + offs] = w
     return rows, W
 
 
 def quad_cloud(mol, eps, nodes_per_axis=32):
     """Continuum midpoint quadrature cloud over the mollifier support.
 
-    Returns (offsets (M, 1), ascending, weights) with weights renormalized
+    Returns (offsets (M,), ascending, weights) with weights renormalized
     to sum 1, for midpoint approximation of integrals against theta_eps.
     """
     n = nodes_per_axis
     offs = (np.arange(n) + 0.5) / n * 2.0 * eps - eps
     w = mol.radial(np.abs(offs) / eps)
     keep = w > 0
-    return offs[keep, None], w[keep] / w[keep].sum()
+    return offs[keep], w[keep] / w[keep].sum()

@@ -330,14 +330,14 @@ class Bench:
         ValueError when a support row's taps leave draw's rows, so no tap
         wraps around the torus."""
         (offs, w), _ = self.supp_tables(channel, eps)
-        if (self.supp[0] + offs[0, 0] < draw.lo
-                or self.supp[-1] + offs[-1, 0] > draw.hi):
+        if (self.supp[0] + offs[0] < draw.lo
+                or self.supp[-1] + offs[-1] > draw.hi):
             raise ValueError(f"convolution at eps={eps} reads outside "
                              "the sampled rows")
         key = (channel, float(eps), draw.torus)
         if key not in self._spectra:
             taps = np.zeros(draw.torus)
-            taps[-offs[:, 0] % draw.torus] = w
+            taps[-offs % draw.torus] = w
             self._spectra[key] = np.fft.rfft(taps)
         return self._spectra[key]
 
@@ -377,7 +377,7 @@ class Bench:
                 self.supp_tables("main", e)
             self._cross_tables[key] = kernels.offset_table(
                 self.spec, self.grid, self.supp, self.supp, eps, eps2,
-                self.channels["main"], "grid", self.n_max)[2]
+                self.channels["main"], self.n_max)[2]
         return self._cross_tables[key]
 
     def map_blocks(self, seed, replicas, consume, workers=None, draw=None):
@@ -693,19 +693,20 @@ class KernelEstimateReport:
 
 
 def kernel_estimate_check(spec, kind, grid, mol=None, eps_ladder=(),
-                          n_ladder=(), eps_fixed=None, rule="midpoint",
-                          log_floor=True, nodes=32):
+                          n_ladder=(), eps_fixed=None, log_floor=True):
     """Empirical suprema of the kernel-estimate gaps, with stability verdict.
 
     kind "mollified": per eps rung, sup over grid pairs of
     |K_{eps,eps'}(x,y) - log(1/(|x-y| v eps v eps'))| for eps' in {eps, next
-    rung}.  kind "partial": per level rung n at fixed eps, sup of
-    |K_{n,eps,eps}(x,y) - min(log 1/|x-y|, log 1/eps, n)|.  On a regular
-    grid each gap depends on x - y alone, so each supremum runs over the
-    lattice offsets of kernels.offset_table between the D_eps and D_eps'
-    rows, one separation each, and no rows x rows' array is built.
-    Stability = consecutive suprema within a factor 1.5.  log_floor=False
-    drops the log comparison term (degenerate-kernel calibration).
+    rung}; eps_ladder must be nonempty and strictly decreasing.  kind
+    "partial": per level rung n of a nonempty n_ladder at fixed eps, sup of
+    |K_{n,eps,eps}(x,y) - min(log 1/|x-y|, log 1/eps, n)|.  K is the grid
+    rule, the kernel of the sampled fields.  On a regular grid each gap
+    depends on x - y alone, so each supremum runs over the lattice offsets
+    of kernels.offset_table between the D_eps and D_eps' rows, one
+    separation each, and no rows x rows' array is built.  Stability =
+    consecutive suprema within a factor 1.5.  log_floor=False drops the log
+    comparison term (degenerate-kernel calibration).
     """
     mol = mol if mol is not None else Mollifier()
     d_rows = cache(lambda eps: interior_rows(grid, eps))  # once per eps
@@ -715,11 +716,15 @@ def kernel_estimate_check(spec, kind, grid, mol=None, eps_ladder=(),
         if not 0.0 < eps2 <= eps <= 1.0:
             raise ValueError(f"need 0 < eps'={eps2} <= eps={eps} <= 1")
         return kernels.offset_table(spec, grid, d_rows(eps), d_rows(eps2),
-                                    eps, eps2, mol, rule, n_levels, nodes)[1:]
+                                    eps, eps2, mol, n_levels)[1:]
 
     sups = []
     if kind == "mollified":
         steps = [float(e) for e in eps_ladder]
+        for a, b in zip(steps, steps[1:]):
+            if not b < a:
+                raise ValueError(f"eps_ladder must be strictly decreasing: "
+                                 f"need 0 < eps'={b} < eps={a}")
         for i, eps in enumerate(steps):
             gaps = []
             for e2 in [eps, *steps[i + 1:i + 2]]:
@@ -743,6 +748,8 @@ def kernel_estimate_check(spec, kind, grid, mol=None, eps_ladder=(),
             sups.append(float(np.abs(vals).max()))
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    if not steps:
+        raise ValueError(f"kind {kind!r} needs a nonempty ladder")
     ratios = [b / a for a, b in zip(sups, sups[1:])]
     stable = all(q <= 1.5 for q in ratios)
     return KernelEstimateReport(kind=kind, steps=tuple(steps),

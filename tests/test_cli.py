@@ -12,8 +12,9 @@ from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from logchaos import (ChaosParams, Grid, KernelSpec, bump_function, phase,
                       verify)
-from logchaos.cli import (ConfigError, _blas_core, load_config, main, plan,
-                          run_id_of, safety_nets, sha256_file, write_csv)
+from logchaos.cli import (TABLE_WORK_BOUND, ConfigError, _blas_core,
+                          load_config, main, plan, run_id_of, safety_nets,
+                          sha256_file, write_csv)
 
 PHASE_CFG = {"kind": "phase-scan", "d": 1,
              "alpha_range": [-2.0, 2.0, 9], "beta_range": [-2.0, 2.0, 9]}
@@ -261,22 +262,48 @@ class TestValidateOnly:
             resolved, run = plan(dict(cfg))
             assert callable(run) and isinstance(resolved, dict)
 
-    def test_d1_kernel_check_plans_to_4096(self):
-        # the per-table work bound admits every d=1 table up to grid_n 4096
+    def test_d1_kernel_check_plans_to_16384(self):
+        # the bound sums the products of the tables the run builds: the
+        # default ladders take 2.8e8 at grid_n 8192 and 1.1e9 at 16384, and
+        # 4.5e9 at 32768, over the bound
         plan({"kind": "kernel-check", "grid_n": 4096,
               "eps_ladder": [2.0 ** -3, 2.0 ** -10]})
-        with pytest.raises(ConfigError, match="d=1, grid_n=8192"):
-            plan({"kind": "kernel-check", "grid_n": 8192})
+        for n in (8192, 16384):
+            plan({"kind": "kernel-check", "grid_n": n})
+        with pytest.raises(ConfigError, match="d=1, grid_n=32768"):
+            plan({"kind": "kernel-check", "grid_n": 32768})
+        # the single 0.245 table at 2^17, the widest up to v0.20.0 admitted
+        plan({"kind": "kernel-check", "grid_n": 2 ** 17,
+              "eps_ladder": [0.245], "check": "mollified"})
+
+    def test_kernel_check_work_counts_every_table(self):
+        # one (eps_fixed, eps_fixed) table per level rung: at grid_n 4096
+        # a rung takes 6.3e6 products, so 204 rungs fit and a 205th does
+        # not
+        from logchaos import kernels
+        grid_n, eps = 4096, 2.0 ** -4
+        per_rung = kernels.table_work(Grid.regular((0.0, 1.0), grid_n), eps,
+                                      eps)
+        fit = TABLE_WORK_BOUND // per_rung
+        cfg = {"kind": "kernel-check", "grid_n": grid_n, "check": "partial",
+               "eps_fixed": eps}
+        plan(dict(cfg, n_ladder=[4] * fit))
+        with pytest.raises(ConfigError, match="kernel-table products"):
+            plan(dict(cfg, n_ladder=[4] * (fit + 1)))
 
     def test_kernel_check_plan_warms_the_run_clouds(self):
-        # the plan-time work bound reads the run's own cached midpoint
-        # clouds, so the run builds none of its own
+        # the plan-time work bound reads the run's own cached stencil-pair
+        # bins, so the run builds no bins or stencil clouds of its own
         from logchaos import kernels
         kernels._cloud.cache_clear()
+        kernels._lattice_bins.cache_clear()
         _, run = plan({"kind": "kernel-check", "grid_n": 512})
-        planned = kernels._cloud.cache_info().misses
+        planned = (kernels._cloud.cache_info().misses,
+                   kernels._lattice_bins.cache_info().misses)
         run(1, "warm")
-        assert planned == 5 and kernels._cloud.cache_info().misses == 5
+        assert planned == (5, 9)
+        assert (kernels._cloud.cache_info().misses,
+                kernels._lattice_bins.cache_info().misses) == planned
 
     def test_size_bounds_admit_their_limits(self):
         # the parity tables refuse one past each of these

@@ -10,7 +10,8 @@ from logchaos import (Bench, Grid, KernelSpec, bump_function, exact_level,
                       kernel_estimate_check, pd_check, q_mollified, q_n)
 from logchaos import mollifier
 from logchaos.kernels import lattice_row
-from logchaos.mollifier import (Mollifier, ResolutionError, interior_rows,
+from logchaos.mollifier import (Mollifier, ResolutionError,
+                                discrete_stencil, interior_rows,
                                 weight_matrix)
 
 SPEC1 = KernelSpec(d=1)
@@ -232,18 +233,32 @@ class TestGram:
                 Grid.from_points(bad, (0.0, 1.0))
 
 
-def interior_table(spec, grid, eps, eps_prime, mol, rule, n_levels, nodes=32):
+def interior_table(spec, grid, eps, eps_prime, mol, n_levels):
     """(rows, rows_p, values): K_{eps,eps'} on the D_eps x D_eps' rows,
     gathered from the per-offset values of kernels.offset_table."""
     rows = interior_rows(grid, eps)
     rows_p = interior_rows(grid, eps_prime)
     lo, _, vals = kernels.offset_table(spec, grid, rows, rows_p, eps,
-                                       eps_prime, mol, rule, n_levels, nodes)
+                                       eps_prime, mol, n_levels)
     return rows, rows_p, vals[np.subtract.outer(rows, rows_p) - lo]
 
 
-def pairwise_offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
-                          n_levels, nodes=32):
+def pair_sums(spec, seps, eps, eps_prime, mol, n_levels, h):
+    """Grid-rule K_{eps,eps'} at each separation by its definition: the
+    stencil pairs (a, b) grouped by their lattice difference a - b with
+    np.bincount, the kernel at sep + (a - b) h dotted with the grouped
+    pair weights."""
+    a, wa = discrete_stencil(mol, eps, h)
+    b, wb = discrete_stencil(mol, eps_prime, h)
+    first = a[0] - b[-1]
+    ww = np.bincount((a[:, None] - b[None, :] - first).ravel(),
+                     np.outer(wa, wb).ravel())
+    r = np.abs(np.asarray(seps)[:, None] + (first + np.arange(ww.size)) * h)
+    return k_partial(spec, n_levels, r) @ ww
+
+
+def pairwise_offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol,
+                          n_levels):
     """The rows x rows_p table as keyed pair by pair: each (row, row') pair
     by its lattice offset, the offset's separation from its row-major first
     pair, and every other pair with that offset reading the same value."""
@@ -254,40 +269,39 @@ def pairwise_offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, rule,
     pick = first[hit]
     seps = (grid.points[rows[pick // len(rows_p)], 0]
             - grid.points[rows_p[pick % len(rows_p)], 0])
-    vals = kernels._mollified_of_seps(spec, seps, eps, eps_prime, mol, rule,
-                                      n_levels, grid.h, nodes)
+    vals = pair_sums(spec, seps, eps, eps_prime, mol, n_levels, grid.h)
     return vals[np.cumsum(hit)[code] - 1].reshape(len(rows), len(rows_p))
+
+
+def dense_table(spec, grid, eps, eps_prime, mol, n_levels):
+    """The grid rule by its definition: W_eps G W_eps'^T with the dense
+    weight matrices and the summed dense level Gram."""
+    rows, w = weight_matrix(grid, mol, eps)
+    rows_p, w_p = weight_matrix(grid, mol, eps_prime)
+    g = sum(gram(spec, k, grid) for k in range(n_levels + 1))
+    return rows, rows_p, w @ g @ w_p.T
 
 
 class TestOffsetTable:
     @staticmethod
-    def offsets_and_oracle(spec, grid, rows, rows_p, eps, eps_prime, rule,
-                           nodes):
-        mol = Mollifier(d=1)
-        n_levels = exact_level(spec, eps_prime)
-        args = (spec, grid, rows, rows_p, eps, eps_prime, mol, rule, n_levels,
-                nodes)
+    def offsets_and_oracle(spec, grid, rows, rows_p, eps, eps_prime):
+        args = (spec, grid, rows, rows_p, eps, eps_prime, Mollifier(d=1),
+                exact_level(spec, eps_prime))
         lo, seps, vals = kernels.offset_table(*args)
         assert seps.shape == vals.shape
         return (vals[np.subtract.outer(rows, rows_p) - lo],
                 pairwise_offset_table(*args))
 
-    # the leading 1 is the dimension d, the only one the kernels implement
-    @pytest.mark.parametrize("d,n,rule,eps,eps_prime,nodes", [
-        (1, 512, "grid", 2 ** -4, 2 ** -4, 32),
-        (1, 512, "midpoint", 2 ** -4, 2 ** -4, 32),
-        (1, 512, "grid", 2 ** -3, 2 ** -7, 32),
-        (1, 512, "midpoint", 2 ** -3, 2 ** -7, 32),
-    ])
-    def test_interior_tables_bitwise(self, d, n, rule, eps, eps_prime, nodes):
-        # the tables take the lattice, equal to rounding to the fold at the
-        # pairs' separations, which on a dyadic grid are exactly o h
-        spec = KernelSpec(d=d)
-        grid = Grid.regular((0.0, 1.0), n)
+    @pytest.mark.parametrize("eps,eps_prime", [(2 ** -4, 2 ** -4),
+                                               (2 ** -3, 2 ** -7)])
+    def test_interior_tables_bitwise(self, eps, eps_prime):
+        # the lattice tables equal to rounding the pair sums at the pairs'
+        # separations, which on a dyadic grid are exactly o h
+        grid = Grid.regular((0.0, 1.0), 512)
         rows = mollifier.interior_rows(grid, eps)
         rows_p = mollifier.interior_rows(grid, eps_prime)
-        table, oracle = self.offsets_and_oracle(spec, grid, rows, rows_p, eps,
-                                                eps_prime, rule, nodes)
+        table, oracle = self.offsets_and_oracle(SPEC1, grid, rows, rows_p,
+                                                eps, eps_prime)
         assert np.abs(table - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
     def test_support_cross_table_bitwise(self):
@@ -298,11 +312,11 @@ class TestOffsetTable:
         supp, mol = bench.supp, Mollifier(d=1)
         cross = bench.cross_table(2 ** -4, 2 ** -5)
         _, _, vals = kernels.offset_table(SPEC1, grid, supp, supp, 2 ** -4,
-                                          2 ** -5, mol, "grid", 7)
+                                          2 ** -5, mol, 7)
         assert cross.shape == (2 * supp.size - 1,)
         assert np.array_equal(cross, vals)
         oracle = pairwise_offset_table(SPEC1, grid, supp, supp, 2 ** -4,
-                                       2 ** -5, mol, "grid", 7)
+                                       2 ** -5, mol, 7)
         table = cross[np.subtract.outer(supp, supp) + supp.size - 1]
         assert np.abs(table - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
@@ -313,81 +327,83 @@ class TestOffsetTable:
         rows = np.r_[80:120, 150:200]
         rows_p = np.r_[90:130, 170:185]
         table, oracle = self.offsets_and_oracle(SPEC1, grid, rows, rows_p,
-                                                2 ** -4, 2 ** -5, "midpoint",
-                                                32)
+                                                2 ** -4, 2 ** -5)
         assert np.abs(table - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
 
 LADDER = [2.0 ** -k for k in range(3, 8)]
 
 
-def ladder_tables(spec):
-    """(eps, eps', n_levels) of the default kernel-check ladder: the
-    mollified pairs (eps, eps) and (eps, next rung) of 2^-3..2^-7, which
-    are also the ladder-2048 cross-table pairs, then the partial tables at
-    eps = 2^-4 with every n_levels 4..12."""
-    pairs = [(e, e2, exact_level(spec, e2)) for i, e in enumerate(LADDER)
-             for e2 in [e, *LADDER[i + 1:i + 2]]]
+def ladder_tables(spec, ladder=LADDER):
+    """(eps, eps', n_levels) of a kernel-check ladder: the mollified pairs
+    (eps, eps) and (eps, next rung), which for the default ladder
+    2^-3..2^-7 are also the ladder-2048 cross-table pairs, then the partial
+    tables at eps = 2^-4 with every n_levels 4..12."""
+    pairs = [(e, e2, exact_level(spec, e2)) for i, e in enumerate(ladder)
+             for e2 in [e, *ladder[i + 1:i + 2]]]
     return pairs + [(2 ** -4, 2 ** -4, n) for n in range(4, 13)]
 
 
 class TestLatticeTable:
-    @pytest.mark.parametrize("rule", ["grid", "midpoint"])
     @pytest.mark.parametrize("n", [512, 2048, 8192])
-    def test_matches_exact_separations(self, n, rule):
-        # every d=1 table of the default ladders against the per-offset fold
-        # at the exact separations o h, on 40 spread offsets and those
-        # within 3 of 0
+    def test_matches_exact_separations(self, n):
+        # every d=1 table of the default ladders against the pair sums at
+        # the exact separations o h, on 40 spread offsets and those within
+        # 3 of 0
         grid = Grid.regular((0.0, 1.0), n)
         mol = Mollifier(d=1)
         for eps, eps_prime, n_levels in ladder_tables(SPEC1):
             rows = interior_rows(grid, eps)
             rows_p = interior_rows(grid, eps_prime)
             lo, _, vals = kernels.offset_table(SPEC1, grid, rows, rows_p, eps,
-                                               eps_prime, mol, rule, n_levels)
+                                               eps_prime, mol, n_levels)
             offs = lo + np.arange(vals.size)
             pick = np.union1d(np.linspace(0, vals.size - 1, 40).astype(int),
                               np.flatnonzero(np.abs(offs) <= 3))
-            want = kernels._mollified_of_seps(
-                SPEC1, offs[pick] * grid.h, eps, eps_prime, mol, rule,
-                n_levels, grid.h, 32)
+            want = pair_sums(SPEC1, offs[pick] * grid.h, eps, eps_prime, mol,
+                             n_levels, grid.h)
             err = np.abs(vals[pick] - want).max()
             assert err <= 1e-14 * np.abs(want).max(), (eps, eps_prime,
                                                        n_levels, err)
 
-    @pytest.mark.parametrize("n,tables", [(300, 7), (1000, 9)])
-    def test_off_lattice_midpoint_folds(self, monkeypatch, n, tables):
-        # at N=300 and N=1000 the midpoint clouds sit on multiples of h/q
-        # only for q = 32..512, where gathering each offset's lags from the
-        # long row costs more than the fold, so each table folds per offset
-        # at its pairs' separations, as every table did up to v0.15.0, bit
-        # for bit
-        grid = Grid.regular((0.0, 1.0), n)
+    @pytest.mark.parametrize("n,rungs", [(300, 4), (512, 5)])
+    def test_kernel_check_tables_match_dense(self, monkeypatch, n, rungs):
+        # every table kernel-check builds, gathered onto its D_eps x D_eps'
+        # rows, is the dense W_eps G W_eps'^T to rounding: on the dyadic
+        # grid N=512, and at N=300, whose separations carry rounding (the
+        # ladder stops at 2^-6, the finest eps N=300 resolves)
+        grid, ladder = Grid.regular((0.0, 1.0), n), LADDER[:rungs]
         mol = Mollifier(d=1)
-        lattice = []
-        inner = kernels._lattice_table
+        built = []
+        inner = kernels.offset_table
 
-        def counted(*args):
-            lattice.append(inner(*args))
-            return lattice[-1]
+        def recorded(spec, grid, rows, rows_p, eps, eps_prime, mol, n_levels):
+            out = inner(spec, grid, rows, rows_p, eps, eps_prime, mol,
+                        n_levels)
+            built.append((eps, eps_prime, n_levels, rows, rows_p, out))
+            return out
 
-        monkeypatch.setattr(kernels, "_lattice_table", counted)
-        for eps, eps_prime, n_levels in ladder_tables(SPEC1)[:tables]:
-            rows = interior_rows(grid, eps)
-            rows_p = interior_rows(grid, eps_prime)
-            _, seps, vals = kernels.offset_table(SPEC1, grid, rows, rows_p,
-                                                 eps, eps_prime, mol,
-                                                 "midpoint", n_levels)
-            want = kernels._mollified_of_seps(SPEC1, seps, eps, eps_prime,
-                                              mol, "midpoint", n_levels,
-                                              grid.h, 32)
-            assert np.array_equal(vals, want), (eps, eps_prime)
-        assert len(lattice) == tables and all(v is None for v in lattice)
+        monkeypatch.setattr(kernels, "offset_table", recorded)
+        kernel_estimate_check(SPEC1, "mollified", grid, eps_ladder=ladder)
+        kernel_estimate_check(SPEC1, "partial", grid,
+                              n_ladder=list(range(4, 13)), eps_fixed=2 ** -4)
+        assert ([b[:3] for b in built]
+                == [(float(e), float(e2), nl)
+                    for e, e2, nl in ladder_tables(SPEC1, ladder)])
+        for eps, eps_prime, n_levels, rows, rows_p, (lo, _, vals) in built:
+            d_rows, d_rows_p, dense = dense_table(SPEC1, grid, eps, eps_prime,
+                                                  mol, n_levels)
+            assert np.array_equal(rows, d_rows)
+            assert np.array_equal(rows_p, d_rows_p)
+            table = vals[np.subtract.outer(rows, rows_p) - lo]
+            err = np.abs(table - dense).max()
+            assert err <= 1e-13 * np.abs(dense).max(), (eps, eps_prime,
+                                                        n_levels, err)
 
     def test_kernel_tables_512_radii(self, monkeypatch):
         # the 14 tables of kernel-check at N=512 (ladder 2^-3..2^-7,
-        # n_ladder 4..12 step 2 at eps 2^-4) all take the lattice, q <= 8,
-        # and evaluate 34,562 radii; the per-offset fold evaluated 818,322
+        # n_ladder 4..12 step 2 at eps 2^-4) evaluate 12,770 radii, one
+        # per lag of each table's run
         seen = []
         inner = kernels.k_partial
 
@@ -395,21 +411,16 @@ class TestLatticeTable:
             seen.append(np.size(r))
             return inner(spec, n, r)
 
-        def forbidden(*args):
-            raise AssertionError("a kernel-tables-512 table folded")
-
         monkeypatch.setattr(kernels, "k_partial", counted)
-        monkeypatch.setattr(kernels, "_mollified_of_seps", forbidden)
         grid = Grid.regular((0.0, 1.0), 512)
         kernel_estimate_check(SPEC1, "mollified", grid, eps_ladder=LADDER)
         kernel_estimate_check(SPEC1, "partial", grid,
                               n_ladder=[4, 6, 8, 10, 12], eps_fixed=2 ** -4)
-        assert len(seen) == 14 and sum(seen) == 34562
+        assert len(seen) == 14 and sum(seen) == 12770
 
     def test_kernel_tables_512_bins_once_per_pair(self):
         # the 14 tables of kernel-check at N=512 share 9 (eps, eps') pairs,
-        # and the lag bins are built once per pair (the lattice fit ran
-        # once per table, 14 times, before the bins were cached)
+        # and the lag bins are built once per pair, read-only
         kernels._lattice_bins.cache_clear()
         grid = Grid.regular((0.0, 1.0), 512)
         kernel_estimate_check(SPEC1, "mollified", grid, eps_ladder=LADDER)
@@ -417,50 +428,10 @@ class TestLatticeTable:
                               n_ladder=[4, 6, 8, 10, 12], eps_fixed=2 ** -4)
         info = kernels._lattice_bins.cache_info()
         assert (info.misses, info.hits) == (9, 5)
-        bins = [kernels._lattice_bins(Mollifier(d=1), eps, eps_prime,
-                                      "midpoint", grid.h, 32)
+        bins = [kernels._lattice_bins(Mollifier(d=1), eps, eps_prime, grid.h)
                 for eps, eps_prime, _ in ladder_tables(SPEC1)[:9]]
         assert kernels._lattice_bins.cache_info().misses == 9
-        assert [b[0] for b in bins] == [1, 1, 1, 2, 2, 4, 4, 8, 8]
-        assert not any(b[2].flags.writeable or b[3].flags.writeable
-                       for b in bins)
-
-    def test_grid_lattice_midpoint_tables_correlate(self, monkeypatch):
-        # midpoint clouds on the grid itself (q = 1: eps, eps' in {2^-3,
-        # 2^-4} at N=512) take one np.correlate of the kernel row with the
-        # lag bins: no strided window of the row is gathered, so no
-        # matrix-vector product runs.  Finer lattices (q = 2, 4, 8) gather,
-        # and so do q = 1 bins that occupy under 1 lag in 8 (N=4096, eps =
-        # 2^-3: 63 of 1985)
-        grid = Grid.regular((0.0, 1.0), 512)
-        mol = Mollifier(d=1)
-        windows = []
-        inner = kernels.as_strided
-
-        def counted(*args, **kwargs):
-            windows.append(args[1])
-            return inner(*args, **kwargs)
-
-        def forbidden(*args):
-            raise AssertionError("a d=1 midpoint table folded")
-
-        monkeypatch.setattr(kernels, "as_strided", counted)
-        monkeypatch.setattr(kernels, "_mollified_of_seps", forbidden)
-        qs = []
-        for eps, eps_prime, n_levels in ladder_tables(SPEC1):
-            qs.append(kernels._lattice_bins(mol, eps, eps_prime, "midpoint",
-                                            grid.h, 32)[0])
-            before = len(windows)
-            kernels.offset_table(SPEC1, grid, interior_rows(grid, eps),
-                                 interior_rows(grid, eps_prime), eps,
-                                 eps_prime, mol, "midpoint", n_levels)
-            assert len(windows) - before == (qs[-1] > 1), (eps, eps_prime)
-        assert qs.count(1) == 12 and len(windows) == 6
-        grid = Grid.regular((0.0, 1.0), 4096)
-        rows = interior_rows(grid, 2 ** -3)
-        kernels.offset_table(SPEC1, grid, rows, rows, 2 ** -3, 2 ** -3, mol,
-                             "midpoint", exact_level(SPEC1, 2 ** -3))
-        assert len(windows) == 7
+        assert not any(ww.flags.writeable for _, ww in bins)
 
 
 def flat_index_offsets(grid, rows, rows_p):
@@ -496,35 +467,38 @@ class TestOffsetSeparations:
         for eps, eps_prime, n_levels in ladder_tables(SPEC1):
             self.assert_same(grid, interior_rows(grid, eps),
                              interior_rows(grid, eps_prime), eps,
-                             eps_prime, mol, "midpoint", n_levels)
+                             eps_prime, mol, n_levels)
         rows = interior_rows(grid, 2 ** -3)
         for a, b in [(rows[::5], rows[3::7]),
                      (np.array([140, 300, 177]), np.array([350, 133]))]:
-            self.assert_same(grid, a, b, 2 ** -3, 2 ** -3, mol, "midpoint",
-                             0, 4)
+            self.assert_same(grid, a, b, 2 ** -3, 2 ** -3, mol, 0)
 
 
 class TestMollifiedTable:
     def test_constant_kernel_invariance(self):
         # mollifiers integrate to one, so a constant kernel passes through
+        # the tables and the pointwise midpoint rule alike
         spec = KernelSpec(d=1, q0=0.7)
         grid = Grid.regular((0.0, 1.0), 256)
         mol = Mollifier(d=1)
-        for rule in ("grid", "midpoint"):
-            _, _, values = interior_table(spec, grid, 2 ** -4, 2 ** -4, mol,
-                                          rule, 0)
-            err = np.abs(values - 0.7).max()
-            assert err < 1e-10, f"rule={rule} err={err}"
+        _, _, values = interior_table(spec, grid, 2 ** -4, 2 ** -4, mol, 0)
+        assert np.abs(values - 0.7).max() < 1e-10
+        for x, y in ((0.2, 0.8), (0.5, 0.5), (0.41, 0.4)):
+            val = k_mollified(spec, 2 ** -4, 2 ** -4, x, y, mol, n_levels=0)
+            assert abs(val - 0.7) < 1e-10, (x, y)
 
     def test_rules_agree(self):
+        # the grid-rule table against the continuum midpoint rule at the
+        # same pairs: different quadratures of the same smooth integral
         grid = Grid.regular((0.0, 1.0), 256)
         mol, n_levels = Mollifier(d=1), exact_level(SPEC1, 2 ** -4)
-        a = interior_table(SPEC1, grid, 2 ** -4, 2 ** -4, mol, "grid",
-                           n_levels)[2]
-        b = interior_table(SPEC1, grid, 2 ** -4, 2 ** -4, mol, "midpoint",
-                           n_levels)[2]
-        # different quadratures of the same smooth integral
-        assert np.abs(a - b).max() < 5e-2
+        rows, rows_p, table = interior_table(SPEC1, grid, 2 ** -4, 2 ** -4,
+                                             mol, n_levels)
+        x = grid.axis()
+        for i, j in ((0, 0), (10, 30), (64, 64), (100, 3)):
+            mid = k_mollified(SPEC1, 2 ** -4, 2 ** -4, x[rows[i]],
+                              x[rows_p[j]], mol, n_levels=n_levels)
+            assert abs(table[i, j] - mid) < 5e-2, (i, j)
 
     def test_unknown_rule_refused(self):
         grid = Grid.regular((0.0, 1.0), 256)
@@ -564,147 +538,9 @@ class TestMollifiedTable:
         assert errs[-1] < 1e-3, f"final error too large: {errs[-1]}"
 
     @staticmethod
-    def _dense_table(spec, grid, eps, eps_prime, mol, n_levels):
-        """The grid rule by its definition: W_eps G W_eps'^T with the dense
-        weight matrices and the summed dense level Gram."""
-        rows, w = weight_matrix(grid, mol, eps)
-        rows_p, w_p = weight_matrix(grid, mol, eps_prime)
-        g = sum(gram(spec, k, grid) for k in range(n_levels + 1))
-        return rows, rows_p, w @ g @ w_p.T
-
-    def test_pointwise_mollified_matches_table(self):
-        # the table and the pointwise function both walk the offset stencil
-        # quadrature; the dense W G W^T is an independent oracle for both
-        grid = Grid.regular((0.0, 1.0), 128)
-        mol = Mollifier(d=1)
-        n_levels = exact_level(SPEC1, 2 ** -4)
-        t_rows, t_rows_p, values = interior_table(SPEC1, grid, 2 ** -4,
-                                                  2 ** -4, mol, "grid",
-                                                  n_levels)
-        rows, rows_p, dense = self._dense_table(SPEC1, grid, 2 ** -4, 2 ** -4,
-                                                mol, n_levels)
-        assert np.array_equal(rows, t_rows)
-        assert np.array_equal(rows_p, t_rows_p)
-        for i, j in ((10, 30), (25, 25), (40, 5)):
-            x = grid.points[t_rows[i], 0]
-            y = grid.points[t_rows_p[j], 0]
-            direct = k_mollified(SPEC1, 2 ** -4, 2 ** -4, x, y, mol,
-                                 rule="grid", h=grid.h, n_levels=n_levels)
-            assert abs(direct - dense[i, j]) < 1e-10, \
-                f"({i},{j}): {direct} vs {dense[i, j]}"
-            assert abs(values[i, j] - dense[i, j]) < 1e-10, \
-                f"({i},{j}): {values[i, j]} vs {dense[i, j]}"
-
-    def test_pointwise_grid_rule_on_lattice(self, monkeypatch):
-        # the grid rule reads one lattice row of 2 x 511 - 1 lags at any
-        # separation (N=2048, eps = 2^-3), where the fold would form 511^2
-        # stencil pairs: at grid points, a lattice offset apart, bit for
-        # bit the one-offset table, and between them within 1e-14 of the
-        # fold
-        grid = Grid.regular((0.0, 1.0), 2048)
-        mol, eps = Mollifier(d=1), 2 ** -3
-        x, y = grid.points[1000, 0], grid.points[997, 0]
-        rows = np.array([1000])
-        _, _, table = kernels.offset_table(SPEC1, grid, rows, rows - 3, eps,
-                                           eps, mol, "grid", 8)
-        fold = kernels._mollified_of_seps(SPEC1, np.array([3 * grid.h]),
-                                          eps, eps, mol, "grid", 8, grid.h,
-                                          32)
-        seen = []
-        inner = kernels.k_partial
-
-        def counted(spec, n, r):
-            seen.append(np.size(r))
-            return inner(spec, n, r)
-
-        monkeypatch.setattr(kernels, "k_partial", counted)
-        got = k_mollified(SPEC1, eps, eps, x, y, mol, "grid", 8, grid.h)
-        assert seen == [1021]
-        assert got == table[0]
-        assert abs(got - fold[0]) <= 1e-14 * abs(fold[0])
-        sep = 3.3 * grid.h
-        got = k_mollified(SPEC1, eps, eps, x, x - sep, mol, "grid", 8, grid.h)
-        assert seen == [1021, 1021]
-        fold = kernels._mollified_of_seps(SPEC1, np.array([sep]), eps, eps,
-                                          mol, "grid", 8, grid.h, 32)
-        assert abs(got - fold[0]) <= 1e-14 * abs(fold[0])
-
-    @staticmethod
-    def _unique_midpoint(spec, grid, eps, eps_prime, nodes):
-        # the table as built before lattice-offset keys: np.unique over the
-        # rounded separation vectors of every (row, row') pair
-        rows, rows_p, values = interior_table(
-            spec, grid, eps, eps_prime, Mollifier(d=1), "midpoint",
-            exact_level(spec, eps_prime), nodes)
-        flat = (grid.points[rows] - grid.points[rows_p].T).ravel()
-        keys = np.round(flat / 1e-12).astype(np.int64)
-        _, first, inv = np.unique(keys, return_index=True,
-                                  return_inverse=True)
-        vals = kernels._mollified_of_seps(
-            spec, flat[first], eps, eps_prime, Mollifier(d=1),
-            "midpoint", exact_level(spec, eps_prime), None, nodes)
-        return values, vals[inv.ravel()].reshape(values.shape)
-
-    # the leading 1 is the dimension d, the only one the kernels implement
-    @pytest.mark.parametrize("d,n,eps,eps_prime,nodes", [
-        (1, 256, 2 ** -4, 2 ** -4, 32),
-        (1, 256, 2 ** -4, 2 ** -5, 32),
-    ])
-    def test_midpoint_offsets_match_unique(self, d, n, eps, eps_prime, nodes):
-        # the tables take the lattice, equal to rounding to the unique fold
-        # (the dyadic grid's pair separations are exactly o h)
-        spec = KernelSpec(d=d)
-        grid = Grid.regular((0.0, 1.0), n)
-        values, oracle = self._unique_midpoint(spec, grid, eps, eps_prime,
-                                               nodes)
-        assert np.abs(values - oracle).max() <= 1e-14 * np.abs(oracle).max()
-
-    @pytest.mark.parametrize("rule", ["grid", "midpoint"])
-    def test_midpoint_one_eval_per_offset(self, monkeypatch, rule):
-        # both rules: one lattice routine over every offset of the d=1
-        # table, no per-offset fold, and no dense weight matrix or Gram
-        seen = []
-        inner = kernels._lattice_table
-
-        def counted(spec, offsets, *args):
-            seen.append(offsets.size)
-            return inner(spec, offsets, *args)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("np.unique, the per-offset fold, "
-                                 "weight_matrix or gram called")
-
-        monkeypatch.setattr(kernels, "_lattice_table", counted)
-        monkeypatch.setattr(kernels, "_mollified_of_seps", forbidden)
-        monkeypatch.setattr(np, "unique", forbidden)
-        for mod in (mollifier, kernels):
-            monkeypatch.setattr(mod, "weight_matrix", forbidden, raising=False)
-        monkeypatch.setattr(kernels, "gram", forbidden)
-        grid = Grid.regular((0.0, 1.0), 256)
-        rows, rows_p, _ = interior_table(SPEC1, grid, 2 ** -4, 2 ** -5,
-                                         Mollifier(d=1), rule,
-                                         exact_level(SPEC1, 2 ** -5))
-        assert seen == [len(rows) + len(rows_p) - 1]
-
-    @pytest.mark.parametrize("rule", ["grid", "midpoint"])
-    def test_rows_need_a_resolving_regular_grid(self, rule):
-        # interior_rows refuses both grids before any quadrature, under
-        # either rule of kernel-check
-        coarse = Grid.regular((0.0, 1.0), 16)
-        free = Grid.from_points(np.linspace(0.1, 0.9, 9)[:, None], (0.0, 1.0))
-        with pytest.raises(ValueError, match="regular grid"):
-            interior_rows(free, 2 ** -3)
-        with pytest.raises(ResolutionError):
-            kernel_estimate_check(SPEC1, "mollified", coarse,
-                                  eps_ladder=[2 ** -3], rule=rule)
-        with pytest.raises(ValueError, match="regular grid"):
-            kernel_estimate_check(SPEC1, "mollified", free,
-                                  eps_ladder=[2 ** -3], rule=rule)
-
-    @staticmethod
     def _all_pairs(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes):
-        # the quadrature as evaluated before the difference cloud: one radius
-        # per (separation, u_a, v_b), contracted with both weight vectors
+        # one radius per (separation, u_a, v_b), contracted with both
+        # weight vectors
         u, wu = kernels._cloud(mol, eps, rule, h, nodes)
         v, wv = kernels._cloud(mol, eps_prime, rule, h, nodes)
         r = np.abs(seps[:, None, None] + u[None, :, None] - v[None, None, :])
@@ -720,28 +556,55 @@ class TestMollifiedTable:
     ])
     def test_difference_cloud_matches_all_pairs(self, d, eps, eps_prime,
                                                 rule, nodes):
+        # k_mollified sums the kernel over the difference cloud
+        # sep + u_a - v_b: every pair for the midpoint rule, the pairs
+        # binned by lattice lag for the grid rule
         spec = KernelSpec(d=d)
         mol = Mollifier(d=d)
         rng = np.random.default_rng(3)
-        seps = np.r_[0.0, rng.uniform(-0.4, 0.4, 24)]
+        ys = 0.5 - np.r_[0.0, rng.uniform(-0.3, 0.3, 24)]
         h = 1.0 / 512 if rule == "grid" else None
         n_levels = exact_level(spec, eps_prime)
-        got = kernels._mollified_of_seps(spec, seps, eps, eps_prime, mol, rule,
-                                         n_levels, h, nodes)
-        want = self._all_pairs(spec, seps, eps, eps_prime, mol, rule,
+        got = np.array([k_mollified(spec, eps, eps_prime, 0.5, y, mol, rule,
+                                    n_levels, h, nodes) for y in ys])
+        want = self._all_pairs(spec, 0.5 - ys, eps, eps_prime, mol, rule,
                                n_levels, h, nodes)
         assert np.abs(got - want).max() < 1e-13
 
-    @pytest.mark.parametrize("eps_prime,distinct", [(2 ** -4, 63),
-                                                    (2 ** -5, 94)])
-    def test_midpoint_radii_per_distinct_difference(self, monkeypatch,
-                                                    eps_prime, distinct):
-        # at N=256 the 32-point clouds sit on odd multiples of h/2 (eps =
-        # 2^-4) and h/4 (eps' = 2^-5), so q = 2 and 4; their differences
-        # span 125 and 187 lags, of which 63 and 94 (of 1024 cloud pairs)
-        # are occupied.  The lattice evaluates (offsets - 1) q + lags radii,
-        # below the fold's offsets x distinct differences
-        q, lags = {2 ** -4: (2, 125), 2 ** -5: (4, 187)}[eps_prime]
+    def test_pointwise_mollified_matches_table(self):
+        # the table and the pointwise function both walk the offset stencil
+        # quadrature; the dense W G W^T is an independent oracle for both
+        grid = Grid.regular((0.0, 1.0), 128)
+        mol = Mollifier(d=1)
+        n_levels = exact_level(SPEC1, 2 ** -4)
+        t_rows, t_rows_p, values = interior_table(SPEC1, grid, 2 ** -4,
+                                                  2 ** -4, mol, n_levels)
+        rows, rows_p, dense = dense_table(SPEC1, grid, 2 ** -4, 2 ** -4, mol,
+                                          n_levels)
+        assert np.array_equal(rows, t_rows)
+        assert np.array_equal(rows_p, t_rows_p)
+        for i, j in ((10, 30), (25, 25), (40, 5)):
+            x = grid.points[t_rows[i], 0]
+            y = grid.points[t_rows_p[j], 0]
+            direct = k_mollified(SPEC1, 2 ** -4, 2 ** -4, x, y, mol,
+                                 rule="grid", h=grid.h, n_levels=n_levels)
+            assert abs(direct - dense[i, j]) < 1e-10, \
+                f"({i},{j}): {direct} vs {dense[i, j]}"
+            assert abs(values[i, j] - dense[i, j]) < 1e-10, \
+                f"({i},{j}): {values[i, j]} vs {dense[i, j]}"
+
+    def test_pointwise_grid_rule_on_lattice(self, monkeypatch):
+        # the grid rule reads one lattice row of 2 x 511 - 1 lags at any
+        # separation (N=2048, eps = 2^-3), where a sum over the stencil
+        # pairs forms 511^2 of them: at grid points, a lattice offset
+        # apart, bit for bit the one-offset table, and between them within
+        # 1e-14 of the pair sums
+        grid = Grid.regular((0.0, 1.0), 2048)
+        mol, eps = Mollifier(d=1), 2 ** -3
+        x, y = grid.points[1000, 0], grid.points[997, 0]
+        rows = np.array([1000])
+        _, _, table = kernels.offset_table(SPEC1, grid, rows, rows - 3, eps,
+                                           eps, mol, 8)
         seen = []
         inner = kernels.k_partial
 
@@ -750,17 +613,53 @@ class TestMollifiedTable:
             return inner(spec, n, r)
 
         monkeypatch.setattr(kernels, "k_partial", counted)
+        got = k_mollified(SPEC1, eps, eps, x, y, mol, "grid", 8, grid.h)
+        assert seen == [1021]
+        assert got == table[0]
+        want = pair_sums(SPEC1, [3 * grid.h], eps, eps, mol, 8, grid.h)[0]
+        assert abs(got - want) <= 1e-14 * abs(want)
+        for sep in (3.3 * grid.h, -0.2, 0.0071):
+            got = k_mollified(SPEC1, eps, eps, x, x - sep, mol, "grid", 8,
+                              grid.h)
+            want = pair_sums(SPEC1, [sep], eps, eps, mol, 8, grid.h)[0]
+            assert abs(got - want) <= 1e-14 * abs(want), sep
+
+    def test_one_lattice_eval_per_table(self, monkeypatch):
+        # one lattice routine over every offset of the d=1 table, and no
+        # dense weight matrix or Gram
+        seen = []
+        inner = kernels._lattice_table
+
+        def counted(spec, offsets, *args):
+            seen.append(offsets.size)
+            return inner(spec, offsets, *args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.unique, weight_matrix or gram called")
+
+        monkeypatch.setattr(kernels, "_lattice_table", counted)
+        monkeypatch.setattr(np, "unique", forbidden)
+        for mod in (mollifier, kernels):
+            monkeypatch.setattr(mod, "weight_matrix", forbidden, raising=False)
+        monkeypatch.setattr(kernels, "gram", forbidden)
         grid = Grid.regular((0.0, 1.0), 256)
-        rows, rows_p, _ = interior_table(SPEC1, grid, 2 ** -4, eps_prime,
-                                         Mollifier(d=1), "midpoint",
-                                         exact_level(SPEC1, eps_prime))
-        offsets = len(rows) + len(rows_p) - 1
-        assert seen == [(offsets - 1) * q + lags]
-        assert (offsets - 1) * q + lags < offsets * distinct
-        u, wu = kernels._cloud(Mollifier(d=1), 2 ** -4, "midpoint", None, 32)
-        v, wv = kernels._cloud(Mollifier(d=1), eps_prime, "midpoint", None,
-                               32)
-        assert kernels._fold_clouds(u, wu, v, wv, eps_prime)[1].size == distinct
+        rows, rows_p, _ = interior_table(SPEC1, grid, 2 ** -4, 2 ** -5,
+                                         Mollifier(d=1),
+                                         exact_level(SPEC1, 2 ** -5))
+        assert seen == [len(rows) + len(rows_p) - 1]
+
+    def test_rows_need_a_resolving_regular_grid(self):
+        # interior_rows refuses both grids before any quadrature
+        coarse = Grid.regular((0.0, 1.0), 16)
+        free = Grid.from_points(np.linspace(0.1, 0.9, 9)[:, None], (0.0, 1.0))
+        with pytest.raises(ValueError, match="regular grid"):
+            interior_rows(free, 2 ** -3)
+        with pytest.raises(ResolutionError):
+            kernel_estimate_check(SPEC1, "mollified", coarse,
+                                  eps_ladder=[2 ** -3])
+        with pytest.raises(ValueError, match="regular grid"):
+            kernel_estimate_check(SPEC1, "mollified", free,
+                                  eps_ladder=[2 ** -3])
 
     @pytest.mark.parametrize("profile", ["bump", "quartic"])
     @pytest.mark.parametrize("eps,eps_prime,distinct", [
@@ -770,27 +669,28 @@ class TestMollifiedTable:
                                   distinct):
         # d=1 grid stencils at N=2048 (ladder-2048 eps pairs): the lattice
         # routine evaluates the kernel once per lag of the 601 offsets, 600
-        # plus the distinct differences of the pair fold (the reference kept
-        # in kernels._fold_clouds).  Both sum the same kernel values (the
-        # dyadic radii |o + l| h are exact) in different orders, so each is
-        # held to 1e-15 of the pair sums taken in extended precision
+        # plus the distinct differences a - b of the stencil pairs, which
+        # fill every lag.  The fold groups the pairs by difference with
+        # np.bincount and evaluates the kernel once per (offset, distinct
+        # difference).  Both sum the same kernel values (the dyadic radii
+        # |o + l| h are exact) in different orders, so each is held to
+        # 1e-15 of the pair sums taken in extended precision
         h, mol = 1.0 / 2048, Mollifier(d=1, profile=profile)
         offsets = np.arange(-300, 301)
-        seps = offsets[:, None] * h
-        u, wu = kernels._cloud(mol, eps, "grid", h, 32)
-        v, wv = kernels._cloud(mol, eps_prime, "grid", h, 32)
-        diffs, ww = kernels._fold_clouds(u, wu, v, wv, eps_prime)
+        a, wa = discrete_stencil(mol, eps, h)
+        b, wb = discrete_stencil(mol, eps_prime, h)
+        diffs, code = np.unique(np.subtract.outer(a, b), return_inverse=True)
         assert diffs.shape == (distinct,)
-        r = np.abs(seps + diffs)
-        want = k_partial(SPEC1, 9, r.ravel()).reshape(r.shape) @ ww
-        lags = np.rint(np.r_[seps[0, 0] + diffs[0],
-                             seps[-1, 0] + diffs[-1]] / h).astype(int)
-        krow = k_partial(SPEC1, 9, np.abs(np.arange(lags[0], lags[1] + 1)) * h)
+        ww = np.bincount(code.ravel(), np.outer(wa, wb).ravel())
+        r = np.abs(offsets[:, None] + diffs) * h
+        fold = k_partial(SPEC1, 9, r.ravel()).reshape(r.shape) @ ww
+        krow = k_partial(SPEC1, 9, np.abs(np.arange(
+            offsets[0] + diffs[0], offsets[-1] + diffs[-1] + 1)) * h)
         ext = np.longdouble
         exact = np.correlate(krow.astype(ext), np.correlate(
-            wu.astype(ext), wv.astype(ext), "full"), "valid")
-        scale = 1e-15 * np.abs(want).max()
-        assert np.abs(want - exact).max() <= scale
+            wa.astype(ext), wb.astype(ext), "full"), "valid")
+        scale = 1e-15 * np.abs(fold).max()
+        assert np.abs(fold - exact).max() <= scale
         seen = []
         inner = kernels.k_partial
 
@@ -799,7 +699,7 @@ class TestMollifiedTable:
             return inner(spec, n, r)
 
         monkeypatch.setattr(kernels, "k_partial", counted)
-        got = kernels._lattice_table(SPEC1, offsets, eps, eps_prime, mol,
-                                     "grid", 9, h, 32)
+        got = kernels._lattice_table(SPEC1, offsets, eps, eps_prime, mol, 9,
+                                     h)
         assert seen == [offsets.size - 1 + distinct]
         assert np.abs(got - exact).max() <= scale

@@ -100,17 +100,18 @@ class TestStencil:
         offs, w = discrete_stencil(mol, 0.25, 0.25 / 8)
         assert np.all(w >= 0)
         assert abs(w.sum() - 1.0) < 1e-15
-        # symmetric stencil on ascending steps
-        assert np.array_equal(offs[:, 0], -offs[::-1, 0])
-        assert np.all(np.diff(offs[:, 0]) == 1)
+        # symmetric stencil on ascending steps, one offset per tap
+        assert offs.shape == w.shape
+        assert np.array_equal(offs, -offs[::-1])
+        assert np.all(np.diff(offs) == 1)
         assert np.allclose(w, w[::-1])
 
     def test_quad_cloud_normalized(self):
         mol = Mollifier(d=1)
         offs, w = quad_cloud(mol, 0.1, nodes_per_axis=16)
-        assert offs.shape == (16, 1)
+        assert offs.shape == w.shape == (16,)
         assert abs(w.sum() - 1.0) < 1e-15
-        assert np.all(np.abs(offs) < 0.1) and np.all(np.diff(offs[:, 0]) > 0)
+        assert np.all(np.abs(offs) < 0.1) and np.all(np.diff(offs) > 0)
 
 
 def bench_mollify(grid, mol, eps, field):

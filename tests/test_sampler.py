@@ -24,7 +24,7 @@ def grid_table(eps, eps_prime, mol, n_levels):
     rows = interior_rows(GRID, eps)
     rows_p = interior_rows(GRID, eps_prime)
     lo, _, vals = kernels.offset_table(SPEC, GRID, rows, rows_p, eps,
-                                       eps_prime, mol, "grid", n_levels)
+                                       eps_prime, mol, n_levels)
     return rows, rows_p, vals[np.subtract.outer(rows, rows_p) - lo]
 
 
@@ -33,7 +33,7 @@ def stencil_field(y, eps, mol, grid=GRID):
     shape (N, ...) at the D_eps rows, with no dense W."""
     rows = interior_rows(grid, eps)
     offs, taps = discrete_stencil(mol, eps, grid.h)
-    return rows, sum(t * y[rows + o] for o, t in zip(offs[:, 0], taps))
+    return rows, sum(t * y[rows + o] for o, t in zip(offs, taps))
 
 
 def mollified_draws(n_max, seed, replicas, eps_list, mol):

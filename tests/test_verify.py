@@ -489,7 +489,7 @@ class TestSampledWindow:
             live = np.flatnonzero(w[np.isin(rows, supp)].any(axis=0))
             assert lo <= live[0] and live[-1] <= hi, f"eps={eps}"
             offs, _ = discrete_stencil(Mollifier(d=1), eps, grid.h)
-            taps = supp[:, None] + offs[:, 0]
+            taps = supp[:, None] + offs
             assert lo <= taps.min() and taps.max() <= hi, f"eps={eps}"
             # the symmetric stencil keeps a linear field, so a tap wrapped
             # around the torus would show on the grid-row ramp
@@ -510,12 +510,12 @@ class TestSampledWindow:
                                     draw=draw)
             bench.mollify(y, keys, draw)
             offs, _ = discrete_stencil(Mollifier(d=1), eps, GRID.h)
-            taps = np.flatnonzero(F)[:, None] + offs[:, 0]
+            taps = np.flatnonzero(F)[:, None] + offs
             assert draw.lo <= taps.min() and taps.max() <= draw.hi
             reach = math.floor(eps / GRID.h) + 1
             wider = 1.01 * reach * GRID.h
             offs, _ = discrete_stencil(Mollifier(d=1), wider, GRID.h)
-            assert offs[-1, 0] == reach
+            assert offs[-1] == reach
             assert np.isin(np.flatnonzero(F),
                            GRID.interior_idx(2.0 * wider)).all()
             bench.supp_tables("main", wider)
@@ -979,17 +979,16 @@ class TestKernelEstimateCheck:
         # dyadic grids each pair of an offset has the same separation, so
         # the offset suprema are bitwise equal, and to rounding elsewhere
         import logchaos.kernels as kernels
-        for n, eps, nodes, rtol in ((256, 2 ** -4, 32, 0.0),
-                                    (300, 2 ** -4, 32, 4e-15)):
+        for n, eps, rtol in ((256, 2 ** -4, 0.0), (300, 2 ** -4, 4e-15)):
             spec = KernelSpec(d=1, q0=0.7)
             grid = Grid.regular((0.0, 1.0), n)
             rep = kernel_estimate_check(spec, "mollified", grid,
-                                        eps_ladder=[eps], nodes=nodes)
+                                        eps_ladder=[eps])
             mol = Mollifier(d=1)
             rows = rows_p = interior_rows(grid, eps)
             lo, _, vals = kernels.offset_table(
-                spec, grid, rows, rows_p, eps, eps, mol, "midpoint",
-                kernels.exact_level(spec, eps), nodes)
+                spec, grid, rows, rows_p, eps, eps, mol,
+                kernels.exact_level(spec, eps))
             values = vals[np.subtract.outer(rows, rows) - lo]
             r = np.abs(grid.points[rows] - grid.points[rows_p].T)
             ref = -np.log(np.maximum(r, eps))
@@ -999,6 +998,28 @@ class TestKernelEstimateCheck:
             else:
                 assert abs(rep.suprema[0] - manual) <= rtol * manual, n
             assert rep.ratios == () and rep.stable
+
+    @pytest.mark.parametrize("kind,ladders", [
+        ("mollified", {}),
+        ("mollified", {"eps_ladder": []}),
+        ("partial", {"eps_fixed": 2 ** -4}),
+        ("partial", {"eps_fixed": 2 ** -4, "n_ladder": []}),
+    ], ids=["mollified-default", "mollified-empty", "partial-default",
+            "partial-empty"])
+    def test_empty_ladder_refused(self, kind, ladders):
+        # no rung is no verdict: an empty ladder is refused, not stable
+        grid = Grid.regular((0.0, 1.0), 64)
+        with pytest.raises(ValueError, match="nonempty ladder"):
+            kernel_estimate_check(SPEC, kind, grid, **ladders)
+
+    @pytest.mark.parametrize("ladder", [[0.125, 0.125],
+                                        [0.125, 0.0625, 0.0625]],
+                             ids=["first", "last"])
+    def test_repeated_rung_refused(self, ladder):
+        # a repeated rung is a ratio-1 step, refused as the CLI refuses it
+        grid = Grid.regular((0.0, 1.0), 64)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            kernel_estimate_check(SPEC, "mollified", grid, eps_ladder=ladder)
 
     def test_memory_bounded_by_offsets(self):
         # a dense 1,024 x 1,536 table of the first cell would hold 12.6 MB
