@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from logchaos import Bench, Grid, KernelSpec, Mollifier, k_mollified
+from logchaos import Bench, Grid, KernelSpec, Mollifier
 from logchaos.mollifier import interior_rows
 
 
@@ -63,10 +63,8 @@ def main():
               f"({(var - exact) / se:+.2f} se)")
 
     print("mollified fields:")
-    x_mid = grid.points[mid]
     for e in eps_list:
-        oracle = k_mollified(spec, e, e, x_mid, x_mid, mol, "grid",
-                             args.n_max, grid.h)
+        oracle = bench.supp_tables("main", e)[1][at]
         var = float(np.var(xs[e], ddof=1))
         se = var * math.sqrt(2.0 / (r - 1))
         print(f"  Var(X_eps), eps = 2^{int(math.log2(e))}: {var:7.4f}"

@@ -16,16 +16,17 @@ K_{eps,eps'} come in two quadrature flavours:
 
 * "grid": the exact discrete double convolution with the sampler's stencil
   weights, so values agree with sampled-field covariances to machine
-  precision (the oracle the Monte Carlo checks are scored against);
+  precision (the oracle the Monte Carlo checks are scored against); every
+  table, and a value only at lattice offsets;
 * "midpoint": a continuum midpoint rule over the mollifier supports,
-  independent of any sampling grid (k_mollified's continuum reference and
-  q_mollified on a free point pair).
+  independent of any sampling grid (k_mollified, the continuum reference,
+  and q_mollified on a free point pair).
 
-Every table is the grid rule.  On a regular grid a K_{eps,eps'} table
-depends only on the lattice offset i - j, so it is one value per offset
-(offset_table): kernel-check reads its suprema from those values and
-their separations, and the moment oracles sum over them
-(verify.Bench.cross_table); no weight matrix or summed Gram is built.
+On a regular grid a K_{eps,eps'} table depends only on the lattice
+offset i - j, so it is one value per offset (offset_table): kernel-check
+reads its suprema from those values and their separations, the moment
+oracles sum over them (verify.Bench.cross_table), and the Wick variance
+is the offset-0 value; no weight matrix or summed Gram is built.
 Both stencils sit on the grid lattice, so every radius |o h + u_a - v_b|
 is a lag of it: the kernel is evaluated once per lag and correlated with
 the stencil-pair weights binned by lag, bins cached per eps pair
@@ -263,9 +264,8 @@ def _lattice_bins(mol, eps, eps_prime, h):
     return round((u[0] - v[-1]) / h), ww
 
 
-def _lattice_table(spec, offsets, eps, eps_prime, mol, n_levels, h,
-                   shift=0.0):
-    """Grid-rule K_{eps,eps'} at the separations shift + o h of the
+def _lattice_table(spec, offsets, eps, eps_prime, mol, n_levels, h):
+    """Grid-rule K_{eps,eps'} at the separations o h of the
     consecutive integer offsets o of a table.  Offset o meets the stencil
     lag l at lag o + l, so the kernel is evaluated once per lag of the run
     and each value is one np.correlate of that row with the lag bins of
@@ -273,7 +273,7 @@ def _lattice_table(spec, offsets, eps, eps_prime, mol, n_levels, h,
     products (table_work)."""
     first, ww = _lattice_bins(mol, eps, eps_prime, h)
     lags = np.arange(offsets[0] + first, offsets[-1] + first + ww.size)
-    krow = k_partial(spec, n_levels, np.abs(lags * h + shift))
+    krow = k_partial(spec, n_levels, np.abs(lags * h))
     return np.correlate(krow, ww, "valid")
 
 
@@ -287,20 +287,15 @@ def _check_domain(spec, point, eps, who):
     return pt
 
 
-def k_mollified(spec, eps, eps_prime, x, y, mol=None, rule="midpoint",
-                n_levels=None, h=None, nodes=32):
-    """Doubly-mollified kernel value K_{eps,eps'}(x, y).
+def k_mollified(spec, eps, eps_prime, x, y, mol=None, n_levels=None,
+                nodes=32):
+    """Doubly-mollified kernel value K_{eps,eps'}(x, y) by the continuum
+    midpoint rule, `nodes` points per mollifier support: the grid-free
+    reference the grid-rule tables (offset_table) are checked against.
 
     Finite for all inputs including x = y; the log singularity never enters
     because each Q_n term is bounded and the sum is truncated at the level
     where later terms vanish identically on the resolved separations.
-
-    Parameters
-    ----------
-    rule : "midpoint" (continuum midpoint rule, `nodes` points) or "grid"
-        (the sampler's discrete stencil; pass the grid spacing `h` and the
-        sampler's level count as `n_levels` to reproduce sampled
-        covariances exactly).
     """
     if not 0.0 < eps_prime <= eps <= 1.0:
         raise ValueError(f"need 0 < eps'={eps_prime} <= eps={eps} <= 1")
@@ -309,13 +304,9 @@ def k_mollified(spec, eps, eps_prime, x, y, mol=None, rule="midpoint",
            - _check_domain(spec, y, eps_prime, "y"))
     if n_levels is None:
         n_levels = exact_level(spec, eps_prime)
-    if rule == "grid":
-        # one lattice row at the separation, as tables read theirs
-        return float(_lattice_table(spec, np.zeros(1, dtype=np.int64), eps,
-                                    eps_prime, mol, n_levels, h, sep)[0])
     # every cloud pair, wu_a K(|sep + u_a - v_b|) wv_b
-    u, wu = _cloud(mol, eps, rule, h, nodes)
-    v, wv = _cloud(mol, eps_prime, rule, h, nodes)
+    u, wu = _cloud(mol, eps, "midpoint", None, nodes)
+    v, wv = _cloud(mol, eps_prime, "midpoint", None, nodes)
     return float(wu @ k_partial(spec, n_levels,
                                 np.abs(sep + u[:, None] - v[None, :])) @ wv)
 

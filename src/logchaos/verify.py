@@ -11,8 +11,9 @@ Ladder cells for squared-difference quantities use median-of-means over 40
 fixed replica blocks: |M_eps - M_eps'|^2 has a one-sided heavy tail in the
 non-L2 subcritical phase (tail index d/alpha^2 < 2), so the plain mean is
 noise-dominated at desk-scale R while the block median concentrates.
-Moment estimates proper (means against analytic oracles) keep the plain
-mean and the standard unbiased SE.
+Moment estimates proper (untruncated means against exact oracles,
+mc_moments) keep the plain mean and the standard unbiased SE.  Truncated
+chaos values feed the ladders alone; sup_field_prob estimates the events.
 """
 
 from __future__ import annotations
@@ -230,8 +231,9 @@ class Bench:
     stencil spectra per (channel, eps, torus), the kernel-table diagonal
     per (channel, eps) and the support kernel table per (eps, eps'), one
     value per row offset; grid-rule kernel values at n_max levels come
-    from the lattice rows of kernels (k_mollified, offset_table), with no
-    Gram block, so they are the exact covariances of the sampled fields.
+    from one lattice routine of kernels (_lattice_table, which
+    offset_table calls), with no Gram block, so they are the exact
+    covariances of the sampled fields.
     last_draw records the Draw of the last map_blocks call (a new bench:
     every level on supp(f)), which factors and safety_net report.
     """
@@ -307,8 +309,8 @@ class Bench:
         r + o for support row r, and the kernel-table diagonal.  Raises
         ValueError when the support leaks out of D_eps.  Every D_eps row of
         a regular grid holds the whole stencil, so the diagonal is one
-        offset-0 value: k_mollified reads it from the one-offset lattice
-        row, as cross_table's offset 0, so the two agree bit for bit."""
+        offset-0 value, the one-offset lattice table whose value
+        cross_table holds at offset 0, bit for bit."""
         key = (channel, float(eps))
         if key not in self._supp_tables:
             if self.supp is None:
@@ -316,10 +318,8 @@ class Bench:
             mol, supp = self.channels[channel], self.supp
             if not np.isin(supp, interior_rows(self.grid, eps)).all():
                 raise ValueError(f"test function support leaks outside D_eps at eps={eps}")
-            x = self.grid.points[supp[0]]
-            k_diag = np.full(supp.size, kernels.k_mollified(
-                self.spec, eps, eps, x, x, mol, "grid", self.n_max,
-                self.grid.h))
+            k_diag = np.full(supp.size, kernels._lattice_table(
+                self.spec, [0], eps, eps, mol, self.n_max, self.grid.h)[0])
             self._supp_tables[key] = (discrete_stencil(mol, eps, self.grid.h),
                                       k_diag)
         return self._supp_tables[key]
@@ -458,53 +458,54 @@ def _gamma_trunc(bench, params):
 
 
 def _block_densities(bench, draw, gammas, keys, trunc):
-    """densities(z) -> (cells, event) of a block.
+    """densities(z, partner=False) -> [cells of z], and then the cells of
+    its antithetic partner -z with partner set.
 
     cells[g][k] = (density, overflow) for gammas[g] and (channel, eps) key
     keys[k]: chaos_density on the support rows of the block's mollified
-    field, which Bench.mollify convolves once per key for all the gammas.
-    trunc=(q, lam) inserts the barrier event A_{q,lam}, returned per
-    (support row, replica), against the slab tops of draw; event is None
-    without trunc.  z is a block of draw.
+    field, which Bench.mollify convolves once per key for all the gammas,
+    with the barrier event A_{q,lam} of trunc=(q, lam) against the slab
+    tops of draw.  The partner negates z's fields and its slabs on the
+    support rows, which negation leaves exact: bit for bit the cells of a
+    block -z, with no second block or convolution.  z is a block of draw.
     """
     k_diags = [bench.supp_tables(channel, eps)[1] for channel, eps in keys]
     f_supp = bench.f[bench.supp]
     rows = bench.supp - draw.lo
 
-    def densities(z):
+    def cells(xs, z, at):
         event = None
         if trunc is not None:
-            event = barrier_below(z, rows, trunc[1], draw.tops).all(axis=0)
-        cells = [[] for _ in gammas]
-        xs = bench.mollify(z.sum(axis=0), keys, draw) if keys else []
-        for x, k_diag in zip(xs, k_diags):
-            for row, gamma in zip(cells, gammas):
-                row.append(chaos_density(gamma, x, k_diag, f_supp, event))
-        return cells, event
+            event = barrier_below(z, at, trunc[1], draw.tops).all(axis=0)
+        return [[chaos_density(gamma, x, k_diag, f_supp, event)
+                 for x, k_diag in zip(xs, k_diags)] for gamma in gammas]
+
+    def densities(z, partner=False):
+        xs = bench.mollify(z.sum(axis=0), keys, draw)
+        out = [cells(xs, z, rows)]
+        if partner:
+            out.append(cells([-x for x in xs], -z[:, rows], slice(None)))
+        return out
 
     return densities
 
 
-def _chaos_values(bench, gammas, keys, trunc, replicas, seed, workers,
-                  events=False):
+def _chaos_values(bench, gammas, keys, trunc, replicas, seed, workers):
     """(values, overflow flags) of one sweep of the draw of
     _chaos_levels(bench, trunc) and keys: chaos values per replica, one row
-    per (gamma, key) pair, gamma-major; events=True appends the global
-    barrier event A_{q,lam} per replica (1.0 where it holds)."""
+    per (gamma, key) pair, gamma-major."""
     draw = bench.draw(_chaos_levels(bench, trunc), keys)
     densities = _block_densities(bench, draw, gammas, keys, trunc)
     wgt = bench.grid.weight
 
     def consume(start, z):
-        cells, event = densities(z)
+        (cells,) = densities(z)
         shape = (len(gammas) * len(keys), z.shape[2])
         vals = np.empty(shape, dtype=complex)
         ovf = np.empty(shape, dtype=bool)
         for i, (dens, flags) in enumerate(c for row in cells for c in row):
             vals[i] = dens.sum(axis=0) * wgt
             ovf[i] = flags
-        if events:
-            return vals, ovf, event.all(axis=0).astype(float)
         return vals, ovf
 
     return bench.map_blocks(seed, replicas, consume, workers, draw)
@@ -529,82 +530,64 @@ def second_moment_oracle(bench, gamma, eps, eps_prime):
                  * w * w)
 
 
-ESTIMANDS = ("mean", "product", "distance2", "event")
+ESTIMANDS = ("mean", "product", "distance2")
 
 
 def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None):
     """Seeded Monte Carlo estimates of several chaos moments from one sweep.
 
     Each job is (params, estimand, eps, eps_prime), read as by mc_moment
-    (eps_prime is ignored by "mean" and "event").  Every replica block is
+    (eps_prime is ignored by "mean").  Every replica block of Y_n_max is
     drawn once for all jobs: per block the field is summed once, convolved
-    once per distinct eps, its barrier event evaluated once, and the chaos
-    density computed once per distinct (gamma, eps).  The jobs' params
-    set one barrier for the sweep: a block holds Y_q..Y_n_max under
-    truncated params (q, lam) and Y_n_max alone otherwise.  Jobs whose
-    truncations differ, an event job on untruncated params and a q
-    outside 1..n_max raise ValueError before sampling.  The sweep draws
-    the rows its widest eps reads (Bench.draw), so each estimate equals
-    the one its job would get alone, bit for bit, when the job convolves
-    at that eps; an event job convolves nothing, and alone it draws the
-    rows of supp(f).  The oracles read the bench's support tables
-    (second_moment_oracle), built once per (eps, eps') pair for every
-    gamma and every sweep on the bench.  Returns one MomentEstimate per
-    job, in job order.
+    once per distinct eps, and the chaos density computed once per
+    distinct (gamma, eps).  Every estimate has an exact oracle, so
+    truncated params, like a bad estimand, raise ValueError before any
+    block is drawn (sup_field_prob estimates the barrier event).  The
+    sweep draws the rows its widest eps reads (Bench.draw), so each
+    estimate equals the one its job would get alone, bit for bit, when
+    the job convolves at that eps.  The oracles read the bench's support
+    tables (second_moment_oracle), built once per (eps, eps') pair for
+    every gamma and every sweep on the bench.  Returns one MomentEstimate
+    per job, in job order.
     """
     # distinct gammas and eps, each mapped to its index
-    gammas, epss, truncs, events = {}, {}, set(), False
+    gammas, epss = {}, {}
     for params, estimand, eps, eps_prime in jobs:
         if estimand not in ESTIMANDS:
             raise ValueError(f"unknown estimand {estimand!r}")
         gamma, trunc = _gamma_trunc(bench, params)
-        truncs.add(trunc)
-        if estimand == "event":
-            if trunc is None:
-                raise ValueError("event estimand needs truncated params")
-            events = True
-            continue
+        if trunc is not None:
+            raise ValueError("mc_moments scores untruncated moments alone, "
+                             f"got the barrier (q, lam) = {trunc}")
         if estimand != "mean" and eps_prime is None:
             raise ValueError(f"estimand {estimand} needs eps_prime")
         gammas.setdefault(complex(gamma), len(gammas))
         for e in (eps,) if estimand == "mean" else (eps, eps_prime):
             epss.setdefault(float(e), len(epss))
-    if len(truncs) > 1:
-        raise ValueError("a sweep draws one barrier, but its jobs' "
-                         f"truncations (q, lam) differ: {list(truncs)}")
-    trunc = truncs.pop() if truncs else None
 
-    parts = _chaos_values(bench, list(gammas), [("main", e) for e in epss],
-                          trunc, replicas, seed, workers, events)
-    vals, ovf = parts[:2]
+    vals, ovf = _chaos_values(bench, list(gammas),
+                              [("main", e) for e in epss], None, replicas,
+                              seed, workers)
 
     out = []
     for params, estimand, eps, eps_prime in jobs:
-        if estimand == "event":
-            out.append(moment_from_values(f"P[event q={trunc[0]}]", parts[2]))
-            continue
         gamma = params.gamma
         row = gammas[complex(gamma)] * len(epss)
         a = row + epss[float(eps)]
         if estimand == "mean":
-            # int f is the untruncated mean; the barrier event lowers it
-            orc = (None if trunc
-                   else complex(bench.f.sum() * bench.grid.weight))
-            out.append(moment_from_values(f"E[M] eps={eps}", vals[a],
-                                          oracle=orc, exclude=ovf[a]))
+            out.append(moment_from_values(
+                f"E[M] eps={eps}", vals[a],
+                oracle=bench.f.sum() * bench.grid.weight, exclude=ovf[a]))
             continue
         b = row + epss[float(eps_prime)]
-        orc = None
         if estimand == "product":
             name, values = "E[M Mbar']", vals[a] * np.conj(vals[b])
-            if trunc is None:
-                orc = second_moment_oracle(bench, gamma, eps, eps_prime)
+            orc = second_moment_oracle(bench, gamma, eps, eps_prime)
         else:
             name, values = "E|M-M'|^2", np.abs(vals[a] - vals[b]) ** 2
-            if trunc is None:
-                aa, bb, ab = (second_moment_oracle(bench, gamma, *e) for e in (
-                    (eps, eps), (eps_prime, eps_prime), (eps, eps_prime)))
-                orc = aa + bb - 2.0 * ab
+            aa, bb, ab = (second_moment_oracle(bench, gamma, *e) for e in (
+                (eps, eps), (eps_prime, eps_prime), (eps, eps_prime)))
+            orc = aa + bb - 2.0 * ab
         out.append(moment_from_values(f"{name} {eps}x{eps_prime}", values,
                                       oracle=orc, exclude=ovf[a] | ovf[b]))
     return out
@@ -615,11 +598,9 @@ def mc_moment(bench, params, estimand, eps, eps_prime=None, replicas=1000,
     """Seeded Monte Carlo estimate of one chaos moment.
 
     estimand: "mean" (E[M], oracle int f), "product" (E[M conj(M')], oracle
-    from second_moment_oracle), "distance2" (E|M - M'|^2, oracle by
-    expanding the square), or "event" (P[global barrier event], needs
-    truncated params).  Truncated params put the barrier event A_{q,lam}
-    in each chaos value, and their moments have no oracle.  A one-job
-    mc_moments sweep.
+    from second_moment_oracle) or "distance2" (E|M - M'|^2, oracle by
+    expanding the square), on untruncated params.  A one-job mc_moments
+    sweep.
     """
     (m,) = mc_moments(bench, [(params, estimand, eps, eps_prime)],
                       replicas=replicas, seed=seed, workers=workers)
@@ -665,17 +646,18 @@ def cauchy_ladder(bench, params, eps_ladder, replicas, seed, workers=None):
 
 
 def mollifier_independence(bench, params, eps_ladder, replicas, seed,
-                           alt="alt", workers=None):
+                           workers=None):
     """Coupled E|M_eps^theta - M_eps^theta'|^2 per ladder entry.
 
-    Both convolutions act on the same partial sum; each chaos value is
+    theta is the bench's "main" channel and theta' its "alt" channel.  Both
+    convolutions act on the same partial sum; each chaos value is
     Wick-normalized by its own channel's variance table.
     """
-    if alt not in bench.channels:
-        raise ValueError(f"bench is missing mollifier channel {alt!r}")
+    if "alt" not in bench.channels:
+        raise ValueError("bench is missing mollifier channel 'alt'")
     eps_ladder = [float(e) for e in eps_ladder]
     n = len(eps_ladder)
-    keys = [(c, e) for c in ("main", alt) for e in eps_ladder]
+    keys = [(c, e) for c in ("main", "alt") for e in eps_ladder]
     return _distance_ladder("mollifier independence", eps_ladder, bench,
                             params, keys, slice(None, n), slice(n, None),
                             replicas, seed, workers)
@@ -692,8 +674,8 @@ class KernelEstimateReport:
     stable: bool
 
 
-def kernel_estimate_check(spec, kind, grid, mol=None, eps_ladder=(),
-                          n_ladder=(), eps_fixed=None, log_floor=True):
+def kernel_estimate_check(spec, kind, grid, eps_ladder=(), n_ladder=(),
+                          eps_fixed=None, log_floor=True):
     """Empirical suprema of the kernel-estimate gaps, with stability verdict.
 
     kind "mollified": per eps rung, sup over grid pairs of
@@ -701,14 +683,14 @@ def kernel_estimate_check(spec, kind, grid, mol=None, eps_ladder=(),
     rung}; eps_ladder must be nonempty and strictly decreasing.  kind
     "partial": per level rung n of a nonempty n_ladder at fixed eps, sup of
     |K_{n,eps,eps}(x,y) - min(log 1/|x-y|, log 1/eps, n)|.  K is the grid
-    rule, the kernel of the sampled fields.  On a regular grid each gap
-    depends on x - y alone, so each supremum runs over the lattice offsets
-    of kernels.offset_table between the D_eps and D_eps' rows, one
-    separation each, and no rows x rows' array is built.  Stability =
-    consecutive suprema within a factor 1.5.  log_floor=False drops the log
-    comparison term (degenerate-kernel calibration).
+    rule of the default Mollifier, the kernel of the sampled fields.  On a
+    regular grid each gap depends on x - y alone, so each supremum runs
+    over the lattice offsets of kernels.offset_table between the D_eps and
+    D_eps' rows, one separation each, and no rows x rows' array is built.
+    Stability = consecutive suprema within a factor 1.5.  log_floor=False
+    drops the log comparison term (degenerate-kernel calibration).
     """
-    mol = mol if mol is not None else Mollifier()
+    mol = Mollifier()
     d_rows = cache(lambda eps: interior_rows(grid, eps))  # once per eps
 
     def table(eps, eps2, n_levels):
@@ -895,12 +877,11 @@ class TiltedEventReport:
 
 
 def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
-                      n_max, replicas, seed, center=0.5, mol=None,
-                      workers=None):
+                      n_max, replicas, seed, workers=None):
     """P-tilde[A_q(x, y)] under the two-point Cameron-Martin tilt.
 
-    For each separation s the field is sampled jointly at x = center - s/2,
-    y = center + s/2 with the alpha-tilt toward both points, and the event
+    For each separation s the field is sampled jointly at x = 1/2 - s/2,
+    y = 1/2 + s/2 with the alpha-tilt toward both points, and the event
     {Y_k(x) <= k lam and Y_k(y) <= k lam for all k in q..n_max} is counted,
     drawing only those partial sums: each group's pair is a 2-point torus.
     The log-probability is then regressed on log(s v eps) (fit_abscissae);
@@ -913,7 +894,6 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
         raise ValueError(f"q={q} outside 1..{n_max}")
     if lam <= math.sqrt(2.0 * spec.d):
         raise PhaseError(f"lam={lam} must exceed sqrt(2d)")
-    mol = mol if mol is not None else Mollifier()
     tops = range(q, n_max + 1)
 
     def event(start, z):
@@ -922,9 +902,9 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
 
     estimates, ratios = [], []
     for si, s in enumerate(separations):
-        x, y = center - 0.5 * s, center + 0.5 * s
+        x, y = 0.5 - 0.5 * s, 0.5 + 0.5 * s
         grid2 = Grid.from_points(np.array([[x], [y]]), spec.box)
-        bench = Bench(spec, grid2, n_max, mol=mol)
+        bench = Bench(spec, grid2, n_max)
         bench.set_tilt(TiltShift(x=x, y=y, eps=eps, eps_prime=eps_prime,
                                  alpha=alpha))
         (ind,) = bench.map_blocks(seed + si, replicas, event, workers,
@@ -983,12 +963,6 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
     return out
 
 
-def _reflect(z, shifts):
-    """The antithetic partner of block z: z reflected about its mean, the
-    draw's tilt shifts per slab (-z untilted), so it is equal in law."""
-    return -z if shifts is None else 2.0 * shifts[:, :, None] - z
-
-
 def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
                    workers=None):
     """H^{-u} distance between consecutive chaos densities, per replica.
@@ -997,26 +971,30 @@ def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
     (times the barrier indicator when truncation is on), placed on the full
     periodized grid; consecutive-pair squared distances (sobolev_diag)
     feed the usual ladder machinery.  A replica's value is the mean of its
-    distances at z and at its antithetic partner (_reflect): the two draws
-    are equal in law, so the mean keeps the cell's expectation and lowers
-    its variance, and a replica is kept only when neither draw overflowed.
+    distances at z and at its antithetic partner -z (_block_densities):
+    the two draws are equal in law, so the mean keeps the cell's
+    expectation and lowers its variance, and a replica is kept only when
+    neither draw overflowed.  -z is equal in law to z only on an untilted
+    bench, so a tilted one raises ValueError.
     """
     grid = bench.grid
     if u <= 0.5:
         raise ValueError(f"u={u} must exceed d/2 = 0.5")
+    if bench._tilt_rows is not None:
+        raise ValueError("the antithetic partner -z is equal in law to z "
+                         "only untilted: sobolev_ladder refuses a tilted "
+                         "bench")
     eps_ladder = _pair_ladder(eps_ladder)
     gamma, trunc = _gamma_trunc(bench, params)
     keys = [("main", e) for e in eps_ladder]
     draw = bench.draw(_chaos_levels(bench, trunc), keys)
-    shifts = bench._shifts(draw)
     densities = _block_densities(bench, draw, [gamma], keys, trunc)
 
     def consume(start, z):
         out = np.zeros((len(eps_ladder) - 1, z.shape[2]))
         kout = np.ones((len(eps_ladder) - 1, z.shape[2]), dtype=bool)
         diff = np.zeros((grid.n, z.shape[2]), dtype=complex)
-        for zz in (z, _reflect(z, shifts)):
-            (row,), _ = densities(zz)
+        for (row,) in densities(z, partner=True):
             for i, ((da, oa), (db, ob)) in enumerate(zip(row, row[1:])):
                 diff[bench.supp] = da - db
                 out[i] += 0.5 * sobolev_diag(diff, grid, u)

@@ -33,12 +33,20 @@ def fields(seed, replicas, f=F, n_max=6):
 
 
 def chaos_values(bench, gamma, seed, replicas, trunc=None):
-    """Per-replica chaos values of the block engine, with the global barrier
-    event per replica when trunc=(q, lam) is given, on the estimators' own
-    draw: Y_q..Y_n_max truncated, Y_n_max alone otherwise."""
-    parts = _chaos_values(bench, [gamma], [("main", EPS)], trunc, replicas,
-                          seed, None, events=trunc is not None)
-    return parts[0][0], (parts[2] if trunc is not None else None)
+    """Per-replica chaos values of the block engine on the estimators' own
+    draw: Y_q..Y_n_max truncated, Y_n_max alone otherwise; with trunc=(q,
+    lam), also the global barrier event per replica (1.0 where it holds),
+    by barrier_below on the same draw."""
+    vals = _chaos_values(bench, [gamma], [("main", EPS)], trunc, replicas,
+                         seed, None)[0][0]
+    if trunc is None:
+        return vals, None
+    draw = bench.last_draw
+    rows = bench.supp - draw.lo
+    (event,) = bench.map_blocks(seed, replicas, lambda start, z: (
+        barrier_below(z, rows, trunc[1], draw.tops).all(axis=(0, 1))
+        .astype(float),), draw=draw)
+    return vals, event
 
 
 def full_values(bench, gamma, seed, replicas, levels):
@@ -48,7 +56,7 @@ def full_values(bench, gamma, seed, replicas, levels):
     densities = _block_densities(bench, draw, [gamma], keys, None)
 
     def consume(start, z):
-        (((dens, _),),), _ = densities(z)
+        (((dens, _),),) = densities(z)[0]
         return (dens.sum(axis=0) * bench.grid.weight,)
 
     return bench.map_blocks(seed, replicas, consume, draw=draw)[0]
@@ -293,8 +301,9 @@ class TestTruncation:
     def test_q_bounds(self, monkeypatch):
         # a barrier level outside 1..n_max is refused before sampling, never
         # drawn and read: the estimator, not the bench, picks the levels,
-        # in mc_moment and in each ladder that truncates, all of which read
-        # q from params (ChaosParams itself refuses q < 1)
+        # in each ladder that truncates, all of which read q from params
+        # (ChaosParams itself refuses q < 1; mc_moment refuses truncated
+        # params, test_verify test_truncation_read_from_params)
         from logchaos import verify
 
         def no_draws(*a, **k):
@@ -308,8 +317,7 @@ class TestTruncation:
         params = ChaosParams(f=F, gamma=1.1 + 0.25j, truncation=True, q=7,
                              lam=1.6)
         ladder = [EPS, EPS / 2]
-        for call in (partial(mc_moment, bench, params, "mean", EPS),
-                     partial(cauchy_ladder, bench, params, ladder),
+        for call in (partial(cauchy_ladder, bench, params, ladder),
                      partial(mollifier_independence, bench, params, ladder),
                      partial(sobolev_ladder, bench, params, 0.75, ladder)):
             with pytest.raises(ValueError, match="Y_7"):

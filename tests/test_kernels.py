@@ -556,24 +556,33 @@ class TestMollifiedTable:
     ])
     def test_difference_cloud_matches_all_pairs(self, d, eps, eps_prime,
                                                 rule, nodes):
-        # k_mollified sums the kernel over the difference cloud
-        # sep + u_a - v_b: every pair for the midpoint rule, the pairs
-        # binned by lattice lag for the grid rule
+        # K_{eps,eps'} sums the kernel over the difference cloud
+        # sep + u_a - v_b: k_mollified every pair of the midpoint rule, and
+        # the grid-rule table (offset_table) at each lattice separation
+        # |sep| <= 0.3 the pairs binned by lattice lag
         spec = KernelSpec(d=d)
         mol = Mollifier(d=d)
-        rng = np.random.default_rng(3)
-        ys = 0.5 - np.r_[0.0, rng.uniform(-0.3, 0.3, 24)]
-        h = 1.0 / 512 if rule == "grid" else None
         n_levels = exact_level(spec, eps_prime)
-        got = np.array([k_mollified(spec, eps, eps_prime, 0.5, y, mol, rule,
-                                    n_levels, h, nodes) for y in ys])
-        want = self._all_pairs(spec, 0.5 - ys, eps, eps_prime, mol, rule,
+        if rule == "grid":
+            grid = Grid.regular((0.0, 1.0), 512)
+            h = grid.h
+            _, seps, got = kernels.offset_table(
+                spec, grid, np.array([256]), np.arange(103, 410), eps,
+                eps_prime, mol, n_levels)
+        else:
+            rng = np.random.default_rng(3)
+            ys = 0.5 - np.r_[0.0, rng.uniform(-0.3, 0.3, 24)]
+            h, seps = None, 0.5 - ys
+            got = np.array([k_mollified(spec, eps, eps_prime, 0.5, y, mol,
+                                        n_levels, nodes) for y in ys])
+        want = self._all_pairs(spec, seps, eps, eps_prime, mol, rule,
                                n_levels, h, nodes)
         assert np.abs(got - want).max() < 1e-13
 
     def test_pointwise_mollified_matches_table(self):
-        # the table and the pointwise function both walk the offset stencil
-        # quadrature; the dense W G W^T is an independent oracle for both
+        # the table and a one-offset table at a pair both walk the offset
+        # stencil quadrature; the dense W G W^T is an independent oracle
+        # for both
         grid = Grid.regular((0.0, 1.0), 128)
         mol = Mollifier(d=1)
         n_levels = exact_level(SPEC1, 2 ** -4)
@@ -584,27 +593,22 @@ class TestMollifiedTable:
         assert np.array_equal(rows, t_rows)
         assert np.array_equal(rows_p, t_rows_p)
         for i, j in ((10, 30), (25, 25), (40, 5)):
-            x = grid.points[t_rows[i], 0]
-            y = grid.points[t_rows_p[j], 0]
-            direct = k_mollified(SPEC1, 2 ** -4, 2 ** -4, x, y, mol,
-                                 rule="grid", h=grid.h, n_levels=n_levels)
+            _, _, (direct,) = kernels.offset_table(
+                SPEC1, grid, t_rows[i:i + 1], t_rows_p[j:j + 1], 2 ** -4,
+                2 ** -4, mol, n_levels)
             assert abs(direct - dense[i, j]) < 1e-10, \
                 f"({i},{j}): {direct} vs {dense[i, j]}"
             assert abs(values[i, j] - dense[i, j]) < 1e-10, \
                 f"({i},{j}): {values[i, j]} vs {dense[i, j]}"
 
     def test_pointwise_grid_rule_on_lattice(self, monkeypatch):
-        # the grid rule reads one lattice row of 2 x 511 - 1 lags at any
-        # separation (N=2048, eps = 2^-3), where a sum over the stencil
-        # pairs forms 511^2 of them: at grid points, a lattice offset
-        # apart, bit for bit the one-offset table, and between them within
-        # 1e-14 of the pair sums
+        # the grid rule at one pair of grid points, a lattice offset apart,
+        # is a one-offset table: one lattice row of 2 x 511 - 1 lags (N=2048,
+        # eps = 2^-3), where a sum over the stencil pairs forms 511^2 of
+        # them, within 1e-14 of the pair sums
         grid = Grid.regular((0.0, 1.0), 2048)
         mol, eps = Mollifier(d=1), 2 ** -3
-        x, y = grid.points[1000, 0], grid.points[997, 0]
         rows = np.array([1000])
-        _, _, table = kernels.offset_table(SPEC1, grid, rows, rows - 3, eps,
-                                           eps, mol, 8)
         seen = []
         inner = kernels.k_partial
 
@@ -613,16 +617,11 @@ class TestMollifiedTable:
             return inner(spec, n, r)
 
         monkeypatch.setattr(kernels, "k_partial", counted)
-        got = k_mollified(SPEC1, eps, eps, x, y, mol, "grid", 8, grid.h)
+        _, _, (got,) = kernels.offset_table(SPEC1, grid, rows, rows - 3, eps,
+                                            eps, mol, 8)
         assert seen == [1021]
-        assert got == table[0]
         want = pair_sums(SPEC1, [3 * grid.h], eps, eps, mol, 8, grid.h)[0]
         assert abs(got - want) <= 1e-14 * abs(want)
-        for sep in (3.3 * grid.h, -0.2, 0.0071):
-            got = k_mollified(SPEC1, eps, eps, x, x - sep, mol, "grid", 8,
-                              grid.h)
-            want = pair_sums(SPEC1, [sep], eps, eps, mol, 8, grid.h)[0]
-            assert abs(got - want) <= 1e-14 * abs(want), sep
 
     def test_one_lattice_eval_per_table(self, monkeypatch):
         # one lattice routine over every offset of the d=1 table, and no

@@ -12,16 +12,17 @@ from scipy.special import erfc
 
 import logchaos
 from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
-                      PhaseError, bump_function, cauchy_ladder, chaos_density,
-                      field_stats, gram, increment_factors,
+                      PhaseError, barrier_below, bump_function, cauchy_ladder,
+                      chaos_density, field_stats, gram, increment_factors,
                       kernel_estimate_check,
                       ladder_from_values, mc_moment, mc_moments,
                       moment_from_values, mollifier_independence,
-                      sampled_rows, second_moment_oracle, sobolev_ladder,
+                      sampled_rows, second_moment_oracle, sobolev_diag,
+                      sobolev_ladder,
                       sup_field_prob, tail_bound_check, tilted_event_prob,
                       trend_verdict, weight_matrix)
 from logchaos.mollifier import discrete_stencil, interior_rows
-from logchaos.verify import _ls_fit
+from logchaos.verify import _chaos_values, _ls_fit
 from test_cli import TINY
 
 SPEC = KernelSpec(d=1)
@@ -233,8 +234,8 @@ class TestBench:
             (lambda b: field_stats(b, [2], 2, 2 ** -4, 2 ** -5, 40, 0),
              [(0, 2), (3, 8)]),
             (lambda b: cauchy_ladder(b, params, ladder, 40, 0), barrier),
-            (lambda b: mc_moments(b, [(params, "event", 2 ** -4, None)], 40,
-                                  0), barrier),
+            (lambda b: mc_moments(b, [(ChaosParams(f=F, gamma=0.5), "mean",
+                                       2 ** -4, None)], 40, 0), [(0, 8)]),
             (lambda b: sup_field_prob(b, 1.6, [4], [5], 40, 0),
              [(0, 4)] + [(k, k) for k in range(5, 9)]),
             (lambda b: sup_field_prob(b, 1.6, [5], [4], 40, 0),
@@ -524,7 +525,7 @@ class TestSampledWindow:
 
     # each estimator's call on a Bench built with no window, and the
     # widest eps it mollifies (0: its events read supp(f) alone); the
-    # truncated calls read Y_2..Y_8
+    # truncated ladders read Y_2..Y_8
     TRUNC = ChaosParams(f=F, gamma=1.1 + 0.25j, truncation=True, q=2,
                         lam=1.6)
     ESTIMATORS = [
@@ -533,8 +534,6 @@ class TestSampledWindow:
         (lambda b: mc_moment(b, ChaosParams(f=F, gamma=0.5), "product",
                              2 ** -5, eps_prime=2 ** -4, replicas=40),
          2 ** -4),
-        (lambda b: mc_moments(b, [(TestSampledWindow.TRUNC, "event",
-                                   2 ** -3, None)], 40, 0), 0.0),
         (lambda b: cauchy_ladder(b, TestSampledWindow.TRUNC,
                                  [2 ** -3, 2 ** -4], 40, 0), 2 ** -3),
         (lambda b: mollifier_independence(
@@ -545,7 +544,7 @@ class TestSampledWindow:
         (lambda b: field_stats(b, [2], 2, 2 ** -5, 2 ** -4, 40, 0), 2 ** -4),
         (lambda b: sup_field_prob(b, 1.6, [4], [2], 40, 0), 0.0),
     ]
-    ESTIMATOR_IDS = ["mc_moments", "mc_moment", "event", "cauchy_ladder",
+    ESTIMATOR_IDS = ["mc_moments", "mc_moment", "cauchy_ladder",
                      "mollifier_independence", "sobolev_ladder",
                      "field_stats", "sup_field_prob"]
 
@@ -678,10 +677,10 @@ class TestEngineAgreement:
             full, vals = vals, (dens * ok).sum(axis=0) * GRID.weight
             assert np.any(vals != full), \
                 "no replica left the barrier event; the case is vacuous"
-        params = ChaosParams(f=F, gamma=gamma, **truncated(trunc))
-        m = mc_moment(bench, params, "mean", self.EPS, replicas=R, seed=seed)
-        assert m.replicas == R and m.excluded == 0
-        assert abs(m.estimate - vals.mean()) <= 1e-10 * abs(vals.mean())
+        (got,), (ovf,) = _chaos_values(bench, [gamma], [("main", self.EPS)],
+                                       trunc, R, seed, None)
+        assert got.size == R and not ovf.any()
+        assert abs(got.mean() - vals.mean()) <= 1e-10 * abs(vals.mean())
 
     def test_two_field_matches_inline_formula(self):
         # chaos_density with stacked coefficients (alpha, i beta) over the
@@ -744,36 +743,23 @@ class TestMcMoment:
         assert m.oracle is not None and m.oracle.real > 0
         assert m.max_z <= 4.0, f"z = {m.max_z}"
 
-    def test_event_sure_at_huge_lambda(self):
-        bench = small_bench()
-        params = ChaosParams(f=F, gamma=0.8, truncation=True, q=2, lam=50.0)
-        m = mc_moment(bench, params, "event", 2 ** -4, replicas=200, seed=5)
-        assert m.estimate == 1.0 + 0j and m.se_re == 0.0
+    def test_truncation_read_from_params(self, monkeypatch):
+        # a moment of truncated params has no oracle (int f is the
+        # untruncated mean alone), so a sweep with a truncated job is
+        # refused before any block is drawn, whatever its other jobs
+        from logchaos import verify
 
-    def test_event_needs_trunc(self):
-        bench = small_bench()
-        with pytest.raises(ValueError, match="truncated params"):
-            mc_moment(bench, ChaosParams(f=F, gamma=0.8), "event", 2 ** -4,
-                      replicas=64, seed=0)
+        def no_draws(*a, **k):
+            raise AssertionError("a block was drawn")
 
-    def test_truncation_read_from_params(self):
-        # truncated params put the barrier event in the chaos value: the
-        # mean moves off the untruncated one, and a sweep whose jobs
-        # disagree on (q, lam) is refused before sampling
+        monkeypatch.setattr(verify, "block_z", no_draws)
         bench = small_bench()
         trunc = ChaosParams(f=F, gamma=1.1 + 0.25j, **truncated((2, 1.6)))
         plain = ChaosParams(f=F, gamma=1.1 + 0.25j)
-        a, b = (mc_moment(bench, p, "mean", 2 ** -4, replicas=400, seed=3)
-                for p in (trunc, plain))
-        assert a.estimate != b.estimate
-        # int f is the untruncated mean alone
-        assert a.oracle is None and b.oracle is not None
-        other = ChaosParams(f=F, gamma=0.5, **truncated((3, 1.6)))
-        for jobs in ([(trunc, "mean", 2 ** -4, None),
-                      (plain, "mean", 2 ** -4, None)],
-                     [(trunc, "event", 2 ** -4, None),
-                      (other, "mean", 2 ** -4, None)]):
-            with pytest.raises(ValueError, match="truncations"):
+        for jobs in ([(trunc, "mean", 2 ** -4, None)],
+                     [(plain, "mean", 2 ** -4, None),
+                      (trunc, "product", 2 ** -4, 2 ** -5)]):
+            with pytest.raises(ValueError, match="untruncated"):
                 mc_moments(bench, jobs, replicas=40, seed=0)
 
     def test_two_field_params_rejected(self):
@@ -801,9 +787,8 @@ class TestMomentSweep:
 
     EPS, EPS_PRIME = 2 ** -3, 2 ** -4
 
-    def jobs(self, estimands=("mean", "product", "distance2"), trunc=None):
-        return [(ChaosParams(f=F, gamma=g, **truncated(trunc)), est,
-                 self.EPS, self.EPS_PRIME)
+    def jobs(self, estimands=("mean", "product", "distance2")):
+        return [(ChaosParams(f=F, gamma=g), est, self.EPS, self.EPS_PRIME)
                 for g in (0.8, 0.5 + 0.5j) for est in estimands]
 
     def assert_bitwise(self, bench, jobs, workers):
@@ -811,17 +796,8 @@ class TestMomentSweep:
                            workers=workers)
         assert len(sweep) == len(jobs)
         for (params, est, eps, eps_p), m in zip(jobs, sweep):
-            if est == "event":
-                # an event convolves nothing, so alone it draws the rows of
-                # supp(f) only: a mean at the sweep's widest eps (every
-                # job's eps here) gives it the sweep's rows
-                alone = mc_moments(bench, [(params, est, eps, eps_p),
-                                           (params, "mean", self.EPS, None)],
-                                   replicas=100, seed=6,
-                                   workers=workers)[0]
-            else:
-                alone = mc_moment(bench, params, est, eps, eps_prime=eps_p,
-                                  replicas=100, seed=6, workers=workers)
+            alone = mc_moment(bench, params, est, eps, eps_prime=eps_p,
+                              replicas=100, seed=6, workers=workers)
             # repr tells -0.0 from 0.0: estimate, SEs, z, oracle, excluded
             assert repr(m) == repr(alone), est
 
@@ -829,15 +805,6 @@ class TestMomentSweep:
     def test_matches_separate_calls(self, workers):
         bench = small_bench()
         self.assert_bitwise(bench, self.jobs(), workers)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_truncated_with_event(self, workers):
-        bench = small_bench()
-        jobs = self.jobs(("mean", "event", "product", "distance2"),
-                         trunc=(2, 1.6))
-        self.assert_bitwise(bench, jobs, workers)
-        event = mc_moments(bench, jobs[1:2], replicas=100, seed=6)[0]
-        assert 0.0 < event.estimate.real < 1.0, "the barrier event is vacuous"
 
     def test_oracle_table_per_eps_pair(self, monkeypatch):
         # product and distance2 at two gammas need the (eps, eps'), (eps,
@@ -1142,6 +1109,12 @@ class TestSupFieldProb:
         assert rep.k_probs[0].estimate == 0.0 + 0j, "10k is way past 4 sd"
         assert rep.q_probs[0].estimate == 1.0 + 0j
 
+    def test_event_sure_at_huge_lambda(self):
+        rep = sup_field_prob(small_bench(), 50.0, ks=[2], qs=[2],
+                             replicas=200, seed=5)
+        (m,) = rep.q_probs
+        assert m.estimate == 1.0 + 0j and m.se_re == 0.0
+
     def test_barrier_slope_guard(self):
         bench = small_bench()
         with pytest.raises(ValueError):
@@ -1273,22 +1246,61 @@ class TestSobolevLadder:
                              seed=1)
         assert all(v >= 0.0 for v in rep.values)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.8])
-    def test_antithetic_partner_reflects_about_the_mean(self, alpha):
-        # the partner of a block is the block reflected about the draw's
-        # tilt shifts (about 0 untilted), so the pair is equal in law
+    def test_tilted_bench_refused(self, monkeypatch):
+        # -z is equal in law to z only untilted: a tilted bench is refused
+        # before any block is drawn
+        from logchaos import verify
         from logchaos.sampler import TiltShift
-        from logchaos.verify import _reflect
+
+        def no_draws(*a, **k):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(verify, "block_z", no_draws)
         bench = small_bench()
         bench.set_tilt(TiltShift(x=0.45, y=0.55, eps=2 ** -4,
-                                 eps_prime=2 ** -4, alpha=alpha))
-        keys = [("main", 2 ** -3)]
-        draw = bench.draw([2], keys)
-        (z,) = bench.map_blocks(3, 32, lambda start, zb: (zb,), draw=draw)
-        shifts = bench._shifts(draw)
-        partner = _reflect(z, shifts)
-        if alpha == 0.0:
-            assert shifts is None and np.array_equal(partner, -z)
-        else:
-            assert np.abs(shifts).max() > 0.1
-            assert np.abs(0.5 * (z + partner) - shifts[:, :, None]).max() < 1e-12
+                                 eps_prime=2 ** -4, alpha=0.8))
+        with pytest.raises(ValueError, match="untilted"):
+            sobolev_ladder(bench, ChaosParams(f=F, gamma=0.5), 0.75,
+                           [2 ** -3, 2 ** -4], replicas=64, seed=0)
+
+    @pytest.mark.parametrize("trunc", [None, (2, 1.6)])
+    def test_cells_match_materialised_partner(self, trunc):
+        # the partner's fields and barrier event are z's own, negated; a
+        # reference that materialises the block -z, sums, convolves and
+        # cuts it as a draw of its own gives the same ladder bit for bit
+        params = ChaosParams(f=F, gamma=1.1 + 0.25j, **truncated(trunc))
+        ladder = [2 ** -3, 2 ** -4, 2 ** -5]
+        bench = small_bench()
+        rep = sobolev_ladder(bench, params, 0.75, ladder, replicas=64, seed=2)
+        draw, keys = bench.last_draw, [("main", e) for e in ladder]
+        rows, f_s = bench.supp - draw.lo, F[bench.supp]
+        k_diags = [bench.supp_tables(*key)[1] for key in keys]
+        events = []
+
+        def consume(start, z):
+            out = np.zeros((2, z.shape[2]))
+            keep = np.ones((2, z.shape[2]), dtype=bool)
+            for zz in (z, -z):
+                event = None
+                if trunc is not None:
+                    event = barrier_below(zz, rows, trunc[1],
+                                          draw.tops).all(axis=0)
+                    events.append(event.all(axis=0))
+                xs = bench.mollify(zz.sum(axis=0), keys, draw)
+                cells = [chaos_density(params.gamma, x, kd, f_s, event)
+                         for x, kd in zip(xs, k_diags)]
+                for i, ((da, oa), (db, ob)) in enumerate(zip(cells,
+                                                             cells[1:])):
+                    diff = np.zeros((GRID.n, z.shape[2]), dtype=complex)
+                    diff[bench.supp] = da - db
+                    out[i] += 0.5 * sobolev_diag(diff, GRID, 0.75)
+                    keep[i] &= ~(oa | ob)
+            return out, keep
+
+        d2, keep = bench.map_blocks(2, 64, consume, draw=draw)
+        ref = ladder_from_values("sobolev u=0.75",
+                                 list(zip(ladder, ladder[1:])), d2, keep)
+        assert repr(rep) == repr(ref)
+        if trunc is not None:
+            hit = np.concatenate(events)
+            assert hit.any() and not hit.all(), "the barrier is vacuous"
