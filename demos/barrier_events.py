@@ -42,8 +42,8 @@ def main():
     alpha = 1.1
     lam = pick_lambda(1, alpha, 0.0)
     seps = [math.exp(-k) for k in range(2, 6)]
-    rep = tilted_event_prob(spec, seps, math.exp(-5), math.exp(-5), 2, lam,
-                            alpha, 8, replicas=args.replicas,
+    rep = tilted_event_prob(spec, seps, math.exp(-5), 2, lam, alpha, 8,
+                            replicas=args.replicas,
                             seed=args.seed + 1)
     print(f"\ntilted two-point event, alpha = {alpha}, lambda = {lam:.4f}:")
     for s, m in zip(rep.separations, rep.estimates):

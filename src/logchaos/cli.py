@@ -602,8 +602,8 @@ def plan_tilt_check(cfg):
     seed = _int(cfg, "seed", 0, lo=0)
 
     def run(workers, run_id):
-        rep = verify.tilted_event_prob(KernelSpec(d=d), seps, eps, eps, q,
-                                       lam, alpha, n_max, replicas, seed,
+        rep = verify.tilted_event_prob(KernelSpec(d=d), seps, eps, q, lam,
+                                       alpha, n_max, replicas, seed,
                                        workers=workers)
         rows = [[repr(s), repr(m.estimate.real), repr(m.se_re), run_id]
                 for s, m in zip(rep.separations, rep.estimates)]
@@ -643,18 +643,43 @@ def _kind(cfg):
     return kind
 
 
+class _Reads(dict):
+    """A config recording each key its get reads; object values (f) too."""
+
+    def __init__(self, cfg):
+        super().__init__({k: _Reads(v) if isinstance(v, dict) else v
+                          for k, v in cfg.items()})
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def refuse_unread(self, path=""):
+        for key, v in self.items():
+            if key not in self.read:
+                import difflib  # here: a module-level import adds 0.2 MB RSS
+                near = difflib.get_close_matches(key, sorted(self.read), 1)
+                raise ConfigError(f"key {path}{key} is not read" + "".join(
+                    f"; did you mean {path}{n}?" for n in near))
+            if isinstance(v, _Reads):
+                v.refuse_unread(f"{path}{key}.")
+
+
 def plan(cfg):
     """(resolved, run) of a config: every check its run makes before sampling.
 
-    plan_<kind>(cfg) reads and checks every key of the config and resolves
-    its parameters without sampling.  run(workers, run_id) samples, never
-    reads cfg, and returns (tables, verdicts, the resolved entries known
-    only after sampling).
+    plan_<kind>(cfg) reads and checks the keys of the config, refuses any
+    other (but kind, out and seed) and resolves its parameters without
+    sampling.  run(workers, run_id) samples, never reads cfg, and returns
+    (tables, verdicts, the resolved entries known only after sampling).
     """
-    kind, out = _kind(cfg), cfg.get("out")
+    kind, out, _ = _kind(cfg := _Reads(cfg)), cfg.get("out"), cfg.get("seed")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out must be a path string, got {out!r}")
-    return PLANS[kind](cfg)
+    planned = PLANS[kind](cfg)
+    cfg.refuse_unread()
+    return planned
 
 
 def load_config(path):

@@ -311,19 +311,19 @@ def k_mollified(spec, eps, eps_prime, x, y, mol=None, n_levels=None,
                                 np.abs(sep + u[:, None] - v[None, :])) @ wv)
 
 
-def q_mollified(spec, n, eps, z, x, mol, h=None, rule="grid", nodes=32):
+def q_mollified(spec, n, eps, z, x, mol, h=None, rule="grid"):
     """Singly-mollified increment kernel Q_{n,eps}(z, x).
 
     Mollifies the x argument only.  With rule "grid" the discrete sampling
     stencil is used, so the result is the exact covariance between the
     sampled increment at z and the sampled mollified field at x; rule
-    "midpoint" uses the continuum cloud (for free point sets with no grid).
+    "midpoint" the 32-node continuum cloud (for free point sets, no grid).
     z may be an array of points of shape (P,) or (P, 1), and x is a scalar.
     """
     zz = np.asarray(z, dtype=float).reshape(-1)
     if n == 0:
         return np.full(zz.size, spec.q0)
-    offs, w = _cloud(mol, eps, rule, h, nodes)
+    offs, w = _cloud(mol, eps, rule, h, 32)
     r = np.abs(zz[:, None] - (offs + float(x))[None, :])
     vals = np.zeros_like(r)
     live = r < math.exp(-(spec.t0 + n))

@@ -22,7 +22,8 @@ the first W real parts are replicas 0-15, the imaginary parts replicas
 16-31, two independent exact draws.  A free pair of points s apart is a
 2-point torus of spacing s: its Gram [[L(0), L(s)], [L(s), L(0)]] is
 itself a circulant, with eigenvalues L(0) +- L(s) >= 0.  Reading every
-level gives one group per level: the per-level draw.
+level gives one group per level: the per-level draw.  Every draw is
+centred: a consume adds any mean, such as a tilt's (tilt_shift_rows).
 """
 
 from __future__ import annotations
@@ -98,15 +99,14 @@ def circulant_root(row, name="kernel"):
 class TiltShift:
     """Cameron-Martin mean shift toward two tilt points.
 
-    The shift adds alpha * (Q_{k,eps}(z, x) + Q_{k,eps'}(z, y)) to each
-    increment Z_k, so partial sums and every mollified field pick up the
-    doubly-mollified means automatically by linearity.
+    The shift adds alpha * (Q_{k,eps}(z, x) + Q_{k,eps}(z, y)) to each
+    increment Z_k.  No draw carries it: tilted_event_prob's consume adds
+    its means (tilt_shift_rows) to the centred blocks it reads.
     """
 
     x: float
     y: float
     eps: float
-    eps_prime: float
     alpha: float
 
 
@@ -182,7 +182,7 @@ def increment_factors(spec, grid, n_max, rows=None, levels=None):
 _BUFFER = threading.local()
 
 
-def tilt_shift_rows(spec, grid, tilt, n_max, mol, nodes=32):
+def tilt_shift_rows(spec, grid, tilt, n_max, mol):
     """Deterministic per-level mean shifts at the grid points, shape (n_max+1, N).
 
     Regular grids mollify the tilt points with the discrete sampling stencil
@@ -194,15 +194,15 @@ def tilt_shift_rows(spec, grid, tilt, n_max, mol, nodes=32):
     rows = np.zeros((n_max + 1, grid.n))
     for k in range(0, n_max + 1):
         qa = kernels.q_mollified(spec, k, tilt.eps, pts, tilt.x, mol,
-                                 h=grid.h, rule=rule, nodes=nodes)
-        qb = kernels.q_mollified(spec, k, tilt.eps_prime, pts, tilt.y, mol,
-                                 h=grid.h, rule=rule, nodes=nodes)
+                                 h=grid.h, rule=rule)
+        qb = kernels.q_mollified(spec, k, tilt.eps, pts, tilt.y, mol,
+                                 h=grid.h, rule=rule)
         rows[k] = tilt.alpha * (qa + qb)
     return rows
 
 
-def block_z(spec, grid, factors, seed, block_start, n_max, shifts=None):
-    """Group slabs for one replica block: shape (groups, W, BLOCK).
+def block_z(spec, grid, factors, seed, block_start, n_max):
+    """Centred group slabs for one replica block: shape (groups, W, BLOCK).
 
     Slab i holds the sum of the levels of the i-th factor with last <=
     n_max, so cumsum over the slabs gives the partial sums at the groups'
@@ -216,7 +216,6 @@ def block_z(spec, grid, factors, seed, block_start, n_max, shifts=None):
     real parts fill columns 0..BLOCK/2-1, the imaginary parts the rest.
     Consecutive groups of one torus size (tori shrink with level) stack
     their panels into one FFT call, which transforms each panel alone.
-    shifts holds one mean row per slab.
     """
     groups = [g for g in factors if g.last <= n_max]
     n, half = groups[-1].rows, BLOCK // 2
@@ -242,6 +241,4 @@ def block_z(spec, grid, factors, seed, block_start, n_max, shifts=None):
             z[i:i + k, :, :half] = y.real
             z[i:i + k, :, half:] = y.imag
         i, used = i + k, used + k * m * BLOCK
-    if shifts is not None:
-        z += shifts[:, :, None]
     return z

@@ -223,16 +223,16 @@ class Bench:
     of its sweep once (Bench.draw of the levels it reads and the (channel,
     eps) keys it mollifies) and hands that same Draw to its consume and to
     map_blocks, so calls that share a Bench never read each other's rows.
-    A draw holds the grid rows lo..hi = sampled_rows(grid, f, widest eps
-    among its keys) and one slab per group of consecutive levels ending at
-    a partial sum Y_l it reads: the cumsum of a block over slabs
-    0..draw.slab(l) is Y_l.  The caches only grow: group factors (one
-    circulant embedding per group) per (tops, rows),
-    stencil spectra per (channel, eps, torus), the kernel-table diagonal
-    per (channel, eps) and the support kernel table per (eps, eps'), one
-    value per row offset; grid-rule kernel values at n_max levels come
-    from one lattice routine of kernels (_lattice_table, which
-    offset_table calls), with no Gram block, so they are the exact
+    A draw is centred, so a consume adds any mean itself.  It holds the
+    grid rows lo..hi = sampled_rows(grid, f, widest eps among its keys) and
+    one slab per group of consecutive levels ending at a partial sum Y_l it
+    reads: the cumsum of a block over slabs 0..draw.slab(l) is Y_l.  The
+    caches only grow: group factors (one circulant embedding per group) per
+    (tops, rows), stencil spectra per (channel, eps, torus), the
+    kernel-table diagonal per (channel, eps) and the support kernel table
+    per (eps, eps'), one value per row offset; grid-rule kernel values at
+    n_max levels come from one lattice routine of kernels (_lattice_table,
+    which offset_table calls), with no Gram block, so they are the exact
     covariances of the sampled fields.
     last_draw records the Draw of the last map_blocks call (a new bench:
     every level on supp(f)), which factors and safety_net report.
@@ -245,7 +245,6 @@ class Bench:
         self.f = None if f is None else np.asarray(f, dtype=float)
         self.channels = {"main": mol if mol is not None else Mollifier()}
         self.supp = None if self.f is None else np.flatnonzero(self.f != 0.0)
-        self._tilt_rows = None
         self._groups = {}
         self._supp_tables = {}
         self._spectra = {}
@@ -271,16 +270,6 @@ class Bench:
             self._spectrum(*key, out)
         return out
 
-    def set_tilt(self, tilt, nodes=32):
-        """Shift every draw by the tilt's per-level means (None or alpha = 0:
-        no shift); each draw sums them over its groups (_shifts)."""
-        if tilt is None or tilt.alpha == 0.0:
-            self._tilt_rows = None
-        else:
-            self._tilt_rows = tilt_shift_rows(
-                self.spec, self.grid, tilt, self.n_max, self.channels["main"],
-                nodes=nodes)
-
     def _factors(self, draw):
         """One LevelFactor per group of draw, cached per (level set, rows)."""
         key = (draw.tops, draw.rows)
@@ -288,15 +277,6 @@ class Bench:
             self._groups[key] = increment_factors(
                 self.spec, self.grid, self.n_max, draw.rows, draw.tops)
         return self._groups[key]
-
-    def _shifts(self, draw):
-        """The tilt's mean row per group of draw on its rows: the sum of
-        its levels' shifts (None untilted)."""
-        if self._tilt_rows is None:
-            return None
-        firsts = [0, *(t + 1 for t in draw.tops[:-1])]
-        return np.add.reduceat(self._tilt_rows[:, draw.lo:draw.hi + 1],
-                               firsts, axis=0)
 
     @property
     def factors(self):
@@ -403,14 +383,14 @@ class Bench:
         workers = workers if workers is not None else default_workers()
         draw = self.draw() if draw is None else draw
         self.last_draw = draw
-        factors, shifts = self._factors(draw), self._shifts(draw)
+        factors = self._factors(draw)
         per = max(1, BATCH_VALUES // (BLOCK * sum(g.draws for g in factors)))
         blocks = range(0, replicas, BLOCK)
         batches = [blocks[i:i + per] for i in range(0, len(blocks), per)]
 
         def run(i):
             zs = [block_z(self.spec, self.grid, factors, seed, start,
-                          self.n_max, shifts) for start in batches[i]]
+                          self.n_max) for start in batches[i]]
             z = zs[0] if len(zs) == 1 else np.concatenate(zs, axis=-1)
             return consume(batches[i][0], z)
 
@@ -675,7 +655,7 @@ class KernelEstimateReport:
 
 
 def kernel_estimate_check(spec, kind, grid, eps_ladder=(), n_ladder=(),
-                          eps_fixed=None, log_floor=True):
+                          eps_fixed=None):
     """Empirical suprema of the kernel-estimate gaps, with stability verdict.
 
     kind "mollified": per eps rung, sup over grid pairs of
@@ -687,8 +667,7 @@ def kernel_estimate_check(spec, kind, grid, eps_ladder=(), n_ladder=(),
     regular grid each gap depends on x - y alone, so each supremum runs
     over the lattice offsets of kernels.offset_table between the D_eps and
     D_eps' rows, one separation each, and no rows x rows' array is built.
-    Stability = consecutive suprema within a factor 1.5.  log_floor=False
-    drops the log comparison term (degenerate-kernel calibration).
+    Stability = consecutive suprema within a factor 1.5.
     """
     mol = Mollifier()
     d_rows = cache(lambda eps: interior_rows(grid, eps))  # once per eps
@@ -711,8 +690,7 @@ def kernel_estimate_check(spec, kind, grid, eps_ladder=(), n_ladder=(),
             gaps = []
             for e2 in [eps, *steps[i + 1:i + 2]]:
                 seps, vals = table(eps, e2, kernels.exact_level(spec, e2))
-                if log_floor:
-                    vals = vals + np.log(np.maximum(np.abs(seps), eps))
+                vals = vals + np.log(np.maximum(np.abs(seps), eps))
                 gaps.append(float(np.abs(vals).max()))
             sups.append(max(gaps))
     elif kind == "partial":
@@ -725,8 +703,7 @@ def kernel_estimate_check(spec, kind, grid, eps_ladder=(), n_ladder=(),
             if log_r is None:
                 with np.errstate(divide="ignore"):  # -log 0 = inf
                     log_r = -np.log(np.abs(seps))
-            if log_floor:
-                vals = vals - np.minimum(log_r, min(-math.log(eps_fixed), n))
+            vals = vals - np.minimum(log_r, min(-math.log(eps_fixed), n))
             sups.append(float(np.abs(vals).max()))
     else:
         raise ValueError(f"unknown kind {kind!r}")
@@ -876,14 +853,15 @@ class TiltedEventReport:
     level_groups: tuple = ()     # (first, last) per group
 
 
-def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
-                      n_max, replicas, seed, workers=None):
+def tilted_event_prob(spec, separations, eps, q, lam, alpha, n_max,
+                      replicas, seed, workers=None):
     """P-tilde[A_q(x, y)] under the two-point Cameron-Martin tilt.
 
-    For each separation s the field is sampled jointly at x = 1/2 - s/2,
-    y = 1/2 + s/2 with the alpha-tilt toward both points, and the event
-    {Y_k(x) <= k lam and Y_k(y) <= k lam for all k in q..n_max} is counted,
-    drawing only those partial sums: each group's pair is a 2-point torus.
+    For each separation s the centred field is drawn at x = 1/2 - s/2,
+    y = 1/2 + s/2, and the consume adds the alpha-tilt toward both points,
+    its levels' tilt_shift_rows summed per group, before counting {Y_k(x)
+    <= k lam and Y_k(y) <= k lam for all k in q..n_max}, drawing only those
+    partial sums: each group's pair is a 2-point torus.
     The log-probability is then regressed on log(s v eps) (fit_abscissae);
     the decay exponent should dominate (2 alpha - lam)^2 / 2 - 0.3 one-sidedly.
     """
@@ -896,17 +874,20 @@ def tilted_event_prob(spec, separations, eps, eps_prime, q, lam, alpha,
         raise PhaseError(f"lam={lam} must exceed sqrt(2d)")
     tops = range(q, n_max + 1)
 
-    def event(start, z):
-        below = barrier_below(z, slice(None), lam, tops)
-        return (below.all(axis=(0, 1)).astype(float),)
-
     estimates, ratios = [], []
     for si, s in enumerate(separations):
         x, y = 0.5 - 0.5 * s, 0.5 + 0.5 * s
         grid2 = Grid.from_points(np.array([[x], [y]]), spec.box)
         bench = Bench(spec, grid2, n_max)
-        bench.set_tilt(TiltShift(x=x, y=y, eps=eps, eps_prime=eps_prime,
-                                 alpha=alpha))
+        means = np.add.reduceat(tilt_shift_rows(
+            spec, grid2, TiltShift(x=x, y=y, eps=eps, alpha=alpha), n_max,
+            bench.channels["main"]), [0, *tops[1:]], axis=0)[:, :, None]
+
+        def event(start, z):
+            z += means
+            below = barrier_below(z, slice(None), lam, tops)
+            return (below.all(axis=(0, 1)).astype(float),)
+
         (ind,) = bench.map_blocks(seed + si, replicas, event, workers,
                                   bench.draw(tops))
         estimates.append(moment_from_values(f"P~[A_{q}] sep={s}", ind))
@@ -972,18 +953,13 @@ def sobolev_ladder(bench, params, u, eps_ladder, replicas, seed,
     periodized grid; consecutive-pair squared distances (sobolev_diag)
     feed the usual ladder machinery.  A replica's value is the mean of its
     distances at z and at its antithetic partner -z (_block_densities):
-    the two draws are equal in law, so the mean keeps the cell's
+    the two centred draws are equal in law, so the mean keeps the cell's
     expectation and lowers its variance, and a replica is kept only when
-    neither draw overflowed.  -z is equal in law to z only on an untilted
-    bench, so a tilted one raises ValueError.
+    neither draw overflowed.
     """
     grid = bench.grid
     if u <= 0.5:
         raise ValueError(f"u={u} must exceed d/2 = 0.5")
-    if bench._tilt_rows is not None:
-        raise ValueError("the antithetic partner -z is equal in law to z "
-                         "only untilted: sobolev_ladder refuses a tilted "
-                         "bench")
     eps_ladder = _pair_ladder(eps_ladder)
     gamma, trunc = _gamma_trunc(bench, params)
     keys = [("main", e) for e in eps_ladder]

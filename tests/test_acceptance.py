@@ -153,8 +153,8 @@ class TestAcceptance:
     def test_09_tilted_event_scaling(self):
         seps = [math.exp(-k) for k in range(2, 6)]
         lam = pick_lambda(1, 1.1, 0.0)
-        rep = tilted_event_prob(SPEC, seps, math.exp(-5), math.exp(-5), 2,
-                                lam, 1.1, 8, replicas=10000, seed=5)
+        rep = tilted_event_prob(SPEC, seps, math.exp(-5), 2, lam, 1.1, 8,
+                                replicas=10000, seed=5)
         report(9, "tilted-event scaling", rep.one_sided_ok)
 
     def test_10_kernel_estimate_stability(self):

@@ -240,6 +240,14 @@ RUN_ONLY_REJECTIONS = [
     ({"kind": "tilt-check", "eps": 1.0}, "separations"),
     ({"kind": "tilt-check", "separations": [1e-300, 1e-300, 2e-300, 3e-300]},
      "separations"),
+    # keys the plan does not read, named with the closest key it read
+    ({"kind": "moment-check", "replica": 400, "sed": 3},
+     "key replica is not read; did you mean replicas?"),
+    ({"kind": "cauchy", "gama": 0.3},
+     "key gama is not read; did you mean gamma?"),
+    ({"kind": "cauchy", "f": {"center": 0.5, "radus": 0.05}},
+     "key f.radus is not read; did you mean f.radius?"),
+    ({"kind": "cauchy", "gamma": 0.5, "q": 2}, "key q is not read"),
 ]
 
 

@@ -1,5 +1,7 @@
-"""The demos and the README's code run as written, each in a fresh process."""
+"""The demos and the README's code run as written, each in a fresh process,
+and the API names the README cites exist."""
 
+import importlib
 import os
 import pathlib
 import re
@@ -59,3 +61,25 @@ def test_exports_match_all():
               and not isinstance(value, types.ModuleType)}
     assert [n for n in logchaos.__all__ if not hasattr(logchaos, n)] == []
     assert sorted(public - set(logchaos.__all__)) == []
+
+
+def test_readme_api_names_resolve():
+    # every backticked `module.name` or `Name.attr` whose head is a module of
+    # logchaos or an exported name (`Bench.draw`) names something that exists
+    text = (ROOT / "README.md").read_text()
+    missing = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        m = re.match(r"(\w+)((?:\.\w+)+)", span)
+        if m is None:
+            continue
+        try:
+            obj = importlib.import_module(f"logchaos.{m[1]}")
+        except ImportError:
+            obj = getattr(logchaos, m[1], None)
+        if obj is None:
+            continue
+        for part in m[2].split(".")[1:]:
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(span)
+    assert missing == []

@@ -7,7 +7,7 @@ from scipy.fft import next_fast_len
 from logchaos import (Bench, Grid, KernelSpec, Mollifier, NumericError,
                       TiltShift, barrier_below, bump_function, gram,
                       increment_factors, kernels, sampled_rows,
-                      tilt_shift_rows)
+                      tilt_shift_rows, tilted_event_prob, verify)
 from logchaos.kernels import lattice_row
 from logchaos.mollifier import discrete_stencil, interior_rows, weight_matrix
 from logchaos.sampler import (BLOCK, block_z, circulant_root,
@@ -50,10 +50,14 @@ def mollified_draws(n_max, seed, replicas, eps_list, mol):
 
 def draws(grid, n_max, seed, replicas, tilt=None):
     """The slabs of a Bench without f at map_blocks' default levels (every
-    row, one slab per level), shape (n_max + 1, N, R)."""
+    row, one slab per level), shape (n_max + 1, N, R); under a tilt, plus
+    its per-level means, as a tilted consume adds them."""
     bench = Bench(SPEC, grid, n_max)
-    bench.set_tilt(tilt)
-    return bench.map_blocks(seed, replicas, lambda start, z: (z,))[0]
+    (z,) = bench.map_blocks(seed, replicas, lambda start, z: (z,))
+    if tilt is not None:
+        z += tilt_shift_rows(SPEC, grid, tilt, n_max,
+                             bench.channels["main"])[:, :, None]
+    return z
 
 
 def draw_matrix(grid, n_max, seed, replicas, level=None, tilt=None):
@@ -219,7 +223,7 @@ class TestMollifiedFields:
 class TestTilt:
     def test_zero_alpha_identity(self):
         s = draws(GRID, 5, seed=20, replicas=1)
-        t = TiltShift(x=0.5, y=0.6, eps=2 ** -3, eps_prime=2 ** -3, alpha=0.0)
+        t = TiltShift(x=0.5, y=0.6, eps=2 ** -3, alpha=0.0)
         tilted = draws(GRID, 5, seed=20, replicas=1, tilt=t)
         assert np.array_equal(tilted, s)
 
@@ -227,8 +231,7 @@ class TestTilt:
         R = 4000
         n_max = 5
         mol = Mollifier(d=1)
-        t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, eps_prime=2 ** -3,
-                      alpha=0.8)
+        t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, alpha=0.8)
         shifts = tilt_shift_rows(SPEC, GRID, t, n_max, mol)
         y = draw_matrix(GRID, n_max, seed=21, replicas=R, tilt=t)
         mid = GRID.n // 2
@@ -239,8 +242,7 @@ class TestTilt:
 
     def test_tilt_preserves_variance(self):
         R = 4000
-        t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, eps_prime=2 ** -3,
-                      alpha=0.8)
+        t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, alpha=0.8)
         flat = draw_matrix(GRID, 4, seed=22, replicas=R)
         tilted = draw_matrix(GRID, 4, seed=22, replicas=R, tilt=t)
         mid = GRID.n // 2
@@ -296,13 +298,12 @@ class TestBandedEngine:
         n_max, seed, start = 8, 5, 64
         n = self.GRID512.n
         factors = increment_factors(SPEC, self.GRID512, n_max)
-        shifts = None
-        if tilted:
-            t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, eps_prime=2 ** -3,
-                          alpha=0.8)
+        z = block_z(SPEC, self.GRID512, factors, seed, start, n_max)
+        if tilted:  # one group per level: the per-level means
+            t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, alpha=0.8)
             shifts = tilt_shift_rows(SPEC, self.GRID512, t, n_max,
                                      Mollifier(d=1))
-        z = block_z(SPEC, self.GRID512, factors, seed, start, n_max, shifts)
+            z += shifts[:, :, None]
         panels = stream_panels(seed, start // BLOCK,
                                [lv.draws for lv in factors])
         half = BLOCK // 2
@@ -558,8 +559,7 @@ class TestLevelGroups:
                 f"group {g.first}..{g.last}"
 
     @staticmethod
-    def per_level_blocks(spec, grid, lo, hi, n_max, seed, replicas,
-                         shifts=None):
+    def per_level_blocks(spec, grid, lo, hi, n_max, seed, replicas):
         """The per-level draw, inline: default_rng([seed, block]) yields the
         Q_0 normals, then one (M_k, BLOCK) panel per level k, each taken
         through one FFT of its circulant root (on a 2-point torus of
@@ -587,8 +587,6 @@ class TestLevelGroups:
                 y = np.fft.fft(root[:, None] * xi.view(complex), axis=0)[:w]
                 z[k, :, :half] = y.real
                 z[k, :, half:] = y.imag
-            if shifts is not None:
-                z += shifts[:, :, None]
             blocks.append(z)
         return np.concatenate(blocks, axis=-1)[..., :replicas]
 
@@ -603,16 +601,42 @@ class TestLevelGroups:
         ref = self.per_level_blocks(spec, grid, draw.lo, draw.hi, 8, 3, 64)
         assert np.array_equal(z, ref)
 
-    def test_default_levels_draw_per_level_tilted_free(self):
-        pair = Grid.from_points(np.array([[0.45], [0.55]]), (0.0, 1.0))
-        t = TiltShift(x=0.45, y=0.55, eps=2 ** -4, eps_prime=2 ** -4,
-                      alpha=0.8)
+    @staticmethod
+    def tilt_check_blocks(monkeypatch, q, seed):
+        """(per-level tilt means, centred block, tilted block) of the first
+        separation 0.1 of a tilted_event_prob run (eps 2^-4, alpha 0.8,
+        n_max 6, 64 replicas): the draw its bench makes, and the block its
+        event reads once the consume has added the group means."""
+        seen, below = [], verify.barrier_below
+
+        def record(z, *args):
+            seen.append(z.copy())
+            return below(z, *args)
+
+        monkeypatch.setattr(verify, "barrier_below", record)
+        seps = [0.1, math.exp(-3), math.exp(-4), math.exp(-5)]
+        tilted_event_prob(SPEC, seps, 2 ** -4, q, 1.6, 0.8, 6, 64, seed)
+        x, y = 0.5 - 0.5 * 0.1, 0.5 + 0.5 * 0.1
+        pair = Grid.from_points(np.array([[x], [y]]), (0.0, 1.0))
         bench = Bench(SPEC, pair, 6)
-        bench.set_tilt(t)
-        (z,) = bench.map_blocks(5, 64, lambda start, zb: (zb,))
-        shifts = tilt_shift_rows(SPEC, pair, t, 6, Mollifier(d=1))
-        ref = self.per_level_blocks(SPEC, pair, 0, 1, 6, 5, 64, shifts)
-        assert np.array_equal(z, ref)
+        (centred,) = bench.map_blocks(seed, 64, lambda start, zb: (zb,),
+                                      draw=bench.draw(range(q, 7)))
+        rows = tilt_shift_rows(SPEC, pair, TiltShift(x=x, y=y, eps=2 ** -4,
+                                                     alpha=0.8), 6,
+                               Mollifier(d=1))
+        return rows, centred, seen[0]
+
+    def test_default_levels_draw_per_level_tilted_free(self, monkeypatch):
+        # the free pair's per-level draw is the inline reference's; under
+        # tilt-check's barrier at q = 1, each level after the first group
+        # gets its own tilt mean
+        pair = Grid.from_points(np.array([[0.45], [0.55]]), (0.0, 1.0))
+        (z,) = Bench(SPEC, pair, 6).map_blocks(5, 64, lambda start, zb: (zb,))
+        assert np.array_equal(z, self.per_level_blocks(SPEC, pair, 0, 1, 6,
+                                                       5, 64))
+        rows, centred, tilted = self.tilt_check_blocks(monkeypatch, 1, 5)
+        ref = np.stack([rows[0] + rows[1], *rows[2:]])
+        assert np.array_equal(tilted, centred + ref[:, :, None])
 
     def test_grouped_barrier_reads_group_tops(self):
         # slabs summing levels a..b compare Y_b against b lam, the same
@@ -629,14 +653,9 @@ class TestLevelGroups:
         grouped = barrier_below(slabs, rows, 0.9, tops)
         assert np.array_equal(grouped, barrier_below(z, rows, 0.9)[tops])
 
-    def test_grouped_tilt_sums_shifts(self):
-        # a group's mean row is the sum of its levels' tilt shifts
-        pair = Grid.from_points(np.array([[0.45], [0.55]]), (0.0, 1.0))
-        t = TiltShift(x=0.45, y=0.55, eps=2 ** -4, eps_prime=2 ** -4,
-                      alpha=0.8)
-        bench = Bench(SPEC, pair, 6)
-        bench.set_tilt(t)
-        rows = tilt_shift_rows(SPEC, pair, t, 6, Mollifier(d=1))
-        ref = [rows[0:3].sum(axis=0), rows[3], rows[4:7].sum(axis=0)]
-        shifts = bench._shifts(bench.draw([2, 3]))
-        assert np.abs(shifts - np.stack(ref)).max() < 1e-14
+    def test_grouped_tilt_sums_shifts(self, monkeypatch):
+        # a group's mean row is the sum of its levels' tilt shifts: tilt-check
+        # at q = 2 draws the groups 0..2, 3, 4, 5 and 6
+        rows, centred, tilted = self.tilt_check_blocks(monkeypatch, 2, 5)
+        ref = np.stack([rows[0:3].sum(axis=0), *rows[3:]])
+        assert np.abs(tilted - centred - ref[:, :, None]).max() < 1e-14

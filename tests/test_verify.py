@@ -14,7 +14,7 @@ import logchaos
 from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
                       PhaseError, barrier_below, bump_function, cauchy_ladder,
                       chaos_density, field_stats, gram, increment_factors,
-                      kernel_estimate_check,
+                      kernel_estimate_check, kernels,
                       ladder_from_values, mc_moment, mc_moments,
                       moment_from_values, mollifier_independence,
                       sampled_rows, second_moment_oracle, sobolev_diag,
@@ -361,7 +361,7 @@ class TestBatches:
                                     draw.rows, draw.tops)
         outs = [consume(start, verify.block_z(bench.spec, bench.grid,
                                               factors, self.SEED, start,
-                                              bench.n_max, None))
+                                              bench.n_max))
                 for start in range(0, replicas, verify.BLOCK)]
         return tuple(np.concatenate([o[j] for o in outs], axis=-1)[..., :replicas]
                      for j in range(len(outs[0])))
@@ -1003,15 +1003,18 @@ class TestKernelEstimateCheck:
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_log_floor_off_keeps_divergence(self):
-        # dropping the log reference leaves the full |K| magnitude behind
+        # dropping the log reference leaves the full |K| magnitude behind:
+        # the same tables as the check, read without the log term
         grid = Grid.regular((0.0, 1.0), 256)
         with_ref = kernel_estimate_check(SPEC, "mollified", grid,
                                          eps_ladder=[2 ** -4])
-        without = kernel_estimate_check(SPEC, "mollified", grid,
-                                        eps_ladder=[2 ** -4],
-                                        log_floor=False)
-        assert without.suprema[0] > with_ref.suprema[0]
-        assert without.suprema[0] > 0.5 * math.log(16.0)
+        rows = interior_rows(grid, 2 ** -4)
+        vals = kernels.offset_table(SPEC, grid, rows, rows, 2 ** -4, 2 ** -4,
+                                    Mollifier(), kernels.exact_level(
+                                        SPEC, 2 ** -4))[2]
+        without = float(np.abs(vals).max())
+        assert without > with_ref.suprema[0]
+        assert without > 0.5 * math.log(16.0)
 
     def test_mollified_stability_short_ladder(self):
         grid = Grid.regular((0.0, 1.0), 256)
@@ -1140,7 +1143,7 @@ class TestTiltedEventProb:
     def test_zero_tilt_matches_direct(self):
         eps = math.exp(-5)
         q, lam, n_max = 2, 1.6, 6
-        rep = tilted_event_prob(SPEC, self.SEPS, eps, eps, q, lam, alpha=0.0,
+        rep = tilted_event_prob(SPEC, self.SEPS, eps, q, lam, alpha=0.0,
                                 n_max=n_max, replicas=1200, seed=7)
         # direct untilted estimate at the first separation
         s = self.SEPS[0]
@@ -1167,26 +1170,26 @@ class TestTiltedEventProb:
     def test_one_abscissa_refused(self, seps, eps):
         # log(max(s, eps)) takes one value: no slope, refused before a draw
         with pytest.raises(ValueError, match="two distinct"):
-            tilted_event_prob(SPEC, seps, eps, eps, 2, 1.6, 1.1, 6,
+            tilted_event_prob(SPEC, seps, eps, 2, 1.6, 1.1, 6,
                               replicas=64, seed=0)
 
     def test_needs_four_separations(self):
         with pytest.raises(ValueError):
-            tilted_event_prob(SPEC, self.SEPS[:3], math.exp(-5), math.exp(-5),
-                              2, 1.6, 1.1, 6, replicas=64, seed=0)
+            tilted_event_prob(SPEC, self.SEPS[:3], math.exp(-5), 2, 1.6, 1.1,
+                              6, replicas=64, seed=0)
 
     def test_barrier_guard(self):
         with pytest.raises(PhaseError):
-            tilted_event_prob(SPEC, self.SEPS, math.exp(-5), math.exp(-5),
-                              2, 1.0, 1.1, 6, replicas=64, seed=0)
+            tilted_event_prob(SPEC, self.SEPS, math.exp(-5), 2, 1.0, 1.1, 6,
+                              replicas=64, seed=0)
 
     def test_exponent_target_formula(self):
-        rep = tilted_event_prob(SPEC, self.SEPS, math.exp(-5), math.exp(-5),
-                                2, 1.5, 1.1, 6, replicas=400, seed=8)
+        rep = tilted_event_prob(SPEC, self.SEPS, math.exp(-5), 2, 1.5, 1.1, 6,
+                                replicas=400, seed=8)
         assert abs(rep.exponent_target - 0.5 * (2.2 - 1.5) ** 2) < 1e-12
         # raising lambda toward 2 alpha shrinks the target exponent
-        rep2 = tilted_event_prob(SPEC, self.SEPS, math.exp(-5), math.exp(-5),
-                                 2, 2.0, 1.1, 6, replicas=400, seed=8)
+        rep2 = tilted_event_prob(SPEC, self.SEPS, math.exp(-5), 2, 2.0, 1.1,
+                                 6, replicas=400, seed=8)
         assert rep2.exponent_target < rep.exponent_target
 
 
@@ -1245,23 +1248,6 @@ class TestSobolevLadder:
                              [2 ** -3, 2 ** -4, 2 ** -5], replicas=400,
                              seed=1)
         assert all(v >= 0.0 for v in rep.values)
-
-    def test_tilted_bench_refused(self, monkeypatch):
-        # -z is equal in law to z only untilted: a tilted bench is refused
-        # before any block is drawn
-        from logchaos import verify
-        from logchaos.sampler import TiltShift
-
-        def no_draws(*a, **k):
-            raise AssertionError("a block was drawn")
-
-        monkeypatch.setattr(verify, "block_z", no_draws)
-        bench = small_bench()
-        bench.set_tilt(TiltShift(x=0.45, y=0.55, eps=2 ** -4,
-                                 eps_prime=2 ** -4, alpha=0.8))
-        with pytest.raises(ValueError, match="untilted"):
-            sobolev_ladder(bench, ChaosParams(f=F, gamma=0.5), 0.75,
-                           [2 ** -3, 2 ** -4], replicas=64, seed=0)
 
     @pytest.mark.parametrize("trunc", [None, (2, 1.6)])
     def test_cells_match_materialised_partner(self, trunc):
