@@ -28,7 +28,7 @@ from . import __version__, kernels, phase, verify
 from .chaos import ChaosParams, bump_function, q0_for
 from .grids import Grid
 from .kernels import KernelSpec
-from .mollifier import Mollifier, ResolutionError
+from .mollifier import Mollifier, ResolutionError, interior_rows
 from .sampler import NumericError
 
 EXIT_OK = 0
@@ -178,7 +178,7 @@ def _grid(cfg, spec, default_n, used=()):
             raise ConfigError(
                 f"mollifier resolution violated: grid spacing {grid.h} > "
                 f"eps/4 = {eps / 4.0} at {key}={eps} (raise grid_n)")
-        if grid.interior_idx(2.0 * eps).size == 0:
+        if interior_rows(grid, eps).size == 0:
             raise ConfigError(f"{key}={eps} leaves no grid point in D_eps")
     return grid
 
@@ -199,7 +199,7 @@ def _test_function(cfg, grid, convolved, default_radius):
     if supp.size == 0:
         raise ConfigError(f"{where} is zero on every grid point")
     for key, eps in convolved:
-        if np.setdiff1d(supp, grid.interior_idx(2.0 * eps)).size:
+        if np.setdiff1d(supp, interior_rows(grid, eps)).size:
             raise ConfigError(f"{where} leaks outside D_eps at {key}={eps}")
     return f, center, radius
 

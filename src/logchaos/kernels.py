@@ -11,16 +11,15 @@ bounded, Lipschitz, supported on r < e^{-(t0+n)}, and positive definite
 kernel layer is one-dimensional: a run of consecutive levels a..b
 telescopes into one integral over [t0 + a, t0 + b + 1] with a closed form
 (level_sum), so q_n, k_partial and lattice_row each evaluate a run in one
-pass over the radii, at any level count.  Doubly mollified values
-K_{eps,eps'} come in two quadrature flavours:
+pass over the radii, at any level count.  Each mollified quantity has one
+source, by role:
 
-* "grid": the exact discrete double convolution with the sampler's stencil
-  weights, so values agree with sampled-field covariances to machine
-  precision (the oracle the Monte Carlo checks are scored against); every
-  table, and a value only at lattice offsets;
-* "midpoint": a continuum midpoint rule over the mollifier supports,
-  independent of any sampling grid (k_mollified, the continuum reference,
-  and q_mollified on a free point pair).
+* on the grid, the sampler's own stencil (discrete_stencil) and level
+  rows (lattice_row): the exact discrete convolutions offset_table
+  tabulates, equal to sampled-field covariances to machine precision (the
+  oracle the Monte Carlo checks are scored against);
+* at free points, the continuum midpoint cloud (quad_cloud): k_mollified,
+  the grid-free reference, and q_mollified, the tilt means.
 
 On a regular grid a K_{eps,eps'} table depends only on the lattice
 offset i - j, so it is one value per offset (offset_table): kernel-check
@@ -231,41 +230,23 @@ def pd_check(spec, grid, n=3):
                     fourier_min=float(spec_min), fourier_points=m)
 
 
-@lru_cache(maxsize=128)
-def _cloud(mol, eps, rule, h, nodes):
-    """(offsets (M,), weights) of one quadrature rule, ascending and
-    read-only: every q_mollified and k_mollified call at one eps builds it
-    once."""
-    if rule == "grid":
-        if h is None:
-            raise ValueError("rule 'grid' needs the sampling grid spacing")
-        offs, w = discrete_stencil(mol, eps, h)
-        offs = offs * h
-    elif rule == "midpoint":
-        offs, w = quad_cloud(mol, eps, nodes)
-    else:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
-    offs.flags.writeable = w.flags.writeable = False
-    return offs, w
-
-
 @lru_cache(maxsize=32)
 def _lattice_bins(mol, eps, eps_prime, h):
-    """(first, ww) of the grid stencils of eps and eps', read-only and
-    cached per eps pair: ww[l] is the weight of the stencil pairs u_a - v_b
-    at lag first + l, the correlation of the two tap vectors.  ww holds
-    about 2 (eps + eps') / h entries: 0.5 MB at eps = eps' = 2^-3 and
-    N = 2^17."""
-    u, wu = _cloud(mol, eps, "grid", h, None)
-    v, wv = (u, wu) if eps_prime == eps else _cloud(mol, eps_prime, "grid",
-                                                     h, None)
+    """(first, ww) of the sampler's stencils of eps and eps' (the integer
+    taps of discrete_stencil), read-only and cached per eps pair: ww[l] is
+    the weight of the tap pairs u_a - v_b at lag first + l, the correlation
+    of the two weight vectors.  ww holds about 2 (eps + eps') / h entries:
+    0.5 MB at eps = eps' = 2^-3 and N = 2^17."""
+    u, wu = discrete_stencil(mol, eps, h)
+    v, wv = (u, wu) if eps_prime == eps else discrete_stencil(mol, eps_prime,
+                                                               h)
     ww = np.correlate(wu, wv, "full")
     ww.flags.writeable = False
-    return round((u[0] - v[-1]) / h), ww
+    return int(u[0] - v[-1]), ww
 
 
 def _lattice_table(spec, offsets, eps, eps_prime, mol, n_levels, h):
-    """Grid-rule K_{eps,eps'} at the separations o h of the
+    """Lattice K_{eps,eps'} at the separations o h of the
     consecutive integer offsets o of a table.  Offset o meets the stencil
     lag l at lag o + l, so the kernel is evaluated once per lag of the run
     and each value is one np.correlate of that row with the lag bins of
@@ -291,7 +272,7 @@ def k_mollified(spec, eps, eps_prime, x, y, mol=None, n_levels=None,
                 nodes=32):
     """Doubly-mollified kernel value K_{eps,eps'}(x, y) by the continuum
     midpoint rule, `nodes` points per mollifier support: the grid-free
-    reference the grid-rule tables (offset_table) are checked against.
+    reference the lattice tables (offset_table) are checked against.
 
     Finite for all inputs including x = y; the log singularity never enters
     because each Q_n term is bounded and the sum is truncated at the level
@@ -305,25 +286,27 @@ def k_mollified(spec, eps, eps_prime, x, y, mol=None, n_levels=None,
     if n_levels is None:
         n_levels = exact_level(spec, eps_prime)
     # every cloud pair, wu_a K(|sep + u_a - v_b|) wv_b
-    u, wu = _cloud(mol, eps, "midpoint", None, nodes)
-    v, wv = _cloud(mol, eps_prime, "midpoint", None, nodes)
+    u, wu = quad_cloud(mol, eps, nodes)
+    v, wv = quad_cloud(mol, eps_prime, nodes)
     return float(wu @ k_partial(spec, n_levels,
                                 np.abs(sep + u[:, None] - v[None, :])) @ wv)
 
 
-def q_mollified(spec, n, eps, z, x, mol, h=None, rule="grid"):
-    """Singly-mollified increment kernel Q_{n,eps}(z, x).
+def q_mollified(spec, n, eps, z, x, mol):
+    """Singly-mollified increment kernel Q_{n,eps}(z, x): Q_n(|z - x - u|)
+    against theta_eps(u) by the 32-node continuum midpoint cloud
+    (quad_cloud), at any points, on a grid or off it.
 
-    Mollifies the x argument only.  With rule "grid" the discrete sampling
-    stencil is used, so the result is the exact covariance between the
-    sampled increment at z and the sampled mollified field at x; rule
-    "midpoint" the 32-node continuum cloud (for free point sets, no grid).
-    z may be an array of points of shape (P,) or (P, 1), and x is a scalar.
+    Mollifies the x argument only.  Level 0 is the constant Q_0, and a
+    level n >= 1 is exactly 0 for |z - x| >= e^-(t0+n) + eps.  z may be an
+    array of points of shape (P,) or (P, 1), and x is a scalar.  The
+    sampler's own value at lattice offset o = (z - x) / h is
+    w @ lattice_row(spec, [n], h, o - offs), (offs, w) = discrete_stencil.
     """
     zz = np.asarray(z, dtype=float).reshape(-1)
     if n == 0:
         return np.full(zz.size, spec.q0)
-    offs, w = _cloud(mol, eps, rule, h, 32)
+    offs, w = quad_cloud(mol, eps)
     r = np.abs(zz[:, None] - (offs + float(x))[None, :])
     vals = np.zeros_like(r)
     live = r < math.exp(-(spec.t0 + n))
@@ -333,7 +316,7 @@ def q_mollified(spec, n, eps, z, x, mol, h=None, rule="grid"):
 
 
 def offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, n_levels):
-    """Grid-rule K_{eps,eps'} once per lattice offset of rows x rows_p.
+    """Lattice K_{eps,eps'} once per lattice offset of rows x rows_p.
 
     The offsets o run over the bounding runs of rows (a0..a1) and rows_p
     (b0..b1), a0 - b1 .. a1 - b0, and each offset's separation is taken

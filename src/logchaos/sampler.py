@@ -183,20 +183,16 @@ _BUFFER = threading.local()
 
 
 def tilt_shift_rows(spec, grid, tilt, n_max, mol):
-    """Deterministic per-level mean shifts at the grid points, shape (n_max+1, N).
-
-    Regular grids mollify the tilt points with the discrete sampling stencil
-    (so tilted means match grid-rule kernel tables exactly); free point sets
-    fall back to the continuum midpoint cloud.
+    """Deterministic per-level mean shifts at the points, shape (n_max+1, N):
+    alpha times q_mollified at both tilt points, the continuum midpoint
+    cloud on any point set, so a regular grid reads the values its points
+    would as a free set.
     """
-    rule = "grid" if grid.h is not None else "midpoint"
     pts = grid.points
     rows = np.zeros((n_max + 1, grid.n))
     for k in range(0, n_max + 1):
-        qa = kernels.q_mollified(spec, k, tilt.eps, pts, tilt.x, mol,
-                                 h=grid.h, rule=rule)
-        qb = kernels.q_mollified(spec, k, tilt.eps, pts, tilt.y, mol,
-                                 h=grid.h, rule=rule)
+        qa = kernels.q_mollified(spec, k, tilt.eps, pts, tilt.x, mol)
+        qb = kernels.q_mollified(spec, k, tilt.eps, pts, tilt.y, mol)
         rows[k] = tilt.alpha * (qa + qb)
     return rows
 

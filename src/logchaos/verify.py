@@ -230,7 +230,7 @@ class Bench:
     caches only grow: group factors (one circulant embedding per group) per
     (tops, rows), stencil spectra per (channel, eps, torus), the
     kernel-table diagonal per (channel, eps) and the support kernel table
-    per (eps, eps'), one value per row offset; grid-rule kernel values at
+    per (eps, eps'), one value per row offset; lattice kernel values at
     n_max levels come from one lattice routine of kernels (_lattice_table,
     which offset_table calls), with no Gram block, so they are the exact
     covariances of the sampled fields.
@@ -346,7 +346,7 @@ class Bench:
                 "torus_points": [g.draws for g in groups]}
 
     def cross_table(self, eps, eps2):
-        """K_{eps,eps2} of the main channel (grid rule, exact) at the 2S - 1
+        """K_{eps,eps2} of the main channel (lattice, exact) at the 2S - 1
         row offsets o = x - y of the S-row support run, x at eps and y at
         eps2: entry o + S - 1 holds offset o.  Checked as supp_tables checks
         each eps and cached per (eps, eps2): the one kernel table the
@@ -496,7 +496,7 @@ def second_moment_oracle(bench, gamma, eps, eps_prime):
 
     Sum over support rows x, y of f(x) f(y) exp(|gamma|^2 K_{eps,eps'}(x,y))
     w^2, finite because the mollified kernel is bounded.  K is
-    bench.cross_table: the grid rule at the bench's level count, so the
+    bench.cross_table: the lattice table at the bench's level count, so the
     oracle is exact to rounding; it depends on gamma only through |gamma|^2.
     K depends on x - y = o alone, so the sum is sum_o acf_f(o) exp(|gamma|^2
     K(o)) w^2, with acf_f the autocorrelation of f on the support run, and
@@ -662,8 +662,8 @@ def kernel_estimate_check(spec, kind, grid, eps_ladder=(), n_ladder=(),
     |K_{eps,eps'}(x,y) - log(1/(|x-y| v eps v eps'))| for eps' in {eps, next
     rung}; eps_ladder must be nonempty and strictly decreasing.  kind
     "partial": per level rung n of a nonempty n_ladder at fixed eps, sup of
-    |K_{n,eps,eps}(x,y) - min(log 1/|x-y|, log 1/eps, n)|.  K is the grid
-    rule of the default Mollifier, the kernel of the sampled fields.  On a
+    |K_{n,eps,eps}(x,y) - min(log 1/|x-y|, log 1/eps, n)|.  K is the lattice
+    table of the default Mollifier, the kernel of the sampled fields.  On a
     regular grid each gap depends on x - y alone, so each supremum runs
     over the lattice offsets of kernels.offset_table between the D_eps and
     D_eps' rows, one separation each, and no rows x rows' array is built.
@@ -910,7 +910,7 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
 
     Var(Y_n(x)) at a center point for each n (oracle Q_0 + n), plus
     Cov(X_eps(x), X_eps'(y)) on n_probes seeded random support pairs
-    (oracle: grid-rule cross table).  A block holds Y_n for each n and
+    (oracle: the lattice cross table).  A block holds Y_n for each n and
     Y_n_max.
     """
     rng = np.random.default_rng([seed, 424242])
@@ -925,8 +925,7 @@ def field_stats(bench, ns, n_probes, eps, eps_prime, replicas, seed,
     rows = bench.supp - draw.lo
 
     def consume(start, z):
-        ysum = np.cumsum(z[:, rows, :], axis=0)
-        var_rows = np.stack([ysum[i][mid] ** 2 for i in slabs])
+        var_rows = np.cumsum(z[:, rows[mid], :], axis=0)[slabs] ** 2
         xa, xb = bench.mollify(z.sum(axis=0), keys, draw)
         return var_rows, xa[probes[0]] * xb[probes[1]]
 

@@ -301,17 +301,14 @@ class TestValidateOnly:
 
     def test_kernel_check_plan_warms_the_run_clouds(self):
         # the plan-time work bound reads the run's own cached stencil-pair
-        # bins, so the run builds no bins or stencil clouds of its own
+        # bins, so the run builds no bins of its own
         from logchaos import kernels
-        kernels._cloud.cache_clear()
         kernels._lattice_bins.cache_clear()
         _, run = plan({"kind": "kernel-check", "grid_n": 512})
-        planned = (kernels._cloud.cache_info().misses,
-                   kernels._lattice_bins.cache_info().misses)
+        planned = kernels._lattice_bins.cache_info().misses
         run(1, "warm")
-        assert planned == (5, 9)
-        assert (kernels._cloud.cache_info().misses,
-                kernels._lattice_bins.cache_info().misses) == planned
+        assert planned == 9
+        assert kernels._lattice_bins.cache_info().misses == planned
 
     def test_size_bounds_admit_their_limits(self):
         # the parity tables refuse one past each of these

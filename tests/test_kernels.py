@@ -11,7 +11,7 @@ from logchaos import (Bench, Grid, KernelSpec, bump_function, exact_level,
 from logchaos import mollifier
 from logchaos.kernels import lattice_row
 from logchaos.mollifier import (Mollifier, ResolutionError,
-                                discrete_stencil, interior_rows,
+                                discrete_stencil, interior_rows, quad_cloud,
                                 weight_matrix)
 
 SPEC1 = KernelSpec(d=1)
@@ -500,11 +500,6 @@ class TestMollifiedTable:
                               x[rows_p[j]], mol, n_levels=n_levels)
             assert abs(table[i, j] - mid) < 5e-2, (i, j)
 
-    def test_unknown_rule_refused(self):
-        grid = Grid.regular((0.0, 1.0), 256)
-        with pytest.raises(ValueError, match="unknown quadrature rule"):
-            kernels._cloud(Mollifier(d=1), 2 ** -4, "trapezoid", grid.h, 32)
-
     def test_eps_ordering_enforced(self):
         # the kernel-check ladder pairs each rung with the next one down
         grid = Grid.regular((0.0, 1.0), 256)
@@ -540,9 +535,15 @@ class TestMollifiedTable:
     @staticmethod
     def _all_pairs(spec, seps, eps, eps_prime, mol, rule, n_levels, h, nodes):
         # one radius per (separation, u_a, v_b), contracted with both
-        # weight vectors
-        u, wu = kernels._cloud(mol, eps, rule, h, nodes)
-        v, wv = kernels._cloud(mol, eps_prime, rule, h, nodes)
+        # weight vectors: the midpoint clouds, or the stencil taps times h
+        def cloud(e):
+            if rule == "midpoint":
+                return quad_cloud(mol, e, nodes)
+            offs, w = discrete_stencil(mol, e, h)
+            return offs * h, w
+
+        u, wu = cloud(eps)
+        v, wv = cloud(eps_prime)
         r = np.abs(seps[:, None, None] + u[None, :, None] - v[None, None, :])
         vals = k_partial(spec, n_levels, r.ravel()).reshape(r.shape)
         return np.einsum("i,j,mij->m", wu, wv, vals)
@@ -702,3 +703,54 @@ class TestMollifiedTable:
                                      h)
         assert seen == [offsets.size - 1 + distinct]
         assert np.abs(got - exact).max() <= scale
+
+
+class TestQMollified:
+    """q_mollified: Q_n(|z - x - u|) against theta_eps(u) by the 32-node
+    continuum midpoint cloud."""
+
+    @pytest.mark.parametrize("eps,levels", [(2 ** -4, range(1, 5)),
+                                            (math.exp(-5), range(1, 9))],
+                             ids=["eps=2^-4", "eps=e^-5"])
+    def test_matches_adaptive_quadrature(self, eps, levels):
+        # u -> Q_n(|d - u|) has one kink, at u = d, whose slope jumps by
+        # J = 2 (e - 1) e^n max theta_eps; on nodes c = 2 eps / 32 apart it
+        # costs the midpoint rule at most J c^2 / 8, 0.36 c^2 e^n / eps
+        # for the bump, and 0.5 c^2 e^n / eps leaves the smooth part room
+        # (the largest error measured is 0.30 of it)
+        mol, c = Mollifier(d=1), 2.0 * eps / 32
+
+        def integrand(u, d, n):
+            return q_n(SPEC1, n, abs(d - u)) * mollifier.theta_eps(mol, eps,
+                                                                   u)
+
+        for n in levels:
+            reach = math.exp(-n) + eps
+            ds = np.linspace(-reach, reach, 9)
+            got = q_mollified(SPEC1, n, eps, 0.5 + ds, 0.5, mol)
+            for d, value in zip(ds, got):
+                kinks = [p for p in (d, d - math.exp(-n), d + math.exp(-n))
+                         if -eps < p < eps]
+                want, _ = quad(integrand, -eps, eps, args=(d, n),
+                               points=kinks or None, limit=200,
+                               epsabs=1e-14, epsrel=1e-13)
+                assert abs(value - want) <= 0.5 * c * c * math.exp(n) / eps, \
+                    (n, d, value, want)
+
+    def test_zero_beyond_support(self):
+        # every cloud offset u has |u| < eps, so |z - x - u| > e^-n and the
+        # value is exactly 0 once |z - x| >= e^-n + eps
+        mol, eps = Mollifier(d=1), 2 ** -4
+        for n in range(1, 7):
+            reach = math.exp(-n) + eps
+            far = 0.5 + np.array([-2.0 * reach, -reach, reach, 1.5 * reach])
+            assert np.array_equal(q_mollified(SPEC1, n, eps, far, 0.5, mol),
+                                  np.zeros(4))
+            near = q_mollified(SPEC1, n, eps, [0.5 + math.exp(-n)], 0.5, mol)
+            assert near[0] > 0.0, n
+
+    def test_level_zero_is_q0(self):
+        spec = KernelSpec(d=1, q0=0.7)
+        z = np.array([[0.1], [0.5], [0.93]])
+        got = q_mollified(spec, 0, 2 ** -4, z, 0.5, Mollifier(d=1))
+        assert got.shape == (3,) and np.array_equal(got, np.full(3, 0.7))

@@ -48,21 +48,17 @@ def mollified_draws(n_max, seed, replicas, eps_list, mol):
                                                         consume)
 
 
-def draws(grid, n_max, seed, replicas, tilt=None):
+def draws(grid, n_max, seed, replicas):
     """The slabs of a Bench without f at map_blocks' default levels (every
-    row, one slab per level), shape (n_max + 1, N, R); under a tilt, plus
-    its per-level means, as a tilted consume adds them."""
-    bench = Bench(SPEC, grid, n_max)
-    (z,) = bench.map_blocks(seed, replicas, lambda start, z: (z,))
-    if tilt is not None:
-        z += tilt_shift_rows(SPEC, grid, tilt, n_max,
-                             bench.channels["main"])[:, :, None]
+    row, one slab per level), shape (n_max + 1, N, R)."""
+    (z,) = Bench(SPEC, grid, n_max).map_blocks(seed, replicas,
+                                               lambda start, z: (z,))
     return z
 
 
-def draw_matrix(grid, n_max, seed, replicas, level=None, tilt=None):
+def draw_matrix(grid, n_max, seed, replicas, level=None):
     """Stack y(n_max) (or a single level) across replicas: shape (N, R)."""
-    z = draws(grid, n_max, seed, replicas, tilt)
+    z = draws(grid, n_max, seed, replicas)
     return z.sum(axis=0) if level is None else z[level]
 
 
@@ -221,37 +217,55 @@ class TestMollifiedFields:
 
 
 class TestTilt:
+    """The tilt on the free pair of its own two points, as tilt-check
+    draws it: the centred draw plus the summed per-level means."""
+
+    @staticmethod
+    def tilted_pair(t, n_max, seed, replicas):
+        """(centred y(n_max), tilted y(n_max), summed means) on the pair
+        (t.x, t.y), each of shape (2, R) but the means (2,)."""
+        pair = Grid.from_points(np.array([[t.x], [t.y]]), (0.0, 1.0))
+        flat = draw_matrix(pair, n_max, seed, replicas)
+        means = tilt_shift_rows(SPEC, pair, t, n_max,
+                                Mollifier(d=1)).sum(axis=0)
+        return flat, flat + means[:, None], means
+
     def test_zero_alpha_identity(self):
-        s = draws(GRID, 5, seed=20, replicas=1)
         t = TiltShift(x=0.5, y=0.6, eps=2 ** -3, alpha=0.0)
-        tilted = draws(GRID, 5, seed=20, replicas=1, tilt=t)
+        s, tilted, _ = self.tilted_pair(t, 5, seed=20, replicas=1)
         assert np.array_equal(tilted, s)
 
     def test_tilted_mean(self):
         R = 4000
-        n_max = 5
-        mol = Mollifier(d=1)
         t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, alpha=0.8)
-        shifts = tilt_shift_rows(SPEC, GRID, t, n_max, mol)
-        y = draw_matrix(GRID, n_max, seed=21, replicas=R, tilt=t)
-        mid = GRID.n // 2
-        target = shifts[: n_max + 1, mid].sum()
-        mean = y[mid].mean()
-        se = y[mid].std(ddof=1) / math.sqrt(R)
-        assert abs(mean - target) <= 4 * se, f"tilted mean {mean} vs {target}"
+        _, y, target = self.tilted_pair(t, 5, seed=21, replicas=R)
+        for i in range(2):
+            mean = y[i].mean()
+            se = y[i].std(ddof=1) / math.sqrt(R)
+            assert abs(mean - target[i]) <= 4 * se, \
+                f"tilted mean {mean} vs {target[i]} at point {i}"
 
     def test_tilt_preserves_variance(self):
         R = 4000
         t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, alpha=0.8)
-        flat = draw_matrix(GRID, 4, seed=22, replicas=R)
-        tilted = draw_matrix(GRID, 4, seed=22, replicas=R, tilt=t)
-        mid = GRID.n // 2
-        v0 = flat[mid].var(ddof=1)
-        v1 = tilted[mid].var(ddof=1)
-        se = v0 * math.sqrt(2.0 / (R - 1))
-        assert abs(v1 - v0) <= 4 * se, f"variance changed: {v0} -> {v1}"
+        flat, tilted, _ = self.tilted_pair(t, 4, seed=22, replicas=R)
+        for i in range(2):
+            v0 = flat[i].var(ddof=1)
+            v1 = tilted[i].var(ddof=1)
+            se = v0 * math.sqrt(2.0 / (R - 1))
+            assert abs(v1 - v0) <= 4 * se, f"variance changed: {v0} -> {v1}"
         # same seed: the tilt is a deterministic shift of the same draw
         assert np.allclose(tilted - flat, (tilted - flat)[:, :1], atol=1e-12)
+
+    def test_regular_grid_reads_its_free_points(self):
+        # one source of tilt means: a regular grid's rows are those of the
+        # same points as a free set, bit for bit
+        grid = Grid.regular((0.0, 1.0), 64)
+        free = Grid.from_points(grid.points, grid.box)
+        t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, alpha=0.8)
+        mol = Mollifier(d=1)
+        assert np.array_equal(tilt_shift_rows(SPEC, grid, t, 5, mol),
+                              tilt_shift_rows(SPEC, free, t, 5, mol))
 
 
 class TestBandedEngine:
@@ -293,17 +307,11 @@ class TestBandedEngine:
         assert all(level.root.ndim == 1 for level in levels)
         grid_table(2 ** -3, 2 ** -3, Mollifier(d=1), 6)
 
-    @pytest.mark.parametrize("tilted", [False, True])
-    def test_block_z_matches_dense_product(self, tilted):
+    def test_block_z_matches_dense_product(self):
         n_max, seed, start = 8, 5, 64
         n = self.GRID512.n
         factors = increment_factors(SPEC, self.GRID512, n_max)
         z = block_z(SPEC, self.GRID512, factors, seed, start, n_max)
-        if tilted:  # one group per level: the per-level means
-            t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, alpha=0.8)
-            shifts = tilt_shift_rows(SPEC, self.GRID512, t, n_max,
-                                     Mollifier(d=1))
-            z += shifts[:, :, None]
         panels = stream_panels(seed, start // BLOCK,
                                [lv.draws for lv in factors])
         half = BLOCK // 2
@@ -314,8 +322,6 @@ class TestBandedEngine:
             f = np.fft.fft(np.eye(level.root.size), axis=0)[:n]
             y = (f * level.root[None, :]) @ (xi[:, 0::2] + 1j * xi[:, 1::2])
             ref = np.concatenate([y.real, y.imag], axis=1)
-            if tilted:
-                ref += shifts[k][:, None]
             assert np.abs(z[k] - ref).max() < 1e-12, f"level {k}"
 
     def test_halves_uncorrelated(self):
