@@ -28,7 +28,7 @@ from .verify import (Bench, KernelEstimateReport, LadderReport,
                      second_moment_oracle, sobolev_ladder, sup_field_prob,
                      tail_bound_check, tilted_event_prob, trend_verdict)
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 __all__ = [
     "BOUNDARY", "Bench", "ChaosParams", "Grid", "KernelEstimateReport",

@@ -148,8 +148,6 @@ def sobolev_diag(density, grid, u):
     along axis 0, one mass per trailing index, with the box treated as a
     torus.  Requires u > 1/2 for the continuum weight to be integrable.
     """
-    if grid.h is None:
-        raise ValueError("sobolev_diag needs a regular grid")
     if u <= 0.5:
         raise ValueError(f"u={u} must exceed d/2 = 0.5")
     arr = np.asarray(density)

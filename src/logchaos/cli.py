@@ -595,6 +595,8 @@ def plan_tilt_check(cfg):
         raise ConfigError(f"eps must lie in (0, 1], got {eps}")
     try:
         verify.fit_abscissae(seps, eps)
+        for s in seps:
+            verify.pair_grid(s)
     except ValueError as e:
         raise ConfigError(str(e))
     q = _q(cfg, n_max)

@@ -18,7 +18,7 @@ source, by role:
   rows (lattice_row): the exact discrete convolutions offset_table
   tabulates, equal to sampled-field covariances to machine precision (the
   oracle the Monte Carlo checks are scored against);
-* at free points, the continuum midpoint cloud (quad_cloud): k_mollified,
+* off the stencil, the continuum midpoint cloud (quad_cloud): k_mollified,
   the grid-free reference, and q_mollified, the tilt means.
 
 On a regular grid a K_{eps,eps'} table depends only on the lattice
@@ -166,8 +166,8 @@ def gram(spec, n, grid):
     """Gram matrix [Q_n(|x_i - x_j|)] on the Grid; n=0 gives the Q_0 block.
 
     Dense, by its definition: for pd_check and as a reference.  No draw
-    builds it: lattice_row gives the level rows the sampler embeds, on a
-    regular grid or a free pair, and offset_table the mollified tables.
+    builds it: lattice_row gives the level rows the sampler embeds and
+    offset_table the mollified tables.
     """
     if n == 0:
         return np.full((grid.n,) * 2, spec.q0)
@@ -294,8 +294,9 @@ def k_mollified(spec, eps, eps_prime, x, y, mol=None, n_levels=None,
 
 def q_mollified(spec, n, eps, z, x, mol):
     """Singly-mollified increment kernel Q_{n,eps}(z, x): Q_n(|z - x - u|)
-    against theta_eps(u) by the 32-node continuum midpoint cloud
-    (quad_cloud), at any points, on a grid or off it.
+    against theta_eps(u) by the continuum midpoint cloud (quad_cloud) of
+    max(32, ceil(16 eps e^(t0+n))) nodes, so that the node spacing is at
+    most e^-(t0+n) / 8, an eighth of level n's support, at every level.
 
     Mollifies the x argument only.  Level 0 is the constant Q_0, and a
     level n >= 1 is exactly 0 for |z - x| >= e^-(t0+n) + eps.  z may be an
@@ -306,7 +307,8 @@ def q_mollified(spec, n, eps, z, x, mol):
     zz = np.asarray(z, dtype=float).reshape(-1)
     if n == 0:
         return np.full(zz.size, spec.q0)
-    offs, w = quad_cloud(mol, eps)
+    nodes = max(32, math.ceil(16.0 * eps * math.exp(spec.t0 + n)))
+    offs, w = quad_cloud(mol, eps, nodes)
     r = np.abs(zz[:, None] - (offs + float(x))[None, :])
     vals = np.zeros_like(r)
     live = r < math.exp(-(spec.t0 + n))
@@ -320,8 +322,8 @@ def offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, n_levels):
 
     The offsets o run over the bounding runs of rows (a0..a1) and rows_p
     (b0..b1), a0 - b1 .. a1 - b0, and each offset's separation is taken
-    from its first pair, x[f] - x[f - o] with f = max(a0, b0 + o) and x =
-    grid.axis().
+    from its first pair, x[f] - x[f - o] with f = max(a0, b0 + o) and x
+    the grid's coordinates.
     Returns (lo, seps, vals): vals[k] is the value at the offset lo + k and
     seps[k] its separation.  The rows x rows_p table is vals indexed by
     np.subtract.outer(rows, rows_p) - lo.  The values are _lattice_table's
@@ -329,7 +331,7 @@ def offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, n_levels):
     """
     a0, b0 = rows.min(), rows_p.min()
     o = np.arange(a0 - rows_p.max(), rows.max() - b0 + 1)
-    f, x = np.maximum(a0, b0 + o), grid.axis()
+    f, x = np.maximum(a0, b0 + o), grid.points[:, 0]
     return (int(o[0]), x[f] - x[f - o],
             _lattice_table(spec, o, eps, eps_prime, mol, n_levels, grid.h))
 

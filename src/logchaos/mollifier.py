@@ -111,11 +111,9 @@ def _check_resolution(eps, h):
 def interior_rows(grid, eps):
     """Grid indices of D_eps: the rows of X_eps = W @ field.
 
-    Raises as weight_matrix does, without building W: ValueError on a free
-    point set, ResolutionError for h > eps/4.
+    Raises as weight_matrix does, without building W: ResolutionError for
+    h > eps/4.
     """
-    if grid.h is None:
-        raise ValueError("convolution requires a regular grid")
     _check_resolution(eps, grid.h)
     return grid.interior_idx(2.0 * eps)
 

@@ -19,11 +19,11 @@ positive definite (Dietrich & Newsam 1997; Wood & Chan 1994); the constant
 Q_0 adds at frequency zero.  A block scales complex normals of shape (M,
 BLOCK/2) by sqrt(lambda / M) and takes one FFT (pocketfft, outside BLAS):
 the first W real parts are replicas 0-15, the imaginary parts replicas
-16-31, two independent exact draws.  A free pair of points s apart is a
-2-point torus of spacing s: its Gram [[L(0), L(s)], [L(s), L(0)]] is
-itself a circulant, with eigenvalues L(0) +- L(s) >= 0.  Reading every
-level gives one group per level: the per-level draw.  Every draw is
-centred: a consume adds any mean, such as a tilt's (tilt_shift_rows).
+16-31, two independent exact draws.  Two rows take M = 2: their Gram
+[[L(0), L(h)], [L(h), L(0)]] is its own circulant, eigenvalues L(0) +-
+L(h) >= 0.  Reading every level gives one group per level: the
+per-level draw.  Every draw is centred: a consume adds any mean, such as
+a tilt's (tilt_shift_rows).
 """
 
 from __future__ import annotations
@@ -118,10 +118,9 @@ def sampled_rows(grid, f=None, eps_max=0.0):
     half-width, so the rows are supp(f) widened by floor(eps_max / h) each
     side and clipped to the grid; eps_max=0 keeps the rows of supp(f), all
     a draw that convolves nothing reads.  Bench.draw passes the widest eps
-    among the keys its draw mollifies.  All N rows without f or on free
-    points.
+    among the keys its draw mollifies.  All N rows without f.
     """
-    if f is None or not np.any(f) or grid.h is None:
+    if f is None or not np.any(f):
         return 0, grid.n - 1
     supp = np.flatnonzero(f)
     reach = math.floor(eps_max / grid.h)
@@ -142,23 +141,17 @@ def level_groups(n_max, levels=None):
 def increment_factors(spec, grid, n_max, rows=None, levels=None):
     """One LevelFactor per group of level_groups(n_max, levels).
 
-    A regular grid embeds group a..b, on rows consecutive rows (default
-    N), in a circulant on the smallest 5-smooth torus with M >= rows +
-    bandwidth + 1 points, the bandwidth of its widest level; a free pair
-    of points takes M = 2 and spacing h = |x1 - x0|.  The circulant's row
-    is kernels.lattice_row over the group's levels at offsets min(o, M -
-    o), plus Q_0 when a = 0, and no Gram is built.  Any other free point
-    set raises ValueError.
+    Group a..b, on rows consecutive grid rows (default N), embeds in a
+    circulant on the smallest 5-smooth torus with M >= rows + bandwidth +
+    1 points, the bandwidth of its widest level; two rows take M = 2, a
+    Gram that is its own circulant.  The circulant's row is
+    kernels.lattice_row over the group's levels at offsets min(o, M - o),
+    plus Q_0 when a = 0, and no Gram is built.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = grid.n if rows is None else int(rows)
     h = grid.h
-    if h is None:
-        if grid.n != 2:
-            raise ValueError("a free point set is sampled as a pair only, "
-                             f"got {grid.n} points")
-        h = abs(float(grid.points[1, 0] - grid.points[0, 0]))
     factors = []
     for a, b in level_groups(n_max, levels):
         if b == 0:
@@ -166,7 +159,7 @@ def increment_factors(spec, grid, n_max, rows=None, levels=None):
                                        rows, 0, 0))
             continue
         # offsets beyond floor(support / h) lie outside the support
-        m = 2 if grid.h is None else next_fast_len(
+        m = 2 if rows == 2 else next_fast_len(
             rows + math.floor(math.exp(-(spec.t0 + max(a, 1))) / h) + 1)
         o = np.arange(m)
         row = kernels.lattice_row(spec, range(max(a, 1), b + 1), h,
@@ -183,18 +176,14 @@ _BUFFER = threading.local()
 
 
 def tilt_shift_rows(spec, grid, tilt, n_max, mol):
-    """Deterministic per-level mean shifts at the points, shape (n_max+1, N):
-    alpha times q_mollified at both tilt points, the continuum midpoint
-    cloud on any point set, so a regular grid reads the values its points
-    would as a free set.
+    """Deterministic per-level mean shifts at the grid points, shape
+    (n_max+1, N): alpha times q_mollified toward both tilt points, the
+    continuum midpoint cloud, which reads only the points' coordinates.
     """
-    pts = grid.points
-    rows = np.zeros((n_max + 1, grid.n))
-    for k in range(0, n_max + 1):
-        qa = kernels.q_mollified(spec, k, tilt.eps, pts, tilt.x, mol)
-        qb = kernels.q_mollified(spec, k, tilt.eps, pts, tilt.y, mol)
-        rows[k] = tilt.alpha * (qa + qb)
-    return rows
+    return tilt.alpha * np.array([
+        kernels.q_mollified(spec, k, tilt.eps, grid.points, tilt.x, mol)
+        + kernels.q_mollified(spec, k, tilt.eps, grid.points, tilt.y, mol)
+        for k in range(n_max + 1)])
 
 
 def block_z(spec, grid, factors, seed, block_start, n_max):

@@ -839,6 +839,16 @@ def fit_abscissae(separations, eps):
     return xs
 
 
+def pair_grid(s):
+    """Grid.regular((1/2 - s, 1/2 + s), 2): the tilt pair 1/2 -+ s/2, one
+    spacing s apart.  ValueError naming s if the box collapses or overflows."""
+    try:
+        return Grid.regular((0.5 - s, 0.5 + s), 2)
+    except ValueError:
+        raise ValueError(f"separation {s}: the pair box (1/2 - s, 1/2 + s) "
+                         "collapses or overflows") from None
+
+
 @dataclass(frozen=True)
 class TiltedEventReport:
     """Tilted barrier-event probabilities across a separation ladder."""
@@ -857,11 +867,11 @@ def tilted_event_prob(spec, separations, eps, q, lam, alpha, n_max,
                       replicas, seed, workers=None):
     """P-tilde[A_q(x, y)] under the two-point Cameron-Martin tilt.
 
-    For each separation s the centred field is drawn at x = 1/2 - s/2,
-    y = 1/2 + s/2, and the consume adds the alpha-tilt toward both points,
+    For each separation s the centred field is drawn on the two points x,
+    y of pair_grid(s), and the consume adds the alpha-tilt toward both,
     its levels' tilt_shift_rows summed per group, before counting {Y_k(x)
     <= k lam and Y_k(y) <= k lam for all k in q..n_max}, drawing only those
-    partial sums: each group's pair is a 2-point torus.
+    partial sums: each group's two rows are a 2-point torus.
     The log-probability is then regressed on log(s v eps) (fit_abscissae);
     the decay exponent should dominate (2 alpha - lam)^2 / 2 - 0.3 one-sidedly.
     """
@@ -876,11 +886,10 @@ def tilted_event_prob(spec, separations, eps, q, lam, alpha, n_max,
 
     estimates, ratios = [], []
     for si, s in enumerate(separations):
-        x, y = 0.5 - 0.5 * s, 0.5 + 0.5 * s
-        grid2 = Grid.from_points(np.array([[x], [y]]), spec.box)
+        grid2 = pair_grid(s)
         bench = Bench(spec, grid2, n_max)
         means = np.add.reduceat(tilt_shift_rows(
-            spec, grid2, TiltShift(x=x, y=y, eps=eps, alpha=alpha), n_max,
+            spec, grid2, TiltShift(*grid2.points[:, 0], eps, alpha), n_max,
             bench.channels["main"]), [0, *tops[1:]], axis=0)[:, :, None]
 
         def event(start, z):

@@ -36,13 +36,21 @@ def test_run_set_is_the_49_runs():
 
 def test_mismatches_named():
     # an exit code and a CSV hash that move are each one line; a run that
-    # writes no manifest on one side names every CSV of the other
+    # writes no manifest on one side names every CSV of the other; a run
+    # that raised is one line naming each tree it raised in, also when
+    # both trees raised alike
     tool = load_tool()
+    crash = "ValueError: degenerate box (0.5, 0.5)"
     parent = {"a": [0, {"x.csv": "1"}], "b": [0, {"x.csv": "1", "y.csv": "2"}],
-              "c": [0, {"z.csv": "3"}], "d": [1, {"x.csv": "4"}]}
+              "c": [0, {"z.csv": "3"}], "d": [1, {"x.csv": "4"}],
+              "e": [crash, None], "f": [0, {"x.csv": "6"}]}
     change = {"a": [0, {"x.csv": "1"}], "b": [0, {"x.csv": "1", "y.csv": "5"}],
-              "c": [2, None], "d": [1, {"x.csv": "4"}]}
+              "c": [2, None], "d": [1, {"x.csv": "4"}],
+              "e": [crash, None], "f": [crash, None]}
     assert tool.compare(list(parent), parent, change) == [
         "b: csv_sha256 differs in y.csv",
         "c: exit code 0 -> 2",
-        "c: csv_sha256 differs in z.csv"]
+        "c: csv_sha256 differs in z.csv",
+        f"e: raised in parent ({crash}), change ({crash})",
+        f"f: raised in change ({crash})",
+        "f: csv_sha256 differs in x.csv"]

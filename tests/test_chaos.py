@@ -383,11 +383,6 @@ class TestSobolevDiag:
                 col = sobolev_diag(dens[:, i, j], grid, u=0.75)
                 assert abs(batched[i, j] - col) <= 1e-12 * col
 
-    def test_free_points_refused(self):
-        free = Grid.from_points(np.linspace(0.1, 0.9, 16), (0.0, 1.0))
-        with pytest.raises(ValueError, match="regular grid"):
-            sobolev_diag(np.ones(free.n), free, u=1.5)
-
     def test_parseval_scaling(self):
         # norm with weight 1 at u -> equals L2 mass? spot-check with u large
         # and a pure zero-mode density of height c: value = c^2 L^2 dxi

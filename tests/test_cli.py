@@ -248,6 +248,12 @@ RUN_ONLY_REJECTIONS = [
     ({"kind": "cauchy", "f": {"center": 0.5, "radus": 0.05}},
      "key f.radus is not read; did you mean f.radius?"),
     ({"kind": "cauchy", "gamma": 0.5, "q": 2}, "key q is not read"),
+    # tilt-check separations whose pair box (1/2 - s, 1/2 + s) collapses
+    # to a point or whose span overflows, named by the separation
+    ({"kind": "tilt-check", "separations": [1e-20, 0.1, 0.05, 0.02]},
+     "separation 1e-20"),
+    ({"kind": "tilt-check", "separations": [1e308, 0.1, 0.05, 0.02]},
+     "separation 1e+308"),
 ]
 
 

@@ -218,19 +218,13 @@ class TestGram:
                                   dense_gram(SPEC1, n, grid.points)), f"level {n}"
 
     def test_matches_dense_definition_free_points(self):
-        pts = np.array([[0.61], [0.3]])
-        grid = Grid.from_points(pts, (0.0, 1.0))
+        # points off the N = 2048 lattice (a free point set up to v0.22.0):
+        # the 2-point grid of points 0.3 and 0.61, as tilt-check's pairs
+        grid = Grid.regular((0.145, 0.765), 2)
+        assert np.allclose(grid.points[:, 0], [0.3, 0.61], rtol=0, atol=1e-15)
         for n in range(1, 4):
-            assert np.array_equal(gram(SPEC1, n, grid), dense_gram(SPEC1, n, pts))
-
-    def test_free_points_are_d1(self):
-        # a free point set holds d=1 points, given as (N,) or (N, 1); a
-        # single row of several points is no longer read as a column
-        row = Grid.from_points([0.61, 0.3, 0.45], (0.0, 1.0))
-        assert row.points.tolist() == [[0.61], [0.3], [0.45]]
-        for bad in (np.zeros((4, 2)), [[0.1, 0.2, 0.3]], np.zeros((2, 1, 1))):
-            with pytest.raises(ValueError, match="d=1"):
-                Grid.from_points(bad, (0.0, 1.0))
+            assert np.array_equal(gram(SPEC1, n, grid),
+                                  dense_gram(SPEC1, n, grid.points))
 
 
 def interior_table(spec, grid, eps, eps_prime, mol, n_levels):
@@ -437,15 +431,15 @@ class TestLatticeTable:
 def flat_index_offsets(grid, rows, rows_p):
     """(lo, seps) of offset_table as computed up to v0.17.0: each offset's
     first pair through flat grid indices, its separation from grid.points."""
-    a = np.unravel_index(rows, grid.shape)
-    b = np.unravel_index(rows_p, grid.shape)
+    a = np.unravel_index(rows, (grid.n,))
+    b = np.unravel_index(rows_p, (grid.n,))
     runs = [np.arange(ak.min() - bk.max(), ak.max() - bk.min() + 1)
             for ak, bk in zip(a, b)]
     firsts = [np.maximum(ak.min(), bk.min() + o)
               for ak, bk, o in zip(a, b, runs)]
-    ia = np.ravel_multi_index(np.ix_(*firsts), grid.shape)
+    ia = np.ravel_multi_index(np.ix_(*firsts), (grid.n,))
     ib = np.ravel_multi_index(np.ix_(*(f - o for f, o in zip(firsts, runs))),
-                              grid.shape)
+                              (grid.n,))
     return runs[0][0], (grid.points[ia] - grid.points[ib])[:, 0]
 
 
@@ -494,7 +488,7 @@ class TestMollifiedTable:
         mol, n_levels = Mollifier(d=1), exact_level(SPEC1, 2 ** -4)
         rows, rows_p, table = interior_table(SPEC1, grid, 2 ** -4, 2 ** -4,
                                              mol, n_levels)
-        x = grid.axis()
+        x = grid.points[:, 0]
         for i, j in ((0, 0), (10, 30), (64, 64), (100, 3)):
             mid = k_mollified(SPEC1, 2 ** -4, 2 ** -4, x[rows[i]],
                               x[rows_p[j]], mol, n_levels=n_levels)
@@ -649,16 +643,12 @@ class TestMollifiedTable:
         assert seen == [len(rows) + len(rows_p) - 1]
 
     def test_rows_need_a_resolving_regular_grid(self):
-        # interior_rows refuses both grids before any quadrature
+        # interior_rows refuses a coarse grid before any quadrature
         coarse = Grid.regular((0.0, 1.0), 16)
-        free = Grid.from_points(np.linspace(0.1, 0.9, 9)[:, None], (0.0, 1.0))
-        with pytest.raises(ValueError, match="regular grid"):
-            interior_rows(free, 2 ** -3)
+        with pytest.raises(ResolutionError):
+            interior_rows(coarse, 2 ** -3)
         with pytest.raises(ResolutionError):
             kernel_estimate_check(SPEC1, "mollified", coarse,
-                                  eps_ladder=[2 ** -3])
-        with pytest.raises(ValueError, match="regular grid"):
-            kernel_estimate_check(SPEC1, "mollified", free,
                                   eps_ladder=[2 ** -3])
 
     @pytest.mark.parametrize("profile", ["bump", "quartic"])
@@ -706,36 +696,56 @@ class TestMollifiedTable:
 
 
 class TestQMollified:
-    """q_mollified: Q_n(|z - x - u|) against theta_eps(u) by the 32-node
-    continuum midpoint cloud."""
+    """q_mollified: Q_n(|z - x - u|) against theta_eps(u) by the continuum
+    midpoint cloud of max(32, ceil(16 eps e^n)) nodes at level n."""
+
+    @staticmethod
+    def quad_value(eps, n, d):
+        """Q_n(|d - u|) against theta_eps(u) by adaptive quadrature, split
+        at the kinks of u -> Q_n(|d - u|) inside the support."""
+        mol = Mollifier(d=1)
+
+        def integrand(u):
+            return q_n(SPEC1, n, abs(d - u)) * mollifier.theta_eps(mol, eps,
+                                                                   u)
+
+        kinks = [p for p in (d, d - math.exp(-n), d + math.exp(-n))
+                 if -eps < p < eps]
+        want, _ = quad(integrand, -eps, eps, points=kinks or None,
+                       limit=200, epsabs=1e-14, epsrel=1e-13)
+        return want
 
     @pytest.mark.parametrize("eps,levels", [(2 ** -4, range(1, 5)),
                                             (math.exp(-5), range(1, 9))],
                              ids=["eps=2^-4", "eps=e^-5"])
     def test_matches_adaptive_quadrature(self, eps, levels):
         # u -> Q_n(|d - u|) has one kink, at u = d, whose slope jumps by
-        # J = 2 (e - 1) e^n max theta_eps; on nodes c = 2 eps / 32 apart it
-        # costs the midpoint rule at most J c^2 / 8, 0.36 c^2 e^n / eps
+        # J = 2 (e - 1) e^n max theta_eps; on nodes c = 2 eps / nodes apart
+        # it costs the midpoint rule at most J c^2 / 8, 0.36 c^2 e^n / eps
         # for the bump, and 0.5 c^2 e^n / eps leaves the smooth part room
-        # (the largest error measured is 0.30 of it)
-        mol, c = Mollifier(d=1), 2.0 * eps / 32
-
-        def integrand(u, d, n):
-            return q_n(SPEC1, n, abs(d - u)) * mollifier.theta_eps(mol, eps,
-                                                                   u)
-
+        mol = Mollifier(d=1)
         for n in levels:
+            c = 2.0 * eps / max(32, math.ceil(16.0 * eps * math.exp(n)))
             reach = math.exp(-n) + eps
             ds = np.linspace(-reach, reach, 9)
             got = q_mollified(SPEC1, n, eps, 0.5 + ds, 0.5, mol)
             for d, value in zip(ds, got):
-                kinks = [p for p in (d, d - math.exp(-n), d + math.exp(-n))
-                         if -eps < p < eps]
-                want, _ = quad(integrand, -eps, eps, args=(d, n),
-                               points=kinks or None, limit=200,
-                               epsabs=1e-14, epsrel=1e-13)
+                want = self.quad_value(eps, n, d)
                 assert abs(value - want) <= 0.5 * c * c * math.exp(n) / eps, \
                     (n, d, value, want)
+
+    def test_top_levels_resolved(self):
+        # tilt-check's geometry, eps = e^-5 and levels 6..8: nodes at most
+        # e^-n / 8 apart resolve each level's support, and the values
+        # within one support of the tilt point agree with quadrature to 1%
+        # (32 nodes read level 8 at the tilt point 63% low)
+        eps, mol = math.exp(-5), Mollifier(d=1)
+        for n in (6, 7, 8):
+            ds = np.linspace(-math.exp(-n), math.exp(-n), 9)
+            got = q_mollified(SPEC1, n, eps, 0.5 + ds, 0.5, mol)
+            for d, value in zip(ds, got):
+                want = self.quad_value(eps, n, d)
+                assert abs(value - want) <= 0.01 * want, (n, d, value, want)
 
     def test_zero_beyond_support(self):
         # every cloud offset u has |u| < eps, so |z - x - u| > e^-n and the

@@ -207,11 +207,11 @@ class TestConvolveGrid:
         # W as built before the band write: one fancy-index add per offset
         rows = interior_rows(grid, eps)
         offs, w = discrete_stencil(mol, eps, grid.h)
-        multi = np.stack(np.unravel_index(rows, grid.shape), axis=-1)
+        multi = np.stack(np.unravel_index(rows, (grid.n,)), axis=-1)
         W = np.zeros((rows.size, grid.n))
         arange = np.arange(rows.size)
         for off, wt in zip(offs, w):
-            cols = np.ravel_multi_index(tuple((multi + off).T), grid.shape)
+            cols = np.ravel_multi_index(tuple((multi + off).T), (grid.n,))
             W[arange, cols] += wt
         return rows, W
 

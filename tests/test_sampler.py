@@ -217,28 +217,28 @@ class TestMollifiedFields:
 
 
 class TestTilt:
-    """The tilt on the free pair of its own two points, as tilt-check
+    """The tilt toward the two points of a pair grid s apart, as tilt-check
     draws it: the centred draw plus the summed per-level means."""
 
     @staticmethod
-    def tilted_pair(t, n_max, seed, replicas):
-        """(centred y(n_max), tilted y(n_max), summed means) on the pair
-        (t.x, t.y), each of shape (2, R) but the means (2,)."""
-        pair = Grid.from_points(np.array([[t.x], [t.y]]), (0.0, 1.0))
+    def tilted_pair(s, alpha, n_max, seed, replicas):
+        """(centred y(n_max), tilted y(n_max), summed means) on the two
+        points of verify.pair_grid(s), tilted toward both at eps 2^-3, each
+        of shape (2, R) but the means (2,)."""
+        pair = verify.pair_grid(s)
+        t = TiltShift(*pair.points[:, 0], eps=2 ** -3, alpha=alpha)
         flat = draw_matrix(pair, n_max, seed, replicas)
         means = tilt_shift_rows(SPEC, pair, t, n_max,
                                 Mollifier(d=1)).sum(axis=0)
         return flat, flat + means[:, None], means
 
     def test_zero_alpha_identity(self):
-        t = TiltShift(x=0.5, y=0.6, eps=2 ** -3, alpha=0.0)
-        s, tilted, _ = self.tilted_pair(t, 5, seed=20, replicas=1)
+        s, tilted, _ = self.tilted_pair(0.1, 0.0, 5, seed=20, replicas=1)
         assert np.array_equal(tilted, s)
 
     def test_tilted_mean(self):
         R = 4000
-        t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, alpha=0.8)
-        _, y, target = self.tilted_pair(t, 5, seed=21, replicas=R)
+        _, y, target = self.tilted_pair(0.1, 0.8, 5, seed=21, replicas=R)
         for i in range(2):
             mean = y[i].mean()
             se = y[i].std(ddof=1) / math.sqrt(R)
@@ -247,8 +247,7 @@ class TestTilt:
 
     def test_tilt_preserves_variance(self):
         R = 4000
-        t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, alpha=0.8)
-        flat, tilted, _ = self.tilted_pair(t, 4, seed=22, replicas=R)
+        flat, tilted, _ = self.tilted_pair(0.1, 0.8, 4, seed=22, replicas=R)
         for i in range(2):
             v0 = flat[i].var(ddof=1)
             v1 = tilted[i].var(ddof=1)
@@ -257,21 +256,11 @@ class TestTilt:
         # same seed: the tilt is a deterministic shift of the same draw
         assert np.allclose(tilted - flat, (tilted - flat)[:, :1], atol=1e-12)
 
-    def test_regular_grid_reads_its_free_points(self):
-        # one source of tilt means: a regular grid's rows are those of the
-        # same points as a free set, bit for bit
-        grid = Grid.regular((0.0, 1.0), 64)
-        free = Grid.from_points(grid.points, grid.box)
-        t = TiltShift(x=0.45, y=0.55, eps=2 ** -3, alpha=0.8)
-        mol = Mollifier(d=1)
-        assert np.array_equal(tilt_shift_rows(SPEC, grid, t, 5, mol),
-                              tilt_shift_rows(SPEC, free, t, 5, mol))
-
 
 class TestBandedEngine:
     """The level engine for banded (compactly supported) level Grams: an
     exact circulant embedding per level, on the lattice of a regular d=1
-    grid or on the 2-point torus of a free pair."""
+    grid, or on a 2-point torus for a draw of two rows."""
 
     GRID512 = Grid.regular((0.0, 1.0), 512)
 
@@ -349,24 +338,26 @@ class TestBandedEngine:
             circulant_root(row, name="Q_3")
 
     @pytest.mark.parametrize("q0", [0.0, 1.0], ids=["zero", "constant"])
-    @pytest.mark.parametrize("sep", [math.exp(-2), math.exp(-5), 0.3, 0.0],
-                             ids=["e-2", "e-5", "outside", "coincident"])
+    @pytest.mark.parametrize("sep", [math.exp(-2), math.exp(-5), 0.3],
+                             ids=["e-2", "e-5", "outside"])
     def test_pair_rows_match_gram(self, sep, q0):
-        # a free pair's group Gram [[L(0), L(s)], [L(s), L(0)]] is the
-        # circulant of its 2-point torus: its factor reproduces the dense
-        # Gram sums of the tilt-check groups and of the per-level draw
+        # a pair grid's group Gram [[L(0), L(h)], [L(h), L(0)]], h its
+        # spacing, is the circulant of its 2-point torus: its factor
+        # reproduces the per-level Q_n sums at radii 0 and h of the
+        # tilt-check groups and of the per-level draw (the two points'
+        # coordinates differ from h by rounding, as on any lattice)
         spec = KernelSpec(d=1, q0=q0)
-        pair = Grid.from_points(np.array([0.5 - sep / 2, 0.5 + sep / 2]),
-                                (0.0, 1.0))
+        pair = verify.pair_grid(sep)
+        radii = np.array([0.0, pair.h])
         for levels in (None, range(2, 9)):
             for g in increment_factors(spec, pair, 8, levels=levels)[1:]:
                 assert g.root.shape == (2,) and g.rows == 2
-                ref = sum(gram(spec, k, pair)
+                ref = sum(kernels.q_n(spec, k, radii) if k else spec.q0
                           for k in range(g.first, g.last + 1))
                 row = np.fft.ifft(2 * g.root ** 2).real
-                assert np.abs(row - ref[0]).max() <= 1e-15 * ref[0, 0], \
+                assert np.abs(row - ref).max() <= 1e-15 * ref[0], \
                     f"group {g.first}..{g.last}"
-                assert g.net >= 0.0 and (g.net == 0.0) == (sep == 0.0)
+                assert g.net > 0.0
 
     def test_pair_builds_no_gram(self, monkeypatch):
         # every group factor is a circulant root: the pair reads lattice
@@ -376,15 +367,9 @@ class TestBandedEngine:
 
         monkeypatch.setattr(kernels, "gram", refuse)
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
-        pair = Grid.from_points(np.array([0.45, 0.55]), (0.0, 1.0))
+        pair = verify.pair_grid(0.1)
         groups = increment_factors(SPEC, pair, 8, levels=range(2, 9))
         assert [g.draws for g in groups] == [2] * 7
-
-    @pytest.mark.parametrize("n", [1, 3, 16])
-    def test_other_free_sets_refused(self, n):
-        free = Grid.from_points(np.linspace(0.1, 0.9, n), (0.0, 1.0))
-        with pytest.raises(ValueError, match="pair only"):
-            increment_factors(SPEC, free, 4)
 
     @staticmethod
     def fft_calls(monkeypatch, *args):
@@ -429,7 +414,7 @@ class TestBandedEngine:
         # tilt-check's draw: the pair's seven groups share M = 2, so a
         # block takes one FFT call, with the bytes of the per-level draw's
         # FFT of each panel alone
-        pair = Grid.from_points(np.array([0.45, 0.55]), (0.0, 1.0))
+        pair = verify.pair_grid(0.1)
         bench = Bench(SPEC, pair, 8)
         factors = bench._factors(bench.draw(range(2, 9)))
         z, calls = self.fft_calls(monkeypatch, SPEC, pair, factors, 3, 32, 8)
@@ -494,14 +479,26 @@ class TestSampledWindow:
             assert np.abs(row[:w] - ref).max() <= 1e-12 * ref[0], f"level {k}"
 
     def test_full_grid_without_window(self):
-        # no f or a free point set, of shape (N, 1) or (N,): all N rows
-        f = bump_function(GRID, center=0.5, radius=0.1)
+        # no f, or an f that is zero everywhere: all N rows
         assert sampled_rows(GRID) == (0, GRID.n - 1)
         assert sampled_rows(GRID, np.zeros(GRID.n)) == (0, GRID.n - 1)
-        for pts in (GRID.points, GRID.points[:, 0]):
-            free = Grid.from_points(pts, (0.0, 1.0))
-            assert np.array_equal(free.points, GRID.points)
-            assert sampled_rows(free, f) == (0, GRID.n - 1)
+
+    def test_two_row_window_is_a_two_point_torus(self):
+        # f of radius 0.002 at N = 512 covers rows 255 and 256 alone: every
+        # level samples their exact Gram [[L(0), L(h)], [L(h), L(0)]], its
+        # own circulant on a 2-point torus, with the inline per-level bytes
+        grid = Grid.regular((0.0, 1.0), 512)
+        bench = Bench(SPEC, grid, 8, f=bump_function(grid, center=0.5,
+                                                     radius=0.002))
+        (z,) = bench.map_blocks(3, 64, lambda start, zb: (zb,))
+        assert bench.safety_net["sampled_rows"] == [255, 256]
+        assert bench.safety_net["torus_points"] == [1] + [2] * 8
+        for g in bench.factors[1:]:
+            row = np.fft.ifft(2 * g.root ** 2).real
+            ref = gram(SPEC, g.first, grid)[255, 255:257]
+            assert np.abs(row - ref).max() <= 1e-15 * ref[0], f"level {g.first}"
+        assert np.array_equal(z, TestLevelGroups.per_level_blocks(
+            SPEC, grid, 255, 256, 8, 3, 64))
 
     def test_mollified_support_inside_window(self):
         # the bench convolves the support rows of f inside the sampled rows,
@@ -568,17 +565,13 @@ class TestLevelGroups:
     def per_level_blocks(spec, grid, lo, hi, n_max, seed, replicas):
         """The per-level draw, inline: default_rng([seed, block]) yields the
         Q_0 normals, then one (M_k, BLOCK) panel per level k, each taken
-        through one FFT of its circulant root (on a 2-point torus of
-        spacing |x1 - x0| for a free pair)."""
-        w, half = hi - lo + 1, BLOCK // 2
+        through one FFT of its circulant root (on a 2-point torus for two
+        rows)."""
+        w, half, h = hi - lo + 1, BLOCK // 2, grid.h
         roots = []
         for k in range(1, n_max + 1):
-            if grid.h is None:
-                h, m = abs(np.diff(grid.points[:, 0])[0]), 2
-            else:
-                h = grid.h
-                band = math.floor(math.exp(-(spec.t0 + k)) / h)
-                m = next_fast_len(w + band + 1, True)
+            band = math.floor(math.exp(-(spec.t0 + k)) / h)
+            m = 2 if w == 2 else next_fast_len(w + band + 1, True)
             o = np.arange(m)
             lam = np.fft.fft(lattice_row(spec, [k], h,
                                          np.minimum(o, m - o))).real
@@ -622,21 +615,21 @@ class TestLevelGroups:
         monkeypatch.setattr(verify, "barrier_below", record)
         seps = [0.1, math.exp(-3), math.exp(-4), math.exp(-5)]
         tilted_event_prob(SPEC, seps, 2 ** -4, q, 1.6, 0.8, 6, 64, seed)
-        x, y = 0.5 - 0.5 * 0.1, 0.5 + 0.5 * 0.1
-        pair = Grid.from_points(np.array([[x], [y]]), (0.0, 1.0))
+        pair = verify.pair_grid(0.1)
         bench = Bench(SPEC, pair, 6)
         (centred,) = bench.map_blocks(seed, 64, lambda start, zb: (zb,),
                                       draw=bench.draw(range(q, 7)))
-        rows = tilt_shift_rows(SPEC, pair, TiltShift(x=x, y=y, eps=2 ** -4,
-                                                     alpha=0.8), 6,
-                               Mollifier(d=1))
+        rows = tilt_shift_rows(SPEC, pair, TiltShift(*pair.points[:, 0],
+                                                     eps=2 ** -4, alpha=0.8),
+                               6, Mollifier(d=1))
         return rows, centred, seen[0]
 
     def test_default_levels_draw_per_level_tilted_free(self, monkeypatch):
-        # the free pair's per-level draw is the inline reference's; under
+        # tilt-check's pair (free points up to v0.22.0, a 2-point grid
+        # since): its per-level draw is the inline reference's; under
         # tilt-check's barrier at q = 1, each level after the first group
         # gets its own tilt mean
-        pair = Grid.from_points(np.array([[0.45], [0.55]]), (0.0, 1.0))
+        pair = verify.pair_grid(0.1)
         (z,) = Bench(SPEC, pair, 6).map_blocks(5, 64, lambda start, zb: (zb,))
         assert np.array_equal(z, self.per_level_blocks(SPEC, pair, 0, 1, 6,
                                                        5, 64))

@@ -22,7 +22,7 @@ from logchaos import (Bench, ChaosParams, Grid, KernelSpec, Mollifier,
                       sup_field_prob, tail_bound_check, tilted_event_prob,
                       trend_verdict, weight_matrix)
 from logchaos.mollifier import discrete_stencil, interior_rows
-from logchaos.verify import _chaos_values, _ls_fit
+from logchaos.verify import _chaos_values, _ls_fit, pair_grid
 from test_cli import TINY
 
 SPEC = KernelSpec(d=1)
@@ -180,33 +180,6 @@ class TestBench:
                 _, k_diag = bench.supp_tables("main", eps)
                 cross = bench.cross_table(eps, eps)
                 assert np.array_equal(k_diag, np.full(s, cross[s - 1])), eps
-
-    def test_coincident_pair_embeds(self):
-        # coincident points make every level Gram singular: on its 2-point
-        # torus each group's eigenvalues are 2 L(0) and exactly 0, so every
-        # ratio reads 0.0 (the scalar Q_0 group 1.0), no eigenvalue is
-        # clipped and both points draw the same bytes, grouped or not; the
-        # acceptance geometry has every group's ratio positive; a bench
-        # reports the groups of its last draw, every level before any
-        from logchaos.cli import safety_nets
-        pair = Grid.from_points(np.array([[0.4], [0.4]]), (0.0, 1.0))
-        net = Bench(SPEC, pair, 4).safety_net
-        assert net["level_groups"] == [[k, k] for k in range(5)]
-        assert net["embedding_min_ratio"] == [1.0, 0.0, 0.0, 0.0, 0.0]
-        assert net["torus_points"] == [1, 2, 2, 2, 2]
-        assert safety_nets(net)["fired"] == []
-        for levels, groups in ((None, [[k, k] for k in range(5)]),
-                               ([2], [[0, 2], [3, 4]])):
-            bench = Bench(SPEC, pair, 4)
-            (z,) = bench.map_blocks(0, 64, lambda start, zb: (zb,),
-                                    draw=bench.draw(levels))
-            ratios = bench.safety_net["embedding_min_ratio"]
-            assert bench.safety_net["level_groups"] == groups
-            assert ratios == [ratios[0]] + [0.0] * (len(groups) - 1)
-            assert np.array_equal(z[:, 0], z[:, 1]) and z[1:].any()
-        fine = Grid.regular((0.0, 1.0), 2048)
-        ratios = Bench(SPEC, fine, 8).safety_net["embedding_min_ratio"]
-        assert len(ratios) == 9 and all(0.0 < r <= 1.0 for r in ratios)
 
     def test_unread_level_raises(self, monkeypatch):
         # a consumer asking for a partial sum a draw does not hold is
@@ -550,8 +523,8 @@ class TestSampledWindow:
 
     @pytest.mark.parametrize("call,widest", ESTIMATORS, ids=ESTIMATOR_IDS)
     def test_estimator_draws_its_widest_rows(self, call, widest):
-        # tilted_event_prob draws free points, all N rows of which a draw
-        # holds (test_sampler test_full_grid_without_window)
+        # tilted_event_prob draws a pair grid without f, all N = 2 rows of
+        # which a draw holds (test_sampler test_full_grid_without_window)
         bench = Bench(SPEC, GRID, 8, f=F)
         bench.add_channel("alt", Mollifier(d=1, profile="quartic"))
         bench.draw(keys=[("main", 0.14)])
@@ -1146,9 +1119,7 @@ class TestTiltedEventProb:
         rep = tilted_event_prob(SPEC, self.SEPS, eps, q, lam, alpha=0.0,
                                 n_max=n_max, replicas=1200, seed=7)
         # direct untilted estimate at the first separation
-        s = self.SEPS[0]
-        x, y = 0.5 - s / 2, 0.5 + s / 2
-        grid2 = Grid.from_points(np.array([[x], [y]]), (0.0, 1.0))
+        grid2 = pair_grid(self.SEPS[0])
 
         def below(start, z):
             # Y_k <= k lam at both points for every k in q..n_max

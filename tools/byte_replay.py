@@ -8,8 +8,10 @@ PARENT_SRC and CHANGE_SRC are source directories that each hold a
 the set in one fresh Python process, with PYTHONPATH set to that tree,
 PYTHONDONTWRITEBYTECODE=1 and a temporary output directory, and reports
 each run's exit code and manifest `csv_sha256`.  The script prints every
-run whose exit code or CSV hashes differ between the trees and exits 1 on
-any difference, 0 when every run agrees, and 2 when a tree cannot run.
+run that raised in either tree (a crash, even one both trees share) and
+every run whose exit code or CSV hashes differ between the trees, and
+exits 1 on any such line, 0 when every run agrees, and 2 when a tree
+cannot run.
 
 The set holds 49 runs, named as printed:
 
@@ -107,11 +109,18 @@ def replay(src, runs):
 
 
 def compare(names, parent, change):
-    """One line per run whose exit code or CSV hashes differ."""
+    """One line per run that raised in either tree (its code is the
+    exception string CHILD records), else per run whose exit code differs,
+    and one per run whose CSV hashes differ."""
     lines = []
     for name in names:
         (code_a, hashes_a), (code_b, hashes_b) = parent[name], change[name]
-        if code_a != code_b:
+        raised = [f"{tree} ({code})" for tree, code in
+                  (("parent", code_a), ("change", code_b))
+                  if isinstance(code, str)]
+        if raised:
+            lines.append(f"{name}: raised in {', '.join(raised)}")
+        elif code_a != code_b:
             lines.append(f"{name}: exit code {code_a} -> {code_b}")
         if hashes_a != hashes_b:
             a, b = hashes_a or {}, hashes_b or {}
