@@ -40,11 +40,6 @@ class Grid:
     def n(self):
         return self.points.shape[0]
 
-    @property
-    def weight(self):
-        """Midpoint-rule cell weight h."""
-        return self.h
-
     def interior_idx(self, margin):
         """Indices of points whose distance to the box boundary exceeds margin."""
         lo, hi = self.box

@@ -18,8 +18,9 @@ source, by role:
   rows (lattice_row): the exact discrete convolutions offset_table
   tabulates, equal to sampled-field covariances to machine precision (the
   oracle the Monte Carlo checks are scored against);
-* off the stencil, the continuum midpoint cloud (quad_cloud): k_mollified,
-  the grid-free reference, and q_mollified, the tilt means.
+* off the stencil, continuum midpoint rules: k_mollified, the grid-free
+  reference, on quad_cloud, and q_mollified, the tilt means, on the
+  overlap of the level and mollifier supports.
 
 On a regular grid a K_{eps,eps'} table depends only on the lattice
 offset i - j, so it is one value per offset (offset_table): kernel-check
@@ -41,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mollifier import (Mollifier, discrete_stencil, interior_rows,
-                        quad_cloud, shrink_domain)
+                        quad_cloud, shrink_domain, theta_eps)
 
 
 @dataclass(frozen=True)
@@ -294,27 +295,29 @@ def k_mollified(spec, eps, eps_prime, x, y, mol=None, n_levels=None,
 
 def q_mollified(spec, n, eps, z, x, mol):
     """Singly-mollified increment kernel Q_{n,eps}(z, x): Q_n(|z - x - u|)
-    against theta_eps(u) by the continuum midpoint cloud (quad_cloud) of
-    max(32, ceil(16 eps e^(t0+n))) nodes, so that the node spacing is at
-    most e^-(t0+n) / 8, an eighth of level n's support, at every level.
+    against theta_eps(u) by the midpoint rule on the overlap of the two
+    supports, |u| < eps and |z - x - u| < e^-(t0+n), split at the kink
+    u = z - x into two runs of 32 nodes: the same cost at every level and
+    eps, and a node spacing of at most a 32nd of the narrower support.
 
     Mollifies the x argument only.  Level 0 is the constant Q_0, and a
-    level n >= 1 is exactly 0 for |z - x| >= e^-(t0+n) + eps.  z may be an
-    array of points of shape (P,) or (P, 1), and x is a scalar.  The
-    sampler's own value at lattice offset o = (z - x) / h is
-    w @ lattice_row(spec, [n], h, o - offs), (offs, w) = discrete_stencil.
+    level n >= 1 is exactly 0 for |z - x| >= e^-(t0+n) + eps (the overlap
+    is empty).  z may be an array of points of shape (P,) or (P, 1), and
+    x is a scalar.  The sampler's own value at lattice offset
+    o = (z - x) / h is w @ lattice_row(spec, [n], h, o - offs),
+    (offs, w) = discrete_stencil.
     """
     zz = np.asarray(z, dtype=float).reshape(-1)
     if n == 0:
         return np.full(zz.size, spec.q0)
-    nodes = max(32, math.ceil(16.0 * eps * math.exp(spec.t0 + n)))
-    offs, w = quad_cloud(mol, eps, nodes)
-    r = np.abs(zz[:, None] - (offs + float(x))[None, :])
-    vals = np.zeros_like(r)
-    live = r < math.exp(-(spec.t0 + n))
-    if live.any():
-        vals[live] = q_n(spec, n, r[live])
-    return vals @ w
+    d, reach = zz - float(x), math.exp(-(spec.t0 + n))
+    lo = np.maximum(d - reach, -eps)
+    hi = np.maximum(np.minimum(d + reach, eps), lo)   # empty: zero width
+    ends = np.array([lo, np.minimum(np.maximum(d, lo), hi), hi])
+    width = (ends[1:] - ends[:-1]) / 32                          # (2, P)
+    u = ends[:-1, :, None] + width[:, :, None] * (np.arange(32) + 0.5)
+    vals = q_n(spec, n, np.abs(d[:, None] - u)) * theta_eps(mol, eps, u)
+    return (vals.sum(axis=2) * width).sum(axis=0)
 
 
 def offset_table(spec, grid, rows, rows_p, eps, eps_prime, mol, n_levels):

@@ -177,8 +177,8 @@ _BUFFER = threading.local()
 
 def tilt_shift_rows(spec, grid, tilt, n_max, mol):
     """Deterministic per-level mean shifts at the grid points, shape
-    (n_max+1, N): alpha times q_mollified toward both tilt points, the
-    continuum midpoint cloud, which reads only the points' coordinates.
+    (n_max+1, N): alpha times q_mollified toward both tilt points, a
+    continuum midpoint rule, which reads only the points' coordinates.
     """
     return tilt.alpha * np.array([
         kernels.q_mollified(spec, k, tilt.eps, grid.points, tilt.x, mol)

@@ -476,7 +476,7 @@ def _chaos_values(bench, gammas, keys, trunc, replicas, seed, workers):
     per (gamma, key) pair, gamma-major."""
     draw = bench.draw(_chaos_levels(bench, trunc), keys)
     densities = _block_densities(bench, draw, gammas, keys, trunc)
-    wgt = bench.grid.weight
+    wgt = bench.grid.h
 
     def consume(start, z):
         (cells,) = densities(z)
@@ -505,7 +505,7 @@ def second_moment_oracle(bench, gamma, eps, eps_prime):
     table = bench.cross_table(eps, eps_prime)
     f_s = bench.f[bench.supp[0]:bench.supp[-1] + 1]
     acf = np.correlate(f_s, f_s, "full")
-    w = bench.grid.weight
+    w = bench.grid.h
     return float(np.sum(acf * np.exp(abs(complex(gamma)) ** 2 * table))
                  * w * w)
 
@@ -557,7 +557,7 @@ def mc_moments(bench, jobs, replicas=1000, seed=0, workers=None):
         if estimand == "mean":
             out.append(moment_from_values(
                 f"E[M] eps={eps}", vals[a],
-                oracle=bench.f.sum() * bench.grid.weight, exclude=ovf[a]))
+                oracle=bench.f.sum() * bench.grid.h, exclude=ovf[a]))
             continue
         b = row + epss[float(eps_prime)]
         if estimand == "product":

@@ -57,7 +57,7 @@ def full_values(bench, gamma, seed, replicas, levels):
 
     def consume(start, z):
         (((dens, _),),) = densities(z)[0]
-        return (dens.sum(axis=0) * bench.grid.weight,)
+        return (dens.sum(axis=0) * bench.grid.h,)
 
     return bench.map_blocks(seed, replicas, consume, draw=draw)[0]
 
@@ -213,8 +213,8 @@ class TestChaosIntegral:
         # a real coefficient gives a float density, exp(0) f = f exactly, so
         # its quadrature sums the same floats in the same order as f's
         assert dens.dtype == float and np.array_equal(dens[:, 0], F[bench.supp])
-        val = dens.sum() * GRID.weight
-        quad = F[bench.supp].sum() * GRID.weight
+        val = dens.sum() * GRID.h
+        quad = F[bench.supp].sum() * GRID.h
         assert val == quad, f"{val} vs {quad}"
         assert val.imag == 0.0
         assert not ovf.any()
@@ -227,8 +227,8 @@ class TestChaosIntegral:
         f[rows] = 1.0
         dens, _ = chaos_density(gamma, np.full((rows.size, 1), c),
                                 np.full(rows.size, v), f[rows])
-        expect = cmath.exp(gamma * c - 0.5 * gamma * gamma * v) * f.sum() * GRID.weight
-        assert abs(dens.sum() * GRID.weight - expect) < 1e-12
+        expect = cmath.exp(gamma * c - 0.5 * gamma * gamma * v) * f.sum() * GRID.h
+        assert abs(dens.sum() * GRID.h - expect) < 1e-12
 
     def test_linearity(self):
         f1 = bump_function(GRID, center=0.4, radius=0.12)
@@ -279,9 +279,9 @@ class TestChaosIntegral:
         _, kd = bench.supp_tables("main", EPS)
         dens, ovf = chaos_density((alpha, 1j * beta), np.stack([x, y]), kd,
                                   F[bench.supp])
-        vals = dens.sum(axis=0) * GRID.weight
+        vals = dens.sum(axis=0) * GRID.h
         assert not ovf.any()
-        target = F.sum() * GRID.weight
+        target = F.sum() * GRID.h
         se = vals.real.std(ddof=1) / math.sqrt(R)
         z = (vals.real.mean() - target) / se
         assert abs(z) <= 4, f"two-field mean identity z = {z}"

@@ -334,6 +334,19 @@ class TestValidateOnly:
             assert main(["run", cfg_file(tmp_path, cfg),
                          "--out", str(tmp_path / "o")]) in (0, 1)
 
+    @pytest.mark.parametrize("cfg", [
+        {"n_max": 30},
+        {"n_max": 708, "eps": 1.0, "separations": [1.9, 1.8, 1.7, 1.6]}],
+        ids=["n_max=30", "n_max=708"])
+    def test_deep_tilt_check_runs(self, tmp_path, capsys, cfg):
+        # the tilt means cost the same at every level and eps, so the
+        # deepest levels tilt-check plans run in the memory of the default
+        cfg = dict(cfg, kind="tilt-check", replicas=40, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", cfg_file(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")]) in (0, 1)
+
     def test_one_rung_mollifier_independence_runs(self, tmp_path, capsys):
         # its cells are per rung, so one rung is a one-cell ladder (cauchy
         # and sobolev, whose cells are pairs of rungs, reject it)

@@ -343,19 +343,25 @@ class TestBandedEngine:
     def test_pair_rows_match_gram(self, sep, q0):
         # a pair grid's group Gram [[L(0), L(h)], [L(h), L(0)]], h its
         # spacing, is the circulant of its 2-point torus: its factor
-        # reproduces the per-level Q_n sums at radii 0 and h of the
-        # tilt-check groups and of the per-level draw (the two points'
-        # coordinates differ from h by rounding, as on any lattice)
+        # reproduces the dense Gram sums at the pair's points of the
+        # tilt-check groups and of the per-level draw.  The points lie
+        # delta = |(y - x) - h| off one spacing apart by rounding, and a
+        # run a..b of levels has |d/dr sum Q_n| <= min(1/r, e^(t0+b+1))
+        # (level_sum's closed form), so L(y - x) and L(h) differ by at
+        # most delta times that at r = min(h, y - x)
         spec = KernelSpec(d=1, q0=q0)
         pair = verify.pair_grid(sep)
-        radii = np.array([0.0, pair.h])
+        x, y = pair.points[:, 0]
+        delta, r = abs((y - x) - pair.h), min(pair.h, y - x)
         for levels in (None, range(2, 9)):
             for g in increment_factors(spec, pair, 8, levels=levels)[1:]:
                 assert g.root.shape == (2,) and g.rows == 2
-                ref = sum(kernels.q_n(spec, k, radii) if k else spec.q0
+                ref = sum(gram(spec, k, pair)
                           for k in range(g.first, g.last + 1))
                 row = np.fft.ifft(2 * g.root ** 2).real
-                assert np.abs(row - ref).max() <= 1e-15 * ref[0], \
+                slope = min(1.0 / r, math.exp(spec.t0 + g.last + 1))
+                assert (np.abs(row - ref[0]).max()
+                        <= 1e-15 * ref[0, 0] + delta * slope), \
                     f"group {g.first}..{g.last}"
                 assert g.net > 0.0
 

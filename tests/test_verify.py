@@ -120,7 +120,7 @@ class TestTrendVerdict:
 class TestSecondMomentOracle:
     def test_gamma_zero(self):
         val = second_moment_oracle(small_bench(), 0.0, 2 ** -4, 2 ** -4)
-        target = (F.sum() * GRID.weight) ** 2
+        target = (F.sum() * GRID.h) ** 2
         assert abs(val - target) < 1e-12
 
     def test_support_violation(self):
@@ -140,7 +140,7 @@ class TestSecondMomentOracle:
         # f(x) f(y) exp(c T(x - y)) w^2 of the same offset values
         grid = Grid.regular((0.0, 1.0), n)
         bench = small_bench(f=bump_function(grid, 0.5, radius), grid=grid)
-        supp, w = bench.supp, grid.weight
+        supp, w = bench.supp, grid.h
         f_s = bench.f[supp]
         for eps, eps2 in ((2 ** -4, 2 ** -4), (2 ** -4, 2 ** -5)):
             cross = bench.cross_table(eps, eps2)
@@ -640,14 +640,14 @@ class TestEngineAgreement:
         x, z = self.field(bench, seed, R, range(q, self.N_MAX + 1))
         dens = (np.exp(gamma * x - 0.5 * gamma ** 2 * self.k_diag()[:, None])
                 * F[self.SUPP][:, None])
-        vals = dens.sum(axis=0) * GRID.weight
+        vals = dens.sum(axis=0) * GRID.h
         if trunc is not None:
             # Y_k <= k lam for k in q..n_max: slab i sums up to level q + i
             lam = trunc[1]
             ys = np.cumsum(z, axis=0)[:, self.SUPP - bench.last_draw.lo]
             ok = (ys <= lam * np.arange(q, self.N_MAX + 1)[:, None, None]
                   ).all(axis=0)
-            full, vals = vals, (dens * ok).sum(axis=0) * GRID.weight
+            full, vals = vals, (dens * ok).sum(axis=0) * GRID.h
             assert np.any(vals != full), \
                 "no replica left the barrier event; the case is vacuous"
         (got,), (ovf,) = _chaos_values(bench, [gamma], [("main", self.EPS)],
@@ -663,7 +663,7 @@ class TestEngineAgreement:
         (x, _), (y, _) = self.field(bench, 7, 8), self.field(bench, 8, 8)
         expo = (alpha * x + 1j * beta * y
                 + 0.5 * (beta ** 2 - alpha ** 2) * self.k_diag()[:, None])
-        expect = (np.exp(expo) * F[self.SUPP][:, None]).sum(axis=0) * GRID.weight
+        expect = (np.exp(expo) * F[self.SUPP][:, None]).sum(axis=0) * GRID.h
         _, kd = bench.supp_tables("main", self.EPS)
         keys = [("main", self.EPS)]
         draw = bench.draw(keys=keys)
@@ -671,7 +671,7 @@ class TestEngineAgreement:
             bench.mollify(zb.sum(axis=0), keys, draw)[0],), draw=draw)[0]
             for seed in (7, 8)])
         dens, ovf = chaos_density((alpha, 1j * beta), xy, kd, F[bench.supp])
-        got = dens.sum(axis=0) * GRID.weight
+        got = dens.sum(axis=0) * GRID.h
         assert not ovf.any()
         assert np.all(np.abs(got - expect) <= 1e-10 * np.abs(expect))
 
