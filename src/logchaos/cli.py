@@ -59,8 +59,8 @@ SCAN_POINT_BOUND = 10 ** 6
 # evaluates exp(t0 + n + 1), finite up to n = 708 at the runs' t0 = 0 (a
 # field-stats var_levels entry 709 overflows it).  GRID_POINT_BOUND, on
 # grid_n before Grid.regular allocates: it admits exact ladders at N = 2^17,
-# where a 40-replica run of a sampled kind takes 1-5 s and peaks at 180-710
-# MB of RSS (sobolev the most) on a 2-vCPU Xeon.  REPLICA_BOUND: a run
+# where a 40-replica run of a sampled kind takes 1-6 s and peaks at 120-440
+# MB of RSS (sup-prob the most) on a 2-vCPU Xeon.  REPLICA_BOUND: a run
 # holds every output column for every replica; a field-stats run at
 # PROBE_BOUND probes (5 times the default 20) holds 1.6 KB a replica there
 # (10^5 replicas: 2.0 s and 199 MB, against 56 MB at 10^4)
@@ -199,7 +199,7 @@ def _test_function(cfg, grid, convolved, default_radius):
     if supp.size == 0:
         raise ConfigError(f"{where} is zero on every grid point")
     for key, eps in convolved:
-        if np.setdiff1d(supp, interior_rows(grid, eps)).size:
+        if not np.isin(supp, interior_rows(grid, eps)).all():
             raise ConfigError(f"{where} leaks outside D_eps at {key}={eps}")
     return f, center, radius
 

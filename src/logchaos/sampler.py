@@ -19,7 +19,10 @@ positive definite (Dietrich & Newsam 1997; Wood & Chan 1994); the constant
 Q_0 adds at frequency zero.  A block scales complex normals of shape (M,
 BLOCK/2) by sqrt(lambda / M) and takes one FFT (pocketfft, outside BLAS):
 the first W real parts are replicas 0-15, the imaginary parts replicas
-16-31, two independent exact draws.  Two rows take M = 2: their Gram
+16-31, two independent exact draws.  It draws each run of groups of one
+torus size as its own panel, straight from its stream, and transforms it
+in place, so a block holds its slabs and one run's panel; no buffer
+outlives the block.  Two rows take M = 2: their Gram
 [[L(0), L(h)], [L(h), L(0)]] is its own circulant, eigenvalues L(0) +-
 L(h) >= 0.  Reading every level gives one group per level: the
 per-level draw.  Every draw is centred: a consume adds any mean, such as
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -170,11 +172,6 @@ def increment_factors(spec, grid, n_max, rows=None, levels=None):
     return factors
 
 
-# block_z's normals, one buffer per thread reused across its blocks: a
-# fresh MB-sized array per block is mapped and faulted in anew each time
-_BUFFER = threading.local()
-
-
 def tilt_shift_rows(spec, grid, tilt, n_max, mol):
     """Deterministic per-level mean shifts at the grid points, shape
     (n_max+1, N): alpha times q_mollified toward both tilt points, a
@@ -193,37 +190,34 @@ def block_z(spec, grid, factors, seed, block_start, n_max):
     n_max, so cumsum over the slabs gives the partial sums at the groups'
     last levels; W = LevelFactor.rows.  Column j belongs to replica
     block_start + j.  This is the only code path that touches the RNG or
-    the factors.  Block b = block_start // BLOCK draws BLOCK * sum(draws)
-    normals from the one stream default_rng([seed, b]) into a per-thread
-    buffer (_BUFFER), read in group order as one (draws, BLOCK) panel per
-    group.  A group reads its (M, BLOCK) panel as complex normals of shape
-    (M, BLOCK/2) and takes one FFT along the lattice axis: the first W
-    real parts fill columns 0..BLOCK/2-1, the imaginary parts the rest.
-    Consecutive groups of one torus size (tori shrink with level) stack
-    their panels into one FFT call, which transforms each panel alone.
+    the factors.  Block b = block_start // BLOCK reads BLOCK * sum(draws)
+    normals from the one stream default_rng([seed, b]), in group order, one
+    (draws, BLOCK) panel per group.  Consecutive groups of one torus size
+    (tori shrink with level) form a run, drawn as one (k, M, BLOCK) panel
+    and taken by one FFT call, which transforms each group alone.  The run
+    is read as complex normals of shape (k, M, BLOCK/2), scaled and
+    transformed in place along the lattice axis: the first W real parts
+    fill columns 0..BLOCK/2-1, the imaginary parts the rest.  So a block
+    holds its slabs and one run's panel, never all of its normals.
     """
     groups = [g for g in factors if g.last <= n_max]
     n, half = groups[-1].rows, BLOCK // 2
-    sizes = [g.draws for g in groups]
-    size = BLOCK * sum(sizes)
-    if getattr(_BUFFER, "normals", np.empty(0)).size < size:
-        _BUFFER.normals = np.empty(size)
     rng = np.random.default_rng([seed, block_start // BLOCK])
-    normals = rng.standard_normal(out=_BUFFER.normals[:size])
     z = np.empty((len(groups), n, BLOCK))
-    i = used = 0
-    for m, run in itertools.groupby(sizes):
+    i = 0
+    for m, run in itertools.groupby(g.draws for g in groups):
         k = len(list(run))
-        xi = normals[used:used + k * m * BLOCK].reshape(k, m, BLOCK)
         roots = [g.root for g in groups[i:i + k]]
+        panel = rng.standard_normal((k, m, BLOCK))
         if m == 1:  # the scalar Q_0 group, one normal per replica
-            z[i:i + k] = np.array(roots)[:, None, None] * xi
-        else:
-            a = xi.view(complex)  # the block's own panels, scaled in place
-            # by complex roots: a float factor's products, without its cast
-            a *= np.array(roots, dtype=complex)[:, :, None]
-            y = np.fft.fft(a, axis=1)[:, :n]
-            z[i:i + k, :, :half] = y.real
-            z[i:i + k, :, half:] = y.imag
-        i, used = i + k, used + k * m * BLOCK
+            z[i:i + k] = np.array(roots)[:, None, None] * panel
+        else:  # complex normals scaled by complex roots (a float factor's
+            # products, without its cast), then transformed in place
+            panel = panel.view(complex)
+            panel *= np.array(roots, dtype=complex)[:, :, None]
+            np.fft.fft(panel, axis=1, out=panel)
+            z[i:i + k, :, :half] = panel[:, :n].real
+            z[i:i + k, :, half:] = panel[:, :n].imag
+        del panel  # freed before the next run's panel is drawn
+        i += k
     return z

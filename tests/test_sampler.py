@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,8 +113,8 @@ class TestDeterminism:
             assert np.array_equal(z[1], np.concatenate([y.real, y.imag], 1))
 
     def test_block_z_reads_the_stream_bitwise(self):
-        # block_z draws into a buffer its thread reuses; a small block after
-        # a larger one reads exactly the normals of its stream
+        # a block reads exactly its own stream, whatever ran before it: a
+        # small block after a larger one reads the normals of its stream
         big = Grid.regular((0.0, 1.0), 512)
         block_z(SPEC, big, increment_factors(SPEC, big, 8), 3, 0, 8)
         factors = increment_factors(SPEC, GRID, 4)
@@ -428,6 +430,35 @@ class TestBandedEngine:
         for g, xi, zi in zip(factors, stream_panels(3, 1, [2] * 7), z):
             y = np.fft.fft(g.root[:, None] * xi.view(complex), axis=0)
             assert np.array_equal(zi, np.concatenate([y.real, y.imag], 1))
+
+    def test_block_holds_slabs_and_one_run(self):
+        # the ladder-2048 draw, traced in a fresh thread after a warm-up
+        # call: a block keeps only z when it returns, and its peak stays
+        # below holding every normal of the block at once
+        grid = Grid.regular((0.0, 1.0), 2048)
+        bench = Bench(SPEC, grid, 8, f=bump_function(grid, center=0.5,
+                                                     radius=0.05))
+        factors = bench._factors(bench.draw(range(2, 9), [("main", 2 ** -3)]))
+        args = (SPEC, grid, factors, 7, 0, 8)
+        block_z(*args)
+        out = {}
+
+        def traced():
+            tracemalloc.start()
+            try:
+                out["z"] = block_z(*args)
+                out["held"], out["peak"] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+
+        thread = threading.Thread(target=traced)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        nbytes = out["z"].nbytes
+        assert abs(out["held"] - nbytes) <= 64 * 1024
+        assert out["peak"] < nbytes + 8 * BLOCK * sum(g.draws
+                                                      for g in factors)
 
 
 class TestSampledWindow:
