@@ -59,7 +59,7 @@ SCAN_POINT_BOUND = 10 ** 6
 # evaluates exp(t0 + n + 1), finite up to n = 708 at the runs' t0 = 0 (a
 # field-stats var_levels entry 709 overflows it).  GRID_POINT_BOUND, on
 # grid_n before Grid.regular allocates: it admits exact ladders at N = 2^17,
-# where a 40-replica run of a sampled kind takes 1-6 s and peaks at 120-440
+# where a 40-replica run of a sampled kind takes 1-6 s and peaks at 120-430
 # MB of RSS (sup-prob the most) on a 2-vCPU Xeon.  REPLICA_BOUND: a run
 # holds every output column for every replica; a field-stats run at
 # PROBE_BOUND probes (5 times the default 20) holds 1.6 KB a replica there
