@@ -21,12 +21,11 @@ BLOCK/2) by sqrt(lambda / M) and takes one FFT (pocketfft, outside BLAS):
 the first W real parts are replicas 0-15, the imaginary parts replicas
 16-31, two independent exact draws.  It draws each run of groups of one
 torus size as its own panel, straight from its stream, and transforms it
-in place, so a block holds its slabs and one run's panel.  Two rows
-take M = 2: their Gram
-[[L(0), L(h)], [L(h), L(0)]] is its own circulant, eigenvalues L(0) +-
-L(h) >= 0.  Reading every level gives one group per level: the
-per-level draw.  Every draw is centred: a consume adds any mean, such as
-a tilt's (tilt_shift_rows).
+in place, so a block holds its slabs and one run's panel.  Two rows take
+M = 2: their Gram [[L(0), L(h)], [L(h), L(0)]] is its own circulant,
+eigenvalues L(0) +- L(h) >= 0.  Reading every level gives one group per
+level: the per-level draw.  Every draw is centred: a consume adds any
+mean, such as a tilt's (tilt_shift_rows).
 """
 
 from __future__ import annotations
